@@ -93,7 +93,13 @@ var p99HighlightNames = map[string]string{
 // watches, with the direction a regression moves: ns-per-op metrics
 // regress by growing, speedup/throughput metrics by shrinking.
 // preferences_replay_ns is deliberately absent — it measures the
-// intentionally slow replay oracle.
+// intentionally slow replay oracle. So are warm_batch_speedup_x and
+// ann_speedup_x (still reported): each divides the cost of the path
+// that is NOT the optimization by the cost of the one that is, so a PR
+// that makes the plain path cheaper — PR 15 halved a sequential warm
+// plan and took the exact candidate sweep from 31 ms to 1.4 ms — reads
+// as a regression of the ratio. Both sides of both ratios are gated as
+// costs instead.
 var gatedHighlights = map[string]bool{ // name -> lowerIsBetter
 	"concurrent_user_state_ns": true,
 	"plan_cache_concurrent_ns": true,
@@ -106,12 +112,12 @@ var gatedHighlights = map[string]bool{ // name -> lowerIsBetter
 	"skip_topk_ns":             true,
 	"warm_batch_ns":            true,
 	"plan_speedup_x":           false,
-	"warm_batch_speedup_x":     false,
 	"skip_topk_speedup_x":      false,
 	"preferences_speedup_x":    false,
 	"recovery_events_per_sec":  false,
+	"warm_sequential_ns":       true,
+	"candidate_exact_ns":       true,
 	"candidate_ann_ns":         true,
-	"ann_speedup_x":            false,
 	"ann_recall_at_k":          false,
 	// Scenario-engine tail highlights (ISSUE 9), merged via -scenario:
 	// the end-to-end plan p99 under city traffic and the flash-crowd

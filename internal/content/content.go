@@ -122,19 +122,35 @@ type VectorIndex interface {
 }
 
 // Repository is the thread-safe content store with the secondary indexes
-// the recommender needs: by ID, by top category, by publish time, and —
+// the recommender needs: by ID, by category, by publish time, and —
 // for geographically scoped items — an R-tree over their relevance
 // discs, so GeoItems answers point queries without scanning the table.
 // When a VectorIndex is attached, every item is additionally embedded
 // into it on Add, beside the R-tree.
+//
+// Add also derives each item's ranking features (features.go) and files
+// the item under every category it carries, so a planning request reads
+// the catalog through a View instead of re-deriving any of it. Like the
+// vector index this is derived state: snapshot restore and WAL replay
+// rebuild it through Add and nothing of it is persisted.
+//
+// Items are numbered in insertion order; that number (seq) never
+// changes, and every seq-indexed slice below only ever grows at its
+// tail, which is what lets a View share them with readers lock-free.
 type Repository struct {
 	mu      sync.RWMutex
-	items   map[string]*Item
-	byCat   map[string][]string // top category -> item IDs
-	sorted  []string            // IDs ordered by Published asc
-	geoTree *spatial.RTree      // rects around geo discs -> geoIDs index
-	geoIDs  []string            // R-tree leaf id -> item ID
-	vecIx   VectorIndex         // optional ANN mirror of the catalog
+	seqs    map[string]int32 // item ID -> seq
+	feats   []Features       // seq -> item and its resident features
+	catIDs  []int32          // category vectors of all items, back to back
+	catWs   []float64        // parallel to catIDs
+	cats    map[string]int32 // category -> interned id; replaced, never mutated
+	names   []string         // addFeatures' sort scratch
+	post    [][]int32        // category id -> seqs of the items carrying it
+	byPub   []int32          // seqs ordered by Published asc
+	ordered int              // leading seqs that arrived in publish order
+	geoTree *spatial.RTree   // rects around geo discs -> geoSeqs index
+	geoSeqs []int32          // R-tree leaf id -> seq
+	vecIx   VectorIndex      // optional ANN mirror of the catalog
 }
 
 // SetVectorIndex attaches (or detaches, with nil) the embedding index.
@@ -148,22 +164,23 @@ func (r *Repository) SetVectorIndex(ix VectorIndex) {
 	if ix == nil {
 		return
 	}
-	for _, id := range r.sorted {
-		ix.Insert(r.items[id])
+	for _, seq := range r.byPub {
+		ix.Insert(r.feats[seq].Item)
 	}
 }
 
 // NewRepository returns an empty repository.
 func NewRepository() *Repository {
 	return &Repository{
-		items:   make(map[string]*Item),
-		byCat:   make(map[string][]string),
+		seqs:    make(map[string]int32),
+		cats:    map[string]int32{},
 		geoTree: spatial.NewRTree(),
 	}
 }
 
 // Add inserts an item. It rejects duplicates, empty IDs and non-positive
-// durations.
+// durations. The repository reads it.Categories once, here; the map must
+// not change afterwards.
 func (r *Repository) Add(it *Item) error {
 	if it == nil || it.ID == "" {
 		return fmt.Errorf("content: item must have an ID")
@@ -173,27 +190,28 @@ func (r *Repository) Add(it *Item) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.items[it.ID]; dup {
+	if _, dup := r.seqs[it.ID]; dup {
 		return fmt.Errorf("content: duplicate item %q", it.ID)
 	}
-	r.items[it.ID] = it
-	top := it.TopCategory()
-	if top != "" {
-		r.byCat[top] = append(r.byCat[top], it.ID)
-	}
+	seq := int32(len(r.feats))
+	r.seqs[it.ID] = seq
+	r.addFeatures(it, seq)
 	if it.Geo != nil {
-		r.geoTree.Insert(geo.RectAround(it.Geo.Center, it.Geo.Radius), len(r.geoIDs))
-		r.geoIDs = append(r.geoIDs, it.ID)
+		r.geoTree.Insert(geo.RectAround(it.Geo.Center, it.Geo.Radius), len(r.geoSeqs))
+		r.geoSeqs = append(r.geoSeqs, seq)
 	}
 	// Insert into the publish-ordered list (items arrive mostly in
 	// order, so the scan from the tail is effectively O(1)).
-	idx := len(r.sorted)
-	for idx > 0 && r.items[r.sorted[idx-1]].Published.After(it.Published) {
+	idx := len(r.byPub)
+	for idx > 0 && r.feats[r.byPub[idx-1]].Item.Published.After(it.Published) {
 		idx--
 	}
-	r.sorted = append(r.sorted, "")
-	copy(r.sorted[idx+1:], r.sorted[idx:])
-	r.sorted[idx] = it.ID
+	if idx == len(r.byPub) && r.ordered == int(seq) {
+		r.ordered++
+	}
+	r.byPub = append(r.byPub, 0)
+	copy(r.byPub[idx+1:], r.byPub[idx:])
+	r.byPub[idx] = seq
 	if r.vecIx != nil {
 		r.vecIx.Insert(it)
 	}
@@ -204,26 +222,33 @@ func (r *Repository) Add(it *Item) error {
 func (r *Repository) Get(id string) (*Item, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	it, ok := r.items[id]
-	return it, ok
+	seq, ok := r.seqs[id]
+	if !ok {
+		return nil, false
+	}
+	return r.feats[seq].Item, true
 }
 
 // Len returns the number of items.
 func (r *Repository) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.items)
+	return len(r.feats)
 }
 
 // All returns every item ordered by ascending publish time.
 func (r *Repository) All() []*Item {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]*Item, len(r.sorted))
-	for i, id := range r.sorted {
-		out[i] = r.items[id]
+	return r.appendItems(make([]*Item, 0, len(r.byPub)), r.byPub)
+}
+
+// appendItems appends the items numbered seqs to dst.
+func (r *Repository) appendItems(dst []*Item, seqs []int32) []*Item {
+	for _, seq := range seqs {
+		dst = append(dst, r.feats[seq].Item)
 	}
-	return out
+	return dst
 }
 
 // ByCategory returns the items whose top category matches, in insertion
@@ -231,10 +256,13 @@ func (r *Repository) All() []*Item {
 func (r *Repository) ByCategory(cat string) []*Item {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	ids := r.byCat[cat]
-	out := make([]*Item, len(ids))
-	for i, id := range ids {
-		out[i] = r.items[id]
+	out := []*Item{}
+	if id, ok := r.cats[cat]; ok {
+		for _, seq := range r.post[id] {
+			if it := r.feats[seq].Item; it.TopCategory() == cat {
+				out = append(out, it)
+			}
+		}
 	}
 	return out
 }
@@ -245,20 +273,15 @@ func (r *Repository) PublishedSince(t time.Time) []*Item {
 }
 
 // AppendPublishedSince appends the items published at or after t to dst
-// (ascending by publish time), reusing its capacity — the allocation-free
-// variant for ranking paths that rebuild the candidate window per
-// request.
+// (ascending by publish time), reusing its capacity.
 func (r *Repository) AppendPublishedSince(dst []*Item, t time.Time) []*Item {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	// Binary search over the sorted list.
-	i := sort.Search(len(r.sorted), func(i int) bool {
-		return !r.items[r.sorted[i]].Published.Before(t)
+	i := sort.Search(len(r.byPub), func(i int) bool {
+		return !r.feats[r.byPub[i]].Item.Published.Before(t)
 	})
-	for _, id := range r.sorted[i:] {
-		dst = append(dst, r.items[id])
-	}
-	return dst
+	return r.appendItems(dst, r.byPub[i:])
 }
 
 // GeoItems returns the items whose geographic scope contains p, ordered
@@ -270,7 +293,7 @@ func (r *Repository) GeoItems(p geo.Point) []*Item {
 	ids := r.geoTree.Search(geo.PointRect(p), nil)
 	out := make([]*Item, 0, len(ids))
 	for _, id := range ids {
-		it := r.items[r.geoIDs[id]]
+		it := r.feats[r.geoSeqs[id]].Item
 		if geo.Distance(p, it.Geo.Center) <= it.Geo.Radius {
 			out = append(out, it)
 		}

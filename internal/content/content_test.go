@@ -283,3 +283,87 @@ func TestGeoItemsEquivalenceWithLinearScan(t *testing.T) {
 		t.Fatal("degenerate test: no query matched anything")
 	}
 }
+
+// TestViewMatchesLinearScan: for every category and a sweep of cuts —
+// before the Unix epoch, inside one second, at an item's exact instant —
+// Postings filtered by Admits is the set a scan of the items finds, for
+// items added in and out of publish order; and a view does not see what
+// is added after it was taken.
+func TestViewMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cats := []string{"music", "sport", "zebra", "art"}
+	base := time.Date(1969, 12, 31, 23, 59, 58, 0, time.UTC) // straddles the epoch clamp
+	r := NewRepository()
+	var items []*Item
+	add := func(i int, published time.Time) {
+		it := &Item{ID: fmt.Sprintf("v%03d", i), Duration: time.Minute, Published: published, Categories: map[string]float64{}}
+		for _, c := range rng.Perm(len(cats))[:1+rng.Intn(3)] {
+			it.Categories[cats[c]] = rng.Float64()
+		}
+		if err := r.Add(it); err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, it)
+	}
+	for i := 0; i < 60; i++ { // in publish order, several per second
+		add(i, base.Add(time.Duration(i)*300*time.Millisecond))
+	}
+	for i := 60; i < 120; i++ { // late arrivals
+		add(i, base.Add(time.Duration(rng.Intn(18_000))*time.Millisecond))
+	}
+	var v View
+	r.ReadView(&v)
+	seen := len(items)
+	add(120, base.Add(5*time.Second))
+	if v.Len() != seen {
+		t.Fatalf("view grew to %d items after it was taken at %d", v.Len(), seen)
+	}
+
+	cuts := []time.Time{{}, base, base.Add(18 * time.Second), items[10].Published, items[10].Published.Add(time.Nanosecond)}
+	for i := 0; i < 40; i++ {
+		cuts = append(cuts, base.Add(time.Duration(rng.Intn(19_000))*time.Millisecond))
+	}
+	for _, cat := range cats {
+		id, ok := v.CategoryID(cat)
+		if !ok {
+			t.Fatalf("category %q not interned", cat)
+		}
+		for _, at := range cuts {
+			cut := Since(at)
+			var got, want []string
+			for _, seq := range v.Postings(id, cut) {
+				if f := v.At(seq); cut.Admits(f) {
+					got = append(got, f.Item.ID)
+				}
+			}
+			for _, it := range items[:seen] {
+				if _, has := it.Categories[cat]; has && !it.Published.Before(at) {
+					want = append(want, it.ID)
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s since %v:\n got  %v\n want %v", cat, at, got, want)
+			}
+		}
+	}
+	// Vectors are ordered by category name and carry the map's weights.
+	for seq, it := range items[:seen] {
+		ids, ws := v.Vector(int32(seq))
+		if len(ids) != len(it.Categories) {
+			t.Fatalf("%s: vector has %d coordinates, item %d", it.ID, len(ids), len(it.Categories))
+		}
+		prev := ""
+		for j, id := range ids {
+			var name string
+			for _, c := range cats {
+				if cid, _ := v.CategoryID(c); cid == id {
+					name = c
+				}
+			}
+			if name <= prev || ws[j] != it.Categories[name] {
+				t.Fatalf("%s: coordinate %d is %q=%v after %q, item has %v", it.ID, j, name, ws[j], prev, it.Categories)
+			}
+			prev = name
+		}
+	}
+}

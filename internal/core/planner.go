@@ -17,6 +17,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -154,11 +155,9 @@ func (p *Planner) Allocate(ranked []recommend.Scored, req Request) Plan {
 		return plan
 	}
 	selected := p.knapsack(ranked, req.Ctx.DeltaT)
-	// Cap the list length, keeping the highest-compound items.
+	// Cap the list length, keeping the items that rank highest.
 	if p.MaxItems > 0 && len(selected) > p.MaxItems {
-		sort.Slice(selected, func(i, j int) bool {
-			return selected[i].Compound > selected[j].Compound
-		})
+		slices.SortFunc(selected, recommend.CompareRank)
 		for _, sc := range selected[p.MaxItems:] {
 			plan.Dropped = append(plan.Dropped, Drop{Scored: sc, Reason: "list length cap"})
 		}
@@ -189,15 +188,30 @@ type knapScratch struct {
 
 var knapPool = sync.Pool{New: func() any { return new(knapScratch) }}
 
+// slots returns the knapsack's time quantum and ΔT's capacity in quanta.
+func (p *Planner) slots(deltaT time.Duration) (gran time.Duration, capacity int) {
+	gran = p.SlotGranularity
+	if gran <= 0 {
+		gran = 15 * time.Second
+	}
+	return gran, int(deltaT / gran)
+}
+
+// slotWeight is the number of quanta an item of duration d occupies.
+func slotWeight(d, gran time.Duration) int {
+	return int((d + gran - 1) / gran) // ceil
+}
+
+// slotValue is what scheduling an item adds to the knapsack objective.
+func slotValue(sc recommend.Scored) float64 {
+	return sc.Compound * sc.Item.Duration.Seconds()
+}
+
 // knapsack selects the subset of ranked items maximizing
 // Σ compound×duration within the ΔT capacity (classic 0/1 DP over
 // SlotGranularity quanta).
 func (p *Planner) knapsack(ranked []recommend.Scored, deltaT time.Duration) []recommend.Scored {
-	gran := p.SlotGranularity
-	if gran <= 0 {
-		gran = 15 * time.Second
-	}
-	capacity := int(deltaT / gran)
+	gran, capacity := p.slots(deltaT)
 	if capacity <= 0 {
 		return nil
 	}
@@ -205,11 +219,11 @@ func (p *Planner) knapsack(ranked []recommend.Scored, deltaT time.Duration) []re
 	defer knapPool.Put(ks)
 	cands := ks.cands[:0]
 	for _, sc := range ranked {
-		w := int((sc.Item.Duration + gran - 1) / gran) // ceil
+		w := slotWeight(sc.Item.Duration, gran)
 		if w == 0 || w > capacity {
 			continue
 		}
-		cands = append(cands, knapCand{sc: sc, weight: w, value: sc.Compound * sc.Item.Duration.Seconds()})
+		cands = append(cands, knapCand{sc: sc, weight: w, value: slotValue(sc)})
 	}
 	ks.cands = cands[:0]
 	if len(cands) == 0 {

@@ -1,13 +1,19 @@
 package core
 
 import (
+	"flag"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"pphcr/internal/content"
 	"pphcr/internal/distraction"
+	"pphcr/internal/recommend"
 	"pphcr/internal/roadnet"
 )
 
@@ -188,5 +194,161 @@ func TestScheduleWithImpossibleTimeline(t *testing.T) {
 	}
 	if len(plan.Dropped) == 0 || plan.Dropped[0].Reason != "no calm window before trip end" {
 		t.Fatalf("dropped = %+v", plan.Dropped)
+	}
+}
+
+// propertySeed, when set, runs TestSelectionMatchesFullAllocate on that
+// one instance — the repro a failure prints.
+var propertySeed = flag.Int64("selection.seed", -1, "run the selection property test on this seed only")
+
+// selectionInstance builds one random allocation problem: a planner, an
+// already-scored candidate list in arbitrary order, and the request.
+// The knobs the selection's exactness argument leans on are all drawn:
+// few distinct slot weights, exact ties in value (compounds on a 1/64
+// grid with whole-second durations, so every sum the DP forms is exact),
+// copied (compound, duration) pairs, items that fit no plan, ΔT from
+// nothing to 90 minutes, geo deadlines, distraction windows and the
+// list-length cap.
+func selectionInstance(seed int64) (*Planner, []recommend.Scored, Request) {
+	rng := rand.New(rand.NewSource(seed))
+	p := newTestPlanner()
+	p.MaxItems = []int{0, 3, 8}[rng.Intn(3)]
+	p.SlotGranularity = []time.Duration{15 * time.Second, 15 * time.Second, 30 * time.Second, time.Minute}[rng.Intn(4)]
+	var deltaT time.Duration
+	switch rng.Intn(6) {
+	case 0:
+		deltaT = time.Duration(rng.Intn(int(p.MinDeltaT))) // below the gate, down to 0
+	default:
+		deltaT = p.MinDeltaT + time.Duration(rng.Int63n(int64(82*time.Minute)))
+	}
+	ctx := drivingCtx(deltaT)
+
+	grid := rng.Intn(2) == 0
+	var palette []time.Duration
+	for i := 0; i < 1+rng.Intn(6); i++ {
+		palette = append(palette, time.Duration(20+rng.Intn(900))*time.Second)
+	}
+	n := 20 + rng.Intn(380)
+	ids := rng.Perm(n)
+	scored := make([]recommend.Scored, n)
+	for i := range scored {
+		var dur time.Duration
+		switch rng.Intn(4) {
+		case 0:
+			dur = time.Duration(1+rng.Intn(100*60)) * time.Second // some longer than any ΔT
+		default:
+			dur = palette[rng.Intn(len(palette))]
+		}
+		compound := 0.05 + 0.95*rng.Float64()
+		if grid {
+			compound = float64(1+rng.Intn(64)) / 64
+		}
+		if i > 0 && rng.Intn(3) == 0 {
+			twin := scored[rng.Intn(i)]
+			dur, compound = twin.Item.Duration, twin.Compound
+		}
+		it := item(fmt.Sprintf("i%04d", ids[i]), "food", dur)
+		if rng.Intn(10) == 0 {
+			it.Geo = &content.GeoRelevance{Center: ctx.Route.At(rng.Float64()), Radius: 300 + rng.Float64()*1000}
+		}
+		scored[i] = recommend.Scored{Item: it, Content: compound, Context: compound, Compound: compound}
+	}
+	req := Request{Ctx: ctx}
+	if rng.Intn(3) == 0 {
+		routeLen := 12 * deltaT.Seconds()
+		var junctions []roadnet.RouteJunction
+		for j := 0; j < rng.Intn(12); j++ {
+			junctions = append(junctions, roadnet.RouteJunction{Kind: roadnet.Intersection, DistAlong: rng.Float64() * routeLen})
+		}
+		tl := distraction.Build(junctions, routeLen, 12, rng.Float64()*0.6, distraction.DefaultParams())
+		req.Distraction = &tl
+	}
+	return p, scored, req
+}
+
+// TestSelectionMatchesFullAllocate: the plan allocated from a
+// Selection's survivors is, field for field, the plan allocated from the
+// whole ranked list — whatever order the items were offered in, and with
+// Rejects consulted on upper bounds of any slack.
+func TestSelectionMatchesFullAllocate(t *testing.T) {
+	first, last := int64(0), int64(2000)
+	if *propertySeed >= 0 {
+		first, last = *propertySeed, *propertySeed+1
+	}
+	var sel Selection
+	for seed := first; seed < last; seed++ {
+		p, scored, req := selectionInstance(seed)
+
+		ranked := slices.Clone(scored)
+		slices.SortFunc(ranked, recommend.CompareRank)
+		want := p.Allocate(ranked, req)
+
+		rng := rand.New(rand.NewSource(^seed))
+		sel.Reset(p, req.Ctx.DeltaT)
+		for _, sc := range scored {
+			bound := sc.Compound
+			if rng.Intn(2) == 0 {
+				bound *= 1 + rng.Float64()
+			}
+			if !sel.Rejects(sc.Item.Duration, bound) {
+				sel.Offer(sc)
+			}
+		}
+		survivors := sel.Ranked()
+		got := p.Allocate(survivors, req)
+
+		repro := fmt.Sprintf("repro: go test ./internal/core -run TestSelectionMatchesFullAllocate -selection.seed=%d", seed)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: plan from %d survivors differs from plan from all %d items\n got:  %s\n want: %s\n%s",
+				seed, len(survivors), len(ranked), planString(got), planString(want), repro)
+		}
+		_, capacity := p.slots(req.Ctx.DeltaT)
+		quota := 0
+		for w := 1; w <= capacity; w++ {
+			quota += capacity / w
+		}
+		if len(survivors) > quota {
+			t.Fatalf("seed %d: %d survivors exceed the Σ⌊C/w⌋ = %d bound at C = %d\n%s", seed, len(survivors), quota, capacity, repro)
+		}
+	}
+}
+
+func planString(p Plan) string {
+	var sb strings.Builder
+	for _, it := range p.Items {
+		fmt.Fprintf(&sb, "%s@%v ", it.Scored.Item.ID, it.StartOffset)
+	}
+	fmt.Fprintf(&sb, "| value %v used %v dropped %d", p.TotalValue, p.Used, len(p.Dropped))
+	return sb.String()
+}
+
+// TestAllocateCapBreaksTiesInRankingOrder pins the list-length cap's
+// order: among equal compounds the lower ID stays, as everywhere else
+// (recommend.CompareRank) — the cap used to sort by compound alone, so
+// which of two tied items straddling the cut survived depended on the
+// order the knapsack's traceback happened to emit them in.
+func TestAllocateCapBreaksTiesInRankingOrder(t *testing.T) {
+	p := newTestPlanner()
+	p.MaxItems = 4
+	var ranked []recommend.Scored
+	for _, id := range []string{"a", "b", "c", "d", "e", "f"} {
+		ranked = append(ranked, recommend.Scored{Item: item(id, "food", time.Minute), Compound: 0.5})
+	}
+	for _, order := range [][]int{{0, 1, 2, 3, 4, 5}, {5, 4, 3, 2, 1, 0}, {3, 0, 5, 1, 4, 2}} {
+		in := make([]recommend.Scored, len(order))
+		for i, j := range order {
+			in[i] = ranked[j]
+		}
+		plan := p.Allocate(in, Request{Ctx: drivingCtx(20 * time.Minute)})
+		var kept, dropped []string
+		for _, it := range plan.Items {
+			kept = append(kept, it.Scored.Item.ID)
+		}
+		for _, d := range plan.Dropped {
+			dropped = append(dropped, d.Scored.Item.ID)
+		}
+		if !slices.Equal(kept, []string{"a", "b", "c", "d"}) || !slices.Equal(dropped, []string{"e", "f"}) {
+			t.Fatalf("input order %v: kept %v dropped %v, want [a b c d] and [e f]", order, kept, dropped)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"time"
 
+	"pphcr/internal/content"
 	"pphcr/internal/embed"
 )
 
@@ -17,14 +18,15 @@ func embedQuery(prefs map[string]float64) (embed.Quantized, bool) {
 }
 
 // annCandidates is the embedding-retrieval Candidates stage (ROADMAP
-// item 4): instead of scanning the publish window and scoring every
-// item sharing a category with the user (O(catalog slice)), it embeds
-// the user's preference vector once per (user, instant), searches the
-// HNSW index for the Retrieve most similar items, and featurizes only
-// those — sublinear candidate acquisition at pinned recall. The warm
-// plan-cache short-circuit, preference memoization and downstream
-// Rank/Allocate stages are shared with the exact stage, so the two
-// paths differ only in how set.items is acquired.
+// item 4): instead of walking the postings of every category the user
+// prefers (O(catalog slice)), it embeds the user's preference vector
+// once per (user, instant), searches the HNSW index for the Retrieve
+// most similar items, and hands Rank only those — sublinear candidate
+// acquisition at pinned recall. The warm plan-cache short-circuit,
+// preference memoization and downstream Rank/Allocate stages are shared
+// with the exact stage, and the retrieved items are scored from the
+// same catalog-resident features, so the two paths differ only in which
+// items Rank considers.
 //
 // Exactness contract: when the index holds no more items than the
 // Retrieve budget, ann.Index.Search degrades to an exact scan and this
@@ -51,6 +53,7 @@ func (s *annCandidates) Gather(b *Batch) {
 		t.fp = b.prefsFor(s.inner, t.User, t.Now)
 		t.prefs = t.fp.prefs
 		t.set = b.annSetFor(s, t)
+		t.fp.bind(&t.set.view)
 	}
 }
 
@@ -69,7 +72,7 @@ func (b *Batch) annSetFor(s *annCandidates, t *Task) *candSet {
 	}
 	set, _ := s.po.sets.Get().(*candSet)
 	if set == nil {
-		set = &candSet{index: make(map[string][]int32)}
+		set = &candSet{}
 	}
 	s.build(set, t)
 	if b.annSets == nil {
@@ -79,38 +82,45 @@ func (b *Batch) annSetFor(s *annCandidates, t *Task) *candSet {
 	return set
 }
 
-// build acquires set.items from the vector index and featurizes them
-// with the shared fill pass.
+// build retrieves the set's candidates from the vector index.
 func (s *annCandidates) build(set *candSet, t *Task) {
 	fp := t.fp
 	if !fp.qSet {
 		fp.buildQuery()
 	}
-	set.now = t.Now
-	set.items = set.items[:0]
+	set.fromIndex = true
+	set.retrieved = set.retrieved[:0]
 	if fp.qOK {
 		start := time.Now()
 		res := s.deps.ANN.Search(&fp.q, s.deps.ANNRetrieve, s.deps.ANNEf)
 		s.m.annSearch.Observe(time.Since(start))
 		s.m.annSearches.Add(1)
 		s.m.annRetrieved.Add(int64(len(res)))
-		// Resolve IDs to items and re-apply the publish-window cut the
-		// exact acquisition enforces structurally. Resolution happens
-		// here — after Search returned — never inside the index (the
-		// vector-index lock sits below the store locks).
-		since := t.Now.Add(-s.deps.CandidateWindow)
+		// Resolve IDs to catalog numbers here — after Search returned —
+		// never inside the index (the vector-index lock sits below the
+		// store locks).
 		for _, c := range res {
-			it, ok := s.deps.ResolveItem(c.ID)
-			if !ok || it.Published.Before(since) {
-				continue
+			if seq, ok := s.deps.ResolveItem(c.ID); ok {
+				set.retrieved = append(set.retrieved, seq)
 			}
-			set.items = append(set.items, it)
 		}
-		s.m.annResolved.Add(int64(len(set.items)))
 	}
 	// Empty prefs yield no query direction and no candidates — the exact
-	// stage's inverted index matches nothing for such users either.
-	s.inner.fill(set)
+	// stage's postings walk matches nothing for such users either.
+	//
+	// The view is taken after resolution, so it holds every resolved
+	// item; then the publish-window cut the exact stage gets from its
+	// postings is re-applied.
+	set.start(&s.deps, t.Now)
+	cut := content.Since(t.Now.Add(-s.deps.CandidateWindow))
+	kept := set.retrieved[:0]
+	for _, seq := range set.retrieved {
+		if cut.Admits(set.view.At(seq)) {
+			kept = append(kept, seq)
+		}
+	}
+	set.retrieved = kept
+	s.m.annResolved.Add(int64(len(kept)))
 }
 
 // buildQuery computes (once per batch memo) the quantized embedding of
@@ -126,7 +136,7 @@ func (fp *userPrefs) buildQuery() {
 
 func (s *annCandidates) Release(b *Batch) {
 	for _, set := range b.annSets {
-		s.po.sets.Put(set)
+		s.po.putSet(set)
 	}
 	b.annSets = nil
 	s.inner.Release(b)

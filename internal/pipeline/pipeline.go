@@ -7,14 +7,19 @@
 // operator with its own latency/count metrics, and the composition runs
 // one task or a whole batch of tasks through the same code path.
 //
-// Batching is where the stage split pays off: the Candidates stage
-// acquires the candidate window, featurizes every item (flat sorted
-// category vector, norm, freshness, the position-independent context
-// base) and builds a category→items inverted index ONCE per batch, and
-// memoizes each user's decayed preference vector, so per-task work
-// collapses to scoring only the items that share a category with the
-// user (exact under the ranking content floor: an item with no shared
-// category has zero cosine and is filtered either way).
+// Nothing is derived from the catalog per request. Every item's ranking
+// features — its category vector in category-name order with interned
+// category ids, the vector's norm — and the category→items postings are
+// built once, when content.Repository.Add stores the item; the
+// Candidates stage takes a content.View of them (a lock and a few slice
+// headers), once per planning instant per batch, and memoizes each
+// user's decayed preference vector. The Rank stage then scores only the
+// items that share a category with the user (exact under the ranking
+// content floor: an item with no shared category has zero cosine and is
+// filtered either way), and for a plan-mode task keeps only the items
+// the knapsack can still choose (core.Selection), so the Allocate stage
+// solves the knapsack over a few hundred items whatever the catalog
+// size.
 //
 // All five public entry points of the System (PlanTrip, WarmPlan,
 // Recommend, SkipLive, SkipClip) execute through a Pipeline, which is
@@ -116,11 +121,11 @@ type Task struct {
 	// ring. Untraced tasks pay one nil check per stage.
 	Trace *obs.Trace
 
-	done      bool
-	prefs     map[string]float64
-	fp        *userPrefs
-	set       *candSet
-	rankedBuf *[]recommend.Scored
+	done  bool
+	prefs map[string]float64
+	fp    *userPrefs
+	set   *candSet
+	sel   *core.Selection
 }
 
 // skip reports whether later stages should ignore the task.
@@ -149,9 +154,9 @@ type Gate interface {
 	Gate(b *Batch, t *Task)
 }
 
-// Candidates prepares the shared ranking inputs for a batch (candidate
-// window, item features, preference vectors) and may short-circuit
-// tasks from the warm-plan cache. Release returns pooled resources
+// Candidates prepares the shared ranking inputs for a batch (catalog
+// view, preference vectors) and may short-circuit tasks from the
+// warm-plan cache. Release returns pooled resources
 // after the batch completes.
 type Candidates interface {
 	Gather(b *Batch)
@@ -175,8 +180,9 @@ type Deps struct {
 	Mobility func(user string) (*tracking.CompactModel, bool)
 	// Preferences returns the user's decayed preference vector at now.
 	Preferences func(user string, now time.Time) map[string]float64
-	// AppendCandidates appends the items published since the cut to dst.
-	AppendCandidates func(dst []*content.Item, since time.Time) []*content.Item
+	// Catalog fills v with the current view of the content repository
+	// (content.Repository.ReadView).
+	Catalog func(v *content.View)
 	// CandidateWindow bounds the candidate lookback.
 	CandidateWindow time.Duration
 	// Cache, when non-nil, is consulted by ModeLive tasks and versions
@@ -198,9 +204,9 @@ type Deps struct {
 	ANNRetrieve int
 	// ANNEf is the HNSW search beam width (default 2×ANNRetrieve).
 	ANNEf int
-	// ResolveItem maps a retrieved item ID back to the catalog item;
-	// required when ANN is set.
-	ResolveItem func(id string) (*content.Item, bool)
+	// ResolveItem maps a retrieved item ID back to the item's number in
+	// the catalog (content.Repository.Seq); required when ANN is set.
+	ResolveItem func(id string) (seq int32, ok bool)
 }
 
 // Default ANN retrieval budget.
@@ -221,7 +227,7 @@ type Pipeline struct {
 // New builds a pipeline with the default stage implementations, which
 // share one set of recycled buffers. When deps.ANN is set the
 // Candidates stage acquires candidates from the embedding index
-// instead of the publish-window scan; everything downstream is shared.
+// instead of the per-category postings; everything downstream is shared.
 func New(deps Deps) *Pipeline {
 	if deps.ANN != nil {
 		if deps.ANNRetrieve <= 0 {
@@ -253,10 +259,9 @@ type Batch struct {
 	// Tasks are the batch members, in submission order.
 	Tasks []*Task
 
-	sets     []*candSet
-	annSets  map[prefsKey]*candSet
-	prefs    map[prefsKey]*userPrefs
-	matchBuf []int32
+	sets    []*candSet
+	annSets map[prefsKey]*candSet
+	prefs   map[prefsKey]*userPrefs
 }
 
 type prefsKey struct {
@@ -273,8 +278,8 @@ func (p *Pipeline) Run(t *Task) {
 
 // RunBatch executes every task through the staged flow. Stages run in
 // order with the Candidates stage invoked once for the whole batch, so
-// candidate acquisition, item featurization and per-user preference
-// reads are amortized across tasks. Tasks are independent: a task that
+// the catalog view and per-user preference reads are shared across
+// tasks. Tasks are independent: a task that
 // errors or short-circuits (gate decline, warm-cache hit) is skipped by
 // later stages without affecting its neighbors.
 func (p *Pipeline) RunBatch(tasks []*Task) {

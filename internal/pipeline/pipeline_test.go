@@ -17,6 +17,12 @@ var testEpoch = time.Date(2017, 3, 20, 8, 0, 0, 0, time.UTC)
 // preference reads and candidate acquisitions.
 func rankDeps(items []*content.Item, prefs map[string]float64, prefReads, acquires *int) Deps {
 	scorer := recommend.NewScorer(0.4)
+	repo := content.NewRepository()
+	for _, it := range items {
+		if err := repo.Add(it); err != nil {
+			panic(err)
+		}
+	}
 	return Deps{
 		Mobility: func(string) (*tracking.CompactModel, bool) { return nil, false },
 		Preferences: func(user string, now time.Time) map[string]float64 {
@@ -27,14 +33,9 @@ func rankDeps(items []*content.Item, prefs map[string]float64, prefReads, acquir
 			}
 			return out
 		},
-		AppendCandidates: func(dst []*content.Item, since time.Time) []*content.Item {
+		Catalog: func(v *content.View) {
 			*acquires++
-			for _, it := range items {
-				if !it.Published.Before(since) {
-					dst = append(dst, it)
-				}
-			}
-			return dst
+			repo.ReadView(v)
 		},
 		CandidateWindow: 72 * time.Hour,
 		Planner:         core.NewPlanner(scorer),

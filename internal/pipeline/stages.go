@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,13 +19,13 @@ import (
 )
 
 // pools are the pipeline-owned recycled buffers shared by the default
-// stages: candidate feature sets (one per distinct planning instant per
-// batch) and ranked-score slices (plan-mode tasks only — ModeRank hands
-// its slice to the caller).
+// stages: candidate sets (one per distinct planning instant per batch),
+// preference memos, and the planner selections plan-mode tasks rank
+// into (ModeRank hands its ranked slice to the caller).
 type pools struct {
-	sets   sync.Pool // *candSet
-	scored sync.Pool // *[]recommend.Scored
-	prefs  sync.Pool // *userPrefs
+	sets  sync.Pool // *candSet
+	sels  sync.Pool // *core.Selection
+	prefs sync.Pool // *userPrefs
 }
 
 // ---- Predict ---------------------------------------------------------
@@ -153,72 +153,102 @@ func (s *plannerGate) Gate(b *Batch, t *Task) {
 
 // ---- Candidates ------------------------------------------------------
 
-// catWeight is one (category, weight) coordinate of a sparse vector,
-// kept in category-sorted slices so dot products are deterministic
-// merge joins instead of randomized map walks.
-type catWeight struct {
+// candSet is the candidate state for one planning instant within a
+// batch: a view of the catalog — whose items carry their ranking
+// features since they were added, so nothing is featurized here — plus
+// the few terms that depend on the instant. The exact stage ranks the
+// view's per-category postings, cut to the candidate window; the ANN
+// stage ranks the items it retrieved.
+type candSet struct {
+	now  time.Time
+	view content.View
+	// kindBase is Scorer.ContextBase at now for each known item kind: the
+	// plain (weather- and activity-free) context base depends on nothing
+	// else, and computing it per candidate was a tenth of a cold plan.
+	kindBase [content.KindTimeShifted + 1]float64
+	// retrieved lists the ANN stage's candidates by seq; the exact stage
+	// leaves fromIndex false and Rank walks the postings instead.
+	retrieved []int32
+	fromIndex bool
+}
+
+// start points the set at the catalog as of this call.
+func (set *candSet) start(deps *Deps, now time.Time) {
+	set.now = now
+	deps.Catalog(&set.view)
+	for k := range set.kindBase {
+		set.kindBase[k] = deps.Scorer.ContextBase(&content.Item{Kind: content.Kind(k)}, recommend.Context{Now: now})
+	}
+}
+
+// contextBase is Scorer.ContextBase for the item at the set's instant
+// under a plain context.
+func (set *candSet) contextBase(scorer *recommend.Scorer, it *content.Item) float64 {
+	if k := int(it.Kind); k >= 0 && k < len(set.kindBase) {
+		return set.kindBase[k]
+	}
+	return scorer.ContextBase(it, recommend.Context{Now: set.now})
+}
+
+// prefWeight is one coordinate of a preference vector.
+type prefWeight struct {
 	cat string
 	w   float64
 }
 
-// itemFeat is the per-batch featurization of one candidate item: its
-// sorted category vector (a window into the set's arena), the vector
-// norm, the freshness multiplier at the batch instant and the
-// position-independent context base. Everything here depends only on
-// (item, now), so it is computed at most once per batch — and lazily:
-// the build pass only flattens categories and fills the inverted index,
-// while the norm/freshness/context terms are computed on an item's
-// first match, so tasks with narrow preference vectors never pay for
-// the items they cannot rank.
-type itemFeat struct {
-	catsOff  int32
-	catsLen  int32
-	ready    bool
-	sqrtNorm float64
-	fresh    float64
-	ctxBase  float64
-}
-
-// candSet is the shared candidate state for one planning instant within
-// a batch: the candidate window, item features, and the category→items
-// inverted index that lets a task score only the items overlapping its
-// preference vector. Exact under the ranking content floor: an item
-// sharing no category with the user has zero cosine and is dropped by
-// the floor either way.
-type candSet struct {
-	now      time.Time
-	items    []*content.Item
-	feats    []itemFeat
-	catArena []catWeight
-	index    map[string][]int32
-	mark     []int32
-	epoch    int32
-}
-
-func (s *candSet) cats(f *itemFeat) []catWeight {
-	return s.catArena[f.catsOff : f.catsOff+f.catsLen]
+// prefSlot is a preference weight as item vectors look it up: by
+// interned category id.
+type prefSlot struct {
+	w  float64
+	ok bool
 }
 
 // userPrefs is the per-batch memo of one user's decayed preference
-// vector: the map (handed to the allocator), its sorted flat form and
-// the precomputed √norm of the user side of the cosine. The ANN
-// Candidates stage additionally memoizes the quantized embedding of the
-// preference vector here, so batch plan execution shares one query
-// vector per (user, instant) across tasks.
+// vector: the map (handed to the allocator), its name-sorted flat form,
+// the precomputed √norm of the user side of the cosine and, once bound
+// to the batch's catalog view, the same weights by interned category
+// id. The ANN Candidates stage additionally memoizes the quantized
+// embedding of the preference vector here, so batch plan execution
+// shares one query vector per (user, instant) across tasks.
 type userPrefs struct {
 	prefs  map[string]float64
-	flat   []catWeight
+	flat   []prefWeight
 	sqrtNa float64
+
+	// ids are the preferred categories some catalog item carries; byID
+	// holds every category's weight, indexed by id. Both are filled by
+	// bind.
+	ids   []int32
+	byID  []prefSlot
+	bound bool
 
 	q    embed.Quantized
 	qOK  bool // q encodes a meaningful direction (prefs non-empty)
 	qSet bool // q/qOK computed for the current prefs
 }
 
+// bind resolves the preference categories against the view's interned
+// ids. Within a batch a memo meets exactly one view — the set of its
+// instant (exact stage) or of its (user, instant) (ANN stage) — so it
+// binds once.
+func (fp *userPrefs) bind(v *content.View) {
+	if fp.bound {
+		return
+	}
+	fp.bound = true
+	fp.ids = fp.ids[:0]
+	fp.byID = append(fp.byID[:0], make([]prefSlot, v.NumCategories())...)
+	for _, pw := range fp.flat {
+		if id, ok := v.CategoryID(pw.cat); ok {
+			fp.ids = append(fp.ids, id)
+			fp.byID[id] = prefSlot{w: pw.w, ok: true}
+		}
+	}
+}
+
 // cacheCandidates is the default Candidates stage: warm-plan cache
-// short-circuit for live tasks, then one candidate acquisition +
-// featurization per distinct planning instant and one preference read
-// per (user, instant).
+// short-circuit for live tasks, then one catalog view per distinct
+// planning instant and one preference read per (user, instant).
 type cacheCandidates struct {
 	deps Deps
 	po   *pools
@@ -245,6 +275,7 @@ func (s *cacheCandidates) Gather(b *Batch) {
 		}
 		t.set = b.setFor(s, t.Now)
 		t.fp = b.prefsFor(s, t.User, t.Now)
+		t.fp.bind(&t.set.view)
 		t.prefs = t.fp.prefs
 	}
 }
@@ -281,9 +312,9 @@ func (s *cacheCandidates) tryServeWarm(t *Task) bool {
 	return true
 }
 
-// setFor returns the batch's candidate set for the instant, building it
-// on first use. Batches rarely span more than a handful of instants, so
-// the lookup is a linear scan.
+// setFor returns the batch's candidate set for the instant, taking the
+// catalog view on first use. Batches rarely span more than a handful of
+// instants, so the lookup is a linear scan.
 //
 //pphcr:allow poolescape batch-scoped arena: Release puts every set in b.sets back when the batch ends
 func (b *Batch) setFor(s *cacheCandidates, now time.Time) *candSet {
@@ -294,82 +325,12 @@ func (b *Batch) setFor(s *cacheCandidates, now time.Time) *candSet {
 	}
 	set, _ := s.po.sets.Get().(*candSet)
 	if set == nil {
-		set = &candSet{index: make(map[string][]int32)}
+		set = &candSet{}
 	}
-	s.build(set, now)
+	set.fromIndex = false
+	set.start(&s.deps, now)
 	b.sets = append(b.sets, set)
 	return set
-}
-
-// build acquires the candidate window and featurizes it: flat sorted
-// category vectors (deterministic dot products), norms, freshness,
-// context base, and the category→items inverted index.
-func (s *cacheCandidates) build(set *candSet, now time.Time) {
-	set.now = now
-	set.items = s.deps.AppendCandidates(set.items[:0], now.Add(-s.deps.CandidateWindow))
-	s.fill(set)
-}
-
-// fill featurizes set.items in place — the half of build shared with
-// the ANN Candidates stage, which acquires set.items from the vector
-// index instead of the publish-window scan.
-func (s *cacheCandidates) fill(set *candSet) {
-	set.catArena = set.catArena[:0]
-	if cap(set.feats) < len(set.items) {
-		set.feats = make([]itemFeat, len(set.items))
-	} else {
-		set.feats = set.feats[:len(set.items)]
-	}
-	for cat, idxs := range set.index {
-		set.index[cat] = idxs[:0]
-	}
-	// mark carries dedup epochs across reuses: epochs only grow, so
-	// stale stamps never collide with a fresh epoch.
-	if cap(set.mark) < len(set.items) {
-		grown := make([]int32, len(set.items))
-		copy(grown, set.mark)
-		set.mark = grown
-	} else {
-		set.mark = set.mark[:len(set.items)]
-	}
-	for i, it := range set.items {
-		off := int32(len(set.catArena))
-		for cat, w := range it.Categories {
-			set.catArena = append(set.catArena, catWeight{cat: cat, w: w})
-		}
-		seg := set.catArena[off:]
-		// Insertion sort: category vectors are tiny (the classifier
-		// prunes to a handful of posteriors).
-		for j := 1; j < len(seg); j++ {
-			for k := j; k > 0 && seg[k].cat < seg[k-1].cat; k-- {
-				seg[k], seg[k-1] = seg[k-1], seg[k]
-			}
-		}
-		set.feats[i] = itemFeat{catsOff: off, catsLen: int32(len(seg))}
-		for _, cw := range seg {
-			set.index[cw.cat] = append(set.index[cw.cat], int32(i))
-		}
-	}
-}
-
-// featurize fills the lazily computed terms of one item's features.
-func (s *indexRank) featurize(set *candSet, idx int32) *itemFeat {
-	f := &set.feats[idx]
-	if f.ready {
-		return f
-	}
-	it := set.items[idx]
-	var nb float64
-	for _, cw := range set.cats(f) {
-		nb += cw.w * cw.w
-	}
-	if nb > 0 {
-		f.sqrtNorm = math.Sqrt(nb)
-	}
-	f.fresh = s.deps.Scorer.FreshnessFactor(it, set.now)
-	f.ctxBase = s.deps.Scorer.ContextBase(it, recommend.Context{Now: set.now})
-	f.ready = true
-	return f
 }
 
 // prefsFor returns the batch's preference memo for (user, now),
@@ -387,9 +348,10 @@ func (b *Batch) prefsFor(s *cacheCandidates, user string, now time.Time) *userPr
 	}
 	fp.prefs = s.deps.Preferences(user, now)
 	fp.qSet = false // invalidate the quantized-query memo for the new prefs
+	fp.bound = false
 	fp.flat = fp.flat[:0]
 	for cat, w := range fp.prefs {
-		fp.flat = append(fp.flat, catWeight{cat: cat, w: w})
+		fp.flat = append(fp.flat, prefWeight{cat: cat, w: w})
 	}
 	// Insertion sort: preference vectors are small and sort.Slice's
 	// closure indirection shows up on the skip hot path.
@@ -401,8 +363,8 @@ func (b *Batch) prefsFor(s *cacheCandidates, user string, now time.Time) *userPr
 	}
 	fp.sqrtNa = 0
 	var na float64
-	for _, cw := range fp.flat {
-		na += cw.w * cw.w
+	for _, pw := range fp.flat {
+		na += pw.w * pw.w
 	}
 	if na > 0 {
 		fp.sqrtNa = math.Sqrt(na)
@@ -413,7 +375,7 @@ func (b *Batch) prefsFor(s *cacheCandidates, user string, now time.Time) *userPr
 
 func (s *cacheCandidates) Release(b *Batch) {
 	for _, set := range b.sets {
-		s.po.sets.Put(set)
+		s.po.putSet(set)
 	}
 	b.sets = nil
 	for _, fp := range b.prefs {
@@ -427,46 +389,46 @@ func (s *cacheCandidates) Release(b *Batch) {
 	}
 }
 
+// putSet recycles a candidate set. The view is dropped first: a pooled
+// set must not keep a superseded generation of the catalog's arrays
+// reachable.
+func (po *pools) putSet(set *candSet) {
+	set.view.Reset()
+	po.sets.Put(set)
+}
+
 // ---- Rank ------------------------------------------------------------
 
-// indexRank is the default Rank stage: union the inverted-index
-// postings of the user's preference categories, score each matched item
-// with a deterministic merge-join cosine over the precomputed features,
-// filter by the content floor, and order by (compound desc, ID asc) —
-// through a bounded top-k heap when the task asks for k items (the skip
-// hot path asks for one).
+// indexRank is the default Rank stage: walk the postings of the user's
+// preference categories (or the ANN stage's retrieved list), score each
+// item once with a cosine over its catalog-resident category vector,
+// filter by the content floor, and order by recommend.CompareRank —
+// through a bounded top-k heap when a ModeRank task asks for k items
+// (the skip hot path asks for one), through the planner's
+// core.Selection for plan-mode tasks, which keeps only the items the
+// knapsack can still choose and returns a few hundred instead of the
+// catalog. Both bounds let the stage skip an item on the cheap side of
+// its score: freshness is a factor in [0.5, 1] on the content score and
+// Compound is monotone in it, so the cosine alone bounds the compound
+// from above.
 type indexRank struct {
 	deps Deps
 	po   *pools
 }
 
-// mergeDot is the sparse dot product of two category-sorted vectors.
-func mergeDot(a, b []catWeight) float64 {
-	var dot float64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].cat == b[j].cat:
-			dot += a[i].w * b[j].w
-			i++
-			j++
-		case a[i].cat < b[j].cat:
-			i++
-		default:
-			j++
-		}
-	}
-	return dot
-}
-
 // worse is the inverse ranking order: true when x ranks strictly below
-// y. Ranking order is (compound desc, ID asc), a total order, so heap
-// selection and sort+truncate agree item for item.
-func worse(x, y recommend.Scored) bool {
-	if x.Compound != y.Compound {
-		return x.Compound < y.Compound
-	}
-	return x.Item.ID > y.Item.ID
+// y.
+func worse(x, y recommend.Scored) bool { return recommend.CompareRank(x, y) > 0 }
+
+// ranking is the state of one Rank call.
+type ranking struct {
+	s    *indexRank
+	t    *Task
+	set  *candSet
+	cut  content.Cut // the candidate window
+	rich bool
+	sel  *core.Selection // plan-mode tasks
+	out  []recommend.Scored
 }
 
 func (s *indexRank) Rank(b *Batch, t *Task) {
@@ -474,80 +436,123 @@ func (s *indexRank) Rank(b *Batch, t *Task) {
 	if set == nil {
 		return
 	}
-	var out []recommend.Scored
 	if t.Mode != ModeRank {
-		// Plan-mode ranked slices are recycled by the Allocate stage;
-		// ModeRank results are handed to the caller and stay fresh.
-		bp, _ := s.po.scored.Get().(*[]recommend.Scored)
-		if bp == nil {
-			bp = new([]recommend.Scored)
+		sel, _ := s.po.sels.Get().(*core.Selection)
+		if sel == nil {
+			sel = new(core.Selection)
 		}
-		//pphcr:allow poolescape task-scoped buffer: the Allocate stage puts rankedBuf back after consuming the ranking
-		t.rankedBuf = bp
-		out = (*bp)[:0]
+		sel.Reset(s.deps.Planner, t.Ctx.DeltaT)
+		//pphcr:allow poolescape task-scoped buffer: the Allocate stage puts sel back after consuming the ranking
+		t.sel = sel
 	}
+	r := ranking{
+		s: s, t: t, set: set, sel: t.sel,
+		cut:  content.Since(t.Now.Add(-s.deps.CandidateWindow)),
+		rich: t.Ctx.Weather != recommend.WeatherUnknown || t.Ctx.Activity != recommend.ActivityUnknown,
+	}
+	if set.fromIndex {
+		for _, seq := range set.retrieved {
+			r.consider(seq, -1)
+		}
+	} else {
+		// An item carrying several preferred categories sits in several of
+		// these lists; it is scored from the list of the first one in its
+		// own vector.
+		for _, cat := range t.fp.ids {
+			for _, seq := range set.view.Postings(cat, r.cut) {
+				r.consider(seq, cat)
+			}
+		}
+	}
+	if r.sel != nil {
+		t.Ranked = r.sel.Ranked()
+		return
+	}
+	slices.SortFunc(r.out, recommend.CompareRank)
+	t.Ranked = r.out
+}
 
-	// Matched candidates: items sharing at least one category with the
-	// preference vector, deduplicated with the set's epoch marks.
-	set.epoch++
-	matched := b.matchBuf[:0]
-	for _, cw := range t.fp.flat {
-		for _, idx := range set.index[cw.cat] {
-			if set.mark[idx] != set.epoch {
-				set.mark[idx] = set.epoch
-				matched = append(matched, idx)
+// consider scores item seq and offers it to the task's selection or
+// top-k heap. from is the category whose postings produced it, or -1;
+// an item whose first preferred category is another one is left to that
+// category's list.
+func (r *ranking) consider(seq, from int32) {
+	f := r.set.view.At(seq)
+	if !r.cut.Admits(f) {
+		return
+	}
+	// The dot product adds its terms in category-name order (the order of
+	// the item's vector), looking each weight up by id.
+	var dot float64
+	byID, first := r.t.fp.byID, true
+	ids, ws := r.set.view.Vector(seq)
+	for j, id := range ids {
+		p := byID[id]
+		if !p.ok {
+			continue
+		}
+		if first {
+			if from >= 0 && id != from {
+				return
+			}
+			first = false
+		}
+		dot += p.w * ws[j]
+	}
+	sqrtNa := r.t.fp.sqrtNa
+	if dot <= 0 || sqrtNa == 0 || f.SqrtNorm == 0 {
+		return // cos ≤ 0: actively disliked or disjoint
+	}
+	it, t, scorer := f.Item, r.t, r.s.deps.Scorer
+	if t.Exclude != nil && t.Exclude[it.ID] {
+		return
+	}
+	cos := dot / sqrtNa / f.SqrtNorm
+	var ctxScore float64
+	if r.rich {
+		ctxScore = scorer.ContextScore(it, t.Ctx)
+	} else {
+		ctxScore = 0.5*scorer.GeoScore(it, &t.Ctx) + r.set.contextBase(scorer, it)
+	}
+	// cos bounds the content score from above; an item that cannot enter
+	// on the bound is dropped before its freshness is computed.
+	bound := scorer.Compound(cos, ctxScore)
+	full := t.K > 0 && len(r.out) >= t.K
+	if r.sel != nil {
+		if r.sel.Rejects(it.Duration, bound) {
+			return
+		}
+	} else if full && bound < r.out[0].Compound {
+		return
+	}
+	contentScore := cos * scorer.FreshnessFactor(it, r.set.now)
+	if contentScore < recommend.ContentFloor {
+		return
+	}
+	sc := recommend.Scored{
+		Item:     it,
+		Content:  contentScore,
+		Context:  ctxScore,
+		Compound: scorer.Compound(contentScore, ctxScore),
+	}
+	switch {
+	case r.sel != nil:
+		r.sel.Offer(sc)
+	case full:
+		// Bounded min-heap: out[0] is the worst of the current top k; a
+		// better candidate replaces it and sifts down.
+		if !worse(sc, r.out[0]) {
+			r.out[0] = sc
+			siftDown(r.out, 0)
+		}
+	default:
+		r.out = append(r.out, sc)
+		if len(r.out) == t.K {
+			for i := len(r.out)/2 - 1; i >= 0; i-- {
+				siftDown(r.out, i)
 			}
 		}
 	}
-
-	richCtx := t.Ctx.Weather != recommend.WeatherUnknown || t.Ctx.Activity != recommend.ActivityUnknown
-	sqrtNa := t.fp.sqrtNa
-	for _, idx := range matched {
-		it := set.items[idx]
-		if t.Exclude != nil && t.Exclude[it.ID] {
-			continue
-		}
-		f := s.featurize(set, idx)
-		dot := mergeDot(t.fp.flat, set.cats(f))
-		if dot <= 0 || sqrtNa == 0 || f.sqrtNorm == 0 {
-			continue // cos ≤ 0: actively disliked or disjoint
-		}
-		contentScore := dot / sqrtNa / f.sqrtNorm * f.fresh
-		if contentScore < recommend.ContentFloor {
-			continue
-		}
-		var ctxScore float64
-		if richCtx {
-			ctxScore = s.deps.Scorer.ContextScore(it, t.Ctx)
-		} else {
-			ctxScore = 0.5*s.deps.Scorer.GeoScore(it, t.Ctx) + f.ctxBase
-		}
-		sc := recommend.Scored{
-			Item:     it,
-			Content:  contentScore,
-			Context:  ctxScore,
-			Compound: s.deps.Scorer.Compound(contentScore, ctxScore),
-		}
-		if t.K > 0 && len(out) >= t.K {
-			// Bounded min-heap: out[0] is the worst of the current top k;
-			// a better candidate replaces it and sifts down.
-			if worse(sc, out[0]) {
-				continue
-			}
-			out[0] = sc
-			siftDown(out, 0)
-			continue
-		}
-		out = append(out, sc)
-		if t.K > 0 && len(out) == t.K {
-			for i := len(out)/2 - 1; i >= 0; i-- {
-				siftDown(out, i)
-			}
-		}
-	}
-	b.matchBuf = matched[:0]
-	sort.Slice(out, func(i, j int) bool { return worse(out[j], out[i]) })
-	t.Ranked = out
 }
 
 // siftDown restores the worst-at-root heap property from index i.
@@ -591,11 +596,11 @@ func (s *plannerAllocate) Allocate(b *Batch, t *Task) {
 	if len(t.Plan.Items) > 0 && (t.Mode == ModeWarm || t.Timeline == nil) {
 		t.Cacheable = true
 	}
-	// The plan copied everything it keeps; recycle the ranked slice.
-	if t.rankedBuf != nil {
-		*t.rankedBuf = t.Ranked[:0]
-		s.po.scored.Put(t.rankedBuf)
-		t.rankedBuf = nil
+	// The plan copied everything it keeps; recycle the selection that
+	// owns the ranked slice.
+	if t.sel != nil {
+		s.po.sels.Put(t.sel)
+		t.sel = nil
 	}
 	t.Ranked = nil
 }

@@ -9,7 +9,8 @@ package recommend
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"pphcr/internal/content"
@@ -89,7 +90,7 @@ func (s *Scorer) ContentScore(prefs map[string]float64, it *content.Item, now ti
 // time-of-day affinity of the item kind, and the richer weather/activity
 // signals (which score neutrally when unknown).
 func (s *Scorer) ContextScore(it *content.Item, ctx Context) float64 {
-	return 0.5*s.geoScore(it, ctx) +
+	return 0.5*s.geoScore(it, &ctx) +
 		0.2*timeOfDayScore(it.Kind, ctx.Now) +
 		0.15*weatherScore(it, ctx.Weather) +
 		0.15*activityScore(it, ctx.Activity)
@@ -107,8 +108,10 @@ func (s *Scorer) ContextBase(it *content.Item, ctx Context) float64 {
 }
 
 // GeoScore exposes the geographic relevance term for stage
-// implementations that assemble the context score incrementally.
-func (s *Scorer) GeoScore(it *content.Item, ctx Context) float64 {
+// implementations that assemble the context score incrementally. The
+// context is passed by pointer because rankers call this once per
+// candidate and Context is a dozen words to copy.
+func (s *Scorer) GeoScore(it *content.Item, ctx *Context) float64 {
 	return s.geoScore(it, ctx)
 }
 
@@ -137,7 +140,7 @@ func (s *Scorer) FreshnessFactor(it *content.Item, now time.Time) float64 {
 // When a predicted route exists, the distance is measured from the route
 // (the listener will pass there — Fig 2's item B at location L_B), else
 // from the current position.
-func (s *Scorer) geoScore(it *content.Item, ctx Context) float64 {
+func (s *Scorer) geoScore(it *content.Item, ctx *Context) float64 {
 	if it.Geo == nil {
 		return 0.5
 	}
@@ -200,6 +203,21 @@ func (s *Scorer) ScoreItem(prefs map[string]float64, it *content.Item, ctx Conte
 // or fully unrelated. Shared by Rank and the staged pipeline's ranker.
 const ContentFloor = 1e-6
 
+// CompareRank is THE ranking order — compound relevance descending, item
+// ID ascending — as a three-way comparison: negative when a ranks before
+// b. IDs are unique, so the order is total and every selection that
+// follows it (full sort, top-k heap, the planner's per-class heaps and
+// its list-length cap) agrees item for item.
+func CompareRank(a, b Scored) int {
+	switch {
+	case a.Compound > b.Compound:
+		return -1
+	case a.Compound < b.Compound:
+		return 1
+	}
+	return strings.Compare(a.Item.ID, b.Item.ID)
+}
+
 // Rank scores all items and returns the top k by compound relevance,
 // after the paper's two-stage filter: candidates must first clear a
 // minimal content-based relevance (not actively disliked), then are
@@ -213,12 +231,7 @@ func (s *Scorer) Rank(prefs map[string]float64, items []*content.Item, ctx Conte
 		}
 		out = append(out, sc)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Compound != out[j].Compound {
-			return out[i].Compound > out[j].Compound
-		}
-		return out[i].Item.ID < out[j].Item.ID
-	})
+	slices.SortFunc(out, CompareRank)
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}

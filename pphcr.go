@@ -415,13 +415,13 @@ func New(cfg Config) (*System, error) {
 		s.shards[i].lastPlans = make(map[string]*TripPlan)
 	}
 	deps := pipeline.Deps{
-		Mobility:         s.MobilityModel,
-		Preferences:      s.Preferences,
-		AppendCandidates: repo.AppendPublishedSince,
-		CandidateWindow:  cfg.CandidateWindow,
-		Cache:            s.PlanCache,
-		Planner:          s.Planner,
-		Scorer:           scorer,
+		Mobility:        s.MobilityModel,
+		Preferences:     s.Preferences,
+		Catalog:         repo.ReadView,
+		CandidateWindow: cfg.CandidateWindow,
+		Cache:           s.PlanCache,
+		Planner:         s.Planner,
+		Scorer:          scorer,
 	}
 	if cfg.ANNCandidates {
 		s.annIndex = ann.New(ann.Config{
@@ -435,7 +435,7 @@ func New(cfg Config) (*System, error) {
 		deps.ANN = s.annIndex
 		deps.ANNRetrieve = cfg.ANNRetrieve
 		deps.ANNEf = cfg.ANNEf
-		deps.ResolveItem = repo.Get
+		deps.ResolveItem = repo.Seq
 	}
 	s.pipe = pipeline.New(deps)
 	return s, nil

@@ -237,10 +237,10 @@ func TestANNSpeedupAndRecall(t *testing.T) {
 	exactTotal := sweep(w.exact)
 	annTotal := sweep(w.approx)
 	speedup := float64(exactTotal) / float64(annTotal)
-	t.Logf("catalog=%d recall@10=%.3f exact=%v ann=%v speedup=%.1fx (floor %.0fx)",
+	t.Logf("catalog=%d recall@10=%.3f exact=%v ann=%v speedup=%.2fx (floor %.1fx)",
 		retrievalCatalogSize, recall, exactTotal, annTotal, speedup, retrievalSpeedupFloor)
 	if speedup < retrievalSpeedupFloor {
-		t.Fatalf("ANN stage only %.2fx faster than exact (exact=%v ann=%v), want ≥ %.0fx",
+		t.Fatalf("ANN stage only %.2fx faster than exact (exact=%v ann=%v), want ≥ %.1fx",
 			speedup, exactTotal, annTotal, retrievalSpeedupFloor)
 	}
 }
