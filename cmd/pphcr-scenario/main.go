@@ -2,20 +2,24 @@
 // commute ramps, breaking-news flash crowds, churn storms, ephemeral
 // context shifts, degraded-disk brown-outs — against a live System at
 // 100k+ simulated users, judges the run against an SLO spec, and emits
-// a per-phase, per-stage tail report (human text and benchjson-
-// compatible JSON).
+// a per-phase, per-stage tail report (human text and JSON). Two more
+// scenarios storm a replicated cluster with writes while its leader is
+// killed and gate on zero lost acked writes: kill-node builds the
+// cluster in-process, failover-storm drives real processes behind
+// -router.
 //
 // Usage:
 //
 //	pphcr-scenario -scenario city-day -users 100000 -slo 'plan_p99=250ms,error_rate=0.01,recovery=10s,readyz_stable' -gate
+//	pphcr-scenario -scenario kill-node -gate
+//	pphcr-scenario -scenario failover-storm -router http://127.0.0.1:8000 -follower http://127.0.0.1:8081 -gate
 //	pphcr-scenario -list
 //
 // CI runs a scaled-down pass (-scale / -duration-scale) with -gate: a
-// breached SLO fails the build — the repo's first tail-latency gate.
+// breached SLO fails the build.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -44,7 +48,18 @@ func (s slowRank) Rank(b *pipeline.Batch, t *pipeline.Task) {
 	s.inner.Rank(b, t)
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// fail logs err and returns the failing exit code.
+func fail(err error) int {
+	log.Print(err)
+	return 1
+}
+
+// run is main's body; it returns the exit code instead of calling
+// os.Exit so its defers (the temp WAL directory, the open WAL) fire on
+// every path, a tripped gate included.
+func run() int {
 	var (
 		name        = flag.String("scenario", "city-day", "named scenario to run (see -list)")
 		list        = flag.Bool("list", false, "list the scenario catalog and exit")
@@ -61,6 +76,8 @@ func main() {
 		walSync     = flag.String("wal-sync", "always", "WAL fsync policy: always, interval, none — or 'off' to run without durability")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /stats and /readyz here while the scenario runs")
 		slowRankUS  = flag.Int("inject-slow-rank", 0, "inject this many microseconds of stall into the Rank stage (SLO-gate self-test)")
+		routerURL   = flag.String("router", "", "failover-storm: URL of the cluster's pphcr-router")
+		followerURL = flag.String("follower", "", "failover-storm: follower URL polled for replication lag (optional)")
 	)
 	flag.Parse()
 
@@ -70,22 +87,28 @@ func main() {
 			fmt.Printf("%-14s %s (%d users, %d drivers, %v)\n",
 				s.Name, s.Description, s.Users, s.Drivers, s.TotalDuration())
 		}
-		fmt.Printf("%-14s %s\n", "kill-node",
-			"two-node replicated cluster, leader crash-killed mid-storm, zero-lost-acked-writes oracle")
-		return
+		for _, st := range storms {
+			fmt.Printf("%-14s %s\n", st.name, st.description)
+		}
+		return 0
 	}
 
-	// kill-node is not a catalog scenario: it builds its own two-node
-	// replicated cluster instead of driving one System through the phase
-	// engine, and its SLO is the zero-lost-acked-writes invariant.
-	if *name == "kill-node" {
-		runKillNode(*seed, *users, *workers, *durScale, *gate, *reportPath)
-		return
+	// The storms are not catalog scenarios: they drive a two-node
+	// replicated cluster instead of one System through the phase engine,
+	// and their SLO is the zero-lost-acked-writes invariant.
+	for _, st := range storms {
+		if st.name == *name {
+			return runStorm(st, stormFlags{
+				seed: *seed, users: *users, writers: *workers, durScale: *durScale,
+				routerURL: *routerURL, followerURL: *followerURL,
+				gate: *gate, reportPath: *reportPath,
+			})
+		}
 	}
 
 	script, ok := scenario.ByName(*name)
 	if !ok {
-		log.Fatalf("unknown scenario %q (try -list)", *name)
+		return fail(fmt.Errorf("unknown scenario %q (try -list)", *name))
 	}
 	if *users > 0 {
 		script.Users = *users
@@ -95,7 +118,7 @@ func main() {
 	}
 	slo, err := scenario.ParseSpec(*sloSpec)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
 	// The synthetic world only needs enough personas to clone from and
@@ -114,11 +137,11 @@ func main() {
 		PodcastsPerDay: 30, TrainingDocsPerCategory: 8,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	sys, err := pphcr.New(pphcr.Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: *seed})
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	if *slowRankUS > 0 {
 		pipe := sys.Pipeline()
@@ -128,7 +151,7 @@ func main() {
 
 	pop, err := scenario.BuildPopulation(sys, w, script.Users, script.Drivers, log.Printf)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
 	// Durability attaches after the preload (the preload is boot state,
@@ -140,21 +163,21 @@ func main() {
 		if dir == "" {
 			dir, err = os.MkdirTemp("", "pphcr-scenario-*")
 			if err != nil {
-				log.Fatal(err)
+				return fail(err)
 			}
 			defer os.RemoveAll(dir)
 		}
 		policy, err := durable.ParseSyncPolicy(*walSync)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		dur, err = pphcr.OpenDurability(sys, pphcr.DurabilityOptions{Dir: dir, Sync: policy})
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		defer dur.Close()
 		if err := dur.Checkpoint(); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		log.Printf("durability enabled in %s (wal-sync=%s)", dir, policy)
 	}
@@ -186,23 +209,19 @@ func main() {
 
 	report, err := eng.Run(script)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	slo.Evaluate(report)
 
 	report.WriteHuman(os.Stdout)
 	if *reportPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			log.Fatal(err)
+		if err := writeReport(*reportPath, report); err != nil {
+			return fail(err)
 		}
-		if err := os.WriteFile(*reportPath, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("report written to %s", *reportPath)
 	}
 	if *gate && !report.SLOPass {
 		fmt.Fprintln(os.Stderr, "scenario: SLO gate FAILED")
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -92,45 +90,11 @@ func (rt *replicationRuntime) startFollower(leaderURL string) error {
 	return nil
 }
 
-// mountFollowerReplication serves the ack-barrier wait and the promote
-// endpoint.
+// mountFollowerReplication serves the ack-barrier wait and status
+// (the standby's own handlers) plus the promote endpoint.
 func (rt *replicationRuntime) mountFollowerReplication(mux *http.ServeMux) {
-	mux.HandleFunc("GET /replication/wait", rt.handleWait)
+	rt.standby.Mount(mux, "/replication")
 	mux.HandleFunc("POST /replication/promote", rt.handlePromote)
-	mux.HandleFunc("GET /replication/status", rt.handleStandbyStatus)
-}
-
-// handleWait is the router's semi-sync ack barrier: it blocks until
-// this follower has applied at least seq, bounded by timeout_ms.
-func (rt *replicationRuntime) handleWait(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	seq, err := strconv.ParseUint(q.Get("seq"), 10, 64)
-	if err != nil {
-		http.Error(w, `{"error":"seq must be an unsigned integer"}`, http.StatusBadRequest)
-		return
-	}
-	timeout := 5 * time.Second
-	if ms := q.Get("timeout_ms"); ms != "" {
-		v, err := strconv.ParseInt(ms, 10, 64)
-		if err != nil || v <= 0 {
-			http.Error(w, `{"error":"timeout_ms must be a positive integer"}`, http.StatusBadRequest)
-			return
-		}
-		timeout = time.Duration(v) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	if err := rt.standby.WaitApplied(ctx, seq); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusGatewayTimeout)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"applied":%d}`+"\n", rt.standby.AppliedSeq())
-}
-
-func (rt *replicationRuntime) handleStandbyStatus(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(rt.standby.Stats())
 }
 
 // handlePromote turns this follower into the partition leader in place:

@@ -357,10 +357,9 @@ func TestRequestUserContext(t *testing.T) {
 }
 
 // TestHistogramObserveZeroAlloc pins the zero-allocation contract of
-// the Observe hot path. (BENCH_pr6 recorded "9 allocs/op" for
-// BenchmarkHistogramObserve — that was the 1x-benchtime sweep dividing
-// RunParallel's goroutine setup by N=1, not a real regression; CI now
-// re-runs the benchmark at a pinned benchtime, and this guard fails the
+// the Observe hot path. (A 1x-benchtime run of
+// BenchmarkHistogramObserve reads "9 allocs/op" — RunParallel's
+// goroutine setup divided by N=1, not Observe; this guard fails the
 // suite if Observe itself ever allocates.)
 func TestHistogramObserveZeroAlloc(t *testing.T) {
 	var h Histogram

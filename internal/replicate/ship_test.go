@@ -418,6 +418,69 @@ func TestWaitApplied(t *testing.T) {
 	}
 }
 
+// TestStandbyMount pins the follower endpoints production and the
+// kill-node harness both serve: malformed seq or timeout_ms is a 400,
+// an unreached seq is a 504 once timeout_ms passes, a reached seq is a
+// 200 carrying the applied watermark.
+func TestStandbyMount(t *testing.T) {
+	follower, _, _ := newWorldSystem(t, 45)
+	standby, err := NewStandby(follower, t.TempDir(), "http://127.0.0.1:0", "/replication")
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby.mu.Lock()
+	standby.applied = 3
+	standby.mu.Unlock()
+	mux := http.NewServeMux()
+	standby.Mount(mux, "/replication")
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	for _, tc := range []struct {
+		name, query string
+		want        int
+	}{
+		{"missing seq", "", http.StatusBadRequest},
+		{"bad seq", "seq=-1", http.StatusBadRequest},
+		{"bad timeout", "seq=3&timeout_ms=soon", http.StatusBadRequest},
+		{"zero timeout", "seq=3&timeout_ms=0", http.StatusBadRequest},
+		{"unreached seq", "seq=4&timeout_ms=50", http.StatusGatewayTimeout},
+		{"reached seq", "seq=3&timeout_ms=50", http.StatusOK},
+	} {
+		start := time.Now()
+		resp, err := http.Get(srv.URL + "/replication/wait?" + tc.query)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.want, body)
+		}
+		if took := time.Since(start); took > 2*time.Second {
+			t.Errorf("%s: answered after %v, timeout_ms not honoured", tc.name, took)
+		}
+		if tc.want == http.StatusOK {
+			var got struct {
+				Applied uint64 `json:"applied"`
+			}
+			if err := json.Unmarshal(body, &got); err != nil || got.Applied != 3 {
+				t.Errorf("%s: body %q, want applied=3 (%v)", tc.name, body, err)
+			}
+		}
+	}
+
+	resp, err := http.Get(srv.URL + "/replication/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st StandbyStats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || st.AppliedSeq != 3 {
+		t.Fatalf("status: %+v (%v), want applied_seq=3", st, err)
+	}
+}
+
 func firstDiff(a, b []byte) int {
 	n := len(a)
 	if len(b) < n {

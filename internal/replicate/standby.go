@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -363,6 +364,51 @@ func (s *Standby) WaitApplied(ctx context.Context, seq uint64) error {
 		s.cond.Wait()
 	}
 	return nil
+}
+
+// waitPath is the follower's ack-barrier endpoint under the mount
+// prefix: the Router holds a write's 2xx on GET /replication/wait.
+const waitPath = "/wait"
+
+// Mount registers the follower's handlers on mux under prefix
+// (e.g. "/replication"): the ack-barrier wait and the standby's status.
+// Promotion is node lifecycle and stays the caller's handler.
+func (s *Standby) Mount(mux *http.ServeMux, prefix string) {
+	mux.HandleFunc(http.MethodGet+" "+prefix+waitPath, s.handleWait)
+	mux.HandleFunc(http.MethodGet+" "+prefix+statusPath, s.handleStatus)
+}
+
+// handleWait blocks until the follower has applied at least seq,
+// bounded by timeout_ms (default 5s).
+func (s *Standby) handleWait(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	seq, err := strconv.ParseUint(q.Get("seq"), 10, 64)
+	if err != nil {
+		http.Error(w, `{"error":"seq must be an unsigned integer"}`, http.StatusBadRequest)
+		return
+	}
+	timeout := 5 * time.Second
+	if ms := q.Get("timeout_ms"); ms != "" {
+		v, err := strconv.ParseInt(ms, 10, 64)
+		if err != nil || v <= 0 {
+			http.Error(w, `{"error":"timeout_ms must be a positive integer"}`, http.StatusBadRequest)
+			return
+		}
+		timeout = time.Duration(v) * time.Millisecond
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
+	if err := s.WaitApplied(ctx, seq); err != nil {
+		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusGatewayTimeout)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	fmt.Fprintf(w, `{"applied":%d}`+"\n", s.AppliedSeq())
+}
+
+func (s *Standby) handleStatus(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(s.Stats())
 }
 
 // StandbyStats is the follower's /stats and metrics view.

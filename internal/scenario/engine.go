@@ -115,6 +115,11 @@ func BuildPopulation(sys *pphcr.System, w *synth.World, users, driverCount int, 
 		pop.Users = append(pop.Users, p.UserID)
 	}
 	if users > 0 {
+		// A population smaller than the persona set keeps only its first
+		// users: few users under many workers is the contended write shape.
+		if users < len(pop.Users) {
+			pop.Users = pop.Users[:users]
+		}
 		logf("population %d users (%d drivers) in %v", len(pop.Users), len(pop.Drivers), time.Since(start).Round(time.Millisecond))
 	}
 
@@ -274,6 +279,9 @@ type stateSnap struct {
 	cache  plancache.Stats
 	wal    obs.Snapshot // WAL append latency (zero when no durability)
 	fsync  obs.Snapshot
+	// Commit-barrier and group-commit counters behind Report.Contention.
+	barrierOps, barrierContended int64
+	commits, commitRecords       int64
 }
 
 func (e *Engine) snapshotState(since time.Time) stateSnap {
@@ -283,9 +291,13 @@ func (e *Engine) snapshotState(since time.Time) stateSnap {
 		s.stages[i] = pipe.StageHistogram(i).Snapshot()
 	}
 	s.cache = e.sys.PlanCache.Stats()
+	barrier := e.sys.LockStats().Barrier
+	s.barrierOps, s.barrierContended = barrier.Ops, barrier.Contended
 	if e.dur != nil {
 		s.wal = e.dur.WALAppendHistogram().Snapshot()
 		s.fsync = e.dur.WALFsyncHistogram().Snapshot()
+		wal := e.dur.Stats().WAL
+		s.commits, s.commitRecords = wal.GroupCommits, wal.GroupCommitRecords
 	}
 	return s
 }

@@ -113,8 +113,7 @@ func TestEngineDeterminism(t *testing.T) {
 
 // TestEngineFlashCrowdReport checks the flash phase's observable
 // consequences: an epoch invalidation lands in the flash phase's cache
-// delta, and the recovery signal (complete or censored) is reported
-// with its highlight.
+// delta, and the recovery signal (complete or censored) is reported.
 func TestEngineFlashCrowdReport(t *testing.T) {
 	sys, _, pop, _ := newTestSystem(t, 5, 300, 6)
 	eng := NewEngine(sys, nil, pop, Options{Seed: 11})
@@ -133,12 +132,6 @@ func TestEngineFlashCrowdReport(t *testing.T) {
 	}
 	if r.Flash.RecoveryMs <= 0 {
 		t.Fatalf("flash recovery = %v", r.Flash)
-	}
-	if _, ok := r.Highlights["flash_crowd_recovery_ms"]; !ok {
-		t.Fatalf("missing recovery highlight: %v", r.Highlights)
-	}
-	if _, ok := r.Highlights["scenario_plan_p99_ns"]; !ok {
-		t.Fatalf("missing plan p99 highlight: %v", r.Highlights)
 	}
 	// Per-phase stage deltas must be present for the busy phases.
 	if len(r.Phases[1].Stages) == 0 {
@@ -214,6 +207,10 @@ func TestDegradedFsyncZeroLostAcks(t *testing.T) {
 	}
 	if r.Readiness.DeadSamples != 0 || r.Readiness.Flaps != 0 {
 		t.Fatalf("degraded must not read dead: %+v", r.Readiness)
+	}
+	// Every acked write crossed the commit barrier and a group commit.
+	if c := r.Contention; c.BarrierOps == 0 || c.GroupCommits == 0 || c.MeanCommitBatch < 1 {
+		t.Fatalf("write-heavy run reported no contention read-out: %+v", c)
 	}
 	acks := eng.Acks()
 	if len(acks) == 0 {

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -32,9 +31,10 @@ type FailoverOptions struct {
 	// FollowerURL, when set, is polled for replication lag during the
 	// storm (GET /replication/status on the standby).
 	FollowerURL string
-	// Users is the partition-key space; each worker owns a disjoint
-	// slice so per-user write order is serialized client-side.
-	Users   []string
+	// Users sizes the partition-key space (default 16); each writer
+	// (default 4) owns a disjoint slice of it so per-user write order
+	// is serialized client-side.
+	Users   int
 	Writers int
 	// Duration is the storm length; Kill (if set) fires after KillAfter.
 	Duration  time.Duration
@@ -46,8 +46,7 @@ type FailoverOptions struct {
 }
 
 // FailoverReport is the outcome: the acked-write oracle and the
-// failover/replication tail numbers the CI gate and benchjson
-// highlights consume.
+// failover/replication tail numbers Gate judges.
 type FailoverReport struct {
 	DurationSeconds float64 `json:"duration_seconds"`
 	Writes          int64   `json:"writes"`
@@ -73,10 +72,34 @@ func ackKey(user, item string, unix int64) string {
 	return user + "|" + item + "|" + strconv.FormatInt(unix, 10)
 }
 
+// Gate judges a storm the leader was killed under. It returns one
+// "PASS …"/"FAIL …" line per check and whether all held: some write was
+// acked, no acked write was lost, the router failed over, and it did
+// so within bound.
+func (r *FailoverReport) Gate(bound time.Duration) (checks []string, pass bool) {
+	pass = true
+	check := func(ok bool, format string, args ...interface{}) {
+		status := "PASS "
+		if !ok {
+			status = "FAIL "
+			pass = false
+		}
+		checks = append(checks, status+fmt.Sprintf(format, args...))
+	}
+	check(r.Acked > 0, "acked writes > 0 (got %d of %d)", r.Acked, r.Writes)
+	check(r.LostAcked == 0, "zero lost acked writes (lost %d, sample %v)", r.LostAcked, r.LostSample)
+	check(r.Failovers >= 1, "failover happened (got %d)", r.Failovers)
+	check(r.FailoverMs > 0 && r.FailoverMs <= bound.Milliseconds(),
+		"failover bounded at %v (took %dms)", bound, r.FailoverMs)
+	return checks, pass
+}
+
 // RunFailoverStorm fires the storm and verifies the oracle. The
-// returned report's LostAcked is the pass/fail signal; the caller owns
-// the gate.
+// returned report's LostAcked is the pass/fail signal; Gate judges it.
 func RunFailoverStorm(o FailoverOptions) (*FailoverReport, error) {
+	if o.Users <= 0 {
+		o.Users = 16
+	}
 	if o.Writers <= 0 {
 		o.Writers = 4
 	}
@@ -87,14 +110,18 @@ func RunFailoverStorm(o FailoverOptions) (*FailoverReport, error) {
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
 	}
-	if len(o.Users) < o.Writers {
-		return nil, fmt.Errorf("failover storm: %d users cannot cover %d writers", len(o.Users), o.Writers)
+	if o.Users < o.Writers {
+		return nil, fmt.Errorf("failover storm: %d users cannot cover %d writers", o.Users, o.Writers)
+	}
+	userIDs := make([]string, o.Users)
+	for i := range userIDs {
+		userIDs[i] = fmt.Sprintf("storm-user-%03d", i)
 	}
 	hc := &http.Client{Timeout: o.AckTimeout}
 
 	// Register the storm users up front (acked through the barrier like
 	// any write) so feedback has profiles to land on.
-	for _, u := range o.Users {
+	for _, u := range userIDs {
 		body := fmt.Sprintf(`{"user_id":%q,"name":"storm","age":30,"interests":["news"]}`, u)
 		resp, err := hc.Post(o.RouterURL+"/api/users", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
@@ -148,9 +175,9 @@ func RunFailoverStorm(o FailoverOptions) (*FailoverReport, error) {
 	deadline := start.Add(o.Duration)
 	var killOnce sync.Once
 	var wg sync.WaitGroup
-	perWorker := len(o.Users) / o.Writers
+	perWorker := len(userIDs) / o.Writers
 	for wi := 0; wi < o.Writers; wi++ {
-		users := o.Users[wi*perWorker : (wi+1)*perWorker]
+		users := userIDs[wi*perWorker : (wi+1)*perWorker]
 		wg.Add(1)
 		go func(wi int, users []string) {
 			defer wg.Done()
@@ -214,8 +241,8 @@ func RunFailoverStorm(o FailoverOptions) (*FailoverReport, error) {
 	// leader's event dump. Every acked key must be present at least as
 	// many times as it was acked (duplicates from ambiguous retries are
 	// tolerated; absence is loss).
-	rep.VerifyUsers = len(o.Users)
-	for _, u := range o.Users {
+	rep.VerifyUsers = len(userIDs)
+	for _, u := range userIDs {
 		resp, err := hc.Get(o.RouterURL + "/api/feedback/events?user=" + u)
 		if err != nil {
 			return rep, fmt.Errorf("verifying %s: %w", u, err)
@@ -280,12 +307,6 @@ type KillNodeOptions struct {
 // wait/promote endpoints on the follower, and the Router's health
 // detector doing the promotion.
 func RunKillNode(o KillNodeOptions) (*FailoverReport, error) {
-	if o.Users <= 0 {
-		o.Users = 16
-	}
-	if o.Writers <= 0 {
-		o.Writers = 4
-	}
 	if o.Duration <= 0 {
 		o.Duration = 6 * time.Second
 	}
@@ -367,29 +388,7 @@ func RunKillNode(o KillNodeOptions) (*FailoverReport, error) {
 	var promotedDur *pphcr.Durability
 	followerMux := http.NewServeMux()
 	followerMux.Handle("/", followerAPI.Handler())
-	followerMux.HandleFunc("GET /replication/status", func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(rw).Encode(standby.Stats())
-	})
-	followerMux.HandleFunc("GET /replication/wait", func(rw http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		seq, err := strconv.ParseUint(q.Get("seq"), 10, 64)
-		if err != nil {
-			http.Error(rw, `{"error":"bad seq"}`, http.StatusBadRequest)
-			return
-		}
-		timeout := 5 * time.Second
-		if ms, err := strconv.ParseInt(q.Get("timeout_ms"), 10, 64); err == nil && ms > 0 {
-			timeout = time.Duration(ms) * time.Millisecond
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		if err := standby.WaitApplied(ctx, seq); err != nil {
-			http.Error(rw, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusGatewayTimeout)
-			return
-		}
-		fmt.Fprintf(rw, `{"applied":%d}`+"\n", standby.AppliedSeq())
-	})
+	standby.Mount(followerMux, "/replication")
 	followerMux.HandleFunc("POST /replication/promote", func(rw http.ResponseWriter, r *http.Request) {
 		promoteMu.Lock()
 		defer promoteMu.Unlock()
@@ -439,15 +438,11 @@ func RunKillNode(o KillNodeOptions) (*FailoverReport, error) {
 	front := httptest.NewServer(router.Handler())
 	defer front.Close()
 
-	users := make([]string, o.Users)
-	for i := range users {
-		users[i] = fmt.Sprintf("storm-user-%03d", i)
-	}
 	logf("kill-node cluster up: leader=%s follower=%s router=%s", leaderSrv.URL, followerSrv.URL, front.URL)
 	return RunFailoverStorm(FailoverOptions{
 		RouterURL:   front.URL,
 		FollowerURL: followerSrv.URL,
-		Users:       users,
+		Users:       o.Users,
 		Writers:     o.Writers,
 		Duration:    o.Duration,
 		KillAfter:   o.KillAfter,

@@ -11,9 +11,7 @@ import (
 	"pphcr/internal/pipeline"
 )
 
-// Report is the machine-readable outcome of one scenario run. The
-// Highlights map is pphcr-benchjson-compatible: the CI gate compares
-// these numbers against the committed baseline.
+// Report is the machine-readable outcome of one scenario run.
 type Report struct {
 	Scenario      string  `json:"scenario"`
 	Description   string  `json:"description,omitempty"`
@@ -30,14 +28,13 @@ type Report struct {
 	Errors    int64 `json:"errors"`
 	Dropped   int64 `json:"dropped_events"`
 
-	Phases    []PhaseReport   `json:"phases"`
-	Readiness ReadinessReport `json:"readiness"`
-	Flash     *FlashReport    `json:"flash,omitempty"`
-	Seconds   []SecondBucket  `json:"seconds,omitempty"`
-	Verdicts  []Verdict       `json:"verdicts,omitempty"`
-	SLOPass   bool            `json:"slo_pass"`
-
-	Highlights map[string]float64 `json:"highlights"`
+	Phases     []PhaseReport    `json:"phases"`
+	Contention ContentionReport `json:"contention"`
+	Readiness  ReadinessReport  `json:"readiness"`
+	Flash      *FlashReport     `json:"flash,omitempty"`
+	Seconds    []SecondBucket   `json:"seconds,omitempty"`
+	Verdicts   []Verdict        `json:"verdicts,omitempty"`
+	SLOPass    bool             `json:"slo_pass"`
 }
 
 // PhaseReport is one phase's delta view: what happened between its
@@ -69,6 +66,19 @@ type CacheDelta struct {
 	EpochInvalidations int64   `json:"epoch_invalidations"`
 	UserInvalidations  int64   `json:"user_invalidations"`
 	WarmHitRate        float64 `json:"warm_hit_rate"`
+}
+
+// ContentionReport is the run's write-path read-out: how often a
+// writer found its commit-barrier stripe held, and how many appends one
+// group-commit drain retired (zero without durability). The contended
+// shape is a population choice — few users under many workers on a
+// write-heavy script — not a mode.
+type ContentionReport struct {
+	BarrierOps               int64   `json:"barrier_ops"`
+	BarrierContended         int64   `json:"barrier_contended"`
+	BarrierContendedFraction float64 `json:"barrier_contended_fraction"`
+	GroupCommits             int64   `json:"group_commits"`
+	MeanCommitBatch          float64 `json:"mean_commit_batch"`
 }
 
 // ReadinessReport summarizes the readiness sampler: dead and degraded
@@ -127,12 +137,9 @@ func (e *Engine) buildReport(script Script, events []Event, elapsed time.Duratio
 		Executed:      e.executed.Load(),
 		Errors:        e.errored.Load(),
 		Dropped:       e.dropped.Load(),
-		Highlights:    map[string]float64{},
 	}
 
-	// Merge the per-worker histograms into per-phase, per-op snapshots,
-	// and keep a cross-phase plan aggregate for the headline highlight.
-	var planAll obs.Snapshot
+	// Merge the per-worker histograms into per-phase, per-op snapshots.
 	for pi := 0; pi < nPhases; pi++ {
 		ph := script.Phases[pi]
 		var merged [NumOps]obs.Snapshot
@@ -141,7 +148,6 @@ func (e *Engine) buildReport(script Script, events []Event, elapsed time.Duratio
 				merged[op].Merge(hists[w][pi][op].Snapshot())
 			}
 		}
-		planAll.Merge(merged[OpPlan])
 
 		pr := PhaseReport{
 			Name:     ph.Name,
@@ -195,6 +201,20 @@ func (e *Engine) buildReport(script Script, events []Event, elapsed time.Duratio
 		r.Phases = append(r.Phases, pr)
 	}
 
+	first, last := snaps[0], snaps[len(snaps)-1]
+	c := ContentionReport{
+		BarrierOps:       last.barrierOps - first.barrierOps,
+		BarrierContended: last.barrierContended - first.barrierContended,
+		GroupCommits:     last.commits - first.commits,
+	}
+	if c.BarrierOps > 0 {
+		c.BarrierContendedFraction = float64(c.BarrierContended) / float64(c.BarrierOps)
+	}
+	if c.GroupCommits > 0 {
+		c.MeanCommitBatch = float64(last.commitRecords-first.commitRecords) / float64(c.GroupCommits)
+	}
+	r.Contention = c
+
 	r.Readiness = ReadinessReport{
 		Samples:         sampler.totalSamples.Load(),
 		DeadSamples:     sampler.deadSamples.Load(),
@@ -225,14 +245,6 @@ func (e *Engine) buildReport(script Script, events []Event, elapsed time.Duratio
 			fr.RecoveryMs = float64(elapsed-flash.at) / 1e6
 		}
 		r.Flash = fr
-		r.Highlights["flash_crowd_recovery_ms"] = fr.RecoveryMs
-	}
-
-	if planAll.Count > 0 {
-		r.Highlights["scenario_plan_p99_ns"] = float64(planAll.Quantile(0.99))
-	}
-	if r.Executed > 0 {
-		r.Highlights["scenario_error_rate"] = float64(r.Errors) / float64(r.Executed)
 	}
 	return r
 }
@@ -279,7 +291,10 @@ func (r *Report) WriteHuman(w io.Writer) {
 		fmt.Fprintf(w, "\nflash crowd in %s at %.1fs: cache re-warm %.0fms (%s)\n",
 			r.Flash.Phase, r.Flash.AtMs/1e3, r.Flash.RecoveryMs, state)
 	}
-	fmt.Fprintf(w, "\nreadiness: %d samples, %d dead, %d degraded, %d flaps\n",
+	fmt.Fprintf(w, "\nbarrier: ops=%d contended=%d (%.3f%%)  wal: group_commits=%d mean_batch=%.1f\n",
+		r.Contention.BarrierOps, r.Contention.BarrierContended, 100*r.Contention.BarrierContendedFraction,
+		r.Contention.GroupCommits, r.Contention.MeanCommitBatch)
+	fmt.Fprintf(w, "readiness: %d samples, %d dead, %d degraded, %d flaps\n",
 		r.Readiness.Samples, r.Readiness.DeadSamples, r.Readiness.DegradedSamples, r.Readiness.Flaps)
 	if len(r.Verdicts) > 0 {
 		fmt.Fprintf(w, "\nSLO verdicts:\n")

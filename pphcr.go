@@ -1161,49 +1161,36 @@ var ErrNoAlternative = errors.New("pphcr: no alternative content available")
 // replacement clip the listener has not already skipped. The app then
 // seamlessly replaces the live audio with the returned clip.
 func (s *System) SkipLive(userID, serviceID string, ctx recommend.Context) (recommend.Scored, error) {
-	return s.SkipLiveTraced(userID, serviceID, ctx, nil)
-}
-
-// SkipLiveTraced is SkipLive with a span recorder attached: the
-// feedback write (barrier wait + WAL append) and the replacement
-// ranking stages become spans.
-func (s *System) SkipLiveTraced(userID, serviceID string, ctx recommend.Context, tr *obs.Trace) (recommend.Scored, error) {
 	if prog, err := s.Directory.ProgramAt(serviceID, ctx.Now); err == nil {
-		if err := s.addFeedback(feedback.Event{
+		if err := s.AddFeedback(feedback.Event{
 			UserID:     userID,
 			ItemID:     prog.ID,
 			Kind:       feedback.Skip,
 			At:         ctx.Now,
 			Categories: prog.Categories,
-		}, tr); err != nil {
+		}); err != nil {
 			return recommend.Scored{}, err
 		}
 	}
-	return s.skipReplacement(userID, ctx, tr)
+	return s.skipReplacement(userID, ctx)
 }
 
 // SkipClip handles a skip of an already-playing recommended clip: the
 // negative feedback is recorded for the clip itself and the next
 // not-yet-skipped recommendation is returned.
 func (s *System) SkipClip(userID, itemID string, ctx recommend.Context) (recommend.Scored, error) {
-	return s.SkipClipTraced(userID, itemID, ctx, nil)
-}
-
-// SkipClipTraced is SkipClip with a span recorder attached (see
-// SkipLiveTraced).
-func (s *System) SkipClipTraced(userID, itemID string, ctx recommend.Context, tr *obs.Trace) (recommend.Scored, error) {
 	if it, ok := s.Repo.Get(itemID); ok {
-		if err := s.addFeedback(feedback.Event{
+		if err := s.AddFeedback(feedback.Event{
 			UserID:     userID,
 			ItemID:     it.ID,
 			Kind:       feedback.Skip,
 			At:         ctx.Now,
 			Categories: it.Categories,
-		}, tr); err != nil {
+		}); err != nil {
 			return recommend.Scored{}, err
 		}
 	}
-	return s.skipReplacement(userID, ctx, tr)
+	return s.skipReplacement(userID, ctx)
 }
 
 // skipReplacement picks the single best not-yet-skipped clip for the
@@ -1213,7 +1200,7 @@ func (s *System) SkipClipTraced(userID, itemID string, ctx recommend.Context, tr
 // selects the one replacement without ranking (or sorting) the whole
 // catalog the way the old Recommend(user, ctx, 0) scan did
 // (BenchmarkSkipReplacement measures the gap).
-func (s *System) skipReplacement(userID string, ctx recommend.Context, tr *obs.Trace) (recommend.Scored, error) {
+func (s *System) skipReplacement(userID string, ctx recommend.Context) (recommend.Scored, error) {
 	skipped := s.Feedback.SkippedItems(userID)
 
 	exclude := skipped
@@ -1239,7 +1226,6 @@ func (s *System) skipReplacement(userID string, ctx recommend.Context, tr *obs.T
 		Ctx:     ctx,
 		K:       1,
 		Exclude: exclude,
-		Trace:   tr,
 	}
 	s.pipe.Run(t)
 	if len(t.Ranked) == 0 {

@@ -337,9 +337,8 @@ func TestANNCrashRecoveryRebuildsIndex(t *testing.T) {
 }
 
 // BenchmarkCandidateExact and BenchmarkCandidateANN are the paired
-// acceptance benchmarks (benchjson highlights candidate_exact_ns /
-// candidate_ann_ns and derives ann_speedup_x): one full Recommend over
-// the shared retrievalCatalogSize-item catalog, exact scan vs HNSW.
+// acceptance benchmarks: one full Recommend over the shared
+// retrievalCatalogSize-item catalog, exact scan vs HNSW.
 func BenchmarkCandidateExact(b *testing.B) {
 	w := retrievalBenchWorld(b)
 	w.exact.Recommend(w.users[0], recommend.Context{Now: w.next()}, 10)
