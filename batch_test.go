@@ -10,7 +10,6 @@ import (
 	"pphcr/internal/feedback"
 	"pphcr/internal/predict"
 	"pphcr/internal/synth"
-	"pphcr/internal/trajectory"
 )
 
 // newFleetSystem builds a system with several drivers: corpus ingested,
@@ -172,67 +171,10 @@ func TestWarmBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPlanTripBatchMatchesSequential is the live-path analogue: a
-// PlanTripBatch over mixed users must match per-user PlanTrip calls,
-// computed cold on both sides.
-func TestPlanTripBatchMatchesSequential(t *testing.T) {
-	sys, w, drivers := newFleetSystem(t, 12)
-	byUser := make(map[string]*synth.Persona)
-	for _, p := range w.Personas {
-		byUser[p.Profile.UserID] = p
-	}
-	var reqs []TripRequest
-	for _, u := range drivers {
-		day := w.Params.StartDate.AddDate(0, 0, 7)
-		for day.Weekday() == time.Saturday || day.Weekday() == time.Sunday {
-			day = day.AddDate(0, 0, 1)
-		}
-		full, _, err := w.CommuteTrace(byUser[u], day, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var partial trajectory.Trace
-		for _, fix := range full {
-			if fix.Time.Sub(full[0].Time) > 3*time.Minute {
-				break
-			}
-			partial = append(partial, fix)
-		}
-		reqs = append(reqs, TripRequest{UserID: u, Partial: partial, Now: partial[len(partial)-1].Time})
-	}
-
-	seq := make([]*TripPlan, len(reqs))
-	for i, r := range reqs {
-		sys.PlanCache.InvalidateUser(r.UserID) // force cold
-		tp, err := sys.PlanTrip(r.UserID, r.Partial, r.Now, nil)
-		if err != nil {
-			t.Fatalf("sequential %s: %v", r.UserID, err)
-		}
-		seq[i] = tp
-	}
-	sys.PlanCache.InvalidateAll() // batch must also compute cold
-	results := sys.PlanTripBatch(reqs)
-	planned := 0
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("batch %s: %v", reqs[i].UserID, res.Err)
-		}
-		if res.Plan.Proactive && res.Plan.Source != PlanSourceCold {
-			t.Fatalf("batch %s served %q after invalidation", reqs[i].UserID, res.Plan.Source)
-		}
-		comparePlans(t, fmt.Sprintf("user %s", reqs[i].UserID), res.Plan, seq[i])
-		if res.Plan.Proactive && len(res.Plan.Plan.Items) > 0 {
-			planned++
-		}
-	}
-	if planned == 0 {
-		t.Fatal("no batch member produced a plan — equivalence vacuous")
-	}
-}
-
-// TestBatchConcurrentWithWrites runs batches from several goroutines
-// while feedback (cache-invalidating) writes land — the -race guard for
-// the shared candidate sets, pooled buffers and versioned cache puts.
+// TestBatchConcurrentWithWrites runs WarmPlan and WarmBatch callers
+// from several goroutines while feedback (cache-invalidating) writes
+// land — the -race guard for the pooled per-task buffers and the
+// versioned cache puts.
 func TestBatchConcurrentWithWrites(t *testing.T) {
 	sys, w, drivers := newFleetSystem(t, 8)
 	reqs := warmJobs(t, sys, w, drivers)
@@ -241,14 +183,23 @@ func TestBatchConcurrentWithWrites(t *testing.T) {
 		t.Fatal("no candidates")
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
+	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				for _, res := range sys.WarmBatch(reqs) {
-					if res.Err != nil {
-						t.Errorf("goroutine %d: %v", g, res.Err)
+				if g%2 == 0 {
+					for _, res := range sys.WarmBatch(reqs) {
+						if res.Err != nil {
+							t.Errorf("goroutine %d: %v", g, res.Err)
+							return
+						}
+					}
+					continue
+				}
+				for _, r := range reqs {
+					if _, err := sys.WarmPlan(r.UserID, r.From, r.Dest, r.Prob, r.At); err != nil {
+						t.Errorf("goroutine %d: %v", g, err)
 						return
 					}
 				}

@@ -184,151 +184,6 @@ func BenchmarkPlanTripWarm(b *testing.B) {
 	}
 }
 
-// ---- Staged pipeline batch benchmarks --------------------------------
-//
-// BenchmarkPlanBatch compares per-plan cost of warming 100 users'
-// anticipated trips sequentially (one WarmPlan per trip: each call
-// acquires and featurizes the candidate window and reads the user's
-// preferences) against one WarmBatch through the staged pipeline (one
-// candidate featurization per departure instant, one preference read
-// per user). The per-plan gap is the amortization the batch execution
-// path buys the precompute scheduler.
-
-type fleetBenchEnv struct {
-	sys  *pphcr.System
-	reqs []pphcr.WarmRequest
-}
-
-var (
-	fleetEnvOnce sync.Once
-	fleetEnv     *fleetBenchEnv
-	fleetEnvErr  error
-)
-
-func getFleetEnv(b *testing.B) *fleetBenchEnv {
-	b.Helper()
-	fleetEnvOnce.Do(func() {
-		const users = 100
-		w, err := synth.GenerateWorld(synth.Params{
-			Seed: 33, Days: 5, Users: users, Stations: 2, PodcastsPerDay: 40,
-			TrainingDocsPerCategory: 8,
-		})
-		if err != nil {
-			fleetEnvErr = err
-			return
-		}
-		sys, err := pphcr.New(pphcr.Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab})
-		if err != nil {
-			fleetEnvErr = err
-			return
-		}
-		for _, raw := range w.Corpus {
-			if _, err := sys.IngestPodcast(raw); err != nil {
-				fleetEnvErr = err
-				return
-			}
-		}
-		var reqs []pphcr.WarmRequest
-		for _, p := range w.Personas {
-			user := p.Profile.UserID
-			if err := sys.RegisterUser(p.Profile); err != nil {
-				fleetEnvErr = err
-				return
-			}
-			fed := 0
-			for d := 0; fed < 2 && d < w.Params.Days; d++ {
-				day := w.Params.StartDate.AddDate(0, 0, d)
-				if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-					continue
-				}
-				for _, morning := range []bool{true, false} {
-					trace, _, err := w.CommuteTrace(p, day, morning)
-					if err != nil {
-						fleetEnvErr = err
-						return
-					}
-					for _, fix := range trace {
-						if err := sys.RecordFix(user, fix); err != nil {
-							fleetEnvErr = err
-							return
-						}
-					}
-				}
-				fed++
-			}
-			if _, err := sys.CompactTracking(user); err != nil {
-				continue
-			}
-			day := w.Params.StartDate.AddDate(0, 0, 7)
-			for day.Weekday() == time.Saturday || day.Weekday() == time.Sunday {
-				day = day.AddDate(0, 0, 1)
-			}
-			full, _, err := w.CommuteTrace(p, day, true)
-			if err != nil {
-				fleetEnvErr = err
-				return
-			}
-			cm, ok := sys.MobilityModel(user)
-			if !ok {
-				continue
-			}
-			from := cm.Mobility.MatchPlace(full[0].Point)
-			if from == predict.NoPlace {
-				continue
-			}
-			// One shared warm instant for the whole sweep — exactly what
-			// the precompute scheduler's Poll does (all jobs of one pass
-			// carry the poll instant), and what lets the batch share one
-			// candidate featurization.
-			at := day.Add(8 * time.Hour)
-			cands := cm.Mobility.PredictDestination(from, at)
-			if len(cands) == 0 {
-				continue
-			}
-			reqs = append(reqs, pphcr.WarmRequest{
-				UserID: user, From: from, Dest: cands[0].Place,
-				Prob: cands[0].Prob, At: at,
-			})
-		}
-		if len(reqs) < users/2 {
-			fleetEnvErr = fmt.Errorf("only %d/%d warm jobs enumerated", len(reqs), users)
-			return
-		}
-		fleetEnv = &fleetBenchEnv{sys: sys, reqs: reqs}
-	})
-	if fleetEnvErr != nil {
-		b.Fatal(fleetEnvErr)
-	}
-	return fleetEnv
-}
-
-func BenchmarkPlanBatch(b *testing.B) {
-	b.Run("sequential", func(b *testing.B) {
-		env := getFleetEnv(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, r := range env.reqs {
-				if _, err := env.sys.WarmPlan(r.UserID, r.From, r.Dest, r.Prob, r.At); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(env.reqs)), "ns/plan")
-	})
-	b.Run("batch", func(b *testing.B) {
-		env := getFleetEnv(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, res := range env.sys.WarmBatch(env.reqs) {
-				if res.Err != nil {
-					b.Fatal(res.Err)
-				}
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(env.reqs)), "ns/plan")
-	})
-}
-
 // BenchmarkSkipReplacement measures picking the one replacement clip
 // after a manual skip for a listener with a broad preference vector:
 // the pre-pipeline algorithm ranked (and sorted) the entire candidate

@@ -43,9 +43,9 @@ type slowRank struct {
 	delay time.Duration
 }
 
-func (s slowRank) Rank(b *pipeline.Batch, t *pipeline.Task) {
+func (s slowRank) Rank(t *pipeline.Task) {
 	time.Sleep(s.delay)
-	s.inner.Rank(b, t)
+	s.inner.Rank(t)
 }
 
 func main() { os.Exit(run()) }

@@ -112,7 +112,6 @@ func main() {
 		users       = flag.Int("users", 20, "synthetic personas")
 		track       = flag.Bool("track", true, "preload persona commute traces and compact them")
 		warmWorkers = flag.Int("warm-workers", 4, "plan-warming worker pool size (0 disables the warmer)")
-		warmBatch   = flag.Int("warm-batch", 16, "warm jobs coalesced into one pipeline batch per WarmBatch call")
 		planTTL     = flag.Duration("plan-ttl", 10*time.Minute, "warm plan time-to-live")
 		cacheShards = flag.Int("cache-shards", 32, "plan cache shard count")
 		userShards  = flag.Int("user-shards", pphcr.DefaultUserShards, "per-user state shard count")
@@ -378,9 +377,8 @@ func main() {
 	var warmer *service.Warmer
 	if *warmWorkers > 0 && !isFollower {
 		warmer, err = service.NewWarmer(sys, precompute.Config{
-			Workers:   *warmWorkers,
-			BatchSize: *warmBatch,
-			Now:       worldClock,
+			Workers: *warmWorkers,
+			Now:     worldClock,
 		})
 		if err != nil {
 			fatal("warmer", err)

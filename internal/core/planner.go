@@ -147,8 +147,8 @@ func (p *Planner) Plan(req Request) Plan {
 // Allocate is phase 2 after ranking: select the value-maximizing subset
 // of the already-ranked items that fits ΔT, then schedule it under
 // geographic deadlines and distraction windows. The pipeline's Rank
-// stage produces `ranked` (so ranking can be shared, batched and
-// top-k'd); Plan composes Scorer.Rank with Allocate for direct callers.
+// stage produces `ranked` (so ranking can be shared and top-k'd); Plan
+// composes Scorer.Rank with Allocate for direct callers.
 func (p *Planner) Allocate(ranked []recommend.Scored, req Request) Plan {
 	plan := Plan{DeltaT: req.Ctx.DeltaT}
 	if req.Ctx.DeltaT <= 0 || len(ranked) == 0 {

@@ -86,7 +86,6 @@ func NewServer(sys *pphcr.System) *Server {
 	s.route("/api/feedback/events", "feedback_events", s.handleFeedbackEvents)
 	s.route("/api/recommendations", "recommendations", s.handleRecommendations)
 	s.route("/api/plan", "plan", s.handlePlan)
-	s.route("/api/plan/batch", "plan_batch", s.handlePlanBatch)
 	s.route("/api/services", "services", s.handleServices)
 	s.route("/api/schedule", "schedule", s.handleSchedule)
 	s.route("/api/items/", "item_by_id", s.handleItemByID)
@@ -123,6 +122,28 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
 }
 
+// maxBodyBytes bounds every request body (Server.route wraps it): two
+// orders of magnitude above a 3-minute partial trace, below the 16 MiB
+// the router forwards. Nodes are reachable directly, not only through
+// the router.
+const maxBodyBytes = 1 << 20
+
+// decodeJSON decodes the request body into v. On failure it answers 400,
+// or 413 when the body ran past maxBodyBytes, and returns false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(r.Body).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, fmt.Errorf("bad json: %w", err))
+	return false
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -146,8 +167,7 @@ func (s *Server) handleUsers(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var body UserBody
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+		if !decodeJSON(w, r, &body) {
 			return
 		}
 		p := profile.Profile{
@@ -203,8 +223,7 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var body TrackBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+	if !decodeJSON(w, r, &body) {
 		return
 	}
 	fix := trajectory.Fix{
@@ -258,8 +277,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var body FeedbackBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+	if !decodeJSON(w, r, &body) {
 		return
 	}
 	kind, err := parseKind(body.Kind)

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pphcr"
+	"pphcr/internal/durable"
 	"pphcr/internal/synth"
 )
 
@@ -300,5 +304,55 @@ func TestItemEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing item status = %d", resp2.StatusCode)
+	}
+}
+
+// TestOversizedBodyRejected: a request body past maxBodyBytes answers 413
+// on every route that decodes one, without reaching the System (no
+// mutation is logged); the same body at normal size is handled as before.
+func TestOversizedBodyRejected(t *testing.T) {
+	ts, sys, _ := newTestServer(t)
+	var logged atomic.Int64
+	sys.SetMutationHook(func(uint32, durable.Event) error {
+		logged.Add(1)
+		return nil
+	})
+	routes := []struct {
+		path, body string // body has one %s, inside an ignored field
+		normal     int    // status without the padding
+	}{
+		{"/api/users", `{"user_id":"big","name":"Big","age":30,"pad":"%s"}`, http.StatusCreated},
+		{"/api/track", `{"user_id":"big","lat":45,"lon":7.6,"unix":1479110400,"pad":"%s"}`, http.StatusAccepted},
+		{"/api/feedback", `{"user_id":"big","item_id":"x","kind":"like","unix":1479110400,"pad":"%s"}`, http.StatusAccepted},
+		// Decoded and planned: "big" has no mobility model.
+		{"/api/plan", `{"user_id":"big","fixes":[{"lat":45,"lon":7.6,"unix":1479110400}],"pad":"%s"}`, http.StatusBadRequest},
+	}
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	pad := strings.Repeat("x", maxBodyBytes)
+	for _, rt := range routes {
+		if code, _ := post(rt.path, fmt.Sprintf(rt.body, pad)); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body = %d, want 413", rt.path, len(pad), code)
+		}
+	}
+	if n := logged.Load(); n != 0 {
+		t.Fatalf("oversized requests logged %d mutations", n)
+	}
+	for _, rt := range routes {
+		code, msg := post(rt.path, fmt.Sprintf(rt.body, ""))
+		if code != rt.normal || strings.Contains(msg, "bad json") {
+			t.Errorf("%s with a normal body = %d %s, want %d", rt.path, code, msg, rt.normal)
+		}
+	}
+	if n := logged.Load(); n != 3 {
+		t.Fatalf("normal requests logged %d mutations, want 3 (user, fix, feedback)", n)
 	}
 }

@@ -45,7 +45,8 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 
 // route mounts a handler with per-endpoint instrumentation: every
 // request is timed into the endpoint's histogram and counted by status
-// class. Multiple patterns may share an endpoint name.
+// class, and its body is capped at maxBodyBytes. Multiple patterns may
+// share an endpoint name.
 func (s *Server) route(pattern, name string, h http.HandlerFunc) {
 	em := s.endpointByName[name]
 	if em == nil {
@@ -66,6 +67,7 @@ func (s *Server) route(pattern, name string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		h(&rec, r)
 		em.hist.Observe(time.Since(start))
 		if c := rec.status / 100; c >= 1 && c <= 5 {

@@ -167,9 +167,9 @@ type slowRank struct {
 	delay time.Duration
 }
 
-func (s slowRank) Rank(b *pipeline.Batch, t *pipeline.Task) {
+func (s slowRank) Rank(t *pipeline.Task) {
 	time.Sleep(s.delay)
-	s.inner.Rank(b, t)
+	s.inner.Rank(t)
 }
 
 // TestSlowRequestTraced injects a slow Rank stage and checks the
@@ -213,12 +213,18 @@ func TestSlowRequestTraced(t *testing.T) {
 	if tr.TotalMicros < 5_000 {
 		t.Fatalf("trace total %.0fµs below threshold", tr.TotalMicros)
 	}
-	var rankDur float64
+	var rankDur, stages float64
 	var noted bool
 	for _, sp := range tr.Spans {
 		if sp.Name == "stage:rank" {
 			rankDur = sp.DurMicros
 		}
+		if strings.HasPrefix(sp.Name, "stage:") {
+			stages += sp.DurMicros
+		}
+	}
+	if stages > tr.TotalMicros {
+		t.Fatalf("stage spans sum to %.0fµs, more than the request's %.0fµs: %+v", stages, tr.TotalMicros, tr.Spans)
 	}
 	for _, n := range tr.Notes {
 		if n == "cache:miss" || n == "cache:hit" {

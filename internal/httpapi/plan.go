@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -43,27 +42,25 @@ type PlanView struct {
 	Served         string         `json:"served,omitempty"`
 	Items          []PlanItemView `json:"items"`
 	DroppedReasons []string       `json:"dropped_reasons,omitempty"`
-	// Error is set on batch members whose planning failed.
-	Error string `json:"error,omitempty"`
 }
 
-// trip converts the request payload into a PlanTrip(Batch) input.
-func (b PlanRequest) trip() (pphcr.TripRequest, error) {
+// trip converts the request payload into PlanTrip's inputs.
+func (b PlanRequest) trip() (partial trajectory.Trace, now time.Time, err error) {
 	if b.UserID == "" || len(b.Fixes) == 0 {
-		return pphcr.TripRequest{}, errors.New("user_id and fixes required")
+		return nil, time.Time{}, errors.New("user_id and fixes required")
 	}
-	partial := make(trajectory.Trace, len(b.Fixes))
+	partial = make(trajectory.Trace, len(b.Fixes))
 	for i, f := range b.Fixes {
 		partial[i] = trajectory.Fix{
 			Point: geo.Point{Lat: f.Lat, Lon: f.Lon},
 			Time:  time.Unix(f.Unix, 0).UTC(),
 		}
 	}
-	now := partial[len(partial)-1].Time
+	now = partial[len(partial)-1].Time
 	if b.NowUnix != 0 {
 		now = time.Unix(b.NowUnix, 0).UTC()
 	}
-	return pphcr.TripRequest{UserID: b.UserID, Partial: partial, Now: now}, nil
+	return partial, now, nil
 }
 
 // planView renders one TripPlan.
@@ -102,19 +99,18 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var body PlanRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
+	if !decodeJSON(w, r, &body) {
 		return
 	}
-	req, err := body.trip()
+	partial, now, err := body.trip()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	obs.NoteRequestUser(r.Context(), req.UserID)
-	tr := s.startTrace("plan", req.UserID)
+	obs.NoteRequestUser(r.Context(), body.UserID)
+	tr := s.startTrace("plan", body.UserID)
 	started := time.Now()
-	tp, err := s.sys.PlanTripTraced(req.UserID, req.Partial, req.Now, nil, tr)
+	tp, err := s.sys.PlanTripTraced(body.UserID, partial, now, nil, tr)
 	elapsed := time.Since(started)
 	s.traceRing.Offer(tr)
 	if err != nil {
@@ -137,77 +133,4 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		view.Served = "replica"
 	}
 	writeJSON(w, http.StatusOK, view)
-}
-
-// maxBatchMembers bounds one /api/plan/batch request: a batch plans
-// synchronously on the handler goroutine, so an unbounded payload would
-// let one request monopolize the server.
-const maxBatchMembers = 1024
-
-// PlanBatchRequest is the batch-planning payload: many users' partial
-// traces planned through one pipeline batch.
-type PlanBatchRequest struct {
-	Requests []PlanRequest `json:"requests"`
-}
-
-// PlanBatchResponse is the positional batch response; a request that
-// failed carries its error in place of a plan.
-type PlanBatchResponse struct {
-	Plans []PlanView `json:"plans"`
-}
-
-func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
-	var body PlanBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad json: %w", err))
-		return
-	}
-	if len(body.Requests) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("requests required"))
-		return
-	}
-	if len(body.Requests) > maxBatchMembers {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d exceeds the %d-member limit", len(body.Requests), maxBatchMembers))
-		return
-	}
-	valid := make([]pphcr.TripRequest, 0, len(body.Requests))
-	errs := make([]error, len(body.Requests))
-	for i, b := range body.Requests {
-		req, err := b.trip()
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		valid = append(valid, req)
-	}
-	results := s.sys.PlanTripBatch(valid)
-	resp := PlanBatchResponse{Plans: make([]PlanView, len(body.Requests))}
-	next := 0
-	for i := range body.Requests {
-		if errs[i] != nil {
-			resp.Plans[i] = PlanView{Error: errs[i].Error()}
-			continue
-		}
-		res := results[next]
-		next++
-		switch {
-		case res.Err != nil:
-			resp.Plans[i] = PlanView{Error: res.Err.Error()}
-		default:
-			resp.Plans[i] = planView(res.Plan)
-		}
-	}
-	if s.Role() != RoleLeader {
-		for i := range resp.Plans {
-			if resp.Plans[i].Error == "" {
-				resp.Plans[i].Served = "replica"
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -66,7 +66,7 @@ type StatsView struct {
 	HTTP map[string]EndpointStats `json:"http"`
 	// Pipeline reports the staged planning pipeline's per-stage
 	// latency/count aggregates (predict, gate, candidates, rank,
-	// allocate) plus its batch amortization counters.
+	// allocate) plus its task counter.
 	Pipeline pipeline.Stats `json:"pipeline"`
 	// Retrieval reports the embedding-retrieval path when ANN
 	// candidates are enabled: per-query HNSW search latency, candidate

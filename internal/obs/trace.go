@@ -24,8 +24,7 @@ type Span struct {
 // Trace is a per-request span recorder. All methods are nil-safe: a
 // nil *Trace no-ops, so instrumentation points in the pipeline and the
 // write paths never branch on "is tracing on". A Trace is owned by one
-// request goroutine; it is not safe for concurrent use (the batch
-// pipeline records into each task's own trace).
+// request goroutine; it is not safe for concurrent use.
 type Trace struct {
 	Op     string
 	User   string
@@ -83,8 +82,8 @@ func (t *Trace) EndSpan(name string, startOffsetNs int64) {
 	t.n++
 }
 
-// AddSpan records an externally timed span (e.g. a batch-shared stage
-// duration attributed to each member task).
+// AddSpan records an externally timed span (e.g. a pipeline stage the
+// caller also times into its histogram).
 func (t *Trace) AddSpan(name string, startOffsetNs, durNs int64) {
 	if t == nil || t.n >= maxSpans {
 		return

@@ -19,11 +19,11 @@ func embedQuery(prefs map[string]float64) (embed.Quantized, bool) {
 
 // annCandidates is the embedding-retrieval Candidates stage (ROADMAP
 // item 4): instead of walking the postings of every category the user
-// prefers (O(catalog slice)), it embeds the user's preference vector
-// once per (user, instant), searches the HNSW index for the Retrieve
-// most similar items, and hands Rank only those — sublinear candidate
-// acquisition at pinned recall. The warm plan-cache short-circuit,
-// preference memoization and downstream Rank/Allocate stages are shared
+// prefers (O(catalog slice)), it embeds the user's preference vector,
+// searches the HNSW index for the Retrieve most similar items, and
+// hands Rank only those — sublinear candidate acquisition at pinned
+// recall. The warm plan-cache short-circuit,
+// preference flattening and downstream Rank/Allocate stages are shared
 // with the exact stage, and the retrieved items are scored from the
 // same catalog-resident features, so the two paths differ only in which
 // items Rank considers.
@@ -40,54 +40,24 @@ type annCandidates struct {
 	m     *metrics
 }
 
-func (s *annCandidates) Gather(b *Batch) {
-	for _, t := range b.Tasks {
-		if t.skip() {
-			continue
-		}
-		if s.inner.tryServeWarm(t) {
-			continue
-		}
-		// Preferences first: the candidate set depends on the user's
-		// query vector, not just the instant.
-		t.fp = b.prefsFor(s.inner, t.User, t.Now)
-		t.prefs = t.fp.prefs
-		t.set = b.annSetFor(s, t)
-		t.fp.bind(&t.set.view)
+func (s *annCandidates) Gather(t *Task) {
+	if s.inner.tryServeWarm(t) {
+		return
 	}
+	set := s.po.acquire(t)
+	// Preferences first: the candidate set depends on the user's query
+	// vector, not just the instant.
+	set.fp.load(s.deps.Preferences(t.User, t.Now))
+	t.prefs = set.fp.prefs
+	s.build(set, t.Now)
+	set.fp.bind(&set.view)
 }
 
-// annSetFor returns the batch's ANN candidate set for (user, instant),
-// building it on first use. Unlike the exact stage — where the set
-// depends only on the instant — ANN retrieval is query-directed, so the
-// memo key includes the user; tasks for the same user and instant (the
-// batch path's common case) still share one retrieval and one quantized
-// query vector.
-//
-//pphcr:allow poolescape batch-scoped arena: Release puts every set in b.annSets back when the batch ends
-func (b *Batch) annSetFor(s *annCandidates, t *Task) *candSet {
-	key := prefsKey{user: t.User, now: t.Now.UnixNano()}
-	if set, ok := b.annSets[key]; ok {
-		return set
-	}
-	set, _ := s.po.sets.Get().(*candSet)
-	if set == nil {
-		set = &candSet{}
-	}
-	s.build(set, t)
-	if b.annSets == nil {
-		b.annSets = make(map[prefsKey]*candSet, len(b.Tasks))
-	}
-	b.annSets[key] = set
-	return set
-}
-
-// build retrieves the set's candidates from the vector index.
-func (s *annCandidates) build(set *candSet, t *Task) {
-	fp := t.fp
-	if !fp.qSet {
-		fp.buildQuery()
-	}
+// build retrieves the set's candidates, as of now, from the vector
+// index.
+func (s *annCandidates) build(set *candSet, now time.Time) {
+	fp := &set.fp
+	fp.q, fp.qOK = embedQuery(fp.prefs)
 	set.fromIndex = true
 	set.retrieved = set.retrieved[:0]
 	if fp.qOK {
@@ -111,8 +81,8 @@ func (s *annCandidates) build(set *candSet, t *Task) {
 	// The view is taken after resolution, so it holds every resolved
 	// item; then the publish-window cut the exact stage gets from its
 	// postings is re-applied.
-	set.start(&s.deps, t.Now)
-	cut := content.Since(t.Now.Add(-s.deps.CandidateWindow))
+	set.start(&s.deps, now)
+	cut := content.Since(now.Add(-s.deps.CandidateWindow))
 	kept := set.retrieved[:0]
 	for _, seq := range set.retrieved {
 		if cut.Admits(set.view.At(seq)) {
@@ -123,21 +93,4 @@ func (s *annCandidates) build(set *candSet, t *Task) {
 	s.m.annResolved.Add(int64(len(kept)))
 }
 
-// buildQuery computes (once per batch memo) the quantized embedding of
-// the preference vector shared by every task of this (user, instant).
-func (fp *userPrefs) buildQuery() {
-	fp.qSet = true
-	fp.qOK = false
-	if v, ok := embedQuery(fp.prefs); ok {
-		fp.q = v
-		fp.qOK = true
-	}
-}
-
-func (s *annCandidates) Release(b *Batch) {
-	for _, set := range b.annSets {
-		s.po.putSet(set)
-	}
-	b.annSets = nil
-	s.inner.Release(b)
-}
+func (s *annCandidates) Release(t *Task) { s.inner.Release(t) }

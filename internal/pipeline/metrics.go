@@ -23,14 +23,16 @@ const NumStages = numStages
 // /metrics.
 var StageNames = [NumStages]string{"predict", "gate", "candidates", "rank", "allocate"}
 
+// stageSpans are the span names a traced task records its stages under.
+var stageSpans = [numStages]string{"stage:predict", "stage:gate", "stage:candidates", "stage:rank", "stage:allocate"}
+
 // metrics holds one lock-free histogram per stage; the request path
 // pays a bucket search plus three atomic adds per observation. The ANN
 // retrieval aggregates stay zero unless the embedding Candidates stage
 // is active.
 type metrics struct {
-	hist    [numStages]obs.Histogram
-	batches atomic.Int64
-	tasks   atomic.Int64
+	hist  [numStages]obs.Histogram
+	tasks atomic.Int64
 
 	annSearch    obs.Histogram // per-query HNSW search latency
 	annSearches  atomic.Int64
@@ -38,11 +40,9 @@ type metrics struct {
 	annResolved  atomic.Int64 // candidates surviving resolve + window cut
 }
 
-// StageStats is one stage's latency aggregate. Predict, Gate, Rank and
-// Allocate count per-task executions; Candidates counts per-batch
-// gathers (its cost is shared by every task in the batch — that is the
-// point of batching). Quantiles are histogram estimates, within one
-// 1.25× bucket of exact.
+// StageStats is one stage's latency aggregate; Count is the number of
+// tasks that reached the stage. Quantiles are histogram estimates,
+// within one 1.25× bucket of exact.
 type StageStats struct {
 	Count     int64   `json:"count"`
 	AvgMicros float64 `json:"avg_micros"`
@@ -71,10 +71,8 @@ type Stats struct {
 	Candidates StageStats `json:"candidates"`
 	Rank       StageStats `json:"rank"`
 	Allocate   StageStats `json:"allocate"`
-	// Batches and Tasks count RunBatch invocations and the tasks they
-	// carried; Tasks/Batches is the effective amortization factor.
-	Batches int64 `json:"batches"`
-	Tasks   int64 `json:"tasks"`
+	// Tasks counts Run invocations.
+	Tasks int64 `json:"tasks"`
 }
 
 // Stats snapshots the pipeline's stage metrics (reported on /stats and
@@ -86,7 +84,6 @@ func (p *Pipeline) Stats() Stats {
 		Candidates: stageView(&p.m.hist[StageCandidates]),
 		Rank:       stageView(&p.m.hist[StageRank]),
 		Allocate:   stageView(&p.m.hist[StageAllocate]),
-		Batches:    p.m.batches.Load(),
 		Tasks:      p.m.tasks.Load(),
 	}
 }

@@ -30,7 +30,7 @@ const testWindow = 72 * time.Hour
 // the task's context itself, as ModeRank callers do.
 type presetPredict struct{}
 
-func (presetPredict) Predict(b *Batch, t *Task) {
+func (presetPredict) Predict(t *Task) {
 	t.Recognized = true
 	t.Source = SourceCold
 	t.Prediction.Confidence = 1
@@ -359,9 +359,9 @@ type viewSizeRank struct {
 	sizes *sync.Map // *Task -> int
 }
 
-func (r viewSizeRank) Rank(b *Batch, t *Task) {
+func (r viewSizeRank) Rank(t *Task) {
 	r.sizes.Store(t, t.set.view.Len())
-	r.inner.Rank(b, t)
+	r.inner.Rank(t)
 }
 
 // TestPlansConsistentUnderConcurrentIngest: planners run while another

@@ -4,27 +4,26 @@
 // explicit stages (Predict → Gate → Candidates → Rank → Allocate) in the
 // style of stream-pipeline systems (Aurora/Borealis dataflow operators,
 // SEDA's staged event-driven design): each stage is a first-class
-// operator with its own latency/count metrics, and the composition runs
-// one task or a whole batch of tasks through the same code path.
+// operator with its own latency/count metrics, and every task runs
+// through the one composition, Pipeline.Run.
 //
 // Nothing is derived from the catalog per request. Every item's ranking
 // features — its category vector in category-name order with interned
 // category ids, the vector's norm — and the category→items postings are
 // built once, when content.Repository.Add stores the item; the
 // Candidates stage takes a content.View of them (a lock and a few slice
-// headers), once per planning instant per batch, and memoizes each
-// user's decayed preference vector. The Rank stage then scores only the
-// items that share a category with the user (exact under the ranking
-// content floor: an item with no shared category has zero cosine and is
-// filtered either way), and for a plan-mode task keeps only the items
-// the knapsack can still choose (core.Selection), so the Allocate stage
-// solves the knapsack over a few hundred items whatever the catalog
-// size.
+// headers) and reads the user's decayed preference vector, once per
+// task. The Rank stage then scores only the items that share a category
+// with the user (exact under the ranking content floor: an item with no
+// shared category has zero cosine and is filtered either way), and for
+// a plan-mode task keeps only the items the knapsack can still choose
+// (core.Selection), so the Allocate stage solves the knapsack over a
+// few hundred items whatever the catalog size.
 //
 // All five public entry points of the System (PlanTrip, WarmPlan,
 // Recommend, SkipLive, SkipClip) execute through a Pipeline, which is
-// what makes cold, warm and batch plans byte-identical: one gate, one
-// ranker, one allocator.
+// what makes cold and warm plans byte-identical: one gate, one ranker,
+// one allocator.
 package pipeline
 
 import (
@@ -123,7 +122,6 @@ type Task struct {
 
 	done  bool
 	prefs map[string]float64
-	fp    *userPrefs
 	set   *candSet
 	sel   *core.Selection
 }
@@ -140,38 +138,37 @@ type CachedPlan interface {
 	CachedPlan() (core.Plan, time.Time)
 }
 
-// Stage interfaces. Predict, Gate, Rank and Allocate are per-task
-// operators; Candidates is batch-scoped so implementations can acquire
-// shared inputs once per batch.
+// Stage interfaces: each is an operator on one task. They are
+// interfaces so that tests and fault injection can substitute a stage.
 
 // Predict derives the trip prediction and recommendation context.
 type Predict interface {
-	Predict(b *Batch, t *Task)
+	Predict(t *Task)
 }
 
 // Gate is proactivity phase 1: whether to recommend at all.
 type Gate interface {
-	Gate(b *Batch, t *Task)
+	Gate(t *Task)
 }
 
-// Candidates prepares the shared ranking inputs for a batch (catalog
-// view, preference vectors) and may short-circuit tasks from the
-// warm-plan cache. Release returns pooled resources
-// after the batch completes.
+// Candidates prepares the task's ranking inputs (catalog view,
+// preference vector) and may short-circuit it from the warm-plan cache.
+// Release returns the pooled resources Gather took, after the task
+// completes.
 type Candidates interface {
-	Gather(b *Batch)
-	Release(b *Batch)
+	Gather(t *Task)
+	Release(t *Task)
 }
 
 // Rank produces the ordered relevance list for one task.
 type Rank interface {
-	Rank(b *Batch, t *Task)
+	Rank(t *Task)
 }
 
 // Allocate is proactivity phase 2 after ranking: fit the ranked items
 // into ΔT under deadlines and distraction windows.
 type Allocate interface {
-	Allocate(b *Batch, t *Task)
+	Allocate(t *Task)
 }
 
 // Deps wires a default stage set to its owning system.
@@ -253,107 +250,54 @@ func New(deps Deps) *Pipeline {
 	return p
 }
 
-// Batch carries the shared state of one RunBatch call. Stage
-// implementations reach the per-batch caches through it.
-type Batch struct {
-	// Tasks are the batch members, in submission order.
-	Tasks []*Task
-
-	sets    []*candSet
-	annSets map[prefsKey]*candSet
-	prefs   map[prefsKey]*userPrefs
-}
-
-type prefsKey struct {
-	user string
-	now  int64
-}
-
-// Run executes one task through the pipeline (a single-task batch).
+// Run executes one task through the staged flow. A task that errors or
+// short-circuits (unrecognized trip, gate decline, warm-cache hit) skips
+// the stages after it.
 func (p *Pipeline) Run(t *Task) {
-	var one [1]*Task
-	one[0] = t
-	p.RunBatch(one[:])
-}
-
-// RunBatch executes every task through the staged flow. Stages run in
-// order with the Candidates stage invoked once for the whole batch, so
-// the catalog view and per-user preference reads are shared across
-// tasks. Tasks are independent: a task that
-// errors or short-circuits (gate decline, warm-cache hit) is skipped by
-// later stages without affecting its neighbors.
-func (p *Pipeline) RunBatch(tasks []*Task) {
-	if len(tasks) == 0 {
-		return
-	}
-	b := &Batch{Tasks: tasks, prefs: make(map[prefsKey]*userPrefs, len(tasks))}
-	p.m.batches.Add(1)
-	p.m.tasks.Add(int64(len(tasks)))
-
-	for _, t := range tasks {
-		if t.Mode == ModeRank || t.skip() {
-			continue
-		}
+	p.m.tasks.Add(1)
+	if t.Mode != ModeRank {
 		start := time.Now()
-		p.Predict.Predict(b, t)
-		d := time.Since(start)
-		p.m.hist[StagePredict].Observe(d)
-		traceStage(t, "stage:predict", start, d)
-	}
-	for _, t := range tasks {
-		if t.Mode == ModeRank || t.skip() {
-			continue
+		p.Predict.Predict(t)
+		p.observe(StagePredict, t, start)
+		if t.skip() {
+			return
 		}
-		start := time.Now()
-		p.Gate.Gate(b, t)
-		d := time.Since(start)
-		p.m.hist[StageGate].Observe(d)
-		traceStage(t, "stage:gate", start, d)
+		start = time.Now()
+		p.Gate.Gate(t)
+		p.observe(StageGate, t, start)
+		if t.skip() {
+			return
+		}
 	}
 	start := time.Now()
-	p.Candidates.Gather(b)
-	batchDur := time.Since(start)
-	p.m.hist[StageCandidates].Observe(batchDur)
-	for _, t := range tasks {
-		// The gather ran once for the whole batch; each traced task is
-		// charged the shared duration (that amortization is the point).
-		traceStage(t, "stage:candidates", start, batchDur)
-		if t.Trace != nil && t.Mode == ModeLive {
-			if t.Source == SourceWarm {
-				t.Trace.Note("cache:hit")
-			} else if !t.skip() {
-				t.Trace.Note("cache:miss")
-			}
+	p.Candidates.Gather(t)
+	p.observe(StageCandidates, t, start)
+	if t.Trace != nil && t.Mode == ModeLive {
+		if t.Source == SourceWarm {
+			t.Trace.Note("cache:hit")
+		} else if !t.skip() {
+			t.Trace.Note("cache:miss")
 		}
 	}
-	for _, t := range tasks {
-		if t.skip() {
-			continue
+	if !t.skip() {
+		start = time.Now()
+		p.Rank.Rank(t)
+		p.observe(StageRank, t, start)
+		if t.Mode != ModeRank {
+			start = time.Now()
+			p.Allocate.Allocate(t)
+			p.observe(StageAllocate, t, start)
 		}
-		start := time.Now()
-		p.Rank.Rank(b, t)
-		d := time.Since(start)
-		p.m.hist[StageRank].Observe(d)
-		traceStage(t, "stage:rank", start, d)
 	}
-	for _, t := range tasks {
-		if t.Mode == ModeRank || t.skip() {
-			continue
-		}
-		start := time.Now()
-		p.Allocate.Allocate(b, t)
-		d := time.Since(start)
-		p.m.hist[StageAllocate].Observe(d)
-		traceStage(t, "stage:allocate", start, d)
-	}
-	p.Candidates.Release(b)
+	p.Candidates.Release(t)
 }
 
-// traceStage records one stage span on a traced task; untraced tasks
-// cost one nil check.
-func traceStage(t *Task, name string, start time.Time, d time.Duration) {
-	if t.Trace == nil {
-		return
+// observe records one stage execution that began at start: on the
+// stage's histogram and, for a traced task, as a span.
+func (p *Pipeline) observe(stage int, t *Task, start time.Time) {
+	d := time.Since(start)
+	p.m.hist[stage].Observe(d)
+	if t.Trace != nil {
+		t.Trace.AddSpan(stageSpans[stage], int64(start.Sub(t.Trace.Start)), int64(d))
 	}
-	t.Trace.AddSpan(name, int64(start.Sub(t.Trace.Start)), int64(d))
 }

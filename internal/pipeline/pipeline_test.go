@@ -144,67 +144,28 @@ func TestRankExcludeSkipsItems(t *testing.T) {
 	}
 }
 
-// TestBatchSharesAcquisitionAndPrefs: one RunBatch over many tasks at
-// one instant acquires candidates once and reads each user's
-// preferences once — the amortization contract.
-func TestBatchSharesAcquisitionAndPrefs(t *testing.T) {
-	items := corpus(40)
-	prefs := map[string]float64{"news": 0.8}
-	var prefReads, acquires int
-	p := New(rankDeps(items, prefs, &prefReads, &acquires))
-
-	tasks := make([]*Task, 10)
-	for i := range tasks {
-		user := fmt.Sprintf("u%d", i%3) // 3 distinct users
-		tasks[i] = &Task{Mode: ModeRank, User: user, Now: testEpoch, Ctx: recommend.Context{Now: testEpoch}}
-	}
-	p.RunBatch(tasks)
-	if acquires != 1 {
-		t.Fatalf("candidate acquisitions = %d, want 1", acquires)
-	}
-	if prefReads != 3 {
-		t.Fatalf("preference reads = %d, want 3", prefReads)
-	}
-	for i, task := range tasks {
-		if len(task.Ranked) == 0 {
-			t.Fatalf("task %d ranked nothing", i)
-		}
-	}
-	// Two distinct instants → two acquisitions.
-	acquires, prefReads = 0, 0
-	p.RunBatch([]*Task{
-		{Mode: ModeRank, User: "u0", Now: testEpoch, Ctx: recommend.Context{Now: testEpoch}},
-		{Mode: ModeRank, User: "u0", Now: testEpoch.Add(time.Hour), Ctx: recommend.Context{Now: testEpoch.Add(time.Hour)}},
-	})
-	if acquires != 2 {
-		t.Fatalf("acquisitions across instants = %d, want 2", acquires)
-	}
-	if prefReads != 2 {
-		t.Fatalf("preference reads across instants = %d, want 2", prefReads)
-	}
-}
-
-// TestStageMetrics: ModeRank touches only Candidates and Rank; counters
-// reflect batch amortization (one gather for N tasks).
+// TestStageMetrics: ModeRank touches only Candidates and Rank, and every
+// stage a task reaches counts it once.
 func TestStageMetrics(t *testing.T) {
 	items := corpus(20)
 	var prefReads, acquires int
 	p := New(rankDeps(items, map[string]float64{"news": 1}, &prefReads, &acquires))
 
-	tasks := make([]*Task, 4)
-	for i := range tasks {
-		tasks[i] = &Task{Mode: ModeRank, User: "u", Now: testEpoch, Ctx: recommend.Context{Now: testEpoch}}
+	for i := 0; i < 4; i++ {
+		p.Run(&Task{Mode: ModeRank, User: "u", Now: testEpoch, Ctx: recommend.Context{Now: testEpoch}})
 	}
-	p.RunBatch(tasks)
 	st := p.Stats()
-	if st.Batches != 1 || st.Tasks != 4 {
-		t.Fatalf("batches/tasks = %d/%d", st.Batches, st.Tasks)
+	if st.Tasks != 4 {
+		t.Fatalf("tasks = %d, want 4", st.Tasks)
 	}
 	if st.Rank.Count != 4 {
 		t.Fatalf("rank count = %d, want 4", st.Rank.Count)
 	}
-	if st.Candidates.Count != 1 {
-		t.Fatalf("candidates count = %d, want 1 (batch-scoped)", st.Candidates.Count)
+	if st.Candidates.Count != 4 {
+		t.Fatalf("candidates count = %d, want 4", st.Candidates.Count)
+	}
+	if acquires != 4 || prefReads != 4 {
+		t.Fatalf("catalog views/preference reads = %d/%d, want one each per task", acquires, prefReads)
 	}
 	if st.Predict.Count != 0 || st.Gate.Count != 0 || st.Allocate.Count != 0 {
 		t.Fatalf("plan-only stages ran for ModeRank: %+v", st)
@@ -212,22 +173,21 @@ func TestStageMetrics(t *testing.T) {
 }
 
 // TestPredictErrorsSkipLaterStages: a task that fails Predict must not
-// reach Rank, and its neighbors must be unaffected.
+// reach the later stages.
 func TestPredictErrorsSkipLaterStages(t *testing.T) {
 	items := corpus(20)
 	var prefReads, acquires int
 	p := New(rankDeps(items, map[string]float64{"news": 1}, &prefReads, &acquires))
 
 	bad := &Task{Mode: ModeLive, User: "nobody", Now: testEpoch}
-	good := &Task{Mode: ModeRank, User: "u", Now: testEpoch, Ctx: recommend.Context{Now: testEpoch}}
-	p.RunBatch([]*Task{bad, good})
+	p.Run(bad)
 	if bad.Err == nil {
 		t.Fatal("live task without mobility model should error")
 	}
 	if len(bad.Ranked) != 0 || len(bad.Plan.Items) != 0 {
 		t.Fatal("errored task produced output")
 	}
-	if len(good.Ranked) == 0 {
-		t.Fatal("neighbor task starved by errored task")
+	if st := p.Stats(); st.Predict.Count != 1 || st.Gate.Count+st.Candidates.Count+st.Rank.Count+st.Allocate.Count != 0 {
+		t.Fatalf("errored task ran past Predict: %+v", st)
 	}
 }

@@ -19,13 +19,12 @@ import (
 )
 
 // pools are the pipeline-owned recycled buffers shared by the default
-// stages: candidate sets (one per distinct planning instant per batch),
-// preference memos, and the planner selections plan-mode tasks rank
-// into (ModeRank hands its ranked slice to the caller).
+// stages: a candidate set per task, and the planner selections
+// plan-mode tasks rank into (ModeRank hands its ranked slice to the
+// caller).
 type pools struct {
-	sets  sync.Pool // *candSet
-	sels  sync.Pool // *core.Selection
-	prefs sync.Pool // *userPrefs
+	sets sync.Pool // *candSet
+	sels sync.Pool // *core.Selection
 }
 
 // ---- Predict ---------------------------------------------------------
@@ -39,7 +38,7 @@ type mobilityPredict struct {
 	deps Deps
 }
 
-func (s *mobilityPredict) Predict(b *Batch, t *Task) {
+func (s *mobilityPredict) Predict(t *Task) {
 	// The invalidation version is captured before ANY ranking input —
 	// including the mobility model — is sampled, so a concurrent
 	// re-compaction or feedback event marks the produced plan stale
@@ -136,7 +135,7 @@ type plannerGate struct {
 	deps Deps
 }
 
-func (s *plannerGate) Gate(b *Batch, t *Task) {
+func (s *plannerGate) Gate(t *Task) {
 	var tl distraction.Timeline
 	if t.Timeline != nil {
 		tl = *t.Timeline
@@ -153,15 +152,16 @@ func (s *plannerGate) Gate(b *Batch, t *Task) {
 
 // ---- Candidates ------------------------------------------------------
 
-// candSet is the candidate state for one planning instant within a
-// batch: a view of the catalog — whose items carry their ranking
-// features since they were added, so nothing is featurized here — plus
-// the few terms that depend on the instant. The exact stage ranks the
-// view's per-category postings, cut to the candidate window; the ANN
-// stage ranks the items it retrieved.
+// candSet is one task's candidate state: a view of the catalog — whose
+// items carry their ranking features since they were added, so nothing
+// is featurized here — the user's preference vector bound to that view,
+// and the few terms that depend on the planning instant. The exact
+// stage ranks the view's per-category postings, cut to the candidate
+// window; the ANN stage ranks the items it retrieved.
 type candSet struct {
 	now  time.Time
 	view content.View
+	fp   userPrefs
 	// kindBase is Scorer.ContextBase at now for each known item kind: the
 	// plain (weather- and activity-free) context base depends on nothing
 	// else, and computing it per candidate was a tenth of a cold plan.
@@ -203,13 +203,12 @@ type prefSlot struct {
 	ok bool
 }
 
-// userPrefs is the per-batch memo of one user's decayed preference
+// userPrefs is one task's copy of its user's decayed preference
 // vector: the map (handed to the allocator), its name-sorted flat form,
 // the precomputed √norm of the user side of the cosine and, once bound
-// to the batch's catalog view, the same weights by interned category
-// id. The ANN Candidates stage additionally memoizes the quantized
-// embedding of the preference vector here, so batch plan execution
-// shares one query vector per (user, instant) across tasks.
+// to the task's catalog view, the same weights by interned category id.
+// The ANN Candidates stage additionally keeps the quantized embedding
+// of the vector here.
 type userPrefs struct {
 	prefs  map[string]float64
 	flat   []prefWeight
@@ -218,24 +217,42 @@ type userPrefs struct {
 	// ids are the preferred categories some catalog item carries; byID
 	// holds every category's weight, indexed by id. Both are filled by
 	// bind.
-	ids   []int32
-	byID  []prefSlot
-	bound bool
+	ids  []int32
+	byID []prefSlot
 
-	q    embed.Quantized
-	qOK  bool // q encodes a meaningful direction (prefs non-empty)
-	qSet bool // q/qOK computed for the current prefs
+	q   embed.Quantized
+	qOK bool // q encodes a meaningful direction (prefs non-empty)
+}
+
+// load takes a freshly read preference vector, flattening and norming
+// it.
+func (fp *userPrefs) load(prefs map[string]float64) {
+	fp.prefs = prefs
+	fp.flat = fp.flat[:0]
+	for cat, w := range prefs {
+		fp.flat = append(fp.flat, prefWeight{cat: cat, w: w})
+	}
+	// Insertion sort: preference vectors are small and sort.Slice's
+	// closure indirection shows up on the skip hot path.
+	flat := fp.flat
+	for j := 1; j < len(flat); j++ {
+		for k := j; k > 0 && flat[k].cat < flat[k-1].cat; k-- {
+			flat[k], flat[k-1] = flat[k-1], flat[k]
+		}
+	}
+	fp.sqrtNa = 0
+	var na float64
+	for _, pw := range fp.flat {
+		na += pw.w * pw.w
+	}
+	if na > 0 {
+		fp.sqrtNa = math.Sqrt(na)
+	}
 }
 
 // bind resolves the preference categories against the view's interned
-// ids. Within a batch a memo meets exactly one view — the set of its
-// instant (exact stage) or of its (user, instant) (ANN stage) — so it
-// binds once.
+// ids.
 func (fp *userPrefs) bind(v *content.View) {
-	if fp.bound {
-		return
-	}
-	fp.bound = true
 	fp.ids = fp.ids[:0]
 	fp.byID = append(fp.byID[:0], make([]prefSlot, v.NumCategories())...)
 	for _, pw := range fp.flat {
@@ -247,8 +264,8 @@ func (fp *userPrefs) bind(v *content.View) {
 }
 
 // cacheCandidates is the default Candidates stage: warm-plan cache
-// short-circuit for live tasks, then one catalog view per distinct
-// planning instant and one preference read per (user, instant).
+// short-circuit for live tasks, then one catalog view and one
+// preference read for the task.
 type cacheCandidates struct {
 	deps Deps
 	po   *pools
@@ -265,19 +282,16 @@ func planFits(p core.Plan, deltaT time.Duration) bool {
 	return true
 }
 
-func (s *cacheCandidates) Gather(b *Batch) {
-	for _, t := range b.Tasks {
-		if t.skip() {
-			continue
-		}
-		if s.tryServeWarm(t) {
-			continue
-		}
-		t.set = b.setFor(s, t.Now)
-		t.fp = b.prefsFor(s, t.User, t.Now)
-		t.fp.bind(&t.set.view)
-		t.prefs = t.fp.prefs
+func (s *cacheCandidates) Gather(t *Task) {
+	if s.tryServeWarm(t) {
+		return
 	}
+	set := s.po.acquire(t)
+	set.fromIndex = false
+	set.start(&s.deps, t.Now)
+	set.fp.load(s.deps.Preferences(t.User, t.Now))
+	set.fp.bind(&set.view)
+	t.prefs = set.fp.prefs
 }
 
 // tryServeWarm is the live fast path: a plan precomputed for this
@@ -312,89 +326,29 @@ func (s *cacheCandidates) tryServeWarm(t *Task) bool {
 	return true
 }
 
-// setFor returns the batch's candidate set for the instant, taking the
-// catalog view on first use. Batches rarely span more than a handful of
-// instants, so the lookup is a linear scan.
+// acquire hands the task a candidate set from the pool.
 //
-//pphcr:allow poolescape batch-scoped arena: Release puts every set in b.sets back when the batch ends
-func (b *Batch) setFor(s *cacheCandidates, now time.Time) *candSet {
-	for _, set := range b.sets {
-		if set.now.Equal(now) {
-			return set
-		}
-	}
-	set, _ := s.po.sets.Get().(*candSet)
+//pphcr:allow poolescape task-scoped buffer: Release puts t.set back when the task ends
+func (po *pools) acquire(t *Task) *candSet {
+	set, _ := po.sets.Get().(*candSet)
 	if set == nil {
 		set = &candSet{}
 	}
-	set.fromIndex = false
-	set.start(&s.deps, now)
-	b.sets = append(b.sets, set)
+	t.set = set
 	return set
 }
 
-// prefsFor returns the batch's preference memo for (user, now),
-// reading and flattening the vector on first use.
-//
-//pphcr:allow poolescape batch-scoped arena: Release puts every memo in b.prefs back when the batch ends
-func (b *Batch) prefsFor(s *cacheCandidates, user string, now time.Time) *userPrefs {
-	key := prefsKey{user: user, now: now.UnixNano()}
-	if fp, ok := b.prefs[key]; ok {
-		return fp
+// Release recycles what acquire handed out. The view and the preference
+// map are dropped first: a pooled set must not keep a superseded
+// generation of the catalog's arrays, or a user's vector, reachable.
+func (s *cacheCandidates) Release(t *Task) {
+	if t.set == nil {
+		return // served warm: nothing was acquired
 	}
-	fp, _ := s.po.prefs.Get().(*userPrefs)
-	if fp == nil {
-		fp = &userPrefs{}
-	}
-	fp.prefs = s.deps.Preferences(user, now)
-	fp.qSet = false // invalidate the quantized-query memo for the new prefs
-	fp.bound = false
-	fp.flat = fp.flat[:0]
-	for cat, w := range fp.prefs {
-		fp.flat = append(fp.flat, prefWeight{cat: cat, w: w})
-	}
-	// Insertion sort: preference vectors are small and sort.Slice's
-	// closure indirection shows up on the skip hot path.
-	flat := fp.flat
-	for j := 1; j < len(flat); j++ {
-		for k := j; k > 0 && flat[k].cat < flat[k-1].cat; k-- {
-			flat[k], flat[k-1] = flat[k-1], flat[k]
-		}
-	}
-	fp.sqrtNa = 0
-	var na float64
-	for _, pw := range fp.flat {
-		na += pw.w * pw.w
-	}
-	if na > 0 {
-		fp.sqrtNa = math.Sqrt(na)
-	}
-	b.prefs[key] = fp
-	return fp
-}
-
-func (s *cacheCandidates) Release(b *Batch) {
-	for _, set := range b.sets {
-		s.po.putSet(set)
-	}
-	b.sets = nil
-	for _, fp := range b.prefs {
-		fp.prefs = nil
-		s.po.prefs.Put(fp)
-	}
-	b.prefs = nil
-	for _, t := range b.Tasks {
-		t.set = nil
-		t.fp = nil
-	}
-}
-
-// putSet recycles a candidate set. The view is dropped first: a pooled
-// set must not keep a superseded generation of the catalog's arrays
-// reachable.
-func (po *pools) putSet(set *candSet) {
-	set.view.Reset()
-	po.sets.Put(set)
+	t.set.view.Reset()
+	t.set.fp.prefs = nil
+	s.po.sets.Put(t.set)
+	t.set = nil
 }
 
 // ---- Rank ------------------------------------------------------------
@@ -431,7 +385,7 @@ type ranking struct {
 	out  []recommend.Scored
 }
 
-func (s *indexRank) Rank(b *Batch, t *Task) {
+func (s *indexRank) Rank(t *Task) {
 	set := t.set
 	if set == nil {
 		return
@@ -458,7 +412,7 @@ func (s *indexRank) Rank(b *Batch, t *Task) {
 		// An item carrying several preferred categories sits in several of
 		// these lists; it is scored from the list of the first one in its
 		// own vector.
-		for _, cat := range t.fp.ids {
+		for _, cat := range set.fp.ids {
 			for _, seq := range set.view.Postings(cat, r.cut) {
 				r.consider(seq, cat)
 			}
@@ -484,7 +438,7 @@ func (r *ranking) consider(seq, from int32) {
 	// The dot product adds its terms in category-name order (the order of
 	// the item's vector), looking each weight up by id.
 	var dot float64
-	byID, first := r.t.fp.byID, true
+	byID, first := r.set.fp.byID, true
 	ids, ws := r.set.view.Vector(seq)
 	for j, id := range ids {
 		p := byID[id]
@@ -499,7 +453,7 @@ func (r *ranking) consider(seq, from int32) {
 		}
 		dot += p.w * ws[j]
 	}
-	sqrtNa := r.t.fp.sqrtNa
+	sqrtNa := r.set.fp.sqrtNa
 	if dot <= 0 || sqrtNa == 0 || f.SqrtNorm == 0 {
 		return // cos ≤ 0: actively disliked or disjoint
 	}
@@ -584,7 +538,7 @@ type plannerAllocate struct {
 	po   *pools
 }
 
-func (s *plannerAllocate) Allocate(b *Batch, t *Task) {
+func (s *plannerAllocate) Allocate(t *Task) {
 	t.Plan = s.deps.Planner.Allocate(t.Ranked, core.Request{
 		Prefs:       t.prefs,
 		Ctx:         t.Ctx,

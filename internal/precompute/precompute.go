@@ -24,10 +24,9 @@
 // warm-ahead window × the top-K destination candidates above a
 // probability floor becomes one warm job. Jobs flow through a bounded
 // queue into a fixed worker pool (drops are counted, never blocked on);
-// each worker coalesces queued jobs into System.WarmBatch calls, which
-// plan through the same staged pipeline the cold path uses — acquiring
-// the candidate set and each user's decayed preferences once per batch —
-// and store the results in the plan cache.
+// each worker takes one job at a time and runs System.WarmPlan on it,
+// which plans through the same staged pipeline the cold path uses and
+// stores the result in the plan cache.
 package precompute
 
 import (
@@ -59,10 +58,6 @@ type Config struct {
 	// QueueSize bounds the pending-job queue; enumeration never blocks —
 	// jobs beyond the bound are dropped and counted. Default 256.
 	QueueSize int
-	// BatchSize bounds how many queued warm jobs are executed together
-	// through one System.WarmBatch call, which shares the candidate
-	// acquisition + featurization across the whole batch. Default 16.
-	BatchSize int
 	// Now supplies the scheduling clock used by Run's event loop. The
 	// server anchors it to the synthetic world's timeline; nil means
 	// time.Now.
@@ -84,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 256
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 16
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -253,82 +245,55 @@ func (s *Scheduler) warmUser(user string, now time.Time, force bool) int {
 	return queued
 }
 
-// Drain executes every currently queued job in the calling goroutine,
-// in WarmBatch groups of up to BatchSize, and returns how many plans
-// were warmed. Used by tests and poll-mode callers; under Run the
-// worker pool consumes the same channel.
+// Drain executes every currently queued job in the calling goroutine
+// and returns how many plans were warmed. Used by tests and poll-mode
+// callers; under Run the worker pool consumes the same channel.
 func (s *Scheduler) Drain() int {
 	warmed := 0
-	batch := make([]pphcr.WarmRequest, 0, s.cfg.BatchSize)
 	for {
-		batch = batch[:0]
-	collect:
-		for len(batch) < s.cfg.BatchSize {
-			select {
-			case j := <-s.jobs:
-				batch = append(batch, warmRequest(j))
-			default:
-				break collect
+		select {
+		case j := <-s.jobs:
+			if s.execute(j) {
+				warmed++
 			}
-		}
-		if len(batch) == 0 {
+		default:
 			return warmed
 		}
-		warmed += s.executeBatch(batch)
 	}
 }
 
-func warmRequest(j Job) pphcr.WarmRequest {
-	return pphcr.WarmRequest{UserID: j.User, From: j.From, Dest: j.Dest, Prob: j.Prob, At: j.At}
-}
-
-// executeBatch runs one WarmBatch over the collected jobs and folds the
-// per-job outcomes into the counters. Batching shares one candidate
-// featurization and one preference read per user across the whole
-// group — the pipeline's amortized execution path.
-func (s *Scheduler) executeBatch(reqs []pphcr.WarmRequest) int {
-	warmed := 0
-	for _, r := range s.sys.WarmBatch(reqs) {
-		switch {
-		case r.Err != nil:
-			s.warmErrors.Add(1)
-		case !r.Plan.Proactive || len(r.Plan.Plan.Items) == 0:
-			s.warmDeclined.Add(1)
-		default:
-			s.plansWarmed.Add(1)
-			warmed++
-		}
+// execute warms one job's plan, folds the outcome into the counters and
+// reports whether a plan was cached.
+func (s *Scheduler) execute(j Job) bool {
+	tp, err := s.sys.WarmPlan(j.User, j.From, j.Dest, j.Prob, j.At)
+	switch {
+	case err != nil:
+		s.warmErrors.Add(1)
+	case !tp.Proactive || len(tp.Plan.Items) == 0:
+		s.warmDeclined.Add(1)
+	default:
+		s.plansWarmed.Add(1)
+		return true
 	}
-	return warmed
+	return false
 }
 
 // Run starts the worker pool and the event loop and blocks until stop is
 // closed. Intended to run as a goroutine in the server binary, next to
-// the tracking compactor. Each worker coalesces whatever is queued (up
-// to BatchSize) into one WarmBatch call instead of planning job by job.
+// the tracking compactor. Workers take one job each from the shared
+// queue, so a burst spreads over the whole pool.
 func (s *Scheduler) Run(stop <-chan struct{}) {
 	var wg sync.WaitGroup
 	for i := 0; i < s.cfg.Workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			batch := make([]pphcr.WarmRequest, 0, s.cfg.BatchSize)
 			for {
 				select {
 				case <-stop:
 					return
 				case j := <-s.jobs:
-					batch = append(batch[:0], warmRequest(j))
-				coalesce:
-					for len(batch) < s.cfg.BatchSize {
-						select {
-						case j := <-s.jobs:
-							batch = append(batch, warmRequest(j))
-						default:
-							break coalesce
-						}
-					}
-					s.executeBatch(batch)
+					s.execute(j)
 				}
 			}
 		}()

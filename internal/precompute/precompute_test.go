@@ -1,11 +1,14 @@
 package precompute
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pphcr"
 	"pphcr/internal/feedback"
+	"pphcr/internal/pipeline"
 	"pphcr/internal/plancache"
 	"pphcr/internal/predict"
 	"pphcr/internal/synth"
@@ -257,5 +260,64 @@ func TestRunLoopWarmsConcurrently(t *testing.T) {
 	case <-done:
 	case <-time.After(3 * time.Second):
 		t.Fatal("run loop did not stop")
+	}
+}
+
+// pairRank holds every task inside the Rank stage until two are there
+// at once, or until one has waited out the timeout.
+type pairRank struct {
+	inner pipeline.Rank
+
+	inside   atomic.Int32
+	once     sync.Once
+	met      chan struct{} // closed once two tasks met, or on timeout
+	timedOut atomic.Bool
+}
+
+func (r *pairRank) Rank(t *pipeline.Task) {
+	if r.inside.Add(1) == 2 {
+		r.once.Do(func() { close(r.met) })
+	}
+	select {
+	case <-r.met:
+	case <-time.After(2 * time.Second):
+		r.once.Do(func() {
+			r.timedOut.Store(true)
+			close(r.met)
+		})
+	}
+	r.inner.Rank(t)
+}
+
+// TestWorkersShareTheQueue: jobs queued before the pool starts are
+// spread over the workers, one job each, rather than swallowed by the
+// first worker to wake — two of them must be planning at the same time.
+func TestWorkersShareTheQueue(t *testing.T) {
+	sys, _, user, warmAt := testSystem(t)
+	sched, err := New(sys, Config{Workers: 2, WarmAheadBuckets: 2, Now: func() time.Time { return warmAt }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if queued := sched.WarmUser(user, warmAt); queued < 2 {
+		t.Fatalf("only %d jobs queued", queued)
+	}
+	rank := &pairRank{inner: sys.Pipeline().Rank, met: make(chan struct{})}
+	sys.Pipeline().Rank = rank
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		sched.Run(stop)
+		close(done)
+	}()
+	<-rank.met
+	// Run returns once every worker has finished the job it holds.
+	close(stop)
+	<-done
+	if rank.timedOut.Load() {
+		t.Error("a warm task waited 2s in Rank with a second job queued: one worker took both")
+	}
+	if st := sched.Stats(); st.PlansWarmed < 2 {
+		t.Errorf("plans warmed = %d, want the two that met in Rank (stats %+v)", st.PlansWarmed, st)
 	}
 }

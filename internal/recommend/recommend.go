@@ -99,7 +99,7 @@ func (s *Scorer) ContextScore(it *content.Item, ctx Context) float64 {
 // ContextBase is the position-independent part of the context relevance:
 // time-of-day, weather and activity affinity. It depends only on the
 // item and the (now, weather, activity) triple, so the staged pipeline
-// precomputes it once per batch and adds the geographic term per task:
+// precomputes it once per task and adds the geographic term per item:
 // GeoScore·0.5 + ContextBase composes the same signals as ContextScore.
 func (s *Scorer) ContextBase(it *content.Item, ctx Context) float64 {
 	return 0.2*timeOfDayScore(it.Kind, ctx.Now) +
@@ -118,8 +118,7 @@ func (s *Scorer) GeoScore(it *content.Item, ctx *Context) float64 {
 // FreshnessFactor is the content-score freshness multiplier for an item
 // at instant now — the (0.5 + 0.5·2^(−age/halfLife)) term of
 // ContentScore, with the news half-life halving. It depends only on
-// (item, now), so the pipeline's candidate featurization computes it
-// once per batch.
+// (item, now).
 func (s *Scorer) FreshnessFactor(it *content.Item, now time.Time) float64 {
 	age := now.Sub(it.Published)
 	if age < 0 {

@@ -394,11 +394,6 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	if req.URL.Path == "/api/plan/batch" {
-		// A batch can span partitions; the router does not split it.
-		http.Error(w, `{"error":"plan batch is not routable; send per-user /api/plan"}`, http.StatusNotImplemented)
-		return
-	}
 	user := userOf(req, body)
 	var ns *nodeState
 	if user != "" {

@@ -167,9 +167,9 @@ type stallRank struct {
 	delay time.Duration
 }
 
-func (s stallRank) Rank(b *pipeline.Batch, t *pipeline.Task) {
+func (s stallRank) Rank(t *pipeline.Task) {
 	time.Sleep(s.delay)
-	s.inner.Rank(b, t)
+	s.inner.Rank(t)
 }
 
 // TestDegradedFsyncZeroLostAcks proves the headline durability SLO

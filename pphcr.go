@@ -966,8 +966,7 @@ func (tp *TripPlan) CachedPlan() (core.Plan, time.Time) {
 // finishPlanTask converts a completed pipeline task into the public
 // TripPlan, stores it in the plan cache when the Allocate stage marked
 // it cacheable, remembers it as the user's last plan and publishes the
-// planning event. One conversion serves the live, warm and batch entry
-// points.
+// planning event. One conversion serves the live and warm entry points.
 func (s *System) finishPlanTask(t *pipeline.Task) (*TripPlan, error) {
 	if t.Err != nil {
 		return nil, t.Err
@@ -1039,44 +1038,6 @@ func (s *System) planTrip(userID string, partial trajectory.Trace, now time.Time
 	return tp, err
 }
 
-// TripRequest is one PlanTripBatch member.
-type TripRequest struct {
-	UserID   string
-	Partial  trajectory.Trace
-	Now      time.Time
-	Timeline *distraction.Timeline
-}
-
-// TripResult pairs one batch member's plan with its error.
-type TripResult struct {
-	Plan *TripPlan
-	Err  error
-}
-
-// PlanTripBatch runs many live planning requests through one pipeline
-// batch: the candidate window is acquired and featurized once per
-// distinct planning instant and each user's decayed preference vector is
-// read once, instead of once per request. Results are positional and
-// per-request errors do not fail their neighbors.
-func (s *System) PlanTripBatch(reqs []TripRequest) []TripResult {
-	tasks := make([]*pipeline.Task, len(reqs))
-	for i, r := range reqs {
-		tasks[i] = &pipeline.Task{
-			Mode:     pipeline.ModeLive,
-			User:     r.UserID,
-			Now:      r.Now,
-			Partial:  r.Partial,
-			Timeline: r.Timeline,
-		}
-	}
-	s.pipe.RunBatch(tasks)
-	out := make([]TripResult, len(reqs))
-	for i, t := range tasks {
-		out[i].Plan, out[i].Err = s.finishPlanTask(t)
-	}
-	return out
-}
-
 // WarmPlan precomputes and caches the proactive plan for an anticipated
 // trip: user leaving `from` for `dest` around time `at`, with `prob` as
 // the Markov prior standing in for the live trip confidence. The context
@@ -1107,28 +1068,20 @@ type WarmRequest struct {
 	At         time.Time
 }
 
-// WarmBatch precomputes plans for many anticipated trips through one
-// pipeline batch. This is the precompute scheduler's execution path: a
-// warm sweep over N users shares one candidate acquisition +
-// featurization per time bucket and one preference read per user, which
-// is what makes population-scale warming affordable (BenchmarkPlanBatch
-// measures the per-plan gap against sequential WarmPlan).
+// TripResult pairs one WarmBatch member's plan with its error.
+type TripResult struct {
+	Plan *TripPlan
+	Err  error
+}
+
+// WarmBatch is WarmPlan in a loop, with positional results. Nothing in
+// the product calls it: it stays only because the frozen benchmark row
+// precompute.warm_batch_ms_per_plan (bench/layers.go) does, and goes
+// with WarmRequest and TripResult when that row is re-pointed.
 func (s *System) WarmBatch(reqs []WarmRequest) []TripResult {
-	tasks := make([]*pipeline.Task, len(reqs))
-	for i, r := range reqs {
-		tasks[i] = &pipeline.Task{
-			Mode: pipeline.ModeWarm,
-			User: r.UserID,
-			Now:  r.At,
-			From: r.From,
-			Dest: r.Dest,
-			Prob: r.Prob,
-		}
-	}
-	s.pipe.RunBatch(tasks)
 	out := make([]TripResult, len(reqs))
-	for i, t := range tasks {
-		out[i].Plan, out[i].Err = s.finishPlanTask(t)
+	for i, r := range reqs {
+		out[i].Plan, out[i].Err = s.WarmPlan(r.UserID, r.From, r.Dest, r.Prob, r.At)
 	}
 	return out
 }
