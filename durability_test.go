@@ -431,6 +431,34 @@ func TestRecoveryToleratesFailedIngestRecord(t *testing.T) {
 	}
 }
 
+// TestReplaySkipsItemWithoutFiniteNorm: an ingest record written by a
+// version whose Add still took any weight can hold one whose square
+// overflows (JSON spells 1e200, not NaN). Replay skips the item as it
+// skips every record whose Add fails.
+func TestReplaySkipsItemWithoutFiniteNorm(t *testing.T) {
+	w, err := synth.GenerateWorld(synth.Params{
+		Seed: 17, Days: 2, Users: 1, Stations: 2, PodcastsPerDay: 5,
+		TrainingDocsPerCategory: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.IngestPodcast(w.Corpus[0]); err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte(`{"ID":"huge","Duration":60000000000,"Categories":{"music":1e200}}`)
+	if err := s.applyDurableEvent(durable.Event{Type: durable.TypeIngest, Payload: payload}); err != nil {
+		t.Fatalf("replay aborted on the item: %v", err)
+	}
+	if _, ok := s.Repo.Get("huge"); ok || s.Repo.Len() != 1 {
+		t.Fatalf("item without a finite norm was restored (%d items)", s.Repo.Len())
+	}
+}
+
 // TestRecoveryRejectsAllCorruptCheckpoints: when checkpoint files exist
 // but none passes validation, recovery must fail loudly instead of
 // silently booting from the (truncated) WAL tail with most state gone.

@@ -5,6 +5,7 @@ package content
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -146,6 +147,7 @@ type Repository struct {
 	cats    map[string]int32 // category -> interned id; replaced, never mutated
 	names   []string         // addFeatures' sort scratch
 	post    [][]int32        // category id -> seqs of the items carrying it
+	postWs  [][]float64      // parallel to post: the weight each item gives the category
 	byPub   []int32          // seqs ordered by Published asc
 	ordered int              // leading seqs that arrived in publish order
 	geoTree *spatial.RTree   // rects around geo discs -> geoSeqs index
@@ -178,15 +180,26 @@ func NewRepository() *Repository {
 	}
 }
 
-// Add inserts an item. It rejects duplicates, empty IDs and non-positive
-// durations. The repository reads it.Categories once, here; the map must
-// not change afterwards.
+// Add inserts an item. It rejects duplicates, empty IDs, non-positive
+// durations and category vectors without a finite norm (a NaN or ±Inf
+// weight, or one large enough to overflow Σw²: such an item has no
+// cosine, every comparison downstream of it is false, and which items it
+// displaces depends on the order they are evaluated in).
+// The repository reads it.Categories once, here; the map must not change
+// afterwards.
 func (r *Repository) Add(it *Item) error {
 	if it == nil || it.ID == "" {
 		return fmt.Errorf("content: item must have an ID")
 	}
 	if it.Duration <= 0 {
 		return fmt.Errorf("content: item %q must have positive duration", it.ID)
+	}
+	var norm float64
+	for _, w := range it.Categories {
+		norm += w * w
+	}
+	if math.IsNaN(norm) || math.IsInf(norm, 0) {
+		return fmt.Errorf("content: item %q must have finite category weights", it.ID)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

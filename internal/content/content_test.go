@@ -2,6 +2,7 @@ package content
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -97,6 +98,31 @@ func TestRepositoryAddValidation(t *testing.T) {
 	}
 	if err := r.Add(item("a", "music", time.Minute, t0)); err == nil {
 		t.Fatal("duplicate accepted")
+	}
+}
+
+// TestRepositoryAddRejectsNonFiniteWeights: a category vector without a
+// finite norm has no cosine, so the item is refused whole — and leaves
+// nothing behind; any finite weight, negative and zero included, is a
+// classifier's business and is accepted.
+func TestRepositoryAddRejectsNonFiniteWeights(t *testing.T) {
+	r := NewRepository()
+	for i, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200} {
+		it := item(fmt.Sprintf("bad-%d", i), "music", time.Minute, t0)
+		it.Categories["sport"] = w
+		if err := r.Add(it); err == nil {
+			t.Fatalf("weight %v accepted", w)
+		}
+	}
+	if _, ok := r.Get("bad-0"); ok || r.Len() != 0 {
+		t.Fatalf("a refused item is in the repository (%d items)", r.Len())
+	}
+	for i, w := range []float64{-0.5, 0, math.SmallestNonzeroFloat64, 1e150} {
+		it := item(fmt.Sprintf("ok-%d", i), "music", time.Minute, t0)
+		it.Categories["sport"] = w
+		if err := r.Add(it); err != nil {
+			t.Fatalf("weight %v: %v", w, err)
+		}
 	}
 }
 
@@ -286,9 +312,10 @@ func TestGeoItemsEquivalenceWithLinearScan(t *testing.T) {
 
 // TestViewMatchesLinearScan: for every category and a sweep of cuts —
 // before the Unix epoch, inside one second, at an item's exact instant —
-// Postings filtered by Admits is the set a scan of the items finds, for
-// items added in and out of publish order; and a view does not see what
-// is added after it was taken.
+// Postings from WindowStart on, filtered by Admits, is the set a scan of
+// the items finds, each beside the weight its item gives the category,
+// for items added in and out of publish order; and a view does not see
+// what is added after it was taken.
 func TestViewMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cats := []string{"music", "sport", "zebra", "art"}
@@ -331,8 +358,16 @@ func TestViewMatchesLinearScan(t *testing.T) {
 		for _, at := range cuts {
 			cut := Since(at)
 			var got, want []string
-			for _, seq := range v.Postings(id, cut) {
-				if f := v.At(seq); cut.Admits(f) {
+			seqs, ws := v.Postings(id, v.WindowStart(cut))
+			if len(ws) != len(seqs) {
+				t.Fatalf("%s since %v: %d seqs beside %d weights", cat, at, len(seqs), len(ws))
+			}
+			for i, seq := range seqs {
+				f := v.At(seq)
+				if ws[i] != f.Item.Categories[cat] {
+					t.Fatalf("%s since %v: %s filed with weight %v, item has %v", cat, at, f.Item.ID, ws[i], f.Item.Categories[cat])
+				}
+				if cut.Admits(f) {
 					got = append(got, f.Item.ID)
 				}
 			}

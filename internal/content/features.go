@@ -45,8 +45,9 @@ func (c Cut) Admits(f *Features) bool {
 }
 
 // addFeatures interns the item's categories, appends its name-ordered
-// category vector to the arena, files it under each category's postings
-// and appends its Features at seq. Caller holds the write lock.
+// category vector to the arena, files it — seq beside weight — under
+// each category's postings and appends its Features at seq. Caller
+// holds the write lock.
 func (r *Repository) addFeatures(it *Item, seq int32) {
 	names := r.names[:0]
 	for cat := range it.Categories {
@@ -61,6 +62,7 @@ func (r *Repository) addFeatures(it *Item, seq int32) {
 		r.catIDs = append(r.catIDs, id)
 		r.catWs = append(r.catWs, w)
 		r.post[id] = append(r.post[id], seq)
+		r.postWs[id] = append(r.postWs[id], w)
 		norm += w * w
 	}
 	if norm > 0 {
@@ -85,6 +87,7 @@ func (r *Repository) intern(cat string) int32 {
 	grown[cat] = id
 	r.cats = grown
 	r.post = append(r.post, nil)
+	r.postWs = append(r.postWs, nil)
 	return id
 }
 
@@ -99,34 +102,38 @@ func (r *Repository) Seq(id string) (int32, bool) {
 
 // View is a consistent read-only cut of the catalog's ranking state:
 // the items present when it was taken, their features, and the
-// per-category postings. Taking one costs a lock and a copy of one
-// slice header per category; using it takes no lock, because everything
-// it points at is append-only (Repository). A View must not outlive the
-// request it was taken for by long: it pins the arrays it saw.
+// per-category weighted postings. Taking one costs a lock and a copy of
+// two slice headers per category; using it takes no lock, because
+// everything it points at is append-only (Repository). A View must not
+// outlive the request it was taken for by long: it pins the arrays it
+// saw.
 type View struct {
 	feats   []Features
 	catIDs  []int32
 	catWs   []float64
 	cats    map[string]int32
 	post    [][]int32
+	postWs  [][]float64
 	ordered int
 }
 
-// ReadView fills v with the current cut, reusing v's postings table.
+// ReadView fills v with the current cut, reusing v's postings tables.
 func (r *Repository) ReadView(v *View) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	v.feats, v.catIDs, v.catWs = r.feats, r.catIDs, r.catWs
 	v.cats = r.cats
 	v.post = append(v.post[:0], r.post...)
+	v.postWs = append(v.postWs[:0], r.postWs...)
 	v.ordered = r.ordered
 }
 
 // Reset drops everything the view points at, keeping its postings
-// table's capacity for the next ReadView.
+// tables' capacity for the next ReadView.
 func (v *View) Reset() {
 	clear(v.post)
-	*v = View{post: v.post[:0]}
+	clear(v.postWs)
+	*v = View{post: v.post[:0], postWs: v.postWs[:0]}
 }
 
 // Len returns the number of items in the view; they are numbered
@@ -157,13 +164,21 @@ func (v *View) Vector(seq int32) (ids []int32, ws []float64) {
 	return v.catIDs[lo:hi], v.catWs[lo:hi]
 }
 
-// Postings returns the tail of a category's postings that can hold
-// items the cut admits. Items that arrived in publish order are cut by binary
-// search; items that arrived late are all returned, so the caller still
-// filters each one with Cut.Admits.
-func (v *View) Postings(cat int32, c Cut) []int32 {
+// WindowStart returns the first seq the cut can admit: every item
+// numbered below it arrived in publish order and was published before
+// the cut's second. Items from it on are candidates the caller still
+// filters with Cut.Admits — those inside the cut's own second, and the
+// late arrivals, which sit past the publish-ordered prefix whatever
+// their publish time.
+func (v *View) WindowStart(c Cut) int32 {
+	return int32(sort.Search(v.ordered, func(i int) bool { return v.feats[i].pub >= c.key }))
+}
+
+// Postings returns the part of a category's postings numbered from seq
+// on — ascending seqs, and beside each the weight its item gives the
+// category.
+func (v *View) Postings(cat, from int32) (seqs []int32, ws []float64) {
 	list := v.post[cat]
-	inOrder := sort.Search(len(list), func(i int) bool { return int(list[i]) >= v.ordered })
-	lo := sort.Search(inOrder, func(i int) bool { return v.feats[list[i]].pub >= c.key })
-	return list[lo:]
+	lo := sort.Search(len(list), func(i int) bool { return list[i] >= from })
+	return list[lo:], v.postWs[cat][lo:]
 }

@@ -16,7 +16,11 @@ func (r *Repository) Snapshot(w io.Writer) error {
 
 // Restore loads a snapshot produced by Snapshot into an empty
 // repository. Restoring into a non-empty repository fails rather than
-// merging, to keep the operation idempotent and predictable.
+// merging, to keep the operation idempotent and predictable. One item
+// Add refuses fails the whole restore: Snapshot writes only items Add
+// took, so such an item means the snapshot is not this repository's —
+// unlike a WAL ingest record, which is written before its Add runs and
+// whose failure replay therefore skips.
 func (r *Repository) Restore(rd io.Reader) error {
 	if r.Len() != 0 {
 		return fmt.Errorf("content: restore requires an empty repository (have %d items)", r.Len())

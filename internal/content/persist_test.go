@@ -61,4 +61,10 @@ func TestRepositoryRestoreValidation(t *testing.T) {
 	if err := fresh.Restore(strings.NewReader("{not json")); err == nil {
 		t.Fatal("bad json accepted")
 	}
+	// JSON cannot spell NaN or Inf, but it can spell a weight whose square
+	// is one: the snapshot is refused with the item named, not loaded.
+	overflow := `[{"ID":"huge","Duration":60000000000,"Categories":{"music":1e200}}]`
+	if err := NewRepository().Restore(strings.NewReader(overflow)); err == nil || !strings.Contains(err.Error(), `"huge"`) {
+		t.Fatalf("snapshot with a non-finite category norm: %v", err)
+	}
 }

@@ -209,9 +209,17 @@ func sameScores(got, want []recommend.Scored) bool {
 	return true
 }
 
+// oracleBlocks are the accumulation block lengths TestPlanMatchesOracle
+// ranks every instance at. Its catalogs hold 30–250 items, one block at
+// the length the pipeline runs with; the short ones put inside them
+// what a 20 000-item catalog has — a cursor handed from one block to the
+// next, a list exhausted mid-block, a last short block, late arrivals in
+// a later block than the window's start, blocks nothing lands in.
+var oracleBlocks = []int{1, 3, 64, defaultBlock}
+
 // TestPlanMatchesOracle is the selection ≡ oracle property: over seeded
 // random catalogs, preference vectors, contexts, windows, ΔTs and
-// exclude sets,
+// exclude sets, at every block length in oracleBlocks,
 //
 //   - a ModeRank task returns what Scorer.Rank returns over a linear
 //     scan of the window, and for k > 0 the head of that;
@@ -239,45 +247,48 @@ func TestPlanMatchesOracle(t *testing.T) {
 			}
 		}
 		p, deps := planPipeline(repo, map[string]map[string]float64{"u": in.prefs})
-		fail := func(what string, got, want any) {
-			t.Helper()
-			t.Fatalf("seed %d: %s\n got:  %s\n want: %s\nrepro: go test ./internal/pipeline -run TestPlanMatchesOracle -oracle.seed=%d", seed, what, got, want, seed)
-		}
-
-		full := &Task{Mode: ModeRank, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: in.exclude}
-		p.Run(full)
 		ref := in.reference(deps.Scorer)
-		if rich && len(ref) > 0 && !reflect.DeepEqual(full.Ranked, ref) || !sameScores(full.Ranked, ref) {
-			fail("full ranking differs from Scorer.Rank", rankedString(full.Ranked), rankedString(ref))
-		}
-		for _, k := range []int{1, 5, 30} {
-			topk := &Task{Mode: ModeRank, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: in.exclude, K: k}
-			p.Run(topk)
-			if want := full.Ranked[:min(k, len(full.Ranked))]; !slices.Equal(topk.Ranked, want) {
-				fail(fmt.Sprintf("top-%d differs from the full ranking's head", k), rankedString(topk.Ranked), rankedString(want))
-			}
-		}
-
-		plan := &Task{Mode: ModeLive, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: in.exclude}
-		p.Run(plan)
-		if plan.Err != nil {
-			t.Fatalf("seed %d: %v", seed, plan.Err)
-		}
-		proactive, _ := deps.Planner.ShouldRecommend(core.Situation{Ctx: in.ctx, TripConfidence: 1})
-		if plan.Proactive != proactive || !proactive && len(plan.Plan.Items) != 0 {
-			fail("gate", fmt.Sprint(plan.Proactive, " ", planString(plan.Plan)), fmt.Sprint(proactive))
-		}
-		if !proactive {
-			continue
-		}
 		req := core.Request{Prefs: in.prefs, Ctx: in.ctx}
-		if want := deps.Planner.Allocate(full.Ranked, req); !reflect.DeepEqual(plan.Plan, want) {
-			fail("plan differs from Allocate over the pipeline's full ranking", planString(plan.Plan), planString(want))
-		}
-		want := deps.Planner.Allocate(ref, req)
-		if rich && !reflect.DeepEqual(plan.Plan, want) ||
-			len(plan.Plan.Items) != len(want.Items) || math.Abs(plan.Plan.TotalValue-want.TotalValue) > 1e-9*want.TotalValue {
-			fail("plan differs from Scorer.Rank + Allocate", planString(plan.Plan), planString(want))
+		proactive, _ := deps.Planner.ShouldRecommend(core.Situation{Ctx: in.ctx, TripConfidence: 1})
+		for _, block := range oracleBlocks {
+			p.Rank.(*indexRank).block = block
+			fail := func(what string, got, want any) {
+				t.Helper()
+				t.Fatalf("seed %d, blocks of %d: %s\n got:  %s\n want: %s\nrepro: go test ./internal/pipeline -run TestPlanMatchesOracle -oracle.seed=%d", seed, block, what, got, want, seed)
+			}
+
+			full := &Task{Mode: ModeRank, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: in.exclude}
+			p.Run(full)
+			if rich && len(ref) > 0 && !reflect.DeepEqual(full.Ranked, ref) || !sameScores(full.Ranked, ref) {
+				fail("full ranking differs from Scorer.Rank", rankedString(full.Ranked), rankedString(ref))
+			}
+			for _, k := range []int{1, 5, 30} {
+				topk := &Task{Mode: ModeRank, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: in.exclude, K: k}
+				p.Run(topk)
+				if want := full.Ranked[:min(k, len(full.Ranked))]; !slices.Equal(topk.Ranked, want) {
+					fail(fmt.Sprintf("top-%d differs from the full ranking's head", k), rankedString(topk.Ranked), rankedString(want))
+				}
+			}
+
+			plan := &Task{Mode: ModeLive, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: in.exclude}
+			p.Run(plan)
+			if plan.Err != nil {
+				t.Fatalf("seed %d: %v", seed, plan.Err)
+			}
+			if plan.Proactive != proactive || !proactive && len(plan.Plan.Items) != 0 {
+				fail("gate", fmt.Sprint(plan.Proactive, " ", planString(plan.Plan)), fmt.Sprint(proactive))
+			}
+			if !proactive {
+				continue
+			}
+			if want := deps.Planner.Allocate(full.Ranked, req); !reflect.DeepEqual(plan.Plan, want) {
+				fail("plan differs from Allocate over the pipeline's full ranking", planString(plan.Plan), planString(want))
+			}
+			want := deps.Planner.Allocate(ref, req)
+			if rich && !reflect.DeepEqual(plan.Plan, want) ||
+				len(plan.Plan.Items) != len(want.Items) || math.Abs(plan.Plan.TotalValue-want.TotalValue) > 1e-9*want.TotalValue {
+				fail("plan differs from Scorer.Rank + Allocate", planString(plan.Plan), planString(want))
+			}
 		}
 	}
 }
@@ -469,11 +480,60 @@ func TestPlansConsistentUnderConcurrentIngest(t *testing.T) {
 }
 
 // BenchmarkColdPlan is one plan-mode task end to end (view, ranking,
-// selection, knapsack, schedule) over a 20 000-item catalog.
+// selection, knapsack, schedule) over a 20 000-item catalog, for a
+// listener with a sparse preference vector: 4 of the 30 categories.
 func BenchmarkColdPlan(b *testing.B) {
 	repo := content.NewRepository()
 	bigCatalog(b, repo, rand.New(rand.NewSource(1)), 0, 20_000)
-	p, _ := planPipeline(repo, map[string]map[string]float64{"u": {"sport": 0.9, "food": 0.6, "music": 0.4, "travel": -0.3}})
+	benchColdPlan(b, repo, map[string]float64{"sport": 0.9, "food": 0.6, "music": 0.4, "travel": -0.3})
+}
+
+// BenchmarkColdPlanDense is the same task in the shape the repository's
+// benchmark (bench/) drives: 20 000 four-minute items whose 2–4 category
+// weights sum to 1, and a listener with a feedback history — 200 likes
+// of sampled items, which leaves a weight on every one of the 30
+// categories, so every item in the window is scored.
+func BenchmarkColdPlanDense(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	repo := content.NewRepository()
+	items := make([]*content.Item, 20_000)
+	for i := range items {
+		cats, total := map[string]float64{}, 0.0
+		for n := 2 + rng.Intn(3); len(cats) < n; {
+			cat := content.Categories[rng.Intn(len(content.Categories))]
+			if _, dup := cats[cat]; !dup {
+				cats[cat] = 0.2 + rng.Float64()
+				total += cats[cat]
+			}
+		}
+		for cat := range cats {
+			cats[cat] /= total
+		}
+		items[i] = &content.Item{
+			ID:         fmt.Sprintf("cat-%06d", i),
+			Kind:       content.KindClip,
+			Duration:   4 * time.Minute,
+			Published:  testEpoch.Add(-4*time.Hour + time.Duration(i)*4*time.Hour/time.Duration(len(items))),
+			Categories: cats,
+		}
+		if err := repo.Add(items[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	prefs := map[string]float64{}
+	for i := 0; i < 200; i++ {
+		for cat, w := range items[rng.Intn(len(items))].Categories {
+			prefs[cat] += w
+		}
+	}
+	if len(prefs) != len(content.Categories) {
+		b.Fatalf("preference vector covers %d of %d categories", len(prefs), len(content.Categories))
+	}
+	benchColdPlan(b, repo, prefs)
+}
+
+func benchColdPlan(b *testing.B, repo *content.Repository, prefs map[string]float64) {
+	p, _ := planPipeline(repo, map[string]map[string]float64{"u": prefs})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -238,7 +238,7 @@ func New(deps Deps) *Pipeline {
 	p := &Pipeline{
 		Predict:  &mobilityPredict{deps: deps},
 		Gate:     &plannerGate{deps: deps},
-		Rank:     &indexRank{deps: deps, po: po},
+		Rank:     &indexRank{deps: deps, po: po, block: defaultBlock},
 		Allocate: &plannerAllocate{deps: deps, po: po},
 	}
 	inner := &cacheCandidates{deps: deps, po: po}

@@ -156,8 +156,8 @@ func (s *plannerGate) Gate(t *Task) {
 // items carry their ranking features since they were added, so nothing
 // is featurized here — the user's preference vector bound to that view,
 // and the few terms that depend on the planning instant. The exact
-// stage ranks the view's per-category postings, cut to the candidate
-// window; the ANN stage ranks the items it retrieved.
+// stage ranks the view's weighted postings, from the candidate window's
+// first item on; the ANN stage ranks the items it retrieved.
 type candSet struct {
 	now  time.Time
 	view content.View
@@ -167,9 +167,23 @@ type candSet struct {
 	// else, and computing it per candidate was a tenth of a cold plan.
 	kindBase [content.KindTimeShifted + 1]float64
 	// retrieved lists the ANN stage's candidates by seq; the exact stage
-	// leaves fromIndex false and Rank walks the postings instead.
+	// leaves fromIndex false and Rank accumulates the postings instead.
 	retrieved []int32
 	fromIndex bool
+	// Rank's scratch on the exact path: one cursor per preferred
+	// category, and one block of dot-product accumulators, all zero
+	// whenever Rank is not running.
+	cursors []cursor
+	acc     []float64
+}
+
+// cursor is what is left to read of one preferred category's postings:
+// ascending seqs, the weight each item gives the category beside them,
+// and the weight the user gives it.
+type cursor struct {
+	seqs []int32
+	ws   []float64
+	p    float64
 }
 
 // start points the set at the catalog as of this call.
@@ -196,13 +210,6 @@ type prefWeight struct {
 	w   float64
 }
 
-// prefSlot is a preference weight as item vectors look it up: by
-// interned category id.
-type prefSlot struct {
-	w  float64
-	ok bool
-}
-
 // userPrefs is one task's copy of its user's decayed preference
 // vector: the map (handed to the allocator), its name-sorted flat form,
 // the precomputed √norm of the user side of the cosine and, once bound
@@ -214,11 +221,11 @@ type userPrefs struct {
 	flat   []prefWeight
 	sqrtNa float64
 
-	// ids are the preferred categories some catalog item carries; byID
-	// holds every category's weight, indexed by id. Both are filled by
-	// bind.
+	// ids are the preferred categories some catalog item carries, in
+	// category-NAME order; byID holds every category's weight, indexed by
+	// id, 0 for the ones the user has none for. Both are filled by bind.
 	ids  []int32
-	byID []prefSlot
+	byID []float64
 
 	q   embed.Quantized
 	qOK bool // q encodes a meaningful direction (prefs non-empty)
@@ -254,11 +261,11 @@ func (fp *userPrefs) load(prefs map[string]float64) {
 // ids.
 func (fp *userPrefs) bind(v *content.View) {
 	fp.ids = fp.ids[:0]
-	fp.byID = append(fp.byID[:0], make([]prefSlot, v.NumCategories())...)
+	fp.byID = append(fp.byID[:0], make([]float64, v.NumCategories())...)
 	for _, pw := range fp.flat {
 		if id, ok := v.CategoryID(pw.cat); ok {
 			fp.ids = append(fp.ids, id)
-			fp.byID[id] = prefSlot{w: pw.w, ok: true}
+			fp.byID[id] = pw.w
 		}
 	}
 }
@@ -353,22 +360,33 @@ func (s *cacheCandidates) Release(t *Task) {
 
 // ---- Rank ------------------------------------------------------------
 
-// indexRank is the default Rank stage: walk the postings of the user's
-// preference categories (or the ANN stage's retrieved list), score each
-// item once with a cosine over its catalog-resident category vector,
-// filter by the content floor, and order by recommend.CompareRank —
-// through a bounded top-k heap when a ModeRank task asks for k items
-// (the skip hot path asks for one), through the planner's
-// core.Selection for plan-mode tasks, which keeps only the items the
-// knapsack can still choose and returns a few hundred instead of the
-// catalog. Both bounds let the stage skip an item on the cheap side of
-// its score: freshness is a factor in [0.5, 1] on the content score and
-// Compound is monotone in it, so the cosine alone bounds the compound
-// from above.
+// indexRank is the default Rank stage: compute every candidate's dot
+// product with the user's preference vector — by accumulating the
+// weighted postings of the categories the user prefers, a block of
+// consecutive items at a time (or, for the ANN stage's retrieved list,
+// from each item's own vector) — turn it into a cosine with the item's
+// catalog-resident norm, filter by the content floor, and order by
+// recommend.CompareRank — through a bounded top-k heap when a ModeRank
+// task asks for k items (the skip hot path asks for one), through the
+// planner's core.Selection for plan-mode tasks, which keeps only the
+// items the knapsack can still choose and returns a few hundred instead
+// of the catalog. Both bounds let the stage skip an item on the cheap
+// side of its score: freshness is a factor in [0.5, 1] on the content
+// score and Compound is monotone in it, so the cosine alone bounds the
+// compound from above.
 type indexRank struct {
 	deps Deps
 	po   *pools
+	// block is how many consecutive seqs are accumulated before they are
+	// scored. Not a knob: New sets defaultBlock; the oracle test shrinks
+	// it to put block edges inside its small catalogs.
+	block int
 }
+
+// defaultBlock keeps the accumulators (16 KB) and the slice of every
+// preferred category's postings that lands in them inside L1/L2 while
+// the block is scored.
+const defaultBlock = 2048
 
 // worse is the inverse ranking order: true when x ranks strictly below
 // y.
@@ -404,18 +422,14 @@ func (s *indexRank) Rank(t *Task) {
 		cut:  content.Since(t.Now.Add(-s.deps.CandidateWindow)),
 		rich: t.Ctx.Weather != recommend.WeatherUnknown || t.Ctx.Activity != recommend.ActivityUnknown,
 	}
-	if set.fromIndex {
-		for _, seq := range set.retrieved {
-			r.consider(seq, -1)
-		}
-	} else {
-		// An item carrying several preferred categories sits in several of
-		// these lists; it is scored from the list of the first one in its
-		// own vector.
-		for _, cat := range set.fp.ids {
-			for _, seq := range set.view.Postings(cat, r.cut) {
-				r.consider(seq, cat)
+	// Without a preference that has a direction every cosine is zero.
+	if set.fp.sqrtNa > 0 {
+		if set.fromIndex {
+			for _, seq := range set.retrieved {
+				r.score(seq, set.dot(seq))
 			}
+		} else {
+			r.accumulate()
 		}
 	}
 	if r.sel != nil {
@@ -426,42 +440,81 @@ func (s *indexRank) Rank(t *Task) {
 	t.Ranked = r.out
 }
 
-// consider scores item seq and offers it to the task's selection or
-// top-k heap. from is the category whose postings produced it, or -1;
-// an item whose first preferred category is another one is left to that
-// category's list.
-func (r *ranking) consider(seq, from int32) {
+// dot is the dot product of item seq's category vector with the
+// preference vector, its terms added in category-name order (the order
+// of the item's vector; a category the user has no weight for adds a
+// zero, which changes nothing).
+func (set *candSet) dot(seq int32) float64 {
+	var dot float64
+	ids, ws := set.view.Vector(seq)
+	for j, id := range ids {
+		dot += set.fp.byID[id] * ws[j]
+	}
+	return dot
+}
+
+// accumulate scores every item in the candidate window term at a time:
+// for one block of consecutive seqs after another, each preferred
+// category's postings add that category's term to the accumulators of
+// the items carrying it, and the items whose sum came out positive are
+// scored. Categories are visited in name order, which is the order an
+// item's own vector lists them in, so an accumulator receives exactly
+// the additions dot makes, in the same order, and holds the same bits.
+// Postings are read front to back once, accumulators and features
+// block by block; nothing is visited twice and no item is looked up by
+// category.
+func (r *ranking) accumulate() {
+	set, view := r.set, &r.set.view
+	first := view.WindowStart(r.cut)
+	cur := set.cursors[:0]
+	for _, id := range set.fp.ids {
+		if seqs, ws := view.Postings(id, first); len(seqs) > 0 {
+			cur = append(cur, cursor{seqs: seqs, ws: ws, p: set.fp.byID[id]})
+		}
+	}
+	block := int32(r.s.block)
+	if cap(set.acc) < int(block) {
+		set.acc = make([]float64, block)
+	}
+	for lo, n := first, int32(view.Len()); lo < n; lo += block {
+		hi := min(lo+block, n)
+		acc := set.acc[:hi-lo]
+		for c := range cur {
+			seqs, p := cur[c].seqs, cur[c].p
+			ws := cur[c].ws[:len(seqs)]
+			i := 0
+			for ; i < len(seqs) && seqs[i] < hi; i++ {
+				acc[seqs[i]-lo] += p * ws[i]
+			}
+			cur[c].seqs, cur[c].ws = seqs[i:], ws[i:]
+		}
+		for j, dot := range acc {
+			if dot > 0 {
+				r.score(lo+int32(j), dot)
+			}
+		}
+		clear(acc)
+	}
+	// A pooled set must not keep the catalog's arrays reachable.
+	clear(cur)
+	set.cursors = cur[:0]
+}
+
+// score turns item seq's dot product into its scores and offers the
+// item to the task's selection or top-k heap.
+func (r *ranking) score(seq int32, dot float64) {
 	f := r.set.view.At(seq)
 	if !r.cut.Admits(f) {
 		return
 	}
-	// The dot product adds its terms in category-name order (the order of
-	// the item's vector), looking each weight up by id.
-	var dot float64
-	byID, first := r.set.fp.byID, true
-	ids, ws := r.set.view.Vector(seq)
-	for j, id := range ids {
-		p := byID[id]
-		if !p.ok {
-			continue
-		}
-		if first {
-			if from >= 0 && id != from {
-				return
-			}
-			first = false
-		}
-		dot += p.w * ws[j]
-	}
-	sqrtNa := r.set.fp.sqrtNa
-	if dot <= 0 || sqrtNa == 0 || f.SqrtNorm == 0 {
+	if dot <= 0 || f.SqrtNorm == 0 {
 		return // cos ≤ 0: actively disliked or disjoint
 	}
 	it, t, scorer := f.Item, r.t, r.s.deps.Scorer
 	if t.Exclude != nil && t.Exclude[it.ID] {
 		return
 	}
-	cos := dot / sqrtNa / f.SqrtNorm
+	cos := dot / r.set.fp.sqrtNa / f.SqrtNorm
 	var ctxScore float64
 	if r.rich {
 		ctxScore = scorer.ContextScore(it, t.Ctx)
