@@ -2,14 +2,26 @@
 // architecture (Fig 3): the JSON/HTTP surface the PPHCR client app talks
 // to — user registration, GPS tracking, feedback, schedule metadata and
 // recommendation retrieval.
+//
+// Bodies are decoded by encoding/json. On the two endpoints a moving car
+// calls (/api/plan, /api/track) a fast reader runs first over the body,
+// read once into pooled scratch: it accepts the plain bodies clients
+// send and declines everything else to encoding/json, which stays the
+// reference for what a body means and the only author of error answers.
+// The contract, and the encoding/json behaviours it defers to, are on
+// scanner in fastjson.go; BodyUser is the same reader, exported for the
+// router's partition-key lookup.
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -144,6 +156,43 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	return false
 }
 
+// bodyScratch is what serving one plan or track request needs and
+// nothing keeps afterwards: the body's bytes, the fixes parsed from them
+// and the rendered reply.
+type bodyScratch struct {
+	buf   bytes.Buffer
+	fixes []TrackBody
+	out   []byte
+}
+
+var scratchPool = sync.Pool{New: func() interface{} { return new(bodyScratch) }}
+
+// A scratch that grew past these is dropped, not pooled: a 3-minute
+// partial trace is under 16 KiB and 200 fixes.
+const (
+	maxPooledBody  = 64 << 10
+	maxPooledFixes = 1 << 10
+)
+
+func putScratch(sc *bodyScratch) {
+	if sc.buf.Cap() <= maxPooledBody && cap(sc.fixes) <= maxPooledFixes && cap(sc.out) <= maxPooledBody {
+		scratchPool.Put(sc)
+	}
+}
+
+// decode is decodeJSON with the fast reader in front: it reads the body
+// to its end once, and where fast declines what was read, or the read
+// failed, hands the same bytes and the rest of the stream to decodeJSON,
+// which owns every error answer.
+func (sc *bodyScratch) decode(w http.ResponseWriter, r *http.Request, v interface{}, fast func(body []byte) bool) bool {
+	sc.buf.Reset()
+	if _, err := sc.buf.ReadFrom(r.Body); err == nil && fast(sc.buf.Bytes()) {
+		return true
+	}
+	r.Body = io.NopCloser(io.MultiReader(&sc.buf, r.Body))
+	return decodeJSON(w, r, v)
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -222,8 +271,10 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, err)
 		return
 	}
+	sc := scratchPool.Get().(*bodyScratch)
+	defer putScratch(sc)
 	var body TrackBody
-	if !decodeJSON(w, r, &body) {
+	if !sc.decode(w, r, &body, func(raw []byte) bool { return readTrack(raw, &body) }) {
 		return
 	}
 	fix := trajectory.Fix{

@@ -55,6 +55,10 @@ func (b PlanRequest) trip() (partial trajectory.Trace, now time.Time, err error)
 			Point: geo.Point{Lat: f.Lat, Lon: f.Lon},
 			Time:  time.Unix(f.Unix, 0).UTC(),
 		}
+		// What /api/track refuses, the predictor must not be handed.
+		if !partial[i].Point.Valid() {
+			return nil, time.Time{}, fmt.Errorf("fix %d: invalid point %v", i, partial[i].Point)
+		}
 	}
 	now = partial[len(partial)-1].Time
 	if b.NowUnix != 0 {
@@ -72,6 +76,9 @@ func planView(tp *pphcr.TripPlan) PlanView {
 		Confidence:    tp.Prediction.Confidence,
 		DeltaTSeconds: int(tp.Prediction.DeltaT.Seconds()),
 		Served:        tp.Source,
+	}
+	if n := len(tp.Plan.Items); n > 0 {
+		view.Items = make([]PlanItemView, 0, n)
 	}
 	for _, it := range tp.Plan.Items {
 		v := PlanItemView{
@@ -98,9 +105,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
 		return
 	}
+	sc := scratchPool.Get().(*bodyScratch)
+	defer putScratch(sc)
 	var body PlanRequest
-	if !decodeJSON(w, r, &body) {
+	if !sc.decode(w, r, &body, func(raw []byte) bool { return readPlan(raw, &body, sc.fixes) }) {
 		return
+	}
+	if cap(body.Fixes) > cap(sc.fixes) {
+		sc.fixes = body.Fixes[:0] // trip() copies what it keeps
 	}
 	partial, now, err := body.trip()
 	if err != nil {
@@ -132,5 +144,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		// state that may trail the leader, and the client can tell.
 		view.Served = "replica"
 	}
-	writeJSON(w, http.StatusOK, view)
+	var ok bool
+	if sc.out, ok = appendPlanView(sc.out[:0], &view); !ok {
+		writeJSON(w, http.StatusOK, &view)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(sc.out)
 }

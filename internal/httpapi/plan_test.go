@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -99,5 +100,37 @@ func TestPlanEndpointValidation(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET status = %d", resp3.StatusCode)
+	}
+}
+
+// TestPlanEndpointRejectsInvalidFixes: a coordinate /api/track refuses is
+// refused by /api/plan too, before the predictor sees it.
+func TestPlanEndpointRejectsInvalidFixes(t *testing.T) {
+	ts, _, sys, w, user := newWarmableServer(t)
+	good := planBody(t, w, user)
+	for name, spoil := range map[string]func(*TrackBody){
+		"lat above 90":   func(f *TrackBody) { f.Lat = 900 },
+		"lat below -90":  func(f *TrackBody) { f.Lat = -90.5 },
+		"lon above 180":  func(f *TrackBody) { f.Lon = 180.001 },
+		"lon below -180": func(f *TrackBody) { f.Lon = -1e9 },
+	} {
+		body := PlanRequest{UserID: user, Fixes: append([]TrackBody(nil), good.Fixes...)}
+		spoil(&body.Fixes[len(body.Fixes)/2])
+		before := sys.PipelineStats().Tasks
+		resp := postJSON(t, ts.URL+"/api/plan", body)
+		var e apiError
+		decode(t, resp, &e)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "invalid point") {
+			t.Errorf("%s: http %d %q, want 400 naming the invalid point", name, resp.StatusCode, e.Error)
+		}
+		if ran := sys.PipelineStats().Tasks - before; ran != 0 {
+			t.Errorf("%s: %d pipeline task(s) ran on a refused request", name, ran)
+		}
+	}
+	// The same trace unspoiled still plans.
+	resp := postJSON(t, ts.URL+"/api/plan", good)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid trace: http %d", resp.StatusCode)
 	}
 }

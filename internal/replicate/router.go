@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -59,6 +60,10 @@ type Router struct {
 // nodeState is one partition's runtime state.
 type nodeState struct {
 	node Node
+	// leader and standby are node.URL and node.Standby parsed once, so a
+	// forward builds its upstream URL without parsing; nil when the
+	// topology's string does not parse.
+	leader, standby *url.URL
 
 	mu       sync.Mutex
 	fails    int
@@ -70,20 +75,26 @@ type nodeState struct {
 	firstFail time.Time
 }
 
-// activeURL returns where this partition's traffic goes and whether
-// that target is a (still-follower) replica.
-func (n *nodeState) activeURL() (string, bool) {
+// active reports whether this partition's traffic goes to the standby
+// and whether that target is a (still-follower) replica.
+func (n *nodeState) active() (toStandby, replica bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.promoted {
-		return n.node.Standby, false
+		return true, false
 	}
-	if !n.healthy && n.node.Standby != "" {
-		// Leader presumed dead, promotion not yet complete: reads are
-		// served stale by the warm standby, flagged as replica.
-		return n.node.Standby, true
+	// Leader presumed dead, promotion not yet complete: reads are served
+	// stale by the warm standby, flagged as replica.
+	degraded := !n.healthy && n.node.Standby != ""
+	return degraded, degraded
+}
+
+// activeURL returns where this partition's traffic goes.
+func (n *nodeState) activeURL() string {
+	if toStandby, _ := n.active(); toStandby {
+		return n.node.Standby
 	}
-	return n.node.URL, false
+	return n.node.URL
 }
 
 // NewRouter builds a router over a validated topology.
@@ -95,10 +106,30 @@ func NewRouter(t *Topology) *Router {
 		AckTimeout:     5 * time.Second,
 		ProxyTimeout:   30 * time.Second,
 		Logger:         slog.Default(),
-		hc:             &http.Client{},
+		hc:             &http.Client{Transport: newTransport()},
 	}
 	r.install(t)
 	return r
+}
+
+// maxIdleForwards is how many idle connections the router keeps to one
+// node: enough that concurrent forwards reuse connections instead of
+// opening one per request, which is what http.DefaultTransport's two
+// amount to under more than two clients.
+const maxIdleForwards = 256
+
+// newTransport is the router's own connection pool, shared by forwards,
+// health probes and ack waits and by nothing else in the process. Nodes
+// are addressed directly (no proxy lookup per request), bodies pass
+// through as the node wrote them (no gzip negotiation), and idle
+// connections are bounded per node only.
+func newTransport() *http.Transport {
+	return &http.Transport{
+		DialContext:         (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+		MaxIdleConnsPerHost: maxIdleForwards,
+		IdleConnTimeout:     90 * time.Second,
+		DisableCompression:  true,
+	}
 }
 
 // install swaps in a topology (initial load or a reload).
@@ -111,7 +142,12 @@ func (r *Router) install(t *Topology) {
 			nodes[n.ID] = old // keep health/failover state across reloads
 			continue
 		}
-		nodes[n.ID] = &nodeState{node: n, healthy: true}
+		ns := &nodeState{node: n, healthy: true}
+		ns.leader, _ = url.Parse(n.URL)
+		if n.Standby != "" {
+			ns.standby, _ = url.Parse(n.Standby)
+		}
+		nodes[n.ID] = ns
 	}
 	r.topo, r.ring, r.nodes = t, ring, nodes
 	r.mu.Unlock()
@@ -359,20 +395,27 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 
 // userOf extracts the partition key from a request: the user/user_id
 // query parameter, a path suffix under /api/users/, or the user_id
-// field of a JSON body (which is re-readable afterwards — the body is
-// buffered by forward before this runs).
+// field of a JSON body (forward has read it whole before this runs).
+// Where in a body the user sits is httpapi's knowledge — it owns the
+// bodies — and its reader declines what it will not vouch for; the
+// encoding/json probe then decides, as it always has.
 func userOf(req *http.Request, body []byte) string {
-	q := req.URL.Query()
-	if u := q.Get("user"); u != "" {
-		return u
-	}
-	if u := q.Get("user_id"); u != "" {
-		return u
+	if req.URL.RawQuery != "" {
+		q := req.URL.Query()
+		if u := q.Get("user"); u != "" {
+			return u
+		}
+		if u := q.Get("user_id"); u != "" {
+			return u
+		}
 	}
 	if rest, ok := strings.CutPrefix(req.URL.Path, "/api/users/"); ok && rest != "" {
 		return rest
 	}
 	if len(body) > 0 {
+		if user, ok := httpapi.BodyUser(body); ok {
+			return user
+		}
 		var probe struct {
 			UserID string `json:"user_id"`
 		}
@@ -383,17 +426,57 @@ func userOf(req *http.Request, body []byte) string {
 	return ""
 }
 
+// Body limits of one forward: what is read of a request and of the
+// node's reply; the rest is dropped.
+const (
+	maxForwardRequest  = 16 << 20
+	maxForwardResponse = 64 << 20
+)
+
+// forwardBufs is what one forward buffers: the request body, which must
+// be read whole before the partition is known (the user may sit in it),
+// and the node's reply, which must be held until the ack barrier has
+// decided between it and a 504. Pooled, so a forward allocates for the
+// request it builds and not for the plumbing.
+type forwardBufs struct{ req, resp bytes.Buffer }
+
+var forwardPool = sync.Pool{New: func() interface{} { return new(forwardBufs) }}
+
+// maxPooledForward is the largest buffer worth keeping between forwards.
+const maxPooledForward = 64 << 10
+
+// routerError answers with the router's own error body, the same shape
+// the nodes use.
+func routerError(w http.ResponseWriter, status int, msg string) {
+	body, _ := json.Marshal(struct {
+		Error string `json:"error"`
+	}{msg})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(append(body, '\n'))
+}
+
 // forward proxies one request to the partition owning its user.
 func (r *Router) forward(w http.ResponseWriter, req *http.Request) {
-	var body []byte
+	bufs := forwardPool.Get().(*forwardBufs)
+	// The buffers go back only once the transport is done with them: a
+	// RoundTripper may still read the request body after it has returned
+	// an error, so a failed forward leaves its buffers to the collector.
+	recycle := false
+	defer func() {
+		if recycle && bufs.req.Cap() <= maxPooledForward && bufs.resp.Cap() <= maxPooledForward {
+			forwardPool.Put(bufs)
+		}
+	}()
+
+	bufs.req.Reset()
 	if req.Body != nil {
-		var err error
-		body, err = io.ReadAll(io.LimitReader(req.Body, 16<<20))
-		if err != nil {
-			http.Error(w, `{"error":"reading body"}`, http.StatusBadRequest)
+		if _, err := bufs.req.ReadFrom(io.LimitReader(req.Body, maxForwardRequest)); err != nil {
+			routerError(w, http.StatusBadRequest, "reading body")
 			return
 		}
 	}
+	body := bufs.req.Bytes()
 	user := userOf(req, body)
 	var ns *nodeState
 	if user != "" {
@@ -402,41 +485,59 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request) {
 		ns = r.anyNode()
 	}
 	if ns == nil {
-		http.Error(w, `{"error":"no node for request"}`, http.StatusServiceUnavailable)
+		routerError(w, http.StatusServiceUnavailable, "no node for request")
 		return
 	}
 	isWrite := req.Method != http.MethodGet && writePaths[req.URL.Path]
-	target, replica := ns.activeURL()
+	toStandby, replica := ns.active()
 	if isWrite && replica {
 		// Leader presumed dead, promotion in flight: writes cannot be
 		// made durable-and-replicated right now. 503 + Retry-After lets
 		// the client's backoff absorb the failover window.
 		w.Header().Set("Retry-After", "1")
-		http.Error(w, `{"error":"partition failing over; retry"}`, http.StatusServiceUnavailable)
+		routerError(w, http.StatusServiceUnavailable, "partition failing over; retry")
+		return
+	}
+	base := ns.leader
+	if toStandby {
+		base = ns.standby
+	}
+	if base == nil {
+		routerError(w, http.StatusInternalServerError, "building upstream request")
 		return
 	}
 
 	ctx, cancel := context.WithTimeout(req.Context(), r.ProxyTimeout)
 	defer cancel()
-	out, err := http.NewRequestWithContext(ctx, req.Method, target+req.URL.Path+query(req), bytes.NewReader(body))
-	if err != nil {
-		http.Error(w, `{"error":"building upstream request"}`, http.StatusInternalServerError)
-		return
-	}
+	target := *base
+	target.Path, target.RawPath, target.RawQuery = base.Path+req.URL.Path, "", req.URL.RawQuery
+	header := make(http.Header, 1)
 	if ct := req.Header.Get("Content-Type"); ct != "" {
-		out.Header.Set("Content-Type", ct)
+		header.Set("Content-Type", ct)
 	}
-	resp, err := r.hc.Do(out)
+	out := &http.Request{Method: req.Method, URL: &target, Header: header}
+	if len(body) > 0 { // else no Body at all: a non-nil one of length 0 means "unknown"
+		out.Body, out.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+		// For the transport's retry on a connection the node closed as
+		// the request went out; it reads the same bytes.
+		out.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	}
+	out = out.WithContext(ctx)
+	// RoundTrip, not Client.Do: the router follows no redirects and
+	// carries no cookies, and a reply is the node's whatever its status.
+	resp, err := r.hc.Transport.RoundTrip(out)
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":"upstream %s unreachable"}`, ns.node.ID), http.StatusBadGateway)
+		routerError(w, http.StatusBadGateway, fmt.Sprintf("upstream %s unreachable", ns.node.ID))
 		return
 	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	bufs.resp.Reset()
+	_, err = bufs.resp.ReadFrom(io.LimitReader(resp.Body, maxForwardResponse))
+	resp.Body.Close()
 	if err != nil {
-		http.Error(w, `{"error":"reading upstream response"}`, http.StatusBadGateway)
+		routerError(w, http.StatusBadGateway, "reading upstream response")
 		return
 	}
+	recycle = true
 
 	// Semi-sync ack barrier: hold the 2xx of a write until the
 	// partition's follower has applied at least the write's sequence.
@@ -444,26 +545,21 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request) {
 		if err := r.ackBarrier(ctx, ns, resp.Header.Get(httpapi.HeaderWalSeq)); err != nil {
 			// NOT acked: the write may or may not survive a leader loss
 			// right now. 504 tells the client to treat it as unacked.
-			http.Error(w, fmt.Sprintf(`{"error":"replication ack timeout: %v"}`, err), http.StatusGatewayTimeout)
+			routerError(w, http.StatusGatewayTimeout, fmt.Sprintf("replication ack timeout: %v", err))
 			return
 		}
 	}
 
-	for _, h := range []string{"Content-Type", httpapi.HeaderWalSeq} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
+	h := w.Header()
+	for _, name := range [...]string{"Content-Type", httpapi.HeaderWalSeq} {
+		if v := resp.Header.Get(name); v != "" {
+			h.Set(name, v)
 		}
 	}
-	w.Header().Set("X-Pphcr-Node", ns.node.ID)
+	h.Set("X-Pphcr-Node", ns.node.ID)
+	h.Set("Content-Length", strconv.Itoa(bufs.resp.Len()))
 	w.WriteHeader(resp.StatusCode)
-	w.Write(respBody)
-}
-
-func query(req *http.Request) string {
-	if req.URL.RawQuery == "" {
-		return ""
-	}
-	return "?" + req.URL.RawQuery
+	w.Write(bufs.resp.Bytes())
 }
 
 // ackBarrier long-polls the partition's follower until it has applied
@@ -536,7 +632,7 @@ func (r *Router) ReloadTopology(t *Topology) (int, error) {
 		if ns == nil {
 			continue
 		}
-		source, _ := ns.activeURL()
+		source := ns.activeURL()
 		users, err := r.listUsers(source)
 		if err != nil {
 			return 0, fmt.Errorf("replicate: listing users on %s: %w", n.ID, err)
@@ -568,7 +664,7 @@ func (r *Router) ReloadTopology(t *Topology) (int, error) {
 			defer r.mu.RUnlock()
 			return r.nodes[newOwner]
 		}(); ns != nil {
-			destURL, _ = ns.activeURL()
+			destURL = ns.activeURL()
 		}
 		for source, users := range bySource {
 			if err := r.requestRebalance(destURL, source, users); err != nil {

@@ -11,7 +11,6 @@ package replicate
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"sort"
 )
@@ -98,10 +97,15 @@ type ringPoint struct {
 	node string
 }
 
+// hash64 is FNV-1a over s, then mixed. Written out because hash/fnv's
+// hasher is two allocations behind an interface, and Owner runs once per
+// forwarded request.
 func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return mix64(h.Sum64())
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return mix64(h)
 }
 
 // mix64 is the splitmix64 finalizer. Raw FNV-1a of short sequential

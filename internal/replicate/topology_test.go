@@ -2,6 +2,7 @@ package replicate
 
 import (
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
@@ -112,5 +113,17 @@ func TestLoadTopology(t *testing.T) {
 	}
 	if _, err := LoadTopology(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file: LoadTopology returned nil error")
+	}
+}
+
+// TestHash64IsFNV1a: the written-out loop places every user where
+// hash/fnv did, so no ring moved.
+func TestHash64IsFNV1a(t *testing.T) {
+	for _, s := range []string{"", "a", "user-000", "user-1999", "a#0", "b#63", "ünï"} {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got, want := hash64(s), mix64(h.Sum64()); got != want {
+			t.Fatalf("hash64(%q) = %x, hash/fnv says %x", s, got, want)
+		}
 	}
 }
