@@ -121,10 +121,6 @@ func main() {
 		ckInterval  = flag.Duration("checkpoint-interval", time.Minute, "time between background checkpoints (0 disables; shutdown still checkpoints)")
 		walSync     = flag.String("wal-sync", "interval", "WAL fsync policy: always, interval or none")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		annOn       = flag.Bool("ann", false, "enable embedding-based candidate retrieval (HNSW index maintained on ingest)")
-		annRetrieve = flag.Int("ann-retrieve", 256, "ANN candidates fetched per query before exact re-ranking")
-		annEf       = flag.Int("ann-ef", 0, "ANN search beam width (0 = 2x ann-retrieve)")
-		annProbe    = flag.Int("ann-probe-every", 500, "sample every Nth ANN retrieval with a brute-force recall probe (0 disables)")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		traceThresh = flag.Duration("trace-threshold", 250*time.Millisecond, "keep per-request stage traces slower than this in /debug/traces (0 disables tracing)")
 		role        = flag.String("role", "leader", "replication role: leader or follower")
@@ -174,17 +170,9 @@ func main() {
 		PlanCacheShards: *cacheShards,
 		PlanTTL:         *planTTL,
 		UserShards:      *userShards,
-		ANNCandidates:   *annOn,
-		ANNRetrieve:     *annRetrieve,
-		ANNEf:           *annEf,
-		ANNProbeEvery:   *annProbe,
 	})
 	if err != nil {
 		fatal("system init", err)
-	}
-	if *annOn {
-		slog.Info("ann candidate retrieval enabled",
-			"retrieve", *annRetrieve, "ef", *annEf, "probe_every", *annProbe)
 	}
 
 	// The API server exists before recovery so the readiness boot gate is

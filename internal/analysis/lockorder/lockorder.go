@@ -47,7 +47,7 @@ type class struct {
 }
 
 const (
-	orderPphcr     = "Durability.mu → barrier → shard → store → vector index"
+	orderPphcr     = "Durability.mu → barrier → shard → store"
 	orderPlancache = "shard.mu → genMu"
 	orderWAL       = "ioMu → stripe → commitMu/deferredMu"
 	orderReplicate = "Router.mu → nodeState.mu → Standby.mu"
@@ -64,10 +64,6 @@ var (
 	clsShard      = class{"pphcr", 20, "user-shard lock", orderPphcr}
 	clsIngest     = class{"pphcr", 20, "ingest mutex", orderPphcr}
 	clsStore      = class{"pphcr", 30, "store lock", orderPphcr}
-	// The ANN index lock sits below the store locks: ingest inserts into
-	// the index while holding content.Repository.mu, and index methods
-	// must never call back into a store.
-	clsVecIndex = class{"pphcr", 40, "vector-index lock (ann.Index.mu)", orderPphcr}
 
 	clsPCShard = class{"plancache", 10, "plan-cache shard lock", orderPlancache}
 	clsPCGen   = class{"plancache", 20, "plan-cache generation lock", orderPlancache}
@@ -101,7 +97,6 @@ var fieldClasses = map[key]class{
 	{"content", "Repository", "mu"}:  clsStore,
 	{"radiodns", "Directory", "mu"}:  clsStore,
 	{"spatial", "Store", "mu"}:       clsStore,
-	{"ann", "Index", "mu"}:           clsVecIndex,
 	{"plancache", "shard", "mu"}:     clsPCShard,
 	{"plancache", "shard", "genMu"}:  clsPCGen,
 	{"durable", "WAL", "ioMu"}:       clsWALIO,

@@ -111,29 +111,16 @@ func (it *Item) SizeBytes() int64 {
 	return int64(float64(kbps) * 1000 / 8 * it.Duration.Seconds())
 }
 
-// VectorIndex is the hook through which an embedding index (the ANN
-// retrieval path, internal/ann) tracks the catalog. It is satisfied by
-// *ann.Index; the indirection keeps content free of embedding imports.
-// Insert is called with the repository lock held, so implementations
-// must not call back into the Repository (lock hierarchy: store locks
-// at level 30 sit above the vector-index lock at level 40 —
-// docs/analysis.md).
-type VectorIndex interface {
-	Insert(it *Item)
-}
-
 // Repository is the thread-safe content store with the secondary indexes
 // the recommender needs: by ID, by category, by publish time, and —
 // for geographically scoped items — an R-tree over their relevance
 // discs, so GeoItems answers point queries without scanning the table.
-// When a VectorIndex is attached, every item is additionally embedded
-// into it on Add, beside the R-tree.
 //
 // Add also derives each item's ranking features (features.go) and files
 // the item under every category it carries, so a planning request reads
-// the catalog through a View instead of re-deriving any of it. Like the
-// vector index this is derived state: snapshot restore and WAL replay
-// rebuild it through Add and nothing of it is persisted.
+// the catalog through a View instead of re-deriving any of it. This is
+// derived state: snapshot restore and WAL replay rebuild it through Add
+// and nothing of it is persisted.
 //
 // Items are numbered in insertion order; that number (seq) never
 // changes, and every seq-indexed slice below only ever grows at its
@@ -142,8 +129,6 @@ type Repository struct {
 	mu      sync.RWMutex
 	seqs    map[string]int32 // item ID -> seq
 	feats   []Features       // seq -> item and its resident features
-	catIDs  []int32          // category vectors of all items, back to back
-	catWs   []float64        // parallel to catIDs
 	cats    map[string]int32 // category -> interned id; replaced, never mutated
 	names   []string         // addFeatures' sort scratch
 	post    [][]int32        // category id -> seqs of the items carrying it
@@ -152,23 +137,6 @@ type Repository struct {
 	ordered int              // leading seqs that arrived in publish order
 	geoTree *spatial.RTree   // rects around geo discs -> geoSeqs index
 	geoSeqs []int32          // R-tree leaf id -> seq
-	vecIx   VectorIndex      // optional ANN mirror of the catalog
-}
-
-// SetVectorIndex attaches (or detaches, with nil) the embedding index.
-// Items already in the repository are backfilled, so attachment order
-// relative to Restore does not matter. Holding the write lock while
-// backfilling keeps the "item visible implies item indexed" invariant.
-func (r *Repository) SetVectorIndex(ix VectorIndex) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.vecIx = ix
-	if ix == nil {
-		return
-	}
-	for _, seq := range r.byPub {
-		ix.Insert(r.feats[seq].Item)
-	}
 }
 
 // NewRepository returns an empty repository.
@@ -225,9 +193,6 @@ func (r *Repository) Add(it *Item) error {
 	r.byPub = append(r.byPub, 0)
 	copy(r.byPub[idx+1:], r.byPub[idx:])
 	r.byPub[idx] = seq
-	if r.vecIx != nil {
-		r.vecIx.Insert(it)
-	}
 	return nil
 }
 

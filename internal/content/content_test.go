@@ -381,24 +381,30 @@ func TestViewMatchesLinearScan(t *testing.T) {
 			}
 		}
 	}
-	// Vectors are ordered by category name and carry the map's weights.
-	for seq, it := range items[:seen] {
-		ids, ws := v.Vector(int32(seq))
-		if len(ids) != len(it.Categories) {
-			t.Fatalf("%s: vector has %d coordinates, item %d", it.ID, len(ids), len(it.Categories))
+	// From seq 0 on, the postings hold every item's whole category vector:
+	// each (item, category) pair once, in ascending seq order, beside the
+	// weight the item's map gives it.
+	filed := make([]int, seen)
+	for _, cat := range cats {
+		id, _ := v.CategoryID(cat)
+		seqs, ws := v.Postings(id, 0)
+		for i, seq := range seqs {
+			it := v.At(seq).Item
+			if it != items[seq] {
+				t.Fatalf("%s: seq %d holds %s, item %d added was %s", cat, seq, it.ID, seq, items[seq].ID)
+			}
+			if i > 0 && seqs[i-1] >= seq {
+				t.Fatalf("%s: seq %d filed after %d", cat, seq, seqs[i-1])
+			}
+			if w, has := it.Categories[cat]; !has || ws[i] != w {
+				t.Fatalf("%s: %s filed with weight %v, item has %v", cat, it.ID, ws[i], it.Categories)
+			}
+			filed[seq]++
 		}
-		prev := ""
-		for j, id := range ids {
-			var name string
-			for _, c := range cats {
-				if cid, _ := v.CategoryID(c); cid == id {
-					name = c
-				}
-			}
-			if name <= prev || ws[j] != it.Categories[name] {
-				t.Fatalf("%s: coordinate %d is %q=%v after %q, item has %v", it.ID, j, name, ws[j], prev, it.Categories)
-			}
-			prev = name
+	}
+	for seq, it := range items[:seen] {
+		if filed[seq] != len(it.Categories) {
+			t.Fatalf("%s: filed under %d categories, item has %d", it.ID, filed[seq], len(it.Categories))
 		}
 	}
 }

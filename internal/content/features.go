@@ -7,18 +7,15 @@ import (
 )
 
 // Features is what ranking needs of one item besides the item itself,
-// derived once at Add: where its category vector starts in the
-// repository's arena (it ends where the next item's starts), that
-// vector's norm, and a coarse publish time. The vector is ordered by
-// category NAME, so a dot product that walks it adds its terms in the
-// same order whatever ids the categories were interned to.
+// derived once at Add: its category vector's norm and a coarse publish
+// time. The weights themselves live in the postings.
 type Features struct {
 	Item *Item
-	// SqrtNorm is √Σw² over the category vector, summed in vector order;
-	// 0 for an item without categories.
+	// SqrtNorm is √Σw² over the category vector, summed in category-NAME
+	// order, so its bits do not depend on which ids the categories were
+	// interned to; 0 for an item without categories.
 	SqrtNorm float64
 	pub      uint32 // pubKey(Item.Published)
-	off      uint32
 }
 
 // pubKey maps an instant to Unix seconds clamped to 32 bits. The map is
@@ -44,10 +41,9 @@ func (c Cut) Admits(f *Features) bool {
 	return f.pub > c.key || (f.pub == c.key && !f.Item.Published.Before(c.t))
 }
 
-// addFeatures interns the item's categories, appends its name-ordered
-// category vector to the arena, files it — seq beside weight — under
-// each category's postings and appends its Features at seq. Caller
-// holds the write lock.
+// addFeatures interns the item's categories in name order, files the
+// item — seq beside weight — under each category's postings and appends
+// its Features at seq. Caller holds the write lock.
 func (r *Repository) addFeatures(it *Item, seq int32) {
 	names := r.names[:0]
 	for cat := range it.Categories {
@@ -55,12 +51,10 @@ func (r *Repository) addFeatures(it *Item, seq int32) {
 	}
 	sort.Strings(names)
 	r.names = names
-	f := Features{Item: it, pub: pubKey(it.Published), off: uint32(len(r.catIDs))}
+	f := Features{Item: it, pub: pubKey(it.Published)}
 	var norm float64
 	for _, cat := range names {
 		id, w := r.intern(cat), it.Categories[cat]
-		r.catIDs = append(r.catIDs, id)
-		r.catWs = append(r.catWs, w)
 		r.post[id] = append(r.post[id], seq)
 		r.postWs[id] = append(r.postWs[id], w)
 		norm += w * w
@@ -91,15 +85,6 @@ func (r *Repository) intern(cat string) int32 {
 	return id
 }
 
-// Seq returns the insertion number of the item with the given ID — the
-// index of its Features in any View taken afterwards.
-func (r *Repository) Seq(id string) (int32, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	seq, ok := r.seqs[id]
-	return seq, ok
-}
-
 // View is a consistent read-only cut of the catalog's ranking state:
 // the items present when it was taken, their features, and the
 // per-category weighted postings. Taking one costs a lock and a copy of
@@ -109,8 +94,6 @@ func (r *Repository) Seq(id string) (int32, bool) {
 // saw.
 type View struct {
 	feats   []Features
-	catIDs  []int32
-	catWs   []float64
 	cats    map[string]int32
 	post    [][]int32
 	postWs  [][]float64
@@ -121,8 +104,7 @@ type View struct {
 func (r *Repository) ReadView(v *View) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	v.feats, v.catIDs, v.catWs = r.feats, r.catIDs, r.catWs
-	v.cats = r.cats
+	v.feats, v.cats = r.feats, r.cats
 	v.post = append(v.post[:0], r.post...)
 	v.postWs = append(v.postWs[:0], r.postWs...)
 	v.ordered = r.ordered
@@ -140,10 +122,6 @@ func (v *View) Reset() {
 // 0..Len()-1 in insertion order.
 func (v *View) Len() int { return len(v.feats) }
 
-// NumCategories returns the number of interned categories; their ids
-// are 0..NumCategories()-1.
-func (v *View) NumCategories() int { return len(v.post) }
-
 // CategoryID returns the interned id of a category name; ok is false
 // when no item in the view carries it.
 func (v *View) CategoryID(name string) (int32, bool) {
@@ -153,16 +131,6 @@ func (v *View) CategoryID(name string) (int32, bool) {
 
 // At returns the features of item seq.
 func (v *View) At(seq int32) *Features { return &v.feats[seq] }
-
-// Vector returns item seq's category vector as parallel id and weight
-// slices, ordered by category name.
-func (v *View) Vector(seq int32) (ids []int32, ws []float64) {
-	lo, hi := v.feats[seq].off, uint32(len(v.catIDs))
-	if next := int(seq) + 1; next < len(v.feats) {
-		hi = v.feats[next].off
-	}
-	return v.catIDs[lo:hi], v.catWs[lo:hi]
-}
 
 // WindowStart returns the first seq the cut can admit: every item
 // numbered below it arrived in publish order and was published before

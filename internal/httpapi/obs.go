@@ -138,27 +138,6 @@ func (s *Server) registerSystemMetrics() {
 	s.registry.RegisterCounter("pphcr_feedback_compactions_total", "Feedback compaction runs.",
 		nil, func() float64 { return float64(fb.Stats().Compactions) })
 
-	// ANN retrieval families exist only when the embedding Candidates
-	// stage is active, so scrapes of exact-mode nodes stay unchanged.
-	if ix := s.sys.ANNIndex(); ix != nil {
-		s.registry.RegisterHistogram("pphcr_ann_search_duration_seconds",
-			"HNSW candidate-retrieval search latency per query.",
-			nil, pipe.ANNSearchHistogram())
-		s.registry.RegisterGauge("pphcr_ann_index_items", "Items in the ANN index.",
-			nil, func() float64 { return float64(ix.Snapshot().Items) })
-		s.registry.RegisterCounter("pphcr_ann_searches_total", "ANN index searches.",
-			nil, func() float64 { return float64(ix.Snapshot().Searches) })
-		s.registry.RegisterCounter("pphcr_ann_brute_total",
-			"ANN searches answered by the exact scan (index not larger than the beam).",
-			nil, func() float64 { return float64(ix.Snapshot().Brute) })
-		s.registry.RegisterCounter("pphcr_ann_recall_probes_total",
-			"Sampled brute-force recall probes.",
-			nil, func() float64 { return float64(ix.Snapshot().Probes) })
-		s.registry.RegisterGauge("pphcr_ann_recall_at_k",
-			"Sampled recall@k of graph search vs exact scan (0 until the first probe).",
-			nil, func() float64 { return ix.Snapshot().RecallAtK })
-	}
-
 	sys := s.sys
 	s.registry.RegisterCounter("pphcr_usershard_lock_ops_total", "User-shard lock acquisitions.",
 		nil, func() float64 { return float64(sys.LockStats().Ops) })

@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"pphcr"
-	"pphcr/internal/ann"
 	"pphcr/internal/feedback"
 	"pphcr/internal/obs"
 	"pphcr/internal/pipeline"
@@ -67,24 +66,14 @@ type StatsView struct {
 	// Pipeline reports the staged planning pipeline's per-stage
 	// latency/count aggregates (predict, gate, candidates, rank,
 	// allocate) plus its task counter.
-	Pipeline pipeline.Stats `json:"pipeline"`
-	// Retrieval reports the embedding-retrieval path when ANN
-	// candidates are enabled: per-query HNSW search latency, candidate
-	// counters, index size and the sampled recall@k estimate.
-	Retrieval *RetrievalView  `json:"retrieval,omitempty"`
-	Feedback  feedback.Stats  `json:"feedback"`
-	Locks     pphcr.LockStats `json:"locks"`
-	Warmer    interface{}     `json:"warmer,omitempty"`
+	Pipeline pipeline.Stats  `json:"pipeline"`
+	Feedback feedback.Stats  `json:"feedback"`
+	Locks    pphcr.LockStats `json:"locks"`
+	Warmer   interface{}     `json:"warmer,omitempty"`
 	// Durability reports the WAL and checkpoint counters (appended,
 	// synced, replayed, segments, bytes, last-checkpoint age) when the
 	// server runs with a data directory.
 	Durability interface{} `json:"durability,omitempty"`
-}
-
-// RetrievalView is the /stats shape of the ANN retrieval path.
-type RetrievalView struct {
-	Pipeline pipeline.RetrievalStats `json:"pipeline"`
-	Index    ann.Stats               `json:"index"`
 }
 
 // SetWarmerStats attaches a provider of precompute-scheduler counters to
@@ -120,9 +109,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		view.HTTP[em.name] = es
 	}
 	view.Pipeline = s.sys.PipelineStats()
-	if ps, ix, ok := s.sys.RetrievalStats(); ok {
-		view.Retrieval = &RetrievalView{Pipeline: ps, Index: ix}
-	}
 	view.Feedback = s.sys.Feedback.Stats()
 	view.Locks = s.sys.LockStats()
 	if s.warmerStats != nil {

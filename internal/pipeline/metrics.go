@@ -27,17 +27,10 @@ var StageNames = [NumStages]string{"predict", "gate", "candidates", "rank", "all
 var stageSpans = [numStages]string{"stage:predict", "stage:gate", "stage:candidates", "stage:rank", "stage:allocate"}
 
 // metrics holds one lock-free histogram per stage; the request path
-// pays a bucket search plus three atomic adds per observation. The ANN
-// retrieval aggregates stay zero unless the embedding Candidates stage
-// is active.
+// pays a bucket search plus three atomic adds per observation.
 type metrics struct {
 	hist  [numStages]obs.Histogram
 	tasks atomic.Int64
-
-	annSearch    obs.Histogram // per-query HNSW search latency
-	annSearches  atomic.Int64
-	annRetrieved atomic.Int64 // candidates returned by the index
-	annResolved  atomic.Int64 // candidates surviving resolve + window cut
 }
 
 // StageStats is one stage's latency aggregate; Count is the number of
@@ -91,30 +84,3 @@ func (p *Pipeline) Stats() Stats {
 // StageHistogram returns the histogram backing stage i, so the owner
 // can register it on a metrics endpoint.
 func (p *Pipeline) StageHistogram(i int) *obs.Histogram { return &p.m.hist[i] }
-
-// RetrievalStats aggregates the embedding-retrieval path: per-query
-// HNSW search latency and the retrieved/resolved candidate counters.
-// All-zero when the pipeline runs the exact Candidates stage.
-type RetrievalStats struct {
-	Search StageStats `json:"search"`
-	// Searches counts index queries; Retrieved and Resolved sum the
-	// candidates the index returned and those surviving ID resolution
-	// plus the publish-window cut.
-	Searches  int64 `json:"searches"`
-	Retrieved int64 `json:"retrieved"`
-	Resolved  int64 `json:"resolved"`
-}
-
-// Retrieval snapshots the ANN retrieval aggregates.
-func (p *Pipeline) Retrieval() RetrievalStats {
-	return RetrievalStats{
-		Search:    stageView(&p.m.annSearch),
-		Searches:  p.m.annSearches.Load(),
-		Retrieved: p.m.annRetrieved.Load(),
-		Resolved:  p.m.annResolved.Load(),
-	}
-}
-
-// ANNSearchHistogram exposes the per-query search histogram for metric
-// registration.
-func (p *Pipeline) ANNSearchHistogram() *obs.Histogram { return &p.m.annSearch }

@@ -8,9 +8,9 @@
 // through the one composition, Pipeline.Run.
 //
 // Nothing is derived from the catalog per request. Every item's ranking
-// features — its category vector in category-name order with interned
-// category ids, the vector's norm — and the category→items postings are
-// built once, when content.Repository.Add stores the item; the
+// features — its category vector's norm, its coarse publish time — and
+// the weighted category→items postings are built once, when
+// content.Repository.Add stores the item; the
 // Candidates stage takes a content.View of them (a lock and a few slice
 // headers) and reads the user's decayed preference vector, once per
 // task. The Rank stage then scores only the items that share a category
@@ -29,7 +29,6 @@ package pipeline
 import (
 	"time"
 
-	"pphcr/internal/ann"
 	"pphcr/internal/content"
 	"pphcr/internal/core"
 	"pphcr/internal/distraction"
@@ -83,9 +82,9 @@ type Task struct {
 	From, Dest predict.PlaceID
 	Prob       float64
 
-	// ModeRank inputs: Ctx is the caller's context, K bounds the ranked
-	// list (0 = all), Exclude drops items by ID before ranking (the
-	// skip paths pass the user's skipped-item set).
+	// K bounds a ModeRank task's ranked list (0 = all). Exclude, in any
+	// mode, drops items by ID in Rank: the plan and skip paths pass the
+	// user's skipped-item set.
 	K       int
 	Exclude map[string]bool
 
@@ -189,25 +188,7 @@ type Deps struct {
 	Planner *core.Planner
 	// Scorer computes the compound relevance.
 	Scorer *recommend.Scorer
-
-	// ANN, when non-nil, swaps the Candidates stage to embedding-based
-	// retrieval: candidates come from an HNSW search over item
-	// embeddings instead of the full publish-window scan (sublinear in
-	// catalog size at pinned recall).
-	ANN *ann.Index
-	// ANNRetrieve is how many candidates each query fetches before
-	// exact re-ranking (default 256). Small indexes degrade to exact
-	// retrieval of the whole catalog.
-	ANNRetrieve int
-	// ANNEf is the HNSW search beam width (default 2×ANNRetrieve).
-	ANNEf int
-	// ResolveItem maps a retrieved item ID back to the item's number in
-	// the catalog (content.Repository.Seq); required when ANN is set.
-	ResolveItem func(id string) (seq int32, ok bool)
 }
-
-// Default ANN retrieval budget.
-const defaultANNRetrieve = 256
 
 // Pipeline composes the five stages. Fields may be replaced before
 // first use to substitute custom operators.
@@ -222,32 +203,16 @@ type Pipeline struct {
 }
 
 // New builds a pipeline with the default stage implementations, which
-// share one set of recycled buffers. When deps.ANN is set the
-// Candidates stage acquires candidates from the embedding index
-// instead of the per-category postings; everything downstream is shared.
+// share one set of recycled buffers.
 func New(deps Deps) *Pipeline {
-	if deps.ANN != nil {
-		if deps.ANNRetrieve <= 0 {
-			deps.ANNRetrieve = defaultANNRetrieve
-		}
-		if deps.ANNEf <= 0 {
-			deps.ANNEf = 2 * deps.ANNRetrieve
-		}
-	}
 	po := &pools{}
-	p := &Pipeline{
-		Predict:  &mobilityPredict{deps: deps},
-		Gate:     &plannerGate{deps: deps},
-		Rank:     &indexRank{deps: deps, po: po, block: defaultBlock},
-		Allocate: &plannerAllocate{deps: deps, po: po},
+	return &Pipeline{
+		Predict:    &mobilityPredict{deps: deps},
+		Gate:       &plannerGate{deps: deps},
+		Candidates: &cacheCandidates{deps: deps, po: po},
+		Rank:       &indexRank{deps: deps, po: po, block: defaultBlock},
+		Allocate:   &plannerAllocate{deps: deps, po: po},
 	}
-	inner := &cacheCandidates{deps: deps, po: po}
-	if deps.ANN != nil {
-		p.Candidates = &annCandidates{inner: inner, deps: deps, po: po, m: &p.m}
-	} else {
-		p.Candidates = inner
-	}
-	return p
 }
 
 // Run executes one task through the staged flow. A task that errors or

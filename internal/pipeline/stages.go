@@ -11,7 +11,6 @@ import (
 	"pphcr/internal/content"
 	"pphcr/internal/core"
 	"pphcr/internal/distraction"
-	"pphcr/internal/embed"
 	"pphcr/internal/geo"
 	"pphcr/internal/plancache"
 	"pphcr/internal/predict"
@@ -155,9 +154,8 @@ func (s *plannerGate) Gate(t *Task) {
 // candSet is one task's candidate state: a view of the catalog — whose
 // items carry their ranking features since they were added, so nothing
 // is featurized here — the user's preference vector bound to that view,
-// and the few terms that depend on the planning instant. The exact
-// stage ranks the view's weighted postings, from the candidate window's
-// first item on; the ANN stage ranks the items it retrieved.
+// and the few terms that depend on the planning instant. Rank reads the
+// view's weighted postings, from the candidate window's first item on.
 type candSet struct {
 	now  time.Time
 	view content.View
@@ -166,13 +164,8 @@ type candSet struct {
 	// plain (weather- and activity-free) context base depends on nothing
 	// else, and computing it per candidate was a tenth of a cold plan.
 	kindBase [content.KindTimeShifted + 1]float64
-	// retrieved lists the ANN stage's candidates by seq; the exact stage
-	// leaves fromIndex false and Rank accumulates the postings instead.
-	retrieved []int32
-	fromIndex bool
-	// Rank's scratch on the exact path: one cursor per preferred
-	// category, and one block of dot-product accumulators, all zero
-	// whenever Rank is not running.
+	// Rank's scratch: one cursor per preferred category, and one block of
+	// dot-product accumulators, all zero whenever Rank is not running.
 	cursors []cursor
 	acc     []float64
 }
@@ -213,22 +206,17 @@ type prefWeight struct {
 // userPrefs is one task's copy of its user's decayed preference
 // vector: the map (handed to the allocator), its name-sorted flat form,
 // the precomputed √norm of the user side of the cosine and, once bound
-// to the task's catalog view, the same weights by interned category id.
-// The ANN Candidates stage additionally keeps the quantized embedding
-// of the vector here.
+// to the task's catalog view, the interned ids of its categories.
 type userPrefs struct {
 	prefs  map[string]float64
 	flat   []prefWeight
 	sqrtNa float64
 
 	// ids are the preferred categories some catalog item carries, in
-	// category-NAME order; byID holds every category's weight, indexed by
-	// id, 0 for the ones the user has none for. Both are filled by bind.
-	ids  []int32
-	byID []float64
-
-	q   embed.Quantized
-	qOK bool // q encodes a meaningful direction (prefs non-empty)
+	// category-NAME order, and ws the user's weight for each. Both are
+	// filled by bind.
+	ids []int32
+	ws  []float64
 }
 
 // load takes a freshly read preference vector, flattening and norming
@@ -260,12 +248,11 @@ func (fp *userPrefs) load(prefs map[string]float64) {
 // bind resolves the preference categories against the view's interned
 // ids.
 func (fp *userPrefs) bind(v *content.View) {
-	fp.ids = fp.ids[:0]
-	fp.byID = append(fp.byID[:0], make([]float64, v.NumCategories())...)
+	fp.ids, fp.ws = fp.ids[:0], fp.ws[:0]
 	for _, pw := range fp.flat {
 		if id, ok := v.CategoryID(pw.cat); ok {
 			fp.ids = append(fp.ids, id)
-			fp.byID[id] = pw.w
+			fp.ws = append(fp.ws, pw.w)
 		}
 	}
 }
@@ -294,7 +281,6 @@ func (s *cacheCandidates) Gather(t *Task) {
 		return
 	}
 	set := s.po.acquire(t)
-	set.fromIndex = false
 	set.start(&s.deps, t.Now)
 	set.fp.load(s.deps.Preferences(t.User, t.Now))
 	set.fp.bind(&set.view)
@@ -363,8 +349,7 @@ func (s *cacheCandidates) Release(t *Task) {
 // indexRank is the default Rank stage: compute every candidate's dot
 // product with the user's preference vector — by accumulating the
 // weighted postings of the categories the user prefers, a block of
-// consecutive items at a time (or, for the ANN stage's retrieved list,
-// from each item's own vector) — turn it into a cosine with the item's
+// consecutive items at a time — turn it into a cosine with the item's
 // catalog-resident norm, filter by the content floor, and order by
 // recommend.CompareRank — through a bounded top-k heap when a ModeRank
 // task asks for k items (the skip hot path asks for one), through the
@@ -424,13 +409,7 @@ func (s *indexRank) Rank(t *Task) {
 	}
 	// Without a preference that has a direction every cosine is zero.
 	if set.fp.sqrtNa > 0 {
-		if set.fromIndex {
-			for _, seq := range set.retrieved {
-				r.score(seq, set.dot(seq))
-			}
-		} else {
-			r.accumulate()
-		}
+		r.accumulate()
 	}
 	if r.sel != nil {
 		t.Ranked = r.sel.Ranked()
@@ -440,26 +419,13 @@ func (s *indexRank) Rank(t *Task) {
 	t.Ranked = r.out
 }
 
-// dot is the dot product of item seq's category vector with the
-// preference vector, its terms added in category-name order (the order
-// of the item's vector; a category the user has no weight for adds a
-// zero, which changes nothing).
-func (set *candSet) dot(seq int32) float64 {
-	var dot float64
-	ids, ws := set.view.Vector(seq)
-	for j, id := range ids {
-		dot += set.fp.byID[id] * ws[j]
-	}
-	return dot
-}
-
 // accumulate scores every item in the candidate window term at a time:
 // for one block of consecutive seqs after another, each preferred
 // category's postings add that category's term to the accumulators of
 // the items carrying it, and the items whose sum came out positive are
-// scored. Categories are visited in name order, which is the order an
-// item's own vector lists them in, so an accumulator receives exactly
-// the additions dot makes, in the same order, and holds the same bits.
+// scored. Categories are visited in name order, the order the item's
+// norm was summed in (content.Features.SqrtNorm), so a dot product's
+// bits do not depend on which ids the categories were interned to.
 // Postings are read front to back once, accumulators and features
 // block by block; nothing is visited twice and no item is looked up by
 // category.
@@ -467,9 +433,9 @@ func (r *ranking) accumulate() {
 	set, view := r.set, &r.set.view
 	first := view.WindowStart(r.cut)
 	cur := set.cursors[:0]
-	for _, id := range set.fp.ids {
+	for i, id := range set.fp.ids {
 		if seqs, ws := view.Postings(id, first); len(seqs) > 0 {
-			cur = append(cur, cursor{seqs: seqs, ws: ws, p: set.fp.byID[id]})
+			cur = append(cur, cursor{seqs: seqs, ws: ws, p: set.fp.ws[i]})
 		}
 	}
 	block := int32(r.s.block)
@@ -511,9 +477,6 @@ func (r *ranking) score(seq int32, dot float64) {
 		return // cos ≤ 0: actively disliked or disjoint
 	}
 	it, t, scorer := f.Item, r.t, r.s.deps.Scorer
-	if t.Exclude != nil && t.Exclude[it.ID] {
-		return
-	}
 	cos := dot / r.set.fp.sqrtNa / f.SqrtNorm
 	var ctxScore float64
 	if r.rich {
@@ -530,6 +493,11 @@ func (r *ranking) score(seq int32, dot float64) {
 			return
 		}
 	} else if full && bound < r.out[0].Compound {
+		return
+	}
+	// Only items the bound let through pay the lookup; both bound checks
+	// read just the heap, which an excluded item never enters.
+	if t.Exclude[it.ID] {
 		return
 	}
 	contentScore := cos * scorer.FreshnessFactor(it, r.set.now)

@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pphcr/internal/ann"
 	"pphcr/internal/asr"
 	"pphcr/internal/broker"
 	"pphcr/internal/content"
@@ -77,22 +76,6 @@ type Config struct {
 	// (mobility models, pending injections, last plans). Rounded up to a
 	// power of two. Default DefaultUserShards (32).
 	UserShards int
-	// ANNCandidates enables embedding-based candidate retrieval: an
-	// HNSW index over quantized item embeddings is maintained on ingest
-	// (beside the R-tree) and the pipeline's Candidates stage queries it
-	// instead of scanning the publish window — sublinear in catalog size
-	// at pinned recall. The index is derived state: snapshots and WAL
-	// replay rebuild it through the ordinary Repository restore path.
-	ANNCandidates bool
-	// ANNRetrieve is the per-query candidate budget (default 256).
-	// Indexes no larger than the budget are retrieved exactly, making
-	// small-catalog plans byte-identical to the exact stage.
-	ANNRetrieve int
-	// ANNEf is the HNSW search beam width (default 2×ANNRetrieve).
-	ANNEf int
-	// ANNProbeEvery samples every Nth retrieval with a brute-force
-	// recall probe feeding the recall_at_k gauge (0 = off).
-	ANNProbeEvery int
 }
 
 // DefaultUserShards is the default stripe count of the per-user state.
@@ -255,12 +238,6 @@ type System struct {
 	ingest          *content.Pipeline
 	candidateWindow time.Duration
 
-	// annIndex is the embedding index behind the ANN Candidates stage;
-	// nil unless Config.ANNCandidates was set. It mirrors the Repo
-	// catalog (inserts happen inside Repository.Add) and rebuilds from
-	// it on restore/replay.
-	annIndex *ann.Index
-
 	// pipe is the staged planning pipeline (predict → gate → candidates →
 	// rank → allocate) every public entry point executes through.
 	pipe *pipeline.Pipeline
@@ -414,7 +391,7 @@ func New(cfg Config) (*System, error) {
 		s.shards[i].injected = make(map[string][]string)
 		s.shards[i].lastPlans = make(map[string]*TripPlan)
 	}
-	deps := pipeline.Deps{
+	s.pipe = pipeline.New(pipeline.Deps{
 		Mobility:        s.MobilityModel,
 		Preferences:     s.Preferences,
 		Catalog:         repo.ReadView,
@@ -422,37 +399,8 @@ func New(cfg Config) (*System, error) {
 		Cache:           s.PlanCache,
 		Planner:         s.Planner,
 		Scorer:          scorer,
-	}
-	if cfg.ANNCandidates {
-		s.annIndex = ann.New(ann.Config{
-			Seed:       cfg.Seed,
-			ProbeEvery: cfg.ANNProbeEvery,
-		})
-		// Attached before any ingest or restore, so every item that ever
-		// enters the repository — live, snapshot-restored or WAL-replayed
-		// — is embedded and indexed by the same Add path.
-		repo.SetVectorIndex(s.annIndex)
-		deps.ANN = s.annIndex
-		deps.ANNRetrieve = cfg.ANNRetrieve
-		deps.ANNEf = cfg.ANNEf
-		deps.ResolveItem = repo.Seq
-	}
-	s.pipe = pipeline.New(deps)
+	})
 	return s, nil
-}
-
-// ANNIndex returns the embedding index behind the ANN Candidates
-// stage, or nil when Config.ANNCandidates is off.
-func (s *System) ANNIndex() *ann.Index { return s.annIndex }
-
-// RetrievalStats snapshots the embedding-retrieval path (per-query
-// search latency, candidate counters, index size, sampled recall); ok
-// is false when ANN retrieval is disabled.
-func (s *System) RetrievalStats() (pipeline.RetrievalStats, ann.Stats, bool) {
-	if s.annIndex == nil {
-		return pipeline.RetrievalStats{}, ann.Stats{}, false
-	}
-	return s.pipe.Retrieval(), s.annIndex.Snapshot(), true
 }
 
 // PipelineStats snapshots the staged pipeline's per-stage latency and
@@ -1028,7 +976,7 @@ func (s *System) planTrip(userID string, partial trajectory.Trace, now time.Time
 		Timeline: tl,
 		Trace:    tr,
 	}
-	s.pipe.Run(t)
+	s.runPlan(t)
 	off := tr.StartSpan()
 	tp, err := s.finishPlanTask(t)
 	tr.EndSpan("finish", off)
@@ -1056,8 +1004,21 @@ func (s *System) WarmPlan(userID string, from, dest predict.PlaceID, prob float6
 		Dest: dest,
 		Prob: prob,
 	}
-	s.pipe.Run(t)
+	s.runPlan(t)
 	return s.finishPlanTask(t)
+}
+
+// runPlan runs a plan-mode task without the items the user skipped or
+// disliked — the set and retention rule the skip paths use — so a
+// dislike changes the next plan, cold or warm. The set is read after a
+// cache version is taken and the plan is stored under that version, so
+// a dislike that lands in between leaves the plan stale rather than
+// cached as fresh.
+func (s *System) runPlan(t *pipeline.Task) {
+	ver := s.PlanCache.Snapshot(t.User)
+	t.Exclude = s.Feedback.SkippedItems(t.User)
+	s.pipe.Run(t)
+	t.CacheVer = ver
 }
 
 // WarmRequest is one WarmBatch member: an anticipated trip to warm.

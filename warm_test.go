@@ -1,9 +1,11 @@
 package pphcr
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"pphcr/internal/feedback"
 	"pphcr/internal/plancache"
 	"pphcr/internal/predict"
 	"pphcr/internal/synth"
@@ -264,4 +266,82 @@ func TestWarmPlanStaleInLogicalTime(t *testing.T) {
 	if tp2.Source == PlanSourceWarm {
 		t.Fatal("week-old plan served warm across simulated time")
 	}
+}
+
+// TestPlansExcludeDislikedItems: once the listener dislikes an item, no
+// plan of theirs holds it — neither the next cold PlanTrip nor the plan
+// WarmPlan caches and PlanTrip then serves warm.
+func TestPlansExcludeDislikedItems(t *testing.T) {
+	sys, w, user := newWarmableSystem(t)
+	partial, now := commutePartial(t, w, time.Minute, 7)
+	disliked := map[string]bool{}
+	check := func(label string, tp *TripPlan) {
+		t.Helper()
+		if !tp.Proactive || len(tp.Plan.Items) == 0 {
+			t.Fatalf("%s plan unusable: proactive=%v items=%d reason=%q", label, tp.Proactive, len(tp.Plan.Items), tp.Reason)
+		}
+		for _, it := range tp.Plan.Items {
+			if disliked[it.Scored.Item.ID] {
+				t.Fatalf("%s plan holds %s, disliked before it was planned", label, it.Scored.Item.ID)
+			}
+		}
+	}
+	// A listener with a history, as in the benchmark: the first plan's
+	// items were liked a few times each, so one dislike lowers a
+	// preference without turning it around and the disliked item would
+	// still rank.
+	first, err := sys.PlanTrip(user, partial, now, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("first", first)
+	for _, it := range first.Plan.Items {
+		for i := 0; i < 5; i++ {
+			if err := sys.AddFeedback(feedback.Event{
+				UserID: user, ItemID: it.Scored.Item.ID, Kind: feedback.Like, At: now.Add(-time.Hour), Categories: it.Scored.Item.Categories,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	for round := 0; round < 3; round++ {
+		tp, err := sys.PlanTrip(user, partial, now, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tp.Source != PlanSourceCold {
+			t.Fatalf("round %d: plan after a dislike served %q, want cold", round, tp.Source)
+		}
+		check(fmt.Sprintf("cold plan %d", round), tp)
+		// Dislike the plan's first item the way the feedback endpoint
+		// does: with the item's categories.
+		it := tp.Plan.Items[0].Scored.Item
+		if err := sys.AddFeedback(feedback.Event{
+			UserID: user, ItemID: it.ID, Kind: feedback.Dislike, At: now, Categories: it.Categories,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		disliked[it.ID] = true
+	}
+
+	cm, _ := sys.MobilityModel(user)
+	from := cm.Mobility.MatchPlace(partial[0].Point)
+	cands := cm.Mobility.PredictDestination(from, partial[0].Time)
+	if from == predict.NoPlace || len(cands) == 0 {
+		t.Fatal("trip origin or destination not predicted")
+	}
+	warmed, err := sys.WarmPlan(user, from, cands[0].Place, cands[0].Prob, partial[0].Time)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("warmed", warmed)
+	served, err := sys.PlanTrip(user, partial, now, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served.Source != PlanSourceWarm {
+		t.Fatalf("plan after WarmPlan served %q, want warm", served.Source)
+	}
+	check("warm-served", served)
 }
