@@ -31,24 +31,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var newest time.Time
-	transcripts := map[string]string{}
-	for _, raw := range world.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			log.Fatal(err)
-		}
-		transcripts[raw.ID] = raw.Speech
-		if raw.Published.After(newest) {
-			newest = raw.Published
-		}
-	}
-	now := newest.Add(time.Hour)
-	if err := sys.RegisterUser(profile.Profile{
-		UserID: "lilly", Interests: []string{"food", "culture", "travel"},
-	}); err != nil {
-		log.Fatal(err)
-	}
-
 	// ── 1. Archive geo-relevance estimation ────────────────────────────
 	fmt.Println("== 1. geographic relevance of archive items ==")
 	var gazetteer []georelevance.Place
@@ -64,13 +46,37 @@ func main() {
 		log.Fatal(err)
 	}
 	// A couple of archive items speak about a district; the estimator
-	// finds them without any editorial tagging.
+	// finds them without any editorial tagging. Scopes are estimated
+	// before ingest: an ingested item is immutable.
 	local := world.Corpus[0]
-	transcripts[local.ID] = transcripts[local.ID] + " quartiere01 quartiere01 mercato quartiere01"
-	annotated := est.Annotate(sys.Repo, transcripts)
+	var newest time.Time
+	annotated := 0
+	for i, raw := range world.Corpus {
+		transcript := raw.Speech
+		if i == 0 {
+			transcript += " quartiere01 quartiere01 mercato quartiere01"
+		}
+		if raw.Geo == nil {
+			if raw.Geo, _ = est.Estimate(transcript); raw.Geo != nil {
+				annotated++
+			}
+		}
+		if _, err := sys.IngestPodcast(raw); err != nil {
+			log.Fatal(err)
+		}
+		if raw.Published.After(newest) {
+			newest = raw.Published
+		}
+	}
 	fmt.Printf("annotated %d archive item(s) from speech alone\n", annotated)
 	if it, ok := sys.Repo.Get(local.ID); ok && it.Geo != nil {
 		fmt.Printf("  %s → center %s, radius %.0f m\n\n", it.ID, it.Geo.Center, it.Geo.Radius)
+	}
+	now := newest.Add(time.Hour)
+	if err := sys.RegisterUser(profile.Profile{
+		UserID: "lilly", Interests: []string{"food", "culture", "travel"},
+	}); err != nil {
+		log.Fatal(err)
 	}
 
 	// ── 2. Richer contexts: weather and activity ───────────────────────

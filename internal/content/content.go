@@ -35,8 +35,9 @@ func IsCategory(c string) bool {
 	return false
 }
 
-// Kind distinguishes the item types the system schedules.
-type Kind int
+// Kind distinguishes the item types the system schedules. It is a byte
+// so that the ranking features (Features) can carry it in their padding.
+type Kind uint8
 
 // Item kinds. Clips are short on-demand podcast cuts; News items decay
 // fast; TimeShifted entries reference a live program replayed from its
@@ -153,8 +154,14 @@ func NewRepository() *Repository {
 // weight, or one large enough to overflow Σw²: such an item has no
 // cosine, every comparison downstream of it is false, and which items it
 // displaces depends on the order they are evaluated in).
-// The repository reads it.Categories once, here; the map must not change
-// afterwards.
+//
+// An item is immutable once added. The repository reads its Duration,
+// Kind, Published, Geo and Categories once, here, into the ranking
+// features, the postings and the geo index, and a View hands the item to
+// planners without a lock: none of those fields (nor the Categories map
+// or the GeoRelevance it points at) may change afterwards. Set Geo
+// before Add; a later write would be a data race, invisible to GeoItems,
+// missing from the write-ahead log and ranked as if the item had none.
 func (r *Repository) Add(it *Item) error {
 	if it == nil || it.ID == "" {
 		return fmt.Errorf("content: item must have an ID")

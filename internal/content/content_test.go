@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pphcr/internal/asr"
 	"pphcr/internal/geo"
@@ -314,16 +315,24 @@ func TestGeoItemsEquivalenceWithLinearScan(t *testing.T) {
 // before the Unix epoch, inside one second, at an item's exact instant —
 // Postings from WindowStart on, filtered by Admits, is the set a scan of
 // the items finds, each beside the weight its item gives the category,
-// for items added in and out of publish order; and a view does not see
-// what is added after it was taken.
+// for items added in and out of publish order; every item's resident
+// row mirrors its duration, kind and whether it has a geographic scope;
+// and a view does not see what is added after it was taken.
 func TestViewMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cats := []string{"music", "sport", "zebra", "art"}
+	kinds := []Kind{KindClip, KindNews, KindMusic, KindTimeShifted, 4, 255}
 	base := time.Date(1969, 12, 31, 23, 59, 58, 0, time.UTC) // straddles the epoch clamp
 	r := NewRepository()
 	var items []*Item
 	add := func(i int, published time.Time) {
-		it := &Item{ID: fmt.Sprintf("v%03d", i), Duration: time.Minute, Published: published, Categories: map[string]float64{}}
+		it := &Item{
+			ID: fmt.Sprintf("v%03d", i), Kind: kinds[i%len(kinds)], Duration: time.Duration(1+i*7919) * time.Millisecond,
+			Published: published, Categories: map[string]float64{},
+		}
+		if i%3 == 0 {
+			it.Geo = &GeoRelevance{Center: torino, Radius: float64(100 * i)}
+		}
 		for _, c := range rng.Perm(len(cats))[:1+rng.Intn(3)] {
 			it.Categories[cats[c]] = rng.Float64()
 		}
@@ -344,6 +353,13 @@ func TestViewMatchesLinearScan(t *testing.T) {
 	add(120, base.Add(5*time.Second))
 	if v.Len() != seen {
 		t.Fatalf("view grew to %d items after it was taken at %d", v.Len(), seen)
+	}
+	for seq, it := range items[:seen] {
+		f := v.At(int32(seq))
+		if f.Item != it || f.Duration != it.Duration || f.Kind != it.Kind || f.HasGeo != (it.Geo != nil) {
+			t.Fatalf("seq %d: row {%s %v %v geo:%v}, item {%s %v %v geo:%v}",
+				seq, f.Item.ID, f.Duration, f.Kind, f.HasGeo, it.ID, it.Duration, it.Kind, it.Geo != nil)
+		}
 	}
 
 	cuts := []time.Time{{}, base, base.Add(18 * time.Second), items[10].Published, items[10].Published.Add(time.Nanosecond)}
@@ -406,5 +422,16 @@ func TestViewMatchesLinearScan(t *testing.T) {
 		if filed[seq] != len(it.Categories) {
 			t.Fatalf("%s: filed under %d categories, item has %d", it.ID, filed[seq], len(it.Categories))
 		}
+	}
+}
+
+// TestFeaturesRowSize guards the resident row's width. Every node keeps
+// one row per item for the catalog's life, so each 8 B added is
+// 8 B × items × nodes of live heap — 0.3 MB of the benchmark's
+// live_heap_mb at its 20 000 items on leader and follower — and the
+// copies of the item's fields fill the row's padding up to 32 B.
+func TestFeaturesRowSize(t *testing.T) {
+	if n := unsafe.Sizeof(Features{}); n > 32 {
+		t.Fatalf("content.Features is %d B, want ≤ 32", n)
 	}
 }

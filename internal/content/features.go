@@ -7,15 +7,21 @@ import (
 )
 
 // Features is what ranking needs of one item besides the item itself,
-// derived once at Add: its category vector's norm and a coarse publish
-// time. The weights themselves live in the postings.
+// derived once at Add: its category vector's norm, a coarse publish time
+// and copies of the fields a ranker reads before it can reject the item,
+// so a rejected item is never dereferenced. The weights themselves live
+// in the postings. The copies stay equal to the item's fields because an
+// item does not change once added (Repository.Add).
 type Features struct {
 	Item *Item
 	// SqrtNorm is √Σw² over the category vector, summed in category-NAME
 	// order, so its bits do not depend on which ids the categories were
 	// interned to; 0 for an item without categories.
 	SqrtNorm float64
-	pub      uint32 // pubKey(Item.Published)
+	Duration time.Duration // Item.Duration
+	pub      uint32        // pubKey(Item.Published)
+	Kind     Kind          // Item.Kind
+	HasGeo   bool          // Item.Geo != nil
 }
 
 // pubKey maps an instant to Unix seconds clamped to 32 bits. The map is
@@ -51,7 +57,7 @@ func (r *Repository) addFeatures(it *Item, seq int32) {
 	}
 	sort.Strings(names)
 	r.names = names
-	f := Features{Item: it, pub: pubKey(it.Published)}
+	f := Features{Item: it, Duration: it.Duration, pub: pubKey(it.Published), Kind: it.Kind, HasGeo: it.Geo != nil}
 	var norm float64
 	for _, cat := range names {
 		id, w := r.intern(cat), it.Categories[cat]

@@ -3,6 +3,7 @@ package core
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -197,9 +198,10 @@ func TestScheduleWithImpossibleTimeline(t *testing.T) {
 	}
 }
 
-// propertySeed, when set, runs TestSelectionMatchesFullAllocate on that
-// one instance — the repro a failure prints.
-var propertySeed = flag.Int64("selection.seed", -1, "run the selection property test on this seed only")
+// propertySeed, when set, runs TestSelectionMatchesFullAllocate and
+// TestRejectsIsTheHeapPredicate on that one instance — the repro a
+// failure prints.
+var propertySeed = flag.Int64("selection.seed", -1, "run the selection property tests on this seed only")
 
 // selectionInstance builds one random allocation problem: a planner, an
 // already-scored candidate list in arbitrary order, and the request.
@@ -309,6 +311,79 @@ func TestSelectionMatchesFullAllocate(t *testing.T) {
 		}
 		if len(survivors) > quota {
 			t.Fatalf("seed %d: %d survivors exceed the Σ⌊C/w⌋ = %d bound at C = %d\n%s", seed, len(survivors), quota, capacity, repro)
+		}
+	}
+}
+
+// heapRejects is Rejects read off the class heaps: a class that has
+// reached its ⌊C/w⌋ items and whose root is worth strictly more than the
+// bound.
+func heapRejects(s *Selection, d time.Duration, compoundBound float64) bool {
+	w := s.class(d)
+	if w == 0 {
+		return true
+	}
+	if w >= len(s.classes) {
+		return false
+	}
+	h := s.classes[w]
+	return len(h) == s.capacity/w && compoundBound*d.Seconds() < h[0].value
+}
+
+// TestRejectsIsTheHeapPredicate: the per-class thresholds Offer keeps
+// answer what the heaps answer. After every Offer of a
+// TestSelectionMatchesFullAllocate instance, Rejects agrees with
+// heapRejects on sampled durations — of offered items, and arbitrary
+// ones down to classes no plan holds — against bounds on and one ulp
+// either side of each class's threshold, ordinary, zero, infinite and
+// NaN; and an item Rejects refused, offered anyway, leaves Ranked as it
+// was.
+func TestRejectsIsTheHeapPredicate(t *testing.T) {
+	first, last := int64(0), int64(2000)
+	if *propertySeed >= 0 {
+		first, last = *propertySeed, *propertySeed+1
+	}
+	var sel Selection
+	for seed := first; seed < last; seed++ {
+		p, scored, req := selectionInstance(seed)
+		rng := rand.New(rand.NewSource(^seed))
+		sel.Reset(p, req.Ctx.DeltaT)
+		repro := fmt.Sprintf("repro: go test ./internal/core -run TestRejectsIsTheHeapPredicate -selection.seed=%d", seed)
+		for i, sc := range scored {
+			sel.Offer(sc)
+			for probe := 0; probe < 4; probe++ {
+				d := scored[rng.Intn(len(scored))].Item.Duration
+				if rng.Intn(4) == 0 {
+					d = time.Duration(1+rng.Int63n(int64(100*time.Minute))) * time.Nanosecond
+				}
+				var bound float64
+				switch w := sel.class(d); rng.Intn(6) {
+				case 0, 1:
+					bound = rng.Float64() * 1.2
+				case 2:
+					bound = []float64{0, math.Inf(1), math.Inf(-1), math.NaN()}[rng.Intn(4)]
+				default:
+					if w == 0 || w >= len(sel.classes) || len(sel.classes[w]) == 0 {
+						bound = scored[rng.Intn(len(scored))].Compound
+						break
+					}
+					bound = sel.classes[w][0].value / d.Seconds()
+					bound = math.Nextafter(bound, bound+float64(rng.Intn(3)-1))
+				}
+				got, want := sel.Rejects(d, bound), heapRejects(&sel, d, bound)
+				if got != want {
+					t.Fatalf("seed %d, after offer %d: Rejects(%v, %v) = %v, the heaps say %v\n%s", seed, i, d, bound, got, want, repro)
+				}
+				if !got || rng.Intn(16) != 0 {
+					continue
+				}
+				before := slices.Clone(sel.Ranked())
+				refused := item(fmt.Sprintf("refused-%d-%d", i, probe), "food", d)
+				sel.Offer(recommend.Scored{Item: refused, Content: bound, Context: bound, Compound: bound})
+				if after := sel.Ranked(); !slices.Equal(after, before) {
+					t.Fatalf("seed %d, after offer %d: a refused item of %v at %v changed the selection\n got:  %d items\n want: %d items\n%s", seed, i, d, bound, len(after), len(before), repro)
+				}
+			}
 		}
 	}
 }

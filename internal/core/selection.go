@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -36,7 +37,10 @@ type Selection struct {
 	// classes[w] is a heap of the best ⌊capacity/w⌋ items of slot-weight
 	// w offered so far, the worst of them at the root.
 	classes [][]selEntry
-	ranked  []recommend.Scored
+	// floors[w] is the value an item of class w must reach to be kept:
+	// -Inf while the class has room, its root's value once it is full.
+	floors []float64
+	ranked []recommend.Scored
 }
 
 type selEntry struct {
@@ -59,6 +63,7 @@ func (s *Selection) Reset(p *Planner, deltaT time.Duration) {
 	s.gran, s.capacity = p.slots(deltaT)
 	for w := range s.classes {
 		s.classes[w] = s.classes[w][:0]
+		s.floors[w] = math.Inf(-1)
 	}
 }
 
@@ -81,11 +86,7 @@ func (s *Selection) Rejects(d time.Duration, compoundBound float64) bool {
 	if w == 0 {
 		return true
 	}
-	if w >= len(s.classes) {
-		return false
-	}
-	h := s.classes[w]
-	return len(h) == s.capacity/w && compoundBound*d.Seconds() < h[0].value
+	return w < len(s.floors) && compoundBound*d.Seconds() < s.floors[w]
 }
 
 // Offer adds one scored item to the selection.
@@ -94,8 +95,9 @@ func (s *Selection) Offer(sc recommend.Scored) {
 	if w == 0 {
 		return
 	}
-	if w >= len(s.classes) {
-		s.classes = append(s.classes, make([][]selEntry, w+1-len(s.classes))...)
+	for len(s.classes) <= w {
+		s.classes = append(s.classes, nil)
+		s.floors = append(s.floors, math.Inf(-1))
 	}
 	e := selEntry{sc: sc, value: slotValue(sc)}
 	h := s.classes[w]
@@ -110,25 +112,27 @@ func (s *Selection) Offer(sc recommend.Scored) {
 			h[i], h[parent] = h[parent], h[i]
 			i = parent
 		}
+	} else if e.below(&h[0]) {
 		return
+	} else {
+		h[0] = e
+		for i := 0; ; {
+			l, r, m := 2*i+1, 2*i+2, i
+			if l < len(h) && h[l].below(&h[m]) {
+				m = l
+			}
+			if r < len(h) && h[r].below(&h[m]) {
+				m = r
+			}
+			if m == i {
+				break
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
 	}
-	if e.below(&h[0]) {
-		return
-	}
-	h[0] = e
-	for i := 0; ; {
-		l, r, m := 2*i+1, 2*i+2, i
-		if l < len(h) && h[l].below(&h[m]) {
-			m = l
-		}
-		if r < len(h) && h[r].below(&h[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+	if len(h) == s.capacity/w {
+		s.floors[w] = h[0].value
 	}
 }
 

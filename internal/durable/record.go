@@ -145,8 +145,8 @@ func readRecord(r *bufio.Reader) (Event, error) {
 	if n <= seqSize || n > maxRecordSize {
 		return Event{}, ErrTorn
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, int(n))
+	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return Event{}, ErrTorn // partial body
 		}
@@ -160,4 +160,31 @@ func readRecord(r *bufio.Reader) (Event, error) {
 		Type:    Type(body[seqSize]),
 		Payload: body[seqSize+1:],
 	}, nil
+}
+
+// bodyChunk is as much as readBody allocates before the stream has shown
+// that it holds more.
+const bodyChunk = 64 << 10
+
+// readBody reads an n-byte record body. A body of up to bodyChunk bytes
+// is read into one buffer of exactly n; a longer one into buffers that
+// double as its bytes arrive, the last of them exactly n. A torn
+// header's length field can read up to maxRecordSize, and the tear is
+// only proven by the short read: this way it costs about twice the bytes
+// the stream actually holds, not the size the header claims.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, min(n, bodyChunk))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, body[got:])
+		got += m
+		if err != nil {
+			return nil, err
+		}
+		if got == n {
+			return body, nil
+		}
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, body)
+		body = grown
+	}
 }

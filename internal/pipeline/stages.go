@@ -188,15 +188,6 @@ func (set *candSet) start(deps *Deps, now time.Time) {
 	}
 }
 
-// contextBase is Scorer.ContextBase for the item at the set's instant
-// under a plain context.
-func (set *candSet) contextBase(scorer *recommend.Scorer, it *content.Item) float64 {
-	if k := int(it.Kind); k >= 0 && k < len(set.kindBase) {
-		return set.kindBase[k]
-	}
-	return scorer.ContextBase(it, recommend.Context{Now: set.now})
-}
-
 // prefWeight is one coordinate of a preference vector.
 type prefWeight struct {
 	cat string
@@ -454,11 +445,7 @@ func (r *ranking) accumulate() {
 			}
 			cur[c].seqs, cur[c].ws = seqs[i:], ws[i:]
 		}
-		for j, dot := range acc {
-			if dot > 0 {
-				r.score(lo+int32(j), dot)
-			}
-		}
+		r.score(lo, acc)
 		clear(acc)
 	}
 	// A pooled set must not keep the catalog's arrays reachable.
@@ -466,35 +453,56 @@ func (r *ranking) accumulate() {
 	set.cursors = cur[:0]
 }
 
-// score turns item seq's dot product into its scores and offers the
-// item to the task's selection or top-k heap.
-func (r *ranking) score(seq int32, dot float64) {
-	f := r.set.view.At(seq)
-	if !r.cut.Admits(f) {
-		return
-	}
-	if dot <= 0 || f.SqrtNorm == 0 {
-		return // cos ≤ 0: actively disliked or disjoint
-	}
-	it, t, scorer := f.Item, r.t, r.s.deps.Scorer
-	cos := dot / r.set.fp.sqrtNa / f.SqrtNorm
-	var ctxScore float64
-	if r.rich {
-		ctxScore = scorer.ContextScore(it, t.Ctx)
-	} else {
-		ctxScore = 0.5*scorer.GeoScore(it, &t.Ctx) + r.set.contextBase(scorer, it)
-	}
-	// cos bounds the content score from above; an item that cannot enter
-	// on the bound is dropped before its freshness is computed.
-	bound := scorer.Compound(cos, ctxScore)
-	full := t.K > 0 && len(r.out) >= t.K
-	if r.sel != nil {
-		if r.sel.Rejects(it.Duration, bound) {
-			return
+// score turns the dot products of the block of items numbered from lo
+// into scores and offers each item whose cosine is positive to the
+// task's selection or top-k heap. Up to the bound check it reads only
+// the items' resident features — an item itself only when it has a
+// geographic scope or the context is rich — so an item the bound
+// rejects, nearly all of them, is never dereferenced, and costs no call.
+func (r *ranking) score(lo int32, acc []float64) {
+	t, set, scorer := r.t, r.set, r.s.deps.Scorer
+	for j, dot := range acc {
+		if dot <= 0 {
+			continue // cos ≤ 0: actively disliked or disjoint
 		}
-	} else if full && bound < r.out[0].Compound {
-		return
+		f := set.view.At(lo + int32(j))
+		if !r.cut.Admits(f) || f.SqrtNorm == 0 {
+			continue
+		}
+		cos := dot / set.fp.sqrtNa / f.SqrtNorm
+		var ctxScore float64
+		if r.rich {
+			ctxScore = scorer.ContextScore(f.Item, t.Ctx)
+		} else {
+			geoScore := 0.5 // Scorer.GeoScore of an item without a scope
+			if f.HasGeo {
+				geoScore = scorer.GeoScore(f.Item, &t.Ctx)
+			}
+			var base float64
+			if k := int(f.Kind); k < len(set.kindBase) {
+				base = set.kindBase[k]
+			} else {
+				base = scorer.ContextBase(f.Item, recommend.Context{Now: set.now})
+			}
+			ctxScore = 0.5*geoScore + base
+		}
+		// cos bounds the content score from above; an item that cannot
+		// enter on the bound is dropped before its freshness is computed.
+		bound := scorer.Compound(cos, ctxScore)
+		if r.sel != nil {
+			if r.sel.Rejects(f.Duration, bound) {
+				continue
+			}
+		} else if t.K > 0 && len(r.out) >= t.K && bound < r.out[0].Compound {
+			continue
+		}
+		r.offer(f.Item, cos, ctxScore)
 	}
+}
+
+// offer finishes scoring an item the bound let through and offers it.
+func (r *ranking) offer(it *content.Item, cos, ctxScore float64) {
+	t, scorer := r.t, r.s.deps.Scorer
 	// Only items the bound let through pay the lookup; both bound checks
 	// read just the heap, which an excluded item never enters.
 	if t.Exclude[it.ID] {
@@ -513,7 +521,7 @@ func (r *ranking) score(seq int32, dot float64) {
 	switch {
 	case r.sel != nil:
 		r.sel.Offer(sc)
-	case full:
+	case t.K > 0 && len(r.out) >= t.K:
 		// Bounded min-heap: out[0] is the worst of the current top k; a
 		// better candidate replaces it and sifts down.
 		if !worse(sc, r.out[0]) {
