@@ -153,7 +153,8 @@ func NewRepository() *Repository {
 // durations and category vectors without a finite norm (a NaN or ±Inf
 // weight, or one large enough to overflow Σw²: such an item has no
 // cosine, every comparison downstream of it is false, and which items it
-// displaces depends on the order they are evaluated in).
+// displaces depends on the order they are evaluated in), and, for the
+// same reason, a geographic scope whose geo score would be NaN.
 //
 // An item is immutable once added. The repository reads its Duration,
 // Kind, Published, Geo and Categories once, here, into the ranking
@@ -175,6 +176,9 @@ func (r *Repository) Add(it *Item) error {
 	}
 	if math.IsNaN(norm) || math.IsInf(norm, 0) {
 		return fmt.Errorf("content: item %q must have finite category weights", it.ID)
+	}
+	if g := it.Geo; g != nil && (!g.Center.Valid() || math.IsNaN(g.Radius)) {
+		return fmt.Errorf("content: item %q must have its geographic scope on the globe", it.ID)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

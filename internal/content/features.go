@@ -22,6 +22,18 @@ type Features struct {
 	pub      uint32        // pubKey(Item.Published)
 	Kind     Kind          // Item.Kind
 	HasGeo   bool          // Item.Geo != nil
+	Slots    uint16        // SlotsOf(Item.Duration), saturated at math.MaxUint16
+}
+
+// Slot is the planner's time quantum: a plan of ΔT holds ⌊ΔT/Slot⌋ slots.
+const Slot = 15 * time.Second
+
+// SlotsOf returns ⌈d/Slot⌉, the slots an item of duration d takes (0 if d ≤ 0).
+func SlotsOf(d time.Duration) int {
+	if d <= 0 {
+		return 0
+	}
+	return int((d-1)/Slot) + 1
 }
 
 // pubKey maps an instant to Unix seconds clamped to 32 bits. The map is
@@ -58,6 +70,7 @@ func (r *Repository) addFeatures(it *Item, seq int32) {
 	sort.Strings(names)
 	r.names = names
 	f := Features{Item: it, Duration: it.Duration, pub: pubKey(it.Published), Kind: it.Kind, HasGeo: it.Geo != nil}
+	f.Slots = uint16(min(SlotsOf(it.Duration), math.MaxUint16))
 	var norm float64
 	for _, cat := range names {
 		id, w := r.intern(cat), it.Categories[cat]

@@ -43,8 +43,6 @@ type Planner struct {
 	// DistractionThreshold is the level at or above which content
 	// transitions are forbidden.
 	DistractionThreshold distraction.Level
-	// SlotGranularity is the knapsack time quantum.
-	SlotGranularity time.Duration
 }
 
 // NewPlanner returns a planner with the experiment defaults.
@@ -55,7 +53,6 @@ func NewPlanner(scorer *recommend.Scorer) *Planner {
 		MinConfidence:        0.5,
 		MaxItems:             8,
 		DistractionThreshold: 0.65,
-		SlotGranularity:      15 * time.Second,
 	}
 }
 
@@ -188,20 +185,6 @@ type knapScratch struct {
 
 var knapPool = sync.Pool{New: func() any { return new(knapScratch) }}
 
-// slots returns the knapsack's time quantum and ΔT's capacity in quanta.
-func (p *Planner) slots(deltaT time.Duration) (gran time.Duration, capacity int) {
-	gran = p.SlotGranularity
-	if gran <= 0 {
-		gran = 15 * time.Second
-	}
-	return gran, int(deltaT / gran)
-}
-
-// slotWeight is the number of quanta an item of duration d occupies.
-func slotWeight(d, gran time.Duration) int {
-	return int((d + gran - 1) / gran) // ceil
-}
-
 // slotValue is what scheduling an item adds to the knapsack objective.
 func slotValue(sc recommend.Scored) float64 {
 	return sc.Compound * sc.Item.Duration.Seconds()
@@ -209,9 +192,9 @@ func slotValue(sc recommend.Scored) float64 {
 
 // knapsack selects the subset of ranked items maximizing
 // Σ compound×duration within the ΔT capacity (classic 0/1 DP over
-// SlotGranularity quanta).
+// content.Slot quanta).
 func (p *Planner) knapsack(ranked []recommend.Scored, deltaT time.Duration) []recommend.Scored {
-	gran, capacity := p.slots(deltaT)
+	capacity := int(deltaT / content.Slot)
 	if capacity <= 0 {
 		return nil
 	}
@@ -219,7 +202,7 @@ func (p *Planner) knapsack(ranked []recommend.Scored, deltaT time.Duration) []re
 	defer knapPool.Put(ks)
 	cands := ks.cands[:0]
 	for _, sc := range ranked {
-		w := slotWeight(sc.Item.Duration, gran)
+		w := content.SlotsOf(sc.Item.Duration)
 		if w == 0 || w > capacity {
 			continue
 		}

@@ -149,7 +149,7 @@ func TestKnapsackOptimalVsBruteForce(t *testing.T) {
 
 	// Brute force over all subsets (respecting the DP's ceil-granularity
 	// accounting, which is what the planner actually enforces).
-	gran := p.SlotGranularity
+	gran := content.Slot
 	capacity := int(ctx.DeltaT / gran)
 	best := 0.0
 	for mask := 0; mask < 1<<len(ranked); mask++ {

@@ -140,7 +140,7 @@ func TestKnapsackDominatesGreedy(t *testing.T) {
 		// The DP works on ceil-granularity weights, which can cost it up
 		// to one slot per item vs. the continuous greedy accounting;
 		// allow that quantization slack.
-		slack := float64(len(dp)) * p.SlotGranularity.Seconds()
+		slack := float64(len(dp)) * content.Slot.Seconds()
 		if dpValue+slack < greedyValue {
 			t.Fatalf("seed %d: knapsack %v < greedy %v", seed, dpValue, greedyValue)
 		}
@@ -215,7 +215,6 @@ func selectionInstance(seed int64) (*Planner, []recommend.Scored, Request) {
 	rng := rand.New(rand.NewSource(seed))
 	p := newTestPlanner()
 	p.MaxItems = []int{0, 3, 8}[rng.Intn(3)]
-	p.SlotGranularity = []time.Duration{15 * time.Second, 15 * time.Second, 30 * time.Second, time.Minute}[rng.Intn(4)]
 	var deltaT time.Duration
 	switch rng.Intn(6) {
 	case 0:
@@ -286,7 +285,7 @@ func TestSelectionMatchesFullAllocate(t *testing.T) {
 		want := p.Allocate(ranked, req)
 
 		rng := rand.New(rand.NewSource(^seed))
-		sel.Reset(p, req.Ctx.DeltaT)
+		sel.Reset(req.Ctx.DeltaT)
 		for _, sc := range scored {
 			bound := sc.Compound
 			if rng.Intn(2) == 0 {
@@ -304,7 +303,7 @@ func TestSelectionMatchesFullAllocate(t *testing.T) {
 			t.Fatalf("seed %d: plan from %d survivors differs from plan from all %d items\n got:  %s\n want: %s\n%s",
 				seed, len(survivors), len(ranked), planString(got), planString(want), repro)
 		}
-		_, capacity := p.slots(req.Ctx.DeltaT)
+		capacity := int(req.Ctx.DeltaT / content.Slot)
 		quota := 0
 		for w := 1; w <= capacity; w++ {
 			quota += capacity / w
@@ -345,9 +344,9 @@ func TestRejectsIsTheHeapPredicate(t *testing.T) {
 	}
 	var sel Selection
 	for seed := first; seed < last; seed++ {
-		p, scored, req := selectionInstance(seed)
+		_, scored, req := selectionInstance(seed)
 		rng := rand.New(rand.NewSource(^seed))
-		sel.Reset(p, req.Ctx.DeltaT)
+		sel.Reset(req.Ctx.DeltaT)
 		repro := fmt.Sprintf("repro: go test ./internal/core -run TestRejectsIsTheHeapPredicate -selection.seed=%d", seed)
 		for i, sc := range scored {
 			sel.Offer(sc)

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"pphcr/internal/content"
 	"pphcr/internal/recommend"
 )
 
@@ -13,7 +14,7 @@ import (
 // hand Allocate the thousands it cannot. Allocate over Ranked() returns
 // the plan it returns over every item offered.
 //
-// Why nothing is lost. The knapsack has C = ΔT/SlotGranularity slots and
+// Why nothing is lost. The knapsack has C = ΔT/content.Slot slots and
 // an item of slot-weight w takes w of them, so no schedule holds more
 // than ⌊C/w⌋ items of weight w. Order each weight class by value
 // (compound × seconds) descending, ties in ranking order. If a schedule
@@ -32,7 +33,6 @@ import (
 // The zero value is ready for Reset; a Selection is reusable but not
 // safe for concurrent use.
 type Selection struct {
-	gran     time.Duration
 	capacity int
 	// classes[w] is a heap of the best ⌊capacity/w⌋ items of slot-weight
 	// w offered so far, the worst of them at the root.
@@ -57,10 +57,9 @@ func (e *selEntry) below(o *selEntry) bool {
 	return recommend.CompareRank(e.sc, o.sc) > 0
 }
 
-// Reset empties the selection and sizes it for a plan of deltaT under
-// p's slot granularity.
-func (s *Selection) Reset(p *Planner, deltaT time.Duration) {
-	s.gran, s.capacity = p.slots(deltaT)
+// Reset empties the selection and sizes it for a plan of deltaT.
+func (s *Selection) Reset(deltaT time.Duration) {
+	s.capacity = int(deltaT / content.Slot)
 	for w := range s.classes {
 		s.classes[w] = s.classes[w][:0]
 		s.floors[w] = math.Inf(-1)
@@ -70,7 +69,7 @@ func (s *Selection) Reset(p *Planner, deltaT time.Duration) {
 // class returns the slot-weight of an item of duration d, or 0 when no
 // plan can hold it.
 func (s *Selection) class(d time.Duration) int {
-	if w := slotWeight(d, s.gran); w <= s.capacity {
+	if w := content.SlotsOf(d); w <= s.capacity {
 		return w
 	}
 	return 0
@@ -89,11 +88,14 @@ func (s *Selection) Rejects(d time.Duration, compoundBound float64) bool {
 	return w < len(s.floors) && compoundBound*d.Seconds() < s.floors[w]
 }
 
-// Offer adds one scored item to the selection.
-func (s *Selection) Offer(sc recommend.Scored) {
-	w := s.class(sc.Item.Duration)
-	if w == 0 {
-		return
+// Capacity returns the size of the plan in slots.
+func (s *Selection) Capacity() int { return s.capacity }
+
+// Offer adds one scored item; when that sets its class w's floor, it
+// returns w and the floor, else 0.
+func (s *Selection) Offer(sc recommend.Scored) (w int, floor float64) {
+	if w = s.class(sc.Item.Duration); w == 0 {
+		return 0, 0
 	}
 	for len(s.classes) <= w {
 		s.classes = append(s.classes, nil)
@@ -113,7 +115,7 @@ func (s *Selection) Offer(sc recommend.Scored) {
 			i = parent
 		}
 	} else if e.below(&h[0]) {
-		return
+		return 0, 0
 	} else {
 		h[0] = e
 		for i := 0; ; {
@@ -133,7 +135,9 @@ func (s *Selection) Offer(sc recommend.Scored) {
 	}
 	if len(h) == s.capacity/w {
 		s.floors[w] = h[0].value
+		return w, h[0].value
 	}
+	return 0, 0
 }
 
 // Ranked returns the surviving items in ranking order. The slice is the

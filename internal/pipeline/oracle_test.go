@@ -75,6 +75,7 @@ type oracleInstance struct {
 	prefs   map[string]float64
 	ctx     recommend.Context
 	exclude map[string]bool
+	lambda  float64 // the scorer's context weight
 }
 
 func newOracleInstance(seed int64) oracleInstance {
@@ -154,8 +155,14 @@ func newOracleInstance(seed int64) oracleInstance {
 			in.exclude[in.items[rng.Intn(n)].ID] = true
 		}
 	}
+	in.lambda = oracleLambdas[rng.Intn(len(oracleLambdas))]
 	return in
 }
+
+// oracleLambdas are the context weights the property tests draw: the
+// ends, where the compound is one score alone, the default, and near 1,
+// where a cosine's weight is small beside the context's.
+var oracleLambdas = []float64{0, 0.4, 0.9, 0.999, 1}
 
 // reference ranks the instance the slow way: scan the items, keep the
 // candidate window, drop the excluded, Scorer.Rank.
@@ -218,8 +225,8 @@ func sameScores(got, want []recommend.Scored) bool {
 var oracleBlocks = []int{1, 3, 64, defaultBlock}
 
 // TestPlanMatchesOracle is the selection ≡ oracle property: over seeded
-// random catalogs, preference vectors, contexts, windows, ΔTs and
-// exclude sets, at every block length in oracleBlocks,
+// random catalogs, preference vectors, contexts, context weights λ,
+// windows, ΔTs and exclude sets, at every block length in oracleBlocks,
 //
 //   - a ModeRank task returns what Scorer.Rank returns over a linear
 //     scan of the window, and for k > 0 the head of that;
@@ -247,6 +254,7 @@ func TestPlanMatchesOracle(t *testing.T) {
 			}
 		}
 		p, deps := planPipeline(repo, map[string]map[string]float64{"u": in.prefs})
+		deps.Scorer.ContextWeight = in.lambda
 		ref := in.reference(deps.Scorer)
 		req := core.Request{Prefs: in.prefs, Ctx: in.ctx}
 		proactive, _ := deps.Planner.ShouldRecommend(core.Situation{Ctx: in.ctx, TripConfidence: 1})
@@ -502,6 +510,15 @@ func BenchmarkColdPlanDense(b *testing.B) {
 	benchColdPlan(b, repo, prefs)
 }
 
+// BenchmarkColdPlanMixed is the dense task over a catalog whose
+// durations are uniform in 90–689 s at 1 s: about 41 slot classes, a
+// different one from item to item, where the dense catalog has one.
+func BenchmarkColdPlanMixed(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	repo, prefs := denseCatalogOf(b, 20_000, func() time.Duration { return time.Duration(90+rng.Intn(600)) * time.Second })
+	benchColdPlan(b, repo, prefs)
+}
+
 // BenchmarkColdPlanDense200k is the dense task over ten times the
 // items: the exact Candidates and Rank stages at the largest catalog
 // size the repository keeps a guard for.
@@ -517,6 +534,12 @@ func BenchmarkColdPlanDense200k(b *testing.B) {
 // items, which leaves a weight on every one of the 30 categories, so
 // every item in the window is scored.
 func denseCatalog(tb testing.TB, n int) (*content.Repository, map[string]float64) {
+	return denseCatalogOf(tb, n, func() time.Duration { return 4 * time.Minute })
+}
+
+// denseCatalogOf is denseCatalog with each item's duration drawn from
+// duration.
+func denseCatalogOf(tb testing.TB, n int, duration func() time.Duration) (*content.Repository, map[string]float64) {
 	rng := rand.New(rand.NewSource(1))
 	repo := content.NewRepository()
 	items := make([]*content.Item, n)
@@ -535,7 +558,7 @@ func denseCatalog(tb testing.TB, n int) (*content.Repository, map[string]float64
 		items[i] = &content.Item{
 			ID:         fmt.Sprintf("cat-%06d", i),
 			Kind:       content.KindClip,
-			Duration:   4 * time.Minute,
+			Duration:   duration(),
 			Published:  testEpoch.Add(-4*time.Hour + time.Duration(i)*4*time.Hour/time.Duration(len(items))),
 			Categories: cats,
 		}

@@ -168,6 +168,11 @@ type candSet struct {
 	// dot-product accumulators, all zero whenever Rank is not running.
 	cursors []cursor
 	acc     []float64
+	// Admission rows: T[w][c] at rows[w*rowCols+c], last the +∞ row (0: none).
+	rows     []float64
+	last     int
+	lamCtx   [rowCols]float64 // λ·ĉ_c
+	rowScale float64          // √Na / (1−λ)
 }
 
 // cursor is what is left to read of one preferred category's postings:
@@ -389,7 +394,7 @@ func (s *indexRank) Rank(t *Task) {
 		if sel == nil {
 			sel = new(core.Selection)
 		}
-		sel.Reset(s.deps.Planner, t.Ctx.DeltaT)
+		sel.Reset(t.Ctx.DeltaT)
 		//pphcr:allow poolescape task-scoped buffer: the Allocate stage puts sel back after consuming the ranking
 		t.sel = sel
 	}
@@ -400,6 +405,7 @@ func (s *indexRank) Rank(t *Task) {
 	}
 	// Without a preference that has a direction every cosine is zero.
 	if set.fp.sqrtNa > 0 {
+		r.startRows()
 		r.accumulate()
 	}
 	if r.sel != nil {
@@ -466,7 +472,7 @@ func (r *ranking) score(lo int32, acc []float64) {
 			continue // cos ≤ 0: actively disliked or disjoint
 		}
 		f := set.view.At(lo + int32(j))
-		if !r.cut.Admits(f) || f.SqrtNorm == 0 {
+		if set.last > 0 && set.rowRejects(f, dot) || !r.cut.Admits(f) || f.SqrtNorm == 0 {
 			continue
 		}
 		cos := dot / set.fp.sqrtNa / f.SqrtNorm
@@ -520,7 +526,7 @@ func (r *ranking) offer(it *content.Item, cos, ctxScore float64) {
 	}
 	switch {
 	case r.sel != nil:
-		r.sel.Offer(sc)
+		r.keep(sc)
 	case t.K > 0 && len(r.out) >= t.K:
 		// Bounded min-heap: out[0] is the worst of the current top k; a
 		// better candidate replaces it and sifts down.
@@ -535,6 +541,67 @@ func (r *ranking) offer(it *content.Item, cos, ctxScore float64) {
 				siftDown(r.out, i)
 			}
 		}
+	}
+}
+
+// Admission rows. A plan-mode task with 0 ≤ λ < 1 skips an item of slot
+// class w and context column c, without a division, when dot < T[w][c]·√Ni:
+//
+//	T[w][c] = (F_w − λ·ĉ_c) / (1 − λ) · √Na,  F_w = floor[w] / (w·Slot),
+//
+// ĉ_c bounding the context score: 0.5·0.5 + kindBase[k], exactly, for a
+// geo-less item of kind k < 4 under a plain context, else ContextCeiling.
+// Sound: secs ≤ w·Slot and compound = (1−λ)·dot/(√Na·√Ni) + λ·ctx, so
+// dot < T·√Ni gives compound < F_w and, as T > 0 means F_w > λ·ĉ ≥ 0,
+// compound·secs < floor[w]: Rejects refuses it. Taking F_w rowMargin
+// smaller covers each rounding (relative 2⁻⁵³ of a term ≤ F_w) and
+// underflow (absolute 2⁻¹⁰⁷⁵; √Na, √Ni ≥ 2⁻⁵³⁷) once F_w ≥ 2⁻⁵⁰⁰, below
+// which a row rejects nothing. T is −∞ while a class has room, +∞ past
+// the capacity, and recomputed when Offer sets a floor (keep).
+const (
+	rowCols   = int(content.KindTimeShifted) + 2 // a column per known kind, and the last
+	rowMargin = 1e-9
+)
+
+// startRows fills a plan-mode task's rows; none at λ = 1 (the compound does
+// not depend on the cosine) or past MaxUint16 slots (Slots saturates).
+func (r *ranking) startRows() {
+	lambda, set := r.s.deps.Scorer.ContextWeight, r.set
+	if set.last = 0; r.sel == nil || !(lambda >= 0 && lambda < 1) || r.sel.Capacity() >= math.MaxUint16 {
+		return
+	}
+	for c := range set.lamCtx {
+		set.lamCtx[c] = lambda * recommend.ContextCeiling(r.t.Ctx)
+		if c < len(set.kindBase) && !r.rich {
+			set.lamCtx[c] = lambda * (0.5*0.5 + set.kindBase[c])
+		}
+	}
+	set.rowScale = set.fp.sqrtNa / (1 - lambda)
+	set.last, set.rows = r.sel.Capacity()+1, set.rows[:0]
+	for i := range (set.last + 1) * rowCols {
+		set.rows = append(set.rows, math.Inf(i/rowCols/set.last*2-1)) // −∞, +∞ in the last row
+	}
+}
+
+// rowRejects reports whether the item's admission row rejects it.
+func (set *candSet) rowRejects(f *content.Features, dot float64) bool {
+	c := min(int(f.Kind), rowCols-1)
+	if f.HasGeo {
+		c = rowCols - 1
+	}
+	return dot < set.rows[min(int(f.Slots), set.last)*rowCols+c]*f.SqrtNorm
+}
+
+// keep offers an item and recomputes the row of the class whose floor
+// that set; clamping T to the largest float only rejects less.
+func (r *ranking) keep(sc recommend.Scored) {
+	w, floor := r.sel.Offer(sc)
+	perSec := floor / (float64(w) * content.Slot.Seconds()) * (1 - rowMargin)
+	if w == 0 || w >= r.set.last || !(perSec >= 0x1p-500) {
+		return
+	}
+	for c, lc := range r.set.lamCtx {
+		r.set.rows[w*rowCols+c] = min((perSec-lc)*r.set.rowScale, math.MaxFloat64)
 	}
 }
 

@@ -107,6 +107,16 @@ func (s *Scorer) ContextBase(it *content.Item, ctx Context) float64 {
 		0.15*activityScore(it, ctx.Activity)
 }
 
+// ContextCeiling bounds ContextScore under ctx: 1, as each term is at most
+// 1 and the weights sum to 1, or +Inf under clear weather, whose term a
+// negative weight raises, and at a position off the globe (NaN distance).
+func ContextCeiling(ctx Context) float64 {
+	if ctx.Weather != WeatherUnknown && ctx.Weather.Severity() == 0 || len(ctx.Route) < 2 && !ctx.Position.Valid() {
+		return math.Inf(1)
+	}
+	return 1
+}
+
 // GeoScore exposes the geographic relevance term for stage
 // implementations that assemble the context score incrementally. The
 // context is passed by pointer because rankers call this once per

@@ -11,6 +11,7 @@ package replicate
 import (
 	"encoding/json"
 	"fmt"
+	"net/url"
 	"os"
 	"sort"
 )
@@ -49,6 +50,9 @@ type Topology struct {
 // defaultVNodes balances ring-lookup cost against ownership skew.
 const defaultVNodes = 64
 
+// MaxVNodes bounds Topology.VNodes, which NewRing allocates per node.
+const MaxVNodes = 1024
+
 // LoadTopology reads and validates a topology file.
 func LoadTopology(path string) (*Topology, error) {
 	data, err := os.ReadFile(path)
@@ -67,8 +71,8 @@ func LoadTopology(path string) (*Topology, error) {
 
 // Validate checks structural invariants.
 func (t *Topology) Validate() error {
-	if len(t.Nodes) == 0 {
-		return fmt.Errorf("no nodes")
+	if len(t.Nodes) == 0 || t.VNodes < 0 || t.VNodes > MaxVNodes {
+		return fmt.Errorf("%d nodes and %d vnodes: want nodes, and vnodes in [0, %d]", len(t.Nodes), t.VNodes, MaxVNodes)
 	}
 	seen := make(map[string]bool, len(t.Nodes))
 	for _, n := range t.Nodes {
@@ -79,6 +83,11 @@ func (t *Topology) Validate() error {
 			return fmt.Errorf("duplicate node id %q", n.ID)
 		}
 		seen[n.ID] = true
+		for _, raw := range []string{n.URL, n.Standby} { // no standby: unreplicated
+			if u, err := url.Parse(raw); raw != "" && (err != nil || u.Scheme != "http" && u.Scheme != "https" || u.Host == "") {
+				return fmt.Errorf("node %q: %q is not an http(s) URL with a host", n.ID, raw)
+			}
+		}
 	}
 	return nil
 }

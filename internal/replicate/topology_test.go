@@ -1,10 +1,12 @@
 package replicate
 
 import (
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -126,4 +128,63 @@ func TestHash64IsFNV1a(t *testing.T) {
 			t.Fatalf("hash64(%q) = %x, hash/fnv says %x", s, got, want)
 		}
 	}
+}
+
+// TestValidateBoundsVNodesAndURLs: Validate refuses what would crash or
+// silently break a node — a vnode count the ring cannot allocate, and a
+// url or standby the router cannot forward to: one that does not parse
+// (the router dropped the error and left the partition without a
+// leader) or one without an http(s) scheme and a host (a scheme-less
+// "localhost:8080" parses with scheme "localhost").
+func TestValidateBoundsVNodesAndURLs(t *testing.T) {
+	topo := func(vnodes int, url, standby string) *Topology {
+		return &Topology{Version: 1, VNodes: vnodes, Nodes: []Node{
+			{ID: "a", URL: "http://a:8080"},
+			{ID: "b", URL: url, Standby: standby},
+		}}
+	}
+	for _, tc := range []struct {
+		name string
+		topo *Topology
+		ok   bool
+	}{
+		{"defaults", topo(0, "http://b:8080", ""), true},
+		{"most vnodes", topo(MaxVNodes, "http://b:8080", ""), true},
+		{"https and a standby", topo(64, "https://b.example:8443/base", "http://127.0.0.1:8081"), true},
+		{"vnodes from the file that killed the server", topo(4_000_000_000, "http://b:8080", ""), false},
+		{"one vnode too many", topo(MaxVNodes+1, "http://b:8080", ""), false},
+		{"negative vnodes", topo(-1, "http://b:8080", ""), false},
+		{"scheme-less url", topo(0, "localhost:8080", ""), false},
+		{"url that does not parse", topo(0, "http://b:8080/%zz", ""), false},
+		{"url without a host", topo(0, "http://", ""), false},
+		{"relative url", topo(0, "/b", ""), false},
+		{"other scheme", topo(0, "ftp://b:8080", ""), false},
+		{"scheme-less standby", topo(0, "http://b:8080", "localhost:8081"), false},
+		{"standby that does not parse", topo(0, "http://b:8080", "http://[::1"), false},
+	} {
+		if err := tc.topo.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok %v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// FuzzTopology: whatever bytes a topology file holds, a topology that
+// decodes and validates builds a ring whose owners are its own nodes.
+func FuzzTopology(f *testing.F) {
+	f.Add([]byte(`{"version": 1, "vnodes": 4000000000, "nodes": [{"id": "a", "url": "http://a:8080"}]}`))
+	f.Add([]byte(`{"version": 1, "nodes": [{"id": "a", "url": "localhost:8080"}, {"id": "b", "url": "http://b:8080/%zz"}]}`))
+	f.Add([]byte(`{"version": 3, "vnodes": 32, "nodes": [{"id": "a", "url": "http://a:8080", "standby": "http://a2:8080"}, {"id": "b", "url": "https://b"}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var topo Topology
+		if json.Unmarshal(data, &topo) != nil || topo.Validate() != nil {
+			return
+		}
+		ring := NewRing(&topo)
+		for _, user := range []string{"", "user-000", "user-1999", "ünï"} {
+			id := ring.Owner(user)
+			if n, ok := ring.Node(id); !ok || !slices.Contains(topo.Nodes, n) {
+				t.Fatalf("owner of %q is %q, not a node of %+v", user, id, topo.Nodes)
+			}
+		}
+	})
 }
