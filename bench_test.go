@@ -1,18 +1,17 @@
-// Benchmarks: one per reproduced figure/experiment (see DESIGN.md §4).
-// Each runs the corresponding experiment end to end in Quick mode, so
-// `go test -bench=.` regenerates every artifact and reports its cost.
+// Benchmarks of the System's request paths: cold and warm plans, the
+// skip replacement, the plan cache and per-user state. The paper's
+// experiments are benchmarked in internal/experiments
+// (BenchmarkExperiments).
 package pphcr_test
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pphcr"
-	"pphcr/internal/experiments"
 	"pphcr/internal/feedback"
 	"pphcr/internal/obs"
 	"pphcr/internal/plancache"
@@ -21,35 +20,6 @@ import (
 	"pphcr/internal/synth"
 	"pphcr/internal/trajectory"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	cfg := experiments.Config{Out: io.Discard, Seed: 2017, Quick: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := experiments.Run(id, cfg); err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-	}
-}
-
-func BenchmarkFig1Replacement(b *testing.B)      { benchExperiment(b, "F1") }
-func BenchmarkFig2TripAllocation(b *testing.B)   { benchExperiment(b, "F2") }
-func BenchmarkFig3Pipeline(b *testing.B)         { benchExperiment(b, "F3") }
-func BenchmarkFig4Timeline(b *testing.B)         { benchExperiment(b, "F4") }
-func BenchmarkFig5TrajectoryRender(b *testing.B) { benchExperiment(b, "F5") }
-func BenchmarkFig6Injection(b *testing.B)        { benchExperiment(b, "F6") }
-func BenchmarkQ1RankingQuality(b *testing.B)     { benchExperiment(b, "Q1") }
-func BenchmarkQ2ListeningSim(b *testing.B)       { benchExperiment(b, "Q2") }
-func BenchmarkQ3Prediction(b *testing.B)         { benchExperiment(b, "Q3") }
-func BenchmarkQ4Classifier(b *testing.B)         { benchExperiment(b, "Q4") }
-func BenchmarkQ5Bandwidth(b *testing.B)          { benchExperiment(b, "Q5") }
-func BenchmarkQ6Compaction(b *testing.B)         { benchExperiment(b, "Q6") }
-func BenchmarkA1WeightAblation(b *testing.B)     { benchExperiment(b, "A1") }
-func BenchmarkA2Distraction(b *testing.B)        { benchExperiment(b, "A2") }
-func BenchmarkA3Ensemble(b *testing.B)           { benchExperiment(b, "A3") }
-func BenchmarkA4GeoRelevance(b *testing.B)       { benchExperiment(b, "A4") }
-func BenchmarkA5RicherContext(b *testing.B)      { benchExperiment(b, "A5") }
 
 // ---- Proactive plan-warming benchmarks -------------------------------
 //

@@ -1,5 +1,6 @@
 // Command pphcr-experiments regenerates the paper's figures and runs the
-// quantitative evaluations (see DESIGN.md §4 and EXPERIMENTS.md).
+// quantitative evaluations (see docs/experiments.md). It exits 1 when an
+// experiment fails or one of its shape checks reads false.
 //
 // Usage:
 //

@@ -111,10 +111,10 @@ func TestPlanInvariants(t *testing.T) {
 	}
 }
 
-// TestKnapsackDominatesGreedy is the design-choice ablation DESIGN.md
-// calls out: the DP selection must never be worse than the natural
-// greedy heuristic (fill by descending compound score), and on some
-// instances it must be strictly better.
+// TestKnapsackDominatesGreedy is the ablation behind the planner's
+// knapsack: the DP selection must never be worse than the natural greedy
+// heuristic (fill by descending compound score), and on some instances
+// it must be strictly better.
 func TestKnapsackDominatesGreedy(t *testing.T) {
 	p := newTestPlanner()
 	p.MaxItems = 0

@@ -1,13 +1,13 @@
 // Package experiments regenerates every figure and evaluates every
-// quantitative claim of the paper (see DESIGN.md §4 for the index).
-// Each experiment prints a table in a stable text format; EXPERIMENTS.md
-// records the outputs next to what the paper shows.
+// quantitative claim of the paper (docs/experiments.md is the index).
+// Each experiment prints a table in a stable text format and fails when
+// one of its shape checks reads false.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"sort"
+	"strings"
 	"time"
 
 	"pphcr"
@@ -23,6 +23,26 @@ type Config struct {
 	Seed int64
 	// Quick shrinks workloads for CI/tests.
 	Quick bool
+
+	// checks records the run's shape checks; Runner.exec sets it.
+	checks *checks
+}
+
+// checks records the outcome of each shape check one run prints.
+type checks struct {
+	ok     map[string]bool
+	failed []string
+}
+
+// check prints one line, "shape check: " + claim + ": <ok>", with claim
+// formatted from args, and records ok under name: the claim without its
+// measured values.
+func (c Config) check(name string, ok bool, claim string, args ...any) {
+	fmt.Fprintf(c.Out, "shape check: "+claim+": %v\n", append(args, ok)...)
+	c.checks.ok[name] = ok
+	if !ok {
+		c.checks.failed = append(c.checks.failed, name)
+	}
 }
 
 func (c Config) seed() int64 {
@@ -36,30 +56,38 @@ func (c Config) seed() int64 {
 type Runner struct {
 	ID    string
 	Title string
-	Run   func(Config) error
+	run   func(Config) error
 }
 
 // All returns every experiment in presentation order.
 func All() []Runner {
 	return []Runner{
-		{"F1", "Fig 1 — audio replacement concept", RunF1},
-		{"F2", "Fig 2 — proactive trip allocation", RunF2},
-		{"F3", "Fig 3 — architecture pipeline", RunF3},
-		{"F4", "Fig 4 — Lilly timeline with time-shift", RunF4},
-		{"F5", "Fig 5 — dashboard trajectory map", RunF5},
-		{"F6", "Fig 6 — editorial injection", RunF6},
-		{"Q1", "Ranking quality vs baselines", RunQ1},
-		{"Q2", "Listening behaviour simulation", RunQ2},
-		{"Q3", "Mobility prediction vs history", RunQ3},
-		{"Q4", "Classifier accuracy vs ASR WER", RunQ4},
-		{"Q5", "Network resource optimization", RunQ5},
-		{"Q6", "Tracking compaction quality", RunQ6},
-		{"A1", "Ablation: context weight λ", RunA1},
-		{"A2", "Ablation: distraction constraints", RunA2},
-		{"A3", "Extension: recommendation-list ensemble (MMR, daypart)", RunA3},
-		{"A4", "Extension: archive geo-relevance estimation", RunA4},
-		{"A5", "Extension: richer contexts (weather, activity)", RunA5},
+		{"F1", "Fig 1 — audio replacement concept", runF1},
+		{"F2", "Fig 2 — proactive trip allocation", runF2},
+		{"F3", "Fig 3 — architecture pipeline", runF3},
+		{"F4", "Fig 4 — Lilly timeline with time-shift", runF4},
+		{"F5", "Fig 5 — dashboard trajectory map", runF5},
+		{"F6", "Fig 6 — editorial injection", runF6},
+		{"Q1", "Ranking quality vs baselines", runQ1},
+		{"Q2", "Listening behaviour simulation", runQ2},
+		{"Q3", "Mobility prediction vs history", runQ3},
+		{"Q4", "Classifier accuracy vs ASR WER", runQ4},
+		{"Q5", "Network resource optimization", runQ5},
+		{"Q6", "Tracking compaction quality", runQ6},
 	}
+}
+
+// exec runs the experiment and returns each shape check's outcome by
+// name. It fails when the experiment does or when a check reads false.
+func (r Runner) exec(cfg Config) (map[string]bool, error) {
+	cfg.checks = &checks{ok: map[string]bool{}}
+	if err := r.run(cfg); err != nil {
+		return cfg.checks.ok, err
+	}
+	if f := cfg.checks.failed; len(f) > 0 {
+		return cfg.checks.ok, fmt.Errorf("shape check failed: %s", strings.Join(f, "; "))
+	}
+	return cfg.checks.ok, nil
 }
 
 // RunAll executes every experiment against the same config.
@@ -68,21 +96,28 @@ func RunAll(cfg Config) error {
 		fmt.Fprintf(cfg.Out, "\n================================================================\n")
 		fmt.Fprintf(cfg.Out, "%s: %s\n", r.ID, r.Title)
 		fmt.Fprintf(cfg.Out, "================================================================\n")
-		if err := r.Run(cfg); err != nil {
+		if _, err := r.exec(cfg); err != nil {
 			return fmt.Errorf("experiment %s: %w", r.ID, err)
 		}
 	}
 	return nil
 }
 
-// Run executes one experiment by ID.
+// Run executes one experiment by ID. It fails when the experiment does
+// or when one of its shape checks reads false.
 func Run(id string, cfg Config) error {
+	_, err := run(id, cfg)
+	return err
+}
+
+// run is Run that also returns each shape check's outcome by name.
+func run(id string, cfg Config) (map[string]bool, error) {
 	for _, r := range All() {
 		if r.ID == id {
-			return r.Run(cfg)
+			return r.exec(cfg)
 		}
 	}
-	return fmt.Errorf("experiments: unknown experiment %q", id)
+	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 }
 
 // env is the shared evaluation environment: a synthetic world plus a
@@ -209,10 +244,6 @@ func newTable(header ...string) *table { return &table{header: header} }
 
 func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
 
-func (t *table) addf(format string, args ...interface{}) {
-	t.rows = append(t.rows, []string{fmt.Sprintf(format, args...)})
-}
-
 func (t *table) write(out io.Writer) {
 	widths := make([]int, len(t.header))
 	for i, h := range t.header {
@@ -255,14 +286,4 @@ func repeat(ch byte, n int) string {
 		b[i] = ch
 	}
 	return string(b)
-}
-
-// sortedKeys returns map keys sorted (for deterministic reports).
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -13,10 +13,10 @@ import (
 	"pphcr/internal/trajectory"
 )
 
-// RunF1 regenerates the Fig 1 concept: one live program segment of the
+// runF1 regenerates the Fig 1 concept: one live program segment of the
 // listener's favorite station is seamlessly replaced by a recommended
 // clip, and the resulting timeline is verified gapless.
-func RunF1(cfg Config) error {
+func runF1(cfg Config) error {
 	e, err := newEnv(cfg)
 	if err != nil {
 		return err
@@ -67,10 +67,10 @@ func RunF1(cfg Config) error {
 	return nil
 }
 
-// RunF2 regenerates Fig 2: at trip start the system predicts route and
+// runF2 regenerates Fig 2: at trip start the system predicts route and
 // ΔT, then allocates the most relevant items A, B, C, D... where a
 // location-tied item must play before the listener reaches its location.
-func RunF2(cfg Config) error {
+func runF2(cfg Config) error {
 	e, err := newEnv(cfg)
 	if err != nil {
 		return err
@@ -142,10 +142,10 @@ func RunF2(cfg Config) error {
 	return nil
 }
 
-// RunF3 exercises the Fig 3 architecture end to end and reports the
+// runF3 exercises the Fig 3 architecture end to end and reports the
 // health of every stage: ingestion through ASR and the Bayesian
 // classifier, broker traffic, stores, and a recommendation round-trip.
-func RunF3(cfg Config) error {
+func runF3(cfg Config) error {
 	e, err := newEnv(cfg)
 	if err != nil {
 		return err
@@ -192,11 +192,11 @@ func RunF3(cfg Config) error {
 	return nil
 }
 
-// RunF4 regenerates the Fig 4 timeline with the paper's exact clock
+// runF4 regenerates the Fig 4 timeline with the paper's exact clock
 // times: Lilly listens from 10:42:30; Program2 (10:55–11:10) is replaced
 // by a recommended clip and then played time-shifted, so she hears a
 // program that "began 20 minutes ago".
-func RunF4(cfg Config) error {
+func runF4(cfg Config) error {
 	e, err := newEnv(cfg)
 	if err != nil {
 		return err
@@ -258,9 +258,9 @@ func RunF4(cfg Config) error {
 	return nil
 }
 
-// RunF5 regenerates the Fig 5 dashboard artifact: a user's trajectories
+// runF5 regenerates the Fig 5 dashboard artifact: a user's trajectories
 // with RDP simplification and DBSCAN staying points, as an SVG map.
-func RunF5(cfg Config) error {
+func runF5(cfg Config) error {
 	e, err := newEnv(cfg)
 	if err != nil {
 		return err
@@ -292,10 +292,10 @@ func RunF5(cfg Config) error {
 	return nil
 }
 
-// RunF6 regenerates Fig 6: the editor injects an item for a user and the
+// runF6 regenerates Fig 6: the editor injects an item for a user and the
 // recommendation list shows it pinned first; the next retrieval reverts
 // to organic ranking.
-func RunF6(cfg Config) error {
+func runF6(cfg Config) error {
 	e, err := newEnv(cfg)
 	if err != nil {
 		return err

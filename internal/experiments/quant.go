@@ -11,7 +11,6 @@ import (
 	"pphcr/internal/content"
 	"pphcr/internal/feedback"
 	"pphcr/internal/geo"
-	"pphcr/internal/metrics"
 	"pphcr/internal/recommend"
 	"pphcr/internal/streamsim"
 	"pphcr/internal/synth"
@@ -53,10 +52,10 @@ func warmUp(e *env, plays int, pop *baseline.Popularity) (map[string]*client.Lis
 	return listeners, seen, nil
 }
 
-// RunQ1 measures ranking quality against the baseline ladder. Ground
+// runQ1 measures ranking quality against the baseline ladder. Ground
 // truth relevance comes from the personas' hidden tastes, which the
 // recommenders can only observe through the feedback they generated.
-func RunQ1(cfg Config) error {
+func runQ1(cfg Config) error {
 	e, err := newEnv(cfg)
 	if err != nil {
 		return err
@@ -112,27 +111,25 @@ func RunQ1(cfg Config) error {
 				ids[i] = sc.Item.ID
 			}
 			a := results[r.Name()]
-			a.p5 = append(a.p5, metrics.PrecisionAtK(ids, relevant, 5))
-			a.ndcg10 = append(a.ndcg10, metrics.NDCGAtK(ids, gains, 10))
-			a.mrr = append(a.mrr, metrics.MRR(ids, relevant))
+			a.p5 = append(a.p5, precisionAtK(ids, relevant, 5))
+			a.ndcg10 = append(a.ndcg10, ndcgAtK(ids, gains, 10))
+			a.mrr = append(a.mrr, mrr(ids, relevant))
 		}
 	}
 	tb := newTable("recommender", "P@5", "nDCG@10", "MRR", "users")
 	for _, r := range recommenders {
 		a := results[r.Name()]
 		tb.add(r.Name(),
-			fmt.Sprintf("%.3f", metrics.Mean(a.p5)),
-			fmt.Sprintf("%.3f", metrics.Mean(a.ndcg10)),
-			fmt.Sprintf("%.3f", metrics.Mean(a.mrr)),
+			fmt.Sprintf("%.3f", mean(a.p5)),
+			fmt.Sprintf("%.3f", mean(a.ndcg10)),
+			fmt.Sprintf("%.3f", mean(a.mrr)),
 			fmt.Sprintf("%d", len(a.p5)))
 	}
 	tb.write(cfg.Out)
-	randP, compP := metrics.Mean(results["random"].p5), metrics.Mean(results["pphcr-compound"].p5)
-	fmt.Fprintf(cfg.Out, "\nshape check: personalized (%.3f) > random (%.3f): %v\n",
-		compP, randP, compP > randP)
-	if compP <= randP {
-		return fmt.Errorf("compound recommender does not beat random (%.3f vs %.3f)", compP, randP)
-	}
+	randP, compP := mean(results["random"].p5), mean(results["pphcr-compound"].p5)
+	fmt.Fprintln(cfg.Out)
+	cfg.check("personalized > random", compP > randP,
+		"personalized (%.3f) > random (%.3f)", compP, randP)
 	return nil
 }
 
@@ -158,10 +155,10 @@ func (p q2Policy) String() string {
 	}
 }
 
-// RunQ2 simulates commute listening under three policies and reports the
+// runQ2 simulates commute listening under three policies and reports the
 // behaviour metrics the paper's prose targets: skip rate, listening
 // share, and channel switching.
-func RunQ2(cfg Config) error {
+func runQ2(cfg Config) error {
 	e, err := newEnv(cfg)
 	if err != nil {
 		return err
@@ -184,7 +181,7 @@ func RunQ2(cfg Config) error {
 			return err
 		}
 	}
-	stats := map[q2Policy]*metrics.ListeningStats{
+	stats := map[q2Policy]*listeningStats{
 		policyLinear: {}, policyReactive: {}, policyPPHCR: {},
 	}
 	policies := []q2Policy{policyLinear, policyReactive, policyPPHCR}
@@ -207,7 +204,7 @@ func RunQ2(cfg Config) error {
 				if err != nil {
 					return err
 				}
-				stats[policy].Add(s)
+				stats[policy].add(s)
 			}
 		}
 	}
@@ -215,21 +212,18 @@ func RunQ2(cfg Config) error {
 	for _, pol := range []q2Policy{policyLinear, policyReactive, policyPPHCR} {
 		s := stats[pol]
 		tb.add(pol.String(),
-			fmt.Sprintf("%.3f", s.SkipRate()),
-			fmt.Sprintf("%.3f", s.ListenShare()),
-			fmt.Sprintf("%.2f", s.SwitchesPerHour()),
+			fmt.Sprintf("%.3f", s.skipRate()),
+			fmt.Sprintf("%.3f", s.listenShare()),
+			fmt.Sprintf("%.2f", s.switchesPerHour()),
 			fmt.Sprintf("%d", s.Plays))
 	}
 	tb.write(cfg.Out)
 	lin, pph := stats[policyLinear], stats[policyPPHCR]
-	fmt.Fprintf(cfg.Out, "\nshape check: pphcr skip rate %.3f < linear %.3f: %v\n",
-		pph.SkipRate(), lin.SkipRate(), pph.SkipRate() < lin.SkipRate())
-	fmt.Fprintf(cfg.Out, "shape check: pphcr switches/h %.2f < linear %.2f: %v\n",
-		pph.SwitchesPerHour(), lin.SwitchesPerHour(), pph.SwitchesPerHour() < lin.SwitchesPerHour())
-	if pph.SkipRate() >= lin.SkipRate() {
-		return fmt.Errorf("proactive personalization did not reduce the skip rate (%.3f vs %.3f)",
-			pph.SkipRate(), lin.SkipRate())
-	}
+	fmt.Fprintln(cfg.Out)
+	cfg.check("pphcr skip rate < linear", pph.skipRate() < lin.skipRate(),
+		"pphcr skip rate %.3f < linear %.3f", pph.skipRate(), lin.skipRate())
+	cfg.check("pphcr switches/h < linear", pph.switchesPerHour() < lin.switchesPerHour(),
+		"pphcr switches/h %.2f < linear %.2f", pph.switchesPerHour(), lin.switchesPerHour())
 	return nil
 }
 
@@ -244,8 +238,8 @@ func programAsItem(id, title string, cats map[string]float64, remaining time.Dur
 
 // simulateCommute plays one commute under a policy and returns its
 // listening stats.
-func (e *env) simulateCommute(p *synth.Persona, l *client.Listener, full trajectory.Trace, commute time.Duration, policy q2Policy) (metrics.ListeningStats, error) {
-	var st metrics.ListeningStats
+func (e *env) simulateCommute(p *synth.Persona, l *client.Listener, full trajectory.Trace, commute time.Duration, policy q2Policy) (listeningStats, error) {
+	var st listeningStats
 	st.Available = commute
 	user := p.Profile.UserID
 	service := p.Profile.FavoriteService
@@ -362,9 +356,9 @@ func (e *env) simulateCommute(p *synth.Persona, l *client.Listener, full traject
 	return st, nil
 }
 
-// RunQ3 measures destination and ΔT prediction quality as the tracked
+// runQ3 measures destination and ΔT prediction quality as the tracked
 // history grows.
-func RunQ3(cfg Config) error {
+func runQ3(cfg Config) error {
 	e, err := newEnv(cfg)
 	if err != nil {
 		return err
@@ -450,24 +444,25 @@ func RunQ3(cfg Config) error {
 			acc = float64(hits) / float64(total)
 		}
 		tb.add(fmt.Sprintf("%d", h), fmt.Sprintf("%.3f", acc),
-			fmt.Sprintf("%.3f", metrics.Mean(apes)), fmt.Sprintf("%d", total))
+			fmt.Sprintf("%.3f", mean(apes)), fmt.Sprintf("%d", total))
 		if hi == 0 {
 			firstAcc = acc
 		}
 		lastAcc = acc
 	}
 	tb.write(cfg.Out)
-	fmt.Fprintf(cfg.Out, "\nshape check: accuracy with full history (%.3f) ≥ shortest history (%.3f): %v\n",
-		lastAcc, firstAcc, lastAcc >= firstAcc)
+	fmt.Fprintln(cfg.Out)
+	cfg.check("accuracy with full history ≥ shortest history", lastAcc >= firstAcc,
+		"accuracy with full history (%.3f) ≥ shortest history (%.3f)", lastAcc, firstAcc)
 	return nil
 }
 
-// RunQ4 sweeps the simulated ASR word error rate and reports the
+// runQ4 sweeps the simulated ASR word error rate and reports the
 // Bayesian classifier's category accuracy. Classification happens on
 // short clip segments (the first ~15 recognized tokens), as it would on
 // clips cut from longer programs — long transcripts would make the task
 // trivially easy regardless of WER.
-func RunQ4(cfg Config) error {
+func runQ4(cfg Config) error {
 	e, err := newEnv(cfg)
 	if err != nil {
 		return err
@@ -515,28 +510,26 @@ func RunQ4(cfg Config) error {
 		segAccs = append(segAccs, segAcc)
 		docAccs = append(docAccs, docAcc)
 		tb.add(fmt.Sprintf("%.1f", wer), fmt.Sprintf("%.3f", segAcc),
-			fmt.Sprintf("%.3f", docAcc), fmt.Sprintf("%.3f", metrics.Mean(measured)))
+			fmt.Sprintf("%.3f", docAcc), fmt.Sprintf("%.3f", mean(measured)))
 	}
 	tb.write(cfg.Out)
-	fmt.Fprintf(cfg.Out, "\nshape check: segment accuracy degrades with WER (%.3f → %.3f): %v\n",
-		segAccs[0], segAccs[len(segAccs)-1], segAccs[0] > segAccs[len(segAccs)-1])
-	fmt.Fprintf(cfg.Out, "shape check: long documents are robust (full-doc at max WER %.3f ≥ 0.9): %v\n",
-		docAccs[len(docAccs)-1], docAccs[len(docAccs)-1] >= 0.9)
-	if segAccs[0] < 0.8 {
-		return fmt.Errorf("clean-speech segment accuracy %.3f implausibly low", segAccs[0])
-	}
-	if segAccs[0] <= segAccs[len(segAccs)-1] {
-		return fmt.Errorf("segment accuracy did not degrade with WER (%.3f vs %.3f)",
-			segAccs[0], segAccs[len(segAccs)-1])
+	clean, noisiest := segAccs[0], segAccs[len(segAccs)-1]
+	fmt.Fprintln(cfg.Out)
+	cfg.check("segment accuracy degrades with WER", clean > noisiest,
+		"segment accuracy degrades with WER (%.3f → %.3f)", clean, noisiest)
+	cfg.check("long documents are robust", docAccs[len(docAccs)-1] >= 0.9,
+		"long documents are robust (full-doc at max WER %.3f ≥ 0.9)", docAccs[len(docAccs)-1])
+	if clean < 0.8 {
+		return fmt.Errorf("clean-speech segment accuracy %.3f implausibly low", clean)
 	}
 	return nil
 }
 
-// RunQ5 quantifies the paper's network resource optimization: hybrid
+// runQ5 quantifies the paper's network resource optimization: hybrid
 // receivers take the linear stream from broadcast and fetch only the
 // personalized clips over IP, versus pure streaming clients that unicast
 // everything.
-func RunQ5(cfg Config) error {
+func runQ5(cfg Config) error {
 	e, err := newEnv(cfg)
 	if err != nil {
 		return err
@@ -586,9 +579,9 @@ func RunQ5(cfg Config) error {
 	return nil
 }
 
-// RunQ6 evaluates the tracking compaction: staying-point detection
+// runQ6 evaluates the tracking compaction: staying-point detection
 // quality across DBSCAN ε, and RDP compression/error across ε.
-func RunQ6(cfg Config) error {
+func runQ6(cfg Config) error {
 	e, err := newEnv(cfg)
 	if err != nil {
 		return err

@@ -109,6 +109,23 @@ func TestGeoScoreOnRoute(t *testing.T) {
 	if sOn <= sNone || sNone <= sOff {
 		t.Fatalf("geo ordering broken: on=%v neutral=%v off=%v", sOn, sNone, sOff)
 	}
+
+	// λ decides whether the on-route item outranks a geo-less one the
+	// listener likes more: pure context puts it first, pure content last.
+	liked := item("liked", "food", content.KindClip, time.Minute)
+	prefs := map[string]float64{"food": 1, "regional": 0.3}
+	for _, c := range []struct {
+		lambda float64
+		first  string
+	}{{1, "on"}, {0, "liked"}} {
+		ranked := NewScorer(c.lambda).Rank(prefs, []*content.Item{liked, onRoute}, ctx, 0)
+		if len(ranked) != 2 {
+			t.Fatalf("λ=%v ranked %d items, want 2", c.lambda, len(ranked))
+		}
+		if ranked[0].Item.ID != c.first {
+			t.Errorf("λ=%v ranks %q first, want %q", c.lambda, ranked[0].Item.ID, c.first)
+		}
+	}
 }
 
 func TestGeoScoreWithoutRouteUsesPosition(t *testing.T) {
