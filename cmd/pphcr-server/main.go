@@ -32,10 +32,9 @@ import (
 	"pphcr/internal/dashboard"
 	"pphcr/internal/durable"
 	"pphcr/internal/httpapi"
+	"pphcr/internal/node"
 	"pphcr/internal/obs"
-	"pphcr/internal/precompute"
 	"pphcr/internal/replicate"
-	"pphcr/internal/service"
 	"pphcr/internal/synth"
 )
 
@@ -184,61 +183,33 @@ func main() {
 		api.EnableTracing(64, *traceThresh)
 	}
 
-	// Recovery runs before anything mutates the fresh System and before
-	// the listener opens: restore the newest valid checkpoint, replay
-	// the WAL tail, then attach the log so every subsequent mutation is
-	// durable.
 	policy, err := durable.ParseSyncPolicy(*walSync)
 	if err != nil {
 		fatal("durability", err)
 	}
-	// A follower opens no WAL of its own: its directory is a mirror of
-	// the leader's segments, appended by the tailer and replayed through
-	// the same recovery entry points. Promotion opens a live WAL over it.
+	// The synthetic world lives in the past; anchor the node's clock to
+	// it so plan warming targets instants that actually have candidates.
+	// The clock reads worldEnd when the node starts serving (bootReal is
+	// set then, before any service reads it).
+	worldEnd := w.Params.StartDate.AddDate(0, 0, w.Params.Days)
+	var bootReal time.Time
+	n := node.New(sys, api, node.Options{
+		Dir:                  *dataDir,
+		Sync:                 policy,
+		RetainWAL:            *retainWAL,
+		CheckpointInterval:   *ckInterval,
+		FeedbackCompactEvery: *fbEvery,
+		FeedbackHorizon:      *fbHorizon,
+		WarmWorkers:          *warmWorkers,
+		Clock:                func() time.Time { return worldEnd.Add(time.Since(bootReal)) },
+	})
+	// Recovery runs before anything mutates the fresh System and before
+	// the listener opens. A follower opens no WAL of its own.
 	var dur *pphcr.Durability
-	if *dataDir != "" && !isFollower {
-		// A directory with WAL segments but no checkpoint is a boot that
-		// crashed before its first checkpoint — i.e. mid-preload. Its
-		// partial log must not masquerade as recoverable state (the
-		// restart would skip the rest of the preload and serve a
-		// half-loaded world), so reset it and preload from scratch.
-		if ok, err := durable.Initialized(*dataDir); err == nil && !ok {
-			if err := durable.RemoveSegments(*dataDir); err != nil {
-				fatal("durability", err)
-			}
-		} else if err != nil {
+	if !isFollower {
+		if dur, err = n.Open(); err != nil {
 			fatal("durability", err)
 		}
-		start := time.Now()
-		dur, err = pphcr.OpenDurability(sys, pphcr.DurabilityOptions{
-			Dir: *dataDir, Sync: policy, RetainSegments: *retainWAL,
-		})
-		if err != nil {
-			fatal("durability", err)
-		}
-		api.SetWALSeq(dur.WALSeq)
-		if dur.Recovered() {
-			slog.Info("recovered",
-				"users", sys.Profiles.Len(), "items", sys.Repo.Len(), "dir", *dataDir,
-				"wal_events", dur.ReplayedEvents(), "dur", time.Since(start).Round(time.Millisecond))
-		} else {
-			slog.Info("durability enabled", "dir", *dataDir, "wal_sync", policy)
-		}
-		api.SetDurabilityStats(func() interface{} { return dur.Stats() })
-		// A sticky WAL error (wedge or terminal write failure) must eject
-		// the node from rotation: acknowledged writes are no longer durable.
-		api.SetReadinessCheck(dur.Healthy)
-		// Injected-slow-fsync mode is degradation, not death: the node
-		// keeps serving (200) but /readyz and pphcr_degraded flag it.
-		api.SetDegradedCheck(dur.Degraded)
-		reg := api.Registry()
-		reg.RegisterHistogram("pphcr_wal_append_duration_seconds",
-			"WAL append latency, including the group-commit ticket wait under sync=always.",
-			nil, dur.WALAppendHistogram())
-		reg.RegisterHistogram("pphcr_wal_fsync_duration_seconds",
-			"WAL flush+fsync latency.", nil, dur.WALFsyncHistogram())
-		reg.RegisterHistogram("pphcr_checkpoint_pause_seconds",
-			"Checkpoint write-pause (commit-barrier quiesce hold).", nil, dur.PauseHistogram())
 	}
 
 	// The broadcast directory is ephemeral metadata (regenerated each
@@ -316,86 +287,14 @@ func main() {
 		}
 	}
 
-	// Live tracking sent to /api/track is periodically compacted by the
-	// background worker, as in the paper's deployment. A follower runs no
-	// compactors: every mutation must come off the leader's WAL, or the
-	// replica forks. Promotion starts them.
-	stop := make(chan struct{})
-	if !isFollower {
-		compactor, err := service.NewCompactor(sys)
-		if err != nil {
-			fatal("compactor", err)
-		}
-		go compactor.Run(stop)
-	}
-
-	// The synthetic world lives in the past; anchor the warmer's clock to
-	// it so plan warming targets instants that actually have candidates.
-	worldEnd := w.Params.StartDate.AddDate(0, 0, w.Params.Days)
-	bootReal := time.Now()
-	worldClock := func() time.Time { return worldEnd.Add(time.Since(bootReal)) }
-
-	// Live feedback sent to /api/feedback is periodically folded into the
-	// per-user baseline so the log stays bounded, mirroring the tracking
-	// compactor above (preference reads come from the incremental index
-	// and are unaffected).
-	if *fbEvery > 0 && !isFollower {
-		fbc, err := service.NewFeedbackCompactor(sys)
-		if err != nil {
-			fatal("feedback compactor", err)
-		}
-		fbc.EventsPerCompaction = *fbEvery
-		fbc.Horizon = *fbHorizon
-		fbc.Now = worldClock
-		go fbc.Run(stop)
-	}
-
-	// The checkpointer runs beside the compactors and the warmer,
-	// bounding crash recovery to one interval of WAL replay.
-	var checkpointer *service.Checkpointer
-	if dur != nil {
-		checkpointer, err = service.NewCheckpointer(dur)
-		if err != nil {
-			fatal("checkpointer", err)
-		}
-		checkpointer.Interval = *ckInterval
-		go checkpointer.Run(stop)
-	}
-
-	var warmer *service.Warmer
-	if *warmWorkers > 0 && !isFollower {
-		warmer, err = service.NewWarmer(sys, precompute.Config{
-			Workers: *warmWorkers,
-			Now:     worldClock,
-		})
-		if err != nil {
-			fatal("warmer", err)
-		}
-		slog.Info("prewarming plans",
-			"users", len(sys.MobilityUsers()), "workers", *warmWorkers,
-			"ttl", *planTTL, "shards", *cacheShards)
-		start := time.Now()
-		warmed := warmer.Prewarm(sys, worldEnd)
-		slog.Info("prewarmed", "plans", warmed,
-			"dur", time.Since(start).Round(time.Millisecond), "cache_entries", sys.PlanCache.Len())
-		go warmer.Run(stop)
-		api.SetWarmerStats(func() interface{} { return warmer.Stats() })
-	}
-
-	// Replication wiring: a leader with a data directory serves its WAL
-	// to followers and accepts rebalance replays; a follower tails its
-	// leader and serves the ack-barrier wait plus the promote endpoint.
-	var replRT *replicationRuntime
+	bootReal = time.Now()
+	mux := http.NewServeMux()
 	if isFollower {
-		replRT = &replicationRuntime{
-			sys: sys, api: api, dataDir: *dataDir, sync: policy, stop: stop,
-			ckInterval: *ckInterval, fbEvery: *fbEvery, fbHorizon: *fbHorizon,
-			clock: worldClock,
-		}
-		if err := replRT.startFollower(*leaderURL); err != nil {
+		if err := n.Follow(mux, *leaderURL); err != nil {
 			fatal("standby", err)
 		}
-		slog.Info("tailing leader WAL", "leader", *leaderURL, "dir", *dataDir)
+	} else if err := n.Lead(mux); err != nil {
+		fatal("leader services", err)
 	}
 
 	// State is loaded (recovered or preloaded) and the cache is warm:
@@ -404,7 +303,6 @@ func main() {
 	// /readyz tells routers and operators what they are talking to.
 	api.SetReady(true)
 
-	mux := http.NewServeMux()
 	mux.Handle("/api/", api.Handler())
 	mux.Handle("/healthz", api.Handler())
 	mux.Handle("/readyz", api.Handler())
@@ -412,11 +310,6 @@ func main() {
 	mux.Handle("/debug/traces", api.Handler())
 	mux.Handle("/stats", api.Handler())
 	mux.Handle("/dashboard/", dashboard.NewServer(sys).Handler())
-	if isFollower {
-		replRT.mountFollowerReplication(mux)
-	} else if dur != nil {
-		mountLeaderReplication(mux, sys, dur, *dataDir)
-	}
 	if *pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -448,40 +341,35 @@ func main() {
 	go func() { errc <- srv.ListenAndServe() }()
 	select {
 	case err := <-errc:
-		close(stop)
-		finalCheckpoint(dur)
+		n.Drain()
 		fatal("serve", err)
 	case <-ctx.Done():
 	}
 	slog.Info("shutting down")
-	close(stop)
 	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancelShutdown()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		slog.Warn("shutdown", "err", err)
 	}
-	// The final checkpoint runs after the listener drained, so every
-	// acknowledged mutation is in the snapshot and the next boot
-	// replays nothing.
-	finalCheckpoint(dur)
-	if replRT != nil {
-		replRT.shutdownFollower()
-		finalCheckpoint(replRT.promotedDurability())
-	}
+	// Drain after the listener drained: its final checkpoint then holds
+	// every acknowledged mutation.
+	n.Drain()
 	slog.Info("bye")
 }
 
-// finalCheckpoint flushes the WAL and writes the shutdown snapshot.
-func finalCheckpoint(dur *pphcr.Durability) {
-	if dur == nil {
-		return
+// ownedPersonas filters personas to the ones this node owns under the
+// topology; with no topology every persona is local.
+func ownedPersonas(personas []*synth.Persona, ring *replicate.Ring, nodeID string) []*synth.Persona {
+	if ring == nil || nodeID == "" {
+		return personas
 	}
-	start := time.Now()
-	if err := dur.Close(); err != nil {
-		slog.Error("final checkpoint", "err", err)
-		return
+	owned := personas[:0:0]
+	for _, p := range personas {
+		if ring.Owner(p.Profile.UserID) == nodeID {
+			owned = append(owned, p)
+		}
 	}
-	slog.Info("final checkpoint written", "dur", time.Since(start).Round(time.Millisecond))
+	return owned
 }
 
 func firstN(xs []string, n int) []string {

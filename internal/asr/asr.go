@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 )
 
 // ErrorProfile splits the word error rate into substitution, deletion and
@@ -32,11 +33,14 @@ func DefaultErrorProfile() ErrorProfile {
 	return ErrorProfile{Substitution: 0.6, Deletion: 0.25, Insertion: 0.15}
 }
 
-// Recognizer is a simulated speech recognizer. Create it with New; it is
-// not safe for concurrent use (it owns a rand.Rand).
+// Recognizer is a simulated speech recognizer. Create it with New. It is
+// safe for concurrent use: System.IngestPodcast transcribes outside every
+// lock, so concurrent ingests share one Recognizer, and mu serializes
+// their draws from rng.
 type Recognizer struct {
 	wer     float64
 	profile ErrorProfile
+	mu      sync.Mutex
 	rng     *rand.Rand
 	// confusable is the vocabulary substitutions and insertions draw
 	// from; a real recognizer confuses words with in-vocabulary words.
@@ -69,6 +73,8 @@ func (r *Recognizer) WER() float64 { return r.wer }
 // Transcribe passes the ground-truth words through the error channel and
 // returns the recognized word sequence.
 func (r *Recognizer) Transcribe(truth []string) []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make([]string, 0, len(truth))
 	for _, w := range truth {
 		if r.rng.Float64() >= r.wer {

@@ -180,3 +180,21 @@ func BenchmarkTranscribe(b *testing.B) {
 		r.Transcribe(truth)
 	}
 }
+
+// TestTranscribeConcurrent: concurrent ingests share one Recognizer, so
+// under -race two goroutines transcribing at once must not race on its
+// random source.
+func TestTranscribeConcurrent(t *testing.T) {
+	r, err := New(0.3, DefaultErrorProfile(), []string{"rumore"}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := words(200)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.Transcribe(truth)
+	}()
+	r.Transcribe(truth)
+	<-done
+}

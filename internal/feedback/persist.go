@@ -8,9 +8,8 @@ import (
 	"time"
 )
 
-// snapshotVersion is the current on-disk format: per-user compacted
-// baselines plus the live event tail. Version 0 (the legacy format,
-// plain per-user event logs) is still accepted by Restore.
+// snapshotVersion is the on-disk format: per-user compacted baselines
+// plus the live event tail. Restore accepts no other version.
 const snapshotVersion = 2
 
 // userSnapshot is the durable state of one listener: the compaction
@@ -29,12 +28,6 @@ type userSnapshot struct {
 type snapshot struct {
 	Version int                     `json:"version"`
 	Users   map[string]userSnapshot `json:"users"`
-}
-
-// legacySnapshot is the pre-compaction format: raw per-user event logs.
-type legacySnapshot struct {
-	Version int                `json:"version"`
-	Users   map[string][]Event `json:"users"`
 }
 
 // Snapshot serializes the whole feedback DB — compacted baselines and
@@ -83,47 +76,35 @@ func (s *Store) Restore(rd io.Reader) error {
 	if err := json.NewDecoder(rd).Decode(&raw); err != nil {
 		return fmt.Errorf("feedback: decoding snapshot: %w", err)
 	}
+	// The version is read first: an older format need not decode as
+	// this one to be refused by name.
 	var ver struct {
 		Version int `json:"version"`
 	}
 	if err := json.Unmarshal(raw, &ver); err != nil {
 		return fmt.Errorf("feedback: decoding snapshot version: %w", err)
 	}
-	switch ver.Version {
-	case snapshotVersion:
-		var snap snapshot
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			return fmt.Errorf("feedback: decoding snapshot: %w", err)
-		}
-		for _, u := range sortedUsers(snap.Users) {
-			us := snap.Users[u]
-			s.restoreUser(u, us.Base, us.BaseAt, us.BaseCount, us.Skipped)
-			for _, e := range us.Events {
-				if err := s.Append(e); err != nil {
-					return fmt.Errorf("feedback: restoring %q: %w", u, err)
-				}
-			}
-		}
-	case 0:
-		var snap legacySnapshot
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			return fmt.Errorf("feedback: decoding legacy snapshot: %w", err)
-		}
-		for _, u := range sortedUsers(snap.Users) {
-			for _, e := range snap.Users[u] {
-				if err := s.Append(e); err != nil {
-					return fmt.Errorf("feedback: restoring %q: %w", u, err)
-				}
-			}
-		}
-	default:
+	if ver.Version != snapshotVersion {
 		return fmt.Errorf("feedback: unsupported snapshot version %d", ver.Version)
+	}
+	var snap snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		return fmt.Errorf("feedback: decoding snapshot: %w", err)
+	}
+	for _, u := range sortedUsers(snap.Users) {
+		us := snap.Users[u]
+		s.restoreUser(u, us.Base, us.BaseAt, us.BaseCount, us.Skipped)
+		for _, e := range us.Events {
+			if err := s.Append(e); err != nil {
+				return fmt.Errorf("feedback: restoring %q: %w", u, err)
+			}
+		}
 	}
 	return nil
 }
 
 // sortedUsers gives a deterministic replay order across users.
-func sortedUsers[V any](m map[string]V) []string {
+func sortedUsers(m map[string]userSnapshot) []string {
 	users := make([]string, 0, len(m))
 	for u := range m {
 		users = append(users, u)

@@ -109,21 +109,18 @@ func TestFeedbackSnapshotRestoreCompacted(t *testing.T) {
 	}
 }
 
-func TestFeedbackRestoreLegacyFormat(t *testing.T) {
-	// The pre-compaction on-disk shape: no version, raw per-user logs.
-	legacy := `{"users":{"greg":[{"UserID":"greg","ItemID":"x","Kind":2,"At":"2016-11-15T08:00:00Z","Categories":{"sport":1}}]}}`
-	s := NewStore()
-	if err := s.Restore(strings.NewReader(legacy)); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	prefs := s.Preferences("greg", t0, DefaultPreferenceParams())
-	if prefs["sport"] <= 0.99 {
-		t.Fatalf("legacy event lost: %v", prefs)
-	}
-	if err := NewStore().Restore(strings.NewReader(`{"version":9,"users":{}}`)); err == nil {
-		t.Fatal("unknown version accepted")
+// TestFeedbackRestoreRefusesOldVersions: only the current format loads.
+// Version 0 (raw per-user logs) and version 1 predate every data
+// directory the WAL accepts, and no reader is kept for them.
+func TestFeedbackRestoreRefusesOldVersions(t *testing.T) {
+	for _, body := range []string{
+		`{"users":{"greg":[{"UserID":"greg","ItemID":"x","Kind":2,"At":"2016-11-15T08:00:00Z","Categories":{"sport":1}}]}}`,
+		`{"version":1,"users":{}}`,
+		`{"version":9,"users":{}}`,
+	} {
+		err := NewStore().Restore(strings.NewReader(body))
+		if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
+			t.Errorf("Restore(%s) = %v, want unsupported snapshot version", body, err)
+		}
 	}
 }

@@ -46,9 +46,11 @@ type Server struct {
 	coldLat obs.Histogram
 	// warmerStats, when set, contributes the precompute scheduler's
 	// counters to /stats; durabilityStats likewise for the WAL and
-	// checkpoint counters.
-	warmerStats     func() interface{}
-	durabilityStats func() interface{}
+	// checkpoint counters. Both hold a func() interface{} and, like the
+	// checks below, are atomic because promotion sets them on a live
+	// server.
+	warmerStats     atomic.Value
+	durabilityStats atomic.Value
 
 	// registry backs /metrics; endpoints hold the per-endpoint latency
 	// histograms and status counters in registration order.
@@ -58,16 +60,17 @@ type Server struct {
 
 	// traceRing, when enabled, keeps the slowest requests' span
 	// recordings for /debug/traces. notReady gates /readyz until the
-	// process finishes booting; readyCheck adds a dependency probe.
+	// process finishes booting; readyCheck (a func() error) adds a
+	// dependency probe.
 	traceRing  *obs.TraceRing
 	notReady   atomic.Bool
-	readyCheck func() error
+	readyCheck atomic.Value
 
 	// degradedCheck reports partial degradation (e.g. the WAL running in
 	// injected-slow-fsync mode): the node still serves — /readyz stays
 	// 200 — but the body and pphcr_degraded flag it, so scenario runs
-	// and dashboards can tell degraded from dead.
-	degradedCheck func() error
+	// and dashboards can tell degraded from dead. It holds a func() error.
+	degradedCheck atomic.Value
 
 	// repl holds the node's replication role, the WAL-sequence source
 	// behind the write-ack header, and the follower lag source — all

@@ -194,17 +194,14 @@ func (s *Server) SetReady(v bool) { s.notReady.Store(!v) }
 // SetReadinessCheck attaches a liveness-of-dependencies probe (the
 // server passes the durability layer's Healthy): a non-nil error turns
 // /readyz into a 503 so a load balancer ejects the node.
-func (s *Server) SetReadinessCheck(fn func() error) { s.readyCheck = fn }
+func (s *Server) SetReadinessCheck(fn func() error) { s.readyCheck.Store(fn) }
 
 // readinessErr reports why the node is not ready, nil when it is.
 func (s *Server) readinessErr() error {
 	if s.notReady.Load() {
 		return errNotRecovered
 	}
-	if s.readyCheck != nil {
-		return s.readyCheck()
-	}
-	return nil
+	return callCheck(&s.readyCheck)
 }
 
 // SetDegradedCheck attaches a partial-degradation probe (the server
@@ -213,12 +210,15 @@ func (s *Server) readinessErr() error {
 // serving, but the response body carries degraded=true with the reason
 // and pphcr_degraded flips to 1 — a load balancer keeps routing while a
 // scenario run (or an operator) sees the disk is limping.
-func (s *Server) SetDegradedCheck(fn func() error) { s.degradedCheck = fn }
+func (s *Server) SetDegradedCheck(fn func() error) { s.degradedCheck.Store(fn) }
 
 // degradedErr reports why the node is degraded, nil when it is not.
-func (s *Server) degradedErr() error {
-	if s.degradedCheck != nil {
-		return s.degradedCheck()
+func (s *Server) degradedErr() error { return callCheck(&s.degradedCheck) }
+
+// callCheck runs the func() error held in v, nil when none is set.
+func callCheck(v *atomic.Value) error {
+	if fn, _ := v.Load().(func() error); fn != nil {
+		return fn()
 	}
 	return nil
 }

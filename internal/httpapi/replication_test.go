@@ -161,3 +161,32 @@ func TestFollowerWriteGate(t *testing.T) {
 		t.Fatalf("write after promotion: http %d", resp.StatusCode)
 	}
 }
+
+// TestPromoteSwapsChecksOnALiveServer: promotion replaces the readiness,
+// degraded and /stats providers while /readyz, /metrics and /stats are
+// being served. Under -race every setter must be ordered against the
+// handlers that read it.
+func TestPromoteSwapsChecksOnALiveServer(t *testing.T) {
+	_, api := newReplServer(t)
+	h := api.Handler()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			api.SetReadinessCheck(func() error { return nil })
+			api.SetDegradedCheck(func() error { return nil })
+			api.SetDurabilityStats(func() interface{} { return i })
+			api.SetWarmerStats(func() interface{} { return i })
+		}
+	}()
+	for _, path := range []string{"/readyz", "/metrics", "/stats"} {
+		for i := 0; i < 20; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET %s: http %d", path, rec.Code)
+			}
+		}
+	}
+	<-done
+}

@@ -78,11 +78,11 @@ type StatsView struct {
 
 // SetWarmerStats attaches a provider of precompute-scheduler counters to
 // the /stats endpoint (the server passes the Warmer's Stats method).
-func (s *Server) SetWarmerStats(fn func() interface{}) { s.warmerStats = fn }
+func (s *Server) SetWarmerStats(fn func() interface{}) { s.warmerStats.Store(fn) }
 
 // SetDurabilityStats attaches a provider of durability counters to the
 // /stats endpoint (the server passes the Durability's Stats method).
-func (s *Server) SetDurabilityStats(fn func() interface{}) { s.durabilityStats = fn }
+func (s *Server) SetDurabilityStats(fn func() interface{}) { s.durabilityStats.Store(fn) }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -111,11 +111,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	view.Pipeline = s.sys.PipelineStats()
 	view.Feedback = s.sys.Feedback.Stats()
 	view.Locks = s.sys.LockStats()
-	if s.warmerStats != nil {
-		view.Warmer = s.warmerStats()
+	if fn, _ := s.warmerStats.Load().(func() interface{}); fn != nil {
+		view.Warmer = fn()
 	}
-	if s.durabilityStats != nil {
-		view.Durability = s.durabilityStats()
+	if fn, _ := s.durabilityStats.Load().(func() interface{}); fn != nil {
+		view.Durability = fn()
 	}
 	writeJSON(w, http.StatusOK, view)
 }

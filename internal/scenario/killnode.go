@@ -16,6 +16,7 @@ import (
 	"pphcr"
 	"pphcr/internal/durable"
 	"pphcr/internal/httpapi"
+	"pphcr/internal/node"
 	"pphcr/internal/replicate"
 	"pphcr/internal/synth"
 )
@@ -301,11 +302,10 @@ type KillNodeOptions struct {
 }
 
 // RunKillNode builds the cluster, runs the storm, kills the leader,
-// and returns the oracle report. The harness mirrors the production
-// wiring exactly: httpapi servers with WAL-seq stamping and write
-// gates, a shipping Source on the leader, a Standby tail with
-// wait/promote endpoints on the follower, and the Router's health
-// detector doing the promotion.
+// and returns the oracle report. Both nodes run the production node
+// lifecycle (internal/node), as pphcr-server does: the leader opens and
+// leads, the follower tails and is promoted through the one promote
+// handler, and the Router's health detector does the promotion.
 func RunKillNode(o KillNodeOptions) (*FailoverReport, error) {
 	if o.Duration <= 0 {
 		o.Duration = 6 * time.Second
@@ -326,31 +326,41 @@ func RunKillNode(o KillNodeOptions) (*FailoverReport, error) {
 		return nil, err
 	}
 	cfg := pphcr.Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: o.Seed}
-	newSys := func() (*pphcr.System, error) { return pphcr.New(cfg) }
-
-	// Leader: WAL with synchronous acks and retained segments (the
-	// follower bootstraps from sequence 1).
-	leaderSys, err := newSys()
-	if err != nil {
-		return nil, err
+	// newNode builds one node over its own System and temp directory with
+	// the settings the failover-smoke job runs pphcr-server with:
+	// synchronous acks, retained segments, and neither feedback compaction
+	// nor a warmer, so the oracle sees every event verbatim.
+	newNode := func(role string) (*node.Node, *http.ServeMux, string, error) {
+		sys, err := pphcr.New(cfg)
+		if err != nil {
+			return nil, nil, "", err
+		}
+		dir, err := os.MkdirTemp("", "pphcr-killnode-"+role+"-*")
+		if err != nil {
+			return nil, nil, "", err
+		}
+		api := httpapi.NewServer(sys)
+		n := node.New(sys, api, node.Options{
+			Dir: dir, Sync: durable.SyncAlways, RetainWAL: true, CheckpointInterval: time.Minute,
+		})
+		mux := http.NewServeMux()
+		mux.Handle("/", api.Handler())
+		return n, mux, dir, nil
 	}
-	leaderDir, err := os.MkdirTemp("", "pphcr-killnode-leader-*")
+
+	leader, leaderMux, leaderDir, err := newNode("leader")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(leaderDir)
-	leaderDur, err := pphcr.OpenDurability(leaderSys, pphcr.DurabilityOptions{
-		Dir: leaderDir, Sync: durable.SyncAlways, SegmentBytes: 256 << 10, RetainSegments: true,
-	})
+	leaderDur, err := leader.Open()
 	if err != nil {
 		return nil, err
 	}
-	leaderAPI := httpapi.NewServer(leaderSys)
-	leaderAPI.SetReady(true)
-	leaderAPI.SetWALSeq(leaderDur.WALSeq)
-	leaderMux := http.NewServeMux()
-	leaderMux.Handle("/", leaderAPI.Handler())
-	replicate.NewSource(leaderDir, leaderDur.SyncWAL, leaderDur.WALSeq).Mount(leaderMux, "/replication")
+	if err := leader.Lead(leaderMux); err != nil {
+		return nil, err
+	}
+	defer leader.Drain()
 	leaderSrv := httptest.NewServer(leaderMux)
 	leaderDown := false
 	defer func() {
@@ -359,70 +369,18 @@ func RunKillNode(o KillNodeOptions) (*FailoverReport, error) {
 		}
 	}()
 
-	// Follower: empty System tailing the leader, serving the ack wait
-	// and promote endpoints like cmd/pphcr-server's follower role.
-	followerSys, err := newSys()
-	if err != nil {
-		return nil, err
-	}
-	followerDir, err := os.MkdirTemp("", "pphcr-killnode-follower-*")
+	// Follower: an empty System tailing the leader.
+	follower, followerMux, followerDir, err := newNode("follower")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(followerDir)
-	standby, err := replicate.NewStandby(followerSys, followerDir, leaderSrv.URL, "/replication")
-	if err != nil {
+	if err := follower.Follow(followerMux, leaderSrv.URL); err != nil {
 		return nil, err
 	}
-	standby.Interval = 10 * time.Millisecond
-	tailStop := make(chan struct{})
-	tailDone := make(chan struct{})
-	go func() { defer close(tailDone); standby.Run(tailStop) }()
-
-	followerAPI := httpapi.NewServer(followerSys)
-	followerAPI.SetReady(true)
-	followerAPI.SetRole(httpapi.RoleFollower)
-	followerAPI.SetReplicationLag(standby.LagSeconds)
-	var promoteMu sync.Mutex
-	promoted := false
-	var promotedDur *pphcr.Durability
-	followerMux := http.NewServeMux()
-	followerMux.Handle("/", followerAPI.Handler())
-	standby.Mount(followerMux, "/replication")
-	followerMux.HandleFunc("POST /replication/promote", func(rw http.ResponseWriter, r *http.Request) {
-		promoteMu.Lock()
-		defer promoteMu.Unlock()
-		if promoted {
-			fmt.Fprintln(rw, `{"promoted":true,"already":true}`)
-			return
-		}
-		followerAPI.SetRole(httpapi.RolePromoting)
-		close(tailStop)
-		<-tailDone
-		dur, replayed, err := standby.Promote(pphcr.DurabilityOptions{
-			Sync: durable.SyncAlways, RetainSegments: true,
-		})
-		if err != nil {
-			http.Error(rw, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
-			return
-		}
-		promoted = true
-		promotedDur = dur
-		followerAPI.SetWALSeq(dur.WALSeq)
-		followerAPI.SetReplicationLag(func() float64 { return 0 })
-		followerAPI.SetRole(httpapi.RoleLeader)
-		logf("follower promoted: replayed %d, applied_seq %d", replayed, dur.WALSeq())
-		fmt.Fprintf(rw, `{"promoted":true,"replayed":%d}`+"\n", replayed)
-	})
+	defer follower.Drain()
 	followerSrv := httptest.NewServer(followerMux)
 	defer followerSrv.Close()
-	defer func() {
-		promoteMu.Lock()
-		defer promoteMu.Unlock()
-		if promotedDur != nil {
-			promotedDur.Close()
-		}
-	}()
 
 	// The front door.
 	topo := &replicate.Topology{Version: 1, Nodes: []replicate.Node{

@@ -14,21 +14,11 @@ import (
 // fixRecord is the serialized form of one GPS fix. Timestamps are kept
 // at nanosecond precision: the durability subsystem proves recovered
 // state equivalent to never-crashed state, and mobility models derive
-// trip durations (and thus travel-time predictions) from these times —
-// the old whole-second field is still read for older snapshots.
+// trip durations (and thus travel-time predictions) from these times.
 type fixRecord struct {
 	Lat    float64 `json:"lat"`
 	Lon    float64 `json:"lon"`
-	Unix   int64   `json:"unix,omitempty"`
 	UnixNs int64   `json:"unixns,omitempty"`
-}
-
-// time returns the fix instant, preferring the nanosecond field.
-func (r fixRecord) time() time.Time {
-	if r.UnixNs != 0 {
-		return time.Unix(0, r.UnixNs).UTC()
-	}
-	return time.Unix(r.Unix, 0).UTC()
 }
 
 // Snapshot serializes every user's raw trace as JSON. The spatial index
@@ -69,7 +59,7 @@ func (t *Tracker) Restore(rd io.Reader) error {
 		for _, rec := range in[u] {
 			fix := trajectory.Fix{
 				Point: geo.Point{Lat: rec.Lat, Lon: rec.Lon},
-				Time:  rec.time(),
+				Time:  time.Unix(0, rec.UnixNs).UTC(),
 			}
 			if err := t.Record(u, fix); err != nil {
 				return fmt.Errorf("tracking: restoring %q: %w", u, err)

@@ -20,13 +20,13 @@ type snapshotEnvelope struct {
 	Profiles json.RawMessage `json:"profiles"`
 	Feedback json.RawMessage `json:"feedback"`
 	Tracking json.RawMessage `json:"tracking"`
-	// Compacted (v2) is the mobility-model provenance: user → number of
+	// Compacted is the mobility-model provenance: user → number of
 	// trace fixes their live model was compacted from. The model itself
 	// is derived state — Restore re-runs the (deterministic) compaction
 	// on exactly that prefix, reproducing it bit for bit without
 	// serializing the model.
 	Compacted map[string]int `json:"compacted,omitempty"`
-	// Injected (v2) is the pending editorial injection queue per user.
+	// Injected is the pending editorial injection queue per user.
 	Injected map[string][]string `json:"injected,omitempty"`
 }
 
@@ -87,15 +87,13 @@ func (s *System) Snapshot(w io.Writer) error {
 
 // Restore loads a Snapshot into a freshly constructed System (same
 // Config). All stores must be empty. Mobility models are re-derived
-// from the snapshot's per-user compaction provenance; v1 snapshots
-// (which carried none) restore with cold mobility state, exactly as
-// before.
+// from the snapshot's per-user compaction provenance.
 func (s *System) Restore(r io.Reader) error {
 	var env snapshotEnvelope
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
 		return fmt.Errorf("pphcr: decoding snapshot: %w", err)
 	}
-	if env.Version < 1 || env.Version > snapshotVersion {
+	if env.Version != snapshotVersion {
 		return fmt.Errorf("pphcr: unsupported snapshot version %d", env.Version)
 	}
 	if err := s.Repo.Restore(bytes.NewReader(env.Repo)); err != nil {

@@ -97,7 +97,9 @@ func TestSystemRestoreValidation(t *testing.T) {
 	if err := sys.Restore(strings.NewReader("{bad")); err == nil {
 		t.Fatal("bad json accepted")
 	}
-	if err := sys.Restore(strings.NewReader(`{"version":99}`)); err == nil {
-		t.Fatal("unknown version accepted")
+	for _, v := range []string{`{"version":1}`, `{"version":99}`} {
+		if err := sys.Restore(strings.NewReader(v)); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
+			t.Fatalf("Restore(%s) = %v, want unsupported snapshot version", v, err)
+		}
 	}
 }
