@@ -96,7 +96,6 @@ var fieldClasses = map[key]class{
 	{"tracking", "Tracker", "mu"}:    clsStore,
 	{"content", "Repository", "mu"}:  clsStore,
 	{"radiodns", "Directory", "mu"}:  clsStore,
-	{"spatial", "Store", "mu"}:       clsStore,
 	{"plancache", "shard", "mu"}:     clsPCShard,
 	{"plancache", "shard", "genMu"}:  clsPCGen,
 	{"durable", "WAL", "ioMu"}:       clsWALIO,

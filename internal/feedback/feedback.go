@@ -16,6 +16,7 @@ package feedback
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -128,6 +129,9 @@ type Store struct {
 	halfLife time.Duration
 	shards   []shard
 	mask     uint32
+	// catalog, when set, finds an item's category map so an event about
+	// a catalog item keeps that map instead of a copy (see keptCategories).
+	catalog func(itemID string) (map[string]float64, bool)
 
 	live            atomic.Int64 // events currently in the logs
 	appends         atomic.Int64
@@ -160,6 +164,16 @@ func NewStoreHalfLife(halfLife time.Duration) *Store {
 
 // IndexHalfLife returns the half-life the incremental index decays with.
 func (s *Store) IndexHalfLife() time.Duration { return s.halfLife }
+
+// ShareCatalog installs the lookup from an item ID to that item's
+// category map. The maps it returns must never change afterwards (the
+// content repository's contract for an added item): every event whose
+// categories equal its item's then holds the item's own map, so a node
+// keeps one copy of each category vector however much feedback it logs.
+// Call it before the first Append.
+func (s *Store) ShareCatalog(lookup func(itemID string) (map[string]float64, bool)) {
+	s.catalog = lookup
+}
 
 // FNV-1a, inlined: shardFor sits on every append and preference read
 // and must not allocate (hash/fnv costs a hasher plus a byte slice per
@@ -202,6 +216,23 @@ func copyCategories(m map[string]float64) map[string]float64 {
 	return out
 }
 
+// keptCategories returns the map the store keeps for e: the catalog
+// item's own map when e's categories equal it bit for bit, and a
+// private copy otherwise, so the store never aliases caller-owned
+// memory. It is the one place that choice is made; Append (and through
+// it every live, replayed, replicated and restored event) calls it
+// before taking a shard lock.
+func (s *Store) keptCategories(e Event) map[string]float64 {
+	if s.catalog != nil {
+		if m, ok := s.catalog(e.ItemID); ok && maps.EqualFunc(e.Categories, m, sameBits) {
+			return m
+		}
+	}
+	return copyCategories(e.Categories)
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 // fold advances the index vector to e.At (decaying the accumulated
 // vector) and adds e's contribution. Events older than lastUpdate are
 // folded at their already-decayed weight instead — exponential decay
@@ -224,13 +255,14 @@ func (st *userState) fold(e Event, halfLife time.Duration) {
 }
 
 // Append records an event and folds it into the user's preference index.
-// The event's Categories map is deep-copied: the store never aliases
-// caller-owned memory, so callers may reuse or mutate their map freely.
+// The store keeps the catalog item's map or a private copy of the
+// event's (keptCategories), never the caller's map itself, so callers
+// may reuse or mutate their map freely. A stored map is never written.
 func (s *Store) Append(e Event) error {
 	if e.UserID == "" {
 		return fmt.Errorf("feedback: UserID required")
 	}
-	e.Categories = copyCategories(e.Categories)
+	e.Categories = s.keptCategories(e)
 	sh := s.shardFor(e.UserID)
 	sh.mu.Lock()
 	st := sh.users[e.UserID]
@@ -276,21 +308,26 @@ func (s *Store) empty() bool {
 	return true
 }
 
+// Events returns the user's live events in insertion order. Their
+// Categories are the store's own maps, which may be the catalog's:
+// callers must not write them. ByUser is the copying form.
+func (s *Store) Events(userID string) []Event {
+	sh := s.shardFor(userID)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if st := sh.users[userID]; st != nil {
+		return append([]Event(nil), st.events...)
+	}
+	return nil
+}
+
 // ByUser returns a deep copy of the user's live events in insertion
 // order; mutating the result (including Categories) cannot corrupt the
 // store.
 func (s *Store) ByUser(userID string) []Event {
-	sh := s.shardFor(userID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	st := sh.users[userID]
-	if st == nil {
-		return nil
-	}
-	out := make([]Event, len(st.events))
-	for i, e := range st.events {
-		e.Categories = copyCategories(e.Categories)
-		out[i] = e
+	out := s.Events(userID)
+	for i := range out {
+		out[i].Categories = copyCategories(out[i].Categories)
 	}
 	return out
 }

@@ -51,11 +51,10 @@ func (s *Store) Snapshot(w io.Writer) error {
 				}
 				sort.Strings(us.Skipped)
 			}
-			us.Events = make([]Event, len(st.events))
-			for j, e := range st.events {
-				e.Categories = copyCategories(e.Categories)
-				us.Events[j] = e
-			}
+			// A stored event's map is never written (Append), so the
+			// encoder may read it after the lock is released; base is
+			// rescaled in place by compaction and is copied above.
+			us.Events = append([]Event(nil), st.events...)
 			snap.Users[userID] = us
 		}
 		sh.mu.RUnlock()
@@ -67,7 +66,9 @@ func (s *Store) Snapshot(w io.Writer) error {
 // incremental index: each user's baseline seeds the vector at its
 // fold instant and the live events are re-folded on top, so restored
 // preferences match the original store bit-for-bit (uncompacted stores)
-// or to floating-point accumulation error (compacted ones).
+// or to floating-point accumulation error (compacted ones). Each event
+// goes through Append, so one about a catalog item holds the item's map
+// again rather than the decoded copy.
 func (s *Store) Restore(rd io.Reader) error {
 	if !s.empty() {
 		return fmt.Errorf("feedback: restore requires an empty store (have %d events)", s.Len())

@@ -382,7 +382,7 @@ func (s *Server) handleFeedbackEvents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("user parameter required"))
 		return
 	}
-	events := s.sys.Feedback.ByUser(user)
+	events := s.sys.Feedback.Events(user)
 	out := make([]FeedbackEventView, len(events))
 	for i, e := range events {
 		out[i] = FeedbackEventView{

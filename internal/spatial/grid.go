@@ -2,20 +2,18 @@ package spatial
 
 import (
 	"math"
-	"sort"
 
 	"pphcr/internal/geo"
 )
 
 // Grid is a uniform spatial hash over lat/lon cells. It is the cheap
-// index used for dense, city-scale point sets (GPS fixes) where a fixed
-// cell size near the neighborhood radius makes ε-queries O(points per
-// 3×3 cells).
+// index for dense, city-scale point sets (the trip endpoints DBSCAN
+// clusters into staying points), where a fixed cell size near the
+// neighborhood radius makes ε-queries O(points per 3×3 cells).
 type Grid struct {
 	cell   float64 // cell edge in degrees latitude
 	lonDiv float64 // cell edge in degrees longitude (latitude-corrected)
 	cells  map[[2]int][]gridItem
-	size   int
 }
 
 type gridItem struct {
@@ -38,9 +36,6 @@ func NewGrid(cellMeters, refLatDeg float64) *Grid {
 	}
 }
 
-// Len returns the number of indexed points.
-func (g *Grid) Len() int { return g.size }
-
 func (g *Grid) key(p geo.Point) [2]int {
 	return [2]int{
 		int(math.Floor(p.Lat / g.cell)),
@@ -52,7 +47,6 @@ func (g *Grid) key(p geo.Point) [2]int {
 func (g *Grid) Insert(p geo.Point, id int) {
 	k := g.key(p)
 	g.cells[k] = append(g.cells[k], gridItem{p: p, id: id})
-	g.size++
 }
 
 // Within appends to dst the IDs of all points within radius meters of
@@ -74,76 +68,4 @@ func (g *Grid) Within(center geo.Point, radius float64, dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// SearchRect appends to dst the IDs of all points inside q and returns
-// the extended slice.
-func (g *Grid) SearchRect(q geo.Rect, dst []int) []int {
-	kMin := g.key(geo.Point{Lat: q.MinLat, Lon: q.MinLon})
-	kMax := g.key(geo.Point{Lat: q.MaxLat, Lon: q.MaxLon})
-	for i := kMin[0]; i <= kMax[0]; i++ {
-		for j := kMin[1]; j <= kMax[1]; j++ {
-			for _, it := range g.cells[[2]int{i, j}] {
-				if q.Contains(it.p) {
-					dst = append(dst, it.id)
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// Nearest returns up to k points nearest to p ordered by ascending
-// distance, expanding the searched cell ring until enough candidates are
-// found and the ring lower bound exceeds the kth distance.
-func (g *Grid) Nearest(p geo.Point, k int) []Neighbor {
-	if k <= 0 || g.size == 0 {
-		return nil
-	}
-	center := g.key(p)
-	var cand []Neighbor
-	cellMeters := g.cell * 111320.0
-	maxRing := 1
-	// Upper bound on rings so pathological queries terminate.
-	for ring := 0; ring <= maxRing && ring < 10000; ring++ {
-		found := false
-		for i := center[0] - ring; i <= center[0]+ring; i++ {
-			for j := center[1] - ring; j <= center[1]+ring; j++ {
-				// Only the ring boundary is new.
-				if ring > 0 && i != center[0]-ring && i != center[0]+ring &&
-					j != center[1]-ring && j != center[1]+ring {
-					continue
-				}
-				for _, it := range g.cells[[2]int{i, j}] {
-					cand = append(cand, Neighbor{ID: it.id, Distance: geo.Distance(p, it.p)})
-					found = true
-				}
-			}
-		}
-		_ = found
-		if len(cand) >= k {
-			sort.Slice(cand, func(a, b int) bool { return cand[a].Distance < cand[b].Distance })
-			kth := cand[min(k, len(cand))-1].Distance
-			// Points beyond ring+1 cells away are at least ring*cell
-			// meters out; stop when that bound exceeds the kth distance.
-			if float64(ring)*cellMeters >= kth {
-				break
-			}
-			maxRing = ring + 1
-		} else {
-			maxRing = ring + 1
-		}
-	}
-	sort.Slice(cand, func(a, b int) bool { return cand[a].Distance < cand[b].Distance })
-	if len(cand) > k {
-		cand = cand[:k]
-	}
-	return cand
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,15 +1,18 @@
-// Package spatial is PPHCR's substitute for the PostGIS tracking database
-// the paper uses (§1.2): an in-memory spatial store over WGS84 points with
-// two interchangeable indexes (a uniform grid and an R-tree) supporting
-// rectangle range queries, radius queries and k-nearest-neighbor search.
+// Package spatial holds the two in-memory indexes the system queries
+// over WGS84 coordinates. Neither is safe for concurrent use:
 //
-// The paper needs PostGIS only to persist listener GPS fixes and answer
-// the spatial queries that feed trajectory compaction and geographic
-// relevance scoring; this package provides exactly that query surface.
+//   - Grid, a uniform spatial hash answering radius queries, indexes the
+//     trip endpoints that staying-point extraction clusters with DBSCAN
+//     during tracking compaction (internal/trajectory);
+//   - RTree, a dynamic R-tree answering rectangle queries, indexes the
+//     geographic scopes of media items (internal/content's GeoItems).
+//
+// Listener GPS fixes, the paper's PostGIS tracking DB (§1.2), are not
+// indexed here: internal/tracking keeps them once, as per-user raw
+// traces, which is all compaction and recovery read.
 package spatial
 
 import (
-	"container/heap"
 	"math"
 
 	"pphcr/internal/geo"
@@ -17,7 +20,7 @@ import (
 
 // rtree constants: classic Guttman parameters. Small fanout keeps the
 // quadratic split cheap while staying shallow for tens of thousands of
-// GPS fixes.
+// rectangles.
 const (
 	maxEntries = 16
 	minEntries = maxEntries / 4
@@ -28,10 +31,9 @@ const (
 // call NewRTree.
 type RTree struct {
 	root *rnode
-	size int
 	// path records the ancestors visited by the last chooseLeaf call so
 	// splits can propagate upward without parent pointers. RTree is not
-	// safe for concurrent use; Store adds locking.
+	// safe for concurrent use; its owner locks.
 	path []*rnode
 }
 
@@ -51,20 +53,11 @@ func NewRTree() *RTree {
 	return &RTree{root: &rnode{leaf: true}}
 }
 
-// Len returns the number of items in the tree.
-func (t *RTree) Len() int { return t.size }
-
 // Insert adds an item with the given bounding rectangle.
 func (t *RTree) Insert(r geo.Rect, id int) {
 	leaf := t.chooseLeaf(t.root, r)
 	leaf.entries = append(leaf.entries, rentry{rect: r, id: id})
-	t.size++
 	t.splitUpward(leaf)
-}
-
-// InsertPoint adds a point item.
-func (t *RTree) InsertPoint(p geo.Point, id int) {
-	t.Insert(geo.PointRect(p), id)
 }
 
 // chooseLeaf descends from n to the leaf whose enlargement to include r
@@ -195,79 +188,4 @@ func searchNode(n *rnode, q geo.Rect, dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// Neighbor is a kNN search result: an item ID with its distance in meters
-// from the query point.
-type Neighbor struct {
-	ID       int
-	Distance float64
-}
-
-// Nearest returns up to k items nearest to p, ordered by ascending
-// great-circle distance, using best-first search over the tree.
-func (t *RTree) Nearest(p geo.Point, k int) []Neighbor {
-	if k <= 0 || t.size == 0 {
-		return nil
-	}
-	pq := &nnQueue{}
-	heap.Push(pq, nnItem{node: t.root, dist: 0})
-	var out []Neighbor
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(nnItem)
-		if it.node == nil {
-			out = append(out, Neighbor{ID: it.id, Distance: it.dist})
-			if len(out) == k {
-				return out
-			}
-			continue
-		}
-		for _, e := range it.node.entries {
-			d := rectDistance(p, e.rect)
-			if e.child != nil {
-				heap.Push(pq, nnItem{node: e.child, dist: d})
-			} else {
-				heap.Push(pq, nnItem{id: e.id, dist: geo.Distance(p, e.rect.Center())})
-			}
-		}
-	}
-	return out
-}
-
-// rectDistance returns a lower bound on the distance from p to any point
-// in r (0 if p is inside r).
-func rectDistance(p geo.Point, r geo.Rect) float64 {
-	lat := clamp(p.Lat, r.MinLat, r.MaxLat)
-	lon := clamp(p.Lon, r.MinLon, r.MaxLon)
-	return geo.Distance(p, geo.Point{Lat: lat, Lon: lon})
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-type nnItem struct {
-	node *rnode // nil for a leaf item
-	id   int
-	dist float64
-}
-
-type nnQueue []nnItem
-
-func (q nnQueue) Len() int            { return len(q) }
-func (q nnQueue) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q nnQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *nnQueue) Push(x interface{}) { *q = append(*q, x.(nnItem)) }
-func (q *nnQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
 }

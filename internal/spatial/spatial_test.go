@@ -3,7 +3,6 @@ package spatial
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -53,10 +52,7 @@ func TestRTreeSearchMatchesBruteForce(t *testing.T) {
 	pts := randomPoints(rng, torino, 10000, 500)
 	tree := NewRTree()
 	for i, p := range pts {
-		tree.InsertPoint(p, i)
-	}
-	if tree.Len() != 500 {
-		t.Fatalf("Len = %d", tree.Len())
+		tree.Insert(geo.PointRect(p), i)
 	}
 	for trial := 0; trial < 25; trial++ {
 		q := geo.RectAround(geo.Destination(torino, rng.Float64()*360, rng.Float64()*8000), 2000)
@@ -73,60 +69,22 @@ func TestRTreeSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestRTreeNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pts := randomPoints(rng, torino, 5000, 300)
-	tree := NewRTree()
-	for i, p := range pts {
-		tree.InsertPoint(p, i)
-	}
-	for trial := 0; trial < 20; trial++ {
-		q := geo.Destination(torino, rng.Float64()*360, rng.Float64()*5000)
-		k := 1 + rng.Intn(10)
-		got := tree.Nearest(q, k)
-		if len(got) != k {
-			t.Fatalf("Nearest returned %d, want %d", len(got), k)
-		}
-		// Oracle: sort all distances.
-		type di struct {
-			d  float64
-			id int
-		}
-		all := make([]di, len(pts))
-		for i, p := range pts {
-			all[i] = di{geo.Distance(q, p), i}
-		}
-		sort.Slice(all, func(a, b int) bool { return all[a].d < all[b].d })
-		for i := range got {
-			if got[i].Distance > all[i].d+1e-6 {
-				t.Fatalf("kNN #%d distance %v > oracle %v", i, got[i].Distance, all[i].d)
-			}
-			if i > 0 && got[i].Distance < got[i-1].Distance {
-				t.Fatal("kNN results not sorted")
-			}
-		}
-	}
-}
-
 func TestRTreeEmptyAndDegenerate(t *testing.T) {
 	tree := NewRTree()
 	if got := tree.Search(geo.RectAround(torino, 1000), nil); len(got) != 0 {
 		t.Fatal("empty tree search should be empty")
 	}
-	if got := tree.Nearest(torino, 5); got != nil {
-		t.Fatal("empty tree kNN should be nil")
-	}
-	tree.InsertPoint(torino, 42)
-	got := tree.Nearest(torino, 5)
-	if len(got) != 1 || got[0].ID != 42 {
-		t.Fatalf("single item kNN = %v", got)
+	tree.Insert(geo.PointRect(torino), 42)
+	got := tree.Search(geo.RectAround(torino, 1000), nil)
+	if len(got) != 1 || got[0] != 42 {
+		t.Fatalf("single item search = %v", got)
 	}
 }
 
 func TestRTreeManyIdenticalPoints(t *testing.T) {
 	tree := NewRTree()
 	for i := 0; i < 100; i++ {
-		tree.InsertPoint(torino, i)
+		tree.Insert(geo.PointRect(torino), i)
 	}
 	got := tree.Search(geo.PointRect(torino), nil)
 	if len(got) != 100 {
@@ -141,9 +99,6 @@ func TestGridWithinMatchesBruteForce(t *testing.T) {
 	for i, p := range pts {
 		g.Insert(p, i)
 	}
-	if g.Len() != 400 {
-		t.Fatalf("Len = %d", g.Len())
-	}
 	for trial := 0; trial < 25; trial++ {
 		c := geo.Destination(torino, rng.Float64()*360, rng.Float64()*6000)
 		r := rng.Float64() * 3000
@@ -155,124 +110,6 @@ func TestGridWithinMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestGridNearest(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	pts := randomPoints(rng, torino, 5000, 200)
-	g := NewGrid(300, torino.Lat)
-	for i, p := range pts {
-		g.Insert(p, i)
-	}
-	for trial := 0; trial < 15; trial++ {
-		q := geo.Destination(torino, rng.Float64()*360, rng.Float64()*4000)
-		k := 1 + rng.Intn(8)
-		got := g.Nearest(q, k)
-		if len(got) != k {
-			t.Fatalf("Nearest returned %d, want %d", len(got), k)
-		}
-		type di struct {
-			d  float64
-			id int
-		}
-		all := make([]di, len(pts))
-		for i, p := range pts {
-			all[i] = di{geo.Distance(q, p), i}
-		}
-		sort.Slice(all, func(a, b int) bool { return all[a].d < all[b].d })
-		for i := range got {
-			if got[i].Distance > all[i].d+1e-6 {
-				t.Fatalf("grid kNN #%d distance %v > oracle %v", i, got[i].Distance, all[i].d)
-			}
-		}
-	}
-}
-
-func TestGridRectSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := randomPoints(rng, torino, 5000, 300)
-	g := NewGrid(400, torino.Lat)
-	for i, p := range pts {
-		g.Insert(p, i)
-	}
-	q := geo.RectAround(torino, 2500)
-	got := g.SearchRect(q, nil)
-	var want []int
-	for i, p := range pts {
-		if q.Contains(p) {
-			want = append(want, i)
-		}
-	}
-	if !sortedEqual(got, want) {
-		t.Fatalf("SearchRect mismatch: got %d, want %d", len(got), len(want))
-	}
-}
-
-func TestStoreCRUDAndQueries(t *testing.T) {
-	s := NewStore()
-	id1, err := s.Insert(torino, 100, "lilly", map[string]string{"trip": "1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2 := geo.Destination(torino, 90, 3000)
-	id2, err := s.Insert(p2, 200, "lilly", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Insert(geo.Point{Lat: 999}, 0, "", nil); err == nil {
-		t.Fatal("invalid point accepted")
-	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	r, ok := s.Get(id1)
-	if !ok || r.Attrs["trip"] != "1" || r.Unix != 100 {
-		t.Fatalf("Get = %+v ok=%v", r, ok)
-	}
-	if _, ok := s.Get(99); ok {
-		t.Fatal("Get out of range should fail")
-	}
-	rows := s.ByKey("lilly")
-	if len(rows) != 2 || rows[0].ID != id1 || rows[1].ID != id2 {
-		t.Fatalf("ByKey = %+v", rows)
-	}
-	within := s.Within(torino, 1000)
-	if len(within) != 1 || within[0].ID != id1 {
-		t.Fatalf("Within = %+v", within)
-	}
-	nearest := s.Nearest(geo.Destination(torino, 90, 2900), 1)
-	if len(nearest) != 1 || nearest[0].ID != id2 {
-		t.Fatalf("Nearest = %+v", nearest)
-	}
-	rect := s.SearchRect(geo.RectAround(torino, 5000))
-	if len(rect) != 2 {
-		t.Fatalf("SearchRect = %+v", rect)
-	}
-}
-
-func TestStoreConcurrentAccess(t *testing.T) {
-	s := NewStore()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 100; i++ {
-				p := geo.Destination(torino, rng.Float64()*360, rng.Float64()*5000)
-				if _, err := s.Insert(p, int64(i), "u", nil); err != nil {
-					t.Error(err)
-					return
-				}
-				s.Within(torino, 2000)
-				s.Nearest(p, 3)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if s.Len() != 800 {
-		t.Fatalf("Len = %d, want 800", s.Len())
-	}
-}
-
 func TestRTreeGridAgreement(t *testing.T) {
 	// Property: both indexes answer radius queries identically.
 	f := func(seed int64) bool {
@@ -281,7 +118,7 @@ func TestRTreeGridAgreement(t *testing.T) {
 		tree := NewRTree()
 		g := NewGrid(350, torino.Lat)
 		for i, p := range pts {
-			tree.InsertPoint(p, i)
+			tree.Insert(geo.PointRect(p), i)
 			g.Insert(p, i)
 		}
 		c := geo.Destination(torino, rng.Float64()*360, rng.Float64()*3000)
@@ -307,7 +144,7 @@ func BenchmarkRTreeInsert(b *testing.B) {
 	b.ResetTimer()
 	tree := NewRTree()
 	for i := 0; i < b.N; i++ {
-		tree.InsertPoint(pts[i], i)
+		tree.Insert(geo.PointRect(pts[i]), i)
 	}
 }
 
@@ -316,7 +153,7 @@ func BenchmarkRTreeSearch(b *testing.B) {
 	pts := randomPoints(rng, torino, 10000, 10000)
 	tree := NewRTree()
 	for i, p := range pts {
-		tree.InsertPoint(p, i)
+		tree.Insert(geo.PointRect(p), i)
 	}
 	q := geo.RectAround(torino, 1500)
 	b.ResetTimer()

@@ -21,8 +21,8 @@ type fixRecord struct {
 	UnixNs int64   `json:"unixns,omitempty"`
 }
 
-// Snapshot serializes every user's raw trace as JSON. The spatial index
-// is derived state and is rebuilt on Restore.
+// Snapshot serializes every user's raw trace as JSON: the raw trace is
+// all the tracker holds.
 func (t *Tracker) Snapshot(w io.Writer) error {
 	t.mu.RLock()
 	out := make(map[string][]fixRecord, len(t.traces))
@@ -37,8 +37,8 @@ func (t *Tracker) Snapshot(w io.Writer) error {
 	return json.NewEncoder(w).Encode(out)
 }
 
-// Restore loads a snapshot into an empty tracker, rebuilding the spatial
-// index by replaying every fix.
+// Restore loads a snapshot into an empty tracker, replaying every fix
+// through Record so each one is validated as a live fix is.
 func (t *Tracker) Restore(rd io.Reader) error {
 	t.mu.RLock()
 	empty := len(t.traces) == 0

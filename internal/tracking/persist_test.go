@@ -21,11 +21,12 @@ func TestTrackerSnapshotRestore(t *testing.T) {
 		t.Fatalf("fix counts differ: %d vs %d",
 			restored.FixCount("lilly"), tr.FixCount("lilly"))
 	}
-	// The spatial index is rebuilt: a range query matches the original.
-	origWithin := len(tr.Store().Within(torino, 2000))
-	restWithin := len(restored.Store().Within(torino, 2000))
-	if origWithin != restWithin {
-		t.Fatalf("spatial index mismatch: %d vs %d", origWithin, restWithin)
+	// The raw trace is restored fix for fix, to the nanosecond.
+	orig, rest := tr.Trace("lilly"), restored.Trace("lilly")
+	for i := range orig {
+		if orig[i].Point != rest[i].Point || !orig[i].Time.Equal(rest[i].Time) {
+			t.Fatalf("fix %d: restored %+v, original %+v", i, rest[i], orig[i])
+		}
 	}
 	// Compaction works identically on the restored state.
 	a, err := tr.Compact("lilly", DefaultCompactParams())

@@ -14,26 +14,21 @@ import (
 
 	"pphcr/internal/geo"
 	"pphcr/internal/predict"
-	"pphcr/internal/spatial"
 	"pphcr/internal/trajectory"
 )
 
-// Tracker is the thread-safe tracking store: every fix lands in the
-// spatial DB (for map views and geo queries) and in a per-user
-// time-ordered trace (for compaction).
+// Tracker is the thread-safe tracking store: each fix is held once, in
+// its user's time-ordered raw trace. Compaction reads that trace, and so
+// does recovery, which re-derives a mobility model from a pinned prefix
+// of it (CompactN).
 type Tracker struct {
-	store *spatial.Store
-
 	mu     sync.RWMutex
 	traces map[string]trajectory.Trace
 }
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{
-		store:  spatial.NewStore(),
-		traces: make(map[string]trajectory.Trace),
-	}
+	return &Tracker{traces: make(map[string]trajectory.Trace)}
 }
 
 // Record ingests one GPS fix for a user. Fixes must arrive in
@@ -53,9 +48,6 @@ func (t *Tracker) Record(userID string, fix trajectory.Fix) error {
 			userID, fix.Time, trace[n-1].Time)
 	}
 	t.traces[userID] = append(trace, fix)
-	if _, err := t.store.Insert(fix.Point, fix.Time.Unix(), userID, nil); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -72,9 +64,6 @@ func (t *Tracker) FixCount(userID string) int {
 	defer t.mu.RUnlock()
 	return len(t.traces[userID])
 }
-
-// Store exposes the underlying spatial DB (for dashboard map queries).
-func (t *Tracker) Store() *spatial.Store { return t.store }
 
 // CompactParams tunes the compaction pass.
 type CompactParams struct {

@@ -35,8 +35,8 @@ const snapshotVersion = 2
 // Snapshot serializes the system's durable state — content repository,
 // profiles, feedback, raw tracking, mobility-model provenance and
 // pending editorial injections — as one JSON document. Remaining
-// derived state (spatial indexes, plan caches, last plans) is rebuilt
-// lazily after Restore, as in a fresh deployment.
+// derived state (plan caches, last plans) is rebuilt lazily after
+// Restore, as in a fresh deployment.
 //
 // Each store is captured under its own lock; for a cross-store
 // consistent snapshot the write paths must be quiesced — the

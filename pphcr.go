@@ -384,6 +384,12 @@ func New(cfg Config) (*System, error) {
 		shards:          make([]userShard, nShards),
 		shardMask:       uint32(nShards - 1),
 	}
+	s.Feedback.ShareCatalog(func(id string) (map[string]float64, bool) {
+		if it, ok := repo.Get(id); ok {
+			return it.Categories, true
+		}
+		return nil, false
+	})
 	s.barrier.stripes = make([]barrierStripe, nShards)
 	for i := range s.shards {
 		s.shards[i].mobility = make(map[string]*tracking.CompactModel)

@@ -1,0 +1,350 @@
+package pphcr
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"maps"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"pphcr/internal/content"
+	"pphcr/internal/durable"
+	"pphcr/internal/feedback"
+	"pphcr/internal/geo"
+	"pphcr/internal/synth"
+	"pphcr/internal/trajectory"
+)
+
+// shareT0 is the instant the shared-catalog tests write around.
+var shareT0 = time.Date(2016, 11, 21, 8, 0, 0, 0, time.UTC)
+
+// addCatalog adds n synthetic clips straight to the repository, each
+// with its own 2–4-category map, the way every node of a deployment
+// loads the same seeded catalog before it opens its log.
+func addCatalog(tb testing.TB, sys *System, n int) []*content.Item {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(int64(n)))
+	items := make([]*content.Item, n)
+	for i := range items {
+		cats := map[string]float64{}
+		for len(cats) < 2+i%3 {
+			cats[content.Categories[rng.Intn(len(content.Categories))]] = 0.1 + rng.Float64()
+		}
+		items[i] = &content.Item{
+			ID: fmt.Sprintf("clip-%04d", i), Kind: content.KindClip,
+			Duration: 4 * time.Minute, Published: shareT0.Add(-time.Hour), Categories: cats,
+		}
+		if err := sys.Repo.Add(items[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return items
+}
+
+func sameMap(a, b map[string]float64) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+}
+
+// TestFeedbackKeepsCatalogMap: an event about a catalog item whose
+// categories equal the item's holds the item's own map, on every path
+// an event enters a node by — a live write, WAL recovery, a standby
+// apply and checkpoint restore — and a caller's map is never kept.
+func TestFeedbackKeepsCatalogMap(t *testing.T) {
+	w, err := synth.GenerateWorld(synth.Params{
+		Seed: 3, Days: 2, Users: 1, Stations: 2, PodcastsPerDay: 5, TrainingDocsPerCategory: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: 3}
+	node := func() (*System, []*content.Item) {
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys, addCatalog(t, sys, 8)
+	}
+	assertShared := func(t *testing.T, sys *System) {
+		t.Helper()
+		for i, e := range sys.Feedback.Events("lilly") {
+			it, _ := sys.Repo.Get(e.ItemID)
+			if !sameMap(e.Categories, it.Categories) {
+				t.Fatalf("event %d about %s holds its own map, not the catalog item's", i, e.ItemID)
+			}
+		}
+		if n := len(sys.Feedback.Events("lilly")); n != 8 {
+			t.Fatalf("%d events, want 8", n)
+		}
+	}
+
+	dir := t.TempDir()
+	live, items := node()
+	dur, err := OpenDurability(live, DurabilityOptions{Dir: dir, Sync: durable.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shipped []durable.Event
+	hook := live.durHook
+	live.SetMutationHook(func(stripe uint32, e durable.Event) error {
+		shipped = append(shipped, e)
+		return hook(stripe, e)
+	})
+	for i, it := range items {
+		// A copy of the item's map, not the map itself, as every event
+		// decoded off the wire carries.
+		if err := live.AddFeedback(feedback.Event{
+			UserID: "lilly", ItemID: it.ID, Kind: feedback.Kind(i % 4),
+			At: shareT0.Add(time.Duration(i) * time.Minute), Categories: maps.Clone(it.Categories),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("live", func(t *testing.T) { assertShared(t, live) })
+	dur.Crash()
+
+	t.Run("recovery", func(t *testing.T) {
+		recovered, _ := node()
+		rdur, err := OpenDurability(recovered, DurabilityOptions{Dir: dir, Sync: durable.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rdur.Crash()
+		if rdur.ReplayedEvents() == 0 {
+			t.Fatal("nothing replayed")
+		}
+		assertShared(t, recovered)
+	})
+	t.Run("standby apply", func(t *testing.T) {
+		follower, _ := node()
+		for _, e := range shipped {
+			if err := follower.ApplyReplicated(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		assertShared(t, follower)
+	})
+	t.Run("checkpoint restore", func(t *testing.T) {
+		var buf bytes.Buffer
+		var err error
+		live.checkpointBarrier(func() { err = live.Snapshot(&buf) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Restore(&buf); err != nil {
+			t.Fatal(err)
+		}
+		assertShared(t, restored)
+	})
+
+	t.Run("caller map copied", func(t *testing.T) {
+		sys, items := node()
+		equal := maps.Clone(items[0].Categories)
+		other := map[string]float64{"food": 0.7, "culture": 0.3}
+		for _, e := range []feedback.Event{
+			{UserID: "greg", ItemID: items[0].ID, Kind: feedback.Like, At: shareT0, Categories: equal},
+			{UserID: "greg", ItemID: items[1].ID, Kind: feedback.Like, At: shareT0, Categories: other},
+			{UserID: "greg", ItemID: "not-in-catalog", Kind: feedback.Skip, At: shareT0, Categories: other},
+		} {
+			if err := sys.AddFeedback(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		evs := sys.Feedback.Events("greg")
+		if len(evs) != 3 {
+			t.Fatalf("%d events, want 3", len(evs))
+		}
+		for i, e := range evs[1:] {
+			if m := e.Categories; sameMap(m, other) || sameMap(m, items[1].Categories) {
+				t.Fatalf("event %d kept a map it does not own", i+1)
+			}
+		}
+		want := sys.Preferences("greg", shareT0)
+		for _, m := range []map[string]float64{equal, other} {
+			for k := range m {
+				m[k] = -1e9
+			}
+			m["art"] = 42
+		}
+		if got := sys.Preferences("greg", shareT0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("mutating the caller's maps moved preferences: %v, was %v", got, want)
+		}
+	})
+}
+
+// TestCatalogFeedbackAllocatesNoMore: keeping the catalog's map is the
+// point; feedback on a catalog item must not allocate more than the
+// same feedback on an item the catalog does not hold.
+func TestCatalogFeedbackAllocatesNoMore(t *testing.T) {
+	sys, _ := newTestSystem(t)
+	it := addCatalog(t, sys, 1)[0]
+	cats := maps.Clone(it.Categories)
+	at := shareT0
+	write := func(user, item string) func() {
+		return func() {
+			at = at.Add(time.Second)
+			if err := sys.AddFeedback(feedback.Event{UserID: user, ItemID: item, Kind: feedback.Like, At: at, Categories: cats}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	known := testing.AllocsPerRun(500, write("a", it.ID))
+	unknown := testing.AllocsPerRun(500, write("b", "not-in-catalog"))
+	t.Logf("allocs per AddFeedback: catalog item %.0f, unknown item %.0f", known, unknown)
+	if known > unknown {
+		t.Fatalf("feedback on a catalog item allocates %.0f, on an unknown item %.0f", known, unknown)
+	}
+}
+
+// TestSharedCategoryMapsUnderCheckpoint races writers on shared catalog
+// maps against snapshots, which encode event maps after the shard lock
+// is released (a checkpoint's, inside the commit barrier, and the
+// feedback store's own, outside it), and against the two read paths;
+// under -race it is the proof that no stored map is ever written.
+func TestSharedCategoryMapsUnderCheckpoint(t *testing.T) {
+	sys, _ := newTestSystem(t)
+	items := addCatalog(t, sys, 40)
+	orig := make([]map[string]float64, len(items))
+	for i, it := range items {
+		orig[i] = maps.Clone(it.Categories)
+	}
+	users := []string{"u0", "u1", "u2", "u3"}
+	var wg sync.WaitGroup
+	for wi := range users {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				it := items[(i*7+wi)%len(items)]
+				cats := it.Categories
+				if i%2 == 1 {
+					cats = maps.Clone(cats)
+				}
+				if err := sys.AddFeedback(feedback.Event{
+					UserID: users[(i+wi)%len(users)], ItemID: it.ID, Kind: feedback.Kind(i % 4),
+					At: shareT0.Add(time.Duration(i) * time.Second), Categories: cats,
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(wi)
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for j := 0; j < 20; j++ {
+			var err error
+			if j%2 == 0 {
+				sys.checkpointBarrier(func() { err = sys.Snapshot(io.Discard) })
+			} else {
+				err = sys.Feedback.Snapshot(io.Discard)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for j := 0; j < 300; j++ {
+			u := users[j%len(users)]
+			sys.Preferences(u, shareT0.Add(time.Hour))
+			for _, e := range sys.Feedback.ByUser(u) {
+				e.Categories["scribble"] = 1
+			}
+		}
+	}()
+	wg.Wait()
+
+	for i, it := range items {
+		if !reflect.DeepEqual(it.Categories, orig[i]) {
+			t.Fatalf("catalog map of %s changed: %v, was %v", it.ID, it.Categories, orig[i])
+		}
+	}
+	for _, u := range users {
+		assertIndexMatchesReplay(t, sys, u, shareT0.Add(time.Hour))
+	}
+}
+
+// retainedPerWrite runs b.N fixed batches of writes, each on a fresh
+// set of users, and reports the heap the writes left behind: HeapAlloc
+// after two collections, after the batch minus before it, per write.
+func retainedPerWrite(b *testing.B, sys *System, write func(user string, i int) error) {
+	const batch, users = 20000, 20
+	var ms runtime.MemStats
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var retained float64
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		names := make([]string, users)
+		for u := range names {
+			names[u] = fmt.Sprintf("w%d-%02d", n, u)
+		}
+		before := heap()
+		b.StartTimer()
+		for i := 0; i < batch; i++ {
+			if err := write(names[i%users], i/users); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		retained += float64(heap()) - float64(before)
+		b.StartTimer()
+	}
+	runtime.KeepAlive(sys)
+	b.ReportMetric(retained/float64(b.N*batch), "retained-B/op")
+}
+
+// BenchmarkRetainedPerWrite measures what one write leaves on a node's
+// heap, by kind: feedback about a catalog item (its map shared with the
+// catalog), feedback about an unknown item (one private copy), and a GPS
+// fix. Run it with -benchtime 3x; the ns/op column is the batch's.
+func BenchmarkRetainedPerWrite(b *testing.B) {
+	feedbackOn := func(catalog bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			sys, _ := newTestSystem(b)
+			items := addCatalog(b, sys, 200)
+			ids := make([]string, len(items))
+			for i, it := range items {
+				ids[i] = it.ID
+				if !catalog {
+					ids[i] = "gone-" + it.ID
+				}
+			}
+			retainedPerWrite(b, sys, func(user string, i int) error {
+				it, id := items[i%len(items)], ids[i%len(items)]
+				return sys.AddFeedback(feedback.Event{
+					UserID: user, ItemID: id, Kind: feedback.Like,
+					At: shareT0.Add(time.Duration(i) * time.Second), Categories: it.Categories,
+				})
+			})
+		}
+	}
+	b.Run("feedback-catalog-item", feedbackOn(true))
+	b.Run("feedback-unknown-item", feedbackOn(false))
+	b.Run("fix", func(b *testing.B) {
+		sys, _ := newTestSystem(b)
+		retainedPerWrite(b, sys, func(user string, i int) error {
+			return sys.RecordFix(user, trajectory.Fix{
+				Point: geo.Destination(geo.Point{Lat: 45.0703, Lon: 7.6869}, float64(i%360), float64(i)),
+				Time:  shareT0.Add(time.Duration(i) * time.Second),
+			})
+		})
+	})
+}
