@@ -73,7 +73,7 @@ func run() int {
 		gate        = flag.Bool("gate", false, "exit 1 when an SLO check fails")
 		reportPath  = flag.String("report", "", "write the JSON report to this file")
 		dataDir     = flag.String("data-dir", "", "durability directory (default: a temp dir, removed afterwards)")
-		walSync     = flag.String("wal-sync", "always", "WAL fsync policy: always, interval, none — or 'off' to run without durability")
+		walSync     = flag.String("wal-sync", "always", "WAL fsync policy: always or interval — or 'off' to run without durability")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /stats and /readyz here while the scenario runs")
 		slowRankUS  = flag.Int("inject-slow-rank", 0, "inject this many microseconds of stall into the Rank stage (SLO-gate self-test)")
 		routerURL   = flag.String("router", "", "failover-storm: URL of the cluster's pphcr-router")

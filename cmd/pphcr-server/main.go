@@ -118,7 +118,7 @@ func main() {
 		fbHorizon   = flag.Duration("feedback-horizon", 30*24*time.Hour, "feedback history kept live; older events fold into the baseline")
 		dataDir     = flag.String("data-dir", "", "durability directory (WAL + checkpoints); empty runs in-memory only")
 		ckInterval  = flag.Duration("checkpoint-interval", time.Minute, "time between background checkpoints (0 disables; shutdown still checkpoints)")
-		walSync     = flag.String("wal-sync", "interval", "WAL fsync policy: always, interval or none")
+		walSync     = flag.String("wal-sync", "interval", "WAL fsync policy: always or interval")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		traceThresh = flag.Duration("trace-threshold", 250*time.Millisecond, "keep per-request stage traces slower than this in /debug/traces (0 disables tracing)")

@@ -129,14 +129,8 @@ type DurabilityOptions struct {
 	Dir string
 	// Sync is the WAL fsync policy (-wal-sync). Default durable.SyncAlways.
 	Sync durable.SyncPolicy
-	// SyncEvery is the SyncInterval tick. Default 50ms.
-	SyncEvery time.Duration
 	// SegmentBytes is the WAL rotation threshold. Default 8 MiB.
 	SegmentBytes int64
-	// KeepCheckpoints is how many checkpoint generations to retain (the
-	// older ones are the fallback if the newest fails validation).
-	// Default 2.
-	KeepCheckpoints int
 	// RetainSegments keeps WAL segments that checkpoints would otherwise
 	// truncate. A replication leader sets it so the log holds every
 	// user's full history from sequence 1 — the slice a rebalance replays
@@ -154,7 +148,6 @@ type Durability struct {
 	sys    *System
 	dir    string
 	wal    *durable.WAL
-	keep   int
 	retain bool
 
 	// mu serializes Checkpoint against Close.
@@ -178,67 +171,30 @@ type Durability struct {
 	pauseHist obs.Histogram
 }
 
-// OpenDurability recovers state from o.Dir into sys — which must be
-// freshly constructed with the same Config as the crashed instance —
-// and attaches the write-ahead log to its mutation hook.
-//
-// Recovery restores the newest checkpoint that passes CRC validation
-// (falling back to an older retained one if the newest is damaged),
-// then replays the WAL segments the checkpoint does not cover, in
-// order, through the System entry points. A torn final record — the
-// signature of a crash mid-append — is tolerated and dropped; torn
-// records anywhere else fail recovery loudly.
-func OpenDurability(sys *System, o DurabilityOptions) (*Durability, error) {
+// keepCheckpoints is how many checkpoint generations a Durability
+// retains: the older one is the fallback if the newest fails validation.
+const keepCheckpoints = 2
+
+// openDurability is what OpenDurability and PromoteStandby share: check
+// o, let load bring sys up to date from o.Dir (it returns the
+// highest record sequence it saw), then open the WAL for writing past
+// that sequence and attach it to every write path.
+func openDurability(sys *System, o DurabilityOptions, load func(d *Durability) (uint64, error)) (*Durability, error) {
 	if o.Dir == "" {
 		return nil, fmt.Errorf("pphcr: DurabilityOptions.Dir required")
 	}
-	if o.KeepCheckpoints <= 0 {
-		o.KeepCheckpoints = 2
-	}
-	d := &Durability{sys: sys, dir: o.Dir, keep: o.KeepCheckpoints, retain: o.RetainSegments}
-
-	cps, err := durable.ListCheckpoints(o.Dir)
+	d := &Durability{sys: sys, dir: o.Dir, retain: o.RetainSegments}
+	maxSeq, err := load(d)
 	if err != nil {
-		return nil, fmt.Errorf("pphcr: listing checkpoints: %w", err)
+		return nil, err
 	}
-	var fromSeq int64
-	for i := len(cps) - 1; i >= 0; i-- {
-		data, err := durable.ReadCheckpoint(cps[i].Path)
-		if err != nil {
-			continue // damaged: fall back to the previous generation
-		}
-		if err := sys.Restore(bytes.NewReader(data)); err != nil {
-			return nil, fmt.Errorf("pphcr: restoring checkpoint %d: %w", cps[i].Seq, err)
-		}
-		fromSeq = cps[i].Seq
-		d.recovered = true
-		break
-	}
-	if len(cps) > 0 && !d.recovered {
-		// Checkpoints exist but none validated. Booting anyway would
-		// replay only the retained WAL tail over an empty system and
-		// silently serve with most state gone — data loss must be a
-		// loud startup failure, not a quiet degradation.
-		return nil, fmt.Errorf("pphcr: %d checkpoint(s) in %s but none passed validation", len(cps), o.Dir)
-	}
-	st, err := durable.Replay(o.Dir, fromSeq, sys.applyDurableEvent)
-	if err != nil {
-		return nil, fmt.Errorf("pphcr: replaying WAL: %w", err)
-	}
-	d.replayed = st.Events
-	d.torn = st.Torn
-	if st.Events > 0 {
-		d.recovered = true
-	}
-
 	wal, err := durable.OpenWAL(o.Dir, durable.Options{
 		SegmentBytes: o.SegmentBytes,
 		Sync:         o.Sync,
-		SyncEvery:    o.SyncEvery,
 		Stripes:      len(sys.shards),
-		// Replay just totally ordered the retained tail; hand its max
+		// Recovery just totally ordered the retained tail; hand its max
 		// sequence over so the open does not re-read every segment.
-		InitialSeq: st.MaxSeq,
+		InitialSeq: maxSeq,
 	})
 	if err != nil {
 		return nil, err
@@ -250,13 +206,62 @@ func OpenDurability(sys *System, o DurabilityOptions) (*Durability, error) {
 	return d, nil
 }
 
+// OpenDurability recovers state from o.Dir into sys — which must be
+// freshly constructed with the same Config as the crashed instance —
+// and attaches the write-ahead log to its mutation hook.
+//
+// Recovery restores the newest checkpoint that passes CRC validation
+// (falling back to an older retained one if the newest is damaged),
+// then replays the WAL segments the checkpoint does not cover, in
+// order, through the System entry points. A torn final record — the
+// signature of a crash mid-append — is tolerated and dropped; torn
+// records anywhere else fail recovery loudly.
+func OpenDurability(sys *System, o DurabilityOptions) (*Durability, error) {
+	return openDurability(sys, o, func(d *Durability) (uint64, error) {
+		cps, err := durable.ListCheckpoints(d.dir)
+		if err != nil {
+			return 0, fmt.Errorf("pphcr: listing checkpoints: %w", err)
+		}
+		var fromSeq int64
+		for i := len(cps) - 1; i >= 0; i-- {
+			data, err := durable.ReadCheckpoint(cps[i].Path)
+			if err != nil {
+				continue // damaged: fall back to the previous generation
+			}
+			if err := sys.Restore(bytes.NewReader(data)); err != nil {
+				return 0, fmt.Errorf("pphcr: restoring checkpoint %d: %w", cps[i].Seq, err)
+			}
+			fromSeq = cps[i].Seq
+			d.recovered = true
+			break
+		}
+		if len(cps) > 0 && !d.recovered {
+			// Checkpoints exist but none validated. Booting anyway would
+			// replay only the retained WAL tail over an empty system and
+			// silently serve with most state gone — data loss must be a
+			// loud startup failure, not a quiet degradation.
+			return 0, fmt.Errorf("pphcr: %d checkpoint(s) in %s but none passed validation", len(cps), d.dir)
+		}
+		st, err := durable.Replay(d.dir, fromSeq, sys.applyDurableEvent)
+		if err != nil {
+			return 0, fmt.Errorf("pphcr: replaying WAL: %w", err)
+		}
+		d.replayed = st.Events
+		d.torn = st.Torn
+		if st.Events > 0 {
+			d.recovered = true
+		}
+		return st.MaxSeq, nil
+	})
+}
+
 // Recovered reports whether opening found prior state (a checkpoint or
 // WAL events) — the server uses it to skip its synthetic preload.
 func (d *Durability) Recovered() bool { return d.recovered }
 
 // Healthy reports whether the durability layer can still accept writes:
-// nil while the WAL is live, the sticky wedge/terminal error once a
-// write or commit failure killed the log. The readiness probe uses it
+// nil while the WAL is live, its terminal failure once a segment write
+// or fsync failed, under either sync policy. The readiness probe uses it
 // to turn a broken node 503 so a load balancer ejects it.
 func (d *Durability) Healthy() error { return d.wal.Err() }
 
@@ -294,7 +299,7 @@ func (d *Durability) ReplayedEvents() int { return d.replayed }
 // covers. The write paths are paused only while the snapshot serializes
 // to memory and the WAL rotates; the disk writes happen outside the
 // barrier. The snapshot lands atomically (temp file + fsync + rename),
-// older generations beyond KeepCheckpoints are deleted, and WAL
+// older generations beyond keepCheckpoints are deleted, and WAL
 // segments below the oldest retained checkpoint are removed.
 func (d *Durability) Checkpoint() error {
 	d.mu.Lock()
@@ -331,7 +336,7 @@ func (d *Durability) checkpointLocked() error {
 	}
 	d.checkpoints.Add(1)
 	d.lastCheckpoint.Store(time.Now().UnixNano())
-	kept, err := durable.RemoveCheckpointsKeep(d.dir, d.keep)
+	kept, err := durable.RemoveCheckpointsKeep(d.dir, keepCheckpoints)
 	if err != nil || len(kept) == 0 {
 		return err
 	}
@@ -363,8 +368,8 @@ func (d *Durability) Close() error {
 
 // Crash abandons the durability layer without flushing or
 // checkpointing — the crash-simulation path used by recovery tests and
-// the load generator's -restart workload. Buffered, unsynced WAL
-// records are lost exactly as in a process kill.
+// the kill-node scenario. Buffered, unsynced WAL records are lost
+// exactly as in a process kill.
 func (d *Durability) Crash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -432,9 +437,10 @@ func (d *Durability) Stats() DurabilityStats {
 func (d *Durability) WALSeq() uint64 { return d.wal.SeqCeiling() }
 
 // SyncWAL forces a group flush+fsync of everything appended so far. The
-// replication source calls it before serving segment bytes under the
-// interval/none sync policies, so a follower's cursor never runs ahead
-// of what the leader has durably written.
+// replication source calls it before listing segment sizes, so under
+// the interval policy a follower's cursor never runs ahead of what the
+// leader has durably written. It returns the WAL's failure once the log
+// has failed.
 func (d *Durability) SyncWAL() error { return d.wal.Sync() }
 
 // ApplyReplicated applies one shipped WAL record through the entry
@@ -483,46 +489,26 @@ func EventUser(e durable.Event) (string, bool) {
 // order, including records the contiguous tail couldn't apply past a
 // sequence gap — then opens the WAL for writing and attaches the
 // mutation hook. From the moment it returns, the node acks its own
-// writes. fromSeg bounds the replay to segments >= fromSeg (the
-// standby's bootstrap checkpoint segment; 0 replays everything
-// retained). The returned count is the number of suffix records
-// applied — the acked-but-unapplied window the promotion closed.
-func PromoteStandby(sys *System, o DurabilityOptions, fromSeg int64, appliedSeq uint64) (*Durability, int, error) {
-	if o.Dir == "" {
-		return nil, 0, fmt.Errorf("pphcr: DurabilityOptions.Dir required")
-	}
-	if o.KeepCheckpoints <= 0 {
-		o.KeepCheckpoints = 2
-	}
-	d := &Durability{sys: sys, dir: o.Dir, keep: o.KeepCheckpoints, retain: o.RetainSegments, recovered: true}
+// writes. The replay reads every retained segment. The returned count
+// is the number of suffix records applied — the acked-but-unapplied
+// window the promotion closed.
+func PromoteStandby(sys *System, o DurabilityOptions, appliedSeq uint64) (*Durability, int, error) {
 	applied := 0
-	st, err := durable.Replay(o.Dir, fromSeg, func(e durable.Event) error {
-		if e.Seq <= appliedSeq {
-			return nil // the standby applied this one live
+	d, err := openDurability(sys, o, func(d *Durability) (uint64, error) {
+		d.recovered = true
+		st, err := durable.Replay(d.dir, 0, func(e durable.Event) error {
+			if e.Seq <= appliedSeq {
+				return nil // the standby applied this one live
+			}
+			applied++
+			return sys.applyDurableEvent(e)
+		})
+		if err != nil {
+			return 0, fmt.Errorf("pphcr: promoting standby: %w", err)
 		}
-		applied++
-		return sys.applyDurableEvent(e)
+		d.replayed = applied
+		d.torn = st.Torn
+		return max(st.MaxSeq, appliedSeq), nil
 	})
-	if err != nil {
-		return nil, applied, fmt.Errorf("pphcr: promoting standby: %w", err)
-	}
-	d.replayed = applied
-	d.torn = st.Torn
-	initial := st.MaxSeq
-	if appliedSeq > initial {
-		initial = appliedSeq
-	}
-	wal, err := durable.OpenWAL(o.Dir, durable.Options{
-		SegmentBytes: o.SegmentBytes,
-		Sync:         o.Sync,
-		SyncEvery:    o.SyncEvery,
-		Stripes:      len(sys.shards),
-		InitialSeq:   initial,
-	})
-	if err != nil {
-		return nil, applied, err
-	}
-	d.wal = wal
-	sys.SetMutationHook(wal.AppendTo)
-	return d, applied, nil
+	return d, applied, err
 }

@@ -356,7 +356,7 @@ func TestCleanShutdownRecoversFromFinalCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dur, err := OpenDurability(live, DurabilityOptions{Dir: dir, Sync: durable.SyncNone})
+	dur, err := OpenDurability(live, DurabilityOptions{Dir: dir, Sync: durable.SyncInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestCleanShutdownRecoversFromFinalCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rdur, err := OpenDurability(recovered, DurabilityOptions{Dir: dir, Sync: durable.SyncNone})
+	rdur, err := OpenDurability(recovered, DurabilityOptions{Dir: dir, Sync: durable.SyncInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestRecoveryRejectsAllCorruptCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dur, err := OpenDurability(live, DurabilityOptions{Dir: dir, Sync: durable.SyncNone})
+	dur, err := OpenDurability(live, DurabilityOptions{Dir: dir, Sync: durable.SyncInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestRecoveryRejectsAllCorruptCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDurability(fresh, DurabilityOptions{Dir: dir, Sync: durable.SyncNone}); err == nil {
+	if _, err := OpenDurability(fresh, DurabilityOptions{Dir: dir, Sync: durable.SyncInterval}); err == nil {
 		t.Fatal("recovery accepted a directory whose every checkpoint is corrupt")
 	}
 }
@@ -529,7 +529,7 @@ func TestConcurrentAppendsDuringCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	dur, err := OpenDurability(live, DurabilityOptions{Dir: dir, Sync: durable.SyncNone, SegmentBytes: 32 << 10})
+	dur, err := OpenDurability(live, DurabilityOptions{Dir: dir, Sync: durable.SyncInterval, SegmentBytes: 32 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +607,7 @@ func TestConcurrentAppendsDuringCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rdur, err := OpenDurability(recovered, DurabilityOptions{Dir: dir, Sync: durable.SyncNone})
+	rdur, err := OpenDurability(recovered, DurabilityOptions{Dir: dir, Sync: durable.SyncInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,7 +644,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	dir := b.TempDir()
-	dur, err := OpenDurability(live, DurabilityOptions{Dir: dir, Sync: durable.SyncNone})
+	dur, err := OpenDurability(live, DurabilityOptions{Dir: dir, Sync: durable.SyncInterval})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -676,7 +676,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	rdur, err := OpenDurability(recovered, DurabilityOptions{Dir: dir, Sync: durable.SyncNone})
+	rdur, err := OpenDurability(recovered, DurabilityOptions{Dir: dir, Sync: durable.SyncInterval})
 	if err != nil {
 		b.Fatal(err)
 	}

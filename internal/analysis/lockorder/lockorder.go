@@ -3,7 +3,7 @@
 //
 //	pphcr:     Durability.mu → commit barrier stripe → user shard → store
 //	plancache: shard.mu → shard.genMu
-//	durable:   WAL.ioMu → walStripe.mu → WAL.commitMu / WAL.deferredMu
+//	durable:   WAL.ioMu → walStripe.mu → WAL.commitMu
 //
 // Within one hierarchy a function may only acquire downward (toward
 // higher levels) while holding a lock, and may never hold two sibling
@@ -49,7 +49,7 @@ type class struct {
 const (
 	orderPphcr     = "Durability.mu → barrier → shard → store"
 	orderPlancache = "shard.mu → genMu"
-	orderWAL       = "ioMu → stripe → commitMu/deferredMu"
+	orderWAL       = "ioMu → stripe → commitMu"
 	orderReplicate = "Router.mu → nodeState.mu → Standby.mu"
 )
 
@@ -68,10 +68,9 @@ var (
 	clsPCShard = class{"plancache", 10, "plan-cache shard lock", orderPlancache}
 	clsPCGen   = class{"plancache", 20, "plan-cache generation lock", orderPlancache}
 
-	clsWALIO       = class{"wal", 10, "WAL io mutex", orderWAL}
-	clsWALStripe   = class{"wal", 20, "WAL staging stripe", orderWAL}
-	clsWALCommit   = class{"wal", 30, "WAL commit mutex", orderWAL}
-	clsWALDeferred = class{"wal", 30, "WAL deferred-error mutex", orderWAL}
+	clsWALIO     = class{"wal", 10, "WAL io mutex", orderWAL}
+	clsWALStripe = class{"wal", 20, "WAL staging stripe", orderWAL}
+	clsWALCommit = class{"wal", 30, "WAL commit mutex", orderWAL}
 
 	// Replication locks. The router holds its topology lock while taking
 	// per-partition state locks (stats, reload), never the reverse.
@@ -91,17 +90,16 @@ var fieldClasses = map[key]class{
 	{"pphcr", "userShard", "mu"}:     clsShard,
 	{"pphcr", "System", "ingestMu"}:  clsIngest,
 
-	{"profile", "Store", "mu"}:       clsStore,
-	{"feedback", "Store", "mu"}:      clsStore,
-	{"tracking", "Tracker", "mu"}:    clsStore,
-	{"content", "Repository", "mu"}:  clsStore,
-	{"radiodns", "Directory", "mu"}:  clsStore,
-	{"plancache", "shard", "mu"}:     clsPCShard,
-	{"plancache", "shard", "genMu"}:  clsPCGen,
-	{"durable", "WAL", "ioMu"}:       clsWALIO,
-	{"durable", "walStripe", "mu"}:   clsWALStripe,
-	{"durable", "WAL", "commitMu"}:   clsWALCommit,
-	{"durable", "WAL", "deferredMu"}: clsWALDeferred,
+	{"profile", "Store", "mu"}:      clsStore,
+	{"feedback", "Store", "mu"}:     clsStore,
+	{"tracking", "Tracker", "mu"}:   clsStore,
+	{"content", "Repository", "mu"}: clsStore,
+	{"radiodns", "Directory", "mu"}: clsStore,
+	{"plancache", "shard", "mu"}:    clsPCShard,
+	{"plancache", "shard", "genMu"}: clsPCGen,
+	{"durable", "WAL", "ioMu"}:      clsWALIO,
+	{"durable", "walStripe", "mu"}:  clsWALStripe,
+	{"durable", "WAL", "commitMu"}:  clsWALCommit,
 
 	{"replicate", "Router", "mu"}:    clsReplRouter,
 	{"replicate", "nodeState", "mu"}: clsReplNode,

@@ -57,7 +57,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 
 func TestWALSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, Options{Sync: SyncNone, SegmentBytes: 256})
+	w, err := OpenWAL(dir, Options{Sync: SyncInterval, SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestWALSegmentRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Staging is asynchronous under SyncNone: settle the background
+	// Staging is asynchronous under SyncInterval: settle the background
 	// writer before reading the segment counters.
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestWALSegmentRotation(t *testing.T) {
 
 	// Truncation: drop everything below the last segment.
 	if err := func() error {
-		w2, err := OpenWAL(dir, Options{Sync: SyncNone, SegmentBytes: 256})
+		w2, err := OpenWAL(dir, Options{Sync: SyncInterval, SegmentBytes: 256})
 		if err != nil {
 			return err
 		}
@@ -275,18 +275,20 @@ func TestWriteFileAtomic(t *testing.T) {
 }
 
 func TestSyncPolicyParseAndInterval(t *testing.T) {
-	for _, s := range []string{"always", "interval", "none"} {
+	for _, s := range []string{"always", "interval"} {
 		p, err := ParseSyncPolicy(s)
 		if err != nil || p.String() != s {
 			t.Fatalf("parse %q: %v %v", s, p, err)
 		}
 	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Fatal("bad policy accepted")
+	for _, s := range []string{"none", "sometimes"} {
+		if _, err := ParseSyncPolicy(s); err == nil {
+			t.Fatalf("bad policy %q accepted", s)
+		}
 	}
 
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, Options{Sync: SyncInterval, SyncEvery: time.Millisecond})
+	w, err := OpenWAL(dir, Options{Sync: SyncInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +314,7 @@ func TestSyncPolicyParseAndInterval(t *testing.T) {
 // garbage. A mismatched marker version is refused the same way.
 func TestWALFormatMarker(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, Options{Sync: SyncNone})
+	w, err := OpenWAL(dir, Options{Sync: SyncInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +336,7 @@ func TestWALFormatMarker(t *testing.T) {
 	if _, err := Replay(dir, 0, func(Event) error { return nil }); err == nil {
 		t.Fatal("replay parsed a marker-less (old-format) directory")
 	}
-	if _, err := OpenWAL(dir, Options{Sync: SyncNone}); err == nil {
+	if _, err := OpenWAL(dir, Options{Sync: SyncInterval}); err == nil {
 		t.Fatal("open accepted a marker-less (old-format) directory")
 	}
 
@@ -342,7 +344,7 @@ func TestWALFormatMarker(t *testing.T) {
 	if err := os.WriteFile(marker, []byte("9\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenWAL(dir, Options{Sync: SyncNone}); err == nil {
+	if _, err := OpenWAL(dir, Options{Sync: SyncInterval}); err == nil {
 		t.Fatal("open accepted an unsupported format version")
 	}
 }
@@ -360,7 +362,7 @@ func TestWALConcurrentStripedAppends(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := filepath.Join(dir, policy.String())
-			w, err := OpenWAL(dir, Options{Sync: policy, SyncEvery: time.Millisecond, Stripes: 8, SegmentBytes: 16 << 10})
+			w, err := OpenWAL(dir, Options{Sync: policy, Stripes: 8, SegmentBytes: 16 << 10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -451,7 +453,7 @@ func TestWALConcurrentStripedAppends(t *testing.T) {
 // dropping one it depends on).
 func TestGroupCommitTornTail(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, Options{Sync: SyncNone, Stripes: 4})
+	w, err := OpenWAL(dir, Options{Sync: SyncInterval, Stripes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +537,7 @@ func TestGroupCommitTornTail(t *testing.T) {
 // happens on the background tick. The acceptance bar is < 2µs/op.
 func BenchmarkWALAppend(b *testing.B) {
 	dir := b.TempDir()
-	w, err := OpenWAL(dir, Options{Sync: SyncInterval, SyncEvery: 50 * time.Millisecond})
+	w, err := OpenWAL(dir, Options{Sync: SyncInterval})
 	if err != nil {
 		b.Fatal(err)
 	}

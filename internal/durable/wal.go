@@ -20,17 +20,18 @@ import (
 // SyncPolicy selects when the WAL calls fsync.
 type SyncPolicy int
 
-// Sync policies, in decreasing durability order. SyncAlways makes every
-// Append durable before it returns — appenders park on a commit notify
-// and one group-commit fsync retires every record staged while the
-// previous fsync was in flight. SyncInterval flushes and fsyncs on a
-// background tick, bounding loss to one interval; SyncNone leaves
-// flushing to the OS (and to Rotate/Close).
+// Sync policies. SyncAlways makes every Append durable before it
+// returns — appenders park on a commit notify and one group-commit
+// fsync retires every record staged while the previous fsync was in
+// flight. SyncInterval flushes and fsyncs every syncEvery, bounding
+// loss to one tick.
 const (
 	SyncAlways SyncPolicy = iota
 	SyncInterval
-	SyncNone
 )
+
+// syncEvery is the SyncInterval tick.
+const syncEvery = 50 * time.Millisecond
 
 // String returns the policy name (the -wal-sync flag values).
 func (p SyncPolicy) String() string {
@@ -39,8 +40,6 @@ func (p SyncPolicy) String() string {
 		return "always"
 	case SyncInterval:
 		return "interval"
-	case SyncNone:
-		return "none"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
@@ -53,21 +52,12 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 		return SyncAlways, nil
 	case "interval":
 		return SyncInterval, nil
-	case "none":
-		return SyncNone, nil
 	default:
-		return 0, fmt.Errorf("durable: unknown sync policy %q (want always, interval or none)", s)
+		return 0, fmt.Errorf("durable: unknown sync policy %q (want always or interval)", s)
 	}
 }
 
-// ErrDeferredSync reports that an *earlier* background fsync failed.
-// The record whose Append returned it WAS staged for the log (and the
-// unsynced data is retried on the next tick) — callers that sequence
-// work after the append (the emit-then-apply ingest path) must treat
-// the record as logged and proceed, or log and state diverge.
-var ErrDeferredSync = errors.New("durable: deferred background fsync failed")
-
-// ErrClosed is returned by Append on a closed (or abandoned) WAL.
+// ErrClosed is returned by Append on a closed WAL.
 var ErrClosed = errors.New("durable: append on closed WAL")
 
 // Options parameterizes a WAL.
@@ -76,8 +66,6 @@ type Options struct {
 	SegmentBytes int64
 	// Sync is the fsync policy. Default SyncAlways.
 	Sync SyncPolicy
-	// SyncEvery is the SyncInterval tick. Default 50ms.
-	SyncEvery time.Duration
 	// Stripes is the number of staging stripes (rounded up to a power of
 	// two). Callers spread appends across stripes with AppendTo so
 	// concurrent producers contend only per stripe. Default 32 — the
@@ -95,9 +83,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 50 * time.Millisecond
 	}
 	if o.Stripes <= 0 {
 		o.Stripes = 32
@@ -322,36 +307,20 @@ type WAL struct {
 	size     int64        // bytes in the active segment
 	dirty    bool         // bytes written since last fsync
 	ioClosed bool
-	// pending carries drained-but-unwritten records across cycles: a
-	// write error must not drop a record whose Append already returned
-	// nil while later records land (that would punch a mid-stream hole
-	// in the sequence).
-	pending    []stagedRec
-	drainHi    []uint64 // per-stripe highest ticket collected, pending fsync
-	deferred   error    // sticky async-fsync failure, surfaced by a later Append
-	deferredMu sync.Mutex
-	// wedged marks a segment-write failure under interval/none: the
-	// bufio writer's error is sticky and no later write can land, so
-	// appends fail fast with wedgeErr instead of silently staging into
-	// an unbounded backlog. (The previous single-mutex WAL had the same
-	// terminal state — every Append returned the sticky error — this
-	// preserves that contract for the staged path.)
-	wedged   atomic.Bool
-	wedgeErr error // under deferredMu
+	batch    []stagedRec // drain buffer, reused across cycles
+	drainHi  []uint64    // per-stripe highest ticket collected, pending fsync
 
 	// commitMu/commitCond wake SyncAlways waiters after each group
-	// commit. A failed cycle under SyncAlways is terminal: `terminal`
-	// flips (with lastErr holding the failure), every parked producer is
-	// woken with the error, and no later cycle runs — so a ticket
+	// commit. failure holds the first failed segment write, flush or
+	// fsync under any policy, and is terminal: every parked producer is
+	// woken with it and nothing is written after it — so a ticket
 	// covered by durableTicket always means "written and fsynced", never
-	// "dropped by a failure but acked by a later success".
-	commitMu     sync.Mutex
-	commitCond   *sync.Cond
-	terminal     bool // under commitMu
-	terminalFlag atomic.Bool
-	lastErr      error
+	// "dropped by a failure but acked by a later success". It is set
+	// under commitMu so a parking producer cannot miss the wakeup.
+	commitMu   sync.Mutex
+	commitCond *sync.Cond
+	failure    atomic.Pointer[error]
 
-	closed   atomic.Bool
 	stopOnce sync.Once
 
 	appended      atomic.Int64
@@ -468,7 +437,7 @@ func OpenWAL(dir string, opts Options) (*WAL, error) {
 	}
 	var tick *time.Ticker
 	if opts.Sync == SyncInterval {
-		tick = time.NewTicker(opts.SyncEvery)
+		tick = time.NewTicker(syncEvery)
 	}
 	go w.writerLoop(tick)
 	return w, nil
@@ -528,31 +497,12 @@ func (w *WAL) Append(e Event) error { return w.AppendTo(0, e) }
 
 // AppendTo stages one record on the given stripe. Under SyncAlways it
 // is durable on return (the caller parked on the group-commit notify);
-// under SyncInterval/SyncNone it is staged for the background writer
-// and a crash may lose it. The record is encoded into a pooled scratch
-// buffer entirely outside the stripe lock; the critical section is one
-// slice append.
+// under SyncInterval it is staged for the background writer and a crash
+// may lose it. Once the log has failed it returns the failure and
+// stages nothing. The record is encoded into a pooled scratch buffer
+// entirely outside the stripe lock; the critical section is one slice
+// append.
 func (w *WAL) AppendTo(stripe uint32, e Event) error {
-	if w.closed.Load() {
-		return ErrClosed
-	}
-	if w.wedged.Load() && w.opts.Sync != SyncAlways {
-		// A segment-write failure is terminal for the staged path (the
-		// bufio writer's error is sticky): fail fast instead of staging
-		// into a backlog that can never drain.
-		w.deferredMu.Lock()
-		err := w.wedgeErr
-		w.deferredMu.Unlock()
-		return fmt.Errorf("durable: wal write failed, log wedged: %w", err)
-	}
-	if w.terminalFlag.Load() && w.opts.Sync == SyncAlways {
-		// A failed commit cycle killed the log; nothing appended after
-		// it can ever become durable, so fail before staging.
-		w.commitMu.Lock()
-		err := w.lastErr
-		w.commitMu.Unlock()
-		return fmt.Errorf("durable: wal commit failed, log terminal: %w", err)
-	}
 	start := time.Now()
 	// Sequence first, then encode: the CRC covers the stamped sequence
 	// number, and a gap left by a crash between here and staging is a
@@ -568,21 +518,14 @@ func (w *WAL) AppendTo(stripe uint32, e Event) error {
 
 	st := &w.stripes[stripe&w.mask]
 	st.mu.Lock()
-	if st.closed {
+	if err := w.Err(); err != nil || st.closed {
+		// A failed or closed log stages nothing.
 		st.mu.Unlock()
 		w.scratch.Put(bp)
+		if err != nil {
+			return err
+		}
 		return ErrClosed
-	}
-	if w.opts.Sync != SyncAlways && w.wedged.Load() {
-		// Re-check under the stripe lock: a drain failure between the
-		// fast-path check and here must not let this record stage with a
-		// nil return — it could never be written.
-		st.mu.Unlock()
-		w.scratch.Put(bp)
-		w.deferredMu.Lock()
-		err := w.wedgeErr
-		w.deferredMu.Unlock()
-		return fmt.Errorf("durable: wal write failed, log wedged: %w", err)
 	}
 	st.ticket++
 	ticket := st.ticket
@@ -595,35 +538,23 @@ func (w *WAL) AppendTo(stripe uint32, e Event) error {
 
 	if w.opts.Sync != SyncAlways {
 		w.appendHist.Observe(time.Since(start))
-		// Surface a sticky background-fsync failure on this (unrelated)
-		// append — the record itself is staged and will be retried.
-		w.deferredMu.Lock()
-		sticky := w.deferred
-		w.deferred = nil
-		w.deferredMu.Unlock()
-		if sticky != nil {
-			return fmt.Errorf("%w: %v", ErrDeferredSync, sticky)
-		}
 		return nil
 	}
 
 	// Group commit: park until the writer's fsync watermark covers this
-	// stripe ticket, or the log goes terminal. Tickets are issued under
-	// the stripe lock at staging, and drains swap every stripe's buffer
+	// stripe ticket, or the log fails. Tickets are issued under the
+	// stripe lock at staging, and drains swap every stripe's buffer
 	// inside one locked pass, so durableTicket covering the ticket means
 	// this record was collected, written and fsynced — a failure can
 	// never be followed by a successful cycle that would falsely ack a
 	// dropped record (failure is terminal).
 	w.commitMu.Lock()
-	for st.durableTicket.Load() < ticket && !w.terminal {
+	for st.durableTicket.Load() < ticket && w.failure.Load() == nil {
 		w.commitCond.Wait()
 	}
 	var err error
 	if st.durableTicket.Load() < ticket {
-		err = w.lastErr
-		if err == nil {
-			err = fmt.Errorf("durable: commit aborted")
-		}
+		err = w.Err()
 	}
 	w.commitMu.Unlock()
 	w.appendHist.Observe(time.Since(start))
@@ -636,20 +567,31 @@ func (w *WAL) AppendTo(stripe uint32, e Event) error {
 func (w *WAL) commitCycle() {
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
-	if w.ioClosed || w.terminalFlag.Load() {
-		return
+	if !w.ioClosed {
+		w.cycleLocked(w.opts.Sync == SyncAlways)
 	}
-	if _, err := w.drainLocked(); err != nil {
-		w.publishErrorLocked(err)
-		return
+}
+
+// cycleLocked drains every stripe into the active segment and, when
+// fsync is set and anything is unsynced, flushes, fsyncs and releases
+// the parked producers. The first failure is terminal (see fail): a
+// failed log writes nothing more and returns its failure. Callers hold
+// ioMu.
+func (w *WAL) cycleLocked(fsync bool) error {
+	if err := w.Err(); err != nil {
+		return err
 	}
-	if w.opts.Sync == SyncAlways && w.dirty {
-		if err := w.syncLocked(); err != nil {
-			w.publishErrorLocked(err)
-			return
-		}
-		w.publishDurableLocked()
+	if err := w.drainLocked(); err != nil {
+		return w.fail(err)
 	}
+	if !fsync || !w.dirty {
+		return nil
+	}
+	if err := w.syncLocked(); err != nil {
+		return w.fail(err)
+	}
+	w.publishDurableLocked()
+	return nil
 }
 
 // drainLocked swaps out every stripe's staging buffer, writes the
@@ -658,8 +600,10 @@ func (w *WAL) commitCycle() {
 // inside one drain matters for crash safety: a lost write suffix then
 // can never keep a record while losing one it causally depends on
 // (dependencies always carry a smaller sequence number and land in the
-// same or an earlier drain). Callers hold ioMu.
-func (w *WAL) drainLocked() (int, error) {
+// same or an earlier drain). On a failed write the unwritten suffix is
+// dropped: the log is about to fail, and nothing is written after a
+// failure. Callers hold ioMu.
+func (w *WAL) drainLocked() error {
 	// The swap holds every stripe lock at once so it is one atomic cut
 	// across the whole staging set. A stripe-at-a-time sweep would
 	// break causal ordering: a dependency could stage on an
@@ -670,7 +614,7 @@ func (w *WAL) drainLocked() (int, error) {
 	// staged before the cut is collected now and anything staged after
 	// it (including everything causally downstream) waits for the next
 	// cut. The held window is just len(stripes) slice swaps.
-	batch := w.pending
+	batch := w.batch[:0]
 	for i := range w.stripes {
 		w.stripes[i].mu.Lock()
 	}
@@ -685,9 +629,9 @@ func (w *WAL) drainLocked() (int, error) {
 	for i := len(w.stripes) - 1; i >= 0; i-- {
 		w.stripes[i].mu.Unlock()
 	}
+	w.batch = batch
 	if len(batch) == 0 {
-		w.pending = batch
-		return 0, nil
+		return nil
 	}
 	sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
 	for i := range batch {
@@ -697,19 +641,18 @@ func (w *WAL) drainLocked() (int, error) {
 			// publish durable tickets — drainHi covers records later in
 			// this batch that are not written yet; publication waits for
 			// the cycle's final fsync.
-			if _, err := w.rotateLocked(w.opts.Sync == SyncAlways); err != nil {
-				return i, w.dropOrCarryLocked(batch, i, err)
+			if err := w.rotateLocked(); err != nil {
+				return err
 			}
 		}
 		if _, err := w.bw.Write(batch[i].data); err != nil {
-			return i, w.dropOrCarryLocked(batch, i, fmt.Errorf("durable: appending record: %w", err))
+			return fmt.Errorf("durable: appending record: %w", err)
 		}
 		w.size += int64(len(batch[i].data))
 		d := batch[i].data
 		batch[i].data = nil
 		w.scratch.Put(&d)
 	}
-	w.pending = batch[:0]
 	w.dirty = true
 	n := len(batch)
 	w.groupCommits.Add(1)
@@ -720,51 +663,7 @@ func (w *WAL) drainLocked() (int, error) {
 			break
 		}
 	}
-	return n, nil
-}
-
-// dropOrCarryLocked resolves a drain failure at batch index i according
-// to the policy's promise. Under SyncAlways every record in the batch
-// has a parked producer about to receive this error; retrying the
-// unwritten suffix later would durably commit records whose Append
-// reported failure — the emit-then-apply ingest path would then replay
-// an item the live system never served — so the suffix is dropped and
-// "error ⇒ not in the log" holds for everything not yet handed to the
-// writer (the already-written prefix is the unavoidable commit-unknown
-// window every WAL has). Under interval/none the producers were already
-// told "staged" (nil), so their records must eventually land: the
-// unwritten suffix is carried to the next cycle. Callers hold ioMu.
-func (w *WAL) dropOrCarryLocked(batch []stagedRec, i int, err error) error {
-	if w.opts.Sync == SyncAlways {
-		for j := i; j < len(batch); j++ {
-			d := batch[j].data
-			batch[j].data = nil
-			w.scratch.Put(&d)
-		}
-		w.pending = batch[:0]
-		return err
-	}
-	w.pending = batch[i:]
-	// The bufio writer's error is sticky, so no later drain can land
-	// either: wedge the log so interval/none appends fail fast instead
-	// of growing the carried backlog without bound. The flag is set
-	// while holding every stripe lock, so any producer whose staging
-	// section starts after this point observes it (appends that staged
-	// before the wedge are the in-flight window the interval contract
-	// already bounds).
-	w.deferredMu.Lock()
-	if w.wedgeErr == nil {
-		w.wedgeErr = err
-	}
-	w.deferredMu.Unlock()
-	for i := range w.stripes {
-		w.stripes[i].mu.Lock()
-	}
-	w.wedged.Store(true)
-	for i := len(w.stripes) - 1; i >= 0; i-- {
-		w.stripes[i].mu.Unlock()
-	}
-	return err
+	return nil
 }
 
 // publishDurableLocked advances every stripe's durable-ticket watermark
@@ -779,30 +678,19 @@ func (w *WAL) publishDurableLocked() {
 	w.commitMu.Unlock()
 }
 
-// publishErrorLocked records a commit failure. Under SyncAlways the
-// failure is terminal: every parked waiter is woken with the error,
-// later appends fail fast, and no further cycle runs — the price of
-// keeping "durableTicket covers it ⇒ it is durable" exact (a retry
-// that succeeded would otherwise falsely ack records the failing cycle
-// dropped). The other policies surface it as a sticky ErrDeferredSync
-// on a later append. Callers hold ioMu.
-func (w *WAL) publishErrorLocked(err error) {
-	if w.opts.Sync == SyncAlways {
-		w.commitMu.Lock()
-		if w.lastErr == nil {
-			w.lastErr = err
-		}
-		w.terminal = true
-		w.terminalFlag.Store(true)
-		w.commitCond.Broadcast()
-		w.commitMu.Unlock()
-		return
-	}
-	w.deferredMu.Lock()
-	if w.deferred == nil {
-		w.deferred = err
-	}
-	w.deferredMu.Unlock()
+// fail makes the log terminal, under every policy, and returns the
+// failure it keeps (the first one). Every parked producer is woken with
+// it, and every later AppendTo, Sync, Rotate and Close returns it. There
+// is no retry: after a failed fsync the kernel may already have dropped
+// the dirty pages, so a later fsync that succeeds proves nothing about
+// the records before it; and a retry that succeeded would falsely ack
+// records the failing cycle dropped.
+func (w *WAL) fail(err error) error {
+	w.commitMu.Lock()
+	w.failure.CompareAndSwap(nil, &err)
+	w.commitCond.Broadcast()
+	w.commitMu.Unlock()
+	return w.Err()
 }
 
 // SetFsyncDegraded injects (or, with 0, clears) a per-fsync stall of d —
@@ -852,28 +740,9 @@ func (w *WAL) Sync() error {
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
 	if w.ioClosed {
-		return nil
+		return w.Err()
 	}
-	if w.terminalFlag.Load() {
-		// Draining a terminal log would write records whose producers
-		// were already told their commit failed.
-		w.commitMu.Lock()
-		defer w.commitMu.Unlock()
-		return w.lastErr
-	}
-	if _, err := w.drainLocked(); err != nil {
-		w.publishErrorLocked(err)
-		return err
-	}
-	if !w.dirty {
-		return nil
-	}
-	if err := w.syncLocked(); err != nil {
-		w.publishErrorLocked(err)
-		return err
-	}
-	w.publishDurableLocked()
-	return nil
+	return w.cycleLocked(true)
 }
 
 // Rotate drains the staging stripes, closes the active segment (flushed
@@ -884,66 +753,34 @@ func (w *WAL) Sync() error {
 func (w *WAL) Rotate() (int64, error) {
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
+	if err := w.Err(); err != nil {
+		return 0, err
+	}
 	if w.ioClosed {
 		return 0, fmt.Errorf("durable: rotate on closed WAL")
 	}
-	if w.terminalFlag.Load() {
-		w.commitMu.Lock()
-		err := w.lastErr
-		w.commitMu.Unlock()
-		return 0, fmt.Errorf("durable: rotate on terminal WAL: %w", err)
+	if err := w.drainLocked(); err != nil {
+		return 0, w.fail(err)
 	}
-	if _, err := w.drainLocked(); err != nil {
-		w.publishErrorLocked(err)
-		return 0, err
-	}
-	seq, err := w.rotateLocked(true)
-	if err != nil {
-		w.publishErrorLocked(err)
-		return 0, err
+	if err := w.rotateLocked(); err != nil {
+		return 0, w.fail(err)
 	}
 	// Everything drained was fsynced before the old segment closed.
 	w.publishDurableLocked()
-	return seq, nil
+	return w.seg.Load(), nil
 }
 
-func (w *WAL) rotateLocked(syncOld bool) (int64, error) {
-	if syncOld {
-		if err := w.syncLocked(); err != nil {
-			return 0, err
-		}
-		if err := w.f.Close(); err != nil {
-			return 0, err
-		}
-	} else {
-		// Size-triggered rotation retires the old segment with an
-		// asynchronous fsync under the interval/none policies: their
-		// durability promise is already tick-bounded, so the writer pass
-		// must not stall for a multi-megabyte writeback.
-		if err := w.bw.Flush(); err != nil {
-			return 0, fmt.Errorf("durable: flushing: %w", err)
-		}
-		w.dirty = false
-		go func(f *os.File) {
-			err := f.Sync()
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				w.deferredMu.Lock()
-				if w.deferred == nil {
-					w.deferred = fmt.Errorf("durable: retiring segment: %w", err)
-				}
-				w.deferredMu.Unlock()
-				return
-			}
-			w.synced.Add(1)
-		}(w.f)
+// rotateLocked retires the active segment — flushed and fsynced inside
+// the writer pass, under every policy — and starts the next one.
+// Callers hold ioMu.
+func (w *WAL) rotateLocked() error {
+	if err := w.syncLocked(); err != nil {
+		return err
 	}
-	if err := w.createSegment(w.seg.Load() + 1); err != nil {
-		return 0, err
+	if err := w.f.Close(); err != nil {
+		return fmt.Errorf("durable: closing segment: %w", err)
 	}
-	return w.seg.Load(), nil
+	return w.createSegment(w.seg.Load() + 1)
 }
 
 // RemoveSegmentsBelow deletes segments with sequence < seq (never the
@@ -1015,29 +852,14 @@ func (w *WAL) AppendHistogram() *obs.Histogram { return &w.appendHist }
 // metrics-endpoint registration.
 func (w *WAL) FsyncHistogram() *obs.Histogram { return &w.fsyncHist }
 
-// Err reports the log's sticky failure state: the wedge error after a
-// segment-write failure under interval/none, or the terminal error
-// after a failed commit cycle under SyncAlways. A readiness probe uses
-// it to eject a node whose log can no longer accept writes. Returns nil
-// while the log is healthy (or merely closed).
+// Err reports the log's terminal failure: the first failed segment
+// write, flush or fsync under any policy (see fail), or the abandon of
+// a simulated crash. A readiness probe uses it to eject a node whose
+// log can no longer accept writes. Returns nil while the log is healthy
+// (or merely closed).
 func (w *WAL) Err() error {
-	if w.terminalFlag.Load() {
-		w.commitMu.Lock()
-		err := w.lastErr
-		w.commitMu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("durable: wal terminal")
-		}
-		return err
-	}
-	if w.wedged.Load() {
-		w.deferredMu.Lock()
-		err := w.wedgeErr
-		w.deferredMu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("durable: wal wedged")
-		}
-		return err
+	if p := w.failure.Load(); p != nil {
+		return *p
 	}
 	return nil
 }
@@ -1045,7 +867,6 @@ func (w *WAL) Err() error {
 // closeStripes marks every stripe closed (failing subsequent appends)
 // and must run before the final drain so nothing stages after it.
 func (w *WAL) closeStripes() {
-	w.closed.Store(true)
 	for i := range w.stripes {
 		st := &w.stripes[i]
 		st.mu.Lock()
@@ -1062,41 +883,28 @@ func (w *WAL) stopWriter() {
 
 // Close drains, flushes, fsyncs and closes the log. On failure any
 // parked SyncAlways producer is woken with the error — a shutdown I/O
-// error must not strand a request handler on the commit notify.
+// error must not strand a request handler on the commit notify. A
+// failed log drains nothing: still-staged records belong to producers
+// that were already told their commit failed.
 func (w *WAL) Close() error {
 	w.closeStripes()
 	w.stopWriter()
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
 	if w.ioClosed {
-		return nil
+		return w.Err()
 	}
 	w.ioClosed = true
-	if w.terminalFlag.Load() {
-		// A terminal log must not drain: still-staged records belong to
-		// producers that were already told their commit failed, and
-		// writing them now would put "failed" mutations in the log.
-		w.f.Close()
-		w.commitMu.Lock()
-		err := w.lastErr
-		w.commitMu.Unlock()
-		return err
+	err := w.cycleLocked(true)
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
 	}
-	if _, err := w.drainLocked(); err != nil {
-		w.publishErrorLocked(err)
-		return err
-	}
-	if err := w.syncLocked(); err != nil {
-		w.publishErrorLocked(err)
-		return err
-	}
-	w.publishDurableLocked()
-	return w.f.Close()
+	return err
 }
 
 // Abandon drops the log without draining or flushing — the
-// crash-simulation path used by tests and the load generator's -restart
-// workload: whatever the writer has not handed to the OS is lost,
+// crash-simulation path used by recovery tests and the kill-node
+// scenario: whatever the writer has not handed to the OS is lost,
 // exactly as in a process kill. Parked SyncAlways producers are woken
 // with an error.
 func (w *WAL) Abandon() {
@@ -1109,12 +917,5 @@ func (w *WAL) Abandon() {
 	}
 	w.ioClosed = true
 	w.f.Close()
-	w.commitMu.Lock()
-	if w.lastErr == nil {
-		w.lastErr = fmt.Errorf("durable: wal abandoned")
-	}
-	w.terminal = true
-	w.terminalFlag.Store(true)
-	w.commitCond.Broadcast()
-	w.commitMu.Unlock()
+	w.fail(errors.New("durable: wal abandoned"))
 }

@@ -158,8 +158,9 @@ func (n *Node) lead(dur *pphcr.Durability) (<-chan struct{}, error) {
 	if dur != nil {
 		n.api.SetWALSeq(dur.WALSeq)
 		n.api.SetDurabilityStats(func() interface{} { return dur.Stats() })
-		// A sticky WAL error (wedge or terminal write failure) must eject
-		// the node from rotation: acknowledged writes are no longer durable.
+		// A WAL failure (the first failed segment write or fsync, terminal
+		// under either sync policy) must eject the node from rotation:
+		// writes can no longer be made durable.
 		n.api.SetReadinessCheck(dur.Healthy)
 		// Injected-slow-fsync mode is degradation, not death: the node
 		// keeps serving (200) but /readyz and pphcr_degraded flag it.

@@ -68,8 +68,7 @@ type Stats struct {
 	Tasks int64 `json:"tasks"`
 }
 
-// Stats snapshots the pipeline's stage metrics (reported on /stats and
-// by the load generator).
+// Stats snapshots the pipeline's stage metrics (reported on /stats).
 func (p *Pipeline) Stats() Stats {
 	return Stats{
 		Predict:    stageView(&p.m.hist[StagePredict]),

@@ -21,7 +21,7 @@ type Source struct {
 	dir string
 	// sync flushes acked-but-buffered WAL records to disk before a
 	// status listing, so the advertised sizes cover everything
-	// acknowledged under the interval/none sync policies. nil skips.
+	// acknowledged under the interval sync policy. nil skips.
 	sync func() error
 	// walSeq reports the leader's sequence ceiling (0 when unknown).
 	walSeq func() uint64

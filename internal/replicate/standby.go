@@ -481,7 +481,7 @@ func (s *Standby) Promote(o pphcr.DurabilityOptions) (*pphcr.Durability, int, er
 	s.pending = make(map[uint64]durable.Event)
 	s.mu.Unlock()
 	o.Dir = s.dir
-	dur, n, err := pphcr.PromoteStandby(s.sys, o, 0, applied)
+	dur, n, err := pphcr.PromoteStandby(s.sys, o, applied)
 	if err != nil {
 		return nil, n, err
 	}

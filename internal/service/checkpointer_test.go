@@ -21,7 +21,7 @@ func TestCheckpointerPollAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dur, err := pphcr.OpenDurability(sys, pphcr.DurabilityOptions{Dir: t.TempDir(), Sync: durable.SyncNone})
+	dur, err := pphcr.OpenDurability(sys, pphcr.DurabilityOptions{Dir: t.TempDir(), Sync: durable.SyncInterval})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -410,7 +410,7 @@ func New(cfg Config) (*System, error) {
 }
 
 // PipelineStats snapshots the staged pipeline's per-stage latency and
-// count metrics (reported on /stats and by the load generator).
+// count metrics (reported on /stats).
 func (s *System) PipelineStats() pipeline.Stats {
 	return s.pipe.Stats()
 }
@@ -519,31 +519,20 @@ func (s *System) IngestPodcast(raw content.RawPodcast) (*content.Item, error) {
 	// loser's item instead of the winner's.
 	s.ingestMu.Lock()
 	err = s.emit(ingestStripe, durable.TypeIngest, it)
-	added := false
-	if err == nil || errors.Is(err, durable.ErrDeferredSync) {
-		// ErrDeferredSync means an *earlier* fsync failed but THIS
-		// record is in the log — the item must still be added, or
-		// replay would resurrect an item the live system never served.
+	if err == nil {
 		// On Add failure the WAL holds an event whose apply failed
 		// (duplicate ID, invalid duration); restoreItem skips it on
 		// replay the same way, so recovered state still matches.
-		if aerr := s.ingest.Repo.Add(it); aerr != nil {
-			err = aerr
-		} else {
-			added = true
-		}
+		err = s.ingest.Repo.Add(it)
 	}
 	s.ingestMu.Unlock()
-	if added {
-		// New content changes every user's candidate set: mark all warm
-		// plans stale (O(1) epoch bump) whether or not the append
-		// reported a durability problem; the precompute scheduler
-		// re-warms them.
-		s.PlanCache.InvalidateAll()
-	}
 	if err != nil {
 		return nil, err
 	}
+	// New content changes every user's candidate set: mark all warm
+	// plans stale (O(1) epoch bump); the precompute scheduler re-warms
+	// them.
+	s.PlanCache.InvalidateAll()
 	s.Broker.Publish("content.ingested."+it.TopCategory(), []byte(it.ID))
 	return it, nil
 }

@@ -109,7 +109,7 @@ func TestFeedbackKeepsCatalogMap(t *testing.T) {
 
 	t.Run("recovery", func(t *testing.T) {
 		recovered, _ := node()
-		rdur, err := OpenDurability(recovered, DurabilityOptions{Dir: dir, Sync: durable.SyncNone})
+		rdur, err := OpenDurability(recovered, DurabilityOptions{Dir: dir, Sync: durable.SyncInterval})
 		if err != nil {
 			t.Fatal(err)
 		}
