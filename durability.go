@@ -3,6 +3,7 @@ package pphcr
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"pphcr/internal/feedback"
 	"pphcr/internal/obs"
 	"pphcr/internal/profile"
+	"pphcr/internal/tracking"
 	"pphcr/internal/trajectory"
 )
 
@@ -59,6 +61,18 @@ func durableTypeForKind(k feedback.Kind) durable.Type {
 	}
 }
 
+// skipInstantRange drops a logged fix or feedback event whose instant the
+// stores refuse because Unix nanoseconds cannot hold it (after 2262 or
+// before 1678). Older nodes accepted and logged such instants. Replay and
+// a follower's apply skip the record, as they skip an ingest whose Add
+// fails, rather than refuse to boot or wedge on it.
+func skipInstantRange(err error) error {
+	if errors.Is(err, feedback.ErrInstantRange) || errors.Is(err, tracking.ErrInstantRange) {
+		return nil
+	}
+	return err
+}
+
 // applyDurableEvent replays one WAL record through the entry point that
 // emitted it. It runs during recovery, before the mutation hook is
 // attached, so nothing is re-logged.
@@ -81,13 +95,13 @@ func (s *System) applyDurableEvent(e durable.Event) error {
 		if err := json.Unmarshal(e.Payload, &fe); err != nil {
 			return err
 		}
-		return s.RecordFix(fe.User, fe.Fix)
+		return skipInstantRange(s.RecordFix(fe.User, fe.Fix))
 	case durable.TypeFeedback, durable.TypeSkip, durable.TypeDislike:
 		var fe feedback.Event
 		if err := json.Unmarshal(e.Payload, &fe); err != nil {
 			return err
 		}
-		return s.AddFeedback(fe)
+		return skipInstantRange(s.AddFeedback(fe))
 	case durable.TypeCompact:
 		var ce compactEvent
 		if err := json.Unmarshal(e.Payload, &ce); err != nil {
@@ -151,8 +165,9 @@ type Durability struct {
 	retain bool
 
 	// mu serializes Checkpoint against Close.
-	mu     sync.Mutex
-	closed bool
+	mu      sync.Mutex
+	closed  bool
+	crashed bool // closed by Crash: no final checkpoint was written
 
 	replayed       int
 	torn           bool
@@ -348,12 +363,20 @@ func (d *Durability) checkpointLocked() error {
 	return d.wal.RemoveSegmentsBelow(kept[0].Seq)
 }
 
+// ErrCrashed is what Close returns after Crash: the layer was abandoned
+// without a final checkpoint, and none can be written now.
+var ErrCrashed = errors.New("pphcr: durability crashed: no final checkpoint")
+
 // Close takes a final checkpoint (the shutdown flush) and closes the
 // WAL. The System's hook is detached so late mutations fail fast
-// instead of landing in a closed log.
+// instead of landing in a closed log. A second Close returns nil; a
+// Close after Crash returns ErrCrashed.
 func (d *Durability) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.crashed {
+		return ErrCrashed
+	}
 	if d.closed {
 		return nil
 	}
@@ -376,7 +399,7 @@ func (d *Durability) Crash() {
 	if d.closed {
 		return
 	}
-	d.closed = true
+	d.closed, d.crashed = true, true
 	d.sys.SetMutationHook(nil)
 	d.wal.Abandon()
 }

@@ -1,18 +1,22 @@
 package pphcr
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"pphcr/internal/durable"
 	"pphcr/internal/feedback"
+	"pphcr/internal/geo"
 	"pphcr/internal/recommend"
 	"pphcr/internal/synth"
+	"pphcr/internal/tracking"
 	"pphcr/internal/trajectory"
 )
 
@@ -384,6 +388,32 @@ func TestCleanShutdownRecoversFromFinalCheckpoint(t *testing.T) {
 	assertSystemsEquivalent(t, w, live, recovered, now)
 }
 
+// TestCloseAfterCrashRefuses: a second Close is a no-op, but a Close
+// after Crash must not report a final checkpoint it never wrote.
+func TestCloseAfterCrashRefuses(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		sys, _ := newTestSystem(t)
+		dur, err := OpenDurability(sys, DurabilityOptions{Dir: t.TempDir(), Sync: durable.SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if crash {
+			dur.Crash()
+		} else if err := dur.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			err := dur.Close()
+			if crash && !errors.Is(err, ErrCrashed) {
+				t.Fatalf("Close %d after Crash = %v, want ErrCrashed", i+1, err)
+			}
+			if !crash && err != nil {
+				t.Fatalf("Close %d after Close = %v, want nil", i+1, err)
+			}
+		}
+	}
+}
+
 // TestRecoveryToleratesFailedIngestRecord: the ingest event is logged
 // before the repository add runs, so a live Add failure (duplicate ID)
 // leaves a WAL record whose apply failed — replay must skip it exactly
@@ -456,6 +486,76 @@ func TestReplaySkipsItemWithoutFiniteNorm(t *testing.T) {
 	}
 	if _, ok := s.Repo.Get("huge"); ok || s.Repo.Len() != 1 {
 		t.Fatalf("item without a finite norm was restored (%d items)", s.Repo.Len())
+	}
+}
+
+// TestReplaySkipsInstantsARecordCannotHold: older nodes accepted and
+// logged fixes and feedback events dated after 2262, which the stores now
+// refuse with a named error. Recovery skips those records, keeps the ones
+// around them, and ends in the state of a node that refused them live.
+func TestReplaySkipsInstantsARecordCannotHold(t *testing.T) {
+	w, err := synth.GenerateWorld(synth.Params{
+		Seed: 17, Days: 2, Users: 1, Stations: 2, PodcastsPerDay: 5,
+		TrainingDocsPerCategory: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: 17}
+	dir := t.TempDir()
+	live, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dur, err := OpenDurability(live, DurabilityOptions{Dir: dir, Sync: durable.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2016, 11, 21, 8, 0, 0, 0, time.UTC)
+	far := time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)
+	like := func(when time.Time) feedback.Event {
+		return feedback.Event{UserID: "u", ItemID: "ep", Kind: feedback.Like, At: when, Categories: map[string]float64{"music": 1}}
+	}
+	fix := func(when time.Time) trajectory.Fix {
+		return trajectory.Fix{Point: geo.Point{Lat: 45.07, Lon: 7.68}, Time: when}
+	}
+	if err := live.AddFeedback(like(far)); !errors.Is(err, feedback.ErrInstantRange) {
+		t.Fatalf("AddFeedback(2300) = %v, want ErrInstantRange", err)
+	}
+	if err := live.RecordFix("u", fix(far)); !errors.Is(err, tracking.ErrInstantRange) {
+		t.Fatalf("RecordFix(2300) = %v, want ErrInstantRange", err)
+	}
+	// The 2300 records are logged as an older node logged them: the
+	// payloads the write paths emit.
+	stripe := live.shardIndexFor("u")
+	for _, err := range []error{
+		live.AddFeedback(like(at)),
+		live.emit(stripe, durable.TypeFeedback, like(far)),
+		live.AddFeedback(like(at.Add(time.Minute))),
+		live.RecordFix("u", fix(at)),
+		live.RecordFix("u", fix(at.Add(time.Minute))),
+		live.emit(stripe, durable.TypeFix, fixEvent{User: "u", Fix: fix(far)}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	dur.Crash()
+
+	recovered, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rdur, err := OpenDurability(recovered, DurabilityOptions{Dir: dir, Sync: durable.SyncAlways})
+	if err != nil {
+		t.Fatalf("recovery aborted on a 2300 record: %v", err)
+	}
+	defer rdur.Crash()
+	if got, want := recovered.Feedback.Events("u"), live.Feedback.Events("u"); len(got) != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered events %+v, want %+v", got, want)
+	}
+	if got, want := recovered.Tracker.Trace("u"), live.Tracker.Trace("u"); len(got) != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered trace %+v, want %+v", got, want)
 	}
 }
 

@@ -128,7 +128,7 @@ func (it *Item) SizeBytes() int64 {
 // tail, which is what lets a View share them with readers lock-free.
 type Repository struct {
 	mu      sync.RWMutex
-	seqs    map[string]int32 // item ID -> seq
+	ids     idIndex          // item ID -> seq
 	feats   []Features       // seq -> item and its resident features
 	cats    map[string]int32 // category -> interned id; replaced, never mutated
 	names   []string         // addFeatures' sort scratch
@@ -143,7 +143,7 @@ type Repository struct {
 // NewRepository returns an empty repository.
 func NewRepository() *Repository {
 	return &Repository{
-		seqs:    make(map[string]int32),
+		ids:     newIDIndex(),
 		cats:    map[string]int32{},
 		geoTree: spatial.NewRTree(),
 	}
@@ -182,12 +182,12 @@ func (r *Repository) Add(it *Item) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.seqs[it.ID]; dup {
+	if _, dup := r.ids.find(r.feats, it.ID); dup {
 		return fmt.Errorf("content: duplicate item %q", it.ID)
 	}
 	seq := int32(len(r.feats))
-	r.seqs[it.ID] = seq
 	r.addFeatures(it, seq)
+	r.ids.insert(r.feats)
 	if it.Geo != nil {
 		r.geoTree.Insert(geo.RectAround(it.Geo.Center, it.Geo.Radius), len(r.geoSeqs))
 		r.geoSeqs = append(r.geoSeqs, seq)
@@ -211,7 +211,7 @@ func (r *Repository) Add(it *Item) error {
 func (r *Repository) Get(id string) (*Item, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	seq, ok := r.seqs[id]
+	seq, ok := r.ids.find(r.feats, id)
 	if !ok {
 		return nil, false
 	}

@@ -246,23 +246,12 @@ func (p *Planner) knapsack(ranked []recommend.Scored, deltaT time.Duration) []re
 	return out
 }
 
-// routeCum returns the cumulative arc length at every route vertex —
-// computed once per schedule call instead of re-walking the route for
-// each scheduled item (cum[last] equals Route.Length() exactly: same
-// additions in the same order).
-func routeCum(route geo.Polyline) []float64 {
-	cum := make([]float64, len(route))
-	for i := 1; i < len(route); i++ {
-		cum[i] = cum[i-1] + geo.Distance(route[i-1], route[i])
-	}
-	return cum
-}
-
 // geoDeadline returns the offset at which the listener is predicted to
 // pass closest to the item's location, assuming uniform progress along
 // the remaining route over ΔT. cum is the route's cumulative arc length
-// (routeCum); the route vertices are RDP-simplified, so vertices are
-// where geometry changes and each is sampled for the minimum distance.
+// (Polyline.Cumulative); the route vertices are RDP-simplified, so
+// vertices are where geometry changes and each is sampled for the
+// minimum distance.
 func geoDeadline(it *content.Item, ctx recommend.Context, cum []float64) (time.Duration, bool) {
 	if it.Geo == nil || len(ctx.Route) < 2 || ctx.DeltaT <= 0 {
 		return 0, false
@@ -298,7 +287,7 @@ func (p *Planner) schedule(selected []recommend.Scored, req Request, dropped []D
 	var cum []float64
 	for i, sc := range selected {
 		if cum == nil && sc.Item.Geo != nil && len(req.Ctx.Route) >= 2 {
-			cum = routeCum(req.Ctx.Route)
+			cum = req.Ctx.Route.Cumulative()
 		}
 		d, ok := geoDeadline(sc.Item, req.Ctx, cum)
 		slots[i] = slot{sc: sc, deadline: d, hasDeadline: ok}

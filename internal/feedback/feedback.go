@@ -12,9 +12,17 @@
 // replay oracle, and is bounded by periodic compaction (Compact), which
 // folds events older than a horizon into a per-user baseline vector —
 // the feedback analogue of the paper's tracking compaction.
+//
+// The log holds each event as a 40 B record, not as the 72 B Event: the
+// item ID (for a catalog item, the item's own string), the category map
+// (for a catalog item, usually the item's own map too), the instant as
+// Unix nanoseconds and the kind in one byte. The user is the key of the
+// state the record sits in. Event values are built from records only on
+// the way out (Events, ByUser, Snapshot), with At in UTC.
 package feedback
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -85,6 +93,27 @@ type Event struct {
 	Categories map[string]float64
 }
 
+// record is how the log keeps one event (see the package comment).
+type record struct {
+	itemID string
+	cats   map[string]float64
+	at     int64 // Unix nanoseconds
+	kind   uint8
+}
+
+func (r *record) time() time.Time { return time.Unix(0, r.at) }
+
+func (r *record) weight() float64 { return Kind(r.kind).Weight() }
+
+// events builds the API values of recs, which belong to userID.
+func events(userID string, recs []record) []Event {
+	out := make([]Event, len(recs))
+	for i, r := range recs {
+		out[i] = Event{UserID: userID, ItemID: r.itemID, Kind: Kind(r.kind), At: r.time().UTC(), Categories: r.cats}
+	}
+	return out
+}
+
 // DefaultShards is the default shard count of the store. Per-user state
 // is striped across shards by a hash of the user ID so concurrent
 // appends and reads for different users do not contend on one mutex.
@@ -94,7 +123,7 @@ const DefaultShards = 32
 type userState struct {
 	// events is the live (post-compaction) tail of the user's log, in
 	// insertion order.
-	events []Event
+	events []record
 	// vec is the incrementally maintained preference index: the decayed
 	// category vector of ALL the user's feedback (including events already
 	// folded into base), valued at instant lastUpdate.
@@ -129,9 +158,10 @@ type Store struct {
 	halfLife time.Duration
 	shards   []shard
 	mask     uint32
-	// catalog, when set, finds an item's category map so an event about
-	// a catalog item keeps that map instead of a copy (see keptCategories).
-	catalog func(itemID string) (map[string]float64, bool)
+	// catalog, when set, finds an item's own ID string and category map
+	// so an event about a catalog item keeps those instead of its own
+	// (see kept).
+	catalog func(itemID string) (id string, cats map[string]float64, ok bool)
 
 	live            atomic.Int64 // events currently in the logs
 	appends         atomic.Int64
@@ -165,13 +195,14 @@ func NewStoreHalfLife(halfLife time.Duration) *Store {
 // IndexHalfLife returns the half-life the incremental index decays with.
 func (s *Store) IndexHalfLife() time.Duration { return s.halfLife }
 
-// ShareCatalog installs the lookup from an item ID to that item's
-// category map. The maps it returns must never change afterwards (the
-// content repository's contract for an added item): every event whose
-// categories equal its item's then holds the item's own map, so a node
-// keeps one copy of each category vector however much feedback it logs.
-// Call it before the first Append.
-func (s *Store) ShareCatalog(lookup func(itemID string) (map[string]float64, bool)) {
+// ShareCatalog installs the lookup from an item ID to that item's own ID
+// string and category map. The maps it returns must never change
+// afterwards (the content repository's contract for an added item):
+// every event about a catalog item then holds the item's ID string, and
+// every one whose categories equal its item's holds the item's own map,
+// so a node keeps one copy of each ID and category vector however much
+// feedback it logs. Call it before the first Append.
+func (s *Store) ShareCatalog(lookup func(itemID string) (id string, cats map[string]float64, ok bool)) {
 	s.catalog = lookup
 }
 
@@ -216,68 +247,85 @@ func copyCategories(m map[string]float64) map[string]float64 {
 	return out
 }
 
-// keptCategories returns the map the store keeps for e: the catalog
-// item's own map when e's categories equal it bit for bit, and a
-// private copy otherwise, so the store never aliases caller-owned
-// memory. It is the one place that choice is made; Append (and through
-// it every live, replayed, replicated and restored event) calls it
-// before taking a shard lock.
-func (s *Store) keptCategories(e Event) map[string]float64 {
+// kept returns the item ID and the category map the store keeps for e.
+// For a catalog item the ID is the item's own string, and the map is the
+// item's own when e's categories equal it bit for bit; any other map is
+// a private copy, so the store never aliases caller-owned memory. It is
+// the one place that choice is made; Append (and through it every live,
+// replayed, replicated and restored event) calls it before taking a
+// shard lock.
+func (s *Store) kept(e Event) (string, map[string]float64) {
 	if s.catalog != nil {
-		if m, ok := s.catalog(e.ItemID); ok && maps.EqualFunc(e.Categories, m, sameBits) {
-			return m
+		if id, m, ok := s.catalog(e.ItemID); ok {
+			if !maps.EqualFunc(e.Categories, m, sameBits) {
+				m = copyCategories(e.Categories)
+			}
+			return id, m
 		}
 	}
-	return copyCategories(e.Categories)
+	return e.ItemID, copyCategories(e.Categories)
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// fold advances the index vector to e.At (decaying the accumulated
-// vector) and adds e's contribution. Events older than lastUpdate are
-// folded at their already-decayed weight instead — exponential decay
-// makes either order exact.
-func (st *userState) fold(e Event, halfLife time.Duration) {
-	w := e.Kind.Weight()
-	switch {
-	case e.At.After(st.lastUpdate):
-		d := decayFactor(e.At.Sub(st.lastUpdate), halfLife)
+// fold advances the index vector to r's instant (decaying the
+// accumulated vector) and adds r's contribution. Records older than
+// lastUpdate are folded at their already-decayed weight instead —
+// exponential decay makes either order exact.
+func (st *userState) fold(r *record, halfLife time.Duration) {
+	w := r.weight()
+	switch at := r.time(); {
+	case at.After(st.lastUpdate):
+		d := decayFactor(at.Sub(st.lastUpdate), halfLife)
 		for c, v := range st.vec {
 			st.vec[c] = v * d
 		}
-		st.lastUpdate = e.At
-	case e.At.Before(st.lastUpdate):
-		w *= decayFactor(st.lastUpdate.Sub(e.At), halfLife)
+		st.lastUpdate = at
+	case at.Before(st.lastUpdate):
+		w *= decayFactor(st.lastUpdate.Sub(at), halfLife)
 	}
-	for c, share := range e.Categories {
+	for c, share := range r.cats {
 		st.vec[c] += w * share
 	}
 }
 
+// ErrInstantRange is Append's refusal of an instant outside what Unix
+// nanoseconds hold (years 1678–2262), which a record cannot store.
+var ErrInstantRange = errors.New("feedback: instant outside the Unix-nanosecond range")
+
 // Append records an event and folds it into the user's preference index.
-// The store keeps the catalog item's map or a private copy of the
-// event's (keptCategories), never the caller's map itself, so callers
-// may reuse or mutate their map freely. A stored map is never written.
+// It refuses a kind other than the four defined ones and an instant
+// outside what Unix nanoseconds hold (ErrInstantRange). The store keeps
+// the catalog item's map or a private copy of the event's (kept), never
+// the caller's map itself, so callers may reuse or mutate their map
+// freely. A stored map is never written.
 func (s *Store) Append(e Event) error {
 	if e.UserID == "" {
 		return fmt.Errorf("feedback: UserID required")
 	}
-	e.Categories = s.keptCategories(e)
+	if e.Kind < ImplicitListen || e.Kind > Dislike {
+		return fmt.Errorf("feedback: unknown kind %d", int(e.Kind))
+	}
+	r := record{at: e.At.UnixNano(), kind: uint8(e.Kind)}
+	if !r.time().Equal(e.At) {
+		return fmt.Errorf("%w: %v", ErrInstantRange, e.At)
+	}
+	r.itemID, r.cats = s.kept(e)
 	sh := s.shardFor(e.UserID)
 	sh.mu.Lock()
 	st := sh.users[e.UserID]
 	if st == nil {
-		st = &userState{vec: make(map[string]float64), lastUpdate: e.At}
+		st = &userState{vec: make(map[string]float64), lastUpdate: r.time()}
 		sh.users[e.UserID] = st
 	}
-	st.events = append(st.events, e)
-	st.fold(e, s.halfLife)
-	if (e.Kind == Skip || e.Kind == Dislike) && e.ItemID != "" {
+	st.events = append(st.events, r)
+	st.fold(&r, s.halfLife)
+	if (e.Kind == Skip || e.Kind == Dislike) && r.itemID != "" {
 		if st.skipped == nil {
 			st.skipped = make(map[string]bool)
 		}
-		if !st.skipped[e.ItemID] {
-			st.skipped[e.ItemID] = true
+		if !st.skipped[r.itemID] {
+			st.skipped[r.itemID] = true
 			st.skippedSnap = nil // invalidate the published snapshot
 		}
 	}
@@ -308,15 +356,15 @@ func (s *Store) empty() bool {
 	return true
 }
 
-// Events returns the user's live events in insertion order. Their
-// Categories are the store's own maps, which may be the catalog's:
+// Events returns the user's live events in insertion order, At in UTC.
+// Their Categories are the store's own maps, which may be the catalog's:
 // callers must not write them. ByUser is the copying form.
 func (s *Store) Events(userID string) []Event {
 	sh := s.shardFor(userID)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if st := sh.users[userID]; st != nil {
-		return append([]Event(nil), st.events...)
+	if st := sh.users[userID]; st != nil && len(st.events) > 0 {
+		return events(userID, st.events)
 	}
 	return nil
 }
@@ -426,13 +474,14 @@ func replayInto(out map[string]float64, st *userState, now time.Time, params Pre
 			out[c] += v * d
 		}
 	}
-	for _, e := range st.events {
-		age := now.Sub(e.At)
+	for i := range st.events {
+		r := &st.events[i]
+		age := now.Sub(r.time())
 		if age < 0 {
 			age = 0
 		}
-		w := e.Kind.Weight() * decayFactor(age, params.HalfLife)
-		for c, share := range e.Categories {
+		w := r.weight() * decayFactor(age, params.HalfLife)
+		for c, share := range r.cats {
 			out[c] += w * share
 		}
 	}
@@ -466,8 +515,8 @@ func (s *Store) compactLocked(sh *shard, userID string, cut time.Time) int {
 		return 0
 	}
 	folded := 0
-	for _, e := range st.events {
-		if e.At.Before(cut) {
+	for i := range st.events {
+		if st.events[i].time().Before(cut) {
 			folded++
 		}
 	}
@@ -482,16 +531,17 @@ func (s *Store) compactLocked(sh *shard, userID string, cut time.Time) int {
 		}
 	}
 	keep := st.events[:0:0]
-	for _, e := range st.events {
-		if !e.At.Before(cut) {
-			keep = append(keep, e)
+	for _, r := range st.events {
+		at := r.time()
+		if !at.Before(cut) {
+			keep = append(keep, r)
 			continue
 		}
 		if st.base == nil {
 			st.base = make(map[string]float64)
 		}
-		w := e.Kind.Weight() * decayFactor(cut.Sub(e.At), s.halfLife)
-		for c, share := range e.Categories {
+		w := r.weight() * decayFactor(cut.Sub(at), s.halfLife)
+		for c, share := range r.cats {
 			st.base[c] += w * share
 		}
 	}
@@ -639,11 +689,12 @@ func (s *Store) SkipRate(userID string, from, to time.Time) (rate float64, ok bo
 		return 0, false
 	}
 	skips, total := 0, 0
-	for _, e := range st.events {
-		if e.At.Before(from) || !e.At.Before(to) {
+	for i := range st.events {
+		r := &st.events[i]
+		if at := r.time(); at.Before(from) || !at.Before(to) {
 			continue
 		}
-		switch e.Kind {
+		switch Kind(r.kind) {
 		case Skip:
 			skips++
 			total++

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 var t0 = time.Date(2016, 11, 15, 8, 0, 0, 0, time.UTC)
@@ -435,5 +436,41 @@ func BenchmarkAppendIncremental(b *testing.B) {
 		if err := s.Append(Event{UserID: "u", Kind: ImplicitListen, At: t0.Add(time.Duration(i) * time.Second), Categories: cat}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestAppendRefusesWhatARecordCannotHold: a record keeps the kind in one
+// byte and the instant as Unix nanoseconds, so Append refuses a kind
+// other than the four defined ones and an instant outside years
+// 1678–2262; the range's ends are kept.
+func TestAppendRefusesWhatARecordCannotHold(t *testing.T) {
+	s := NewStore()
+	for _, e := range []Event{
+		{UserID: "u", Kind: Kind(9), At: t0},
+		{UserID: "u", Kind: Kind(-1), At: t0},
+		{UserID: "u", Kind: Kind(256 + int(Like)), At: t0},
+		{UserID: "u", Kind: Like, At: time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)},
+		{UserID: "u", Kind: Like, At: time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC)},
+		{UserID: "u", Kind: Like},
+	} {
+		if err := s.Append(e); err == nil {
+			t.Fatalf("%v at %v accepted", e.Kind, e.At)
+		}
+	}
+	for _, ns := range []int64{math.MinInt64, math.MaxInt64} {
+		if err := s.Append(Event{UserID: "u", Kind: Dislike, At: time.Unix(0, ns)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := s.Events("u")
+	if len(got) != 2 || !got[0].At.Equal(time.Unix(0, math.MinInt64)) || !got[1].At.Equal(time.Unix(0, math.MaxInt64)) {
+		t.Fatalf("events = %+v, want the two in range", got)
+	}
+}
+
+// TestRecordSize pins what the log keeps per event (Event takes 72 B).
+func TestRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(record{}); n != 40 {
+		t.Fatalf("record is %d B, want 40", n)
 	}
 }

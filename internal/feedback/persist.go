@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -54,7 +55,7 @@ func (s *Store) Snapshot(w io.Writer) error {
 			// A stored event's map is never written (Append), so the
 			// encoder may read it after the lock is released; base is
 			// rescaled in place by compaction and is copied above.
-			us.Events = append([]Event(nil), st.events...)
+			us.Events = events(userID, st.events)
 			snap.Users[userID] = us
 		}
 		sh.mu.RUnlock()
@@ -96,7 +97,9 @@ func (s *Store) Restore(rd io.Reader) error {
 		us := snap.Users[u]
 		s.restoreUser(u, us.Base, us.BaseAt, us.BaseCount, us.Skipped)
 		for _, e := range us.Events {
-			if err := s.Append(e); err != nil {
+			// A checkpoint from an older node may hold an instant a
+			// record cannot; it is skipped, as WAL replay skips it.
+			if err := s.Append(e); err != nil && !errors.Is(err, ErrInstantRange) {
 				return fmt.Errorf("feedback: restoring %q: %w", u, err)
 			}
 		}

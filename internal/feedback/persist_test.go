@@ -109,6 +109,24 @@ func TestFeedbackSnapshotRestoreCompacted(t *testing.T) {
 	}
 }
 
+// TestFeedbackRestoreSkipsInstantsARecordCannotHold: a checkpoint from
+// an older node may hold an event dated after 2262, which Append now
+// refuses. Restore skips that event and keeps the others.
+func TestFeedbackRestoreSkipsInstantsARecordCannotHold(t *testing.T) {
+	body := `{"version":2,"users":{"greg":{"events":[
+		{"UserID":"greg","ItemID":"a","Kind":2,"At":"2016-11-15T08:00:00Z","Categories":{"sport":1}},
+		{"UserID":"greg","ItemID":"b","Kind":2,"At":"2300-01-01T00:00:00Z","Categories":{"music":1}},
+		{"UserID":"greg","ItemID":"c","Kind":1,"At":"2016-11-15T09:00:00Z","Categories":{"news":1}}]}}}`
+	s := NewStore()
+	if err := s.Restore(strings.NewReader(body)); err != nil {
+		t.Fatalf("restore aborted on the 2300 event: %v", err)
+	}
+	ev := s.Events("greg")
+	if len(ev) != 2 || ev[0].ItemID != "a" || ev[1].ItemID != "c" {
+		t.Fatalf("restored %+v, want events a and c", ev)
+	}
+}
+
 // TestFeedbackRestoreRefusesOldVersions: only the current format loads.
 // Version 0 (raw per-user logs) and version 1 predate every data
 // directory the WAL accepts, and no reader is kept for them.

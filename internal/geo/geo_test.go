@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -263,5 +264,73 @@ func TestPolylineBounds(t *testing.T) {
 	}
 	if (Polyline{}).Bounds() != (Rect{}) {
 		t.Fatal("empty bounds should be zero")
+	}
+}
+
+// oldAt is Polyline.At as it was before Sampler: the whole route's
+// length summed again, then walked from the first vertex, on every call.
+func oldAt(pl Polyline, f float64) Point {
+	switch len(pl) {
+	case 0:
+		return Point{}
+	case 1:
+		return pl[0]
+	}
+	if f <= 0 {
+		return pl[0]
+	}
+	if f >= 1 {
+		return pl[len(pl)-1]
+	}
+	target := pl.Length() * f
+	var walked float64
+	for i := 1; i < len(pl); i++ {
+		seg := Distance(pl[i-1], pl[i])
+		if walked+seg >= target {
+			if seg == 0 {
+				return pl[i]
+			}
+			return Interpolate(pl[i-1], pl[i], (target-walked)/seg)
+		}
+		walked += seg
+	}
+	return pl[len(pl)-1]
+}
+
+// TestSamplerMatchesOldAt: a Sampler, and Polyline.At over it, return
+// the old At's point bit for bit, on random routes with repeated
+// vertices, at fractions stepped forward the way a commute trace samples
+// its route (ending exactly at 1), then at fractions in random order.
+func TestSamplerMatchesOldAt(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pl := Polyline{torino}
+		for n := 1 + rng.Intn(200); len(pl) < n; {
+			p := pl[len(pl)-1]
+			if rng.Intn(8) > 0 { // else repeat the vertex: a zero-length segment
+				p = Destination(p, rng.Float64()*360, rng.Float64()*400)
+			}
+			pl = append(pl, p)
+		}
+		steps := 1 + rng.Intn(300)
+		walk := pl.Sampler()
+		for k := 0; k <= steps; k++ {
+			f := float64(k) / float64(steps)
+			if got, want := walk.At(f), oldAt(pl, f); got != want {
+				t.Fatalf("seed %d: %d-vertex route at %v/%v: sampler %v, old At %v", seed, len(pl), k, steps, got, want)
+			}
+		}
+		for k := 0; k < 200; k++ {
+			f := rng.Float64()*1.2 - 0.1
+			if got, want := walk.At(f), oldAt(pl, f); got != want {
+				t.Fatalf("seed %d: random fraction %v: sampler %v, old At %v", seed, f, got, want)
+			}
+			if got, want := pl.At(f), oldAt(pl, f); got != want {
+				t.Fatalf("seed %d: Polyline.At(%v) = %v, old At %v", seed, f, got, want)
+			}
+		}
+		if cum := pl.Cumulative(); cum[len(cum)-1] != pl.Length() {
+			t.Fatalf("seed %d: cumulative length %v, Length %v", seed, cum[len(cum)-1], pl.Length())
+		}
 	}
 }

@@ -28,10 +28,45 @@ func (pl Polyline) Bounds() Rect {
 	return r
 }
 
+// Cumulative returns the arc length from the first vertex to each
+// vertex. cum[len-1] equals Length() exactly: the same additions in the
+// same order.
+func (pl Polyline) Cumulative() []float64 {
+	cum := make([]float64, len(pl))
+	for i := 1; i < len(pl); i++ {
+		cum[i] = cum[i-1] + Distance(pl[i-1], pl[i])
+	}
+	return cum
+}
+
 // At returns the point a fraction f ∈ [0,1] along the polyline by arc
 // length. f is clamped to [0,1]. An empty polyline yields the zero Point;
-// a single-point polyline yields that point.
+// a single-point polyline yields that point. To sample one polyline many
+// times, use a Sampler.
 func (pl Polyline) At(f float64) Point {
+	return pl.Sampler().At(f)
+}
+
+// Sampler samples a polyline at fractions of its arc length. It sums the
+// arc lengths once and walks a cursor forward, so n samples taken at
+// non-decreasing fractions of a v-vertex polyline cost O(v + n), where n
+// calls of Polyline.At cost O(v·n).
+type Sampler struct {
+	pl  Polyline
+	cum []float64
+	i   int // every vertex before i lies short of the last target
+}
+
+// Sampler returns a sampler over pl.
+func (pl Polyline) Sampler() *Sampler {
+	return &Sampler{pl: pl, cum: pl.Cumulative(), i: 1}
+}
+
+// At returns the point a fraction f ∈ [0,1] along the polyline, as
+// Polyline.At defines it. A fraction below the previous one restarts the
+// cursor at the first vertex.
+func (s *Sampler) At(f float64) Point {
+	pl, cum := s.pl, s.cum
 	switch len(pl) {
 	case 0:
 		return Point{}
@@ -44,17 +79,18 @@ func (pl Polyline) At(f float64) Point {
 	if f >= 1 {
 		return pl[len(pl)-1]
 	}
-	target := pl.Length() * f
-	var walked float64
-	for i := 1; i < len(pl); i++ {
-		seg := Distance(pl[i-1], pl[i])
-		if walked+seg >= target {
+	target := cum[len(cum)-1] * f
+	if cum[s.i-1] >= target {
+		s.i = 1
+	}
+	for ; s.i < len(pl); s.i++ {
+		if cum[s.i] >= target {
+			seg := Distance(pl[s.i-1], pl[s.i])
 			if seg == 0 {
-				return pl[i]
+				return pl[s.i]
 			}
-			return Interpolate(pl[i-1], pl[i], (target-walked)/seg)
+			return Interpolate(pl[s.i-1], pl[s.i], (target-cum[s.i-1])/seg)
 		}
-		walked += seg
 	}
 	return pl[len(pl)-1]
 }

@@ -280,13 +280,15 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 	if !sc.decode(w, r, &body, func(raw []byte) bool { return readTrack(raw, &body) }) {
 		return
 	}
-	fix := trajectory.Fix{
-		Point: geo.Point{Lat: body.Lat, Lon: body.Lon},
-		Time:  time.Unix(body.Unix, 0).UTC(),
+	at, err := writeInstant(body.Unix)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
+	fix := trajectory.Fix{Point: geo.Point{Lat: body.Lat, Lon: body.Lon}, Time: at}
 	obs.NoteRequestUser(r.Context(), body.UserID)
 	tr := s.startTrace("track", body.UserID)
-	err := s.sys.RecordFixTraced(body.UserID, fix, tr)
+	err = s.sys.RecordFixTraced(body.UserID, fix, tr)
 	s.traceRing.Offer(tr)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -304,6 +306,17 @@ type FeedbackBody struct {
 	ItemID string `json:"item_id"`
 	Kind   string `json:"kind"` // listen | skip | like | dislike
 	Unix   int64  `json:"unix"`
+}
+
+// writeInstant is a write's `unix` seconds as the instant the stores
+// keep. It refuses one outside what Unix nanoseconds hold (years
+// 1678–2262): the stores would refuse it too.
+func writeInstant(unix int64) (time.Time, error) {
+	at := time.Unix(unix, 0).UTC()
+	if !time.Unix(0, at.UnixNano()).Equal(at) {
+		return time.Time{}, fmt.Errorf("unix %d outside the writable range (years 1678–2262)", unix)
+	}
+	return at, nil
 }
 
 func parseKind(s string) (feedback.Kind, error) {
@@ -339,6 +352,11 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	at, err := writeInstant(body.Unix)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
 	var cats map[string]float64
 	if it, ok := s.sys.Repo.Get(body.ItemID); ok {
 		cats = it.Categories
@@ -347,7 +365,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		UserID:     body.UserID,
 		ItemID:     body.ItemID,
 		Kind:       kind,
-		At:         time.Unix(body.Unix, 0).UTC(),
+		At:         at,
 		Categories: cats,
 	}
 	obs.NoteRequestUser(r.Context(), body.UserID)

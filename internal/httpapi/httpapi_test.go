@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -203,6 +204,39 @@ func TestFeedbackEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad kind status = %d", resp2.StatusCode)
+	}
+}
+
+// TestWritesRefuseInstantsPastUnixNano: a fix or a feedback event dated
+// where Unix nanoseconds end (after 2262) is a 400 at the edge, and
+// neither store takes it.
+func TestWritesRefuseInstantsPastUnixNano(t *testing.T) {
+	ts, sys, _ := newTestServer(t)
+	const year2300 = 10413792000
+	for _, c := range []struct {
+		path string
+		body interface{}
+	}{
+		{"/api/track", TrackBody{UserID: "u1", Lat: 45.07, Lon: 7.68, Unix: year2300}},
+		{"/api/feedback", FeedbackBody{UserID: "u1", ItemID: sys.Repo.All()[0].ID, Kind: "like", Unix: year2300}},
+	} {
+		resp := postJSON(t, ts.URL+c.path, c.body)
+		var e apiError
+		decode(t, resp, &e)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "outside the writable range") {
+			t.Errorf("%s dated 2300 = %d %q, want 400", c.path, resp.StatusCode, e.Error)
+		}
+	}
+	if sys.Tracker.FixCount("u1") != 0 || sys.Feedback.Len() != 0 {
+		t.Fatal("a store took a 2300 write")
+	}
+	for unix, ok := range map[int64]bool{
+		math.MaxInt64 / 1_000_000_000: true, math.MaxInt64/1_000_000_000 + 1: false,
+		math.MinInt64 / 1_000_000_000: true, math.MinInt64/1_000_000_000 - 1: false,
+	} {
+		if _, err := writeInstant(unix); (err == nil) != ok {
+			t.Errorf("writeInstant(%d) = %v, want accepted %v", unix, err, ok)
+		}
 	}
 }
 

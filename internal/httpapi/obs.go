@@ -107,8 +107,6 @@ func (s *Server) registerSystemMetrics() {
 		nil, func() float64 { return float64(cache.Stats().Misses) })
 	s.registry.RegisterCounter("pphcr_plancache_stale_total", "Plan cache stale lookups.",
 		nil, func() float64 { return float64(cache.Stats().Stale) })
-	s.registry.RegisterCounter("pphcr_plancache_invalidations_total", "Plan cache invalidations.",
-		nil, func() float64 { return float64(cache.Stats().Invalidations) })
 	s.registry.RegisterGauge("pphcr_plancache_entries", "Live plan cache entries.",
 		nil, func() float64 { return float64(cache.Stats().Entries) })
 	s.registry.RegisterCounter("pphcr_plancache_epoch_invalidations_total",

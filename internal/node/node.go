@@ -11,6 +11,7 @@ package node
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -360,9 +361,12 @@ func (n *Node) Drain() {
 		return
 	}
 	start := time.Now()
-	if err := n.dur.Close(); err != nil {
+	switch err := n.dur.Close(); {
+	case errors.Is(err, pphcr.ErrCrashed):
+		slog.Warn("no final checkpoint (crashed)")
+	case err != nil:
 		slog.Error("final checkpoint", "err", err)
-		return
+	default:
+		slog.Info("final checkpoint written", "dur", time.Since(start).Round(time.Millisecond))
 	}
-	slog.Info("final checkpoint written", "dur", time.Since(start).Round(time.Millisecond))
 }

@@ -1,8 +1,10 @@
 package node
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -300,5 +302,52 @@ func TestOpenResetsAnUninitializedDirectory(t *testing.T) {
 	defer dur.Crash()
 	if !dur.Recovered() || sys.Profiles.Len() != 1 {
 		t.Fatalf("checkpointed directory: recovered=%v users=%d, want true/1", dur.Recovered(), sys.Profiles.Len())
+	}
+}
+
+// TestDrainReportsTheFinalCheckpoint: Drain over an open WAL writes the
+// final checkpoint and says so, and the next boot replays nothing; Drain
+// over a crashed WAL (the kill-node scenario's leader) says none was
+// written.
+func TestDrainReportsTheFinalCheckpoint(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		dir := t.TempDir()
+		sys := newSystem(t)
+		n := New(sys, httpapi.NewServer(sys), Options{Dir: dir, Sync: durable.SyncAlways})
+		dur, err := n.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.RegisterUser(testWorld.Personas[0].Profile); err != nil {
+			t.Fatal(err)
+		}
+		if crash {
+			dur.Crash()
+		}
+		var log bytes.Buffer
+		prev := slog.Default()
+		slog.SetDefault(slog.New(slog.NewTextHandler(&log, nil)))
+		n.Drain()
+		slog.SetDefault(prev)
+
+		want, not := "final checkpoint written", "no final checkpoint (crashed)"
+		if crash {
+			want, not = not, want
+		}
+		if !strings.Contains(log.String(), want) || strings.Contains(log.String(), not) {
+			t.Fatalf("crash=%v: Drain logged %q, want %q", crash, log.String(), want)
+		}
+		if crash {
+			continue
+		}
+		again := newSystem(t)
+		rdur, err := New(again, httpapi.NewServer(again), Options{Dir: dir, Sync: durable.SyncAlways}).Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rdur.ReplayedEvents() != 0 || again.Profiles.Len() != 1 {
+			t.Fatalf("after a drained shutdown: replayed %d, users %d; want 0 and 1", rdur.ReplayedEvents(), again.Profiles.Len())
+		}
+		rdur.Crash()
 	}
 }

@@ -87,12 +87,11 @@ type Cache struct {
 	shards []shard
 	epoch  atomic.Uint64
 
-	hits          atomic.Int64
-	misses        atomic.Int64
-	stale         atomic.Int64
-	evictions     atomic.Int64
-	puts          atomic.Int64
-	invalidations atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	stale     atomic.Int64
+	evictions atomic.Int64
+	puts      atomic.Int64
 
 	// Invalidation split: epoch bumps (InvalidateAll calls) versus
 	// per-user drops (InvalidateUser calls). The flash-crowd scenario's
@@ -308,53 +307,37 @@ func (c *Cache) evictOldestLocked(sh *shard) {
 	}
 }
 
-// InvalidateUser drops every entry belonging to user (mobility model
-// rebuilt, feedback shifted the preference vector, …) and returns the
-// number removed. The user's generation is bumped first, so a value
-// computed before the invalidation but stored after it (by a racing
-// warm worker holding an older Snapshot) lands stale.
-func (c *Cache) InvalidateUser(user string) int {
+// InvalidateUser marks every entry belonging to user stale in O(1)
+// (mobility model rebuilt, feedback shifted the preference vector, …)
+// by bumping the user's generation: GetIf and Contains refuse an entry
+// stamped with an older one, and a value computed before the
+// invalidation but stored after it (by a racing warm worker holding an
+// older Snapshot) lands stale too. Stale entries are evicted lazily on
+// read, by Sweep, or replaced by the next Put of their key.
+func (c *Cache) InvalidateUser(user string) {
 	c.userInvalidations.Add(1)
 	gsh := c.genShardFor(user)
 	gsh.genMu.Lock()
 	gsh.gens[user]++
 	gsh.genMu.Unlock()
-
-	removed := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for k := range sh.m {
-			if k.User == user {
-				delete(sh.m, k)
-				removed++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if removed > 0 {
-		c.invalidations.Add(int64(removed))
-	}
-	return removed
 }
 
 // InvalidateAll marks every current entry stale in O(1) by bumping the
 // cache epoch (used when new content changes every user's candidate set).
 // Stale entries are evicted lazily on read or by Sweep.
 //
-// It also (re-)arms the re-warm clock: the entries alive at the bump are
-// the warm set the invalidation destroyed, and the cache declares itself
-// re-warmed after that many puts land — Stats then reports the elapsed
-// time as LastRewarmMillis, the flash-crowd recovery signal. A second
-// bump while a re-warm is pending restarts the clock against the
+// It also (re-)arms the re-warm clock: the entries servable at the bump
+// are the warm set the invalidation destroyed, and the cache declares
+// itself re-warmed after that many puts land — Stats then reports the
+// elapsed time as LastRewarmMillis, the flash-crowd recovery signal. A
+// second bump while a re-warm is pending restarts the clock against the
 // current (possibly partially rebuilt) warm set.
 func (c *Cache) InvalidateAll() {
-	// Size the destroyed warm set before bumping: after the bump, Len
-	// still counts the stale entries, but a concurrent Sweep could be
-	// shrinking them already.
-	target := int64(c.Len())
+	// Size the destroyed warm set before bumping. Entries already stale
+	// (an earlier epoch, a user invalidated since they were stored,
+	// expired) were not warm, and counting them would stretch the clock.
+	target := int64(c.servable())
 	c.epoch.Add(1)
-	c.invalidations.Add(1)
 	c.epochInvalidations.Add(1)
 	if target == 0 {
 		return // nothing was warm; nothing to re-warm
@@ -366,6 +349,23 @@ func (c *Cache) InvalidateAll() {
 	c.rewarmStart = now
 	c.rewarmMu.Unlock()
 	c.rewarmArmed.Store(true)
+}
+
+// servable counts the entries GetIf would serve now.
+func (c *Cache) servable() int {
+	now := c.cfg.Now()
+	n := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.RLock()
+		for k, e := range sh.m {
+			if e.ver == c.Snapshot(k.User) && !now.After(e.expires) {
+				n++
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return n
 }
 
 // Sweep eagerly removes expired and version-stale entries, returning
@@ -405,17 +405,16 @@ func (c *Cache) Len() int {
 
 // Stats is a consistent-enough snapshot of the cache counters.
 type Stats struct {
-	Shards        int     `json:"shards"`
-	Entries       int     `json:"entries"`
-	Hits          int64   `json:"hits"`
-	Misses        int64   `json:"misses"`
-	Stale         int64   `json:"stale"`
-	Evictions     int64   `json:"evictions"`
-	Puts          int64   `json:"puts"`
-	Invalidations int64   `json:"invalidations"`
-	HitRate       float64 `json:"hit_rate"`
+	Shards    int     `json:"shards"`
+	Entries   int     `json:"entries"`
+	Hits      int64   `json:"hits"`
+	Misses    int64   `json:"misses"`
+	Stale     int64   `json:"stale"`
+	Evictions int64   `json:"evictions"`
+	Puts      int64   `json:"puts"`
+	HitRate   float64 `json:"hit_rate"`
 
-	// Invalidation split and re-warm clock (see InvalidateAll).
+	// Invalidations by kind and the re-warm clock (see InvalidateAll).
 	EpochInvalidations int64   `json:"epoch_invalidations"`
 	UserInvalidations  int64   `json:"user_invalidations"`
 	Rewarms            int64   `json:"rewarms"`
@@ -428,14 +427,13 @@ type Stats struct {
 // lookups happened yet.
 func (c *Cache) Stats() Stats {
 	s := Stats{
-		Shards:        len(c.shards),
-		Entries:       c.Len(),
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Stale:         c.stale.Load(),
-		Evictions:     c.evictions.Load(),
-		Puts:          c.puts.Load(),
-		Invalidations: c.invalidations.Load(),
+		Shards:    len(c.shards),
+		Entries:   c.Len(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Stale:     c.stale.Load(),
+		Evictions: c.evictions.Load(),
+		Puts:      c.puts.Load(),
 
 		EpochInvalidations: c.epochInvalidations.Load(),
 		UserInvalidations:  c.userInvalidations.Load(),

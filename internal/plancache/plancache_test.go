@@ -97,23 +97,45 @@ func TestEpochInvalidation(t *testing.T) {
 	}
 }
 
+// TestInvalidateUser: the generation bump alone retires a user's
+// entries. None is served or reported fresh afterwards, Sweep removes
+// them, a value computed under the older snapshot and stored after the
+// bump lands stale, and other users' entries are untouched.
 func TestInvalidateUser(t *testing.T) {
 	c, _ := newTestCache(time.Hour)
 	for i := 0; i < 5; i++ {
 		c.Put(key("lilly", i, 0), i)
 		c.Put(key("greg", i, 0), i)
 	}
-	if n := c.InvalidateUser("lilly"); n != 5 {
-		t.Fatalf("invalidated %d, want 5", n)
+	racing := c.Snapshot("lilly")
+	c.InvalidateUser("lilly")
+	c.InvalidateUser("nobody")
+	c.PutVersioned(key("lilly", 9, 0), "computed before the bump", racing)
+	for i := 0; i < 5; i++ {
+		if c.Contains(key("lilly", i, 0)) {
+			t.Fatalf("invalidated entry %d reported fresh", i)
+		}
+		if !c.Contains(key("greg", i, 0)) {
+			t.Fatalf("other user's entry %d lost", i)
+		}
 	}
-	if _, ok := c.Get(key("lilly", 0, 0)); ok {
-		t.Fatal("invalidated user's entry served")
+	if c.Contains(key("lilly", 9, 0)) {
+		t.Fatal("racing put under the older snapshot reported fresh")
 	}
-	if _, ok := c.Get(key("greg", 0, 0)); !ok {
-		t.Fatal("other user's entry lost")
+	if removed := c.Sweep(); removed != 6 {
+		t.Fatalf("sweep removed %d, want lilly's 5 entries and the racing put", removed)
 	}
-	if n := c.InvalidateUser("nobody"); n != 0 {
-		t.Fatalf("phantom invalidations: %d", n)
+	if c.Len() != 5 {
+		t.Fatalf("len = %d after sweep, want greg's 5", c.Len())
+	}
+	for i := 0; i < 5; i++ {
+		if _, ok := c.GetIf(key("lilly", i, 0), nil); ok {
+			t.Fatalf("invalidated entry %d served", i)
+		}
+	}
+	c.Put(key("lilly", 0, 0), "after")
+	if v, ok := c.Get(key("lilly", 0, 0)); !ok || v != "after" {
+		t.Fatalf("put after the bump: %v %v", v, ok)
 	}
 }
 
@@ -376,7 +398,7 @@ func TestRewarmReArmRestartsClock(t *testing.T) {
 	clk.advance(time.Second)
 	c.Put(key("lilly", 0, 0), "a2")
 
-	c.InvalidateAll() // re-arm against current warm set (2 entries)
+	c.InvalidateAll() // re-arm against the current warm set: a2 alone
 	clk.advance(50 * time.Millisecond)
 	c.Put(key("lilly", 0, 0), "a3")
 	c.Put(key("lilly", 1, 0), "b3")
@@ -389,5 +411,27 @@ func TestRewarmReArmRestartsClock(t *testing.T) {
 	}
 	if st.EpochInvalidations != 2 {
 		t.Fatalf("epoch invalidations = %d", st.EpochInvalidations)
+	}
+}
+
+// TestRewarmTargetCountsServableOnly: entries a user invalidation or an
+// earlier epoch already retired were not warm, so they must not stretch
+// the next epoch bump's re-warm target.
+func TestRewarmTargetCountsServableOnly(t *testing.T) {
+	c, clk := newTestCache(time.Hour)
+	for i := 0; i < 4; i++ {
+		c.Put(key("lilly", i, 0), i)
+	}
+	c.Put(key("greg", 0, 0), "g")
+	c.InvalidateUser("lilly") // four stale entries stay until a sweep
+	c.InvalidateAll()         // target: greg's one entry
+	clk.advance(40 * time.Millisecond)
+	c.Put(key("greg", 0, 0), "g2")
+	st := c.Stats()
+	if st.RewarmPending || st.Rewarms != 1 || st.LastRewarmMillis != 40 {
+		t.Fatalf("re-warm after the one servable entry came back: %+v", st)
+	}
+	if st.EpochInvalidations != 1 || st.UserInvalidations != 1 {
+		t.Fatalf("invalidations = %d epoch + %d user, want 1 + 1", st.EpochInvalidations, st.UserInvalidations)
 	}
 }

@@ -447,12 +447,13 @@ func (w *World) CommuteTrace(p *Persona, day time.Time, morning bool) (trajector
 
 	const fixInterval = 30 * time.Second
 	var trace trajectory.Trace
+	walk := route.Polyline.Sampler()
 	for t := time.Duration(0); ; t += fixInterval {
 		if t > duration {
 			t = duration
 		}
 		frac := float64(t) / float64(duration)
-		pt := route.Polyline.At(frac)
+		pt := walk.At(frac)
 		pt = geo.Destination(pt, rng.Float64()*360, rng.Float64()*12) // GPS noise ≤12 m
 		trace = append(trace, trajectory.Fix{Point: pt, Time: depart.Add(t)})
 		if t == duration {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -11,14 +12,19 @@ import (
 	"pphcr/internal/trajectory"
 )
 
-// fixRecord is the serialized form of one GPS fix. Timestamps are kept
-// at nanosecond precision: the durability subsystem proves recovered
-// state equivalent to never-crashed state, and mobility models derive
-// trip durations (and thus travel-time predictions) from these times.
+// fixRecord is one GPS fix as a trace holds it and as a snapshot
+// serializes it. Timestamps are kept at nanosecond precision: the
+// durability subsystem proves recovered state equivalent to
+// never-crashed state, and mobility models derive trip durations (and
+// thus travel-time predictions) from these times.
 type fixRecord struct {
 	Lat    float64 `json:"lat"`
 	Lon    float64 `json:"lon"`
 	UnixNs int64   `json:"unixns,omitempty"`
+}
+
+func (r *fixRecord) fix() trajectory.Fix {
+	return trajectory.Fix{Point: geo.Point{Lat: r.Lat, Lon: r.Lon}, Time: time.Unix(0, r.UnixNs).UTC()}
 }
 
 // Snapshot serializes every user's raw trace as JSON: the raw trace is
@@ -26,12 +32,8 @@ type fixRecord struct {
 func (t *Tracker) Snapshot(w io.Writer) error {
 	t.mu.RLock()
 	out := make(map[string][]fixRecord, len(t.traces))
-	for user, trace := range t.traces {
-		recs := make([]fixRecord, len(trace))
-		for i, f := range trace {
-			recs[i] = fixRecord{Lat: f.Point.Lat, Lon: f.Point.Lon, UnixNs: f.Time.UnixNano()}
-		}
-		out[user] = recs
+	for user, tr := range t.traces {
+		out[user] = slices.Clone(tr)
 	}
 	t.mu.RUnlock()
 	return json.NewEncoder(w).Encode(out)
@@ -57,11 +59,7 @@ func (t *Tracker) Restore(rd io.Reader) error {
 	sort.Strings(users)
 	for _, u := range users {
 		for _, rec := range in[u] {
-			fix := trajectory.Fix{
-				Point: geo.Point{Lat: rec.Lat, Lon: rec.Lon},
-				Time:  time.Unix(0, rec.UnixNs).UTC(),
-			}
-			if err := t.Record(u, fix); err != nil {
+			if err := t.Record(u, rec.fix()); err != nil {
 				return fmt.Errorf("tracking: restoring %q: %w", u, err)
 			}
 		}

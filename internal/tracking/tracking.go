@@ -5,9 +5,16 @@
 // frequency, time of the day and complexity". Staying points come from
 // density-based clustering and trajectories are simplified with RDP,
 // exactly as the paper states.
+//
+// A raw trace holds each fix as the 24 B record its checkpoint writes
+// (latitude, longitude, Unix nanoseconds), not as the 40 B
+// trajectory.Fix, so a live trace and a restored one are the same bytes.
+// Fix values are built only on the way out (Trace, CompactN), with Time
+// in UTC.
 package tracking
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -23,16 +30,21 @@ import (
 // of it (CompactN).
 type Tracker struct {
 	mu     sync.RWMutex
-	traces map[string]trajectory.Trace
+	traces map[string][]fixRecord
 }
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{traces: make(map[string]trajectory.Trace)}
+	return &Tracker{traces: make(map[string][]fixRecord)}
 }
 
+// ErrInstantRange is Record's refusal of an instant outside what Unix
+// nanoseconds hold (years 1678–2262), which a fixRecord cannot store.
+var ErrInstantRange = errors.New("tracking: instant outside the Unix-nanosecond range")
+
 // Record ingests one GPS fix for a user. Fixes must arrive in
-// non-decreasing time order per user (the client app sends them live).
+// non-decreasing time order per user (the client app sends them live),
+// at instants Unix nanoseconds hold (ErrInstantRange).
 func (t *Tracker) Record(userID string, fix trajectory.Fix) error {
 	if userID == "" {
 		return fmt.Errorf("tracking: userID required")
@@ -40,22 +52,43 @@ func (t *Tracker) Record(userID string, fix trajectory.Fix) error {
 	if !fix.Point.Valid() {
 		return fmt.Errorf("tracking: invalid point %v", fix.Point)
 	}
+	rec := fixRecord{Lat: fix.Point.Lat, Lon: fix.Point.Lon, UnixNs: fix.Time.UnixNano()}
+	if !rec.fix().Time.Equal(fix.Time) {
+		return fmt.Errorf("%w: %v", ErrInstantRange, fix.Time)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	trace := t.traces[userID]
-	if n := len(trace); n > 0 && fix.Time.Before(trace[n-1].Time) {
+	tr := t.traces[userID]
+	if n := len(tr); n > 0 && rec.UnixNs < tr[n-1].UnixNs {
 		return fmt.Errorf("tracking: out-of-order fix for %q (%v before %v)",
-			userID, fix.Time, trace[n-1].Time)
+			userID, fix.Time, tr[n-1].fix().Time)
 	}
-	t.traces[userID] = append(trace, fix)
+	t.traces[userID] = append(tr, rec)
 	return nil
 }
 
-// Trace returns a copy of the user's raw trace.
+// Trace returns the user's raw trace.
 func (t *Tracker) Trace(userID string) trajectory.Trace {
+	return t.prefix(userID, -1)
+}
+
+// prefix returns the first n fixes of the user's raw trace (all of them
+// when n is negative or past the end).
+func (t *Tracker) prefix(userID string, n int) trajectory.Trace {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return append(trajectory.Trace(nil), t.traces[userID]...)
+	tr := t.traces[userID]
+	if n < 0 || n > len(tr) {
+		n = len(tr)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make(trajectory.Trace, n)
+	for i := range out {
+		out[i] = tr[i].fix()
+	}
+	return out
 }
 
 // FixCount returns the number of fixes stored for the user.
@@ -129,10 +162,7 @@ func (t *Tracker) CompactN(userID string, params CompactParams, n int) (*Compact
 	if params.TripGap <= 0 || params.MinFixes <= 0 {
 		params = DefaultCompactParams()
 	}
-	raw := t.Trace(userID)
-	if n >= 0 && n < len(raw) {
-		raw = raw[:n]
-	}
+	raw := t.prefix(userID, n)
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("tracking: no fixes for %q", userID)
 	}

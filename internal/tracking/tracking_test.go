@@ -1,9 +1,11 @@
 package tracking
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pphcr/internal/geo"
 	"pphcr/internal/predict"
@@ -213,5 +215,37 @@ func BenchmarkCompact(b *testing.B) {
 		if _, err := tr.Compact("u", DefaultCompactParams()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRecordRefusesInstantsOutsideUnixNano: a trace holds an instant as
+// Unix nanoseconds, so an instant outside their range (years 1678–2262)
+// is refused rather than stored wrapped; the range's ends are kept.
+func TestRecordRefusesInstantsOutsideUnixNano(t *testing.T) {
+	tr := NewTracker()
+	for _, at := range []time.Time{
+		time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC),
+		{},
+	} {
+		if err := tr.Record("u", trajectory.Fix{Point: torino, Time: at}); err == nil {
+			t.Fatalf("fix at %v accepted", at)
+		}
+	}
+	for _, ns := range []int64{math.MinInt64, 0, math.MaxInt64} {
+		if err := tr.Record("u", trajectory.Fix{Point: torino, Time: time.Unix(0, ns)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := tr.FixCount("u"); n != 3 {
+		t.Fatalf("%d fixes stored, want the 3 in range", n)
+	}
+}
+
+// TestFixRecordSize pins what a trace keeps per fix (trajectory.Fix
+// takes 40 B).
+func TestFixRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(fixRecord{}); n != 24 {
+		t.Fatalf("fixRecord is %d B, want 24", n)
 	}
 }

@@ -384,11 +384,11 @@ func New(cfg Config) (*System, error) {
 		shards:          make([]userShard, nShards),
 		shardMask:       uint32(nShards - 1),
 	}
-	s.Feedback.ShareCatalog(func(id string) (map[string]float64, bool) {
+	s.Feedback.ShareCatalog(func(id string) (string, map[string]float64, bool) {
 		if it, ok := repo.Get(id); ok {
-			return it.Categories, true
+			return it.ID, it.Categories, true
 		}
-		return nil, false
+		return "", nil, false
 	})
 	s.barrier.stripes = make([]barrierStripe, nShards)
 	for i := range s.shards {

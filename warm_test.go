@@ -221,7 +221,7 @@ func TestWarmPlanInvalidation(t *testing.T) {
 	if _, err := sys.CompactTracking(user); err != nil {
 		t.Fatal(err)
 	}
-	if sys.PlanCache.Len() != 0 {
+	if sys.PlanCache.Sweep(); sys.PlanCache.Len() != 0 {
 		t.Fatal("entries survived re-compaction")
 	}
 	// Re-prime, then rule 2: new content marks everything stale.
