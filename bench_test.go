@@ -220,7 +220,7 @@ func BenchmarkSkipReplacement(b *testing.B) {
 // BenchmarkPlanCacheConcurrent measures the sharded cache itself under
 // parallel mixed load (15/16 reads, 1/16 writes across 64 users).
 func BenchmarkPlanCacheConcurrent(b *testing.B) {
-	c := plancache.New(plancache.Config{Shards: 32, TTL: time.Hour})
+	c := plancache.New(plancache.Config{})
 	keys := make([]plancache.Key, 0, 64*16)
 	for u := 0; u < 64; u++ {
 		for d := 0; d < 16; d++ {

@@ -111,13 +111,8 @@ func main() {
 		users       = flag.Int("users", 20, "synthetic personas")
 		track       = flag.Bool("track", true, "preload persona commute traces and compact them")
 		warmWorkers = flag.Int("warm-workers", 4, "plan-warming worker pool size (0 disables the warmer)")
-		planTTL     = flag.Duration("plan-ttl", 10*time.Minute, "warm plan time-to-live")
-		cacheShards = flag.Int("cache-shards", 32, "plan cache shard count")
-		userShards  = flag.Int("user-shards", pphcr.DefaultUserShards, "per-user state shard count")
 		fbEvery     = flag.Int("feedback-compact-every", 512, "feedback events per user between compactions (0 disables)")
-		fbHorizon   = flag.Duration("feedback-horizon", 30*24*time.Hour, "feedback history kept live; older events fold into the baseline")
 		dataDir     = flag.String("data-dir", "", "durability directory (WAL + checkpoints); empty runs in-memory only")
-		ckInterval  = flag.Duration("checkpoint-interval", time.Minute, "time between background checkpoints (0 disables; shutdown still checkpoints)")
 		walSync     = flag.String("wal-sync", "interval", "WAL fsync policy: always or interval")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -163,12 +158,9 @@ func main() {
 		fatal("generate world", err)
 	}
 	sys, err := pphcr.New(pphcr.Config{
-		TrainingDocs:    w.Training,
-		Vocabulary:      w.FlatVocab,
-		Seed:            *seed,
-		PlanCacheShards: *cacheShards,
-		PlanTTL:         *planTTL,
-		UserShards:      *userShards,
+		TrainingDocs: w.Training,
+		Vocabulary:   w.FlatVocab,
+		Seed:         *seed,
 	})
 	if err != nil {
 		fatal("system init", err)
@@ -197,9 +189,7 @@ func main() {
 		Dir:                  *dataDir,
 		Sync:                 policy,
 		RetainWAL:            *retainWAL,
-		CheckpointInterval:   *ckInterval,
 		FeedbackCompactEvery: *fbEvery,
-		FeedbackHorizon:      *fbHorizon,
 		WarmWorkers:          *warmWorkers,
 		Clock:                func() time.Time { return worldEnd.Add(time.Since(bootReal)) },
 	})

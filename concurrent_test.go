@@ -207,12 +207,12 @@ func TestConcurrentFeedbackPreferencesPlan(t *testing.T) {
 		t.Fatal("no index reads recorded")
 	}
 	ls := sys.LockStats()
-	if ls.Ops == 0 || ls.Shards != DefaultUserShards {
+	if ls.Ops == 0 || ls.Shards != userShards {
 		t.Fatalf("lock stats = %+v", ls)
 	}
 	// Every durable write path crossed the commit barrier; with no
 	// checkpointer quiescing, the read-side stripes never contend.
-	if ls.Barrier.Stripes != DefaultUserShards || ls.Barrier.Ops == 0 {
+	if ls.Barrier.Stripes != userShards || ls.Barrier.Ops == 0 {
 		t.Fatalf("barrier stats = %+v", ls.Barrier)
 	}
 	if ls.Barrier.Quiesces != 0 || ls.Barrier.Contended != 0 {

@@ -1,9 +1,8 @@
 // Package broker is the in-memory substitute for the RabbitMQ
 // communication layer in the paper's architecture (Fig 3): an AMQP-style
-// topic exchange with durable named queues, wildcard bindings,
-// at-least-once delivery and explicit acknowledgment. The PPHCR server
-// components only use pub/sub and work-queue semantics, which this
-// package provides in full.
+// topic exchange with named queues and wildcard bindings. The PPHCR
+// server components only use pub/sub and work-queue semantics: Pop hands
+// a message to its consumer, and the broker keeps no copy.
 package broker
 
 import (
@@ -15,7 +14,6 @@ import (
 
 // Message is one queued payload.
 type Message struct {
-	ID      uint64
 	Topic   string
 	Payload []byte
 }
@@ -23,7 +21,6 @@ type Message struct {
 // Broker is a topic exchange. It is safe for concurrent use.
 type Broker struct {
 	mu     sync.Mutex
-	nextID uint64
 	queues map[string]*Queue
 }
 
@@ -32,22 +29,16 @@ func New() *Broker {
 	return &Broker{queues: make(map[string]*Queue)}
 }
 
-// Errors.
-var (
-	ErrBadPattern = errors.New("broker: invalid binding pattern")
-	ErrNoQueue    = errors.New("broker: unknown queue")
-)
+// ErrBadPattern reports a malformed binding pattern.
+var ErrBadPattern = errors.New("broker: invalid binding pattern")
 
-// Queue is a named, bound, durable message queue. Consumers Pop messages
-// and must Ack them; unacked messages are redelivered by Nack or Requeue.
+// Queue is a named, bound message queue. Consumers Pop messages.
 type Queue struct {
-	name    string
 	pattern []string
 
 	mu      sync.Mutex
-	pending []Message          // undelivered
-	unacked map[uint64]Message // delivered, not yet acked
-	notify  chan struct{}      // signaled on new pending messages
+	pending []Message     // undelivered
+	notify  chan struct{} // signaled on new pending messages
 }
 
 // Bind declares a queue bound to the topic pattern. Patterns use
@@ -74,23 +65,10 @@ func (b *Broker) Bind(queueName, pattern string) (*Queue, error) {
 		return q, nil
 	}
 	q := &Queue{
-		name:    queueName,
 		pattern: words,
-		unacked: make(map[uint64]Message),
 		notify:  make(chan struct{}, 1),
 	}
 	b.queues[queueName] = q
-	return q, nil
-}
-
-// Queue returns a bound queue by name.
-func (b *Broker) Queue(name string) (*Queue, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	q, ok := b.queues[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoQueue, name)
-	}
 	return q, nil
 }
 
@@ -99,8 +77,6 @@ func (b *Broker) Queue(name string) (*Queue, error) {
 func (b *Broker) Publish(topic string, payload []byte) int {
 	words := strings.Split(topic, ".")
 	b.mu.Lock()
-	b.nextID++
-	id := b.nextID
 	var matched []*Queue
 	for _, q := range b.queues {
 		if topicMatches(q.pattern, words) {
@@ -109,7 +85,7 @@ func (b *Broker) Publish(topic string, payload []byte) int {
 	}
 	b.mu.Unlock()
 
-	msg := Message{ID: id, Topic: topic, Payload: payload}
+	msg := Message{Topic: topic, Payload: payload}
 	for _, q := range matched {
 		q.push(msg)
 	}
@@ -149,15 +125,8 @@ func (q *Queue) Len() int {
 	return len(q.pending)
 }
 
-// UnackedLen returns the number of delivered-but-unacked messages.
-func (q *Queue) UnackedLen() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.unacked)
-}
-
-// Pop delivers the next pending message without blocking. ok is false
-// when the queue is empty. The message stays unacked until Ack.
+// Pop hands the next pending message to the caller without blocking. ok
+// is false when the queue is empty.
 func (q *Queue) Pop() (Message, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -166,35 +135,9 @@ func (q *Queue) Pop() (Message, bool) {
 	}
 	m := q.pending[0]
 	q.pending = q.pending[1:]
-	q.unacked[m.ID] = m
 	return m, true
 }
 
 // Notify returns a channel that receives a signal when new messages
 // arrive (coalesced). Use together with Pop for blocking consumption.
 func (q *Queue) Notify() <-chan struct{} { return q.notify }
-
-// Ack confirms a delivered message.
-func (q *Queue) Ack(id uint64) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if _, ok := q.unacked[id]; !ok {
-		return fmt.Errorf("broker: ack of unknown delivery %d on %q", id, q.name)
-	}
-	delete(q.unacked, id)
-	return nil
-}
-
-// Nack returns a delivered message to the front of the queue for
-// redelivery (at-least-once semantics).
-func (q *Queue) Nack(id uint64) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	m, ok := q.unacked[id]
-	if !ok {
-		return fmt.Errorf("broker: nack of unknown delivery %d on %q", id, q.name)
-	}
-	delete(q.unacked, id)
-	q.pending = append([]Message{m}, q.pending...)
-	return nil
-}

@@ -28,12 +28,6 @@ func TestBindValidation(t *testing.T) {
 	if _, err := b.Bind("q", "other.*"); err == nil {
 		t.Fatal("conflicting rebind accepted")
 	}
-	if _, err := b.Queue("q"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Queue("missing"); !errors.Is(err, ErrNoQueue) {
-		t.Fatalf("err = %v", err)
-	}
 }
 
 func TestTopicMatching(t *testing.T) {
@@ -93,58 +87,8 @@ func TestPopAckLifecycle(t *testing.T) {
 	if !ok || string(m1.Payload) != "one" {
 		t.Fatalf("m1 = %+v ok=%v", m1, ok)
 	}
-	if q.Len() != 1 || q.UnackedLen() != 1 {
-		t.Fatalf("len=%d unacked=%d", q.Len(), q.UnackedLen())
-	}
-	if err := q.Ack(m1.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Ack(m1.ID); err == nil {
-		t.Fatal("double ack accepted")
-	}
-	if q.UnackedLen() != 0 {
-		t.Fatal("unacked not cleared")
-	}
-}
-
-func TestNackRedelivers(t *testing.T) {
-	b := New()
-	q, _ := b.Bind("q", "#")
-	b.Publish("t", []byte("a"))
-	b.Publish("t", []byte("b"))
-	m, _ := q.Pop()
-	if err := q.Nack(m.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Nack(m.ID); err == nil {
-		t.Fatal("double nack accepted")
-	}
-	// Redelivered at the front.
-	m2, _ := q.Pop()
-	if string(m2.Payload) != "a" || m2.ID != m.ID {
-		t.Fatalf("redelivery = %+v", m2)
-	}
-}
-
-func TestMessageIDsMonotonic(t *testing.T) {
-	b := New()
-	q, _ := b.Bind("q", "#")
-	for i := 0; i < 10; i++ {
-		b.Publish("t", nil)
-	}
-	var last uint64
-	for {
-		m, ok := q.Pop()
-		if !ok {
-			break
-		}
-		if m.ID <= last {
-			t.Fatalf("IDs not monotonic: %d after %d", m.ID, last)
-		}
-		last = m.ID
-		if err := q.Ack(m.ID); err != nil {
-			t.Fatal(err)
-		}
+	if q.Len() != 1 {
+		t.Fatalf("len=%d", q.Len())
 	}
 }
 
@@ -185,7 +129,7 @@ func TestConcurrentPublishConsume(t *testing.T) {
 			}
 		}(p)
 	}
-	seen := make(map[uint64]bool)
+	seen := make(map[string]bool)
 	var consumed int
 	doneProducing := make(chan struct{})
 	go func() { wg.Wait(); close(doneProducing) }()
@@ -202,13 +146,10 @@ func TestConcurrentPublishConsume(t *testing.T) {
 			}
 			continue
 		}
-		if seen[m.ID] {
-			t.Fatalf("duplicate delivery %d", m.ID)
+		if seen[string(m.Payload)] {
+			t.Fatalf("duplicate delivery %s", m.Payload)
 		}
-		seen[m.ID] = true
-		if err := q.Ack(m.ID); err != nil {
-			t.Fatal(err)
-		}
+		seen[string(m.Payload)] = true
 		consumed++
 	}
 }
@@ -220,7 +161,6 @@ func BenchmarkPublishPop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		br.Publish("bench.x", payload)
-		m, _ := q.Pop()
-		_ = q.Ack(m.ID)
+		q.Pop()
 	}
 }

@@ -37,14 +37,9 @@ type Options struct {
 	// leader must: followers bootstrap and rebalances replay from the
 	// full log. A promoted leader always retains.
 	RetainWAL bool
-	// CheckpointInterval is the time between background checkpoints
-	// (0 disables them; Drain still checkpoints).
-	CheckpointInterval time.Duration
 	// FeedbackCompactEvery is the feedback events per user between
-	// compactions (0 disables the feedback compactor); FeedbackHorizon is
-	// the live history each compaction keeps.
+	// compactions (0 disables the feedback compactor).
 	FeedbackCompactEvery int
-	FeedbackHorizon      time.Duration
 	// WarmWorkers sizes the plan warmer's pool (0 disables the warmer).
 	WarmWorkers int
 	// Clock is the deployment's "now" for the warmer and the feedback
@@ -181,7 +176,6 @@ func (n *Node) lead(dur *pphcr.Durability) (<-chan struct{}, error) {
 		if err != nil {
 			return nil, err
 		}
-		ck.Interval = n.opts.CheckpointInterval
 		n.run(ck.Run)
 	}
 
@@ -203,7 +197,6 @@ func (n *Node) lead(dur *pphcr.Durability) (<-chan struct{}, error) {
 			return nil, err
 		}
 		fbc.EventsPerCompaction = n.opts.FeedbackCompactEvery
-		fbc.Horizon = n.opts.FeedbackHorizon
 		fbc.Now = n.opts.Clock
 		n.run(fbc.Run)
 	}

@@ -151,7 +151,7 @@ var walFamilies = []string{
 // leader with the same options does, and neither before promotion.
 func TestPromoteStartsWhatABootedLeaderRuns(t *testing.T) {
 	follower := cluster(t, Options{
-		Dir: t.TempDir(), Sync: durable.SyncAlways, WarmWorkers: 1, CheckpointInterval: time.Minute,
+		Dir: t.TempDir(), Sync: durable.SyncAlways, WarmWorkers: 1,
 	})
 	check := func(promoted bool) {
 		t.Helper()

@@ -10,7 +10,7 @@
 // invalidation (feedback, new content, re-compacted mobility) handled by
 // the owning System and the precompute scheduler.
 //
-// The cache is sharded (FNV-1a over the key, 32 ways by default) so that
+// The cache is sharded (FNV-1a over the key, 32 ways) so that
 // concurrent warmers and request-path readers contend only per shard, and
 // every counter is atomic: the /stats endpoint reads hit/miss/stale/
 // eviction totals without stopping traffic.
@@ -36,24 +36,17 @@ type Key struct {
 
 // Config tunes a Cache.
 type Config struct {
-	// Shards is the number of independently locked segments. Default 32.
-	Shards int
-	// TTL bounds how long a cached plan may be served. Default 10 minutes
-	// — long enough to cover a warm-ahead window, short enough that the
-	// candidate clip set cannot drift far.
-	TTL time.Duration
-	// MaxPerShard caps each shard's entry count; 0 means unbounded. When
-	// full, the oldest entry in the shard is evicted on Put.
-	MaxPerShard int
 	// Now overrides the clock (tests). Nil means time.Now.
 	Now func() time.Time
 }
 
-// DefaultShards is the shard count used when Config.Shards is zero.
-const DefaultShards = 32
-
-// DefaultTTL is the plan time-to-live used when Config.TTL is zero.
-const DefaultTTL = 10 * time.Minute
+const (
+	// shardCount is the number of independently locked segments.
+	shardCount = 32
+	// ttl bounds how long a cached plan may be served: short enough
+	// that the candidate clip set cannot drift far.
+	ttl = 10 * time.Minute
+)
 
 type entry struct {
 	value    any
@@ -115,19 +108,12 @@ type Cache struct {
 	totalRewarmNs atomic.Int64
 }
 
-// New builds a cache. Zero-value Config fields take the documented
-// defaults.
+// New builds a cache. A nil Config.Now means time.Now.
 func New(cfg Config) *Cache {
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
-	if cfg.TTL <= 0 {
-		cfg.TTL = DefaultTTL
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	c := &Cache{cfg: cfg, shards: make([]shard, cfg.Shards)}
+	c := &Cache{cfg: cfg, shards: make([]shard, shardCount)}
 	for i := range c.shards {
 		c.shards[i].m = make(map[Key]entry)
 		c.shards[i].gens = make(map[string]uint64)
@@ -135,8 +121,8 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// TTL reports the configured time-to-live.
-func (c *Cache) TTL() time.Duration { return c.cfg.TTL }
+// TTL reports how long a cached plan may be served.
+func (c *Cache) TTL() time.Duration { return ttl }
 
 // FNV-1a, inlined: shardFor sits on the request fast path and must not
 // allocate (hash/fnv costs a hasher plus a byte slice per call).
@@ -242,7 +228,7 @@ func (c *Cache) dropIfUnchanged(sh *shard, k Key, storedAt time.Time) {
 	sh.mu.Unlock()
 }
 
-// Put stores (replacing) the value for k with the configured TTL,
+// Put stores (replacing) the value for k with the cache's TTL,
 // stamped with the current invalidation state.
 func (c *Cache) Put(k Key, v any) {
 	c.PutVersioned(k, v, c.Snapshot(k.User))
@@ -253,13 +239,8 @@ func (c *Cache) Put(k Key, v any) {
 func (c *Cache) PutVersioned(k Key, v any, ver Version) {
 	sh := c.shardFor(k)
 	now := c.cfg.Now()
-	e := entry{value: v, ver: ver, storedAt: now, expires: now.Add(c.cfg.TTL)}
+	e := entry{value: v, ver: ver, storedAt: now, expires: now.Add(ttl)}
 	sh.mu.Lock()
-	if c.cfg.MaxPerShard > 0 && len(sh.m) >= c.cfg.MaxPerShard {
-		if _, replacing := sh.m[k]; !replacing {
-			c.evictOldestLocked(sh)
-		}
-	}
 	sh.m[k] = e
 	sh.mu.Unlock()
 	c.puts.Add(1)
@@ -290,21 +271,6 @@ func (c *Cache) noteRewarmPut(now time.Time) {
 	c.rewarmTarget = 0
 	c.rewarmPuts = 0
 	c.rewarmArmed.Store(false)
-}
-
-func (c *Cache) evictOldestLocked(sh *shard) {
-	var oldest Key
-	var oldestAt time.Time
-	first := true
-	for k, e := range sh.m {
-		if first || e.storedAt.Before(oldestAt) {
-			oldest, oldestAt, first = k, e.storedAt, false
-		}
-	}
-	if !first {
-		delete(sh.m, oldest)
-		c.evictions.Add(1)
-	}
 }
 
 // InvalidateUser marks every entry belonging to user stale in O(1)

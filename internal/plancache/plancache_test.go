@@ -31,13 +31,13 @@ func (f *fakeClock) advance(d time.Duration) {
 	f.mu.Unlock()
 }
 
-func newTestCache(ttl time.Duration) (*Cache, *fakeClock) {
+func newTestCache() (*Cache, *fakeClock) {
 	clk := &fakeClock{t: time.Date(2016, 11, 14, 8, 0, 0, 0, time.UTC)}
-	return New(Config{Shards: 8, TTL: ttl, Now: clk.now}), clk
+	return New(Config{Now: clk.now}), clk
 }
 
 func TestPutGetHitMiss(t *testing.T) {
-	c, _ := newTestCache(time.Minute)
+	c, _ := newTestCache()
 	k := key("lilly", 1, 2)
 	if _, ok := c.Get(k); ok {
 		t.Fatal("empty cache returned a value")
@@ -57,10 +57,10 @@ func TestPutGetHitMiss(t *testing.T) {
 }
 
 func TestTTLExpiry(t *testing.T) {
-	c, clk := newTestCache(time.Minute)
+	c, clk := newTestCache()
 	k := key("lilly", 0, 0)
 	c.Put(k, 1)
-	clk.advance(59 * time.Second)
+	clk.advance(ttl - time.Second)
 	if _, ok := c.Get(k); !ok {
 		t.Fatal("entry expired early")
 	}
@@ -75,7 +75,7 @@ func TestTTLExpiry(t *testing.T) {
 }
 
 func TestEpochInvalidation(t *testing.T) {
-	c, _ := newTestCache(time.Hour)
+	c, _ := newTestCache()
 	for i := 0; i < 10; i++ {
 		c.Put(key("u", i, 0), i)
 	}
@@ -102,7 +102,7 @@ func TestEpochInvalidation(t *testing.T) {
 // them, a value computed under the older snapshot and stored after the
 // bump lands stale, and other users' entries are untouched.
 func TestInvalidateUser(t *testing.T) {
-	c, _ := newTestCache(time.Hour)
+	c, _ := newTestCache()
 	for i := 0; i < 5; i++ {
 		c.Put(key("lilly", i, 0), i)
 		c.Put(key("greg", i, 0), i)
@@ -140,7 +140,7 @@ func TestInvalidateUser(t *testing.T) {
 }
 
 func TestGetIfRejectEvicts(t *testing.T) {
-	c, _ := newTestCache(time.Hour)
+	c, _ := newTestCache()
 	k := key("u", 1, 1)
 	c.Put(k, 100)
 	v, ok := c.GetIf(k, func(v any) bool { return v.(int) > 200 })
@@ -161,32 +161,8 @@ func TestGetIfRejectEvicts(t *testing.T) {
 	}
 }
 
-func TestMaxPerShardEviction(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	c := New(Config{Shards: 1, TTL: time.Hour, MaxPerShard: 3, Now: clk.now})
-	for i := 0; i < 3; i++ {
-		c.Put(key("u", i, 0), i)
-		clk.advance(time.Second)
-	}
-	c.Put(key("u", 99, 0), 99) // over capacity → oldest (dest 0) evicted
-	if c.Len() != 3 {
-		t.Fatalf("len = %d", c.Len())
-	}
-	if _, ok := c.Get(key("u", 0, 0)); ok {
-		t.Fatal("oldest entry survived capacity eviction")
-	}
-	if _, ok := c.Get(key("u", 99, 0)); !ok {
-		t.Fatal("new entry missing")
-	}
-	// Replacing an existing key does not evict.
-	c.Put(key("u", 99, 0), "again")
-	if c.Len() != 3 {
-		t.Fatalf("len after replace = %d", c.Len())
-	}
-}
-
 func TestContains(t *testing.T) {
-	c, clk := newTestCache(time.Minute)
+	c, clk := newTestCache()
 	k := key("u", 1, 0)
 	if c.Contains(k) {
 		t.Fatal("contains on empty cache")
@@ -195,7 +171,7 @@ func TestContains(t *testing.T) {
 	if !c.Contains(k) {
 		t.Fatal("fresh entry not found")
 	}
-	clk.advance(2 * time.Minute)
+	clk.advance(ttl + time.Minute)
 	if c.Contains(k) {
 		t.Fatal("expired entry reported present")
 	}
@@ -211,7 +187,7 @@ func TestContains(t *testing.T) {
 // the global epoch (InvalidateAll) and the per-user generation
 // (InvalidateUser).
 func TestPutVersionedRaces(t *testing.T) {
-	c, _ := newTestCache(time.Hour)
+	c, _ := newTestCache()
 	k := key("u", 1, 1)
 
 	// Global: snapshot, then InvalidateAll races the computation.
@@ -257,10 +233,10 @@ func TestPutVersionedRaces(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	c := New(Config{})
-	if got := c.Stats().Shards; got != DefaultShards {
+	if got := c.Stats().Shards; got != 32 {
 		t.Fatalf("shards = %d", got)
 	}
-	if c.TTL() != DefaultTTL {
+	if c.TTL() != 10*time.Minute {
 		t.Fatalf("ttl = %v", c.TTL())
 	}
 }
@@ -270,7 +246,7 @@ func TestDefaults(t *testing.T) {
 // the point is that shard locking and atomic counters keep the structure
 // coherent under contention.
 func TestConcurrent(t *testing.T) {
-	c := New(Config{Shards: 32, TTL: time.Hour})
+	c := New(Config{})
 	const (
 		goroutines = 16
 		opsEach    = 2000
@@ -314,7 +290,7 @@ func TestConcurrent(t *testing.T) {
 }
 
 func TestInvalidationSplitCounters(t *testing.T) {
-	c, _ := newTestCache(time.Minute)
+	c, _ := newTestCache()
 	c.Put(key("lilly", 1, 2), "a")
 	c.InvalidateAll()
 	c.InvalidateUser("lilly")
@@ -329,7 +305,7 @@ func TestInvalidationSplitCounters(t *testing.T) {
 }
 
 func TestRewarmClock(t *testing.T) {
-	c, clk := newTestCache(time.Hour)
+	c, clk := newTestCache()
 	for i := 0; i < 3; i++ {
 		c.Put(key("lilly", i, 0), i)
 	}
@@ -373,7 +349,7 @@ func TestRewarmClock(t *testing.T) {
 }
 
 func TestRewarmEmptyCacheNotArmed(t *testing.T) {
-	c, _ := newTestCache(time.Minute)
+	c, _ := newTestCache()
 	c.InvalidateAll()
 	st := c.Stats()
 	if st.RewarmPending {
@@ -390,7 +366,7 @@ func TestRewarmEmptyCacheNotArmed(t *testing.T) {
 }
 
 func TestRewarmReArmRestartsClock(t *testing.T) {
-	c, clk := newTestCache(time.Hour)
+	c, clk := newTestCache()
 	c.Put(key("lilly", 0, 0), "a")
 	c.Put(key("lilly", 1, 0), "b")
 
@@ -418,7 +394,7 @@ func TestRewarmReArmRestartsClock(t *testing.T) {
 // earlier epoch already retired were not warm, so they must not stretch
 // the next epoch bump's re-warm target.
 func TestRewarmTargetCountsServableOnly(t *testing.T) {
-	c, clk := newTestCache(time.Hour)
+	c, clk := newTestCache()
 	for i := 0; i < 4; i++ {
 		c.Put(key("lilly", i, 0), i)
 	}

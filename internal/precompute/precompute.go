@@ -20,13 +20,13 @@
 //     with mobility models.
 //
 // For each affected user the scheduler walks the Markov chain of the
-// compact mobility model: every origin place × the time buckets of the
-// warm-ahead window × the top-K destination candidates above a
-// probability floor becomes one warm job. Jobs flow through a bounded
-// queue into a fixed worker pool (drops are counted, never blocked on);
-// each worker takes one job at a time and runs System.WarmPlan on it,
-// which plans through the same staged pipeline the cold path uses and
-// stores the result in the plan cache.
+// compact mobility model: every origin place × the top-K destination
+// candidates above a probability floor, in the current time bucket,
+// becomes one warm job. Jobs flow through a bounded queue into a fixed
+// worker pool (drops are counted, never blocked on); each worker takes
+// one job at a time and runs System.WarmPlan on it, which plans through
+// the same staged pipeline the cold path uses and stores the result in
+// the plan cache.
 package precompute
 
 import (
@@ -45,40 +45,29 @@ import (
 type Config struct {
 	// Workers is the size of the warm worker pool. Default 4.
 	Workers int
-	// TopK bounds how many destination candidates are warmed per
-	// (origin, bucket). Default 2.
-	TopK int
-	// MinProb is the probability floor below which a destination is not
-	// worth warming. Default 0.2.
-	MinProb float64
-	// WarmAheadBuckets is how many time buckets of trips to warm,
-	// starting at the enumeration instant (1 = current bucket only).
-	// Default 1.
-	WarmAheadBuckets int
-	// QueueSize bounds the pending-job queue; enumeration never blocks —
-	// jobs beyond the bound are dropped and counted. Default 256.
-	QueueSize int
 	// Now supplies the scheduling clock used by Run's event loop. The
 	// server anchors it to the synthetic world's timeline; nil means
 	// time.Now.
 	Now func() time.Time
 }
 
+const (
+	// topK bounds how many destination candidates are warmed per
+	// (origin, bucket).
+	topK = 2
+	// minProb is the probability floor below which a destination is not
+	// worth warming.
+	minProb = 0.2
+	// queueSize bounds the pending-job queue; enumeration never blocks —
+	// jobs beyond the bound are dropped and counted. 256 jobs is a
+	// re-warm burst of 64 commuters at two origins × topK destinations
+	// each; Prewarm drains after every user, so it never fills it.
+	queueSize = 256
+)
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.TopK <= 0 {
-		c.TopK = 2
-	}
-	if c.MinProb <= 0 {
-		c.MinProb = 0.2
-	}
-	if c.WarmAheadBuckets <= 0 {
-		c.WarmAheadBuckets = 1
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 256
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -137,7 +126,7 @@ type Scheduler struct {
 // New binds the scheduler's queues on the system broker.
 func New(sys *pphcr.System, cfg Config) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
-	s := &Scheduler{cfg: cfg, sys: sys, jobs: make(chan Job, cfg.QueueSize)}
+	s := &Scheduler{cfg: cfg, sys: sys, jobs: make(chan Job, queueSize)}
 	var err error
 	if s.compactQ, err = sys.Broker.Bind("precompute-compacted", "tracking.compacted"); err != nil {
 		return nil, fmt.Errorf("precompute: binding compaction queue: %w", err)
@@ -157,17 +146,14 @@ func New(sys *pphcr.System, cfg Config) (*Scheduler, error) {
 // one pass). It returns the number of jobs enqueued.
 func (s *Scheduler) Poll(now time.Time) int {
 	users := make(map[string]bool)
-	drain := func(q *broker.Queue, counter *atomic.Int64) int {
-		n := 0
+	drain := func(q *broker.Queue, counter *atomic.Int64) {
 		for {
 			msg, ok := q.Pop()
 			if !ok {
-				return n
+				return
 			}
-			n++
 			counter.Add(1)
 			users[string(msg.Payload)] = true
-			_ = q.Ack(msg.ID)
 		}
 	}
 	drain(s.compactQ, &s.eventsCompacted)
@@ -175,13 +161,11 @@ func (s *Scheduler) Poll(now time.Time) int {
 
 	content := 0
 	for {
-		msg, ok := s.contentQ.Pop()
-		if !ok {
+		if _, ok := s.contentQ.Pop(); !ok {
 			break
 		}
 		content++
 		s.eventsContent.Add(1)
-		_ = s.contentQ.Ack(msg.ID)
 	}
 	if content > 0 {
 		s.usersBuf = s.sys.AppendMobilityUsers(s.usersBuf[:0])
@@ -201,8 +185,8 @@ func (s *Scheduler) Poll(now time.Time) int {
 }
 
 // WarmUser enumerates the user's likely next trips and enqueues one warm
-// job per (origin, bucket, top destination) not already warm in the
-// cache. It returns the number of jobs enqueued.
+// job per (origin, top destination) of the current bucket not already
+// warm in the cache. It returns the number of jobs enqueued.
 func (s *Scheduler) WarmUser(user string, now time.Time) int {
 	return s.warmUser(user, now, false)
 }
@@ -214,31 +198,28 @@ func (s *Scheduler) warmUser(user string, now time.Time, force bool) int {
 	}
 	m := cm.Mobility
 	queued := 0
+	bucket := predict.BucketOf(now)
 	seen := make(map[plancache.Key]bool)
-	for ahead := 0; ahead < s.cfg.WarmAheadBuckets; ahead++ {
-		at := now.Add(time.Duration(ahead) * predict.BucketDuration)
-		bucket := predict.BucketOf(at)
-		for _, from := range m.Origins() {
-			for i, c := range m.PredictDestination(from, at) {
-				if i >= s.cfg.TopK || c.Prob < s.cfg.MinProb {
-					break
-				}
-				key := plancache.Key{User: user, Dest: c.Place, Bucket: bucket}
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				if !force && s.sys.PlanCache.Contains(key) {
-					s.jobsSkipped.Add(1)
-					continue
-				}
-				select {
-				case s.jobs <- Job{User: user, From: from, Dest: c.Place, Prob: c.Prob, At: at}:
-					s.jobsQueued.Add(1)
-					queued++
-				default:
-					s.jobsDropped.Add(1)
-				}
+	for _, from := range m.Origins() {
+		for i, c := range m.PredictDestination(from, now) {
+			if i >= topK || c.Prob < minProb {
+				break
+			}
+			key := plancache.Key{User: user, Dest: c.Place, Bucket: bucket}
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			if !force && s.sys.PlanCache.Contains(key) {
+				s.jobsSkipped.Add(1)
+				continue
+			}
+			select {
+			case s.jobs <- Job{User: user, From: from, Dest: c.Place, Prob: c.Prob, At: now}:
+				s.jobsQueued.Add(1)
+				queued++
+			default:
+				s.jobsDropped.Add(1)
 			}
 		}
 	}
@@ -314,9 +295,6 @@ func (s *Scheduler) Run(stop <-chan struct{}) {
 		s.Poll(s.cfg.Now())
 	}
 }
-
-// Backlog returns the number of jobs waiting for a worker.
-func (s *Scheduler) Backlog() int { return len(s.jobs) }
 
 // Stats snapshots the scheduler counters.
 func (s *Scheduler) Stats() Stats {

@@ -189,42 +189,24 @@ func TestContentEventRewarmsMobilityUsers(t *testing.T) {
 
 func TestQueueBoundDropsNotBlocks(t *testing.T) {
 	sys, _, user, warmAt := testSystem(t)
-	sched, err := New(sys, Config{QueueSize: 1, TopK: 4, MinProb: 0.01, WarmAheadBuckets: 3})
+	sched, err := New(sys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched.WarmUser(user, warmAt) // must not block despite the 1-slot queue
+	// Nothing drains the queue, so re-enumerating the same user queues
+	// the same jobs again until the bound is reached. No call may block.
+	for i := 0; i <= queueSize && sched.Stats().JobsDropped == 0; i++ {
+		sched.WarmUser(user, warmAt)
+	}
 	st := sched.Stats()
-	if st.JobsQueued != 1 {
-		t.Fatalf("queued = %d, want 1", st.JobsQueued)
-	}
 	if st.JobsDropped == 0 {
-		t.Fatal("overflow jobs not counted as dropped")
+		t.Fatalf("overflow jobs not counted as dropped: %+v", st)
 	}
-	if sched.Backlog() != 1 {
-		t.Fatalf("backlog = %d", sched.Backlog())
+	if st.JobsQueued != queueSize {
+		t.Fatalf("queued = %d, want the bound %d", st.JobsQueued, queueSize)
 	}
-}
-
-func TestWarmAheadCoversFutureBuckets(t *testing.T) {
-	sys, _, user, warmAt := testSystem(t)
-	sched, err := New(sys, Config{WarmAheadBuckets: 2, QueueSize: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched.WarmUser(user, warmAt)
-	sched.Drain()
-	buckets := map[predict.TimeBucket]bool{}
-	for ahead := 0; ahead < 2; ahead++ {
-		b := predict.BucketOf(warmAt.Add(time.Duration(ahead) * predict.BucketDuration))
-		for dest := 0; dest < 2; dest++ {
-			if sys.PlanCache.Contains(plancache.Key{User: user, Dest: predict.PlaceID(dest), Bucket: b}) {
-				buckets[b] = true
-			}
-		}
-	}
-	if len(buckets) < 2 {
-		t.Fatalf("warm-ahead covered buckets %v, want 2", buckets)
+	if len(sched.jobs) != queueSize || cap(sched.jobs) != queueSize {
+		t.Fatalf("queue holds %d of %d, want %d", len(sched.jobs), cap(sched.jobs), queueSize)
 	}
 }
 
@@ -294,7 +276,7 @@ func (r *pairRank) Rank(t *pipeline.Task) {
 // first worker to wake — two of them must be planning at the same time.
 func TestWorkersShareTheQueue(t *testing.T) {
 	sys, _, user, warmAt := testSystem(t)
-	sched, err := New(sys, Config{Workers: 2, WarmAheadBuckets: 2, Now: func() time.Time { return warmAt }})
+	sched, err := New(sys, Config{Workers: 2, Now: func() time.Time { return warmAt }})
 	if err != nil {
 		t.Fatal(err)
 	}

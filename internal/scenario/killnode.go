@@ -341,7 +341,7 @@ func RunKillNode(o KillNodeOptions) (*FailoverReport, error) {
 		}
 		api := httpapi.NewServer(sys)
 		n := node.New(sys, api, node.Options{
-			Dir: dir, Sync: durable.SyncAlways, RetainWAL: true, CheckpointInterval: time.Minute,
+			Dir: dir, Sync: durable.SyncAlways, RetainWAL: true,
 		})
 		mux := http.NewServeMux()
 		mux.Handle("/", api.Handler())

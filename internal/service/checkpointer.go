@@ -9,18 +9,18 @@ import (
 	"pphcr"
 )
 
+// checkpointInterval is the time between background checkpoints.
+const checkpointInterval = time.Minute
+
 // Checkpointer is the durability background worker, running beside the
 // Compactor and the Warmer: on a fixed interval it asks the durability
 // layer for a full checkpoint (atomic snapshot + WAL truncation), so
 // recovery time after a crash stays bounded by one interval's worth of
 // WAL replay instead of growing with uptime.
 type Checkpointer struct {
-	// Interval between checkpoints. Default 1 minute.
-	Interval time.Duration
-	// Logf reports checkpoint failures (default slog.Error via the
-	// process-wide logger); checkpoints must keep being attempted after
-	// a transient disk error, not stop the worker.
-	Logf func(format string, args ...interface{})
+	// interval is checkpointInterval; the package's tests shorten it to
+	// watch Run tick.
+	interval time.Duration
 
 	dur  *pphcr.Durability
 	runs atomic.Int64
@@ -32,10 +32,7 @@ func NewCheckpointer(dur *pphcr.Durability) (*Checkpointer, error) {
 	if dur == nil {
 		return nil, fmt.Errorf("service: checkpointer requires a durability layer")
 	}
-	logf := func(format string, args ...interface{}) {
-		slog.Error(fmt.Sprintf(format, args...))
-	}
-	return &Checkpointer{Interval: time.Minute, Logf: logf, dur: dur}, nil
+	return &Checkpointer{interval: checkpointInterval, dur: dur}, nil
 }
 
 // Poll takes one checkpoint now.
@@ -48,25 +45,20 @@ func (c *Checkpointer) Poll() error {
 	return nil
 }
 
-// Run checkpoints every Interval until stop is closed. Intended to run
+// Run checkpoints every interval until stop is closed. Intended to run
 // as a goroutine in the server binary, alongside Compactor.Run and
-// Warmer.Run. A non-positive Interval disables periodic checkpoints
-// (the repo-wide 0-disables convention); the shutdown checkpoint still
-// happens via Durability.Close.
+// Warmer.Run. A failed checkpoint is logged and the next tick tries
+// again: a transient disk error must not stop the worker.
 func (c *Checkpointer) Run(stop <-chan struct{}) {
-	if c.Interval <= 0 {
-		<-stop
-		return
-	}
-	t := time.NewTicker(c.Interval)
+	t := time.NewTicker(c.interval)
 	defer t.Stop()
 	for {
 		select {
 		case <-stop:
 			return
 		case <-t.C:
-			if err := c.Poll(); err != nil && c.Logf != nil {
-				c.Logf("service: checkpoint failed: %v", err)
+			if err := c.Poll(); err != nil {
+				slog.Error(fmt.Sprintf("service: checkpoint failed: %v", err))
 			}
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // FeedbackCompactor is the feedback-store sibling of the tracking
 // Compactor: it consumes feedback ingestion events off the broker and,
 // once a listener has accumulated EventsPerCompaction new events, folds
-// everything older than Horizon into the user's baseline vector
+// everything older than feedbackHorizon into the user's baseline vector
 // (System.CompactFeedback). Preference reads are unaffected — the
 // incremental index already holds every event — the compaction only
 // bounds the replayable log so per-user memory stops growing with
@@ -20,9 +20,6 @@ import (
 type FeedbackCompactor struct {
 	// EventsPerCompaction is the refresh period in events (default 512).
 	EventsPerCompaction int
-	// Horizon is how much recent history the live log keeps (default 30
-	// days). Keep it longer than any SkipRate window of interest.
-	Horizon time.Duration
 	// Now supplies the compaction clock; the server anchors it to the
 	// synthetic world's timeline. nil means time.Now.
 	Now func() time.Time
@@ -35,6 +32,10 @@ type FeedbackCompactor struct {
 	eventsFolded atomic.Int64
 }
 
+// feedbackHorizon is how much recent history the live feedback log
+// keeps. It is longer than any SkipRate window of interest.
+const feedbackHorizon = 30 * 24 * time.Hour
+
 // NewFeedbackCompactor binds the worker's queue on the system broker.
 func NewFeedbackCompactor(sys *pphcr.System) (*FeedbackCompactor, error) {
 	q, err := sys.Broker.Bind("service-feedback-compactor", "feedback.#")
@@ -43,7 +44,6 @@ func NewFeedbackCompactor(sys *pphcr.System) (*FeedbackCompactor, error) {
 	}
 	return &FeedbackCompactor{
 		EventsPerCompaction: 512,
-		Horizon:             30 * 24 * time.Hour,
 		Now:                 time.Now,
 		sys:                 sys,
 		queue:               q,
@@ -62,7 +62,6 @@ func (c *FeedbackCompactor) Poll() (compacted []string) {
 			break
 		}
 		c.pending[string(msg.Payload)]++
-		_ = c.queue.Ack(msg.ID)
 	}
 	now := c.Now()
 	for user, n := range c.pending {
@@ -70,7 +69,7 @@ func (c *FeedbackCompactor) Poll() (compacted []string) {
 			continue
 		}
 		c.pending[user] = 0
-		folded := c.sys.CompactFeedback(user, now, c.Horizon)
+		folded := c.sys.CompactFeedback(user, now, feedbackHorizon)
 		c.compactions.Add(1)
 		if folded > 0 {
 			c.eventsFolded.Add(int64(folded))

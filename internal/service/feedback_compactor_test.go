@@ -32,11 +32,11 @@ func TestFeedbackCompactorTriggersOnThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.EventsPerCompaction = 50
-	c.Horizon = 24 * time.Hour
 
 	start := w.Params.StartDate
-	last := feedFeedback(t, sys, "lilly", 120, start)
-	now := last.Add(time.Hour)
+	feedFeedback(t, sys, "lilly", 120, start)
+	// The horizon cuts the 120 hourly events in half.
+	now := start.Add(feedbackHorizon + 60*time.Hour)
 	c.Now = func() time.Time { return now }
 
 	before := sys.Preferences("lilly", now)
@@ -45,10 +45,14 @@ func TestFeedbackCompactorTriggersOnThreshold(t *testing.T) {
 		t.Fatalf("compacted = %v", compacted)
 	}
 	// The live log shrank to the horizon; preferences are untouched.
-	for _, e := range sys.Feedback.ByUser("lilly") {
-		if e.At.Before(now.Add(-c.Horizon)) {
+	live := sys.Feedback.ByUser("lilly")
+	for _, e := range live {
+		if e.At.Before(now.Add(-feedbackHorizon)) {
 			t.Fatalf("event older than horizon survived: %v", e.At)
 		}
+	}
+	if len(live) == 0 || len(live) == 120 {
+		t.Fatalf("%d of 120 events live after compaction, want the newer half", len(live))
 	}
 	after := sys.Preferences("lilly", now)
 	for k, v := range before {
@@ -89,12 +93,10 @@ func TestFeedbackCompactorRunLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.EventsPerCompaction = 50
-	c.Horizon = 24 * time.Hour
-	var last time.Time
 	stop := make(chan struct{})
 	done := make(chan struct{})
-	last = feedFeedback(t, sys, "lilly", 120, w.Params.StartDate)
-	now := last.Add(time.Hour)
+	feedFeedback(t, sys, "lilly", 120, w.Params.StartDate)
+	now := w.Params.StartDate.Add(feedbackHorizon + 60*time.Hour)
 	c.Now = func() time.Time { return now }
 	go func() {
 		c.Run(stop)

@@ -14,13 +14,13 @@ import (
 	"pphcr/internal/broker"
 )
 
-// Compactor re-compacts a user's tracking data after every
-// FixesPerCompaction newly ingested fixes.
-type Compactor struct {
-	// FixesPerCompaction is the refresh period in fixes (default 100,
-	// roughly one commute leg).
-	FixesPerCompaction int
+// fixesPerCompaction is the tracking Compactor's refresh period in
+// fixes, roughly one commute leg.
+const fixesPerCompaction = 100
 
+// Compactor re-compacts a user's tracking data after every
+// fixesPerCompaction newly ingested fixes.
+type Compactor struct {
 	sys     *pphcr.System
 	queue   *broker.Queue
 	pending map[string]int
@@ -32,12 +32,7 @@ func NewCompactor(sys *pphcr.System) (*Compactor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: binding compactor queue: %w", err)
 	}
-	return &Compactor{
-		FixesPerCompaction: 100,
-		sys:                sys,
-		queue:              q,
-		pending:            make(map[string]int),
-	}, nil
+	return &Compactor{sys: sys, queue: q, pending: make(map[string]int)}, nil
 }
 
 // Poll drains the queue once and compacts every user whose new-fix
@@ -50,14 +45,10 @@ func (c *Compactor) Poll() (compacted []string, errs []error) {
 		if !ok {
 			break
 		}
-		user := string(msg.Payload)
-		c.pending[user]++
-		if err := c.queue.Ack(msg.ID); err != nil {
-			errs = append(errs, err)
-		}
+		c.pending[string(msg.Payload)]++
 	}
 	for user, n := range c.pending {
-		if n < c.FixesPerCompaction {
+		if n < fixesPerCompaction {
 			continue
 		}
 		c.pending[user] = 0
@@ -84,16 +75,4 @@ func (c *Compactor) Run(stop <-chan struct{}) {
 		}
 		c.Poll()
 	}
-}
-
-// Backlog returns the per-user counts of fixes awaiting compaction
-// (after the last Poll), for dashboards.
-func (c *Compactor) Backlog() map[string]int {
-	out := make(map[string]int, len(c.pending))
-	for u, n := range c.pending {
-		if n > 0 {
-			out[u] = n
-		}
-	}
-	return out
 }

@@ -62,11 +62,9 @@ func TestCompactorTriggersOnThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.FixesPerCompaction = 50
-
 	fixes := feedCommutes(t, sys, w, "lilly", 5)
-	if fixes < 100 {
-		t.Fatalf("test needs ≥100 fixes, got %d", fixes)
+	if fixes < fixesPerCompaction {
+		t.Fatalf("test needs ≥%d fixes, got %d", fixesPerCompaction, fixes)
 	}
 	compacted, errs := c.Poll()
 	if len(errs) != 0 {
@@ -85,20 +83,36 @@ func TestCompactorTriggersOnThreshold(t *testing.T) {
 	}
 }
 
+// recordIsolatedFixes records n fixes an hour apart at one point: enough
+// to count toward the threshold, never enough for segmentation.
+func recordIsolatedFixes(t *testing.T, sys *pphcr.System, user string, from, n int) {
+	t.Helper()
+	base := time.Date(2016, 11, 14, 8, 0, 0, 0, time.UTC)
+	for i := from; i < from+n; i++ {
+		if err := sys.RecordFix(user, fixAt(base.Add(time.Duration(i)*time.Hour))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCompactorBelowThreshold: fixes below the threshold compact nothing,
+// and they still count, across polls, toward the next compaction.
 func TestCompactorBelowThreshold(t *testing.T) {
-	sys, w := testSystem(t)
+	sys, _ := testSystem(t)
 	c, err := NewCompactor(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.FixesPerCompaction = 100000 // never
-	feedCommutes(t, sys, w, "lilly", 2)
+	recordIsolatedFixes(t, sys, "lilly", 0, fixesPerCompaction-1)
 	compacted, errs := c.Poll()
 	if len(compacted) != 0 || len(errs) != 0 {
 		t.Fatalf("unexpected work: %v %v", compacted, errs)
 	}
-	if n := c.Backlog()["lilly"]; n == 0 {
-		t.Fatal("backlog not tracked")
+	// The threshold-th fix makes the next poll attempt a compaction,
+	// which these fixes cannot satisfy.
+	recordIsolatedFixes(t, sys, "lilly", fixesPerCompaction-1, 1)
+	if _, errs := c.Poll(); len(errs) != 1 {
+		t.Fatalf("threshold reached across polls: errs = %v, want one compaction attempt", errs)
 	}
 }
 
@@ -108,15 +122,9 @@ func TestCompactorHandlesFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.FixesPerCompaction = 2
-	// Three isolated fixes: enough to trip the threshold, not enough for
+	// Isolated fixes: enough to trip the threshold, not enough for
 	// segmentation → compaction fails, is reported, and does not panic.
-	base := time.Date(2016, 11, 14, 8, 0, 0, 0, time.UTC)
-	for i := 0; i < 3; i++ {
-		if err := sys.RecordFix("u", fixAt(base.Add(time.Duration(i)*time.Hour))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	recordIsolatedFixes(t, sys, "u", 0, fixesPerCompaction)
 	compacted, errs := c.Poll()
 	if len(compacted) != 0 {
 		t.Fatalf("compacted despite bad data: %v", compacted)
@@ -132,7 +140,6 @@ func TestCompactorRunLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.FixesPerCompaction = 50
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {

@@ -52,10 +52,6 @@ import (
 
 // Config parameterizes a System.
 type Config struct {
-	// ContextWeight is λ of the compound relevance score. Default 0.4.
-	ContextWeight float64
-	// ASRWordErrorRate simulates the recognizer quality. Default 0.15.
-	ASRWordErrorRate float64
 	// Vocabulary seeds the ASR confusion pool (usually the corpus
 	// vocabulary).
 	Vocabulary []string
@@ -63,23 +59,24 @@ type Config struct {
 	TrainingDocs []textclass.Document
 	// Seed drives all simulated randomness. Default 1.
 	Seed int64
-	// CandidateWindow bounds how far back the recommender looks for
-	// candidate clips. Default 72h.
-	CandidateWindow time.Duration
-	// PlanCacheShards is the shard count of the warm-plan cache.
-	// Default plancache.DefaultShards (32).
-	PlanCacheShards int
-	// PlanTTL is how long a precomputed trip plan may be served before it
-	// is considered stale. Default plancache.DefaultTTL (10 minutes).
-	PlanTTL time.Duration
-	// UserShards is the stripe count of the per-user state shards
-	// (mobility models, pending injections, last plans). Rounded up to a
-	// power of two. Default DefaultUserShards (32).
-	UserShards int
 }
 
-// DefaultUserShards is the default stripe count of the per-user state.
-const DefaultUserShards = 32
+// The System's fixed settings: the paper's server runs with one
+// behaviour.
+const (
+	// contextWeight is λ of the compound relevance score.
+	contextWeight = 0.4
+	// asrWordErrorRate simulates the recognizer quality.
+	asrWordErrorRate = 0.15
+	// candidateWindow bounds how far back the recommender looks for
+	// candidate clips.
+	candidateWindow = 72 * time.Hour
+	// userShards is the stripe count of the per-user state shards
+	// (mobility models, pending injections, last plans), the commit
+	// barrier and the WAL staging stripes. A power of two: shardIndexFor
+	// masks the hash with userShards-1.
+	userShards = 32
+)
 
 // userShard is one stripe of the per-user server state. Striping by a
 // hash of the user ID means concurrent PlanTrip / AddFeedback /
@@ -235,15 +232,13 @@ type System struct {
 	// prediction matches a warm entry.
 	PlanCache *plancache.Cache
 
-	ingest          *content.Pipeline
-	candidateWindow time.Duration
+	ingest *content.Pipeline
 
 	// pipe is the staged planning pipeline (predict → gate → candidates →
 	// rank → allocate) every public entry point executes through.
 	pipe *pipeline.Pipeline
 
 	shards        []userShard
-	shardMask     uint32
 	lockOps       atomic.Int64
 	lockContended atomic.Int64
 
@@ -289,7 +284,7 @@ func (s *System) shardIndexFor(userID string) uint32 {
 		h ^= uint32(userID[i])
 		h *= fnvPrime32
 	}
-	return h & s.shardMask
+	return h & (userShards - 1)
 }
 
 // shardFor returns the stripe holding the user's state.
@@ -336,34 +331,18 @@ func New(cfg Config) (*System, error) {
 	if len(cfg.TrainingDocs) == 0 {
 		return nil, fmt.Errorf("pphcr: Config.TrainingDocs required to train the classifier")
 	}
-	if cfg.ContextWeight == 0 {
-		cfg.ContextWeight = 0.4
-	}
-	if cfg.ASRWordErrorRate == 0 {
-		cfg.ASRWordErrorRate = 0.15
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.CandidateWindow <= 0 {
-		cfg.CandidateWindow = 72 * time.Hour
-	}
-	if cfg.UserShards <= 0 {
-		cfg.UserShards = DefaultUserShards
-	}
-	nShards := 1
-	for nShards < cfg.UserShards {
-		nShards <<= 1
 	}
 	var nb textclass.NaiveBayes
 	if err := nb.Train(cfg.TrainingDocs); err != nil {
 		return nil, fmt.Errorf("pphcr: training classifier: %w", err)
 	}
-	recognizer, err := asr.New(cfg.ASRWordErrorRate, asr.DefaultErrorProfile(), cfg.Vocabulary, cfg.Seed)
+	recognizer, err := asr.New(asrWordErrorRate, asr.DefaultErrorProfile(), cfg.Vocabulary, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("pphcr: building recognizer: %w", err)
 	}
-	scorer := recommend.NewScorer(cfg.ContextWeight)
+	scorer := recommend.NewScorer(contextWeight)
 	repo := content.NewRepository()
 	s := &System{
 		Directory: radiodns.NewDirectory(),
@@ -374,15 +353,13 @@ func New(cfg Config) (*System, error) {
 		Broker:    broker.New(),
 		Scorer:    scorer,
 		Planner:   core.NewPlanner(scorer),
-		PlanCache: plancache.New(plancache.Config{Shards: cfg.PlanCacheShards, TTL: cfg.PlanTTL}),
+		PlanCache: plancache.New(plancache.Config{}),
 		ingest: &content.Pipeline{
 			Recognizer: recognizer,
 			Classifier: &nb,
 			Repo:       repo,
 		},
-		candidateWindow: cfg.CandidateWindow,
-		shards:          make([]userShard, nShards),
-		shardMask:       uint32(nShards - 1),
+		shards: make([]userShard, userShards),
 	}
 	s.Feedback.ShareCatalog(func(id string) (string, map[string]float64, bool) {
 		if it, ok := repo.Get(id); ok {
@@ -390,7 +367,7 @@ func New(cfg Config) (*System, error) {
 		}
 		return "", nil, false
 	})
-	s.barrier.stripes = make([]barrierStripe, nShards)
+	s.barrier.stripes = make([]barrierStripe, userShards)
 	for i := range s.shards {
 		s.shards[i].mobility = make(map[string]*tracking.CompactModel)
 		s.shards[i].compactN = make(map[string]int)
@@ -401,7 +378,7 @@ func New(cfg Config) (*System, error) {
 		Mobility:        s.MobilityModel,
 		Preferences:     s.Preferences,
 		Catalog:         repo.ReadView,
-		CandidateWindow: cfg.CandidateWindow,
+		CandidateWindow: candidateWindow,
 		Cache:           s.PlanCache,
 		Planner:         s.Planner,
 		Scorer:          scorer,
@@ -765,7 +742,7 @@ func (s *System) CompactFeedback(userID string, now time.Time, horizon time.Dura
 // Candidates returns the current candidate clip set: everything published
 // within the candidate window before now.
 func (s *System) Candidates(now time.Time) []*content.Item {
-	return s.Repo.AppendPublishedSince(nil, now.Add(-s.candidateWindow))
+	return s.Repo.AppendPublishedSince(nil, now.Add(-candidateWindow))
 }
 
 // Recommend ranks the current candidates for the user in the given
