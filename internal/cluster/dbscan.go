@@ -4,8 +4,10 @@
 // tracking data (§1.2).
 //
 // The implementation is generic over the item type; neighborhood queries
-// are delegated to a caller-supplied function so that callers with a
-// spatial index (package spatial) can answer them in sublinear time.
+// are delegated to a caller-supplied function (a spatial.Grid query, for
+// points). Stay points are now labelled on a grid in linear time
+// (package trajectory); this breadth-first search is the oracle that
+// labelling is tested against, label for label.
 package cluster
 
 // Label values returned by DBSCAN. Cluster IDs are non-negative; Noise

@@ -51,13 +51,14 @@ type TrajectoryView struct {
 }
 
 // buildTrajectoryView assembles map data from the tracker and the cached
-// compaction.
+// compaction. Compaction keeps a closed trip only as its RDP route, so
+// the path drawn is those routes followed by the raw unfolded fixes.
 func (s *Server) buildTrajectoryView(userID string) (TrajectoryView, error) {
-	trace := s.sys.Tracker.Trace(userID)
-	if len(trace) == 0 {
+	path := s.sys.Tracker.Path(userID)
+	if len(path) == 0 {
 		return TrajectoryView{}, fmt.Errorf("dashboard: no tracking data for %q", userID)
 	}
-	view := TrajectoryView{Fixes: trace.Points()}
+	view := TrajectoryView{Fixes: path}
 	view.Simplified = trajectory.RDP(view.Fixes, 30)
 	if cm, ok := s.sys.MobilityModel(userID); ok {
 		view.StayPoints = cm.StayPoints

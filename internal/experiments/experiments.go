@@ -193,6 +193,27 @@ func newEnv(cfg Config) (*env, error) {
 // trackPersona feeds `days` of the persona's commutes into the tracker
 // and compacts. It returns the last day used.
 func (e *env) trackPersona(p *synth.Persona, days int) (time.Time, error) {
+	trace, lastDay, err := e.personaTrace(p, days)
+	if err != nil {
+		return time.Time{}, err
+	}
+	for _, fix := range trace {
+		if err := e.Sys.RecordFix(p.Profile.UserID, fix); err != nil {
+			return time.Time{}, err
+		}
+	}
+	if _, err := e.Sys.CompactTracking(p.Profile.UserID); err != nil {
+		return time.Time{}, err
+	}
+	return lastDay, nil
+}
+
+// personaTrace is the world's own record of `days` of the persona's
+// weekday commutes, the fixes trackPersona feeds: compaction keeps no
+// raw fixes of closed trips to read back. It also returns the last day
+// used.
+func (e *env) personaTrace(p *synth.Persona, days int) (trajectory.Trace, time.Time, error) {
+	var all trajectory.Trace
 	var lastDay time.Time
 	for d := 0; d < days; d++ {
 		day := e.World.Params.StartDate.AddDate(0, 0, d)
@@ -203,19 +224,12 @@ func (e *env) trackPersona(p *synth.Persona, days int) (time.Time, error) {
 		for _, morning := range []bool{true, false} {
 			trace, _, err := e.World.CommuteTrace(p, day, morning)
 			if err != nil {
-				return time.Time{}, err
+				return nil, time.Time{}, err
 			}
-			for _, fix := range trace {
-				if err := e.Sys.RecordFix(p.Profile.UserID, fix); err != nil {
-					return time.Time{}, err
-				}
-			}
+			all = append(all, trace...)
 		}
 	}
-	if _, err := e.Sys.CompactTracking(p.Profile.UserID); err != nil {
-		return time.Time{}, err
-	}
-	return lastDay, nil
+	return all, lastDay, nil
 }
 
 // partialCommute returns the first `minutes` of a commute trace for a

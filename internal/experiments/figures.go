@@ -270,12 +270,15 @@ func runF5(cfg Config) error {
 		return err
 	}
 	user := persona.Profile.UserID
-	trace := e.Sys.Tracker.Trace(user)
+	trace, _, err := e.personaTrace(persona, e.World.Params.Days)
+	if err != nil {
+		return err
+	}
 	raw := trace.Points()
 	simplified := rdp30(raw)
 	cm, _ := e.Sys.MobilityModel(user)
 
-	svg := renderTrajectorySVG(e, user)
+	svg := renderTrajectorySVG(e, user, raw)
 	tb := newTable("layer", "value")
 	tb.add("raw GPS fixes", fmt.Sprintf("%d", len(raw)))
 	tb.add("RDP-simplified points (ε=30m)", fmt.Sprintf("%d (%.1f%% reduction)",
@@ -370,11 +373,10 @@ func radiodnsProgram(serviceID, id, title string, start time.Time, dur time.Dura
 	}
 }
 
-// renderTrajectorySVG renders the Fig 5 artifact via the dashboard
-// renderer.
-func renderTrajectorySVG(e *env, user string) string {
-	trace := e.Sys.Tracker.Trace(user)
-	view := dashboard.TrajectoryView{Fixes: trace.Points()}
+// renderTrajectorySVG renders the Fig 5 artifact, the user's raw fixes
+// and staying points, via the dashboard renderer.
+func renderTrajectorySVG(e *env, user string, raw geo.Polyline) string {
+	view := dashboard.TrajectoryView{Fixes: raw}
 	view.Simplified = trajectory.RDP(view.Fixes, 30)
 	if cm, ok := e.Sys.MobilityModel(user); ok {
 		view.StayPoints = cm.StayPoints

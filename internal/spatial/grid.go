@@ -7,9 +7,9 @@ import (
 )
 
 // Grid is a uniform spatial hash over lat/lon cells. It is the cheap
-// index for dense, city-scale point sets (the trip endpoints DBSCAN
-// clusters into staying points), where a fixed cell size near the
-// neighborhood radius makes ε-queries O(points per 3×3 cells).
+// index for dense, city-scale point sets, where a fixed cell size near
+// the neighborhood radius makes ε-queries O(points per 3×3 cells); the
+// breadth-first DBSCAN oracle for stay points queries it.
 type Grid struct {
 	cell   float64 // cell edge in degrees latitude
 	lonDiv float64 // cell edge in degrees longitude (latitude-corrected)

@@ -29,11 +29,11 @@ func TestTrackerSnapshotRestore(t *testing.T) {
 		}
 	}
 	// Compaction works identically on the restored state.
-	a, err := tr.Compact("lilly", DefaultCompactParams())
+	a, err := tr.Compact("lilly")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := restored.Compact("lilly", DefaultCompactParams())
+	b, err := restored.Compact("lilly")
 	if err != nil {
 		t.Fatal(err)
 	}

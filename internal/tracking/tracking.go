@@ -6,16 +6,25 @@
 // density-based clustering and trajectories are simplified with RDP,
 // exactly as the paper states.
 //
-// A raw trace holds each fix as the 24 B record its checkpoint writes
-// (latitude, longitude, Unix nanoseconds), not as the 40 B
-// trajectory.Fix, so a live trace and a restored one are the same bytes.
-// Fix values are built only on the way out (Trace, CompactN), with Time
-// in UTC.
+// Compaction folds what it has finished with. A trip has closed once a
+// later fix arrived at least tripGap after its last one; a compaction
+// replaces every trip that has closed among the fixes it pins with a
+// fixed record (endpoints, departure, duration, RDP route, speed,
+// complexity) and drops its raw fixes. A user's tracking state is
+// therefore the folded records plus the raw suffix after them, and it
+// grows with trips, not with fixes. The model a compaction returns is
+// still exactly the one a full recompaction of every fix would build.
+//
+// A raw fix is held as the 24 B record a checkpoint writes (latitude,
+// longitude, Unix nanoseconds), not as the 40 B trajectory.Fix, so a
+// live suffix and a restored one are the same bytes. Fix values are
+// built only on the way out (Trace, CompactN), with Time in UTC.
 package tracking
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,18 +33,47 @@ import (
 	"pphcr/internal/trajectory"
 )
 
-// Tracker is the thread-safe tracking store: each fix is held once, in
-// its user's time-ordered raw trace. Compaction reads that trace, and so
-// does recovery, which re-derives a mobility model from a pinned prefix
-// of it (CompactN).
+// The one set of compaction parameters. A folded trip's extent depends
+// on tripGap and minFixes, so they cannot change from call to call.
+const (
+	tripGap           = 20 * time.Minute // dwell time separating two trips
+	minFixes          = 5                // shorter GPS fragments are discarded
+	rdpEpsilonMeters  = 30               // trajectory simplification tolerance
+	matchRadiusMeters = 200              // how far an endpoint may be from its staying point
+)
+
+// Tracker is the thread-safe tracking store: per user, the trips
+// compaction has folded and the time-ordered raw fixes after them.
 type Tracker struct {
-	mu     sync.RWMutex
-	traces map[string][]fixRecord
+	mu    sync.RWMutex
+	users map[string]*history
+}
+
+// history is one user's tracking state. Fix number dropped (counting
+// from the user's first) is suffix[0]; every fix before it has been
+// folded into a record or discarded as a fragment.
+type history struct {
+	folded  []foldedTrip
+	dropped int
+	suffix  []fixRecord
+}
+
+// foldedTrip is one closed trip as compaction keeps it: everything a
+// model needs from the trip except the staying points its endpoints
+// match, which depend on every other trip.
+type foldedTrip struct {
+	From       geo.Point     `json:"from"`
+	To         geo.Point     `json:"to"`
+	DepartNs   int64         `json:"depart"`
+	Duration   time.Duration `json:"duration"`
+	Route      geo.Polyline  `json:"route"` // RDP-simplified
+	AvgSpeed   float64       `json:"speed"`
+	Complexity float64       `json:"complexity"`
 }
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{traces: make(map[string][]fixRecord)}
+	return &Tracker{users: make(map[string]*history)}
 }
 
 // ErrInstantRange is Record's refusal of an instant outside what Unix
@@ -58,70 +96,71 @@ func (t *Tracker) Record(userID string, fix trajectory.Fix) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	tr := t.traces[userID]
-	if n := len(tr); n > 0 && rec.UnixNs < tr[n-1].UnixNs {
-		return fmt.Errorf("tracking: out-of-order fix for %q (%v before %v)",
-			userID, fix.Time, tr[n-1].fix().Time)
+	h := t.users[userID]
+	if h == nil {
+		h = &history{}
+		t.users[userID] = h
 	}
-	t.traces[userID] = append(tr, rec)
+	if n := len(h.suffix); n > 0 && rec.UnixNs < h.suffix[n-1].UnixNs {
+		return fmt.Errorf("tracking: out-of-order fix for %q (%v before %v)",
+			userID, fix.Time, h.suffix[n-1].fix().Time)
+	}
+	h.suffix = append(h.suffix, rec)
 	return nil
 }
 
-// Trace returns the user's raw trace.
+// Trace returns the user's raw fixes that compaction has not folded:
+// the fixes of trips that had not closed at the last compaction, and
+// every fix recorded since.
 func (t *Tracker) Trace(userID string) trajectory.Trace {
-	return t.prefix(userID, -1)
-}
-
-// prefix returns the first n fixes of the user's raw trace (all of them
-// when n is negative or past the end).
-func (t *Tracker) prefix(userID string, n int) trajectory.Trace {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	tr := t.traces[userID]
-	if n < 0 || n > len(tr) {
-		n = len(tr)
+	if h := t.users[userID]; h != nil {
+		return traceOf(h.suffix)
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make(trajectory.Trace, n)
-	for i := range out {
-		out[i] = tr[i].fix()
-	}
-	return out
+	return nil
 }
 
-// FixCount returns the number of fixes stored for the user.
+// Path returns the user's movements as the tracker keeps them: the RDP
+// route of each folded trip in trip order, then the raw points of the
+// unfolded fixes.
+func (t *Tracker) Path(userID string) geo.Polyline {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	h := t.users[userID]
+	if h == nil {
+		return nil
+	}
+	var pl geo.Polyline
+	for _, f := range h.folded {
+		pl = append(pl, f.Route...)
+	}
+	for _, r := range h.suffix {
+		pl = append(pl, geo.Point{Lat: r.Lat, Lon: r.Lon})
+	}
+	return pl
+}
+
+// FixCount returns the number of fixes recorded for the user, folded
+// ones included.
 func (t *Tracker) FixCount(userID string) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.traces[userID])
-}
-
-// CompactParams tunes the compaction pass.
-type CompactParams struct {
-	// TripGap is the dwell time separating two trips.
-	TripGap time.Duration
-	// MinFixes discards GPS fragments shorter than this.
-	MinFixes int
-	// RDPEpsilonMeters is the trajectory simplification tolerance.
-	RDPEpsilonMeters float64
-	// StayPoints configures the staying-point clustering.
-	StayPoints trajectory.StayPointParams
-	// MatchRadiusMeters is how far a trip endpoint may be from a staying
-	// point and still be attributed to it.
-	MatchRadiusMeters float64
-}
-
-// DefaultCompactParams returns the experiment defaults.
-func DefaultCompactParams() CompactParams {
-	return CompactParams{
-		TripGap:           20 * time.Minute,
-		MinFixes:          5,
-		RDPEpsilonMeters:  30,
-		StayPoints:        trajectory.DefaultStayPointParams(),
-		MatchRadiusMeters: 200,
+	if h := t.users[userID]; h != nil {
+		return h.dropped + len(h.suffix)
 	}
+	return 0
+}
+
+func traceOf(recs []fixRecord) trajectory.Trace {
+	if len(recs) == 0 {
+		return nil
+	}
+	out := make(trajectory.Trace, len(recs))
+	for i := range recs {
+		out[i] = recs[i].fix()
+	}
+	return out
 }
 
 // CompactTrip is the discrete per-trip record of the compact model,
@@ -136,6 +175,8 @@ type CompactTrip struct {
 }
 
 // CompactModel is the result of one compaction pass over a user's data.
+// It shares route polylines with the tracker and with other models:
+// treat it as read-only.
 type CompactModel struct {
 	StayPoints []trajectory.StayPoint
 	Trips      []CompactTrip
@@ -145,75 +186,129 @@ type CompactModel struct {
 	Mobility *predict.Model
 }
 
-// Compact runs the periodic compaction for one user: segment trips,
-// cluster endpoints into staying points, simplify each trip with RDP,
-// compute speed and complexity, and fit the mobility model.
-func (t *Tracker) Compact(userID string, params CompactParams) (*CompactModel, error) {
-	return t.CompactN(userID, params, -1)
+// Compact runs the periodic compaction for one user over every fix
+// recorded: segment trips, cluster endpoints into staying points,
+// simplify each trip with RDP, compute speed and complexity, and fit
+// the mobility model.
+func (t *Tracker) Compact(userID string) (*CompactModel, error) {
+	return t.CompactN(userID, -1)
 }
 
-// CompactN compacts only the first n fixes of the user's trace (all of
-// them when n is negative or past the end). Compaction is deterministic
-// in the trace prefix, which is what makes the durability subsystem's
-// recovery exact: a snapshot records how many fixes each user's live
-// mobility model was built from, and recovery re-derives the identical
-// model from that prefix even though more fixes arrived afterwards.
-func (t *Tracker) CompactN(userID string, params CompactParams, n int) (*CompactModel, error) {
-	if params.TripGap <= 0 || params.MinFixes <= 0 {
-		params = DefaultCompactParams()
+// ErrFolded is CompactN's refusal of a count below the fixes the user's
+// earlier compactions folded away.
+var ErrFolded = errors.New("tracking: fixes already folded")
+
+// CompactN compacts the user's first n fixes (all of them when n is
+// negative or past the end) and folds the trips that have closed among
+// them. The model is a function of those n fixes alone, bit for bit the
+// one a full recompaction of them builds, which is what makes recovery
+// exact: a snapshot records how many fixes each user's live model was
+// compacted from, and recovery re-derives the same model from that
+// count however many fixes arrived afterwards. An n below the count
+// already folded is refused with ErrFolded.
+func (t *Tracker) CompactN(userID string, n int) (*CompactModel, error) {
+	folded, open, err := t.fold(userID, n)
+	if err != nil {
+		return nil, err
 	}
-	raw := t.prefix(userID, n)
-	if len(raw) == 0 {
-		return nil, fmt.Errorf("tracking: no fixes for %q", userID)
+	trips := folded
+	for _, trip := range trajectory.SegmentTrips(open, tripGap, minFixes) {
+		trips = append(trips, summarize(trip))
 	}
-	trips := trajectory.SegmentTrips(raw, params.TripGap, params.MinFixes)
 	if len(trips) == 0 {
 		return nil, fmt.Errorf("tracking: no trips for %q after segmentation", userID)
 	}
-	// Staying points from trip endpoints.
-	var endpoints []geo.Point
-	for _, trip := range trips {
-		endpoints = append(endpoints, trip[0].Point, trip[len(trip)-1].Point)
+	endpoints := make([]geo.Point, 0, 2*len(trips))
+	for _, f := range trips {
+		endpoints = append(endpoints, f.From, f.To)
 	}
-	stayPoints := trajectory.ExtractStayPoints(endpoints, params.StayPoints)
+	stayPoints := trajectory.ExtractStayPoints(endpoints, trajectory.DefaultStayPointParams())
 
 	model := &CompactModel{
 		StayPoints: stayPoints,
+		Trips:      make([]CompactTrip, len(trips)),
 		Frequency:  make(map[[2]predict.PlaceID]int),
 	}
-	var records []predict.TripRecord
-	for _, trip := range trips {
-		pl := trip.Points()
-		simplified := trajectory.RDP(pl, params.RDPEpsilonMeters)
-		from := matchPlace(stayPoints, trip[0].Point, params.MatchRadiusMeters)
-		to := matchPlace(stayPoints, trip[len(trip)-1].Point, params.MatchRadiusMeters)
-		ct := CompactTrip{
-			From:       from,
-			To:         to,
-			Depart:     trip[0].Time,
-			Duration:   trip.Duration(),
-			Route:      simplified,
-			AvgSpeed:   trip.AverageSpeed(),
-			Complexity: trajectory.Complexity(pl, params.RDPEpsilonMeters),
+	records := make([]predict.TripRecord, len(trips))
+	for i, f := range trips {
+		from := matchPlace(stayPoints, f.From)
+		to := matchPlace(stayPoints, f.To)
+		depart := time.Unix(0, f.DepartNs).UTC()
+		model.Trips[i] = CompactTrip{
+			From: from, To: to,
+			Depart:     depart,
+			Duration:   f.Duration,
+			Route:      f.Route,
+			AvgSpeed:   f.AvgSpeed,
+			Complexity: f.Complexity,
 		}
-		model.Trips = append(model.Trips, ct)
 		if from != predict.NoPlace && to != predict.NoPlace && from != to {
 			model.Frequency[[2]predict.PlaceID{from, to}]++
 		}
-		records = append(records, predict.TripRecord{
-			From: from, To: to,
-			Depart:   ct.Depart,
-			Duration: ct.Duration,
-			Route:    simplified,
-		})
+		records[i] = predict.TripRecord{From: from, To: to, Depart: depart, Duration: f.Duration, Route: f.Route}
 	}
-	model.Mobility = predict.BuildModel(stayPoints, records, params.MatchRadiusMeters)
+	model.Mobility = predict.BuildModel(stayPoints, records, matchRadiusMeters)
 	return model, nil
 }
 
-func matchPlace(points []trajectory.StayPoint, p geo.Point, radius float64) predict.PlaceID {
+// fold pins the user's first n fixes, folds every trip that has closed
+// among them and drops its fixes, and returns the folded records and
+// the pinned fixes it left raw. Records are never changed once folded,
+// and the returned slice is capped at its length, so a caller appending
+// to it never writes where a later fold does.
+func (t *Tracker) fold(userID string, n int) ([]foldedTrip, trajectory.Trace, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	h := t.users[userID]
+	if h == nil {
+		return nil, nil, fmt.Errorf("tracking: no fixes for %q", userID)
+	}
+	if total := h.dropped + len(h.suffix); n < 0 || n > total {
+		n = total
+	}
+	if n < h.dropped {
+		return nil, nil, fmt.Errorf("%w: %q compacted from %d fixes, %d of them folded", ErrFolded, userID, n, h.dropped)
+	}
+	if n == 0 {
+		return nil, nil, fmt.Errorf("tracking: no fixes for %q", userID)
+	}
+	pinned := traceOf(h.suffix[:n-h.dropped])
+	// Trips before the last gap among the pinned fixes have closed.
+	cut := 0
+	for i := len(pinned) - 1; i > 0; i-- {
+		if pinned[i].Time.Sub(pinned[i-1].Time) >= tripGap {
+			cut = i
+			break
+		}
+	}
+	if cut > 0 {
+		for _, trip := range trajectory.SegmentTrips(pinned[:cut], tripGap, minFixes) {
+			h.folded = append(h.folded, summarize(trip))
+		}
+		h.suffix = slices.Clone(h.suffix[cut:])
+		h.dropped += cut
+	}
+	return h.folded[:len(h.folded):len(h.folded)], pinned[cut:], nil
+}
+
+// summarize is the part of a trip's compact record that depends on the
+// trip alone.
+func summarize(trip trajectory.Trace) foldedTrip {
+	route := trajectory.RDP(trip.Points(), rdpEpsilonMeters)
+	return foldedTrip{
+		From:       trip[0].Point,
+		To:         trip[len(trip)-1].Point,
+		DepartNs:   trip[0].Time.UnixNano(),
+		Duration:   trip.Duration(),
+		Route:      route,
+		AvgSpeed:   trip.AverageSpeed(),
+		Complexity: trajectory.RouteComplexity(route),
+	}
+}
+
+func matchPlace(points []trajectory.StayPoint, p geo.Point) predict.PlaceID {
 	idx, d := trajectory.NearestStayPoint(points, p)
-	if idx < 0 || d > radius {
+	if idx < 0 || d > matchRadiusMeters {
 		return predict.NoPlace
 	}
 	return predict.PlaceID(idx)

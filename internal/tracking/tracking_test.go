@@ -1,6 +1,7 @@
 package tracking
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -82,7 +83,7 @@ func driveCommutes(t *testing.T, tr *Tracker, user string, days int) (home, work
 func TestCompactFullPipeline(t *testing.T) {
 	tr := NewTracker()
 	home, work := driveCommutes(t, tr, "lilly", 14)
-	cm, err := tr.Compact("lilly", DefaultCompactParams())
+	cm, err := tr.Compact("lilly")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestCompactFullPipeline(t *testing.T) {
 
 func TestCompactErrors(t *testing.T) {
 	tr := NewTracker()
-	if _, err := tr.Compact("nobody", DefaultCompactParams()); err == nil {
+	if _, err := tr.Compact("nobody"); err == nil {
 		t.Fatal("compact with no data should fail")
 	}
 	// Two isolated fixes: segmentation discards them.
@@ -156,27 +157,15 @@ func TestCompactErrors(t *testing.T) {
 	if err := tr.Record("u", trajectory.Fix{Point: torino, Time: t0.Add(time.Hour)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Compact("u", DefaultCompactParams()); err == nil {
+	if _, err := tr.Compact("u"); err == nil {
 		t.Fatal("compact with only fragments should fail")
-	}
-}
-
-func TestCompactZeroParamsFallsBack(t *testing.T) {
-	tr := NewTracker()
-	driveCommutes(t, tr, "u", 7)
-	cm, err := tr.Compact("u", CompactParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cm.Trips) == 0 {
-		t.Fatal("no trips with default fallback params")
 	}
 }
 
 func TestCompactSimplifiesRoutes(t *testing.T) {
 	tr := NewTracker()
 	driveCommutes(t, tr, "u", 7)
-	cm, err := tr.Compact("u", DefaultCompactParams())
+	cm, err := tr.Compact("u")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +178,12 @@ func TestCompactSimplifiesRoutes(t *testing.T) {
 	}
 }
 
-func BenchmarkCompact(b *testing.B) {
-	tr := NewTracker()
+// recordCommutes records `days` of BenchmarkCompact's commutes: every
+// day a home→work and a work→home leg of 41 noisy fixes 30 s apart.
+func recordCommutes(tb testing.TB, tr *Tracker, days int) {
 	rng := rand.New(rand.NewSource(3))
 	home, work := torino, geo.Destination(torino, 70, 9000)
-	for d := 0; d < 28; d++ {
+	for d := 0; d < days; d++ {
 		day := t0.AddDate(0, 0, d)
 		for leg := 0; leg < 2; leg++ {
 			from, to := home, work
@@ -206,15 +196,31 @@ func BenchmarkCompact(b *testing.B) {
 				f := float64(i) / 40
 				p := geo.Interpolate(from, to, f)
 				p = geo.Destination(p, rng.Float64()*360, rng.Float64()*15)
-				_ = tr.Record("u", trajectory.Fix{Point: p, Time: start.Add(time.Duration(i) * 30 * time.Second)})
+				if err := tr.Record("u", trajectory.Fix{Point: p, Time: start.Add(time.Duration(i) * 30 * time.Second)}); err != nil {
+					tb.Fatal(err)
+				}
 			}
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Compact("u", DefaultCompactParams()); err != nil {
-			b.Fatal(err)
-		}
+}
+
+// BenchmarkCompact times one compaction of a listener who has already
+// been compacted, the steady state the service's compactor keeps, at
+// four history lengths.
+func BenchmarkCompact(b *testing.B) {
+	for _, days := range []int{7, 28, 112, 365} {
+		b.Run(fmt.Sprintf("days=%d", days), func(b *testing.B) {
+			tr := NewTracker()
+			recordCommutes(b, tr, days)
+			if _, err := tr.Compact("u"); err != nil {
+				b.Fatal(err)
+			}
+			for b.Loop() {
+				if _, err := tr.Compact("u"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -3,7 +3,7 @@
 // destination, simplified trajectory, speed profile, frequency,
 // time-of-day and complexity. Simplification uses the Ramer–Douglas–
 // Peucker algorithm (RDP) as in the paper; stay points are found with
-// density-based clustering (package cluster).
+// density-based clustering (DBSCAN on a grid, staypoints.go).
 package trajectory
 
 import (
@@ -77,7 +77,14 @@ func RDP(pl geo.Polyline, epsilon float64) geo.Polyline {
 	keep := make([]bool, len(pl))
 	keep[0], keep[len(pl)-1] = true, true
 	rdpMark(pl, 0, len(pl)-1, epsilon, keep)
-	out := make(geo.Polyline, 0, len(pl))
+	kept := 0
+	for _, k := range keep {
+		if k {
+			kept++
+		}
+	}
+	// Right-sized: compaction keeps every route it simplifies.
+	out := make(geo.Polyline, 0, kept)
 	for i, k := range keep {
 		if k {
 			out = append(out, pl[i])
@@ -115,16 +122,18 @@ func rdpMark(pl geo.Polyline, lo, hi int, epsilon float64, keep []bool) {
 // paper computes it: the trajectory is simplified with RDP and the score
 // grows with the density of retained direction-change vertices per
 // kilometer. 0 means a straight run; dense urban zig-zags approach 1.
+func Complexity(pl geo.Polyline, epsilonMeters float64) float64 {
+	return RouteComplexity(RDP(pl, epsilonMeters))
+}
+
+// RouteComplexity is Complexity for a route RDP has already simplified:
+// Complexity(pl, ε) == RouteComplexity(RDP(pl, ε)).
 //
 // The normalization constant (6 vertices/km saturates the score) was
 // chosen so that the synthetic city's downtown grid routes score ~0.7
 // and ring-road routes score ~0.2, matching the qualitative split the
 // distraction model needs.
-func Complexity(pl geo.Polyline, epsilonMeters float64) float64 {
-	if len(pl) < 3 {
-		return 0
-	}
-	simplified := RDP(pl, epsilonMeters)
+func RouteComplexity(simplified geo.Polyline) float64 {
 	lengthKm := simplified.Length() / 1000
 	if lengthKm <= 0 {
 		return 0

@@ -8,7 +8,6 @@ import (
 	"os"
 
 	"pphcr/internal/durable"
-	"pphcr/internal/tracking"
 )
 
 // snapshotEnvelope is the versioned on-disk format of a full system
@@ -21,16 +20,19 @@ type snapshotEnvelope struct {
 	Feedback json.RawMessage `json:"feedback"`
 	Tracking json.RawMessage `json:"tracking"`
 	// Compacted is the mobility-model provenance: user → number of
-	// trace fixes their live model was compacted from. The model itself
-	// is derived state — Restore re-runs the (deterministic) compaction
-	// on exactly that prefix, reproducing it bit for bit without
-	// serializing the model.
+	// fixes their live model was compacted from. The model itself is
+	// derived state — Restore re-runs the (deterministic) compaction on
+	// exactly those fixes, reproducing it bit for bit from the folded
+	// trips and the raw suffix without serializing the model.
 	Compacted map[string]int `json:"compacted,omitempty"`
 	// Injected is the pending editorial injection queue per user.
 	Injected map[string][]string `json:"injected,omitempty"`
 }
 
-const snapshotVersion = 2
+// snapshotVersion 3 stores each user's folded trips and raw suffix in
+// the tracking section; version 2 stored every raw fix, and Restore
+// still reads it.
+const snapshotVersion = 3
 
 // Snapshot serializes the system's durable state — content repository,
 // profiles, feedback, raw tracking, mobility-model provenance and
@@ -93,7 +95,12 @@ func (s *System) Restore(r io.Reader) error {
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
 		return fmt.Errorf("pphcr: decoding snapshot: %w", err)
 	}
-	if env.Version != snapshotVersion {
+	restoreTracking := s.Tracker.Restore
+	switch env.Version {
+	case snapshotVersion:
+	case 2:
+		restoreTracking = s.Tracker.RestoreTraces
+	default:
 		return fmt.Errorf("pphcr: unsupported snapshot version %d", env.Version)
 	}
 	if err := s.Repo.Restore(bytes.NewReader(env.Repo)); err != nil {
@@ -105,19 +112,19 @@ func (s *System) Restore(r io.Reader) error {
 	if err := s.Feedback.Restore(bytes.NewReader(env.Feedback)); err != nil {
 		return err
 	}
-	if err := s.Tracker.Restore(bytes.NewReader(env.Tracking)); err != nil {
+	if err := restoreTracking(bytes.NewReader(env.Tracking)); err != nil {
 		return err
 	}
 	for u, n := range env.Compacted {
 		if got := s.Tracker.FixCount(u); n > got {
-			// A provenance that exceeds the restored trace means the
+			// A provenance that exceeds the restored fixes means the
 			// snapshot was captured while writers raced it (plain
-			// Snapshot without the barrier); rebuilding from the
-			// shorter trace would silently install a model the live
-			// system never had.
-			return fmt.Errorf("pphcr: inconsistent snapshot: %q compacted from %d fixes but trace holds %d", u, n, got)
+			// Snapshot without the barrier); rebuilding from fewer
+			// fixes would silently install a model the live system
+			// never had.
+			return fmt.Errorf("pphcr: inconsistent snapshot: %q compacted from %d fixes but tracker holds %d", u, n, got)
 		}
-		cm, err := s.Tracker.CompactN(u, tracking.DefaultCompactParams(), n)
+		cm, err := s.Tracker.CompactN(u, n)
 		if err != nil {
 			return fmt.Errorf("pphcr: rebuilding mobility model for %q: %w", u, err)
 		}

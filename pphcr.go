@@ -636,7 +636,7 @@ func (s *System) compactTracking(userID string, n int) (*tracking.CompactModel, 
 	if n < 0 {
 		n = s.Tracker.FixCount(userID)
 	}
-	cm, err := s.Tracker.CompactN(userID, tracking.DefaultCompactParams(), n)
+	cm, err := s.Tracker.CompactN(userID, n)
 	if err != nil {
 		sh.mu.Unlock()
 		return nil, err

@@ -313,8 +313,9 @@ func retainedPerWrite(b *testing.B, sys *System, write func(user string, i int) 
 
 // BenchmarkRetainedPerWrite measures what one write leaves on a node's
 // heap, by kind: feedback about a catalog item (its map shared with the
-// catalog), feedback about an unknown item (one private copy), and a GPS
-// fix. Run it with -benchtime 3x; the ns/op column is the batch's.
+// catalog), feedback about an unknown item (one private copy), a GPS fix
+// nothing compacts, and a GPS fix whose trip has closed and been
+// compacted. Run it with -benchtime 3x; the ns/op column is the batch's.
 func BenchmarkRetainedPerWrite(b *testing.B) {
 	feedbackOn := func(catalog bool) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -345,6 +346,32 @@ func BenchmarkRetainedPerWrite(b *testing.B) {
 				Point: geo.Destination(geo.Point{Lat: 45.0703, Lon: 7.6869}, float64(i%360), float64(i)),
 				Time:  shareT0.Add(time.Duration(i) * time.Second),
 			})
+		})
+	})
+	// Commute legs of 41 fixes twelve hours apart, each user compacted
+	// on the first fix of every leg after the first, which closes the
+	// leg before: what is left per fix is the folded records, the
+	// mobility model and the open leg's raw fixes.
+	b.Run("fix-trip-closed-compacted", func(b *testing.B) {
+		sys, _ := newTestSystem(b)
+		home := geo.Point{Lat: 45.0703, Lon: 7.6869}
+		work := geo.Destination(home, 70, 9000)
+		retainedPerWrite(b, sys, func(user string, i int) error {
+			const leg = 41
+			trip, k := i/leg, i%leg
+			from, to := home, work
+			if trip%2 == 1 {
+				from, to = work, home
+			}
+			p := geo.Destination(geo.Interpolate(from, to, float64(k)/(leg-1)), float64(k*37%360), float64(k%7*2))
+			if err := sys.RecordFix(user, trajectory.Fix{
+				Point: p,
+				Time:  shareT0.Add(time.Duration(trip)*12*time.Hour + time.Duration(k)*30*time.Second),
+			}); err != nil || k != 0 || trip == 0 {
+				return err
+			}
+			_, err := sys.CompactTracking(user)
+			return err
 		})
 	})
 }
