@@ -30,6 +30,7 @@ import (
 	"pphcr"
 	"pphcr/internal/durable"
 	"pphcr/internal/httpapi"
+	"pphcr/internal/node"
 	"pphcr/internal/pipeline"
 	"pphcr/internal/scenario"
 	"pphcr/internal/synth"
@@ -194,9 +195,7 @@ func run() int {
 		api := httpapi.NewServer(sys)
 		eng.RegisterMetrics(api.Registry())
 		if dur != nil {
-			api.SetReadinessCheck(dur.Healthy)
-			api.SetDegradedCheck(dur.Degraded)
-			api.SetDurabilityStats(func() interface{} { return dur.Stats() })
+			node.ServeDurability(api, dur)
 		}
 		api.SetReady(true)
 		go func() {

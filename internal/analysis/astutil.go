@@ -35,27 +35,6 @@ func NamedOwner(t types.Type) (pkgName, typeName string, ok bool) {
 	return pkg, obj.Name(), true
 }
 
-// BaseIdent returns the leftmost identifier of a selector/index/star
-// chain (e.g. s for s.shards[i].mu), or nil.
-func BaseIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
 // Unparen strips parentheses.
 func Unparen(e ast.Expr) ast.Expr {
 	for {
@@ -86,19 +65,4 @@ func CalleeMethod(call *ast.CallExpr) (sel *ast.SelectorExpr, recv ast.Expr, ok 
 		return nil, nil, false
 	}
 	return s, s.X, true
-}
-
-// IsFuncNamed reports whether the call's callee resolves to a function
-// or method with the given package path and name (package-level
-// functions only when recvType is "").
-func (p *Pass) IsFuncNamed(call *ast.CallExpr, pkgPath, name string) bool {
-	sel, ok := Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := p.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Name() != name || fn.Pkg() == nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath
 }

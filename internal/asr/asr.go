@@ -67,9 +67,6 @@ func New(wer float64, profile ErrorProfile, vocabulary []string, seed int64) (*R
 	}, nil
 }
 
-// WER returns the configured word error rate.
-func (r *Recognizer) WER() float64 { return r.wer }
-
 // Transcribe passes the ground-truth words through the error channel and
 // returns the recognized word sequence.
 func (r *Recognizer) Transcribe(truth []string) []string {

@@ -31,8 +31,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.WER() != 0.2 {
-		t.Fatalf("WER = %v", r.WER())
+	if r.wer != 0.2 {
+		t.Fatalf("wer = %v", r.wer)
 	}
 }
 

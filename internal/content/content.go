@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"pphcr/internal/geo"
-	"pphcr/internal/spatial"
 )
 
 // Categories is the fixed editorial taxonomy. The paper specifies "a set
@@ -23,16 +22,6 @@ var Categories = []string{
 	"fashion", "education", "crime", "weather", "traffic", "finance",
 	"business", "comedy", "society", "international", "regional",
 	"interviews", "documentary",
-}
-
-// IsCategory reports whether c is one of the 30 editorial categories.
-func IsCategory(c string) bool {
-	for _, k := range Categories {
-		if k == c {
-			return true
-		}
-	}
-	return false
 }
 
 // Kind distinguishes the item types the system schedules. It is a byte
@@ -88,7 +77,7 @@ type Item struct {
 	Categories map[string]float64
 	// Geo is non-nil for geographically scoped items.
 	Geo *GeoRelevance
-	// Bitrate of the encoded audio, kbps; used by bandwidth accounting.
+	// Bitrate of the encoded audio, kbps.
 	BitrateKbps int
 }
 
@@ -103,19 +92,8 @@ func (it *Item) TopCategory() string {
 	return best
 }
 
-// SizeBytes returns the approximate encoded size of the item's audio.
-func (it *Item) SizeBytes() int64 {
-	kbps := it.BitrateKbps
-	if kbps <= 0 {
-		kbps = 96 // the paper's stream bitrate
-	}
-	return int64(float64(kbps) * 1000 / 8 * it.Duration.Seconds())
-}
-
 // Repository is the thread-safe content store with the secondary indexes
-// the recommender needs: by ID, by category, by publish time, and —
-// for geographically scoped items — an R-tree over their relevance
-// discs, so GeoItems answers point queries without scanning the table.
+// the recommender needs: by ID, by category and by publish time.
 //
 // Add also derives each item's ranking features (features.go) and files
 // the item under every category it carries, so a planning request reads
@@ -136,16 +114,13 @@ type Repository struct {
 	postWs  [][]float64      // parallel to post: the weight each item gives the category
 	byPub   []int32          // seqs ordered by Published asc
 	ordered int              // leading seqs that arrived in publish order
-	geoTree *spatial.RTree   // rects around geo discs -> geoSeqs index
-	geoSeqs []int32          // R-tree leaf id -> seq
 }
 
 // NewRepository returns an empty repository.
 func NewRepository() *Repository {
 	return &Repository{
-		ids:     newIDIndex(),
-		cats:    map[string]int32{},
-		geoTree: spatial.NewRTree(),
+		ids:  newIDIndex(),
+		cats: map[string]int32{},
 	}
 }
 
@@ -158,11 +133,11 @@ func NewRepository() *Repository {
 //
 // An item is immutable once added. The repository reads its Duration,
 // Kind, Published, Geo and Categories once, here, into the ranking
-// features, the postings and the geo index, and a View hands the item to
-// planners without a lock: none of those fields (nor the Categories map
-// or the GeoRelevance it points at) may change afterwards. Set Geo
-// before Add; a later write would be a data race, invisible to GeoItems,
-// missing from the write-ahead log and ranked as if the item had none.
+// features and the postings, and a View hands the item to planners
+// without a lock: none of those fields (nor the Categories map or the
+// GeoRelevance it points at) may change afterwards. Set Geo before Add;
+// a later write would be a data race, missing from the write-ahead log
+// and ranked as if the item had none.
 func (r *Repository) Add(it *Item) error {
 	if it == nil || it.ID == "" {
 		return fmt.Errorf("content: item must have an ID")
@@ -188,10 +163,6 @@ func (r *Repository) Add(it *Item) error {
 	seq := int32(len(r.feats))
 	r.addFeatures(it, seq)
 	r.ids.insert(r.feats)
-	if it.Geo != nil {
-		r.geoTree.Insert(geo.RectAround(it.Geo.Center, it.Geo.Radius), len(r.geoSeqs))
-		r.geoSeqs = append(r.geoSeqs, seq)
-	}
 	// Insert into the publish-ordered list (items arrive mostly in
 	// order, so the scan from the tail is effectively O(1)).
 	idx := len(r.byPub)
@@ -256,11 +227,6 @@ func (r *Repository) ByCategory(cat string) []*Item {
 	return out
 }
 
-// PublishedSince returns items published at or after t, ascending.
-func (r *Repository) PublishedSince(t time.Time) []*Item {
-	return r.AppendPublishedSince(nil, t)
-}
-
 // AppendPublishedSince appends the items published at or after t to dst
 // (ascending by publish time), reusing its capacity.
 func (r *Repository) AppendPublishedSince(dst []*Item, t time.Time) []*Item {
@@ -271,27 +237,4 @@ func (r *Repository) AppendPublishedSince(dst []*Item, t time.Time) []*Item {
 		return !r.feats[r.byPub[i]].Item.Published.Before(t)
 	})
 	return r.appendItems(dst, r.byPub[i:])
-}
-
-// GeoItems returns the items whose geographic scope contains p, ordered
-// by ascending publish time (ties by ID). The query walks the R-tree
-// over the items' relevance discs instead of scanning the whole table.
-func (r *Repository) GeoItems(p geo.Point) []*Item {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ids := r.geoTree.Search(geo.PointRect(p), nil)
-	out := make([]*Item, 0, len(ids))
-	for _, id := range ids {
-		it := r.feats[r.geoSeqs[id]].Item
-		if geo.Distance(p, it.Geo.Center) <= it.Geo.Radius {
-			out = append(out, it)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Published.Equal(out[j].Published) {
-			return out[i].Published.Before(out[j].Published)
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }

@@ -32,20 +32,6 @@ type Pipeline struct {
 	Repo       *Repository
 }
 
-// Ingest processes one raw podcast end to end and returns the stored
-// item. The classifier's posterior becomes the item's soft category
-// distribution.
-func (p *Pipeline) Ingest(raw RawPodcast) (*Item, error) {
-	it, err := p.Process(raw)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Repo.Add(it); err != nil {
-		return nil, err
-	}
-	return it, nil
-}
-
 // Process runs the recognition + classification stages without storing
 // the result — the caller decides when the item becomes visible (the
 // durability layer logs it to the WAL first, so the log can never order
@@ -87,17 +73,4 @@ func (p *Pipeline) Process(raw RawPodcast) (*Item, error) {
 		BitrateKbps: 96,
 	}
 	return it, nil
-}
-
-// IngestAll ingests a batch, stopping at the first error.
-func (p *Pipeline) IngestAll(raws []RawPodcast) ([]*Item, error) {
-	out := make([]*Item, 0, len(raws))
-	for _, raw := range raws {
-		it, err := p.Ingest(raw)
-		if err != nil {
-			return out, fmt.Errorf("content: ingesting %q: %w", raw.ID, err)
-		}
-		out = append(out, it)
-	}
-	return out, nil
 }

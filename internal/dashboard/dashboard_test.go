@@ -3,6 +3,7 @@ package dashboard
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"pphcr"
+	"pphcr/internal/durable"
 	"pphcr/internal/geo"
 	"pphcr/internal/profile"
 	"pphcr/internal/synth"
@@ -194,6 +196,31 @@ func TestInjectEndpoint(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET status = %d", resp3.StatusCode)
+	}
+}
+
+// TestInjectUnloggedAnswers503: an injection the durability hook
+// refused is the node's fault, so the dashboard answers it 503; an
+// unknown item is still a 400.
+func TestInjectUnloggedAnswers503(t *testing.T) {
+	ts, sys, _ := newTestDashboard(t)
+	sys.SetMutationHook(func(uint32, durable.Event) error { return errors.New("disk full") })
+	for item, want := range map[string]int{
+		sys.Repo.All()[0].ID: http.StatusServiceUnavailable,
+		"missing":            http.StatusBadRequest,
+	} {
+		buf, err := json.Marshal(InjectBody{UserID: "greg", ItemID: item})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/dashboard/inject", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("inject %q: http %d, want %d", item, resp.StatusCode, want)
+		}
 	}
 }
 

@@ -154,44 +154,3 @@ func (tl Timeline) NextCalm(from time.Duration, threshold Level) (time.Duration,
 		}
 	}
 }
-
-// BusyTime returns the total duration within [0, TripDuration) where the
-// level is at or above the threshold — the portion of the trip where the
-// planner must not interrupt.
-func (tl Timeline) BusyTime(threshold Level) time.Duration {
-	if tl.Base >= threshold {
-		return tl.TripDuration
-	}
-	// Merge overlapping qualifying windows.
-	var busy time.Duration
-	var curStart, curEnd time.Duration
-	active := false
-	for _, w := range tl.Windows {
-		if w.Level < threshold {
-			continue
-		}
-		start, end := w.Start, w.End
-		if end > tl.TripDuration {
-			end = tl.TripDuration
-		}
-		if start >= end {
-			continue
-		}
-		if !active {
-			curStart, curEnd, active = start, end, true
-			continue
-		}
-		if start <= curEnd {
-			if end > curEnd {
-				curEnd = end
-			}
-			continue
-		}
-		busy += curEnd - curStart
-		curStart, curEnd = start, end
-	}
-	if active {
-		busy += curEnd - curStart
-	}
-	return busy
-}

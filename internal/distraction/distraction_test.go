@@ -92,37 +92,6 @@ func TestNextCalmBaseAboveThreshold(t *testing.T) {
 	if _, ok := tl.NextCalm(0, 0.4); ok {
 		t.Fatal("base above threshold should never be calm")
 	}
-	if tl.BusyTime(0.4) != tl.TripDuration {
-		t.Fatal("whole trip should be busy when base exceeds threshold")
-	}
-}
-
-func TestBusyTime(t *testing.T) {
-	tl := fixtureTimeline(0.2)
-	// Each window is 18 s wide; both are above 0.65.
-	if got := tl.BusyTime(0.65); got != 36*time.Second {
-		t.Fatalf("BusyTime = %v, want 36s", got)
-	}
-	// Threshold above roundabout level: only roundabout counts at 0.8.
-	if got := tl.BusyTime(0.8); got != 18*time.Second {
-		t.Fatalf("BusyTime(0.8) = %v, want 18s", got)
-	}
-	// Threshold above everything: zero.
-	if got := tl.BusyTime(0.95); got != 0 {
-		t.Fatalf("BusyTime(0.95) = %v", got)
-	}
-}
-
-func TestBusyTimeMergesOverlaps(t *testing.T) {
-	junctions := []roadnet.RouteJunction{
-		{Kind: roadnet.Intersection, DistAlong: 1000},
-		{Kind: roadnet.Intersection, DistAlong: 1100}, // windows overlap
-	}
-	tl := Build(junctions, 5000, 10, 0, DefaultParams())
-	// Windows: [88,106] and [98,116] → merged [88,116] = 28 s.
-	if got := tl.BusyTime(0.65); got != 28*time.Second {
-		t.Fatalf("merged BusyTime = %v, want 28s", got)
-	}
 }
 
 func TestJunctionAtRouteEdges(t *testing.T) {

@@ -8,10 +8,10 @@
 // index*: per user, the exponentially decayed category vector the
 // recommender consumes, folded forward on every Append so that a
 // preference read costs O(categories) instead of O(events). The raw log
-// is kept for window queries (SkipRate), auditing (ByUser) and as the
-// replay oracle, and is bounded by periodic compaction (Compact), which
-// folds events older than a horizon into a per-user baseline vector —
-// the feedback analogue of the paper's tracking compaction.
+// is kept for auditing (ByUser) and as the replay oracle, and is bounded
+// by periodic compaction (Compact), which folds events older than a
+// horizon into a per-user baseline vector — the feedback analogue of the
+// paper's tracking compaction.
 //
 // The log holds each event as a 40 B record, not as the 72 B Event: the
 // item ID (for a catalog item, the item's own string), the category map
@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -191,9 +190,6 @@ func NewStoreHalfLife(halfLife time.Duration) *Store {
 	}
 	return s
 }
-
-// IndexHalfLife returns the half-life the incremental index decays with.
-func (s *Store) IndexHalfLife() time.Duration { return s.halfLife }
 
 // ShareCatalog installs the lookup from an item ID to that item's own ID
 // string and category map. The maps it returns must never change
@@ -554,25 +550,6 @@ func (s *Store) compactLocked(sh *shard, userID string, cut time.Time) int {
 	return folded
 }
 
-// CompactAll runs Compact for every user and returns the total number of
-// events folded away.
-func (s *Store) CompactAll(now time.Time, horizon time.Duration) int {
-	if horizon <= 0 {
-		return 0
-	}
-	cut := now.Add(-horizon)
-	total := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for userID := range sh.users {
-			total += s.compactLocked(sh, userID, cut)
-		}
-		sh.mu.Unlock()
-	}
-	return total
-}
-
 // restoreUser installs a restored baseline (and compaction-surviving
 // skip set) and reseeds the index from it; the caller then Appends the
 // user's surviving events on top.
@@ -673,67 +650,4 @@ func (s *Store) SkippedItems(userID string) map[string]bool {
 		st.skippedSnap = snap
 	}
 	return st.skippedSnap
-}
-
-// SkipRate returns the fraction of the user's implicit events that were
-// skips within the window [from, to) — the paper's "propensity to
-// channel-surf" proxy. ok is false when the window has no implicit
-// events. The rate is computed over the live log: keep the compaction
-// horizon longer than any skip-rate window of interest.
-func (s *Store) SkipRate(userID string, from, to time.Time) (rate float64, ok bool) {
-	sh := s.shardFor(userID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	st := sh.users[userID]
-	if st == nil {
-		return 0, false
-	}
-	skips, total := 0, 0
-	for i := range st.events {
-		r := &st.events[i]
-		if at := r.time(); at.Before(from) || !at.Before(to) {
-			continue
-		}
-		switch Kind(r.kind) {
-		case Skip:
-			skips++
-			total++
-		case ImplicitListen:
-			total++
-		}
-	}
-	if total == 0 {
-		return 0, false
-	}
-	return float64(skips) / float64(total), true
-}
-
-// TopCategories returns the user's k strongest positive categories at
-// instant now, for dashboards and explanations.
-func (s *Store) TopCategories(userID string, now time.Time, params PreferenceParams, k int) []string {
-	prefs := s.Preferences(userID, now, params)
-	type cw struct {
-		c string
-		w float64
-	}
-	all := make([]cw, 0, len(prefs))
-	for c, w := range prefs {
-		if w > 0 {
-			all = append(all, cw{c, w})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].w != all[j].w {
-			return all[i].w > all[j].w
-		}
-		return all[i].c < all[j].c
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].c
-	}
-	return out
 }

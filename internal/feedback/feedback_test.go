@@ -133,51 +133,6 @@ func TestPreferencesZeroHalfLifeFallsBack(t *testing.T) {
 	}
 }
 
-func TestSkipRate(t *testing.T) {
-	s := NewStore()
-	add := func(kind Kind, at time.Time) {
-		if err := s.Append(Event{UserID: "u", Kind: kind, At: at}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	add(ImplicitListen, t0)
-	add(ImplicitListen, t0.Add(time.Minute))
-	add(Skip, t0.Add(2*time.Minute))
-	add(Like, t0.Add(3*time.Minute)) // explicit: not part of skip rate
-	add(Skip, t0.Add(2*time.Hour))   // outside window
-	rate, ok := s.SkipRate("u", t0, t0.Add(time.Hour))
-	if !ok {
-		t.Fatal("no rate")
-	}
-	if math.Abs(rate-1.0/3) > 1e-9 {
-		t.Fatalf("rate = %v, want 1/3", rate)
-	}
-	if _, ok := s.SkipRate("nobody", t0, t0.Add(time.Hour)); ok {
-		t.Fatal("rate for empty window should be !ok")
-	}
-}
-
-func TestTopCategories(t *testing.T) {
-	s := NewStore()
-	add := func(cat string, kind Kind, n int) {
-		for i := 0; i < n; i++ {
-			if err := s.Append(Event{UserID: "u", Kind: kind, At: t0, Categories: map[string]float64{cat: 1}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	add("food", Like, 3)
-	add("culture", Like, 2)
-	add("sport", Skip, 4) // negative — must not appear
-	got := s.TopCategories("u", t0, DefaultPreferenceParams(), 5)
-	if len(got) != 2 || got[0] != "food" || got[1] != "culture" {
-		t.Fatalf("TopCategories = %v", got)
-	}
-	if got := s.TopCategories("u", t0, DefaultPreferenceParams(), 1); len(got) != 1 {
-		t.Fatalf("k=1 returned %v", got)
-	}
-}
-
 func BenchmarkPreferences(b *testing.B) {
 	s := NewStore()
 	cat := map[string]float64{"food": 0.5, "culture": 0.5}
@@ -341,29 +296,6 @@ func TestCompactFoldsOldEventsAndPreservesPreferences(t *testing.T) {
 	st := s.Stats()
 	if st.CompactedEvents == 0 || st.Compactions < 2 {
 		t.Fatalf("compaction counters wrong: %+v", st)
-	}
-}
-
-func TestCompactAll(t *testing.T) {
-	s := NewStore()
-	for _, u := range []string{"a", "b", "c"} {
-		for i := 0; i < 10; i++ {
-			if err := s.Append(Event{UserID: u, Kind: Like, At: t0.Add(time.Duration(i) * time.Hour), Categories: map[string]float64{"food": 1}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	now := t0.Add(60 * 24 * time.Hour)
-	if n := s.CompactAll(now, 24*time.Hour); n != 30 {
-		t.Fatalf("CompactAll folded %d, want 30", n)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d after full compaction", s.Len())
-	}
-	params := DefaultPreferenceParams()
-	almostEqual(t, s.PreferencesReplay("a", now, params), s.Preferences("a", now, params))
-	if s.Preferences("a", now, params)["food"] <= 0 {
-		t.Fatal("baseline lost the preference mass")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package geo provides the geodesy primitives used throughout PPHCR:
 // WGS84 latitude/longitude points, great-circle (haversine) distances,
-// bearings, destination points, polylines and bounding boxes.
+// destination points, polylines and bounding boxes.
 //
 // All distances are in meters, all angles in degrees unless a name says
 // otherwise. The accuracy of the spherical model (≪0.5% error) is far
@@ -50,18 +50,6 @@ func Distance(a, b Point) float64 {
 	return 2 * EarthRadiusMeters * math.Asin(math.Sqrt(h))
 }
 
-// Bearing returns the initial great-circle bearing from a to b in degrees
-// in [0, 360), measured clockwise from true north.
-func Bearing(a, b Point) float64 {
-	la1, lo1 := radians(a.Lat), radians(a.Lon)
-	la2, lo2 := radians(b.Lat), radians(b.Lon)
-	dLon := lo2 - lo1
-	y := math.Sin(dLon) * math.Cos(la2)
-	x := math.Cos(la1)*math.Sin(la2) - math.Sin(la1)*math.Cos(la2)*math.Cos(dLon)
-	brg := degrees(math.Atan2(y, x))
-	return math.Mod(brg+360, 360)
-}
-
 // Destination returns the point reached by traveling dist meters from p
 // along the given initial bearing (degrees clockwise from north).
 func Destination(p Point, bearingDeg, dist float64) Point {
@@ -76,20 +64,6 @@ func Destination(p Point, bearingDeg, dist float64) Point {
 	// Normalize longitude to [-180, 180).
 	lon := math.Mod(degrees(lo2)+540, 360) - 180
 	return Point{Lat: degrees(la2), Lon: lon}
-}
-
-// Midpoint returns the great-circle midpoint of a and b.
-func Midpoint(a, b Point) Point {
-	la1, lo1 := radians(a.Lat), radians(a.Lon)
-	la2, lo2 := radians(b.Lat), radians(b.Lon)
-	dLon := lo2 - lo1
-	bx := math.Cos(la2) * math.Cos(dLon)
-	by := math.Cos(la2) * math.Sin(dLon)
-	la3 := math.Atan2(math.Sin(la1)+math.Sin(la2),
-		math.Sqrt((math.Cos(la1)+bx)*(math.Cos(la1)+bx)+by*by))
-	lo3 := lo1 + math.Atan2(by, math.Cos(la1)+bx)
-	lon := math.Mod(degrees(lo3)+540, 360) - 180
-	return Point{Lat: degrees(la3), Lon: lon}
 }
 
 // Interpolate returns the point a fraction f of the way from a to b along
@@ -107,16 +81,6 @@ func Interpolate(a, b Point, f float64) Point {
 // Boxes never wrap the antimeridian; the synthetic city does not either.
 type Rect struct {
 	MinLat, MinLon, MaxLat, MaxLon float64
-}
-
-// NewRect returns the smallest Rect containing both corner points.
-func NewRect(a, b Point) Rect {
-	return Rect{
-		MinLat: math.Min(a.Lat, b.Lat),
-		MinLon: math.Min(a.Lon, b.Lon),
-		MaxLat: math.Max(a.Lat, b.Lat),
-		MaxLon: math.Max(a.Lon, b.Lon),
-	}
 }
 
 // RectAround returns a Rect that conservatively contains the disc of
@@ -139,18 +103,6 @@ func RectAround(center Point, r float64) Rect {
 	}
 }
 
-// Contains reports whether p lies inside r (inclusive bounds).
-func (r Rect) Contains(p Point) bool {
-	return p.Lat >= r.MinLat && p.Lat <= r.MaxLat &&
-		p.Lon >= r.MinLon && p.Lon <= r.MaxLon
-}
-
-// Intersects reports whether r and o overlap (inclusive bounds).
-func (r Rect) Intersects(o Rect) bool {
-	return r.MinLat <= o.MaxLat && r.MaxLat >= o.MinLat &&
-		r.MinLon <= o.MaxLon && r.MaxLon >= o.MinLon
-}
-
 // Union returns the smallest Rect containing both r and o.
 func (r Rect) Union(o Rect) Rect {
 	return Rect{
@@ -164,17 +116,6 @@ func (r Rect) Union(o Rect) Rect {
 // Extend returns the smallest Rect containing r and p.
 func (r Rect) Extend(p Point) Rect {
 	return r.Union(Rect{MinLat: p.Lat, MinLon: p.Lon, MaxLat: p.Lat, MaxLon: p.Lon})
-}
-
-// Area returns the rectangle's area in squared degrees. It is used only
-// to compare candidate R-tree splits, so the unit does not matter.
-func (r Rect) Area() float64 {
-	return (r.MaxLat - r.MinLat) * (r.MaxLon - r.MinLon)
-}
-
-// Center returns the rectangle's center point.
-func (r Rect) Center() Point {
-	return Point{Lat: (r.MinLat + r.MaxLat) / 2, Lon: (r.MinLon + r.MaxLon) / 2}
 }
 
 // PointRect returns the degenerate Rect covering exactly p.

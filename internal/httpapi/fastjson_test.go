@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// benchPlanBody is a plan body as bench/ and internal/client marshal it:
+// benchPlanBody is a plan body as bench/ marshals it:
 // every fix carries its own empty user_id.
 func benchPlanBody(tb testing.TB) []byte {
 	tb.Helper()

@@ -137,6 +137,17 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
 }
 
+// writeWriteErr answers a write entry point's error: 503 when the write
+// was not logged (the node's log, not the request, is at fault), 400
+// otherwise.
+func writeWriteErr(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, pphcr.ErrNotLogged) {
+		status = http.StatusServiceUnavailable
+	}
+	writeErr(w, status, err)
+}
+
 // maxBodyBytes bounds every request body (Server.route wraps it): two
 // orders of magnitude above a 3-minute partial trace, below the 16 MiB
 // the router forwards. Nodes are reachable directly, not only through
@@ -231,7 +242,7 @@ func (s *Server) handleUsers(w http.ResponseWriter, r *http.Request) {
 			FavoriteService: body.FavoriteService,
 		}
 		if err := s.sys.RegisterUser(p); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeWriteErr(w, err)
 			return
 		}
 		s.stampWalSeq(w)
@@ -291,7 +302,7 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 	err = s.sys.RecordFixTraced(body.UserID, fix, tr)
 	s.traceRing.Offer(tr)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeWriteErr(w, err)
 		return
 	}
 	s.stampWalSeq(w)
@@ -373,7 +384,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	err = s.sys.AddFeedbackTraced(e, tr)
 	s.traceRing.Offer(tr)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeWriteErr(w, err)
 		return
 	}
 	s.stampWalSeq(w)
@@ -425,7 +436,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	user := r.URL.Query().Get("user")
 	cm, err := s.sys.CompactTracking(user)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeWriteErr(w, err)
 		return
 	}
 	s.stampWalSeq(w)

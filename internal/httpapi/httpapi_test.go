@@ -390,3 +390,63 @@ func TestOversizedBodyRejected(t *testing.T) {
 		t.Fatalf("normal requests logged %d mutations, want 3 (user, fix, feedback)", n)
 	}
 }
+
+// TestUnloggedWritesAnswer503: a write the durability hook refused is
+// the node's fault, not the caller's, so every write endpoint answers it
+// 503; a request the system rejects on its own merits is still a 400.
+func TestUnloggedWritesAnswer503(t *testing.T) {
+	ts, sys, w := newTestServer(t)
+	persona := w.Personas[0]
+	user := persona.Profile.UserID
+	if err := sys.RegisterUser(persona.Profile); err != nil {
+		t.Fatal(err)
+	}
+	var last time.Time
+	for d := 0; d < w.Params.Days; d++ {
+		for _, morning := range []bool{true, false} {
+			trace, _, err := w.CommuteTrace(persona, w.Params.StartDate.AddDate(0, 0, d), morning)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fix := range trace {
+				if err := sys.RecordFix(user, fix); err != nil {
+					t.Fatal(err)
+				}
+				last = fix.Time
+			}
+		}
+	}
+	item := sys.Repo.All()[0].ID
+	sys.SetMutationHook(func(uint32, durable.Event) error { return fmt.Errorf("disk full") })
+
+	for _, c := range []struct {
+		name, path string
+		body       interface{} // nil: an empty POST
+		want       int
+	}{
+		{"register", "/api/users", UserBody{UserID: "newcomer", Lat: 45.07, Lon: 7.68}, http.StatusServiceUnavailable},
+		{"register without an ID", "/api/users", UserBody{Lat: 45.07, Lon: 7.68}, http.StatusBadRequest},
+		{"fix", "/api/track", TrackBody{UserID: user, Lat: 45.07, Lon: 7.68, Unix: last.Unix() + 60}, http.StatusServiceUnavailable},
+		{"out-of-order fix", "/api/track", TrackBody{UserID: user, Lat: 45.07, Lon: 7.68, Unix: last.Unix() - 3600}, http.StatusBadRequest},
+		{"feedback", "/api/feedback", FeedbackBody{UserID: user, ItemID: item, Kind: "like", Unix: last.Unix()}, http.StatusServiceUnavailable},
+		{"unknown kind", "/api/feedback", FeedbackBody{UserID: user, ItemID: item, Kind: "meh"}, http.StatusBadRequest},
+		{"feedback dated 2300", "/api/feedback", FeedbackBody{UserID: user, ItemID: item, Kind: "like", Unix: 10413792000}, http.StatusBadRequest},
+		{"compact", "/api/compact?user=" + user, nil, http.StatusServiceUnavailable},
+		{"compact without fixes", "/api/compact?user=nobody", nil, http.StatusBadRequest},
+	} {
+		var resp *http.Response
+		if c.body == nil {
+			var err error
+			if resp, err = http.Post(ts.URL+c.path, "application/json", nil); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			resp = postJSON(t, ts.URL+c.path, c.body)
+		}
+		var e apiError
+		decode(t, resp, &e)
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: http %d %q, want %d", c.name, resp.StatusCode, e.Error, c.want)
+		}
+	}
+}

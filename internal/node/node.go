@@ -143,32 +143,39 @@ func (n *Node) Lead(mux *http.ServeMux) error {
 	return nil
 }
 
+// ServeDurability wires dur into api: the write-ack sequence, /stats,
+// readiness, degradation and the WAL and checkpoint histogram families.
+// A leader does it when it takes the role; pphcr-scenario does it for
+// its metrics listener.
+func ServeDurability(api *httpapi.Server, dur *pphcr.Durability) {
+	api.SetWALSeq(dur.WALSeq)
+	api.SetDurabilityStats(func() interface{} { return dur.Stats() })
+	// A WAL failure (the first failed segment write or fsync, terminal
+	// under either sync policy) must eject the node from rotation:
+	// writes can no longer be made durable.
+	api.SetReadinessCheck(dur.Healthy)
+	// Injected-slow-fsync mode is degradation, not death: the node
+	// keeps serving (200) but /readyz and pphcr_degraded flag it.
+	api.SetDegradedCheck(dur.Degraded)
+	reg := api.Registry()
+	reg.RegisterHistogram("pphcr_wal_append_duration_seconds",
+		"WAL append latency, including the group-commit ticket wait under sync=always.",
+		nil, dur.WALAppendHistogram())
+	reg.RegisterHistogram("pphcr_wal_fsync_duration_seconds",
+		"WAL flush+fsync latency.", nil, dur.WALFsyncHistogram())
+	reg.RegisterHistogram("pphcr_checkpoint_pause_seconds",
+		"Checkpoint write-pause (commit-barrier quiesce hold).", nil, dur.PauseHistogram())
+}
+
 // lead is the one "become leader" step, run at boot by Lead and at the
-// end of promotion. It wires dur (nil in memory) into the API — the
-// write-ack sequence, /stats, readiness, degradation and the WAL and
-// checkpoint histogram families — and starts the leader's background
-// services: checkpointer, tracking and feedback compactors, and the
-// plan warmer. The returned channel closes once the warmer's prewarm
-// finished (at once without a warmer). The caller holds n.mu.
+// end of promotion. It wires dur (nil in memory) into the API
+// (ServeDurability) and starts the leader's background services:
+// checkpointer, tracking and feedback compactors, and the plan warmer.
+// The returned channel closes once the warmer's prewarm finished (at
+// once without a warmer). The caller holds n.mu.
 func (n *Node) lead(dur *pphcr.Durability) (<-chan struct{}, error) {
 	if dur != nil {
-		n.api.SetWALSeq(dur.WALSeq)
-		n.api.SetDurabilityStats(func() interface{} { return dur.Stats() })
-		// A WAL failure (the first failed segment write or fsync, terminal
-		// under either sync policy) must eject the node from rotation:
-		// writes can no longer be made durable.
-		n.api.SetReadinessCheck(dur.Healthy)
-		// Injected-slow-fsync mode is degradation, not death: the node
-		// keeps serving (200) but /readyz and pphcr_degraded flag it.
-		n.api.SetDegradedCheck(dur.Degraded)
-		reg := n.api.Registry()
-		reg.RegisterHistogram("pphcr_wal_append_duration_seconds",
-			"WAL append latency, including the group-commit ticket wait under sync=always.",
-			nil, dur.WALAppendHistogram())
-		reg.RegisterHistogram("pphcr_wal_fsync_duration_seconds",
-			"WAL flush+fsync latency.", nil, dur.WALFsyncHistogram())
-		reg.RegisterHistogram("pphcr_checkpoint_pause_seconds",
-			"Checkpoint write-pause (commit-barrier quiesce hold).", nil, dur.PauseHistogram())
+		ServeDurability(n.api, dur)
 
 		// The checkpointer bounds crash recovery to one interval of WAL
 		// replay.

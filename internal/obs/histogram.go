@@ -48,11 +48,6 @@ var bucketUppers = func() [NumBuckets]int64 {
 	return b
 }()
 
-// BucketUpperNs returns the inclusive upper bound of bucket i in
-// nanoseconds (math.MaxInt64 for the +Inf bucket). Exported for the
-// Prometheus renderer and tests.
-func BucketUpperNs(i int) int64 { return bucketUppers[i] }
-
 // bucketOf returns the index of the bucket containing ns: the smallest
 // i with ns <= bucketUppers[i]. Binary search over 63 finite bounds —
 // six predictable compares, no floating point, no allocation.

@@ -166,19 +166,19 @@ func TestEmptyAndEdgeQuantiles(t *testing.T) {
 }
 
 func TestBucketBounds(t *testing.T) {
-	if BucketUpperNs(0) != MinBucketNs {
-		t.Fatalf("first bound = %d, want %d", BucketUpperNs(0), MinBucketNs)
+	if bucketUppers[0] != MinBucketNs {
+		t.Fatalf("first bound = %d, want %d", bucketUppers[0], MinBucketNs)
 	}
 	for i := 1; i < NumBuckets-1; i++ {
-		if BucketUpperNs(i) <= BucketUpperNs(i-1) {
+		if bucketUppers[i] <= bucketUppers[i-1] {
 			t.Fatalf("bounds not strictly increasing at %d", i)
 		}
 	}
-	if BucketUpperNs(NumBuckets-1) != math.MaxInt64 {
+	if bucketUppers[NumBuckets-1] != math.MaxInt64 {
 		t.Fatalf("last bound must be +Inf sentinel")
 	}
 	// ~103ms finite range: wide enough for a checkpoint pause.
-	if top := BucketUpperNs(NumBuckets - 2); top < 50_000_000 {
+	if top := bucketUppers[NumBuckets-2]; top < 50_000_000 {
 		t.Fatalf("finite range tops out at %dns, too narrow", top)
 	}
 }
@@ -294,7 +294,6 @@ func TestTraceNilSafety(t *testing.T) {
 	tr.AddSpan("y", 0, 1)
 	tr.Note("n")
 	tr.SetSource("warm")
-	ReleaseTrace(tr)
 	var ring *TraceRing
 	ring.Offer(nil)
 	ring.Offer(NewTrace("op", "u")) // nil ring still recycles the trace

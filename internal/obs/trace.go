@@ -39,10 +39,9 @@ type Trace struct {
 var tracePool = sync.Pool{New: func() interface{} { return new(Trace) }}
 
 // NewTrace fetches a pooled trace and stamps its start. Callers must
-// hand the trace to exactly one of Ring.Offer (which recycles it) or
-// ReleaseTrace.
+// hand the trace to TraceRing.Offer, which recycles it, exactly once.
 //
-//pphcr:allow poolescape ownership transfers to the caller, who must Offer or ReleaseTrace it back
+//pphcr:allow poolescape ownership transfers to the caller, who must Offer it back
 func NewTrace(op, user string) *Trace {
 	t := tracePool.Get().(*Trace)
 	t.Op = op
@@ -52,13 +51,6 @@ func NewTrace(op, user string) *Trace {
 	t.n = 0
 	t.nNotes = 0
 	return t
-}
-
-// ReleaseTrace returns a trace to the pool. Safe on nil.
-func ReleaseTrace(t *Trace) {
-	if t != nil {
-		tracePool.Put(t)
-	}
 }
 
 // StartSpan returns the current offset from the trace start, to be
@@ -156,12 +148,11 @@ func (t *Trace) view(totalNs int64) TraceView {
 // by construction a rare event — so the ring costs the hot path one
 // duration compare.
 type TraceRing struct {
-	mu      sync.Mutex
-	views   []TraceView
-	next    int
-	filled  bool
-	thresh  time.Duration
-	dropped int64
+	mu     sync.Mutex
+	views  []TraceView
+	next   int
+	filled bool
+	thresh time.Duration
 }
 
 // NewTraceRing creates a ring holding up to capacity slow traces.

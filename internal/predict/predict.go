@@ -46,12 +46,7 @@ type TimeBucket int
 const (
 	bucketHours   = 4
 	bucketsPerDay = 24 / bucketHours
-	numBuckets    = bucketsPerDay * 2 // ×2: weekday / weekend
 )
-
-// BucketDuration is the wall-clock length of one time-of-day bucket —
-// the natural stride for warming plans one or more buckets ahead.
-const BucketDuration = bucketHours * time.Hour
 
 // BucketOf returns the TimeBucket for an instant.
 func BucketOf(t time.Time) TimeBucket {

@@ -69,7 +69,7 @@ func TestBucketOf(t *testing.T) {
 	}
 	for h := 0; h < 24; h++ {
 		b := BucketOf(mondayAt(h))
-		if b < 0 || int(b) >= numBuckets {
+		if b < 0 || int(b) >= 2*bucketsPerDay {
 			t.Fatalf("bucket out of range at hour %d: %d", h, b)
 		}
 	}

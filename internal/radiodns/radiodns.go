@@ -1,8 +1,7 @@
 // Package radiodns simulates the ETSI TS 103 270 (RadioDNS hybrid radio)
 // metadata layer the paper builds on (§1.1: "the basic metadata
 // descriptions enabling this service come from the ETSI Standards created
-// by the RadioDNS Project"). It provides broadcast service identifiers,
-// the hybrid lookup that resolves a broadcast bearer to its IP services,
+// by the RadioDNS Project"). It provides broadcast service identifiers
 // and the program schedule (SPI/EPG) that the buffering and replacement
 // logic aligns to.
 package radiodns
@@ -11,35 +10,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
-
-// Bearer identifies how a service is received. The paper's client plays
-// either the broadcast bearer (FM/DAB+) or the IP stream.
-type Bearer int
-
-// Bearer kinds.
-const (
-	BearerFM Bearer = iota
-	BearerDAB
-	BearerIP
-)
-
-// String returns the bearer scheme name used in bearer URIs.
-func (b Bearer) String() string {
-	switch b {
-	case BearerFM:
-		return "fm"
-	case BearerDAB:
-		return "dab"
-	case BearerIP:
-		return "http"
-	default:
-		return fmt.Sprintf("bearer(%d)", int(b))
-	}
-}
 
 // Service is one radio service (station).
 type Service struct {
@@ -54,63 +27,10 @@ type Service struct {
 	PI string
 	// Frequency is the FM frequency in units of 10 kHz, e.g. 8990 = 89.9.
 	Frequency int
-	// DAB service parameters (TS 103 270 §5.1.2); zero values mean the
-	// service has no DAB+ bearer.
-	DABEId    string // ensemble ID, hex
-	DABSId    string // service ID, hex
-	DABSCIdS  string // service component ID within service, hex
-	DABUAType string // X-PAD user application type, hex (data services)
-	// StreamURL is the IP stream endpoint resolved by the hybrid lookup.
+	// StreamURL is the IP stream endpoint.
 	StreamURL string
 	// BitrateKbps is the stream bitrate (the paper's streams are 96).
 	BitrateKbps int
-}
-
-// FQDN returns the DNS name a RadioDNS client would resolve for the FM
-// bearer of this service, per TS 103 270 §5.2:
-// <frequency>.<pi>.<gcc>.fm.radiodns.org.
-func (s *Service) FQDN() string {
-	return fmt.Sprintf("%05d.%s.%s.fm.radiodns.org", s.Frequency, strings.ToLower(s.PI), strings.ToLower(s.GCC))
-}
-
-// DABFQDN returns the DNS name for the DAB bearer per TS 103 270:
-// [<uatype>.]<scids>.<sid>.<eid>.<gcc>.dab.radiodns.org. ok is false when
-// the service has no DAB parameters.
-func (s *Service) DABFQDN() (fqdn string, ok bool) {
-	if s.DABEId == "" || s.DABSId == "" {
-		return "", false
-	}
-	scids := s.DABSCIdS
-	if scids == "" {
-		scids = "0"
-	}
-	parts := []string{scids, strings.ToLower(s.DABSId), strings.ToLower(s.DABEId), strings.ToLower(s.GCC), "dab.radiodns.org"}
-	if s.DABUAType != "" {
-		parts = append([]string{strings.ToLower(s.DABUAType)}, parts...)
-	}
-	return strings.Join(parts, "."), true
-}
-
-// BearerURI returns the TS 103 270 bearer URI for the given bearer.
-func (s *Service) BearerURI(b Bearer) string {
-	switch b {
-	case BearerFM:
-		return fmt.Sprintf("fm:%s.%s.%05d", strings.ToLower(s.GCC), strings.ToLower(s.PI), s.Frequency)
-	case BearerDAB:
-		if s.DABEId != "" && s.DABSId != "" {
-			scids := s.DABSCIdS
-			if scids == "" {
-				scids = "0"
-			}
-			return fmt.Sprintf("dab:%s.%s.%s.%s", strings.ToLower(s.GCC),
-				strings.ToLower(s.DABEId), strings.ToLower(s.DABSId), scids)
-		}
-		return fmt.Sprintf("%s:%s", b, s.ID)
-	case BearerIP:
-		return s.StreamURL
-	default:
-		return fmt.Sprintf("%s:%s", b, s.ID)
-	}
 }
 
 // Program is one scheduled broadcast program.
@@ -132,11 +52,10 @@ type Program struct {
 func (p *Program) End() time.Time { return p.Start.Add(p.Duration) }
 
 // Directory is the registry of services and schedules — the simulated
-// radiodns.org lookup plus SPI server. It is safe for concurrent use.
+// SPI server. It is safe for concurrent use.
 type Directory struct {
 	mu       sync.RWMutex
 	services map[string]*Service
-	byFQDN   map[string]*Service
 	programs map[string][]*Program // service ID -> programs sorted by Start
 }
 
@@ -144,7 +63,6 @@ type Directory struct {
 func NewDirectory() *Directory {
 	return &Directory{
 		services: make(map[string]*Service),
-		byFQDN:   make(map[string]*Service),
 		programs: make(map[string][]*Program),
 	}
 }
@@ -166,22 +84,7 @@ func (d *Directory) AddService(s *Service) error {
 		return fmt.Errorf("radiodns: duplicate service %q", s.ID)
 	}
 	d.services[s.ID] = s
-	d.byFQDN[s.FQDN()] = s
-	if dab, ok := s.DABFQDN(); ok {
-		d.byFQDN[dab] = s
-	}
 	return nil
-}
-
-// Service returns a service by ID.
-func (d *Directory) Service(id string) (*Service, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	s, ok := d.services[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownService, id)
-	}
-	return s, nil
 }
 
 // Services returns all services sorted by ID.
@@ -194,19 +97,6 @@ func (d *Directory) Services() []*Service {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// HybridLookup resolves an FM bearer FQDN to its service — the TS 103 270
-// hybrid lookup that lets a client tuned to analog FM discover the IP
-// equivalents.
-func (d *Directory) HybridLookup(fqdn string) (*Service, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	s, ok := d.byFQDN[strings.ToLower(fqdn)]
-	if !ok {
-		return nil, fmt.Errorf("%w: fqdn %q", ErrUnknownService, fqdn)
-	}
-	return s, nil
 }
 
 // AddProgram schedules a program on its service.

@@ -20,27 +20,6 @@ func radio1() *Service {
 	}
 }
 
-func TestFQDNFormat(t *testing.T) {
-	s := radio1()
-	want := "08990.5201.5e0.fm.radiodns.org"
-	if got := s.FQDN(); got != want {
-		t.Fatalf("FQDN = %q, want %q", got, want)
-	}
-}
-
-func TestBearerURI(t *testing.T) {
-	s := radio1()
-	if got := s.BearerURI(BearerFM); got != "fm:5e0.5201.08990" {
-		t.Fatalf("FM bearer = %q", got)
-	}
-	if got := s.BearerURI(BearerIP); got != s.StreamURL {
-		t.Fatalf("IP bearer = %q", got)
-	}
-	if got := s.BearerURI(BearerDAB); got == "" {
-		t.Fatal("DAB bearer empty")
-	}
-}
-
 func TestDirectoryServices(t *testing.T) {
 	d := NewDirectory()
 	if err := d.AddService(radio1()); err != nil {
@@ -52,30 +31,8 @@ func TestDirectoryServices(t *testing.T) {
 	if err := d.AddService(&Service{}); err == nil {
 		t.Fatal("empty ID accepted")
 	}
-	s, err := d.Service("radio1")
-	if err != nil || s.Name != "Rai Radio 1" {
-		t.Fatalf("Service = %+v err=%v", s, err)
-	}
-	if _, err := d.Service("nope"); !errors.Is(err, ErrUnknownService) {
-		t.Fatalf("err = %v", err)
-	}
-	if got := d.Services(); len(got) != 1 {
-		t.Fatalf("Services = %d", len(got))
-	}
-}
-
-func TestHybridLookup(t *testing.T) {
-	d := NewDirectory()
-	s := radio1()
-	if err := d.AddService(s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.HybridLookup("08990.5201.5E0.fm.radiodns.org") // case-insensitive
-	if err != nil || got.ID != "radio1" {
-		t.Fatalf("HybridLookup = %+v err=%v", got, err)
-	}
-	if _, err := d.HybridLookup("00000.dead.5e0.fm.radiodns.org"); !errors.Is(err, ErrUnknownService) {
-		t.Fatalf("err = %v", err)
+	if got := d.Services(); len(got) != 1 || got[0].Name != "Rai Radio 1" {
+		t.Fatalf("Services = %+v", got)
 	}
 }
 
@@ -177,72 +134,5 @@ func TestProgramEnd(t *testing.T) {
 	p := program("x", t0, 10*time.Minute, true)
 	if !p.End().Equal(t0.Add(10 * time.Minute)) {
 		t.Fatalf("End = %v", p.End())
-	}
-}
-
-func TestBearerString(t *testing.T) {
-	if BearerFM.String() != "fm" || BearerDAB.String() != "dab" || BearerIP.String() != "http" {
-		t.Fatal("bearer names wrong")
-	}
-	if Bearer(9).String() == "" {
-		t.Fatal("unknown bearer empty")
-	}
-}
-
-func dabService() *Service {
-	s := radio1()
-	s.ID = "radio1dab"
-	s.Frequency = 9990 // distinct FM FQDN
-	s.DABEId = "5e01"
-	s.DABSId = "5201"
-	s.DABSCIdS = "0"
-	return s
-}
-
-func TestDABFQDN(t *testing.T) {
-	s := dabService()
-	fqdn, ok := s.DABFQDN()
-	if !ok {
-		t.Fatal("DAB FQDN missing")
-	}
-	if fqdn != "0.5201.5e01.5e0.dab.radiodns.org" {
-		t.Fatalf("DAB FQDN = %q", fqdn)
-	}
-	// UAType prefixes when present.
-	s.DABUAType = "004"
-	fqdn, _ = s.DABFQDN()
-	if fqdn != "004.0.5201.5e01.5e0.dab.radiodns.org" {
-		t.Fatalf("DAB FQDN with uatype = %q", fqdn)
-	}
-	// FM-only service has no DAB name.
-	if _, ok := radio1().DABFQDN(); ok {
-		t.Fatal("FM-only service returned a DAB FQDN")
-	}
-}
-
-func TestDABBearerURI(t *testing.T) {
-	s := dabService()
-	if got := s.BearerURI(BearerDAB); got != "dab:5e0.5e01.5201.0" {
-		t.Fatalf("DAB bearer = %q", got)
-	}
-	// Without DAB params the generic fallback applies.
-	if got := radio1().BearerURI(BearerDAB); got != "dab:radio1" {
-		t.Fatalf("fallback DAB bearer = %q", got)
-	}
-}
-
-func TestHybridLookupDAB(t *testing.T) {
-	d := NewDirectory()
-	s := dabService()
-	if err := d.AddService(s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.HybridLookup("0.5201.5E01.5e0.dab.radiodns.org")
-	if err != nil || got.ID != s.ID {
-		t.Fatalf("DAB lookup = %+v err=%v", got, err)
-	}
-	// The FM name of the same service still resolves.
-	if _, err := d.HybridLookup(s.FQDN()); err != nil {
-		t.Fatalf("FM lookup after DAB registration: %v", err)
 	}
 }

@@ -2,9 +2,7 @@ package replicate
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -18,7 +16,6 @@ import (
 	"time"
 
 	"pphcr"
-	"pphcr/internal/client"
 	"pphcr/internal/httpapi"
 	"pphcr/internal/synth"
 )
@@ -303,14 +300,21 @@ func TestRouterErrorsAreJSON(t *testing.T) {
 		t.Fatalf("504 Content-Type = %q, want application/json", ct)
 	}
 
-	// The same refusal as a client sees it.
-	_, err := client.NewAPI(front.URL, 1).Feedback(context.Background(),
-		httpapi.FeedbackBody{UserID: "u1", ItemID: "it2", Kind: "like"})
-	var se *client.StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusGatewayTimeout {
-		t.Fatalf("client error = %v, want a 504 StatusError", err)
+	// The same refusal as a client reads it: a JSON error whose message
+	// quotes the follower's.
+	resp2, err := http.Post(front.URL+"/api/feedback", "application/json",
+		strings.NewReader(`{"user_id":"u1","item_id":"it2","kind":"like"}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(se.Msg, "replication ack timeout") || !strings.Contains(se.Msg, `{"error":"lagging"}`) {
-		t.Fatalf("StatusError.Msg = %q, want the router's message quoting the follower's", se.Msg)
+	defer resp2.Body.Close()
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp2.Body).Decode(&body); err != nil || resp2.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("second write: http %d, decode %v; want a 504 with a JSON error", resp2.StatusCode, err)
+	}
+	if !strings.Contains(body.Error, "replication ack timeout") || !strings.Contains(body.Error, `{"error":"lagging"}`) {
+		t.Fatalf("error = %q, want the router's message quoting the follower's", body.Error)
 	}
 }

@@ -283,13 +283,6 @@ func (r *Router) failover(ns *nodeState) {
 	r.Logger.Warn("standby promoted", "node", ns.node.ID, "failover_ms", ms, "detail", string(body))
 }
 
-// Failovers / LastFailoverMs expose the failover counters for /stats
-// and the failover_ms benchmark highlight.
-func (r *Router) Failovers() int64 { return r.failovers.Load() }
-
-// LastFailoverMs is the promotion duration of the most recent failover.
-func (r *Router) LastFailoverMs() int64 { return r.lastFailoverMs.Load() }
-
 // ownerFor resolves a user to its partition state.
 func (r *Router) ownerFor(user string) *nodeState {
 	r.mu.RLock()

@@ -262,7 +262,7 @@ func TestRouterFailover(t *testing.T) {
 	leader.srv.Close() // the kill
 
 	deadline := time.Now().Add(10 * time.Second)
-	for router.Failovers() == 0 {
+	for router.failovers.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("router never promoted the standby")
 		}
@@ -274,7 +274,7 @@ func TestRouterFailover(t *testing.T) {
 	if promotes != 1 {
 		t.Fatalf("standby promoted %d times, want 1", promotes)
 	}
-	if ms := router.LastFailoverMs(); ms < 0 {
+	if ms := router.lastFailoverMs.Load(); ms < 0 {
 		t.Fatalf("negative failover duration %d", ms)
 	}
 

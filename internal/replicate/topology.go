@@ -16,14 +16,6 @@ import (
 	"sort"
 )
 
-// Role labels what a node currently is. The values appear verbatim in
-// /readyz, /stats and the pphcr_role metric.
-const (
-	RoleLeader    = "leader"
-	RoleFollower  = "follower"
-	RolePromoting = "promoting"
-)
-
 // Node is one partition in the topology: a leader serving its user
 // slice and (optionally) a warm standby tailing the leader's WAL.
 type Node struct {

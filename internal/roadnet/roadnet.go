@@ -59,14 +59,6 @@ type Edge struct {
 	Speed    float64 // free-flow speed, m/s
 }
 
-// TravelTime returns the free-flow traversal time of the edge.
-func (e Edge) TravelTime() time.Duration {
-	if e.Speed <= 0 {
-		return 0
-	}
-	return time.Duration(e.Length / e.Speed * float64(time.Second))
-}
-
 // Graph is a mutable road network. It is not safe for concurrent
 // mutation; build it once, then share it read-only.
 type Graph struct {
@@ -98,9 +90,6 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // Node returns the node with the given ID.
 func (g *Graph) Node(id NodeID) Node { return g.nodes[id] }
-
-// Neighbors returns the outgoing edges of a node.
-func (g *Graph) Neighbors(id NodeID) []Edge { return g.adj[id] }
 
 // NearestNode returns the node closest to p. The graph is small (a few
 // thousand nodes), so a linear scan is fine and keeps the package free of

@@ -91,16 +91,6 @@ func TestShortestPathPrefersFasterRoad(t *testing.T) {
 	}
 }
 
-func TestEdgeTravelTime(t *testing.T) {
-	e := Edge{Length: 100, Speed: 10}
-	if got := e.TravelTime(); got != 10*time.Second {
-		t.Fatalf("TravelTime = %v", got)
-	}
-	if got := (Edge{Length: 100}).TravelTime(); got != 0 {
-		t.Fatalf("zero-speed TravelTime = %v", got)
-	}
-}
-
 func TestJunctionKindString(t *testing.T) {
 	if Plain.String() != "plain" || Intersection.String() != "intersection" ||
 		Roundabout.String() != "roundabout" {
@@ -136,7 +126,7 @@ func TestGenerateCityStructure(t *testing.T) {
 			t.Fatal("ring node is not a roundabout")
 		}
 		// Each roundabout: 2 ring arcs + 1 arterial = degree >= 3.
-		if deg := len(city.Graph.Neighbors(id)); deg < 3 {
+		if deg := len(city.Graph.adj[id]); deg < 3 {
 			t.Fatalf("roundabout degree = %d", deg)
 		}
 	}
@@ -145,7 +135,7 @@ func TestGenerateCityStructure(t *testing.T) {
 	if city.Graph.Node(mid).Kind != Intersection {
 		t.Fatal("interior grid node should be an intersection")
 	}
-	if deg := len(city.Graph.Neighbors(mid)); deg != 4 {
+	if deg := len(city.Graph.adj[mid]); deg != 4 {
 		t.Fatalf("interior degree = %d, want 4", deg)
 	}
 }
@@ -161,7 +151,7 @@ func TestGenerateCityConnectivity(t *testing.T) {
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		for _, e := range g.Neighbors(n) {
+		for _, e := range g.adj[n] {
 			if !seen[e.To] {
 				seen[e.To] = true
 				count++

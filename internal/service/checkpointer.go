@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"log/slog"
-	"sync/atomic"
 	"time"
 
 	"pphcr"
@@ -22,9 +21,7 @@ type Checkpointer struct {
 	// watch Run tick.
 	interval time.Duration
 
-	dur  *pphcr.Durability
-	runs atomic.Int64
-	errs atomic.Int64
+	dur *pphcr.Durability
 }
 
 // NewCheckpointer wraps a Durability in the service worker shape.
@@ -37,12 +34,7 @@ func NewCheckpointer(dur *pphcr.Durability) (*Checkpointer, error) {
 
 // Poll takes one checkpoint now.
 func (c *Checkpointer) Poll() error {
-	c.runs.Add(1)
-	if err := c.dur.Checkpoint(); err != nil {
-		c.errs.Add(1)
-		return err
-	}
-	return nil
+	return c.dur.Checkpoint()
 }
 
 // Run checkpoints every interval until stop is closed. Intended to run
@@ -62,15 +54,4 @@ func (c *Checkpointer) Run(stop <-chan struct{}) {
 			}
 		}
 	}
-}
-
-// CheckpointerStats are the worker's counters.
-type CheckpointerStats struct {
-	Runs   int64 `json:"runs"`
-	Errors int64 `json:"errors"`
-}
-
-// Stats snapshots the counters.
-func (c *Checkpointer) Stats() CheckpointerStats {
-	return CheckpointerStats{Runs: c.runs.Load(), Errors: c.errs.Load()}
 }

@@ -37,9 +37,6 @@ func TestCheckpointerPollAndRun(t *testing.T) {
 	if err := cp.Poll(); err != nil {
 		t.Fatal(err)
 	}
-	if st := cp.Stats(); st.Runs != 1 || st.Errors != 0 {
-		t.Fatalf("stats after poll: %+v", st)
-	}
 	if ds := dur.Stats(); ds.Checkpoints != 1 {
 		t.Fatalf("durability saw %d checkpoints", ds.Checkpoints)
 	}
@@ -50,7 +47,7 @@ func TestCheckpointerPollAndRun(t *testing.T) {
 	done := make(chan struct{})
 	go func() { cp.Run(stop); close(done) }()
 	deadline := time.Now().Add(2 * time.Second)
-	for cp.Stats().Runs < 3 {
+	for dur.Stats().Checkpoints < 3 {
 		if time.Now().After(deadline) {
 			t.Fatal("ticker checkpoints never ran")
 		}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"pphcr"
@@ -27,13 +26,10 @@ type FeedbackCompactor struct {
 	sys     *pphcr.System
 	queue   *broker.Queue
 	pending map[string]int
-
-	compactions  atomic.Int64
-	eventsFolded atomic.Int64
 }
 
 // feedbackHorizon is how much recent history the live feedback log
-// keeps. It is longer than any SkipRate window of interest.
+// keeps.
 const feedbackHorizon = 30 * 24 * time.Hour
 
 // NewFeedbackCompactor binds the worker's queue on the system broker.
@@ -69,10 +65,7 @@ func (c *FeedbackCompactor) Poll() (compacted []string) {
 			continue
 		}
 		c.pending[user] = 0
-		folded := c.sys.CompactFeedback(user, now, feedbackHorizon)
-		c.compactions.Add(1)
-		if folded > 0 {
-			c.eventsFolded.Add(int64(folded))
+		if c.sys.CompactFeedback(user, now, feedbackHorizon) > 0 {
 			compacted = append(compacted, user)
 		}
 	}
@@ -93,19 +86,5 @@ func (c *FeedbackCompactor) Run(stop <-chan struct{}) {
 		case <-ticker.C:
 		}
 		c.Poll()
-	}
-}
-
-// FeedbackCompactorStats snapshots the worker counters.
-type FeedbackCompactorStats struct {
-	Compactions  int64 `json:"compactions"`
-	EventsFolded int64 `json:"events_folded"`
-}
-
-// Stats snapshots the worker counters.
-func (c *FeedbackCompactor) Stats() FeedbackCompactorStats {
-	return FeedbackCompactorStats{
-		Compactions:  c.compactions.Load(),
-		EventsFolded: c.eventsFolded.Load(),
 	}
 }

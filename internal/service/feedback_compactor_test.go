@@ -60,8 +60,8 @@ func TestFeedbackCompactorTriggersOnThreshold(t *testing.T) {
 			t.Fatalf("compaction moved preference %q: %v -> %v", k, v, after[k])
 		}
 	}
-	st := c.Stats()
-	if st.Compactions != 1 || st.EventsFolded == 0 {
+	st := sys.Feedback.Stats()
+	if st.Compactions != 1 || st.CompactedEvents == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Counter reset: an immediate second poll does nothing.
@@ -103,7 +103,7 @@ func TestFeedbackCompactorRunLoop(t *testing.T) {
 		close(done)
 	}()
 	deadline := time.After(5 * time.Second)
-	for c.Stats().EventsFolded == 0 {
+	for sys.Feedback.Stats().CompactedEvents == 0 {
 		select {
 		case <-deadline:
 			t.Fatal("run loop never compacted")

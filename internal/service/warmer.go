@@ -12,11 +12,10 @@ import (
 // the Compactor: where the Compactor keeps each listener's mobility model
 // fresh, the Warmer keeps the plan cache populated with the trips those
 // models predict, so PlanTrip answers from a warm entry. It wraps the
-// precompute scheduler in the same Poll/Run worker shape the rest of the
+// precompute scheduler in the same Run worker shape the rest of the
 // service layer uses.
 type Warmer struct {
 	sched *precompute.Scheduler
-	now   func() time.Time
 }
 
 // NewWarmer binds the warmer's queues on the system broker. cfg zero
@@ -28,16 +27,8 @@ func NewWarmer(sys *pphcr.System, cfg precompute.Config) (*Warmer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: building warmer: %w", err)
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
-	return &Warmer{sched: sched, now: now}, nil
+	return &Warmer{sched: sched}, nil
 }
-
-// Scheduler exposes the underlying precompute scheduler (for stats
-// endpoints and direct warming).
-func (w *Warmer) Scheduler() *precompute.Scheduler { return w.sched }
 
 // Prewarm enumerates and executes warm jobs for every user with a
 // mobility model, synchronously — the server calls it once at startup so
@@ -51,13 +42,6 @@ func (w *Warmer) Prewarm(sys *pphcr.System, at time.Time) int {
 		warmed += w.sched.Drain()
 	}
 	return warmed
-}
-
-// Poll drains pending broker events and executes the resulting warm jobs
-// in the calling goroutine, returning the number of plans warmed.
-func (w *Warmer) Poll() int {
-	w.sched.Poll(w.now())
-	return w.sched.Drain()
 }
 
 // Run starts the scheduler's worker pool and event loop until stop is

@@ -78,7 +78,8 @@ func TestWarmerPrewarmAndPoll(t *testing.T) {
 	if sys.PlanCache.Sweep(); sys.PlanCache.Len() != 0 {
 		t.Fatal("compaction did not invalidate the user's plans")
 	}
-	if warmed := warmer.Poll(); warmed == 0 {
+	warmer.sched.Poll(warmAt)
+	if warmed := warmer.sched.Drain(); warmed == 0 {
 		t.Fatalf("poll warmed nothing (stats %+v)", warmer.Stats())
 	}
 	if st := warmer.Stats(); st.EventsCompacted == 0 || st.PlansWarmed == 0 {

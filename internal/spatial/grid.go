@@ -1,3 +1,7 @@
+// Package spatial holds Grid, a uniform spatial hash answering radius
+// queries over WGS84 coordinates. It is not safe for concurrent use. Only
+// the stay-point test oracle queries it: the breadth-first DBSCAN that
+// internal/trajectory's grid labelling must equal.
 package spatial
 
 import (

@@ -1,7 +1,6 @@
 package streamsim
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -253,61 +252,5 @@ func BenchmarkBuildTimeline(b *testing.B) {
 		if _, err := p.BuildTimeline(t0, t0.Add(2*time.Hour), inserts); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestUsageAggregate(t *testing.T) {
-	segs := []Segment{
-		{Kind: SourceLive, Start: t0, End: t0.Add(10 * time.Minute)},
-		{Kind: SourceClip, Start: t0.Add(10 * time.Minute), End: t0.Add(12 * time.Minute)},
-		{Kind: SourceTimeShifted, Start: t0.Add(12 * time.Minute), End: t0.Add(20 * time.Minute)},
-	}
-	p := &Player{BroadcastCapable: true}
-	bw := p.AccountBandwidth(segs, 96)
-
-	var u Usage
-	const workers, perWorker = 8, 25
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				u.RecordSession(segs, bw, 96)
-			}
-		}()
-	}
-	wg.Wait()
-
-	s := u.Snapshot()
-	const n = workers * perWorker
-	if s.Sessions != n || s.Segments != n*3 {
-		t.Fatalf("sessions/segments = %d/%d", s.Sessions, s.Segments)
-	}
-	if s.BroadcastBytes != n*bw.BroadcastBytes || s.UnicastBytes != n*bw.UnicastBytes {
-		t.Fatalf("path split = %+v, per-session %+v", s, bw)
-	}
-	// Kind view must be consistent with the path view: live rode
-	// broadcast (capable device), clip+timeshift rode unicast.
-	if s.LiveBytes != s.BroadcastBytes {
-		t.Fatalf("live %d != broadcast %d", s.LiveBytes, s.BroadcastBytes)
-	}
-	if s.ClipBytes+s.TimeshiftBytes != s.UnicastBytes {
-		t.Fatalf("clip+shift %d != unicast %d", s.ClipBytes+s.TimeshiftBytes, s.UnicastBytes)
-	}
-	if got, want := s.UnicastShare(), bw.UnicastShare(); got != want {
-		t.Fatalf("unicast share = %v, want %v", got, want)
-	}
-
-	// Merge and Delta round-trip.
-	var merged UsageSnapshot
-	merged.Merge(s)
-	merged.Merge(s)
-	if merged.Sessions != 2*n || merged.TotalBytes() != 2*s.TotalBytes() {
-		t.Fatalf("merge = %+v", merged)
-	}
-	d := merged.Delta(s)
-	if d != s {
-		t.Fatalf("delta = %+v, want %+v", d, s)
 	}
 }

@@ -62,11 +62,6 @@ func (nb *NaiveBayes) Train(docs []Document) error {
 	return nil
 }
 
-// Categories returns the known categories in sorted order.
-func (nb *NaiveBayes) Categories() []string {
-	return append([]string(nil), nb.categories...)
-}
-
 // Score is a category with its (unnormalized) log-posterior.
 type Score struct {
 	Category string

@@ -41,10 +41,6 @@ func Tokenize(text string) []string {
 	return out
 }
 
-// IsStopword reports whether w is in the stopword list (exported for the
-// synthetic corpus generator, which salts documents with stopwords).
-func IsStopword(w string) bool { return stopwords[w] }
-
 // Stopwords returns a copy of the stopword list in sorted order (sorted
 // so that callers sampling from it stay deterministic).
 func Stopwords() []string {

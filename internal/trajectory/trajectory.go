@@ -50,22 +50,6 @@ func (tr Trace) AverageSpeed() float64 {
 	return tr.Length() / d
 }
 
-// Speeds returns the per-segment instantaneous speeds in m/s. Segments
-// with non-increasing timestamps contribute 0.
-func (tr Trace) Speeds() []float64 {
-	if len(tr) < 2 {
-		return nil
-	}
-	out := make([]float64, len(tr)-1)
-	for i := 1; i < len(tr); i++ {
-		dt := tr[i].Time.Sub(tr[i-1].Time).Seconds()
-		if dt > 0 {
-			out[i-1] = geo.Distance(tr[i-1].Point, tr[i].Point) / dt
-		}
-	}
-	return out
-}
-
 // RDP simplifies a polyline with the Ramer–Douglas–Peucker algorithm:
 // the result keeps the endpoints and every point whose removal would
 // introduce more than epsilon meters of perpendicular error. The output

@@ -36,24 +36,12 @@ func TestTraceBasics(t *testing.T) {
 	if got := tr.AverageSpeed(); math.Abs(got-10) > 0.1 {
 		t.Fatalf("AverageSpeed = %v, want ~10", got)
 	}
-	speeds := tr.Speeds()
-	if len(speeds) != 10 {
-		t.Fatalf("Speeds len = %d", len(speeds))
-	}
-	for _, s := range speeds {
-		if math.Abs(s-10) > 0.1 {
-			t.Fatalf("segment speed = %v", s)
-		}
-	}
 }
 
 func TestTraceDegenerate(t *testing.T) {
 	var empty Trace
 	if empty.Duration() != 0 || empty.Length() != 0 || empty.AverageSpeed() != 0 {
 		t.Fatal("empty trace should be all zeros")
-	}
-	if empty.Speeds() != nil {
-		t.Fatal("empty trace speeds should be nil")
 	}
 	one := lineTrace(torino, 1, 0, time.Second)
 	if one.Duration() != 0 || one.AverageSpeed() != 0 {

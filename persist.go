@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"pphcr/internal/durable"
 )
@@ -155,15 +154,4 @@ func (s *System) SaveSnapshot(path string) error {
 		err = durable.WriteFileAtomic(path, s.Snapshot)
 	})
 	return err
-}
-
-// LoadSnapshot restores a snapshot file written by SaveSnapshot (or an
-// extracted checkpoint) into a freshly constructed System.
-func (s *System) LoadSnapshot(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.Restore(f)
 }

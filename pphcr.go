@@ -424,6 +424,12 @@ func (s *System) SetMutationHook(fn func(stripe uint32, e durable.Event) error) 
 	s.barrier.release()
 }
 
+// ErrNotLogged is what an entry point returns, wrapped, when the
+// mutation hook refused its event: the write is applied in memory but
+// not in the write-ahead log. It is the server's fault, not the
+// caller's: check it with errors.Is.
+var ErrNotLogged = errors.New("pphcr: write not logged")
+
 // emit marshals payload and hands the typed event to the mutation hook.
 // Callers must hold the read side of barrier stripe `stripe`.
 func (s *System) emit(stripe uint32, t durable.Type, payload interface{}) error {
@@ -432,10 +438,10 @@ func (s *System) emit(stripe uint32, t durable.Type, payload interface{}) error 
 	}
 	b, err := json.Marshal(payload)
 	if err != nil {
-		return fmt.Errorf("pphcr: encoding %s event: %w", t, err)
+		return fmt.Errorf("%w: encoding %s event: %w", ErrNotLogged, t, err)
 	}
 	if err := s.durHook(stripe, durable.Event{Type: t, Payload: b}); err != nil {
-		return fmt.Errorf("pphcr: logging %s event: %w", t, err)
+		return fmt.Errorf("%w: logging %s event: %w", ErrNotLogged, t, err)
 	}
 	return nil
 }
