@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"pphcr"
-	"pphcr/internal/dashboard"
 	"pphcr/internal/durable"
 	"pphcr/internal/httpapi"
 	"pphcr/internal/node"
@@ -299,7 +298,7 @@ func main() {
 	mux.Handle("/metrics", api.Handler())
 	mux.Handle("/debug/traces", api.Handler())
 	mux.Handle("/stats", api.Handler())
-	mux.Handle("/dashboard/", dashboard.NewServer(sys).Handler())
+	mux.Handle("/dashboard/", api.Handler())
 	if *pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -1,7 +1,10 @@
-// Package dashboard implements the web-based control dashboard of the
-// demonstration (§2.2): it "visualizes the user's past trajectories,
-// content preference, and the details of the recommendation process"
-// (Fig 5) and "allows manual injection of recommendations" (Fig 6).
+// Package dashboard implements the pages of the web-based control
+// dashboard of the demonstration (§2.2): it "visualizes the user's past
+// trajectories, content preference, and the details of the
+// recommendation process" (Fig 5). The pages only read; httpapi mounts
+// them beside its own routes, and its POST /dashboard/inject is the
+// dashboard's one write, the "manual injection of recommendations"
+// (Fig 6).
 //
 // The trajectory map is rendered server-side as SVG — raw GPS fixes,
 // the RDP-simplified route and DBSCAN staying points — so the artifact
@@ -10,7 +13,6 @@ package dashboard
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"html/template"
 	"net/http"
@@ -24,26 +26,6 @@ import (
 	"pphcr/internal/trajectory"
 )
 
-// Server is the dashboard HTTP server.
-type Server struct {
-	sys *pphcr.System
-	mux *http.ServeMux
-}
-
-// NewServer wraps a System.
-func NewServer(sys *pphcr.System) *Server {
-	s := &Server{sys: sys, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/dashboard/trajectory", s.handleTrajectorySVG)
-	s.mux.HandleFunc("/dashboard/recommendations", s.handleRecommendations)
-	s.mux.HandleFunc("/dashboard/inject", s.handleInject)
-	s.mux.HandleFunc("/dashboard/preferences", s.handlePreferences)
-	s.mux.HandleFunc("/dashboard/plan", s.handlePlan)
-	return s
-}
-
-// Handler returns the HTTP handler tree.
-func (s *Server) Handler() http.Handler { return s.mux }
-
 // TrajectoryView bundles what the Fig 5 map shows for one user.
 type TrajectoryView struct {
 	Fixes      geo.Polyline
@@ -54,14 +36,14 @@ type TrajectoryView struct {
 // buildTrajectoryView assembles map data from the tracker and the cached
 // compaction. Compaction keeps a closed trip only as its RDP route, so
 // the path drawn is those routes followed by the raw unfolded fixes.
-func (s *Server) buildTrajectoryView(userID string) (TrajectoryView, error) {
-	path := s.sys.Tracker.Path(userID)
+func buildTrajectoryView(sys *pphcr.System, userID string) (TrajectoryView, error) {
+	path := sys.Tracker.Path(userID)
 	if len(path) == 0 {
 		return TrajectoryView{}, fmt.Errorf("dashboard: no tracking data for %q", userID)
 	}
 	view := TrajectoryView{Fixes: path}
 	view.Simplified = trajectory.RDP(view.Fixes, 30)
-	if cm, ok := s.sys.MobilityModel(userID); ok {
+	if cm, ok := sys.MobilityModel(userID); ok {
 		view.StayPoints = cm.StayPoints
 	}
 	return view, nil
@@ -136,9 +118,10 @@ func RenderSVG(v TrajectoryView, width, height int) string {
 	return sb.String()
 }
 
-func (s *Server) handleTrajectorySVG(w http.ResponseWriter, r *http.Request) {
+// Trajectory serves GET /dashboard/trajectory?user=: the Fig 5 map.
+func Trajectory(sys *pphcr.System, w http.ResponseWriter, r *http.Request) {
 	user := r.URL.Query().Get("user")
-	view, err := s.buildTrajectoryView(user)
+	view, err := buildTrajectoryView(sys, user)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
@@ -173,7 +156,10 @@ type recRow struct {
 	Compound                 float64
 }
 
-func (s *Server) handleRecommendations(w http.ResponseWriter, r *http.Request) {
+// Recommendations serves GET /dashboard/recommendations?user=: the
+// listener's ranked list as their app would fetch it next. It previews:
+// pending injections show pinned first and stay pending.
+func Recommendations(sys *pphcr.System, w http.ResponseWriter, r *http.Request) {
 	user := r.URL.Query().Get("user")
 	if user == "" {
 		http.Error(w, "user parameter required", http.StatusBadRequest)
@@ -185,7 +171,7 @@ func (s *Server) handleRecommendations(w http.ResponseWriter, r *http.Request) {
 			now = time.Unix(v, 0).UTC()
 		}
 	}
-	ranked := s.sys.Recommend(user, recommend.Context{Now: now}, 10)
+	ranked := sys.Preview(user, recommend.Context{Now: now}, 10)
 	rows := make([]recRow, len(ranked))
 	for i, sc := range ranked {
 		rows[i] = recRow{
@@ -203,40 +189,9 @@ func (s *Server) handleRecommendations(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// InjectBody is the editorial injection payload (Fig 6).
-type InjectBody struct {
-	UserID string `json:"user_id"`
-	ItemID string `json:"item_id"`
-}
-
-func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "use POST", http.StatusMethodNotAllowed)
-		return
-	}
-	var body InjectBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := s.sys.Inject(body.UserID, body.ItemID); err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, pphcr.ErrNotLogged) {
-			status = http.StatusServiceUnavailable
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	if err := json.NewEncoder(w).Encode(map[string][]string{
-		"pending": s.sys.PendingInjections(body.UserID),
-	}); err != nil {
-		return
-	}
-}
-
-func (s *Server) handlePreferences(w http.ResponseWriter, r *http.Request) {
+// Preferences serves GET /dashboard/preferences?user=: the listener's
+// category preference vector as JSON.
+func Preferences(sys *pphcr.System, w http.ResponseWriter, r *http.Request) {
 	user := r.URL.Query().Get("user")
 	if user == "" {
 		http.Error(w, "user parameter required", http.StatusBadRequest)
@@ -248,7 +203,7 @@ func (s *Server) handlePreferences(w http.ResponseWriter, r *http.Request) {
 			now = time.Unix(v, 0).UTC()
 		}
 	}
-	prefs := s.sys.Preferences(user, now)
+	prefs := sys.Preferences(user, now)
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(prefs); err != nil {
 		return

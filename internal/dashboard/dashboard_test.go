@@ -1,4 +1,4 @@
-package dashboard
+package dashboard_test
 
 import (
 	"bytes"
@@ -13,12 +13,16 @@ import (
 	"time"
 
 	"pphcr"
+	"pphcr/internal/dashboard"
 	"pphcr/internal/durable"
 	"pphcr/internal/geo"
+	"pphcr/internal/httpapi"
 	"pphcr/internal/profile"
 	"pphcr/internal/synth"
 )
 
+// newTestDashboard serves the dashboard as the server binary does:
+// through httpapi, which mounts its pages and its inject endpoint.
 func newTestDashboard(t *testing.T) (*httptest.Server, *pphcr.System, *synth.World) {
 	t.Helper()
 	w, err := synth.GenerateWorld(synth.Params{
@@ -37,7 +41,7 @@ func newTestDashboard(t *testing.T) (*httptest.Server, *pphcr.System, *synth.Wor
 			t.Fatal(err)
 		}
 	}
-	ts := httptest.NewServer(NewServer(sys).Handler())
+	ts := httptest.NewServer(httpapi.NewServer(sys).Handler())
 	t.Cleanup(ts.Close)
 	return ts, sys, w
 }
@@ -116,8 +120,8 @@ func TestTrajectorySVGUnknownUser(t *testing.T) {
 
 func TestRenderSVGDegenerate(t *testing.T) {
 	// A single fix must still render (degenerate bounds get padding).
-	v := TrajectoryView{Fixes: geo.Polyline{{Lat: 45.07, Lon: 7.68}}}
-	svg := RenderSVG(v, 0, 0) // default size
+	v := dashboard.TrajectoryView{Fixes: geo.Polyline{{Lat: 45.07, Lon: 7.68}}}
+	svg := dashboard.RenderSVG(v, 0, 0) // default size
 	if !strings.Contains(svg, `width="800"`) {
 		t.Fatal("default width not applied")
 	}
@@ -159,7 +163,7 @@ func TestRecommendationsHTML(t *testing.T) {
 func TestInjectEndpoint(t *testing.T) {
 	ts, sys, _ := newTestDashboard(t)
 	itemID := sys.Repo.All()[0].ID
-	buf, err := json.Marshal(InjectBody{UserID: "greg", ItemID: itemID})
+	buf, err := json.Marshal(httpapi.InjectBody{UserID: "greg", ItemID: itemID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +183,7 @@ func TestInjectEndpoint(t *testing.T) {
 		t.Fatalf("pending = %v", out)
 	}
 	// Unknown item rejected.
-	buf2, _ := json.Marshal(InjectBody{UserID: "greg", ItemID: "missing"})
+	buf2, _ := json.Marshal(httpapi.InjectBody{UserID: "greg", ItemID: "missing"})
 	resp2, err := http.Post(ts.URL+"/dashboard/inject", "application/json", bytes.NewReader(buf2))
 	if err != nil {
 		t.Fatal(err)
@@ -199,6 +203,58 @@ func TestInjectEndpoint(t *testing.T) {
 	}
 }
 
+// TestPreviewKeepsInjection: the dashboard's preview shows a pending
+// injection pinned first without consuming it, so the listener's app
+// still gets it pinned first from /api/recommendations.
+func TestPreviewKeepsInjection(t *testing.T) {
+	ts, sys, w := newTestDashboard(t)
+	item := sys.Repo.All()[0]
+	if err := sys.RegisterUser(profile.Profile{UserID: "greg", Interests: []string{"technology"}}); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := json.Marshal(httpapi.InjectBody{UserID: "greg", ItemID: item.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/dashboard/inject", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("inject: http %d", resp.StatusCode)
+	}
+	unix := itoa(w.Params.StartDate.AddDate(0, 0, w.Params.Days).Unix())
+	resp, err = http.Get(ts.URL + "/dashboard/recommendations?user=greg&unix=" + unix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(page), "<td>0</td><td>"+item.Title+"</td>") {
+		t.Fatalf("preview does not pin %q first", item.Title)
+	}
+	if got := sys.PendingInjections("greg"); len(got) != 1 || got[0] != item.ID {
+		t.Fatalf("pending after the preview = %v, want [%s]", got, item.ID)
+	}
+	resp, err = http.Get(ts.URL + "/api/recommendations?user=greg&unix=" + unix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []httpapi.RecommendationView
+	err = json.NewDecoder(resp.Body).Decode(&recs)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 || recs[0].ItemID != item.ID {
+		t.Fatalf("/api/recommendations after the preview = %v, want %s first", recs, item.ID)
+	}
+	if got := sys.PendingInjections("greg"); len(got) != 0 {
+		t.Fatalf("the listener's fetch left %v pending", got)
+	}
+}
+
 // TestInjectUnloggedAnswers503: an injection the durability hook
 // refused is the node's fault, so the dashboard answers it 503; an
 // unknown item is still a 400.
@@ -209,7 +265,7 @@ func TestInjectUnloggedAnswers503(t *testing.T) {
 		sys.Repo.All()[0].ID: http.StatusServiceUnavailable,
 		"missing":            http.StatusBadRequest,
 	} {
-		buf, err := json.Marshal(InjectBody{UserID: "greg", ItemID: item})
+		buf, err := json.Marshal(httpapi.InjectBody{UserID: "greg", ItemID: item})
 		if err != nil {
 			t.Fatal(err)
 		}

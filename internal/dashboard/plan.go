@@ -4,6 +4,8 @@ import (
 	"html/template"
 	"net/http"
 	"time"
+
+	"pphcr"
 )
 
 // The plan view shows "the details of the recommendation process"
@@ -39,13 +41,15 @@ type planRow struct {
 	Content, Context, Compound float64
 }
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
+// Plan serves GET /dashboard/plan?user=: the listener's last proactive
+// plan.
+func Plan(sys *pphcr.System, w http.ResponseWriter, r *http.Request) {
 	user := r.URL.Query().Get("user")
 	if user == "" {
 		http.Error(w, "user parameter required", http.StatusBadRequest)
 		return
 	}
-	tp, ok := s.sys.LastPlan(user)
+	tp, ok := sys.LastPlan(user)
 	if !ok {
 		http.Error(w, "no plan recorded for "+user, http.StatusNotFound)
 		return

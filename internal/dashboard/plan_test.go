@@ -1,4 +1,4 @@
-package dashboard
+package dashboard_test
 
 import (
 	"io"

@@ -70,28 +70,11 @@ func checkpointName(seq int64) string {
 	return fmt.Sprintf("%s%016d%s", checkpointPrefix, seq, checkpointSuffix)
 }
 
-// CheckpointInfo is one checkpoint file on disk. Seq is the WAL segment
-// the snapshot is current up to: recovery restores the snapshot and
-// replays segments >= Seq.
-type CheckpointInfo struct {
-	Seq  int64
-	Path string
-}
-
-// ListCheckpoints returns the checkpoints in dir, ascending by sequence.
-func ListCheckpoints(dir string) ([]CheckpointInfo, error) {
-	files, err := listNumbered(dir, checkpointPrefix, checkpointSuffix)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	cps := make([]CheckpointInfo, len(files))
-	for i, f := range files {
-		cps[i] = CheckpointInfo{Seq: f.seq, Path: f.path}
-	}
-	return cps, nil
+// ListCheckpoints returns the checkpoints in dir, ascending. A
+// checkpoint's Seq is the WAL segment its snapshot is current up to:
+// recovery restores the snapshot and replays segments >= Seq.
+func ListCheckpoints(dir string) ([]File, error) {
+	return listNumbered(dir, checkpointPrefix, checkpointSuffix)
 }
 
 // WriteCheckpoint atomically writes a checkpoint file: the snapshot
@@ -149,15 +132,12 @@ func Initialized(dir string) (bool, error) {
 // WAL is open there; the server uses it to reset an uninitialized
 // directory before redoing the preload.
 func RemoveSegments(dir string) error {
-	segs, err := listSegments(dir)
+	segs, err := ListSegments(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
 		return err
 	}
 	for _, s := range segs {
-		if err := os.Remove(s.path); err != nil {
+		if err := os.Remove(s.Path); err != nil {
 			return err
 		}
 	}
@@ -168,7 +148,7 @@ func RemoveSegments(dir string) error {
 // returns the surviving set (ascending). The oldest survivor's Seq is
 // the safe WAL truncation bound: segments below it serve no retained
 // checkpoint.
-func RemoveCheckpointsKeep(dir string, keep int) ([]CheckpointInfo, error) {
+func RemoveCheckpointsKeep(dir string, keep int) ([]File, error) {
 	if keep < 1 {
 		keep = 1
 	}

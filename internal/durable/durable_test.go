@@ -94,11 +94,11 @@ func TestWALSegmentRotation(t *testing.T) {
 	}(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSegments(dir)
+	segs, err := ListSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) == 0 || segs[0].seq != st.SegmentSeq {
+	if len(segs) == 0 || segs[0].Seq != st.SegmentSeq {
 		t.Fatalf("truncation kept %v, want first seq %d", segs, st.SegmentSeq)
 	}
 }
@@ -117,12 +117,12 @@ func TestTornTailToleratedAndTruncatedOnReopen(t *testing.T) {
 	w.Abandon()
 
 	// Hard-cut the newest segment mid-record.
-	segs, err := listSegments(dir)
+	segs, err := ListSegments(dir)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments: %v %v", segs, err)
 	}
 	last := segs[len(segs)-1]
-	if err := os.Truncate(last.path, last.size-5); err != nil {
+	if err := os.Truncate(last.Path, last.Size-5); err != nil {
 		t.Fatal(err)
 	}
 
@@ -165,17 +165,17 @@ func TestReplayRejectsMidLogCorruption(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := listSegments(dir)
+	segs, _ := ListSegments(dir)
 	if len(segs) < 3 {
 		t.Fatalf("want >=3 segments, got %d", len(segs))
 	}
 	// Flip a byte in the middle of the first segment.
-	raw, err := os.ReadFile(segs[0].path)
+	raw, err := os.ReadFile(segs[0].Path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(segs[0].path, raw, 0o644); err != nil {
+	if err := os.WriteFile(segs[0].Path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Replay(dir, 0, func(Event) error { return nil }); err == nil {
@@ -197,8 +197,8 @@ func TestReplayRejectsCorruptionInsideFinalSegment(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := listSegments(dir)
-	raw, err := os.ReadFile(segs[0].path)
+	segs, _ := ListSegments(dir)
+	raw, err := os.ReadFile(segs[0].Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestReplayRejectsCorruptionInsideFinalSegment(t *testing.T) {
 	// follow the damage, so this is corruption — not a crash tear — and
 	// tolerating it would silently destroy them.
 	raw[len(raw)/4] ^= 0xff
-	if err := os.WriteFile(segs[0].path, raw, 0o644); err != nil {
+	if err := os.WriteFile(segs[0].Path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Replay(dir, 0, func(Event) error { return nil }); err == nil {
@@ -485,12 +485,12 @@ func TestGroupCommitTornTail(t *testing.T) {
 	}
 	w.Abandon()
 
-	segs, err := listSegments(dir)
+	segs, err := ListSegments(dir)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments: %v %v", segs, err)
 	}
 	last := segs[len(segs)-1]
-	if err := os.Truncate(last.path, last.size-9); err != nil {
+	if err := os.Truncate(last.Path, last.Size-9); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -46,11 +45,8 @@ type ReplayStats struct {
 // mutations are unrecoverable.
 func Replay(dir string, fromSeq int64, fn func(Event) error) (ReplayStats, error) {
 	var st ReplayStats
-	segs, err := listSegments(dir)
+	segs, err := ListSegments(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return st, nil
-		}
 		return st, fmt.Errorf("durable: listing segments: %w", err)
 	}
 	if len(segs) > 0 {
@@ -67,34 +63,37 @@ func Replay(dir string, fromSeq int64, fn func(Event) error) (ReplayStats, error
 	prev := fromSeq - 1
 	var events []Event
 	for _, seg := range segs {
-		if seg.seq < fromSeq {
+		if seg.Seq < fromSeq {
 			continue
 		}
-		if prev > 0 && seg.seq != prev+1 {
-			return st, fmt.Errorf("durable: segment gap: %d follows %d", seg.seq, prev)
+		if prev > 0 && seg.Seq != prev+1 {
+			return st, fmt.Errorf("durable: segment gap: %d follows %d", seg.Seq, prev)
 		}
-		prev = seg.seq
+		prev = seg.Seq
 		st.Segments++
-		last := seg.seq == segs[len(segs)-1].seq
-		torn, validOff, err := readSegment(seg.path, &events)
+		last := seg.Seq == segs[len(segs)-1].Seq
+		validOff, torn, err := ScanSegment(seg.Path, 0, func(e Event) error {
+			events = append(events, e)
+			return nil
+		})
 		if err != nil {
 			return st, err
 		}
 		if torn {
 			if !last {
-				return st, fmt.Errorf("durable: torn record mid-log in segment %d", seg.seq)
+				return st, fmt.Errorf("durable: torn record mid-log in segment %d", seg.Seq)
 			}
 			// A benign crash tear is strictly a suffix: one partial
 			// record and nothing after it. A valid frame anywhere past
 			// the tear means the tear is mid-segment *corruption* —
 			// tolerating it would silently drop (and, via OpenWAL's
 			// truncation, destroy) durably-synced records.
-			ok, err := validFrameAfter(seg.path, validOff)
+			ok, err := validFrameAfter(seg.Path, validOff)
 			if err != nil {
 				return st, err
 			}
 			if ok {
-				return st, fmt.Errorf("durable: corrupt record inside segment %d (valid records follow the damage)", seg.seq)
+				return st, fmt.Errorf("durable: corrupt record inside segment %d (valid records follow the damage)", seg.Seq)
 			}
 			st.Torn = true
 		}
@@ -110,31 +109,6 @@ func Replay(dir string, fromSeq int64, fn func(Event) error) (ReplayStats, error
 		st.Events++
 	}
 	return st, nil
-}
-
-// readSegment reads one segment's valid records into *events. validOff
-// is the byte length of the valid prefix (where a tear, if any, starts).
-func readSegment(path string, events *[]Event) (torn bool, validOff int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, 0, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	for {
-		e, err := readRecord(r)
-		if err == io.EOF {
-			return false, validOff, nil
-		}
-		if err == ErrTorn {
-			return true, validOff, nil // stop at the valid prefix
-		}
-		if err != nil {
-			return false, validOff, err // real I/O failure
-		}
-		validOff += recordSize(e)
-		*events = append(*events, e)
-	}
 }
 
 // validFrameAfter reports whether any byte offset past `from` in the

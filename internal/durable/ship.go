@@ -7,60 +7,13 @@ import (
 	"os"
 )
 
-// This file is the shipping surface of the WAL: the exported listing,
-// naming and incremental-scan primitives a replication follower needs to
-// mirror a leader's data directory byte-for-byte and apply the records
-// as they arrive. The framing and torn-tail semantics are exactly those
+// This file is the read-back and shipping surface of the WAL: the one
+// record scanner, and the naming primitives a replication follower needs
+// to mirror a leader's data directory byte-for-byte and apply the
+// records as they arrive. The framing and torn-tail semantics are exactly those
 // of Replay; shipping adds nothing to the format — a follower's
 // directory is a valid recovery directory at every instant, which is
 // what makes promotion "just recover from local disk".
-
-// ShipFile is one shippable file (WAL segment or checkpoint) on disk.
-type ShipFile struct {
-	// Seq is the file's sequence number (segment number, or the WAL
-	// segment a checkpoint covers up to).
-	Seq int64 `json:"seq"`
-	// Size is the current byte size. For the active segment it grows
-	// between polls; bytes past a follower's cursor are the ship window.
-	Size int64 `json:"size"`
-	// Path is the local path (leader side only; never serialized).
-	Path string `json:"-"`
-}
-
-// ListSegmentFiles returns the WAL segments in dir ascending by
-// sequence, with their current sizes. A missing directory is an empty
-// log, not an error.
-func ListSegmentFiles(dir string) ([]ShipFile, error) {
-	segs, err := listSegments(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	out := make([]ShipFile, len(segs))
-	for i, s := range segs {
-		out[i] = ShipFile{Seq: s.seq, Size: s.size, Path: s.path}
-	}
-	return out, nil
-}
-
-// ListCheckpointFiles returns the checkpoints in dir ascending by
-// sequence, with sizes.
-func ListCheckpointFiles(dir string) ([]ShipFile, error) {
-	files, err := listNumbered(dir, checkpointPrefix, checkpointSuffix)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	out := make([]ShipFile, len(files))
-	for i, f := range files {
-		out[i] = ShipFile{Seq: f.seq, Size: f.size, Path: f.path}
-	}
-	return out, nil
-}
 
 // SegmentFileName renders the file name of WAL segment seq, so a
 // follower writes shipped bytes under the exact name recovery expects.
@@ -86,14 +39,36 @@ func InitShipDir(dir string) error {
 // mirror a log it cannot parse.
 const FormatVersion = formatVersion
 
-// ScanSegment reads the valid records of one segment starting at byte
-// offset off, applying each through fn, and returns the new valid-prefix
-// offset. A torn record at the scan end sets torn — for the active
-// segment that is the normal "rest of the record has not shipped yet"
-// state, and the caller resumes from newOff once more bytes arrive; a
-// sealed segment ending torn is corruption the caller must surface. An
-// error from fn aborts the scan with newOff pointing at the failed
-// record, so a retry re-applies it.
+// ScanRecords reads the records of r from its start, applying each
+// through fn, and returns the byte length of the valid prefix read. A
+// record cut short or failing its checksum ends the scan with torn set:
+// at the end of the active segment that is the normal "rest of the
+// record has not arrived yet" state, and a caller resumes past n once
+// more bytes are there; elsewhere it is corruption the caller must
+// surface. An error from fn stops the scan with n at the start of the
+// failed record, so a retry re-applies it. Recovery, the WAL's open,
+// shipping and rebalance all read a logged write back through here.
+func ScanRecords(r io.Reader, fn func(Event) error) (n int64, torn bool, err error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	for {
+		e, err := readRecord(br)
+		switch {
+		case err == io.EOF:
+			return n, false, nil
+		case err == ErrTorn:
+			return n, true, nil
+		case err != nil:
+			return n, false, err // real I/O failure
+		}
+		if err := fn(e); err != nil {
+			return n, false, err
+		}
+		n += recordSize(e)
+	}
+}
+
+// ScanSegment is ScanRecords over the segment file at path from byte
+// offset off; newOff is where the valid prefix read ends.
 func ScanSegment(path string, off int64, fn func(Event) error) (newOff int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -103,24 +78,8 @@ func ScanSegment(path string, off int64, fn func(Event) error) (newOff int64, to
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return off, false, err
 	}
-	r := bufio.NewReaderSize(f, 1<<16)
-	newOff = off
-	for {
-		e, err := readRecord(r)
-		if err == io.EOF {
-			return newOff, false, nil
-		}
-		if err == ErrTorn {
-			return newOff, true, nil
-		}
-		if err != nil {
-			return newOff, false, err
-		}
-		if err := fn(e); err != nil {
-			return newOff, false, err
-		}
-		newOff += recordSize(e)
-	}
+	n, torn, err := ScanRecords(f, fn)
+	return off + n, torn, err
 }
 
 // SeqCeiling is the highest record sequence number the log has handed

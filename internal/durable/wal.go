@@ -139,25 +139,33 @@ func segmentName(seq int64) string {
 	return fmt.Sprintf("%s%016d%s", segmentPrefix, seq, segmentSuffix)
 }
 
-// numberedFile is one <prefix>NNN<suffix> file in a data directory —
-// the naming scheme shared by WAL segments and checkpoints.
-type numberedFile struct {
-	seq  int64
-	path string
-	size int64
+// File is one <prefix>NNN<suffix> file in a data directory: a WAL
+// segment or a checkpoint. The JSON names are the shipping manifest's
+// (/replication/status), a wire format between versions.
+type File struct {
+	// Seq is the file's number: the segment's, or for a checkpoint the
+	// first WAL segment its snapshot does not cover.
+	Seq int64 `json:"seq"`
+	// Size is the byte size when listed. The active segment grows
+	// between listings; bytes past a follower's cursor are its ship
+	// window.
+	Size int64 `json:"size"`
+	// Path is the local path, never serialized.
+	Path string `json:"-"`
 }
 
-// segmentInfo is one WAL segment on disk.
-type segmentInfo = numberedFile
-
 // listNumbered returns dir's <prefix>NNN<suffix> files ascending by
-// sequence number, skipping entries that do not parse.
-func listNumbered(dir, prefix, suffix string) ([]numberedFile, error) {
+// number, skipping entries that do not parse. A missing directory holds
+// none.
+func listNumbered(dir, prefix, suffix string) ([]File, error) {
 	entries, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}
-	var out []numberedFile
+	var out []File
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
@@ -171,43 +179,15 @@ func listNumbered(dir, prefix, suffix string) ([]numberedFile, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, numberedFile{seq: seq, path: filepath.Join(dir, name), size: info.Size()})
+		out = append(out, File{Seq: seq, Size: info.Size(), Path: filepath.Join(dir, name)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out, nil
 }
 
-// listSegments returns the WAL segments in dir, ascending by sequence.
-func listSegments(dir string) ([]segmentInfo, error) {
+// ListSegments returns the WAL segments in dir, ascending.
+func ListSegments(dir string) ([]File, error) {
 	return listNumbered(dir, segmentPrefix, segmentSuffix)
-}
-
-// validPrefixLen scans a segment and returns the byte length of its
-// valid record prefix and the highest record sequence number it holds —
-// everything after the prefix is a torn tail. Real I/O failures
-// propagate; they must not be mistaken for a tear and truncated away.
-func validPrefixLen(path string) (int64, uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var off int64
-	var maxSeq uint64
-	for {
-		e, err := readRecord(r)
-		if err == io.EOF || err == ErrTorn {
-			return off, maxSeq, nil // valid prefix ends here
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-		off += recordSize(e)
-		if e.Seq > maxSeq {
-			maxSeq = e.Seq
-		}
-	}
 }
 
 // WALStats are the log's counters, reported on /stats.
@@ -361,7 +341,7 @@ func OpenWAL(dir string, opts Options) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: creating wal dir: %w", err)
 	}
-	segs, err := listSegments(dir)
+	segs, err := ListSegments(dir)
 	if err != nil {
 		return nil, fmt.Errorf("durable: listing segments: %w", err)
 	}
@@ -395,30 +375,30 @@ func OpenWAL(dir string, opts Options) (*WAL, error) {
 		// re-read (for torn-tail truncation); a standalone open scans
 		// every segment.
 		maxSeq := opts.InitialSeq
+		scan := segs[len(segs)-1:]
 		if maxSeq == 0 {
-			for _, seg := range segs[:len(segs)-1] {
-				_, m, err := validPrefixLen(seg.path)
-				if err != nil {
-					return nil, fmt.Errorf("durable: scanning %s: %w", seg.path, err)
-				}
-				if m > maxSeq {
-					maxSeq = m
-				}
+			scan = segs
+		}
+		// The last scan is the final segment's: where its valid prefix
+		// ends, everything after is a torn tail. Real I/O failures
+		// propagate; they must not be mistaken for a tear and truncated
+		// away.
+		var valid int64
+		for _, seg := range scan {
+			valid, _, err = ScanSegment(seg.Path, 0, func(e Event) error {
+				maxSeq = max(maxSeq, e.Seq)
+				return nil
+			})
+			if err != nil {
+				return nil, fmt.Errorf("durable: scanning %s: %w", seg.Path, err)
 			}
 		}
 		last := segs[len(segs)-1]
-		valid, m, err := validPrefixLen(last.path)
-		if err != nil {
-			return nil, fmt.Errorf("durable: scanning %s: %w", last.path, err)
-		}
-		if m > maxSeq {
-			maxSeq = m
-		}
-		f, err := os.OpenFile(last.path, os.O_WRONLY, 0)
+		f, err := os.OpenFile(last.Path, os.O_WRONLY, 0)
 		if err != nil {
 			return nil, fmt.Errorf("durable: opening segment: %w", err)
 		}
-		if valid < last.size {
+		if valid < last.Size {
 			if err := f.Truncate(valid); err != nil {
 				f.Close()
 				return nil, fmt.Errorf("durable: truncating torn tail: %w", err)
@@ -430,8 +410,8 @@ func OpenWAL(dir string, opts Options) (*WAL, error) {
 		}
 		w.f = f
 		w.bw = bufio.NewWriterSize(f, 1<<16)
-		w.seg.Store(last.seq)
-		w.firstSeg.Store(segs[0].seq)
+		w.seg.Store(last.Seq)
+		w.firstSeg.Store(segs[0].Seq)
 		w.size = valid
 		w.seqCtr.Store(maxSeq)
 	}
@@ -789,16 +769,16 @@ func (w *WAL) RemoveSegmentsBelow(seq int64) error {
 	if cur := w.seg.Load(); seq > cur {
 		seq = cur
 	}
-	segs, err := listSegments(w.dir)
+	segs, err := ListSegments(w.dir)
 	if err != nil {
 		return err
 	}
 	for _, s := range segs {
-		if s.seq >= seq {
+		if s.Seq >= seq {
 			continue
 		}
-		if err := os.Remove(s.path); err != nil {
-			return fmt.Errorf("durable: removing segment %d: %w", s.seq, err)
+		if err := os.Remove(s.Path); err != nil {
+			return fmt.Errorf("durable: removing segment %d: %w", s.Seq, err)
 		}
 	}
 	for {

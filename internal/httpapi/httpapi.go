@@ -87,23 +87,14 @@ func NewServer(sys *pphcr.System) *Server {
 		registry:       obs.NewRegistry(),
 		endpointByName: make(map[string]*endpointMetrics),
 	}
-	s.route("/healthz", "healthz", s.handleHealth)
-	s.route("/readyz", "readyz", s.handleReady)
-	s.route("/metrics", "metrics", s.handleMetrics)
-	s.route("/debug/traces", "debug_traces", s.handleTraces)
-	s.route("/stats", "stats", s.handleStats)
-	s.route("/api/stats", "stats", s.handleStats)
-	s.route("/api/users", "users", s.handleUsers)
-	s.route("/api/users/", "user_by_id", s.handleUserByID)
-	s.route("/api/track", "track", s.handleTrack)
-	s.route("/api/feedback", "feedback", s.handleFeedback)
-	s.route("/api/compact", "compact", s.handleCompact)
-	s.route("/api/feedback/events", "feedback_events", s.handleFeedbackEvents)
-	s.route("/api/recommendations", "recommendations", s.handleRecommendations)
-	s.route("/api/plan", "plan", s.handlePlan)
-	s.route("/api/services", "services", s.handleServices)
-	s.route("/api/schedule", "schedule", s.handleSchedule)
-	s.route("/api/items/", "item_by_id", s.handleItemByID)
+	for i := 0; i < len(routes); {
+		j := i + 1
+		for j < len(routes) && routes[j].pattern == routes[i].pattern {
+			j++
+		}
+		s.mount(routes[i:j])
+		i = j
+	}
 	s.registerSystemMetrics()
 	s.registerReplicationMetrics()
 	return s
@@ -148,7 +139,7 @@ func writeWriteErr(w http.ResponseWriter, err error) {
 	writeErr(w, status, err)
 }
 
-// maxBodyBytes bounds every request body (Server.route wraps it): two
+// maxBodyBytes bounds every request body (Server.mount wraps it): two
 // orders of magnitude above a 3-minute partial trace, below the 16 MiB
 // the router forwards. Nodes are reachable directly, not only through
 // the router.
@@ -222,44 +213,32 @@ type UserBody struct {
 	FavoriteService string   `json:"favorite_service"`
 }
 
-func (s *Server) handleUsers(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		if err := s.writeGateErr(); err != nil {
-			writeErr(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		var body UserBody
-		if !decodeJSON(w, r, &body) {
-			return
-		}
-		p := profile.Profile{
-			UserID:          body.UserID,
-			Name:            body.Name,
-			Age:             body.Age,
-			Hometown:        geo.Point{Lat: body.Lat, Lon: body.Lon},
-			Interests:       body.Interests,
-			FavoriteService: body.FavoriteService,
-		}
-		if err := s.sys.RegisterUser(p); err != nil {
-			writeWriteErr(w, err)
-			return
-		}
-		s.stampWalSeq(w)
-		writeJSON(w, http.StatusCreated, map[string]string{"user_id": p.UserID})
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, s.sys.Profiles.UserIDs())
-	default:
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
+func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
+	var body UserBody
+	if !decodeJSON(w, r, &body) {
+		return
 	}
+	p := profile.Profile{
+		UserID:          body.UserID,
+		Name:            body.Name,
+		Age:             body.Age,
+		Hometown:        geo.Point{Lat: body.Lat, Lon: body.Lon},
+		Interests:       body.Interests,
+		FavoriteService: body.FavoriteService,
+	}
+	if err := s.sys.RegisterUser(p); err != nil {
+		writeWriteErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, map[string]string{"user_id": p.UserID})
+}
+
+func (s *Server) handleListUsers(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.sys.Profiles.UserIDs())
 }
 
 func (s *Server) handleUserByID(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
-	id := r.URL.Path[len("/api/users/"):]
+	id := r.URL.Path[len(UsersPath+"/"):]
 	p, err := s.sys.Profiles.Get(id)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
@@ -277,14 +256,6 @@ type TrackBody struct {
 }
 
 func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
-	if err := s.writeGateErr(); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, err)
-		return
-	}
 	sc := scratchPool.Get().(*bodyScratch)
 	defer putScratch(sc)
 	var body TrackBody
@@ -305,7 +276,6 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 		writeWriteErr(w, err)
 		return
 	}
-	s.stampWalSeq(w)
 	writeJSON(w, http.StatusAccepted, map[string]int{
 		"fixes": s.sys.Tracker.FixCount(body.UserID),
 	})
@@ -346,14 +316,6 @@ func parseKind(s string) (feedback.Kind, error) {
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
-	if err := s.writeGateErr(); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, err)
-		return
-	}
 	var body FeedbackBody
 	if !decodeJSON(w, r, &body) {
 		return
@@ -387,7 +349,6 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeWriteErr(w, err)
 		return
 	}
-	s.stampWalSeq(w)
 	writeJSON(w, http.StatusAccepted, map[string]string{"status": "recorded"})
 }
 
@@ -402,10 +363,6 @@ type FeedbackEventView struct {
 }
 
 func (s *Server) handleFeedbackEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	user := r.URL.Query().Get("user")
 	if user == "" {
 		writeErr(w, http.StatusBadRequest, errors.New("user parameter required"))
@@ -425,21 +382,12 @@ func (s *Server) handleFeedbackEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
-	if err := s.writeGateErr(); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, err)
-		return
-	}
 	user := r.URL.Query().Get("user")
 	cm, err := s.sys.CompactTracking(user)
 	if err != nil {
 		writeWriteErr(w, err)
 		return
 	}
-	s.stampWalSeq(w)
 	writeJSON(w, http.StatusOK, map[string]int{
 		"stay_points": len(cm.StayPoints),
 		"trips":       len(cm.Trips),
@@ -459,10 +407,6 @@ type RecommendationView struct {
 }
 
 func (s *Server) handleRecommendations(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	q := r.URL.Query()
 	user := q.Get("user")
 	if user == "" {
@@ -498,7 +442,13 @@ func (s *Server) handleRecommendations(w http.ResponseWriter, r *http.Request) {
 		ctx.Position = geo.Point{Lat: la, Lon: lo}
 	}
 	obs.NoteRequestUser(r.Context(), user)
-	ranked := s.sys.Recommend(user, ctx, k)
+	// Only the leader consumes what it pins: a consume is a logged
+	// mutation, and a follower's state is a replica of the leader's WAL.
+	recommend := s.sys.Recommend
+	if s.Role() != RoleLeader {
+		recommend = s.sys.Preview
+	}
+	ranked := recommend(user, ctx, k)
 	out := make([]RecommendationView, len(ranked))
 	for i, sc := range ranked {
 		out[i] = RecommendationView{
@@ -516,18 +466,10 @@ func (s *Server) handleRecommendations(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleServices(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	writeJSON(w, http.StatusOK, s.sys.Directory.Services())
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	q := r.URL.Query()
 	service := q.Get("service")
 	from, err1 := strconv.ParseInt(q.Get("from"), 10, 64)
@@ -541,10 +483,6 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleItemByID(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	id := r.URL.Path[len("/api/items/"):]
 	it, ok := s.sys.Repo.Get(id)
 	if !ok {
@@ -552,4 +490,25 @@ func (s *Server) handleItemByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, it)
+}
+
+// InjectBody is the editorial injection payload (the dashboard's Fig 6
+// action).
+type InjectBody struct {
+	UserID string `json:"user_id"`
+	ItemID string `json:"item_id"`
+}
+
+func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
+	var body InjectBody
+	if !decodeJSON(w, r, &body) {
+		return
+	}
+	if err := s.sys.Inject(body.UserID, body.ItemID); err != nil {
+		writeWriteErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, map[string][]string{
+		"pending": s.sys.PendingInjections(body.UserID),
+	})
 }

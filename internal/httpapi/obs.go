@@ -24,56 +24,26 @@ type endpointMetrics struct {
 
 var statusClasses = [5]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
 
-// statusRecorder captures the status code and body size a handler
-// produced, defaulting to 200 for handlers that never call WriteHeader.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	n, err := r.ResponseWriter.Write(b)
-	r.bytes += int64(n)
-	return n, err
-}
-
-// route mounts a handler with per-endpoint instrumentation: every
-// request is timed into the endpoint's histogram and counted by status
-// class, and its body is capped at maxBodyBytes. Multiple patterns may
-// share an endpoint name.
-func (s *Server) route(pattern, name string, h http.HandlerFunc) {
-	em := s.endpointByName[name]
-	if em == nil {
-		em = &endpointMetrics{name: name}
-		s.endpointByName[name] = em
-		s.endpoints = append(s.endpoints, em)
-		s.registry.RegisterHistogram("pphcr_http_request_duration_seconds",
-			"HTTP request latency by endpoint.",
-			map[string]string{"endpoint": name}, &em.hist)
-		for i, class := range statusClasses {
-			ctr := &em.statuses[i]
-			s.registry.RegisterCounter("pphcr_http_requests_total",
-				"HTTP requests by endpoint and status class.",
-				map[string]string{"endpoint": name, "code": class},
-				func() float64 { return float64(ctr.Load()) })
-		}
+// endpoint returns the metrics of the endpoint called name, registering
+// its latency histogram and status counters on first use.
+func (s *Server) endpoint(name string) *endpointMetrics {
+	if em := s.endpointByName[name]; em != nil {
+		return em
 	}
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		h(&rec, r)
-		em.hist.Observe(time.Since(start))
-		if c := rec.status / 100; c >= 1 && c <= 5 {
-			em.statuses[c-1].Add(1)
-		}
-	})
+	em := &endpointMetrics{name: name}
+	s.endpointByName[name] = em
+	s.endpoints = append(s.endpoints, em)
+	s.registry.RegisterHistogram("pphcr_http_request_duration_seconds",
+		"HTTP request latency by endpoint.",
+		map[string]string{"endpoint": name}, &em.hist)
+	for i, class := range statusClasses {
+		ctr := &em.statuses[i]
+		s.registry.RegisterCounter("pphcr_http_requests_total",
+			"HTTP requests by endpoint and status class.",
+			map[string]string{"endpoint": name, "code": class},
+			func() float64 { return float64(ctr.Load()) })
+	}
+	return em
 }
 
 // registerSystemMetrics exports the system-level families that live

@@ -101,10 +101,6 @@ func planView(tp *pphcr.TripPlan) PlanView {
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
 	sc := scratchPool.Get().(*bodyScratch)
 	defer putScratch(sc)
 	var body PlanRequest

@@ -1,17 +1,12 @@
 package httpapi
 
 // This file is the replication awareness of the server: its role
-// (leader / follower / promoting), the WAL-sequence header stamped on
-// write acks, and the follower write gate. The role and the sequence
-// source are swappable at runtime because promotion changes both on a
-// live server.
+// (leader / follower / promoting), the WAL-sequence source stamped on
+// write acks and the follower lag. The role and the sequence source are
+// swappable at runtime because promotion changes both on a live server;
+// the write gate and the stamp themselves run in Server.mount.
 
-import (
-	"fmt"
-	"net/http"
-	"strconv"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Role values. String literals rather than an import of
 // internal/replicate — replicate imports httpapi for HeaderWalSeq, and
@@ -58,28 +53,6 @@ func (s *Server) replicationLag() float64 {
 		return fn()
 	}
 	return 0
-}
-
-// stampWalSeq adds the write-ack sequence header; it must run before
-// the response status is written.
-func (s *Server) stampWalSeq(w http.ResponseWriter) {
-	fn, ok := s.repl.walSeq.Load().(func() uint64)
-	if !ok {
-		return
-	}
-	if seq := fn(); seq > 0 {
-		w.Header().Set(HeaderWalSeq, strconv.FormatUint(seq, 10))
-	}
-}
-
-// writeGateErr rejects mutations on a node that is not the leader: a
-// follower's state is a replica of the leader's WAL, and a local write
-// would fork it. Returns nil on a leader.
-func (s *Server) writeGateErr() error {
-	if role := s.Role(); role != RoleLeader {
-		return fmt.Errorf("node is %s: writes go to the partition leader", role)
-	}
-	return nil
 }
 
 // registerReplicationMetrics exports pphcr_role (one 0/1 series per

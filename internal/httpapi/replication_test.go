@@ -25,6 +25,10 @@ func newReplServer(t *testing.T) (*httptest.Server, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One catalog item, for the tests that inject it.
+	if _, err := sys.IngestPodcast(w.Corpus[0]); err != nil {
+		t.Fatal(err)
+	}
 	api := NewServer(sys)
 	ts := httptest.NewServer(api.Handler())
 	t.Cleanup(ts.Close)
@@ -72,12 +76,14 @@ func TestFollowerWriteGate(t *testing.T) {
 	ts, api := newReplServer(t)
 	api.SetRole(RoleFollower)
 	api.SetReplicationLag(func() float64 { return 1.5 })
+	item := api.sys.Repo.All()[0].ID
 
 	for _, req := range []struct{ method, path, body string }{
 		{"POST", "/api/users", `{"user_id":"u2"}`},
 		{"POST", "/api/track", `{"user_id":"u2","lat":1,"lon":1,"unix":1479081600}`},
 		{"POST", "/api/feedback", `{"user_id":"u2","item_id":"x","kind":"like"}`},
 		{"POST", "/api/compact?user=u2", ""},
+		{"POST", "/dashboard/inject", `{"user_id":"u2","item_id":"` + item + `"}`},
 	} {
 		r, err := http.NewRequest(req.method, ts.URL+req.path, strings.NewReader(req.body))
 		if err != nil {
@@ -92,6 +98,9 @@ func TestFollowerWriteGate(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("%s %s on follower: http %d, want 503", req.method, req.path, resp.StatusCode)
 		}
+	}
+	if got := api.sys.PendingInjections("u2"); len(got) != 0 {
+		t.Fatalf("follower queued injections %v outside the leader's WAL", got)
 	}
 
 	readResp, err := http.Get(ts.URL + "/api/users")
@@ -159,6 +168,47 @@ func TestFollowerWriteGate(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("write after promotion: http %d", resp.StatusCode)
+	}
+}
+
+// TestFollowerRecommendationsKeepInjections: a follower's
+// /api/recommendations pins a pending injection first without consuming
+// it — a consume is a logged mutation only the leader makes — and the
+// leader's consumes it.
+func TestFollowerRecommendationsKeepInjections(t *testing.T) {
+	ts, api := newReplServer(t)
+	item := api.sys.Repo.All()[0].ID
+	if err := api.sys.Inject("u1", item); err != nil {
+		t.Fatal(err)
+	}
+	first := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/api/recommendations?user=u1&unix=1479081600")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var recs []RecommendationView
+		if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil || len(recs) == 0 {
+			t.Fatalf("recommendations: %v (%d items)", err, len(recs))
+		}
+		return recs[0].ItemID
+	}
+	api.SetRole(RoleFollower)
+	for i := 0; i < 2; i++ {
+		if got := first(); got != item {
+			t.Fatalf("follower read %d: first item %s, want the injected %s", i, got, item)
+		}
+		if got := api.sys.PendingInjections("u1"); len(got) != 1 || got[0] != item {
+			t.Fatalf("follower read %d changed the pending injections: %v", i, got)
+		}
+	}
+	api.SetRole(RoleLeader)
+	if got := first(); got != item {
+		t.Fatalf("leader read: first item %s, want the injected %s", got, item)
+	}
+	if got := api.sys.PendingInjections("u1"); len(got) != 0 {
+		t.Fatalf("leader read left %v pending", got)
 	}
 }
 

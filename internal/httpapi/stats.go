@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"errors"
 	"net/http"
 
 	"pphcr"
@@ -85,10 +84,6 @@ func (s *Server) SetWarmerStats(fn func() interface{}) { s.warmerStats.Store(fn)
 func (s *Server) SetDurabilityStats(fn func() interface{}) { s.durabilityStats.Store(fn) }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	var view StatsView
 	view.Role = s.Role()
 	view.ReplicationLagSeconds = s.replicationLag()

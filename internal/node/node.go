@@ -199,12 +199,10 @@ func (n *Node) lead(dur *pphcr.Durability) (<-chan struct{}, error) {
 	// the log stays bounded (preference reads come from the incremental
 	// index and are unaffected).
 	if n.opts.FeedbackCompactEvery > 0 {
-		fbc, err := service.NewFeedbackCompactor(n.sys)
+		fbc, err := service.NewFeedbackCompactor(n.sys, n.opts.FeedbackCompactEvery, n.opts.Clock)
 		if err != nil {
 			return nil, err
 		}
-		fbc.EventsPerCompaction = n.opts.FeedbackCompactEvery
-		fbc.Now = n.opts.Clock
 		n.run(fbc.Run)
 	}
 

@@ -15,6 +15,7 @@ import (
 	"pphcr"
 	"pphcr/internal/durable"
 	"pphcr/internal/httpapi"
+	"pphcr/internal/replicate"
 	"pphcr/internal/synth"
 )
 
@@ -349,5 +350,37 @@ func TestDrainReportsTheFinalCheckpoint(t *testing.T) {
 			t.Fatalf("after a drained shutdown: replayed %d, users %d; want 0 and 1", rdur.ReplayedEvents(), again.Profiles.Len())
 		}
 		rdur.Crash()
+	}
+}
+
+// TestRouterAcksInjectOnceTheFollowerHasIt: an editorial injection sent
+// through the router answers 2xx only once the partition's follower
+// holds it, as every write does: the route table declares
+// /dashboard/inject a write, so the router holds its ack for the
+// follower.
+func TestRouterAcksInjectOnceTheFollowerHasIt(t *testing.T) {
+	leader := start(t, Options{Dir: t.TempDir(), Sync: durable.SyncAlways, RetainWAL: true}, "")
+	var items []string
+	for _, raw := range testWorld.Corpus[:3] {
+		it, err := leader.n.sys.IngestPodcast(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, it.ID)
+	}
+	follower := start(t, Options{Dir: t.TempDir(), Sync: durable.SyncAlways}, leader.url)
+	router := replicate.NewRouter(&replicate.Topology{Version: 1, Nodes: []replicate.Node{
+		{ID: "a", URL: leader.url, Standby: follower.url},
+	}})
+	front := httptest.NewServer(router.Handler())
+	defer front.Close()
+	for i, item := range items {
+		code, body := do(t, http.MethodPost, front.URL+"/dashboard/inject", `{"user_id":"u1","item_id":"`+item+`"}`)
+		if code != http.StatusAccepted {
+			t.Fatalf("inject %s through the router: http %d %s", item, code, body)
+		}
+		if got := follower.n.sys.PendingInjections("u1"); len(got) != i+1 || got[i] != item {
+			t.Fatalf("acked inject %d: the follower holds %v", i, got)
+		}
 	}
 }

@@ -1,13 +1,11 @@
 package replicate
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"os"
 
 	"pphcr"
 	"pphcr/internal/durable"
@@ -37,7 +35,7 @@ func Rebalance(ctx context.Context, sys *pphcr.System, sourceURL, prefix string,
 	}
 	hc := &http.Client{}
 
-	st, err := fetchSourceStatus(ctx, hc, sourceURL, prefix)
+	st, err := fetchStatus(ctx, hc, sourceURL, prefix)
 	if err != nil {
 		return 0, err
 	}
@@ -47,7 +45,7 @@ func Rebalance(ctx context.Context, sys *pphcr.System, sourceURL, prefix string,
 
 	var slice []durable.Event
 	for _, sf := range st.Segments {
-		if err := scanRemoteSegment(ctx, hc, sourceURL, prefix, sf, func(e durable.Event) error {
+		if err := scanRemoteSegment(ctx, hc, sourceURL, prefix, sf.Seq, func(e durable.Event) error {
 			user, ok := pphcr.EventUser(e)
 			if !ok || !moved[user] {
 				return nil
@@ -67,54 +65,20 @@ func Rebalance(ctx context.Context, sys *pphcr.System, sourceURL, prefix string,
 	return len(slice), nil
 }
 
-func fetchSourceStatus(ctx context.Context, hc *http.Client, base, prefix string) (StatusView, error) {
-	var st StatusView
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+prefix+statusPath, nil)
-	if err != nil {
-		return st, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return st, fmt.Errorf("replicate: source status: http %d: %s", resp.StatusCode, body)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, err
-	}
-	return st, nil
-}
-
-// scanRemoteSegment downloads one segment to a temp file and scans its
-// valid records through fn. A torn tail is tolerated — it is the
-// source's active append boundary.
-func scanRemoteSegment(ctx context.Context, hc *http.Client, base, prefix string, sf durable.ShipFile, fn func(durable.Event) error) error {
-	q := url.Values{"kind": {"segment"}, "seq": {fmt.Sprint(sf.Seq)}, "off": {"0"}}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+prefix+filePath+"?"+q.Encode(), nil)
+// scanRemoteSegment scans the valid records of one of the source's
+// segments through fn. A torn tail is tolerated — it is the source's
+// active append boundary. The body is read whole first: a stream cut
+// short must fail the rebalance, not read as that tail.
+func scanRemoteSegment(ctx context.Context, hc *http.Client, base, prefix string, seq int64, fn func(durable.Event) error) error {
+	body, err := fetchSegment(ctx, hc, base, prefix, seq, 0)
 	if err != nil {
 		return err
 	}
-	resp, err := hc.Do(req)
+	raw, err := io.ReadAll(body)
+	body.Close()
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("replicate: fetching segment %d: http %d: %s", sf.Seq, resp.StatusCode, body)
-	}
-	tmp, err := os.CreateTemp("", "pphcr-rebalance-*.log")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	defer tmp.Close()
-	if _, err := io.Copy(tmp, resp.Body); err != nil {
-		return err
-	}
-	_, _, err = durable.ScanSegment(tmp.Name(), 0, fn)
+	_, _, err = durable.ScanRecords(bytes.NewReader(raw), fn)
 	return err
 }

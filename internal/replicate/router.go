@@ -290,8 +290,8 @@ func (r *Router) ownerFor(user string) *nodeState {
 	return r.nodes[r.ring.Owner(user)]
 }
 
-// anyNode returns some partition (for user-less endpoints like
-// /api/services — every node carries the full same-seed catalog).
+// anyNode returns some partition (for user-less endpoints such as the
+// service directory — every node carries the full same-seed catalog).
 func (r *Router) anyNode() *nodeState {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -299,15 +299,6 @@ func (r *Router) anyNode() *nodeState {
 		return r.nodes[n.ID]
 	}
 	return nil
-}
-
-// writePaths are the mutating endpoints: they route by body user, carry
-// the ack barrier, and are rejected while a partition is promoting.
-var writePaths = map[string]bool{
-	"/api/users":    true,
-	"/api/track":    true,
-	"/api/feedback": true,
-	"/api/compact":  true,
 }
 
 // Handler returns the router's HTTP surface: its own health/stats plus
@@ -386,39 +377,6 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 	json.NewEncoder(w).Encode(st)
 }
 
-// userOf extracts the partition key from a request: the user/user_id
-// query parameter, a path suffix under /api/users/, or the user_id
-// field of a JSON body (forward has read it whole before this runs).
-// Where in a body the user sits is httpapi's knowledge — it owns the
-// bodies — and its reader declines what it will not vouch for; the
-// encoding/json probe then decides, as it always has.
-func userOf(req *http.Request, body []byte) string {
-	if req.URL.RawQuery != "" {
-		q := req.URL.Query()
-		if u := q.Get("user"); u != "" {
-			return u
-		}
-		if u := q.Get("user_id"); u != "" {
-			return u
-		}
-	}
-	if rest, ok := strings.CutPrefix(req.URL.Path, "/api/users/"); ok && rest != "" {
-		return rest
-	}
-	if len(body) > 0 {
-		if user, ok := httpapi.BodyUser(body); ok {
-			return user
-		}
-		var probe struct {
-			UserID string `json:"user_id"`
-		}
-		if err := json.Unmarshal(body, &probe); err == nil {
-			return probe.UserID
-		}
-	}
-	return ""
-}
-
 // Body limits of one forward: what is read of a request and of the
 // node's reply; the rest is dropped.
 const (
@@ -470,7 +428,10 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	body := bufs.req.Bytes()
-	user := userOf(req, body)
+	// httpapi's route table says whose request this is and whether it
+	// writes: a write carries the ack barrier and is refused while its
+	// partition is failing over.
+	user, isWrite := httpapi.Classify(req, body)
 	var ns *nodeState
 	if user != "" {
 		ns = r.ownerFor(user)
@@ -481,7 +442,6 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request) {
 		routerError(w, http.StatusServiceUnavailable, "no node for request")
 		return
 	}
-	isWrite := req.Method != http.MethodGet && writePaths[req.URL.Path]
 	toStandby, replica := ns.active()
 	if isWrite && replica {
 		// Leader presumed dead, promotion in flight: writes cannot be
@@ -599,8 +559,8 @@ func (r *Router) ackBarrier(ctx context.Context, ns *nodeState, walSeqHeader str
 // ReloadTopology installs a newer topology and rebalances: for every
 // user whose owner changed, the new owner replays the user's WAL slice
 // fetched from the old owner. The router discovers each node's users
-// through its /api/users listing, so no side channel is needed. Returns
-// the number of users moved.
+// through its user listing (httpapi.UsersPath), so no side channel is
+// needed. Returns the number of users moved.
 func (r *Router) ReloadTopology(t *Topology) (int, error) {
 	if err := t.Validate(); err != nil {
 		return 0, err
@@ -674,7 +634,7 @@ func (r *Router) ReloadTopology(t *Topology) (int, error) {
 func (r *Router) listUsers(base string) ([]string, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.ProxyTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/users", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+httpapi.UsersPath, nil)
 	if err != nil {
 		return nil, err
 	}

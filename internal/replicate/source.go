@@ -1,11 +1,13 @@
 package replicate
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -42,8 +44,8 @@ type StatusView struct {
 	WalSeq uint64 `json:"wal_seq"`
 	// Segments / Checkpoints list the shippable files with their current
 	// sizes; bytes past a follower's cursor are its ship window.
-	Segments    []durable.ShipFile `json:"segments"`
-	Checkpoints []durable.ShipFile `json:"checkpoints"`
+	Segments    []durable.File `json:"segments"`
+	Checkpoints []durable.File `json:"checkpoints"`
 }
 
 // statusPath / filePath are the endpoint suffixes under the mount
@@ -52,6 +54,44 @@ const (
 	statusPath = "/status"
 	filePath   = "/file"
 )
+
+// fetchStatus reads the shipping manifest of the source at base+prefix.
+func fetchStatus(ctx context.Context, hc *http.Client, base, prefix string) (StatusView, error) {
+	var st StatusView
+	body, err := fetch(ctx, hc, base+prefix+statusPath, "source status")
+	if err != nil {
+		return st, err
+	}
+	defer body.Close()
+	err = json.NewDecoder(body).Decode(&st)
+	return st, err
+}
+
+// fetchSegment streams WAL segment seq of the source at base+prefix from
+// byte offset off. The caller closes the body.
+func fetchSegment(ctx context.Context, hc *http.Client, base, prefix string, seq, off int64) (io.ReadCloser, error) {
+	q := url.Values{"kind": {"segment"}, "seq": {fmt.Sprint(seq)}, "off": {fmt.Sprint(off)}}
+	return fetch(ctx, hc, base+prefix+filePath+"?"+q.Encode(), fmt.Sprintf("fetching segment %d", seq))
+}
+
+// fetch GETs target and returns the body of a 200; any other status is
+// an error naming what was fetched.
+func fetch(ctx context.Context, hc *http.Client, target, what string) (io.ReadCloser, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		resp.Body.Close()
+		return nil, fmt.Errorf("replicate: %s: http %d: %s", what, resp.StatusCode, body)
+	}
+	return resp.Body, nil
+}
 
 // Mount registers the source's handlers on mux under prefix
 // (e.g. "/replication").
@@ -67,12 +107,12 @@ func (s *Source) handleStatus(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	segs, err := durable.ListSegmentFiles(s.dir)
+	segs, err := durable.ListSegments(s.dir)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	cps, err := durable.ListCheckpointFiles(s.dir)
+	cps, err := durable.ListCheckpoints(s.dir)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

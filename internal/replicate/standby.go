@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -127,7 +126,7 @@ func (s *Standby) Run(stop <-chan struct{}) {
 // bytes, scan and apply. Transient network errors return non-nil
 // without wedging; apply errors wedge (Err() becomes sticky).
 func (s *Standby) Poll(ctx context.Context) error {
-	st, err := s.fetchStatus(ctx)
+	st, err := fetchStatus(ctx, s.hc, s.leader, s.prefix)
 	if err != nil {
 		return err
 	}
@@ -173,30 +172,9 @@ func (s *Standby) Err() error {
 	return s.err
 }
 
-func (s *Standby) fetchStatus(ctx context.Context) (StatusView, error) {
-	var st StatusView
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.leader+s.prefix+statusPath, nil)
-	if err != nil {
-		return st, err
-	}
-	resp, err := s.hc.Do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return st, fmt.Errorf("replicate: leader status: http %d: %s", resp.StatusCode, body)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, err
-	}
-	return st, nil
-}
-
 // shipSegment mirrors one segment's new bytes and applies the records
 // that became parseable.
-func (s *Standby) shipSegment(ctx context.Context, sf durable.ShipFile, sealed bool) error {
+func (s *Standby) shipSegment(ctx context.Context, sf durable.File, sealed bool) error {
 	s.mu.Lock()
 	cur, ok := s.cursors[sf.Seq]
 	if !ok {
@@ -252,24 +230,11 @@ func (s *Standby) segPath(seq int64) string {
 // at the tracked offset, so a retried fetch after a partial write
 // re-requests exactly the missing suffix.
 func (s *Standby) fetchBytes(ctx context.Context, seq, from int64) (int64, error) {
-	q := url.Values{
-		"kind": {"segment"},
-		"seq":  {fmt.Sprint(seq)},
-		"off":  {fmt.Sprint(from)},
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.leader+s.prefix+filePath+"?"+q.Encode(), nil)
+	body, err := fetchSegment(ctx, s.hc, s.leader, s.prefix, seq, from)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := s.hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, fmt.Errorf("replicate: fetching segment %d: http %d: %s", seq, resp.StatusCode, body)
-	}
+	defer body.Close()
 	f, err := os.OpenFile(s.segPath(seq), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return 0, err
@@ -278,7 +243,7 @@ func (s *Standby) fetchBytes(ctx context.Context, seq, from int64) (int64, error
 	if _, err := f.Seek(from, io.SeekStart); err != nil {
 		return 0, err
 	}
-	n, err := io.Copy(f, resp.Body)
+	n, err := io.Copy(f, body)
 	if err != nil {
 		// Partial bytes are fine: they are a prefix of the leader's
 		// file, and the next poll resumes at shipped+n.

@@ -27,22 +27,19 @@ func feedFeedback(t *testing.T, sys interface {
 
 func TestFeedbackCompactorTriggersOnThreshold(t *testing.T) {
 	sys, w := testSystem(t)
-	c, err := NewFeedbackCompactor(sys)
+	start := w.Params.StartDate
+	// The horizon cuts the 120 hourly events in half.
+	now := start.Add(feedbackHorizon + 60*time.Hour)
+	c, err := NewFeedbackCompactor(sys, 50, func() time.Time { return now })
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EventsPerCompaction = 50
-
-	start := w.Params.StartDate
 	feedFeedback(t, sys, "lilly", 120, start)
-	// The horizon cuts the 120 hourly events in half.
-	now := start.Add(feedbackHorizon + 60*time.Hour)
-	c.Now = func() time.Time { return now }
 
 	before := sys.Preferences("lilly", now)
-	compacted := c.Poll()
-	if len(compacted) != 1 || compacted[0] != "lilly" {
-		t.Fatalf("compacted = %v", compacted)
+	compacted, errs := c.Poll()
+	if len(compacted) != 1 || len(errs) != 0 || compacted[0] != "lilly" {
+		t.Fatalf("compacted = %v, errors %v", compacted, errs)
 	}
 	// The live log shrank to the horizon; preferences are untouched.
 	live := sys.Feedback.ByUser("lilly")
@@ -65,20 +62,19 @@ func TestFeedbackCompactorTriggersOnThreshold(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Counter reset: an immediate second poll does nothing.
-	if compacted := c.Poll(); len(compacted) != 0 {
+	if compacted, _ := c.Poll(); len(compacted) != 0 {
 		t.Fatalf("second poll compacted %v", compacted)
 	}
 }
 
 func TestFeedbackCompactorBelowThreshold(t *testing.T) {
 	sys, w := testSystem(t)
-	c, err := NewFeedbackCompactor(sys)
+	c, err := NewFeedbackCompactor(sys, 100000 /* never */, time.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EventsPerCompaction = 100000 // never
 	feedFeedback(t, sys, "lilly", 20, w.Params.StartDate)
-	if compacted := c.Poll(); len(compacted) != 0 {
+	if compacted, _ := c.Poll(); len(compacted) != 0 {
 		t.Fatalf("unexpected work: %v", compacted)
 	}
 	if sys.Feedback.Len() != 20 {
@@ -88,16 +84,14 @@ func TestFeedbackCompactorBelowThreshold(t *testing.T) {
 
 func TestFeedbackCompactorRunLoop(t *testing.T) {
 	sys, w := testSystem(t)
-	c, err := NewFeedbackCompactor(sys)
+	now := w.Params.StartDate.Add(feedbackHorizon + 60*time.Hour)
+	c, err := NewFeedbackCompactor(sys, 50, func() time.Time { return now })
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EventsPerCompaction = 50
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	feedFeedback(t, sys, "lilly", 120, w.Params.StartDate)
-	now := w.Params.StartDate.Add(feedbackHorizon + 60*time.Hour)
-	c.Now = func() time.Time { return now }
 	go func() {
 		c.Run(stop)
 		close(done)

@@ -756,11 +756,25 @@ func (s *System) Candidates(now time.Time) []*content.Item {
 // injected items (Fig 6) are pinned to the top with full relevance, then
 // removed from the injection list (inject-once semantics).
 func (s *System) Recommend(userID string, ctx recommend.Context, k int) []recommend.Scored {
+	return s.recommend(userID, ctx, k, s.consumeInjections(userID))
+}
+
+// Preview is Recommend for a reader with no right to consume: the
+// pending injections are pinned first and stay pending. The dashboard's
+// preview reads through it, and so does a node that is not the leader,
+// whose state only the leader's WAL may change.
+func (s *System) Preview(userID string, ctx recommend.Context, k int) []recommend.Scored {
+	return s.recommend(userID, ctx, k, s.PendingInjections(userID))
+}
+
+// recommend ranks for Recommend and Preview, pinning the injected items
+// ids first.
+func (s *System) recommend(userID string, ctx recommend.Context, k int, ids []string) []recommend.Scored {
 	t := &pipeline.Task{Mode: pipeline.ModeRank, User: userID, Now: ctx.Now, Ctx: ctx, K: k}
 	s.pipe.Run(t)
 	ranked := t.Ranked
 
-	pinned, seen := s.consumeInjections(userID)
+	pinned, seen := s.pinned(ids)
 	if len(pinned) == 0 {
 		return ranked
 	}
@@ -777,10 +791,8 @@ func (s *System) Recommend(userID string, ctx recommend.Context, k int) []recomm
 }
 
 // consumeInjections pops the user's pending editorial injections
-// (inject-once semantics) and resolves them into pinned entries with
-// full relevance, deduplicated; seen holds the resolved IDs so callers
-// can drop them from the organic ranking. Shared by Recommend and the
-// skip replacement path so the pinning semantics cannot drift.
+// (inject-once semantics). Shared by Recommend, the skip replacement
+// path and replay so the consume semantics cannot drift.
 //
 // The overwhelmingly common case — no pending injection — is a pure
 // read and must not touch the commit barrier: Recommend and the skip
@@ -789,14 +801,14 @@ func (s *System) Recommend(userID string, ctx recommend.Context, k int) []recomm
 // Only when the peek finds queued items does the call upgrade to a
 // barrier-fenced mutation (lock order: barrier stripe before shard
 // lock, same as every write path — hence the re-lock dance).
-func (s *System) consumeInjections(userID string) (pinned []recommend.Scored, seen map[string]bool) {
+func (s *System) consumeInjections(userID string) []string {
 	idx := s.shardIndexFor(userID)
 	sh := &s.shards[idx]
 	s.rlockShard(sh)
 	empty := len(sh.injected[userID]) == 0
 	sh.mu.RUnlock()
 	if empty {
-		return nil, nil
+		return nil
 	}
 
 	s.barrier.rlock(idx)
@@ -815,11 +827,18 @@ func (s *System) consumeInjections(userID string) (pinned []recommend.Scored, se
 	}
 	sh.mu.Unlock()
 	s.barrier.runlock(idx)
-	if len(pinnedIDs) == 0 {
+	return pinnedIDs
+}
+
+// pinned resolves injected item IDs into pinned entries with full
+// relevance, deduplicated; seen holds the resolved IDs so callers can
+// drop them from the organic ranking.
+func (s *System) pinned(ids []string) (pinned []recommend.Scored, seen map[string]bool) {
+	if len(ids) == 0 {
 		return nil, nil
 	}
-	seen = make(map[string]bool, len(pinnedIDs))
-	for _, id := range pinnedIDs {
+	seen = make(map[string]bool, len(ids))
+	for _, id := range ids {
 		if it, ok := s.Repo.Get(id); ok && !seen[id] {
 			pinned = append(pinned, recommend.Scored{Item: it, Content: 1, Context: 1, Compound: 1})
 			seen[id] = true
@@ -1096,7 +1115,7 @@ func (s *System) skipReplacement(userID string, ctx recommend.Context) (recommen
 	skipped := s.Feedback.SkippedItems(userID)
 
 	exclude := skipped
-	if pinned, seen := s.consumeInjections(userID); len(pinned) > 0 {
+	if pinned, seen := s.pinned(s.consumeInjections(userID)); len(pinned) > 0 {
 		// Preserve Recommend's merge semantics: the first pinned,
 		// unskipped item wins outright; pinned-but-skipped items must not
 		// reappear from the organic ranking.
