@@ -135,6 +135,114 @@ func TestFlatRecordsRoundTrip(t *testing.T) {
 	})
 }
 
+// TestSeqKeyedEventsRoundTrip pushes the three ways the log keeps an
+// event through every path: one about a catalog item with the item's
+// categories (its seq alone), one about an item the catalog does not
+// hold and one about a catalog item with other categories (each a side
+// entry). Live, after checkpoint restore, after a compaction that folds
+// an older side entry away, and after WAL replay of all of it, each
+// comes back with its ID string and map — the catalog's own for the
+// first, the catalog's ID string for the third — and the preference
+// index equals the replay oracle bit for bit. The folded event is one
+// half-life older than the rest and the vectors are read at the
+// survivors' instant, so every decay factor is 0.5 or 1 and exact.
+func TestSeqKeyedEventsRoundTrip(t *testing.T) {
+	w, err := synth.GenerateWorld(synth.Params{
+		Seed: 3, Days: 2, Users: 1, Stations: 2, PodcastsPerDay: 5, TrainingDocsPerCategory: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: 3}
+	node := func() *System {
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addCatalog(t, sys, 2)
+		return sys
+	}
+	params := feedback.DefaultPreferenceParams()
+	now := shareT0
+	dir := t.TempDir()
+	live := node()
+	dur, err := OpenDurability(live, DurabilityOptions{Dir: dir, Sync: durable.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := live.Repo.All()
+	other := map[string]float64{"food": 0.7, "culture": 0.3}
+	old := feedback.Event{UserID: "lilly", ItemID: "long-gone", Kind: feedback.Like, At: now.Add(-params.HalfLife), Categories: other}
+	want := []feedback.Event{
+		{UserID: "lilly", ItemID: strings.Clone(items[0].ID), Kind: feedback.Like, At: now, Categories: maps.Clone(items[0].Categories)},
+		{UserID: "lilly", ItemID: "not-in-catalog", Kind: feedback.Skip, At: now, Categories: maps.Clone(other)},
+		{UserID: "lilly", ItemID: strings.Clone(items[1].ID), Kind: feedback.Dislike, At: now, Categories: map[string]float64{"sport": 1}},
+	}
+	for _, e := range append([]feedback.Event{old}, want...) {
+		if err := live.AddFeedback(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	check := func(t *testing.T, sys *System, want []feedback.Event) {
+		t.Helper()
+		events, byUser := sys.Feedback.Events("lilly"), sys.Feedback.ByUser("lilly")
+		if !reflect.DeepEqual(events, want) || !reflect.DeepEqual(byUser, want) {
+			t.Fatalf("read back\n Events %v\n ByUser %v\nwant   %v", events, byUser, want)
+		}
+		for i, e := range events {
+			if it, ok := sys.Repo.Get(e.ItemID); ok {
+				if unsafe.StringData(e.ItemID) != unsafe.StringData(it.ID) {
+					t.Fatalf("event %d holds its own copy of the ID %q", i, e.ItemID)
+				}
+				if own := maps.Equal(e.Categories, it.Categories); own != sameMap(e.Categories, it.Categories) {
+					t.Fatalf("event %d: holds the catalog's map %v, should %v", i, !own, own)
+				}
+			}
+			if sameMap(byUser[i].Categories, e.Categories) {
+				t.Fatalf("event %d: ByUser hands out the store's map", i)
+			}
+		}
+		index := sys.Feedback.Preferences("lilly", now, params)
+		replay := sys.Feedback.PreferencesReplay("lilly", now, params)
+		if !reflect.DeepEqual(index, replay) {
+			t.Fatalf("index %v, replay %v", index, replay)
+		}
+	}
+	withOld := append([]feedback.Event{old}, want...)
+	withOld[0].At = withOld[0].At.UTC()
+	t.Run("live", func(t *testing.T) { check(t, live, withOld) })
+	t.Run("checkpoint restore", func(t *testing.T) {
+		var buf bytes.Buffer
+		live.checkpointBarrier(func() { err = live.Snapshot(&buf) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Restore(&buf); err != nil {
+			t.Fatal(err)
+		}
+		check(t, restored, withOld)
+	})
+	if n := live.CompactFeedback("lilly", now, time.Hour); n != 1 {
+		t.Fatalf("compaction folded %d events, want 1", n)
+	}
+	t.Run("compacted", func(t *testing.T) { check(t, live, want) })
+	dur.Crash()
+	t.Run("WAL replay", func(t *testing.T) {
+		recovered := node()
+		rdur, err := OpenDurability(recovered, DurabilityOptions{Dir: dir, Sync: durable.SyncInterval})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rdur.Crash()
+		check(t, recovered, want)
+	})
+}
+
 // TestFlatLogsUnderConcurrentReads races feedback and fix writers
 // against every read of the flat logs — Events, ByUser, the feedback
 // store's Snapshot and Compact, Trace and CompactN (through

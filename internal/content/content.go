@@ -189,6 +189,21 @@ func (r *Repository) Get(id string) (*Item, bool) {
 	return r.feats[seq].Item, true
 }
 
+// Seq returns the number of the item with the given ID: its place in
+// insertion order, which names that item for the repository's life.
+func (r *Repository) Seq(id string) (int32, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.ids.find(r.feats, id)
+}
+
+// ItemAt returns the item numbered seq, which must be below Len().
+func (r *Repository) ItemAt(seq int32) *Item {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.feats[seq].Item
+}
+
 // Len returns the number of items.
 func (r *Repository) Len() int {
 	r.mu.RLock()

@@ -13,12 +13,18 @@
 // horizon into a per-user baseline vector — the feedback analogue of the
 // paper's tracking compaction.
 //
-// The log holds each event as a 40 B record, not as the 72 B Event: the
-// item ID (for a catalog item, the item's own string), the category map
-// (for a catalog item, usually the item's own map too), the instant as
-// Unix nanoseconds and the kind in one byte. The user is the key of the
-// state the record sits in. Event values are built from records only on
-// the way out (Events, ByUser, Snapshot), with At in UTC.
+// The log holds each event as a 16 B record with no pointer in it, not
+// as the 72 B Event: the instant as Unix nanoseconds, the item as a
+// number and the kind in one byte. The number is the item's seq in the
+// content repository (ShareCatalog) when the event is about a catalog
+// item and carries the item's own categories; the item's ID string and
+// category map are then the catalog's, read back by seq. Any other event
+// — about an item the catalog does not hold, or with categories that
+// differ from the item's — takes a negative number naming an entry of
+// the user's side table, which holds its ID and a private copy of its
+// map. The user is the key of the state the record sits in. Event values
+// are built from records only on the way out (Events, ByUser, Snapshot),
+// with At in UTC.
 package feedback
 
 import (
@@ -94,21 +100,39 @@ type Event struct {
 
 // record is how the log keeps one event (see the package comment).
 type record struct {
-	itemID string
-	cats   map[string]float64
-	at     int64 // Unix nanoseconds
-	kind   uint8
+	at   int64 // Unix nanoseconds
+	seq  int32 // the catalog item's seq if ≥ 0, else ^i for the user's side[i]
+	kind uint8
 }
 
 func (r *record) time() time.Time { return time.Unix(0, r.at) }
 
 func (r *record) weight() float64 { return Kind(r.kind).Weight() }
 
-// events builds the API values of recs, which belong to userID.
-func events(userID string, recs []record) []Event {
-	out := make([]Event, len(recs))
-	for i, r := range recs {
-		out[i] = Event{UserID: userID, ItemID: r.itemID, Kind: Kind(r.kind), At: r.time().UTC(), Categories: r.cats}
+// sideItem is the item of an event the catalog cannot stand for: the
+// ID string (the catalog item's own when it has one) and a private map.
+type sideItem struct {
+	id   string
+	cats map[string]float64
+}
+
+// item returns the ID string and category map of r's event, which
+// belongs to st.
+func (s *Store) item(st *userState, r *record) (string, map[string]float64) {
+	if r.seq < 0 {
+		it := &st.side[^r.seq]
+		return it.id, it.cats
+	}
+	return s.itemAt(r.seq)
+}
+
+// events builds the API values of st's log, which belongs to userID.
+func (s *Store) events(userID string, st *userState) []Event {
+	out := make([]Event, len(st.events))
+	for i := range st.events {
+		r := &st.events[i]
+		id, cats := s.item(st, r)
+		out[i] = Event{UserID: userID, ItemID: id, Kind: Kind(r.kind), At: r.time().UTC(), Categories: cats}
 	}
 	return out
 }
@@ -123,6 +147,9 @@ type userState struct {
 	// events is the live (post-compaction) tail of the user's log, in
 	// insertion order.
 	events []record
+	// side holds the items of the events in events whose seq is
+	// negative, one entry each, in the order of those events.
+	side []sideItem
 	// vec is the incrementally maintained preference index: the decayed
 	// category vector of ALL the user's feedback (including events already
 	// folded into base), valued at instant lastUpdate.
@@ -157,10 +184,10 @@ type Store struct {
 	halfLife time.Duration
 	shards   []shard
 	mask     uint32
-	// catalog, when set, finds an item's own ID string and category map
-	// so an event about a catalog item keeps those instead of its own
-	// (see kept).
-	catalog func(itemID string) (id string, cats map[string]float64, ok bool)
+	// seqOf and itemAt, when set, read the catalog: an item's seq by its
+	// ID, and its own ID string and category map by its seq (see kept).
+	seqOf  func(itemID string) (int32, bool)
+	itemAt func(seq int32) (id string, cats map[string]float64)
 
 	live            atomic.Int64 // events currently in the logs
 	appends         atomic.Int64
@@ -191,15 +218,20 @@ func NewStoreHalfLife(halfLife time.Duration) *Store {
 	return s
 }
 
-// ShareCatalog installs the lookup from an item ID to that item's own ID
-// string and category map. The maps it returns must never change
-// afterwards (the content repository's contract for an added item):
-// every event about a catalog item then holds the item's ID string, and
-// every one whose categories equal its item's holds the item's own map,
-// so a node keeps one copy of each ID and category vector however much
-// feedback it logs. Call it before the first Append.
-func (s *Store) ShareCatalog(lookup func(itemID string) (id string, cats map[string]float64, ok bool)) {
-	s.catalog = lookup
+// ShareCatalog installs the catalog: seqOf finds an item's seq by its
+// ID, and itemAt returns the item's own ID string and category map by
+// its seq. A seq must name the same item for the store's life and the
+// map itemAt returns must never change (the content repository's
+// contract: it numbers items in insertion order, never reuses a number
+// and never changes an added item). An event about a catalog item whose
+// categories equal the item's is then logged as the seq alone, so a
+// node keeps one copy of each ID and category vector however much
+// feedback it logs, and every other event about a catalog item holds
+// the item's ID string. The store calls itemAt while it holds a shard
+// lock, so neither function may call into the store. Call it before the
+// first Append.
+func (s *Store) ShareCatalog(seqOf func(itemID string) (int32, bool), itemAt func(seq int32) (id string, cats map[string]float64)) {
+	s.seqOf, s.itemAt = seqOf, itemAt
 }
 
 // FNV-1a, inlined: shardFor sits on every append and preference read
@@ -243,32 +275,36 @@ func copyCategories(m map[string]float64) map[string]float64 {
 	return out
 }
 
-// kept returns the item ID and the category map the store keeps for e.
-// For a catalog item the ID is the item's own string, and the map is the
-// item's own when e's categories equal it bit for bit; any other map is
-// a private copy, so the store never aliases caller-owned memory. It is
-// the one place that choice is made; Append (and through it every live,
-// replayed, replicated and restored event) calls it before taking a
-// shard lock.
-func (s *Store) kept(e Event) (string, map[string]float64) {
-	if s.catalog != nil {
-		if id, m, ok := s.catalog(e.ItemID); ok {
-			if !maps.EqualFunc(e.Categories, m, sameBits) {
-				m = copyCategories(e.Categories)
+// kept returns how the store keeps e's item, and that item's ID string
+// and category map. For a catalog item whose categories equal e's bit
+// for bit it is the item's seq, and the ID and map are the item's own.
+// Otherwise seq is -1 and it is a side-table entry: the catalog item's
+// own ID string, or e's for an item the catalog does not hold, and a
+// private copy of e's map, so the store never aliases caller-owned
+// memory. It is the one place that choice is made; Append (and through
+// it every live, replayed, replicated and restored event) calls it
+// before taking a shard lock.
+func (s *Store) kept(e Event) (seq int32, it sideItem) {
+	if s.seqOf != nil {
+		if seq, ok := s.seqOf(e.ItemID); ok {
+			id, m := s.itemAt(seq)
+			if maps.EqualFunc(e.Categories, m, sameBits) {
+				return seq, sideItem{id, m}
 			}
-			return id, m
+			return -1, sideItem{id, copyCategories(e.Categories)}
 		}
 	}
-	return e.ItemID, copyCategories(e.Categories)
+	return -1, sideItem{e.ItemID, copyCategories(e.Categories)}
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // fold advances the index vector to r's instant (decaying the
-// accumulated vector) and adds r's contribution. Records older than
-// lastUpdate are folded at their already-decayed weight instead —
-// exponential decay makes either order exact.
-func (st *userState) fold(r *record, halfLife time.Duration) {
+// accumulated vector) and adds r's contribution, cats being its item's
+// categories. Records older than lastUpdate are folded at their
+// already-decayed weight instead — exponential decay makes either order
+// exact.
+func (st *userState) fold(r *record, cats map[string]float64, halfLife time.Duration) {
 	w := r.weight()
 	switch at := r.time(); {
 	case at.After(st.lastUpdate):
@@ -280,7 +316,7 @@ func (st *userState) fold(r *record, halfLife time.Duration) {
 	case at.Before(st.lastUpdate):
 		w *= decayFactor(st.lastUpdate.Sub(at), halfLife)
 	}
-	for c, share := range r.cats {
+	for c, share := range cats {
 		st.vec[c] += w * share
 	}
 }
@@ -306,7 +342,7 @@ func (s *Store) Append(e Event) error {
 	if !r.time().Equal(e.At) {
 		return fmt.Errorf("%w: %v", ErrInstantRange, e.At)
 	}
-	r.itemID, r.cats = s.kept(e)
+	seq, it := s.kept(e)
 	sh := s.shardFor(e.UserID)
 	sh.mu.Lock()
 	st := sh.users[e.UserID]
@@ -314,14 +350,19 @@ func (s *Store) Append(e Event) error {
 		st = &userState{vec: make(map[string]float64), lastUpdate: r.time()}
 		sh.users[e.UserID] = st
 	}
+	r.seq = seq
+	if seq < 0 {
+		r.seq = ^int32(len(st.side))
+		st.side = append(st.side, it)
+	}
 	st.events = append(st.events, r)
-	st.fold(&r, s.halfLife)
-	if (e.Kind == Skip || e.Kind == Dislike) && r.itemID != "" {
+	st.fold(&r, it.cats, s.halfLife)
+	if (e.Kind == Skip || e.Kind == Dislike) && it.id != "" {
 		if st.skipped == nil {
 			st.skipped = make(map[string]bool)
 		}
-		if !st.skipped[r.itemID] {
-			st.skipped[r.itemID] = true
+		if !st.skipped[it.id] {
+			st.skipped[it.id] = true
 			st.skippedSnap = nil // invalidate the published snapshot
 		}
 	}
@@ -360,7 +401,7 @@ func (s *Store) Events(userID string) []Event {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if st := sh.users[userID]; st != nil && len(st.events) > 0 {
-		return events(userID, st.events)
+		return s.events(userID, st)
 	}
 	return nil
 }
@@ -426,7 +467,7 @@ func (s *Store) Preferences(userID string, now time.Time, params PreferenceParam
 		s.indexReads.Add(1)
 		return out
 	}
-	replayInto(out, st, now, params)
+	s.replayInto(out, st, now, params)
 	sh.mu.RUnlock()
 	s.replayReads.Add(1)
 	return out
@@ -446,7 +487,7 @@ func (s *Store) PreferencesReplay(userID string, now time.Time, params Preferenc
 	sh := s.shardFor(userID)
 	sh.mu.RLock()
 	if st := sh.users[userID]; st != nil {
-		replayInto(out, st, now, params)
+		s.replayInto(out, st, now, params)
 	}
 	sh.mu.RUnlock()
 	s.replayReads.Add(1)
@@ -459,7 +500,7 @@ func (s *Store) PreferencesReplay(userID string, now time.Time, params Preferenc
 // The baseline was folded with the index half-life; for reads requesting
 // a different half-life its contribution is an approximation (the
 // truncated events cannot be re-decayed), exact before any compaction.
-func replayInto(out map[string]float64, st *userState, now time.Time, params PreferenceParams) {
+func (s *Store) replayInto(out map[string]float64, st *userState, now time.Time, params PreferenceParams) {
 	if len(st.base) > 0 {
 		age := now.Sub(st.baseAt)
 		if age < 0 {
@@ -477,7 +518,8 @@ func replayInto(out map[string]float64, st *userState, now time.Time, params Pre
 			age = 0
 		}
 		w := r.weight() * decayFactor(age, params.HalfLife)
-		for c, share := range r.cats {
+		_, cats := s.item(st, r)
+		for c, share := range cats {
 			out[c] += w * share
 		}
 	}
@@ -510,10 +552,13 @@ func (s *Store) compactLocked(sh *shard, userID string, cut time.Time) int {
 		// baseline to re-value it; never move the baseline backwards.
 		return 0
 	}
-	folded := 0
+	folded, side := 0, 0
 	for i := range st.events {
-		if st.events[i].time().Before(cut) {
+		switch r := &st.events[i]; {
+		case r.time().Before(cut):
 			folded++
+		case r.seq < 0:
+			side++
 		}
 	}
 	if folded == 0 {
@@ -526,10 +571,21 @@ func (s *Store) compactLocked(sh *shard, userID string, cut time.Time) int {
 			st.base[c] = v * d
 		}
 	}
-	keep := st.events[:0:0]
-	for _, r := range st.events {
+	// The survivors, and the side entries only they name, move to
+	// slices of exactly their size: an entry goes with its record.
+	keep := make([]record, 0, len(st.events)-folded)
+	var keepSide []sideItem
+	if side > 0 {
+		keepSide = make([]sideItem, 0, side)
+	}
+	for i := range st.events {
+		r := st.events[i]
 		at := r.time()
 		if !at.Before(cut) {
+			if r.seq < 0 {
+				keepSide = append(keepSide, st.side[^r.seq])
+				r.seq = ^int32(len(keepSide) - 1)
+			}
 			keep = append(keep, r)
 			continue
 		}
@@ -537,13 +593,14 @@ func (s *Store) compactLocked(sh *shard, userID string, cut time.Time) int {
 			st.base = make(map[string]float64)
 		}
 		w := r.weight() * decayFactor(cut.Sub(at), s.halfLife)
-		for c, share := range r.cats {
+		_, cats := s.item(st, &r)
+		for c, share := range cats {
 			st.base[c] += w * share
 		}
 	}
 	st.baseAt = cut
 	st.baseCount += folded
-	st.events = keep
+	st.events, st.side = keep, keepSide
 	s.live.Add(int64(-folded))
 	s.eventsCompacted.Add(int64(folded))
 	s.compactions.Add(1)

@@ -1,10 +1,18 @@
 package feedback
 
 import (
+	"fmt"
+	"io"
+	"maps"
 	"math"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
+
+	"pphcr/internal/content"
 )
 
 var t0 = time.Date(2016, 11, 15, 8, 0, 0, 0, time.UTC)
@@ -402,7 +410,228 @@ func TestAppendRefusesWhatARecordCannotHold(t *testing.T) {
 
 // TestRecordSize pins what the log keeps per event (Event takes 72 B).
 func TestRecordSize(t *testing.T) {
-	if n := unsafe.Sizeof(record{}); n != 40 {
-		t.Fatalf("record is %d B, want 40", n)
+	if n := unsafe.Sizeof(record{}); n != 16 {
+		t.Fatalf("record is %d B, want 16", n)
+	}
+}
+
+// TestRecordHoldsNoPointer: a log slice whose element type holds no
+// pointer is allocated noscan, so the collector never reads it.
+func TestRecordHoldsNoPointer(t *testing.T) {
+	var scan func(reflect.Type) string
+	scan = func(typ reflect.Type) string {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if why := scan(typ.Field(i).Type); why != "" {
+					return typ.Field(i).Name + " " + why
+				}
+			}
+			return ""
+		case reflect.Array:
+			return scan(typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return ""
+		default:
+			return "(" + typ.String() + ") holds a pointer"
+		}
+	}
+	if why := scan(reflect.TypeOf(record{})); why != "" {
+		t.Fatalf("record field %s", why)
+	}
+}
+
+// fakeCatalog numbers items in the order they are added, as the content
+// repository does.
+type fakeCatalog struct {
+	ids  []string
+	cats []map[string]float64
+}
+
+func (c *fakeCatalog) add(id string, cats map[string]float64) {
+	c.ids, c.cats = append(c.ids, id), append(c.cats, cats)
+}
+
+func (c *fakeCatalog) seq(id string) (int32, bool) {
+	for i, have := range c.ids {
+		if have == id {
+			return int32(i), true
+		}
+	}
+	return 0, false
+}
+
+func (c *fakeCatalog) item(seq int32) (string, map[string]float64) { return c.ids[seq], c.cats[seq] }
+
+// TestCompactTakesSideEntriesWithTheirRecords: an event the catalog
+// cannot stand for keeps its item in the user's side table; compaction
+// drops an entry with its record, renumbers the survivors, and leaves
+// the log and the table with no spare capacity. The events left read
+// back unchanged.
+func TestCompactTakesSideEntriesWithTheirRecords(t *testing.T) {
+	var cat fakeCatalog
+	cat.add("clip-0", map[string]float64{"food": 0.6, "music": 0.4})
+	cat.add("clip-1", map[string]float64{"sport": 1})
+	s := NewStore()
+	s.ShareCatalog(cat.seq, cat.item)
+	other := map[string]float64{"news": 0.5, "art": 0.5}
+	var want []Event
+	for i := 0; i < 12; i++ {
+		e := Event{UserID: "u", Kind: Kind(i % 4), At: t0.Add(time.Duration(i) * time.Hour)}
+		switch i % 3 {
+		case 0: // the catalog item with its own categories: seq only
+			e.ItemID, e.Categories = "clip-0", cat.cats[0]
+		case 1: // the catalog item with other categories: a side entry
+			e.ItemID, e.Categories = "clip-1", other
+		case 2: // an item the catalog does not hold: a side entry
+			e.ItemID, e.Categories = fmt.Sprintf("gone-%d", i), other
+		}
+		if err := s.Append(e); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, e)
+	}
+	state := func() *userState { return s.shardFor("u").users["u"] }
+	if n := len(state().side); n != 8 {
+		t.Fatalf("%d side entries before compaction, want 8", n)
+	}
+	now := t0.Add(12 * time.Hour)
+	for _, keep := range []int{7, 2, 0} {
+		s.Compact("u", now, time.Duration(keep)*time.Hour+30*time.Minute)
+		st := state()
+		tail := want[len(want)-keep:]
+		side := 0
+		for _, e := range tail {
+			if e.ItemID != "clip-0" {
+				side++
+			}
+		}
+		if len(st.events) != keep || cap(st.events) != keep || len(st.side) != side || cap(st.side) != side {
+			t.Fatalf("keep %d: log %d/%d, side table %d/%d, want %d and %d with no spare capacity",
+				keep, len(st.events), cap(st.events), len(st.side), cap(st.side), keep, side)
+		}
+		got := s.Events("u")
+		if len(got) != len(tail) {
+			t.Fatalf("keep %d: %d events read back", keep, len(got))
+		}
+		for i, e := range got {
+			if e.ItemID != tail[i].ItemID || e.Kind != tail[i].Kind || !e.At.Equal(tail[i].At) || !maps.Equal(e.Categories, tail[i].Categories) {
+				t.Fatalf("keep %d: event %d read back as %+v, want %+v", keep, i, e, tail[i])
+			}
+			if e.ItemID == "clip-0" && reflect.ValueOf(e.Categories).UnsafePointer() != reflect.ValueOf(cat.cats[0]).UnsafePointer() {
+				t.Fatalf("keep %d: event %d does not read the catalog's map", keep, i)
+			}
+		}
+	}
+}
+
+// TestLogReadsWhileCatalogGrows runs Append, Events, ByUser, Snapshot,
+// Compact and PreferencesReplay while the content repository takes new
+// items: the store reads an item by seq under its shard lock, and under
+// -race it is the proof that such a read never sees the catalog torn.
+// Each user's log then holds every write compaction left, each event
+// with its own ID and categories.
+func TestLogReadsWhileCatalogGrows(t *testing.T) {
+	repo := content.NewRepository()
+	s := NewStore()
+	s.ShareCatalog(repo.Seq, func(seq int32) (string, map[string]float64) {
+		it := repo.ItemAt(seq)
+		return it.ID, it.Categories
+	})
+	const items, writes = 400, 300
+	catalog := make([]*content.Item, items)
+	for i := range catalog {
+		catalog[i] = &content.Item{
+			ID: fmt.Sprintf("clip-%03d", i), Kind: content.KindClip, Duration: time.Minute, Published: t0,
+			Categories: map[string]float64{content.Categories[i%len(content.Categories)]: 1},
+		}
+	}
+	var added atomic.Int32
+	users := []string{"u0", "u1", "u2"}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, it := range catalog {
+			if err := repo.Add(it); err != nil {
+				t.Error(err)
+				return
+			}
+			added.Add(1)
+		}
+	}()
+	wants := make([][]Event, len(users))
+	for ui, u := range users {
+		wg.Add(1)
+		go func(ui int, u string) {
+			defer wg.Done()
+			for i := 0; i < writes; i++ {
+				e := Event{UserID: u, Kind: Kind(i % 4), At: t0.Add(time.Duration(i) * time.Second)}
+				it := catalog[int(added.Load())*i/writes]
+				switch i % 3 {
+				case 0:
+					e.ItemID, e.Categories = it.ID, it.Categories
+				case 1:
+					e.ItemID, e.Categories = it.ID, map[string]float64{"own": float64(i)}
+				case 2:
+					e.ItemID, e.Categories = fmt.Sprintf("gone-%d", i), map[string]float64{"own": float64(i)}
+				}
+				if err := s.Append(e); err != nil {
+					t.Error(err)
+					return
+				}
+				wants[ui] = append(wants[ui], e)
+			}
+		}(ui, u)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := 0; j < 200; j++ {
+			u := users[j%len(users)]
+			switch j % 5 {
+			case 0:
+				s.Events(u)
+			case 1:
+				s.ByUser(u)
+			case 2:
+				if err := s.Snapshot(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
+			case 3:
+				// Folds the user's first minute of events, once written.
+				s.Compact(u, t0.Add(2*time.Minute), time.Minute)
+			case 4:
+				s.PreferencesReplay(u, t0.Add(time.Hour), DefaultPreferenceParams())
+			}
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for ui, u := range users {
+		got := s.Events(u)
+		tail := wants[ui][len(wants[ui])-len(got):]
+		if folded := writes - len(got); folded > 60 {
+			t.Fatalf("%s: %d events left of %d; compaction folds the first minute at most", u, len(got), writes)
+		}
+		for i, e := range got {
+			w := tail[i]
+			if e.ItemID != w.ItemID || e.Kind != w.Kind || !e.At.Equal(w.At) || !maps.Equal(e.Categories, w.Categories) {
+				t.Fatalf("%s: event %d read back as %+v, want %+v", u, i, e, w)
+			}
+		}
+		params := DefaultPreferenceParams()
+		now := t0.Add(time.Hour)
+		index, replay := s.Preferences(u, now, params), s.PreferencesReplay(u, now, params)
+		for c, v := range replay {
+			if math.Abs(index[c]-v) > 1e-9 {
+				t.Fatalf("%s %q: index %v, replay %v", u, c, index[c], v)
+			}
+		}
 	}
 }

@@ -55,7 +55,7 @@ func (s *Store) Snapshot(w io.Writer) error {
 			// A stored event's map is never written (Append), so the
 			// encoder may read it after the lock is released; base is
 			// rescaled in place by compaction and is copied above.
-			us.Events = events(userID, st.events)
+			us.Events = s.events(userID, st)
 			snap.Users[userID] = us
 		}
 		sh.mu.RUnlock()

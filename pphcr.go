@@ -361,11 +361,9 @@ func New(cfg Config) (*System, error) {
 		},
 		shards: make([]userShard, userShards),
 	}
-	s.Feedback.ShareCatalog(func(id string) (string, map[string]float64, bool) {
-		if it, ok := repo.Get(id); ok {
-			return it.ID, it.Categories, true
-		}
-		return "", nil, false
+	s.Feedback.ShareCatalog(repo.Seq, func(seq int32) (string, map[string]float64) {
+		it := repo.ItemAt(seq)
+		return it.ID, it.Categories
 	})
 	s.barrier.stripes = make([]barrierStripe, userShards)
 	for i := range s.shards {

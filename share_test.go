@@ -312,10 +312,12 @@ func retainedPerWrite(b *testing.B, sys *System, write func(user string, i int) 
 }
 
 // BenchmarkRetainedPerWrite measures what one write leaves on a node's
-// heap, by kind: feedback about a catalog item (its map shared with the
-// catalog), feedback about an unknown item (one private copy), a GPS fix
-// nothing compacts, and a GPS fix whose trip has closed and been
-// compacted. Run it with -benchtime 3x; the ns/op column is the batch's.
+// heap, by kind: feedback about a catalog item (a 16 B record that names
+// the item by its catalog seq, its ID and map the catalog's), feedback
+// about an unknown item (the record, a side-table entry with its ID, and
+// a private copy of its map), a GPS fix nothing compacts, and a GPS fix
+// whose trip has closed and been compacted. Run it with -benchtime 3x;
+// the ns/op column is the batch's.
 func BenchmarkRetainedPerWrite(b *testing.B) {
 	feedbackOn := func(catalog bool) func(b *testing.B) {
 		return func(b *testing.B) {
