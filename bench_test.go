@@ -192,7 +192,7 @@ func BenchmarkSkipReplacement(b *testing.B) {
 			skipped := sys.Feedback.SkippedItems(user)
 			var picked recommend.Scored
 			for _, sc := range sys.Recommend(user, ctx, 0) {
-				if !skipped[sc.Item.ID] {
+				if seq, _ := sys.Repo.Seq(sc.Item.ID); !skipped.Has(seq, sc.Item.ID) {
 					picked = sc
 					break
 				}

@@ -17,7 +17,7 @@ import (
 func assertIndexMatchesReplay(t *testing.T, sys *System, user string, now time.Time) {
 	t.Helper()
 	params := feedback.DefaultPreferenceParams()
-	got := sys.Feedback.Preferences(user, now, params)
+	got := sys.Feedback.Preferences(nil, user, now, params).Map()
 	want := sys.Feedback.PreferencesReplay(user, now, params)
 	keys := map[string]bool{}
 	for k := range got {

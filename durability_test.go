@@ -184,7 +184,7 @@ func assertSystemsEquivalent(t *testing.T, w *synth.World, want, got *System, no
 		if a, b := want.Tracker.FixCount(user), got.Tracker.FixCount(user); a != b {
 			t.Fatalf("%s: %d vs %d fixes", user, a, b)
 		}
-		mapsEqual(t, user+" preferences", want.Preferences(user, now), got.Preferences(user, now))
+		mapsEqual(t, user+" preferences", want.Preferences(user, now).Map(), got.Preferences(user, now).Map())
 		wp, gp := want.PendingInjections(user), got.PendingInjections(user)
 		if len(wp) != len(gp) {
 			t.Fatalf("%s injections: %v vs %v", user, wp, gp)
@@ -721,7 +721,7 @@ func TestConcurrentAppendsDuringCheckpoint(t *testing.T) {
 		if a, b := live.Tracker.FixCount(user), recovered.Tracker.FixCount(user); a != b {
 			t.Fatalf("%s fixes: %d vs %d", user, a, b)
 		}
-		mapsEqual(t, user+" preferences", live.Preferences(user, readAt), recovered.Preferences(user, readAt))
+		mapsEqual(t, user+" preferences", live.Preferences(user, readAt).Map(), recovered.Preferences(user, readAt).Map())
 	}
 }
 

@@ -70,7 +70,7 @@ func main() {
 		}
 		// The state before the final event is what recovery must land
 		// on: the crash below tears that last record mid-write.
-		before = sys.Preferences("greg", now)
+		before = sys.Preferences("greg", now).Map()
 		if err := sys.AddFeedback(feedback.Event{
 			UserID: "greg", ItemID: it.ID, Kind: feedback.Like,
 			At: now.Add(-time.Hour), Categories: it.Categories,
@@ -105,7 +105,7 @@ func main() {
 	fmt.Printf("recovered: %d items, %d WAL events replayed (torn tail dropped: %v)\n",
 		restored.Repo.Len(), rdur.ReplayedEvents(), rdur.Stats().RecoveredTorn)
 
-	after := restored.Preferences("greg", now)
+	after := restored.Preferences("greg", now).Map()
 	for cat, w := range before {
 		if d := w - after[cat]; d > 1e-9 || d < -1e-9 {
 			log.Fatalf("preference drift on %q: %v vs %v", cat, w, after[cat])

@@ -102,7 +102,7 @@ func main() {
 		}
 	}
 	fmt.Printf("\nfeedback recorded: %d events; Greg's learned preferences:\n", sys.Feedback.Len())
-	prefs := sys.Preferences("greg", ctx.Now)
+	prefs := sys.Preferences("greg", ctx.Now).Map()
 	for _, cat := range []string{"technology", "economics", "sport"} {
 		fmt.Printf("  %-12s %+.3f\n", cat, prefs[cat])
 	}

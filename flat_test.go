@@ -203,7 +203,7 @@ func TestSeqKeyedEventsRoundTrip(t *testing.T) {
 				t.Fatalf("event %d: ByUser hands out the store's map", i)
 			}
 		}
-		index := sys.Feedback.Preferences("lilly", now, params)
+		index := sys.Feedback.Preferences(nil, "lilly", now, params).Map()
 		replay := sys.Feedback.PreferencesReplay("lilly", now, params)
 		if !reflect.DeepEqual(index, replay) {
 			t.Fatalf("index %v, replay %v", index, replay)

@@ -221,7 +221,7 @@ func TestRecommendationConsistency(t *testing.T) {
 	user := persona.Profile.UserID
 	ctx := recommend.Context{Now: now}
 
-	direct := sys.Scorer.Rank(sys.Preferences(user, now), sys.Candidates(now), ctx, 5)
+	direct := sys.Scorer.Rank(sys.Preferences(user, now).Map(), sys.Candidates(now), ctx, 5)
 	viaFacade := sys.Recommend(user, ctx, 5)
 	if len(direct) != len(viaFacade) {
 		t.Fatalf("lengths differ: %d vs %d", len(direct), len(viaFacade))

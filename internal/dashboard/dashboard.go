@@ -203,7 +203,7 @@ func Preferences(sys *pphcr.System, w http.ResponseWriter, r *http.Request) {
 			now = time.Unix(v, 0).UTC()
 		}
 	}
-	prefs := sys.Preferences(user, now)
+	prefs := sys.Preferences(user, now).Map()
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(prefs); err != nil {
 		return

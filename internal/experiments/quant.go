@@ -103,7 +103,7 @@ func runQ1(cfg Config) error {
 		if len(relevant) == 0 {
 			continue
 		}
-		prefs := e.Sys.Preferences(user, e.Now)
+		prefs := e.Sys.Preferences(user, e.Now).Map()
 		for _, r := range recommenders {
 			ranked := r.Rank(prefs, pool, ctx, 10)
 			ids := make([]string, len(ranked))

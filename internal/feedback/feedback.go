@@ -25,6 +25,13 @@
 // map. The user is the key of the state the record sits in. Event values
 // are built from records only on the way out (Events, ByUser, Snapshot),
 // with At in UTC.
+//
+// The rest of a listener's state is flat too. The preference index and
+// the compaction baseline are Vectors, (category, weight) pairs in
+// category-name order, and the skip set is an ascending slice of catalog
+// seqs, published copy-on-write; instants are Unix nanoseconds. So no
+// write and no plan builds a map, and a listener costs bytes in
+// proportion to what they touched.
 package feedback
 
 import (
@@ -32,6 +39,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,7 +150,8 @@ func (s *Store) events(userID string, st *userState) []Event {
 // appends and reads for different users do not contend on one mutex.
 const DefaultShards = 32
 
-// userState is everything the store holds for one listener.
+// userState is everything the store holds for one listener: what every
+// listener with feedback has, flat, and a pointer to what few have.
 type userState struct {
 	// events is the live (post-compaction) tail of the user's log, in
 	// insertion order.
@@ -152,25 +161,46 @@ type userState struct {
 	side []sideItem
 	// vec is the incrementally maintained preference index: the decayed
 	// category vector of ALL the user's feedback (including events already
-	// folded into base), valued at instant lastUpdate.
-	vec        map[string]float64
-	lastUpdate time.Time
+	// folded into the baseline), valued at the instant at (Unix ns).
+	vec Vector
+	at  int64
+	// skipped is the incrementally maintained set of catalog items the
+	// user skipped or disliked, as their seqs in ascending order — the
+	// replacement-eligibility filter. Unlike a log scan it survives
+	// compaction. It is published copy-on-write: a change replaces the
+	// slice and never writes the one it replaces, so SkippedItems hands
+	// it out as is.
+	skipped []int32
+	rare    *rareState
+}
+
+// rareState is the part of a listener's state most listeners never set.
+type rareState struct {
 	// base is the compaction baseline: the decayed contribution of the
-	// events truncated from the log, valued at instant baseAt. It exists
-	// so replay reads and snapshots stay correct after the log is cut.
-	base      map[string]float64
-	baseAt    time.Time
+	// events truncated from the log, valued at baseAt (Unix ns). It
+	// exists so replay reads and snapshots stay correct after the log is
+	// cut.
+	base      Vector
+	baseAt    int64
 	baseCount int
-	// skipped is the incrementally maintained set of items the user
-	// skipped or disliked — the replacement-eligibility filter. Unlike a
-	// log scan it survives compaction.
-	skipped map[string]bool
-	// skippedSnap is the published copy-on-write snapshot of skipped:
-	// SkippedItems hands it out without copying (callers treat it as
-	// read-only) and any mutation of skipped nils it, so the skip hot
-	// path pays the O(skipped) rebuild once per change instead of once
-	// per call.
-	skippedSnap map[string]bool
+	// skippedIDs are the skipped or disliked items the catalog did not
+	// hold when the skip was logged, by ID in ascending order; published
+	// copy-on-write as skipped is.
+	skippedIDs []string
+}
+
+// noInstant is a state's at before any event is folded: every instant
+// a record holds is at or after it.
+const noInstant = math.MinInt64
+
+func (st *userState) updated() time.Time { return time.Unix(0, st.at) }
+
+// extra returns st's rare part, allocating it on first use.
+func (st *userState) extra() *rareState {
+	if st.rare == nil {
+		st.rare = new(rareState)
+	}
+	return st.rare
 }
 
 type shard struct {
@@ -277,47 +307,60 @@ func copyCategories(m map[string]float64) map[string]float64 {
 
 // kept returns how the store keeps e's item, and that item's ID string
 // and category map. For a catalog item whose categories equal e's bit
-// for bit it is the item's seq, and the ID and map are the item's own.
-// Otherwise seq is -1 and it is a side-table entry: the catalog item's
-// own ID string, or e's for an item the catalog does not hold, and a
-// private copy of e's map, so the store never aliases caller-owned
-// memory. It is the one place that choice is made; Append (and through
-// it every live, replayed, replicated and restored event) calls it
-// before taking a shard lock.
-func (s *Store) kept(e Event) (seq int32, it sideItem) {
+// for bit, shared is true: the record names the item by its seq, and the
+// ID and map are the item's own. Otherwise it is a side-table entry: the
+// catalog item's own ID string, or e's for an item the catalog does not
+// hold, and a private copy of e's map, so the store never aliases
+// caller-owned memory. seq is the item's catalog seq, or -1 for an item
+// the catalog does not hold. It is the one place that choice is made;
+// Append (and through it every live, replayed, replicated and restored
+// event) calls it before taking a shard lock.
+func (s *Store) kept(e Event) (it sideItem, seq int32, shared bool) {
 	if s.seqOf != nil {
 		if seq, ok := s.seqOf(e.ItemID); ok {
 			id, m := s.itemAt(seq)
 			if maps.EqualFunc(e.Categories, m, sameBits) {
-				return seq, sideItem{id, m}
+				return sideItem{id, m}, seq, true
 			}
-			return -1, sideItem{id, copyCategories(e.Categories)}
+			return sideItem{id, copyCategories(e.Categories)}, seq, false
 		}
 	}
-	return -1, sideItem{e.ItemID, copyCategories(e.Categories)}
+	return sideItem{e.ItemID, copyCategories(e.Categories)}, -1, false
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // fold advances the index vector to r's instant (decaying the
 // accumulated vector) and adds r's contribution, cats being its item's
-// categories. Records older than lastUpdate are folded at their
-// already-decayed weight instead — exponential decay makes either order
-// exact.
+// categories. Records older than the index's instant are folded at
+// their already-decayed weight instead — exponential decay makes either
+// order exact.
 func (st *userState) fold(r *record, cats map[string]float64, halfLife time.Duration) {
 	w := r.weight()
-	switch at := r.time(); {
-	case at.After(st.lastUpdate):
-		d := decayFactor(at.Sub(st.lastUpdate), halfLife)
-		for c, v := range st.vec {
-			st.vec[c] = v * d
-		}
-		st.lastUpdate = at
-	case at.Before(st.lastUpdate):
-		w *= decayFactor(st.lastUpdate.Sub(at), halfLife)
+	switch {
+	case r.at > st.at:
+		st.vec.scale(decayFactor(r.time().Sub(st.updated()), halfLife))
+		st.at = r.at
+	case r.at < st.at:
+		w *= decayFactor(st.updated().Sub(r.time()), halfLife)
 	}
 	for c, share := range cats {
-		st.vec[c] += w * share
+		st.vec = st.vec.add(c, w*share, true)
+	}
+}
+
+// skip adds the item of a skip or dislike to the user's skip set: by
+// its catalog seq, or by id where the catalog does not hold it.
+func (st *userState) skip(seq int32, id string) {
+	if seq >= 0 {
+		if i, ok := slices.BinarySearch(st.skipped, seq); !ok {
+			st.skipped = inserted(st.skipped, i, seq)
+		}
+		return
+	}
+	rs := st.extra()
+	if i, ok := slices.BinarySearch(rs.skippedIDs, id); !ok {
+		rs.skippedIDs = inserted(rs.skippedIDs, i, id)
 	}
 }
 
@@ -342,29 +385,23 @@ func (s *Store) Append(e Event) error {
 	if !r.time().Equal(e.At) {
 		return fmt.Errorf("%w: %v", ErrInstantRange, e.At)
 	}
-	seq, it := s.kept(e)
+	it, seq, shared := s.kept(e)
 	sh := s.shardFor(e.UserID)
 	sh.mu.Lock()
 	st := sh.users[e.UserID]
 	if st == nil {
-		st = &userState{vec: make(map[string]float64), lastUpdate: r.time()}
+		st = &userState{at: r.at}
 		sh.users[e.UserID] = st
 	}
 	r.seq = seq
-	if seq < 0 {
+	if !shared {
 		r.seq = ^int32(len(st.side))
 		st.side = append(st.side, it)
 	}
 	st.events = append(st.events, r)
 	st.fold(&r, it.cats, s.halfLife)
 	if (e.Kind == Skip || e.Kind == Dislike) && it.id != "" {
-		if st.skipped == nil {
-			st.skipped = make(map[string]bool)
-		}
-		if !st.skipped[it.id] {
-			st.skipped[it.id] = true
-			st.skippedSnap = nil // invalidate the published snapshot
-		}
+		st.skip(seq, it.id)
 	}
 	sh.mu.Unlock()
 	s.live.Add(1)
@@ -422,9 +459,11 @@ type PreferenceParams struct {
 	// HalfLife is the exponential decay half-life of an event's
 	// influence. Older tastes fade; 14 days matches the demo's horizon.
 	HalfLife time.Duration
-	// Seed is the cold-start preference vector (from the profile's
-	// declared interests), blended in with SeedWeight total mass.
-	Seed       map[string]float64
+	// Seed is the cold-start prior: the categories the profile declares
+	// an interest in, each weighing 1/len(Seed) (a category listed twice
+	// weighs twice), blended in with SeedWeight total mass. The store
+	// only reads it.
+	Seed       []string
 	SeedWeight float64
 }
 
@@ -433,44 +472,50 @@ func DefaultPreferenceParams() PreferenceParams {
 	return PreferenceParams{HalfLife: 14 * 24 * time.Hour, SeedWeight: 1.0}
 }
 
+// seeded writes the blended seed prior into dst[:0].
+func (p *PreferenceParams) seeded(dst Vector) Vector {
+	dst = dst[:0]
+	if len(p.Seed) == 0 {
+		return dst
+	}
+	w := 1.0 / float64(len(p.Seed))
+	for _, c := range p.Seed {
+		dst = dst.add(c, w, false)
+	}
+	dst.scale(p.SeedWeight)
+	return dst
+}
+
 // Preferences aggregates the user's feedback into a category preference
-// vector at instant now: each event contributes weight(kind) ×
-// 2^(-age/halfLife) × itemCategoryShare to each of its item's categories,
-// plus the seed prior. The result can contain negative values (disliked
-// categories); the recommender's cosine handles them naturally.
+// vector at instant now and writes it into dst[:0], in category-name
+// order: each event contributes weight(kind) × 2^(-age/halfLife) ×
+// itemCategoryShare to each of its item's categories, plus the seed
+// prior. The result can contain negative values (disliked categories);
+// the recommender's cosine handles them naturally. It allocates only
+// when dst is too short.
 //
 // When the requested half-life matches the store's index half-life and
 // now is not before the user's last event, the read is served from the
 // incremental index in O(categories), independent of the log length.
 // Other reads fall back to replaying baseline + log.
-func (s *Store) Preferences(userID string, now time.Time, params PreferenceParams) map[string]float64 {
+func (s *Store) Preferences(dst Vector, userID string, now time.Time, params PreferenceParams) Vector {
 	if params.HalfLife <= 0 {
 		params.HalfLife = DefaultPreferenceParams().HalfLife
 	}
-	out := make(map[string]float64)
-	for c, w := range params.Seed {
-		out[c] += w * params.SeedWeight
-	}
 	sh := s.shardFor(userID)
 	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	st := sh.users[userID]
 	if st == nil {
-		sh.mu.RUnlock()
-		return out
+		return params.seeded(dst)
 	}
-	if params.HalfLife == s.halfLife && !now.Before(st.lastUpdate) {
-		d := decayFactor(now.Sub(st.lastUpdate), params.HalfLife)
-		for c, v := range st.vec {
-			out[c] += v * d
-		}
-		sh.mu.RUnlock()
+	if params.HalfLife == s.halfLife && !now.Before(st.updated()) {
+		dst = params.seeded(slices.Grow(dst[:0], len(params.Seed)+len(st.vec)))
 		s.indexReads.Add(1)
-		return out
+		return dst.addScaled(st.vec, decayFactor(now.Sub(st.updated()), params.HalfLife))
 	}
-	s.replayInto(out, st, now, params)
-	sh.mu.RUnlock()
 	s.replayReads.Add(1)
-	return out
+	return s.replay(params.seeded(dst), st, now, params)
 }
 
 // PreferencesReplay computes the preference vector by replaying the
@@ -480,49 +525,39 @@ func (s *Store) PreferencesReplay(userID string, now time.Time, params Preferenc
 	if params.HalfLife <= 0 {
 		params.HalfLife = DefaultPreferenceParams().HalfLife
 	}
-	out := make(map[string]float64)
-	for c, w := range params.Seed {
-		out[c] += w * params.SeedWeight
-	}
+	out := params.seeded(nil)
 	sh := s.shardFor(userID)
 	sh.mu.RLock()
 	if st := sh.users[userID]; st != nil {
-		s.replayInto(out, st, now, params)
+		out = s.replay(out, st, now, params)
 	}
 	sh.mu.RUnlock()
 	s.replayReads.Add(1)
-	return out
+	return out.Map()
 }
 
-// replayInto adds the user's baseline and per-event contributions at
-// instant now. Ages clamp at zero: an event (or baseline) "from the
-// future" — clock skew — contributes at full weight, never amplified.
-// The baseline was folded with the index half-life; for reads requesting
-// a different half-life its contribution is an approximation (the
-// truncated events cannot be re-decayed), exact before any compaction.
-func (s *Store) replayInto(out map[string]float64, st *userState, now time.Time, params PreferenceParams) {
-	if len(st.base) > 0 {
-		age := now.Sub(st.baseAt)
-		if age < 0 {
-			age = 0
-		}
-		d := decayFactor(age, params.HalfLife)
-		for c, v := range st.base {
-			out[c] += v * d
-		}
+// replay adds the user's baseline and per-event contributions at
+// instant now to out. Ages clamp at zero: an event (or baseline) "from
+// the future" — clock skew — contributes at full weight, never
+// amplified. The baseline was folded with the index half-life; for
+// reads requesting a different half-life its contribution is an
+// approximation (the truncated events cannot be re-decayed), exact
+// before any compaction.
+func (s *Store) replay(out Vector, st *userState, now time.Time, params PreferenceParams) Vector {
+	if rs := st.rare; rs != nil && len(rs.base) > 0 {
+		age := max(now.Sub(time.Unix(0, rs.baseAt)), 0)
+		out = out.addScaled(rs.base, decayFactor(age, params.HalfLife))
 	}
 	for i := range st.events {
 		r := &st.events[i]
-		age := now.Sub(r.time())
-		if age < 0 {
-			age = 0
-		}
+		age := max(now.Sub(r.time()), 0)
 		w := r.weight() * decayFactor(age, params.HalfLife)
 		_, cats := s.item(st, r)
 		for c, share := range cats {
-			out[c] += w * share
+			out = out.add(c, w*share, false)
 		}
 	}
+	return out
 }
 
 // Compact folds the user's events older than now−horizon into the
@@ -530,24 +565,32 @@ func (s *Store) replayInto(out map[string]float64, st *userState, now time.Time,
 // analogue of the paper's tracking compaction. The incremental index is
 // untouched (it already contains every event); only the replayable tail
 // shrinks, so memory stops growing with history. It returns the number
-// of events folded away.
+// of events folded away; a cut outside what Unix nanoseconds hold folds
+// none.
 func (s *Store) Compact(userID string, now time.Time, horizon time.Duration) int {
 	if horizon <= 0 {
 		return 0
 	}
 	cut := now.Add(-horizon)
+	if !time.Unix(0, cut.UnixNano()).Equal(cut) {
+		return 0
+	}
 	sh := s.shardFor(userID)
 	sh.mu.Lock()
-	n := s.compactLocked(sh, userID, cut)
+	n := s.compactLocked(sh, userID, cut.UnixNano())
 	sh.mu.Unlock()
 	return n
 }
 
-// compactLocked folds the user's events older than cut into the
-// baseline. Caller holds the shard write lock.
-func (s *Store) compactLocked(sh *shard, userID string, cut time.Time) int {
+// compactLocked folds the user's events older than cut (Unix ns) into
+// the baseline. Caller holds the shard write lock.
+func (s *Store) compactLocked(sh *shard, userID string, cut int64) int {
 	st := sh.users[userID]
-	if st == nil || cut.Before(st.baseAt) {
+	if st == nil {
+		return 0
+	}
+	rs := st.rare
+	if rs != nil && rs.baseCount > 0 && cut < rs.baseAt {
 		// A cut before the existing baseline would need to *amplify* the
 		// baseline to re-value it; never move the baseline backwards.
 		return 0
@@ -555,7 +598,7 @@ func (s *Store) compactLocked(sh *shard, userID string, cut time.Time) int {
 	folded, side := 0, 0
 	for i := range st.events {
 		switch r := &st.events[i]; {
-		case r.time().Before(cut):
+		case r.at < cut:
 			folded++
 		case r.seq < 0:
 			side++
@@ -564,12 +607,12 @@ func (s *Store) compactLocked(sh *shard, userID string, cut time.Time) int {
 	if folded == 0 {
 		return 0
 	}
+	rs = st.extra()
+	cutAt := time.Unix(0, cut)
 	// Re-value the previous baseline at the new cut, then fold the old
 	// events on top (each decayed from its own instant to the cut).
-	if d := decayFactor(cut.Sub(st.baseAt), s.halfLife); st.baseCount > 0 && d != 1 {
-		for c, v := range st.base {
-			st.base[c] = v * d
-		}
+	if d := decayFactor(cutAt.Sub(time.Unix(0, rs.baseAt)), s.halfLife); rs.baseCount > 0 && d != 1 {
+		rs.base.scale(d)
 	}
 	// The survivors, and the side entries only they name, move to
 	// slices of exactly their size: an entry goes with its record.
@@ -580,8 +623,7 @@ func (s *Store) compactLocked(sh *shard, userID string, cut time.Time) int {
 	}
 	for i := range st.events {
 		r := st.events[i]
-		at := r.time()
-		if !at.Before(cut) {
+		if r.at >= cut {
 			if r.seq < 0 {
 				keepSide = append(keepSide, st.side[^r.seq])
 				r.seq = ^int32(len(keepSide) - 1)
@@ -589,17 +631,14 @@ func (s *Store) compactLocked(sh *shard, userID string, cut time.Time) int {
 			keep = append(keep, r)
 			continue
 		}
-		if st.base == nil {
-			st.base = make(map[string]float64)
-		}
-		w := r.weight() * decayFactor(cut.Sub(at), s.halfLife)
+		w := r.weight() * decayFactor(cutAt.Sub(r.time()), s.halfLife)
 		_, cats := s.item(st, &r)
 		for c, share := range cats {
-			st.base[c] += w * share
+			rs.base = rs.base.add(c, w*share, true)
 		}
 	}
-	st.baseAt = cut
-	st.baseCount += folded
+	rs.baseAt = cut
+	rs.baseCount += folded
 	st.events, st.side = keep, keepSide
 	s.live.Add(int64(-folded))
 	s.eventsCompacted.Add(int64(folded))
@@ -609,32 +648,40 @@ func (s *Store) compactLocked(sh *shard, userID string, cut time.Time) int {
 
 // restoreUser installs a restored baseline (and compaction-surviving
 // skip set) and reseeds the index from it; the caller then Appends the
-// user's surviving events on top.
-func (s *Store) restoreUser(userID string, base map[string]float64, baseAt time.Time, baseCount int, skipped []string) {
+// user's surviving events on top. It refuses a baseline instant outside
+// what Unix nanoseconds hold.
+func (s *Store) restoreUser(userID string, base map[string]float64, baseAt time.Time, baseCount int, skipped []string) error {
 	if (len(base) == 0 || baseCount == 0) && len(skipped) == 0 {
-		return
+		return nil
 	}
-	st := &userState{
-		vec:        make(map[string]float64),
-		lastUpdate: baseAt,
-	}
+	st := &userState{at: noInstant}
 	if baseCount > 0 {
-		st.vec = copyCategories(base)
-		st.base = copyCategories(base)
-		st.baseAt = baseAt
-		st.baseCount = baseCount
-	}
-	if len(skipped) > 0 {
-		st.skipped = make(map[string]bool, len(skipped))
-		for _, id := range skipped {
-			st.skipped[id] = true
+		at := baseAt.UnixNano()
+		if !time.Unix(0, at).Equal(baseAt) {
+			return fmt.Errorf("%w: baseline at %v", ErrInstantRange, baseAt)
 		}
+		rs := st.extra()
+		for c, w := range base {
+			rs.base = rs.base.add(c, w, true)
+		}
+		st.vec = slices.Clone(rs.base)
+		st.at, rs.baseAt, rs.baseCount = at, at, baseCount
+	}
+	for _, id := range skipped {
+		seq := int32(-1)
+		if s.seqOf != nil {
+			if n, ok := s.seqOf(id); ok {
+				seq = n
+			}
+		}
+		st.skip(seq, id)
 	}
 	sh := s.shardFor(userID)
 	sh.mu.Lock()
 	sh.users[userID] = st
 	sh.mu.Unlock()
 	s.eventsCompacted.Add(int64(baseCount))
+	return nil
 }
 
 // Stats snapshots the store counters, exported on /stats so the
@@ -670,41 +717,65 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// SkippedItems returns the set of item IDs the user skipped or
-// disliked — maintained incrementally on Append (no log scan) and
-// preserved across compaction. The returned map is a shared
-// copy-on-write snapshot: callers MUST treat it as read-only. It is
-// rebuilt only when the set changed since the last call, so the skip
-// replacement hot path (one call per skip) stops paying an O(skipped)
-// copy per request.
-func (s *Store) SkippedItems(userID string) map[string]bool {
+// Skips is a listener's skip set as the store publishes it: the catalog
+// seqs of the items they skipped or disliked, ascending, and the IDs,
+// ascending, of those the catalog did not hold when the skip was logged.
+// Both slices are shared: callers MUST treat them as read-only.
+type Skips struct {
+	Seqs []int32
+	IDs  []string
+}
+
+// Has reports whether the set holds the catalog item numbered seq, whose
+// ID is id: an integer probe, and a string one only for a listener who
+// skipped an item the catalog did not hold.
+func (k Skips) Has(seq int32, id string) bool {
+	if _, ok := slices.BinarySearch(k.Seqs, seq); ok {
+		return true
+	}
+	if len(k.IDs) == 0 {
+		return false
+	}
+	_, ok := slices.BinarySearch(k.IDs, id)
+	return ok
+}
+
+// SkippedItems returns the set of items the user skipped or disliked —
+// maintained incrementally on Append (no log scan) and preserved across
+// compaction. It allocates nothing: the slices are the store's own,
+// which a change replaces rather than writes (copy-on-write).
+func (s *Store) SkippedItems(userID string) Skips {
 	sh := s.shardFor(userID)
 	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	st := sh.users[userID]
-	if st == nil || len(st.skipped) == 0 {
-		sh.mu.RUnlock()
-		return nil
+	if st == nil {
+		return Skips{}
 	}
-	if snap := st.skippedSnap; snap != nil {
-		sh.mu.RUnlock()
-		return snap
+	k := Skips{Seqs: st.skipped}
+	if st.rare != nil {
+		k.IDs = st.rare.skippedIDs
 	}
-	sh.mu.RUnlock()
+	return k
+}
 
-	// Rebuild under the write lock; a racing Append between the locks
-	// just nils the snapshot again and the next call rebuilds.
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st = sh.users[userID]
-	if st == nil || len(st.skipped) == 0 {
-		return nil
+// skippedIDs returns every ID in st's skip set, ascending.
+func (s *Store) skippedIDs(st *userState) []string {
+	var ids []string
+	if st.rare != nil {
+		ids = st.rare.skippedIDs
 	}
-	if st.skippedSnap == nil {
-		snap := make(map[string]bool, len(st.skipped))
-		for id := range st.skipped {
-			snap[id] = true
-		}
-		st.skippedSnap = snap
+	if len(st.skipped) == 0 {
+		return ids
 	}
-	return st.skippedSnap
+	out := make([]string, 0, len(st.skipped)+len(ids))
+	for _, seq := range st.skipped {
+		id, _ := s.itemAt(seq)
+		out = append(out, id)
+	}
+	// An ID skipped while the catalog did not hold it and again since
+	// the catalog took it is in both parts.
+	out = append(out, ids...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

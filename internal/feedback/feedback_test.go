@@ -63,7 +63,7 @@ func TestPreferencesAccumulate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prefs := s.Preferences("lilly", t0, DefaultPreferenceParams())
+	prefs := prefsOf(s, "lilly", t0, DefaultPreferenceParams())
 	if prefs["food"] <= 2.9 { // 3 likes × weight 1 × decay ~1
 		t.Fatalf("food pref = %v", prefs["food"])
 	}
@@ -76,13 +76,13 @@ func TestPreferencesDecay(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := DefaultPreferenceParams()
-	now := s.Preferences("greg", t0, params)["sport"]
-	later := s.Preferences("greg", t0.Add(14*24*time.Hour), params)["sport"]
+	now := prefsOf(s, "greg", t0, params)["sport"]
+	later := prefsOf(s, "greg", t0.Add(14*24*time.Hour), params)["sport"]
 	if math.Abs(later-now/2) > 0.01 {
 		t.Fatalf("half-life decay broken: now=%v later=%v", now, later)
 	}
 	// Future events (clock skew) are not amplified.
-	skewed := s.Preferences("greg", t0.Add(-time.Hour), params)["sport"]
+	skewed := prefsOf(s, "greg", t0.Add(-time.Hour), params)["sport"]
 	if skewed > now+1e-9 {
 		t.Fatalf("future event amplified: %v > %v", skewed, now)
 	}
@@ -96,7 +96,7 @@ func TestPreferencesNegativeSignals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prefs := s.Preferences("greg", t0, DefaultPreferenceParams())
+	prefs := prefsOf(s, "greg", t0, DefaultPreferenceParams())
 	if prefs["sport"] >= 0 {
 		t.Fatalf("skipped category should be negative: %v", prefs["sport"])
 	}
@@ -105,16 +105,52 @@ func TestPreferencesNegativeSignals(t *testing.T) {
 func TestPreferencesSeedBlend(t *testing.T) {
 	s := NewStore()
 	params := DefaultPreferenceParams()
-	params.Seed = map[string]float64{"technology": 0.5, "economics": 0.5}
-	prefs := s.Preferences("newuser", t0, params)
+	params.Seed = []string{"technology", "economics"}
+	prefs := prefsOf(s, "newuser", t0, params)
 	if math.Abs(prefs["technology"]-0.5) > 1e-9 {
 		t.Fatalf("seed not applied: %v", prefs)
 	}
 	// SeedWeight scales the prior.
 	params.SeedWeight = 2
-	prefs = s.Preferences("newuser", t0, params)
+	prefs = prefsOf(s, "newuser", t0, params)
 	if math.Abs(prefs["technology"]-1.0) > 1e-9 {
 		t.Fatalf("seed weight not applied: %v", prefs)
+	}
+}
+
+// TestSeedPreferences: the profile's declared interests are a uniform
+// prior of unit mass, a category listed twice weighing twice, with the
+// bits of the map the seed was once built as.
+func TestSeedPreferences(t *testing.T) {
+	s := NewStore()
+	params := DefaultPreferenceParams()
+	params.Seed = []string{"technology", "economics"}
+	prefs := s.Preferences(nil, "newuser", t0, params)
+	if len(prefs) != 2 || prefs[0].Cat != "economics" || prefs[1].Cat != "technology" {
+		t.Fatalf("prefs = %v, want two categories in name order", prefs)
+	}
+	var sum float64
+	for _, p := range prefs {
+		sum += p.W
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("seed mass = %v", sum)
+	}
+	params.Seed = nil
+	if prefs := s.Preferences(nil, "newuser", t0, params); len(prefs) != 0 {
+		t.Fatalf("no interests gave %v", prefs)
+	}
+	// Duplicate interests accumulate rather than vanish.
+	params.Seed = []string{"food", "art", "food"}
+	w := 1.0 / 3
+	want := map[string]float64{}
+	for _, c := range params.Seed {
+		want[c] += w
+	}
+	for _, p := range s.Preferences(nil, "newuser", t0, params) {
+		if math.Float64bits(p.W) != math.Float64bits(0+want[p.Cat]*params.SeedWeight) {
+			t.Fatalf("%s weighs %v, want %v", p.Cat, p.W, want[p.Cat])
+		}
 	}
 }
 
@@ -124,7 +160,7 @@ func TestPreferencesSoftCategories(t *testing.T) {
 	if err := s.Append(Event{UserID: "u", Kind: Like, At: t0, Categories: cat}); err != nil {
 		t.Fatal(err)
 	}
-	prefs := s.Preferences("u", t0, DefaultPreferenceParams())
+	prefs := prefsOf(s, "u", t0, DefaultPreferenceParams())
 	if math.Abs(prefs["food"]-0.7) > 1e-9 || math.Abs(prefs["culture"]-0.3) > 1e-9 {
 		t.Fatalf("soft shares wrong: %v", prefs)
 	}
@@ -135,7 +171,7 @@ func TestPreferencesZeroHalfLifeFallsBack(t *testing.T) {
 	if err := s.Append(Event{UserID: "u", Kind: Like, At: t0, Categories: map[string]float64{"art": 1}}); err != nil {
 		t.Fatal(err)
 	}
-	prefs := s.Preferences("u", t0, PreferenceParams{}) // zero params
+	prefs := prefsOf(s, "u", t0, PreferenceParams{}) // zero params
 	if prefs["art"] <= 0 {
 		t.Fatalf("fallback params broke preferences: %v", prefs)
 	}
@@ -151,15 +187,21 @@ func BenchmarkPreferences(b *testing.B) {
 	}
 	params := DefaultPreferenceParams()
 	now := t0.Add(24 * time.Hour)
+	var buf Vector
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Preferences("u", now, params)
+		buf = s.Preferences(buf, "u", now, params)
 	}
 }
 
 // --- PR 2: incremental index, compaction, aliasing ---------------------
 
 // almostEqual compares two sparse vectors to 1e-9.
+// prefsOf is the user's preference vector as a map.
+func prefsOf(s *Store, userID string, now time.Time, params PreferenceParams) map[string]float64 {
+	return s.Preferences(nil, userID, now, params).Map()
+}
+
 func almostEqual(t *testing.T, got, want map[string]float64) {
 	t.Helper()
 	keys := map[string]bool{}
@@ -185,14 +227,14 @@ func TestAppendDeepCopiesCategories(t *testing.T) {
 	// Caller mutates its map after the append: the store must be immune.
 	cat["food"] = -100
 	cat["crime"] = 42
-	prefs := s.Preferences("u", t0, PreferenceParams{HalfLife: time.Hour})
+	prefs := prefsOf(s, "u", t0, PreferenceParams{HalfLife: time.Hour})
 	if math.Abs(prefs["food"]-1) > 1e-9 || prefs["crime"] != 0 {
 		t.Fatalf("store aliased caller map: %v", prefs)
 	}
 	// ByUser results are copies too.
 	got := s.ByUser("u")
 	got[0].Categories["food"] = -7
-	if prefs := s.Preferences("u", t0, PreferenceParams{HalfLife: time.Hour}); math.Abs(prefs["food"]-1) > 1e-9 {
+	if prefs := prefsOf(s, "u", t0, PreferenceParams{HalfLife: time.Hour}); math.Abs(prefs["food"]-1) > 1e-9 {
 		t.Fatalf("ByUser aliased store memory: %v", prefs)
 	}
 }
@@ -200,7 +242,7 @@ func TestAppendDeepCopiesCategories(t *testing.T) {
 func TestIncrementalMatchesReplay(t *testing.T) {
 	s := NewStore()
 	params := DefaultPreferenceParams()
-	params.Seed = map[string]float64{"technology": 0.4}
+	params.Seed = []string{"technology", "technology", "art"}
 	cats := []map[string]float64{
 		{"food": 0.7, "culture": 0.3},
 		{"sport": 1},
@@ -221,7 +263,7 @@ func TestIncrementalMatchesReplay(t *testing.T) {
 	}
 	for _, lag := range []time.Duration{0, time.Hour, 40 * 24 * time.Hour} {
 		now := at.Add(lag)
-		almostEqual(t, s.Preferences("u", now, params), s.PreferencesReplay("u", now, params))
+		almostEqual(t, prefsOf(s, "u", now, params), s.PreferencesReplay("u", now, params))
 	}
 	st := s.Stats()
 	if st.IndexReads == 0 {
@@ -235,7 +277,7 @@ func TestPreferencesNonIndexHalfLifeFallsBackToReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := PreferenceParams{HalfLife: time.Hour}
-	got := s.Preferences("u", t0.Add(time.Hour), params)
+	got := prefsOf(s, "u", t0.Add(time.Hour), params)
 	if math.Abs(got["art"]-0.5) > 1e-9 {
 		t.Fatalf("custom half-life wrong: %v", got)
 	}
@@ -256,7 +298,7 @@ func TestPreferencesReadBeforeLastEventMatchesReplay(t *testing.T) {
 	// now is before the newest event: the future event must count at full
 	// weight (age clamp), exactly as the replay semantics define.
 	now := t0.Add(time.Hour)
-	almostEqual(t, s.Preferences("u", now, params), s.PreferencesReplay("u", now, params))
+	almostEqual(t, prefsOf(s, "u", now, params), s.PreferencesReplay("u", now, params))
 }
 
 func TestCompactFoldsOldEventsAndPreservesPreferences(t *testing.T) {
@@ -270,7 +312,7 @@ func TestCompactFoldsOldEventsAndPreservesPreferences(t *testing.T) {
 		}
 	}
 	now := at.Add(time.Hour)
-	before := s.Preferences("u", now, params)
+	before := prefsOf(s, "u", now, params)
 	beforeReplay := s.PreferencesReplay("u", now, params)
 
 	horizon := 3 * 24 * time.Hour
@@ -288,7 +330,7 @@ func TestCompactFoldsOldEventsAndPreservesPreferences(t *testing.T) {
 	}
 	// The index is untouched by compaction; replay now goes through the
 	// baseline and must still agree.
-	almostEqual(t, s.Preferences("u", now, params), before)
+	almostEqual(t, prefsOf(s, "u", now, params), before)
 	almostEqual(t, s.PreferencesReplay("u", now, params), beforeReplay)
 
 	// Idempotent at the same instant; a later compaction folds more.
@@ -299,7 +341,7 @@ func TestCompactFoldsOldEventsAndPreservesPreferences(t *testing.T) {
 	if n := s.Compact("u", later, horizon); n == 0 {
 		t.Fatal("later compaction folded nothing")
 	}
-	almostEqual(t, s.PreferencesReplay("u", later, params), s.Preferences("u", later, params))
+	almostEqual(t, s.PreferencesReplay("u", later, params), prefsOf(s, "u", later, params))
 
 	st := s.Stats()
 	if st.CompactedEvents == 0 || st.Compactions < 2 {
@@ -322,8 +364,8 @@ func TestPreferencesCostIndependentOfHistory(t *testing.T) {
 	now := t0.Add(30 * 24 * time.Hour)
 	params := DefaultPreferenceParams()
 	base := s.Stats()
-	s.Preferences("small", now, params)
-	s.Preferences("big", now, params)
+	prefsOf(s, "small", now, params)
+	prefsOf(s, "big", now, params)
 	st := s.Stats()
 	if st.IndexReads-base.IndexReads != 2 || st.ReplayReads != base.ReplayReads {
 		t.Fatalf("reads did not stay on the index: %+v -> %+v", base, st)
@@ -362,9 +404,10 @@ func BenchmarkPreferencesIncremental(b *testing.B) {
 	s := benchStore(b, 10000)
 	params := DefaultPreferenceParams()
 	now := t0.Add(30 * 24 * time.Hour)
+	var buf Vector
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Preferences("u", now, params)
+		buf = s.Preferences(buf, "u", now, params)
 	}
 }
 
@@ -627,7 +670,7 @@ func TestLogReadsWhileCatalogGrows(t *testing.T) {
 		}
 		params := DefaultPreferenceParams()
 		now := t0.Add(time.Hour)
-		index, replay := s.Preferences(u, now, params), s.PreferencesReplay(u, now, params)
+		index, replay := prefsOf(s, u, now, params), s.PreferencesReplay(u, now, params)
 		for c, v := range replay {
 			if math.Abs(index[c]-v) > 1e-9 {
 				t.Fatalf("%s %q: index %v, replay %v", u, c, index[c], v)

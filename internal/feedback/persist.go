@@ -40,17 +40,11 @@ func (s *Store) Snapshot(w io.Writer) error {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for userID, st := range sh.users {
-			us := userSnapshot{
-				Base:      copyCategories(st.base),
-				BaseAt:    st.baseAt,
-				BaseCount: st.baseCount,
-			}
-			if len(st.skipped) > 0 {
-				us.Skipped = make([]string, 0, len(st.skipped))
-				for id := range st.skipped {
-					us.Skipped = append(us.Skipped, id)
-				}
-				sort.Strings(us.Skipped)
+			us := userSnapshot{Skipped: s.skippedIDs(st)}
+			if rs := st.rare; rs != nil && rs.baseCount > 0 {
+				us.Base = rs.base.Map()
+				us.BaseAt = time.Unix(0, rs.baseAt).UTC()
+				us.BaseCount = rs.baseCount
 			}
 			// A stored event's map is never written (Append), so the
 			// encoder may read it after the lock is released; base is
@@ -95,7 +89,9 @@ func (s *Store) Restore(rd io.Reader) error {
 	}
 	for _, u := range sortedUsers(snap.Users) {
 		us := snap.Users[u]
-		s.restoreUser(u, us.Base, us.BaseAt, us.BaseCount, us.Skipped)
+		if err := s.restoreUser(u, us.Base, us.BaseAt, us.BaseCount, us.Skipped); err != nil {
+			return fmt.Errorf("feedback: restoring %q: %w", u, err)
+		}
 		for _, e := range us.Events {
 			// A checkpoint from an older node may hold an instant a
 			// record cannot; it is skipped, as WAL replay skips it.

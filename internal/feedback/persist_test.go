@@ -34,8 +34,8 @@ func TestFeedbackSnapshotRestore(t *testing.T) {
 	}
 	// Derived preferences match exactly.
 	now := t0.Add(24 * time.Hour)
-	a := s.Preferences("lilly", now, DefaultPreferenceParams())
-	b := restored.Preferences("lilly", now, DefaultPreferenceParams())
+	a := prefsOf(s, "lilly", now, DefaultPreferenceParams())
+	b := prefsOf(restored, "lilly", now, DefaultPreferenceParams())
 	for k, v := range a {
 		if b[k] != v {
 			t.Fatalf("preference %q differs: %v vs %v", k, v, b[k])
@@ -89,8 +89,8 @@ func TestFeedbackSnapshotRestoreCompacted(t *testing.T) {
 	if restored.Len() != s.Len() {
 		t.Fatalf("live event counts differ: %d vs %d", restored.Len(), s.Len())
 	}
-	a := s.Preferences("lilly", now, params)
-	b := restored.Preferences("lilly", now, params)
+	a := prefsOf(s, "lilly", now, params)
+	b := prefsOf(restored, "lilly", now, params)
 	for k, v := range a {
 		if diff := v - b[k]; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("preference %q differs: %v vs %v", k, v, b[k])

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 
 	"pphcr/internal/content"
 	"pphcr/internal/core"
+	"pphcr/internal/feedback"
 	"pphcr/internal/geo"
 	"pphcr/internal/recommend"
 	"pphcr/internal/tracking"
@@ -43,12 +45,8 @@ func planPipeline(repo *content.Repository, prefs map[string]map[string]float64)
 	scorer := recommend.NewScorer(0.4)
 	deps := Deps{
 		Mobility: func(string) (*tracking.CompactModel, bool) { return nil, false },
-		Preferences: func(user string, now time.Time) map[string]float64 {
-			out := make(map[string]float64, len(prefs[user]))
-			for k, v := range prefs[user] {
-				out[k] = v
-			}
-			return out
+		Preferences: func(dst feedback.Vector, user string, now time.Time) feedback.Vector {
+			return vectorOf(dst, prefs[user])
 		},
 		Catalog:         repo.ReadView,
 		CandidateWindow: testWindow,
@@ -164,6 +162,22 @@ func newOracleInstance(seed int64) oracleInstance {
 // where a cosine's weight is small beside the context's.
 var oracleLambdas = []float64{0, 0.4, 0.9, 0.999, 1}
 
+// skips is the exclude set as the feedback store publishes it: items by
+// catalog seq, and every third by ID, as if skipped before the catalog
+// took it, so Rank's probe is checked on both halves.
+func (in *oracleInstance) skips(repo *content.Repository) feedback.Skips {
+	var k feedback.Skips
+	for i, id := range slices.Sorted(maps.Keys(in.exclude)) {
+		if seq, ok := repo.Seq(id); ok && i%3 != 2 {
+			k.Seqs = append(k.Seqs, seq)
+		} else {
+			k.IDs = append(k.IDs, id)
+		}
+	}
+	slices.Sort(k.Seqs)
+	return k
+}
+
 // reference ranks the instance the slow way: scan the items, keep the
 // candidate window, drop the excluded, Scorer.Rank.
 func (in *oracleInstance) reference(scorer *recommend.Scorer) []recommend.Scored {
@@ -257,6 +271,7 @@ func TestPlanMatchesOracle(t *testing.T) {
 		deps.Scorer.ContextWeight = in.lambda
 		ref := in.reference(deps.Scorer)
 		req := core.Request{Prefs: in.prefs, Ctx: in.ctx}
+		exclude := in.skips(repo)
 		proactive, _ := deps.Planner.ShouldRecommend(core.Situation{Ctx: in.ctx, TripConfidence: 1})
 		for _, block := range oracleBlocks {
 			p.Rank.(*indexRank).block = block
@@ -265,20 +280,20 @@ func TestPlanMatchesOracle(t *testing.T) {
 				t.Fatalf("seed %d, blocks of %d: %s\n got:  %s\n want: %s\nrepro: go test ./internal/pipeline -run TestPlanMatchesOracle -oracle.seed=%d", seed, block, what, got, want, seed)
 			}
 
-			full := &Task{Mode: ModeRank, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: in.exclude}
+			full := &Task{Mode: ModeRank, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: exclude}
 			p.Run(full)
 			if rich && len(ref) > 0 && !reflect.DeepEqual(full.Ranked, ref) || !sameScores(full.Ranked, ref) {
 				fail("full ranking differs from Scorer.Rank", rankedString(full.Ranked), rankedString(ref))
 			}
 			for _, k := range []int{1, 5, 30} {
-				topk := &Task{Mode: ModeRank, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: in.exclude, K: k}
+				topk := &Task{Mode: ModeRank, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: exclude, K: k}
 				p.Run(topk)
 				if want := full.Ranked[:min(k, len(full.Ranked))]; !slices.Equal(topk.Ranked, want) {
 					fail(fmt.Sprintf("top-%d differs from the full ranking's head", k), rankedString(topk.Ranked), rankedString(want))
 				}
 			}
 
-			plan := &Task{Mode: ModeLive, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: in.exclude}
+			plan := &Task{Mode: ModeLive, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: exclude}
 			p.Run(plan)
 			if plan.Err != nil {
 				t.Fatalf("seed %d: %v", seed, plan.Err)

@@ -32,6 +32,7 @@ import (
 	"pphcr/internal/content"
 	"pphcr/internal/core"
 	"pphcr/internal/distraction"
+	"pphcr/internal/feedback"
 	"pphcr/internal/obs"
 	"pphcr/internal/plancache"
 	"pphcr/internal/predict"
@@ -83,10 +84,10 @@ type Task struct {
 	Prob       float64
 
 	// K bounds a ModeRank task's ranked list (0 = all). Exclude, in any
-	// mode, drops items by ID in Rank: the plan and skip paths pass the
-	// user's skipped-item set.
+	// mode, drops items in Rank: the plan and skip paths pass the user's
+	// skip set.
 	K       int
-	Exclude map[string]bool
+	Exclude feedback.Skips
 
 	// Ctx is the recommendation context: an input for ModeRank, derived
 	// by the Predict stage otherwise.
@@ -119,10 +120,9 @@ type Task struct {
 	// ring. Untraced tasks pay one nil check per stage.
 	Trace *obs.Trace
 
-	done  bool
-	prefs map[string]float64
-	set   *candSet
-	sel   *core.Selection
+	done bool
+	set  *candSet
+	sel  *core.Selection
 }
 
 // skip reports whether later stages should ignore the task.
@@ -174,8 +174,9 @@ type Allocate interface {
 type Deps struct {
 	// Mobility returns the user's compacted mobility model.
 	Mobility func(user string) (*tracking.CompactModel, bool)
-	// Preferences returns the user's decayed preference vector at now.
-	Preferences func(user string, now time.Time) map[string]float64
+	// Preferences writes the user's decayed preference vector at now
+	// into dst[:0], in category-name order (feedback.Store.Preferences).
+	Preferences func(dst feedback.Vector, user string, now time.Time) feedback.Vector
 	// Catalog fills v with the current view of the content repository
 	// (content.Repository.ReadView).
 	Catalog func(v *content.View)

@@ -2,11 +2,14 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"pphcr/internal/content"
 	"pphcr/internal/core"
+	"pphcr/internal/feedback"
 	"pphcr/internal/recommend"
 	"pphcr/internal/tracking"
 )
@@ -25,13 +28,9 @@ func rankDeps(items []*content.Item, prefs map[string]float64, prefReads, acquir
 	}
 	return Deps{
 		Mobility: func(string) (*tracking.CompactModel, bool) { return nil, false },
-		Preferences: func(user string, now time.Time) map[string]float64 {
+		Preferences: func(dst feedback.Vector, user string, now time.Time) feedback.Vector {
 			*prefReads++
-			out := make(map[string]float64, len(prefs))
-			for k, v := range prefs {
-				out[k] = v
-			}
-			return out
+			return vectorOf(dst, prefs)
 		},
 		Catalog: func(v *content.View) {
 			*acquires++
@@ -130,9 +129,13 @@ func TestRankExcludeSkipsItems(t *testing.T) {
 	if len(full.Ranked) < 3 {
 		t.Fatal("fixture too sparse")
 	}
-	exclude := map[string]bool{
-		full.Ranked[0].Item.ID: true,
-		full.Ranked[2].Item.ID: true,
+	// One item by its catalog seq (items were added in order), one by
+	// ID, as for an item skipped before the catalog took it.
+	exclude := feedback.Skips{IDs: []string{full.Ranked[2].Item.ID}}
+	for seq, it := range items {
+		if it.ID == full.Ranked[0].Item.ID {
+			exclude.Seqs = []int32{int32(seq)}
+		}
 	}
 	t2 := &Task{Mode: ModeRank, User: "u", Now: testEpoch, Ctx: recommend.Context{Now: testEpoch}, K: 1, Exclude: exclude}
 	p.Run(t2)
@@ -190,4 +193,15 @@ func TestPredictErrorsSkipLaterStages(t *testing.T) {
 	if st := p.Stats(); st.Predict.Count != 1 || st.Gate.Count+st.Candidates.Count+st.Rank.Count+st.Allocate.Count != 0 {
 		t.Fatalf("errored task ran past Predict: %+v", st)
 	}
+}
+
+// vectorOf writes m into dst[:0] as a preference vector, in category-name
+// order, as feedback.Store.Preferences does.
+func vectorOf(dst feedback.Vector, m map[string]float64) feedback.Vector {
+	dst = dst[:0]
+	for cat, w := range m {
+		dst = append(dst, feedback.Pref{Cat: cat, W: w})
+	}
+	slices.SortFunc(dst, func(a, b feedback.Pref) int { return strings.Compare(a.Cat, b.Cat) })
+	return dst
 }

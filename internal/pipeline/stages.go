@@ -11,6 +11,7 @@ import (
 	"pphcr/internal/content"
 	"pphcr/internal/core"
 	"pphcr/internal/distraction"
+	"pphcr/internal/feedback"
 	"pphcr/internal/geo"
 	"pphcr/internal/plancache"
 	"pphcr/internal/predict"
@@ -193,19 +194,12 @@ func (set *candSet) start(deps *Deps, now time.Time) {
 	}
 }
 
-// prefWeight is one coordinate of a preference vector.
-type prefWeight struct {
-	cat string
-	w   float64
-}
-
 // userPrefs is one task's copy of its user's decayed preference
-// vector: the map (handed to the allocator), its name-sorted flat form,
-// the precomputed √norm of the user side of the cosine and, once bound
-// to the task's catalog view, the interned ids of its categories.
+// vector: the vector in category-name order, the precomputed √norm of
+// the user side of the cosine and, once bound to the task's catalog
+// view, the interned ids of its categories.
 type userPrefs struct {
-	prefs  map[string]float64
-	flat   []prefWeight
+	flat   feedback.Vector
 	sqrtNa float64
 
 	// ids are the preferred categories some catalog item carries, in
@@ -215,26 +209,12 @@ type userPrefs struct {
 	ws  []float64
 }
 
-// load takes a freshly read preference vector, flattening and norming
-// it.
-func (fp *userPrefs) load(prefs map[string]float64) {
-	fp.prefs = prefs
-	fp.flat = fp.flat[:0]
-	for cat, w := range prefs {
-		fp.flat = append(fp.flat, prefWeight{cat: cat, w: w})
-	}
-	// Insertion sort: preference vectors are small and sort.Slice's
-	// closure indirection shows up on the skip hot path.
-	flat := fp.flat
-	for j := 1; j < len(flat); j++ {
-		for k := j; k > 0 && flat[k].cat < flat[k-1].cat; k-- {
-			flat[k], flat[k-1] = flat[k-1], flat[k]
-		}
-	}
+// load norms the freshly read vector in flat.
+func (fp *userPrefs) load() {
 	fp.sqrtNa = 0
 	var na float64
 	for _, pw := range fp.flat {
-		na += pw.w * pw.w
+		na += pw.W * pw.W
 	}
 	if na > 0 {
 		fp.sqrtNa = math.Sqrt(na)
@@ -246,9 +226,9 @@ func (fp *userPrefs) load(prefs map[string]float64) {
 func (fp *userPrefs) bind(v *content.View) {
 	fp.ids, fp.ws = fp.ids[:0], fp.ws[:0]
 	for _, pw := range fp.flat {
-		if id, ok := v.CategoryID(pw.cat); ok {
+		if id, ok := v.CategoryID(pw.Cat); ok {
 			fp.ids = append(fp.ids, id)
-			fp.ws = append(fp.ws, pw.w)
+			fp.ws = append(fp.ws, pw.W)
 		}
 	}
 }
@@ -278,9 +258,9 @@ func (s *cacheCandidates) Gather(t *Task) {
 	}
 	set := s.po.acquire(t)
 	set.start(&s.deps, t.Now)
-	set.fp.load(s.deps.Preferences(t.User, t.Now))
+	set.fp.flat = s.deps.Preferences(set.fp.flat, t.User, t.Now)
+	set.fp.load()
 	set.fp.bind(&set.view)
-	t.prefs = set.fp.prefs
 }
 
 // tryServeWarm is the live fast path: a plan precomputed for this
@@ -327,15 +307,14 @@ func (po *pools) acquire(t *Task) *candSet {
 	return set
 }
 
-// Release recycles what acquire handed out. The view and the preference
-// map are dropped first: a pooled set must not keep a superseded
-// generation of the catalog's arrays, or a user's vector, reachable.
+// Release recycles what acquire handed out. The view is dropped first:
+// a pooled set must not keep a superseded generation of the catalog's
+// arrays reachable.
 func (s *cacheCandidates) Release(t *Task) {
 	if t.set == nil {
 		return // served warm: nothing was acquired
 	}
 	t.set.view.Reset()
-	t.set.fp.prefs = nil
 	s.po.sets.Put(t.set)
 	t.set = nil
 }
@@ -502,16 +481,17 @@ func (r *ranking) score(lo int32, acc []float64) {
 		} else if t.K > 0 && len(r.out) >= t.K && bound < r.out[0].Compound {
 			continue
 		}
-		r.offer(f.Item, cos, ctxScore)
+		r.offer(lo+int32(j), f.Item, cos, ctxScore)
 	}
 }
 
-// offer finishes scoring an item the bound let through and offers it.
-func (r *ranking) offer(it *content.Item, cos, ctxScore float64) {
+// offer finishes scoring the item numbered seq, which the bound let
+// through, and offers it.
+func (r *ranking) offer(seq int32, it *content.Item, cos, ctxScore float64) {
 	t, scorer := r.t, r.s.deps.Scorer
 	// Only items the bound let through pay the lookup; both bound checks
 	// read just the heap, which an excluded item never enters.
-	if t.Exclude[it.ID] {
+	if t.Exclude.Has(seq, it.ID) {
 		return
 	}
 	contentScore := cos * scorer.FreshnessFactor(it, r.set.now)
@@ -636,7 +616,6 @@ type plannerAllocate struct {
 
 func (s *plannerAllocate) Allocate(t *Task) {
 	t.Plan = s.deps.Planner.Allocate(t.Ranked, core.Request{
-		Prefs:       t.prefs,
 		Ctx:         t.Ctx,
 		Distraction: t.Timeline,
 	})

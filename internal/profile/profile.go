@@ -80,18 +80,3 @@ func (s *Store) UserIDs() []string {
 	sort.Strings(out)
 	return out
 }
-
-// SeedPreferences converts the profile's declared interests into a
-// uniform preference vector, the cold-start prior the recommender uses
-// before feedback accumulates.
-func (p Profile) SeedPreferences() map[string]float64 {
-	if len(p.Interests) == 0 {
-		return map[string]float64{}
-	}
-	w := 1.0 / float64(len(p.Interests))
-	out := make(map[string]float64, len(p.Interests))
-	for _, c := range p.Interests {
-		out[c] += w
-	}
-	return out
-}

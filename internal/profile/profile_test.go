@@ -2,7 +2,6 @@ package profile
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"pphcr/internal/geo"
@@ -63,28 +62,5 @@ func TestUserIDsSorted(t *testing.T) {
 	got := s.UserIDs()
 	if len(got) != 3 || got[0] != "anna" || got[2] != "zoe" {
 		t.Fatalf("UserIDs = %v", got)
-	}
-}
-
-func TestSeedPreferences(t *testing.T) {
-	p := Profile{Interests: []string{"technology", "economics"}}
-	prefs := p.SeedPreferences()
-	if len(prefs) != 2 {
-		t.Fatalf("prefs = %v", prefs)
-	}
-	var sum float64
-	for _, w := range prefs {
-		sum += w
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("seed mass = %v", sum)
-	}
-	if len((Profile{}).SeedPreferences()) != 0 {
-		t.Fatal("empty interests should give empty prefs")
-	}
-	// Duplicate interests accumulate rather than vanish.
-	dup := Profile{Interests: []string{"food", "food"}}
-	if w := dup.SeedPreferences()["food"]; math.Abs(w-1) > 1e-9 {
-		t.Fatalf("dup weight = %v", w)
 	}
 }

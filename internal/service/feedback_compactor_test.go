@@ -36,7 +36,7 @@ func TestFeedbackCompactorTriggersOnThreshold(t *testing.T) {
 	}
 	feedFeedback(t, sys, "lilly", 120, start)
 
-	before := sys.Preferences("lilly", now)
+	before := sys.Preferences("lilly", now).Map()
 	compacted, errs := c.Poll()
 	if len(compacted) != 1 || len(errs) != 0 || compacted[0] != "lilly" {
 		t.Fatalf("compacted = %v, errors %v", compacted, errs)
@@ -51,7 +51,7 @@ func TestFeedbackCompactorTriggersOnThreshold(t *testing.T) {
 	if len(live) == 0 || len(live) == 120 {
 		t.Fatalf("%d of 120 events live after compaction, want the newer half", len(live))
 	}
-	after := sys.Preferences("lilly", now)
+	after := sys.Preferences("lilly", now).Map()
 	for k, v := range before {
 		if math.Abs(after[k]-v) > 1e-9 {
 			t.Fatalf("compaction moved preference %q: %v -> %v", k, v, after[k])

@@ -374,7 +374,7 @@ func New(cfg Config) (*System, error) {
 	}
 	s.pipe = pipeline.New(pipeline.Deps{
 		Mobility:        s.MobilityModel,
-		Preferences:     s.Preferences,
+		Preferences:     s.preferences,
 		Catalog:         repo.ReadView,
 		CandidateWindow: candidateWindow,
 		Cache:           s.PlanCache,
@@ -694,16 +694,23 @@ func (s *System) AppendMobilityUsers(dst []string) []string {
 	return dst
 }
 
-// Preferences returns the user's current category preference vector:
-// time-decayed feedback blended with the profile's declared interests.
-// The read is served from the feedback store's incremental index in
-// O(categories) — independent of how much history the user has.
-func (s *System) Preferences(userID string, now time.Time) map[string]float64 {
+// Preferences returns the user's current category preference vector,
+// in category-name order: time-decayed feedback blended with the
+// profile's declared interests. The read is served from the feedback
+// store's incremental index in O(categories) — independent of how much
+// history the user has.
+func (s *System) Preferences(userID string, now time.Time) feedback.Vector {
+	return s.preferences(nil, userID, now)
+}
+
+// preferences is Preferences written into dst[:0]: the plan pipeline's
+// read, into its task's pooled buffer.
+func (s *System) preferences(dst feedback.Vector, userID string, now time.Time) feedback.Vector {
 	params := feedback.DefaultPreferenceParams()
 	if p, err := s.Profiles.Get(userID); err == nil {
-		params.Seed = p.SeedPreferences()
+		params.Seed = p.Interests
 	}
-	return s.Feedback.Preferences(userID, now, params)
+	return s.Feedback.Preferences(dst, userID, now, params)
 }
 
 // CompactFeedback folds the user's feedback events older than horizon
@@ -1111,20 +1118,15 @@ func (s *System) SkipClip(userID, itemID string, ctx recommend.Context) (recomme
 // (BenchmarkSkipReplacement measures the gap).
 func (s *System) skipReplacement(userID string, ctx recommend.Context) (recommend.Scored, error) {
 	skipped := s.Feedback.SkippedItems(userID)
-
-	exclude := skipped
-	if pinned, seen := s.pinned(s.consumeInjections(userID)); len(pinned) > 0 {
-		// Preserve Recommend's merge semantics: the first pinned,
-		// unskipped item wins outright; pinned-but-skipped items must not
-		// reappear from the organic ranking.
-		for _, sc := range pinned {
-			if !skipped[sc.Item.ID] {
-				return sc, nil
-			}
-		}
-		exclude = seen
-		for id := range skipped {
-			exclude[id] = true
+	// Preserve Recommend's merge semantics: the first pinned, unskipped
+	// item wins outright. Past the loop every pinned item is skipped, so
+	// the skip set alone keeps them out of the organic ranking.
+	pinned, _ := s.pinned(s.consumeInjections(userID))
+	for _, sc := range pinned {
+		// A pinned item was found in the catalog, which never drops or
+		// renumbers an item: its seq is there.
+		if seq, _ := s.Repo.Seq(sc.Item.ID); !skipped.Has(seq, sc.Item.ID) {
+			return sc, nil
 		}
 	}
 
@@ -1134,7 +1136,7 @@ func (s *System) skipReplacement(userID string, ctx recommend.Context) (recommen
 		Now:     ctx.Now,
 		Ctx:     ctx,
 		K:       1,
-		Exclude: exclude,
+		Exclude: skipped,
 	}
 	s.pipe.Run(t)
 	if len(t.Ranked) == 0 {

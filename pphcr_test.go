@@ -119,7 +119,7 @@ func TestFeedbackShiftsRecommendations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prefs := sys.Preferences(user, now)
+	prefs := sys.Preferences(user, now).Map()
 	if prefs["sport"] >= 0 {
 		t.Fatalf("sport preference = %v, want negative", prefs["sport"])
 	}

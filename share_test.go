@@ -377,3 +377,66 @@ func BenchmarkRetainedPerWrite(b *testing.B) {
 		})
 	})
 }
+
+// BenchmarkRetainedPerListener measures what a listener leaves on a
+// node's heap once their feedback is logged, by history: one like, one
+// like of an item the catalog does not hold, sent with no categories
+// (what the benchmark's acked_write sends), 200 likes over a catalog
+// spanning every category, and the same with 16 dislikes. It counts
+// everything a listener's writes leave behind, the feedback store's
+// state and the plan cache's per-user entry alike. Run it with
+// -benchtime 3x; the ns/op column is the batch's.
+func BenchmarkRetainedPerListener(b *testing.B) {
+	const listeners = 500
+	row := func(likes, dislikes int, unknown bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			sys, _ := newTestSystem(b)
+			items := addCatalog(b, sys, 200)
+			var ms runtime.MemStats
+			heap := func() uint64 {
+				runtime.GC()
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				return ms.HeapAlloc
+			}
+			var retained float64
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				names := make([]string, listeners)
+				for u := range names {
+					names[u] = fmt.Sprintf("l%d-%04d", n, u)
+				}
+				before := heap()
+				b.StartTimer()
+				for _, user := range names {
+					for i := 0; i < likes+dislikes; i++ {
+						it, kind := items[i%len(items)], feedback.Like
+						if i >= likes {
+							kind = feedback.Dislike
+						}
+						e := feedback.Event{
+							UserID: user, ItemID: it.ID, Kind: kind,
+							At: shareT0.Add(time.Duration(i) * time.Second), Categories: it.Categories,
+						}
+						if unknown {
+							e.ItemID, e.Categories = "gone-"+user, nil
+						}
+						if err := sys.AddFeedback(e); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.StopTimer()
+				retained += float64(heap()) - float64(before)
+				b.StartTimer()
+			}
+			runtime.KeepAlive(sys)
+			b.ReportMetric(retained/float64(b.N*listeners), "retained-B/listener")
+		}
+	}
+	b.Run("one-like", row(1, 0, false))
+	b.Run("one-like-unknown-item", row(1, 0, true))
+	b.Run("200-likes", row(200, 0, false))
+	b.Run("200-likes-16-dislikes", row(200, 16, false))
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pphcr/internal/content"
 	"pphcr/internal/feedback"
 	"pphcr/internal/profile"
 	"pphcr/internal/radiodns"
@@ -67,7 +68,7 @@ func TestSkipLiveRecordsFeedbackAndRecommends(t *testing.T) {
 		t.Fatalf("replacement category = %q", top)
 	}
 	// The skip feedback immediately depresses sport in the preferences.
-	if prefs := sys.Preferences("greg", now); prefs["sport"] >= 0 {
+	if prefs := sys.Preferences("greg", now).Map(); prefs["sport"] >= 0 {
 		t.Fatalf("sport pref = %v after skip", prefs["sport"])
 	}
 }
@@ -137,4 +138,79 @@ func TestSkipExhaustsAlternatives(t *testing.T) {
 	if !errors.Is(err, ErrNoAlternative) {
 		t.Fatalf("err = %v, want ErrNoAlternative", err)
 	}
+}
+
+// TestSkipAndPlanStayInsideCandidateWindow: neither skip path nor a
+// plan returns an item published before now − candidateWindow, whether
+// the listener's skip set is empty or holds every item inside the
+// window, which leaves only older items unskipped. Dropping a skip-set
+// entry once its item falls out of the window (ROADMAP item 9) relies
+// on this.
+func TestSkipAndPlanStayInsideCandidateWindow(t *testing.T) {
+	sys, w, user := newWarmableSystem(t)
+	partial, now := commutePartial(t, w, 3*time.Minute, 7)
+	cut := now.Add(-candidateWindow)
+	var inside, outside []*content.Item
+	for _, it := range sys.Repo.All() {
+		if it.Published.Before(cut) {
+			outside = append(outside, it)
+		} else {
+			inside = append(inside, it)
+		}
+	}
+	if len(inside) == 0 || len(outside) == 0 {
+		t.Fatalf("%d items inside the window and %d before it; the test needs both", len(inside), len(outside))
+	}
+	if err := sys.Directory.AddService(&radiodns.Service{
+		ID: "radio1", Name: "R1", GCC: "5e0", PI: "5201", Frequency: 8990,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Directory.AddProgram(&radiodns.Program{
+		ID: "talk", ServiceID: "radio1", Title: "Talk", Start: now.Add(-10 * time.Minute), Duration: time.Hour,
+		Categories: map[string]float64{"sport": 1}, Replaceable: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := recommend.Context{Now: now}
+	check := func(label string, emptySet bool) {
+		t.Helper()
+		var got []*content.Item
+		tp, err := sys.PlanTrip(user, partial, now, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range tp.Plan.Items {
+			got = append(got, it.Scored.Item)
+		}
+		live, err := sys.SkipLive(user, "radio1", ctx)
+		if err == nil {
+			got = append(got, live.Item)
+		} else if !errors.Is(err, ErrNoAlternative) {
+			t.Fatal(err)
+		}
+		clip, err := sys.SkipClip(user, inside[0].ID, ctx)
+		if err == nil {
+			got = append(got, clip.Item)
+		} else if !errors.Is(err, ErrNoAlternative) {
+			t.Fatal(err)
+		}
+		if emptySet && (len(tp.Plan.Items) == 0 || live.Item == nil || clip.Item == nil) {
+			t.Fatalf("%s: plan of %d items, skip replacements %v and %v; the check needs all three", label, len(tp.Plan.Items), live.Item, clip.Item)
+		}
+		for _, it := range got {
+			if it.Published.Before(cut) {
+				t.Fatalf("%s: %s published %v, before the window's start %v", label, it.ID, it.Published, cut)
+			}
+		}
+	}
+	check("empty skip set", true)
+	// A dislike with no categories adds its item to the skip set and
+	// leaves the preference vector as it was.
+	for _, it := range inside {
+		if err := sys.AddFeedback(feedback.Event{UserID: user, ItemID: it.ID, Kind: feedback.Dislike, At: now}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("every item inside the window skipped", false)
 }
