@@ -13,15 +13,13 @@ import (
 	"pphcr/internal/durable"
 	"pphcr/internal/feedback"
 	"pphcr/internal/obs"
-	"pphcr/internal/profile"
 	"pphcr/internal/tracking"
 	"pphcr/internal/trajectory"
 )
 
 // Event payload schemas. Register/ingest/feedback events reuse the
 // store types directly; the rest are thin argument records. All replay
-// deterministically through the System entry points they were emitted
-// from.
+// deterministically through the write that emitted them.
 type (
 	fixEvent struct {
 		User string
@@ -64,7 +62,7 @@ func durableTypeForKind(k feedback.Kind) durable.Type {
 // skipInstantRange drops a logged fix or feedback event whose instant the
 // stores refuse because Unix nanoseconds cannot hold it (after 2262 or
 // before 1678). Older nodes accepted and logged such instants. Replay and
-// a follower's apply skip the record, as they skip an ingest whose Add
+// a follower's apply skip the record, as they skip an ingest whose check
 // fails, rather than refuse to boot or wedge on it.
 func skipInstantRange(err error) error {
 	if errors.Is(err, feedback.ErrInstantRange) || errors.Is(err, tracking.ErrInstantRange) {
@@ -73,68 +71,53 @@ func skipInstantRange(err error) error {
 	return err
 }
 
-// applyDurableEvent replays one WAL record through the entry point that
-// emitted it. It runs during recovery, before the mutation hook is
-// attached, so nothing is re-logged.
+// applyDurableEvent replays one WAL record through the write that
+// emitted it. Recovery runs before the mutation hook is attached, and a
+// follower has none, so nothing is re-logged.
 func (s *System) applyDurableEvent(e durable.Event) error {
 	switch e.Type {
 	case durable.TypeRegister:
-		var p profile.Profile
-		if err := json.Unmarshal(e.Payload, &p); err != nil {
-			return err
-		}
-		return s.RegisterUser(p)
+		return decoded(e, s.RegisterUser)
 	case durable.TypeIngest:
-		var it content.Item
-		if err := json.Unmarshal(e.Payload, &it); err != nil {
-			return err
-		}
-		return s.restoreItem(&it)
+		return decoded(e, func(it *content.Item) error {
+			// Older nodes logged an ingest before its Add ran: skipping
+			// one whose check fails reproduces the live outcome.
+			_ = s.addItem(it)
+			return nil
+		})
 	case durable.TypeFix:
-		var fe fixEvent
-		if err := json.Unmarshal(e.Payload, &fe); err != nil {
-			return err
-		}
-		return skipInstantRange(s.RecordFix(fe.User, fe.Fix))
+		return decoded(e, func(fe fixEvent) error { return skipInstantRange(s.RecordFix(fe.User, fe.Fix)) })
 	case durable.TypeFeedback, durable.TypeSkip, durable.TypeDislike:
-		var fe feedback.Event
-		if err := json.Unmarshal(e.Payload, &fe); err != nil {
-			return err
-		}
-		return skipInstantRange(s.AddFeedback(fe))
+		return decoded(e, func(fe feedback.Event) error { return skipInstantRange(s.AddFeedback(fe)) })
 	case durable.TypeCompact:
-		var ce compactEvent
-		if err := json.Unmarshal(e.Payload, &ce); err != nil {
+		return decoded(e, func(ce compactEvent) error {
+			_, err := s.compactTracking(ce.User, ce.N)
 			return err
-		}
-		idx := s.shardIndexFor(ce.User)
-		s.barrier.rlock(idx)
-		_, err := s.compactTracking(ce.User, ce.N)
-		s.barrier.runlock(idx)
-		return err
+		})
 	case durable.TypeFeedbackCompact:
-		var fc feedbackCompactEvent
-		if err := json.Unmarshal(e.Payload, &fc); err != nil {
-			return err
-		}
-		s.CompactFeedback(fc.User, fc.At, fc.Horizon)
-		return nil
+		return decoded(e, func(fc feedbackCompactEvent) error {
+			s.CompactFeedback(fc.User, fc.At, fc.Horizon)
+			return nil
+		})
 	case durable.TypeInject:
-		var ie injectEvent
-		if err := json.Unmarshal(e.Payload, &ie); err != nil {
-			return err
-		}
-		return s.Inject(ie.User, ie.Item)
+		return decoded(e, func(ie injectEvent) error { return s.Inject(ie.User, ie.Item) })
 	case durable.TypeConsume:
-		var ce consumeEvent
-		if err := json.Unmarshal(e.Payload, &ce); err != nil {
-			return err
-		}
-		s.consumeInjections(ce.User)
-		return nil
+		return decoded(e, func(ce consumeEvent) error {
+			s.consumeInjections(ce.User)
+			return nil
+		})
 	default:
 		return fmt.Errorf("pphcr: unknown durable event type %d", e.Type)
 	}
+}
+
+// decoded hands fn the payload of e, decoded as a T.
+func decoded[T any](e durable.Event, fn func(T) error) error {
+	var v T
+	if err := json.Unmarshal(e.Payload, &v); err != nil {
+		return err
+	}
+	return fn(v)
 }
 
 // DurabilityOptions parameterizes OpenDurability.
@@ -466,8 +449,8 @@ func (d *Durability) WALSeq() uint64 { return d.wal.SeqCeiling() }
 // has failed.
 func (d *Durability) SyncWAL() error { return d.wal.Sync() }
 
-// ApplyReplicated applies one shipped WAL record through the entry
-// point that emitted it on the leader. It is the warm-standby apply
+// ApplyReplicated applies one shipped WAL record through the write that
+// emitted it on the leader. It is the warm-standby apply
 // path: the System must have no mutation hook attached (nothing is
 // re-logged; the follower's on-disk log is the shipped bytes
 // themselves). The caller owns ordering — records must arrive in

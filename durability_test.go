@@ -1,6 +1,7 @@
 package pphcr
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -89,6 +90,24 @@ func buildMutationScript(t *testing.T, w *synth.World) ([]mutation, time.Time) {
 		}
 	}
 
+	// Three fixes an hour apart hold no trip of five fixes, so their
+	// compaction is refused. A refused compaction folds nothing: the
+	// tracker keeps all three, and recovery and the oracle agree.
+	nomad := w.Personas[0].Profile.Hometown
+	for i := 0; i < 3; i++ {
+		fix := trajectory.Fix{Point: nomad, Time: now.Add(time.Duration(i) * time.Hour)}
+		script = append(script, func(s *System) error { return s.RecordFix("nomad", fix) })
+	}
+	script = append(script, func(s *System) error {
+		if _, err := s.CompactTracking("nomad"); err == nil {
+			return fmt.Errorf("compaction of three fixes an hour apart accepted")
+		}
+		if got := len(s.Tracker.Trace("nomad")); got != 3 {
+			return fmt.Errorf("a refused compaction left %d of 3 fixes raw", got)
+		}
+		return nil
+	})
+
 	// Feedback of every kind, spread back in time so compaction below
 	// has something to fold.
 	kinds := []feedback.Kind{feedback.Like, feedback.ImplicitListen, feedback.Skip, feedback.Dislike}
@@ -174,6 +193,18 @@ func assertSystemsEquivalent(t *testing.T, w *synth.World, want, got *System, no
 	}
 	if a, b := want.Profiles.Len(), got.Profiles.Len(); a != b {
 		t.Fatalf("profiles: %d vs %d", a, b)
+	}
+	// The tracking section holds every user's folded trips and raw
+	// suffix, the listeners' and the script's others.
+	var wtr, gtr bytes.Buffer
+	if err := want.Tracker.Snapshot(&wtr); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Tracker.Snapshot(&gtr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wtr.Bytes(), gtr.Bytes()) {
+		t.Fatalf("tracking: %d vs %d snapshot bytes", wtr.Len(), gtr.Len())
 	}
 	wfb, gfb := want.Feedback.Stats(), got.Feedback.Stats()
 	if wfb.Users != gfb.Users || wfb.LiveEvents != gfb.LiveEvents || wfb.CompactedEvents != gfb.CompactedEvents {
@@ -414,10 +445,11 @@ func TestCloseAfterCrashRefuses(t *testing.T) {
 	}
 }
 
-// TestRecoveryToleratesFailedIngestRecord: the ingest event is logged
-// before the repository add runs, so a live Add failure (duplicate ID)
-// leaves a WAL record whose apply failed — replay must skip it exactly
-// as the live system did, not abort recovery.
+// TestRecoveryToleratesFailedIngestRecord: a duplicate ingest is refused
+// before it is logged, but an older node logged an ingest before its
+// repository Add ran, so its log can hold a record whose Add failed live
+// (duplicate ID). Replay must skip it exactly as that node did, not
+// abort recovery.
 func TestRecoveryToleratesFailedIngestRecord(t *testing.T) {
 	w, err := synth.GenerateWorld(synth.Params{
 		Seed: 17, Days: 2, Users: 1, Stations: 2, PodcastsPerDay: 5,
@@ -436,11 +468,21 @@ func TestRecoveryToleratesFailedIngestRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := live.IngestPodcast(w.Corpus[0]); err != nil {
+	it, err := live.IngestPodcast(w.Corpus[0])
+	if err != nil {
 		t.Fatal(err)
 	}
+	seq := dur.WALSeq()
 	if _, err := live.IngestPodcast(w.Corpus[0]); err == nil {
 		t.Fatal("duplicate ingest accepted")
+	}
+	if dur.WALSeq() != seq {
+		t.Fatal("a refused ingest reached the log")
+	}
+	// The duplicate as an older node logged it: the payload the ingest
+	// write emits.
+	if err := live.emit(ingestStripe, durable.TypeIngest, it); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := live.IngestPodcast(w.Corpus[1]); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,19 @@
 // Package mutateemit enforces the durability contract of the System
-// write paths (docs/durability.md): state mutation and the WAL record
-// that replays it must be bracketed by the same shard-lock critical
-// section, under the commit-barrier stripe of that shard, and a
-// critical section emits at most one record.
+// write path (docs/durability.md): a write is checked, logged, then
+// applied, all in one function, and the WAL record that replays it is
+// emitted inside the shard-lock critical section that applies it, under
+// the commit-barrier stripe of that shard, at most once.
 //
-// Concretely, at every call to the System's emit method:
+// Concretely:
+//
+//   - emit is called from the System's write method only — a second
+//     place that emits is a second write choreography, free to apply
+//     before it logs;
+//   - inside write, no call of its apply parameter comes before the
+//     emit — a write the log refuses must change nothing, or memory
+//     holds a state that recovery and every follower lack;
+//
+// and at every call to emit:
 //
 //   - the user-shard lock (or the ingest mutex, for the userless ingest
 //     path) must be held — emitting outside the critical section lets a
@@ -21,9 +30,7 @@
 //
 // The walk is linear in source order within each function; calls inside
 // defer statements and function literals are ignored (a deferred
-// runlock releases at return, not at its textual position). Functions
-// whose contract is "caller holds the barrier" document it with
-// //pphcr:allow mutateemit and the reason.
+// runlock releases at return, not at its textual position).
 package mutateemit
 
 import (
@@ -39,9 +46,9 @@ import (
 // Analyzer is the mutateemit analysis.
 var Analyzer = &analysis.Analyzer{
 	Name: "mutateemit",
-	Doc: "System mutations must emit their WAL record inside the same " +
-		"shard-lock critical section, under the matching barrier stripe, " +
-		"exactly once",
+	Doc: "System writes go through one write function that emits its WAL " +
+		"record before it applies, inside the shard-lock critical section, " +
+		"under the matching barrier stripe, exactly once",
 	Run: run,
 }
 
@@ -75,7 +82,16 @@ const (
 	evEmit
 )
 
+// writeFunc is the name of the System's one write path: the only method
+// that may call emit, and whose apply parameter runs after the emit.
+const writeFunc = "write"
+
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
+	isWrite := fd.Name.Name == writeFunc && fd.Recv != nil && len(fd.Recv.List) == 1 &&
+		isSystemShaped(pass.TypesInfo.TypeOf(fd.Recv.List[0].Type))
+	if isWrite {
+		checkApplyOrder(pass, fd)
+	}
 	var events []event
 	collect(pass, fd.Body, &events)
 
@@ -115,6 +131,10 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		case evIngestRelease:
 			ingestHeld, emitted = false, false
 		case evEmit:
+			if !isWrite {
+				pass.Reportf(e.pos,
+					"WAL emit outside System.%s: every write is checked, logged and applied by the one write path", writeFunc)
+			}
 			if !shardHeld && !ingestHeld {
 				pass.Reportf(e.pos,
 					"WAL emit outside the shard/ingest critical section: apply and emit must share one lock hold, or replay order diverges from apply order")
@@ -133,6 +153,46 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 					"second WAL emit in one critical section: one mutation, one record")
 			}
 			emitted = true
+		}
+	}
+}
+
+// checkApplyOrder reports every call of write's apply parameter that
+// comes before the first emit in source order, or that has no emit
+// before it at all. Unlike the lock walk it looks inside the terminating
+// if bodies too: an apply on an early-return path is still an apply.
+func checkApplyOrder(pass *analysis.Pass, fd *ast.FuncDecl) {
+	var apply types.Object
+	for _, field := range fd.Type.Params.List {
+		for _, name := range field.Names {
+			if name.Name == "apply" {
+				apply = pass.TypesInfo.Defs[name]
+			}
+		}
+	}
+	if apply == nil {
+		return
+	}
+	firstEmit := token.NoPos
+	var applies []token.Pos
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if e, ok := classify(pass, x); ok && e.kind == evEmit && (firstEmit == token.NoPos || e.pos < firstEmit) {
+				firstEmit = e.pos
+			}
+			if id, ok := analysis.Unparen(x.Fun).(*ast.Ident); ok && pass.TypesInfo.Uses[id] == apply {
+				applies = append(applies, x.Pos())
+			}
+		}
+		return true
+	})
+	for _, pos := range applies {
+		if firstEmit == token.NoPos || pos < firstEmit {
+			pass.Reportf(pos,
+				"apply before the WAL emit: a write the log refuses must change nothing, so apply runs only after emit returned")
 		}
 	}
 }

@@ -1,6 +1,8 @@
 // Package pphcr mirrors the System write-path shapes the mutateemit
-// analyzer keys on: a System-shaped type (SetMutationHook + shards),
-// the commit barrier, and the ingest mutex.
+// analyzer keys on: a System-shaped type (SetMutationHook + shards)
+// whose write method is the one write path, the commit barrier, and the
+// ingest mutex. Each bad shape is the write method of a type embedding
+// System, which is System-shaped through the promoted method and field.
 package pphcr
 
 import "sync"
@@ -44,125 +46,182 @@ func (s *System) emit(stripe uint32, e Event) error {
 
 func (s *System) lockShard(sh *userShard) { sh.mu.Lock() }
 
-// goodMutation is the canonical write path: apply + emit under one
-// shard hold, inside the matching barrier stripe.
-func (s *System) goodMutation(idx uint32, user string) error {
+// write is the canonical write path: under the barrier stripe and the
+// shard lock (the ingest mutex for the userless ingest), check, emit,
+// then apply.
+func (s *System) write(stripe uint32, sh *userShard, check func() (*Event, error), apply func()) error {
+	s.barrier.rlock(stripe)
+	defer s.barrier.runlock(stripe)
+	if sh != nil {
+		s.lockShard(sh)
+		defer sh.mu.Unlock()
+	} else {
+		s.ingestMu.Lock()
+		defer s.ingestMu.Unlock()
+	}
+	ev, err := check()
+	if err != nil || ev == nil {
+		return err
+	}
+	if err := s.emit(stripe, *ev); err != nil {
+		return err
+	}
+	apply()
+	return nil
+}
+
+// goodEntryPoint supplies a check and an apply and leaves the rest to
+// write.
+func (s *System) goodEntryPoint(idx uint32, user string) error {
+	sh := &s.shards[idx]
+	return s.write(idx, sh, func() (*Event, error) {
+		return &Event{Type: "bump"}, nil
+	}, func() { sh.data[user]++ })
+}
+
+// badEmitOutsideWrite is a second write choreography: locked and fenced
+// as the contract asks, but not the one write path.
+func (s *System) badEmitOutsideWrite(idx uint32, user string) error {
 	s.barrier.rlock(idx)
 	defer s.barrier.runlock(idx)
 	sh := &s.shards[idx]
 	s.lockShard(sh)
-	sh.data[user]++
-	err := s.emit(idx, Event{Type: "bump"})
+	err := s.emit(idx, Event{Type: "bump"}) // want `WAL emit outside System.write`
+	if err == nil {
+		sh.data[user]++
+	}
 	sh.mu.Unlock()
 	return err
 }
 
-// goodIngest is the userless path: ingestMu pins WAL order instead of a
-// shard lock, under the fixed ingest stripe.
-func (s *System) goodIngest(payload []byte) error {
-	s.barrier.rlock(0)
-	defer s.barrier.runlock(0)
-	s.ingestMu.Lock()
-	err := s.emit(0, Event{Type: "ingest", Payload: payload})
-	s.ingestMu.Unlock()
+type applyFirstSystem struct{ System }
+
+// write applies before it emits: a refused emit leaves the write applied.
+func (s *applyFirstSystem) write(stripe uint32, sh *userShard, check func() (*Event, error), apply func()) error {
+	s.barrier.rlock(stripe)
+	defer s.barrier.runlock(stripe)
+	s.lockShard(sh)
+	defer sh.mu.Unlock()
+	ev, err := check()
+	if err != nil {
+		return err
+	}
+	apply() // want `apply before the WAL emit`
+	return s.emit(stripe, *ev)
+}
+
+type unlockedSystem struct{ System }
+
+// write emits after releasing the shard lock: a racing same-user write
+// can reach the WAL between apply and emit.
+func (s *unlockedSystem) write(stripe uint32, sh *userShard, check func() (*Event, error), apply func()) error {
+	s.barrier.rlock(stripe)
+	defer s.barrier.runlock(stripe)
+	s.lockShard(sh)
+	ev, err := check()
+	sh.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	err = s.emit(stripe, *ev) // want `WAL emit outside the shard/ingest critical section`
+	if err == nil {
+		apply()
+	}
 	return err
 }
 
-// badUnlocked emits after releasing the shard lock: a racing same-user
-// mutation can reach the WAL between apply and emit.
-func (s *System) badUnlocked(idx uint32, user string) error {
-	s.barrier.rlock(idx)
-	defer s.barrier.runlock(idx)
-	sh := &s.shards[idx]
+type noBarrierSystem struct{ System }
+
+// write emits without entering the commit barrier: a checkpoint can
+// slice between emit and apply.
+func (s *noBarrierSystem) write(stripe uint32, sh *userShard, check func() (*Event, error), apply func()) error {
 	s.lockShard(sh)
-	sh.data[user]++
-	sh.mu.Unlock()
-	return s.emit(idx, Event{Type: "bump"}) // want `WAL emit outside the shard/ingest critical section`
+	defer sh.mu.Unlock()
+	ev, err := check()
+	if err != nil {
+		return err
+	}
+	if err := s.emit(stripe, *ev); err != nil { // want `WAL emit without the commit-barrier stripe held`
+		return err
+	}
+	apply()
+	return nil
 }
 
-// badNoBarrier emits without entering the commit barrier: a checkpoint
-// can slice between apply and emit.
-func (s *System) badNoBarrier(idx uint32, user string) error {
-	sh := &s.shards[idx]
+type stripeSystem struct{ System }
+
+// write holds one stripe but emits on another.
+func (s *stripeSystem) write(stripe, other uint32, sh *userShard, check func() (*Event, error), apply func()) error {
+	s.barrier.rlock(stripe)
+	defer s.barrier.runlock(stripe)
 	s.lockShard(sh)
-	sh.data[user]++
-	err := s.emit(idx, Event{Type: "bump"}) // want `WAL emit without the commit-barrier stripe held`
-	sh.mu.Unlock()
-	return err
+	defer sh.mu.Unlock()
+	ev, err := check()
+	if err != nil {
+		return err
+	}
+	if err := s.emit(other, *ev); err != nil { // want `WAL emit on stripe other but the barrier holds stripe stripe`
+		return err
+	}
+	apply()
+	return nil
 }
 
-// badStripeMismatch holds one stripe but emits on another.
-func (s *System) badStripeMismatch(idx, other uint32, user string) error {
-	s.barrier.rlock(idx)
-	defer s.barrier.runlock(idx)
-	sh := &s.shards[idx]
+type doubleEmitSystem struct{ System }
+
+// write logs two records for one write.
+func (s *doubleEmitSystem) write(stripe uint32, sh *userShard, check func() (*Event, error), apply func()) error {
+	s.barrier.rlock(stripe)
+	defer s.barrier.runlock(stripe)
 	s.lockShard(sh)
-	sh.data[user]++
-	err := s.emit(other, Event{Type: "bump"}) // want `WAL emit on stripe other but the barrier holds stripe idx`
-	sh.mu.Unlock()
-	return err
+	defer sh.mu.Unlock()
+	ev, err := check()
+	if err != nil {
+		return err
+	}
+	_ = s.emit(stripe, *ev)
+	if err := s.emit(stripe, *ev); err != nil { // want `second WAL emit in one critical section`
+		return err
+	}
+	apply()
+	return nil
 }
 
-// badDoubleEmit logs two records for one mutation.
-func (s *System) badDoubleEmit(idx uint32, user string) error {
-	s.barrier.rlock(idx)
-	defer s.barrier.runlock(idx)
-	sh := &s.shards[idx]
-	s.lockShard(sh)
-	sh.data[user]++
-	_ = s.emit(idx, Event{Type: "bump"})
-	err := s.emit(idx, Event{Type: "bump-again"}) // want `second WAL emit in one critical section`
-	sh.mu.Unlock()
-	return err
-}
+type twoSectionSystem struct{ System }
 
-// goodTwoSections emits once per critical section — two sections, two
-// records, no finding.
-func (s *System) goodTwoSections(idx uint32, user string) {
-	s.barrier.rlock(idx)
-	defer s.barrier.runlock(idx)
-	sh := &s.shards[idx]
+// write emits once per critical section — two sections, two records,
+// no finding.
+func (s *twoSectionSystem) write(stripe uint32, sh *userShard, apply func()) {
+	s.barrier.rlock(stripe)
+	defer s.barrier.runlock(stripe)
 	s.lockShard(sh)
-	sh.data[user]++
-	_ = s.emit(idx, Event{Type: "bump"})
+	_ = s.emit(stripe, Event{Type: "bump"})
+	apply()
 	sh.mu.Unlock()
 	s.lockShard(sh)
-	sh.data[user]++
-	_ = s.emit(idx, Event{Type: "bump"})
+	_ = s.emit(stripe, Event{Type: "bump"})
+	apply()
 	sh.mu.Unlock()
 }
 
-// goodErrorPath mirrors the compactTracking error branch: the unlock
-// inside the terminating if body belongs to the early-return path and
-// must not count against the fall-through emit.
-func (s *System) goodErrorPath(idx uint32, user string) error {
-	s.barrier.rlock(idx)
-	defer s.barrier.runlock(idx)
-	sh := &s.shards[idx]
+type errorPathSystem struct{ System }
+
+// write unlocks by hand on its error path: the unlock inside the
+// terminating if body belongs to the early return and must not count
+// against the fall-through emit.
+func (s *errorPathSystem) write(stripe uint32, sh *userShard, check func() (*Event, error), apply func()) error {
+	s.barrier.rlock(stripe)
+	defer s.barrier.runlock(stripe)
 	s.lockShard(sh)
-	n, err := work(user)
+	ev, err := check()
 	if err != nil {
 		sh.mu.Unlock()
 		return err
 	}
-	sh.data[user] = n
-	err = s.emit(idx, Event{Type: "work"})
-	sh.mu.Unlock()
-	return err
-}
-
-func work(user string) (int, error) { return len(user), nil }
-
-// allowedCallerHolds documents the compactTracking shape: every caller
-// enters the barrier before calling, so the in-function walk cannot see
-// it.
-//
-//pphcr:allow mutateemit callers hold the user's barrier stripe per the documented contract
-func (s *System) allowedCallerHolds(idx uint32, user string) error {
-	sh := &s.shards[idx]
-	s.lockShard(sh)
-	sh.data[user]++
-	err := s.emit(idx, Event{Type: "compact"})
+	err = s.emit(stripe, *ev)
+	if err == nil {
+		apply()
+	}
 	sh.mu.Unlock()
 	return err
 }

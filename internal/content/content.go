@@ -139,26 +139,10 @@ func NewRepository() *Repository {
 // a later write would be a data race, missing from the write-ahead log
 // and ranked as if the item had none.
 func (r *Repository) Add(it *Item) error {
-	if it == nil || it.ID == "" {
-		return fmt.Errorf("content: item must have an ID")
-	}
-	if it.Duration <= 0 {
-		return fmt.Errorf("content: item %q must have positive duration", it.ID)
-	}
-	var norm float64
-	for _, w := range it.Categories {
-		norm += w * w
-	}
-	if math.IsNaN(norm) || math.IsInf(norm, 0) {
-		return fmt.Errorf("content: item %q must have finite category weights", it.ID)
-	}
-	if g := it.Geo; g != nil && (!g.Center.Valid() || math.IsNaN(g.Radius)) {
-		return fmt.Errorf("content: item %q must have its geographic scope on the globe", it.ID)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.ids.find(r.feats, it.ID); dup {
-		return fmt.Errorf("content: duplicate item %q", it.ID)
+	if err := r.check(it); err != nil {
+		return err
 	}
 	seq := int32(len(r.feats))
 	r.addFeatures(it, seq)
@@ -175,6 +159,37 @@ func (r *Repository) Add(it *Item) error {
 	r.byPub = append(r.byPub, 0)
 	copy(r.byPub[idx+1:], r.byPub[idx:])
 	r.byPub[idx] = seq
+	return nil
+}
+
+// CheckAdd returns the error Add would return, and adds nothing.
+func (r *Repository) CheckAdd(it *Item) error {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.check(it)
+}
+
+// check is Add's refusal. The caller holds r.mu.
+func (r *Repository) check(it *Item) error {
+	if it == nil || it.ID == "" {
+		return fmt.Errorf("content: item must have an ID")
+	}
+	if it.Duration <= 0 {
+		return fmt.Errorf("content: item %q must have positive duration", it.ID)
+	}
+	var norm float64
+	for _, w := range it.Categories {
+		norm += w * w
+	}
+	if math.IsNaN(norm) || math.IsInf(norm, 0) {
+		return fmt.Errorf("content: item %q must have finite category weights", it.ID)
+	}
+	if g := it.Geo; g != nil && (!g.Center.Valid() || math.IsNaN(g.Radius)) {
+		return fmt.Errorf("content: item %q must have its geographic scope on the globe", it.ID)
+	}
+	if _, dup := r.ids.find(r.feats, it.ID); dup {
+		return fmt.Errorf("content: duplicate item %q", it.ID)
+	}
 	return nil
 }
 

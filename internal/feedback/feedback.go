@@ -375,16 +375,10 @@ var ErrInstantRange = errors.New("feedback: instant outside the Unix-nanosecond 
 // the caller's map itself, so callers may reuse or mutate their map
 // freely. A stored map is never written.
 func (s *Store) Append(e Event) error {
-	if e.UserID == "" {
-		return fmt.Errorf("feedback: UserID required")
-	}
-	if e.Kind < ImplicitListen || e.Kind > Dislike {
-		return fmt.Errorf("feedback: unknown kind %d", int(e.Kind))
+	if err := s.CheckAppend(e); err != nil {
+		return err
 	}
 	r := record{at: e.At.UnixNano(), kind: uint8(e.Kind)}
-	if !r.time().Equal(e.At) {
-		return fmt.Errorf("%w: %v", ErrInstantRange, e.At)
-	}
 	it, seq, shared := s.kept(e)
 	sh := s.shardFor(e.UserID)
 	sh.mu.Lock()
@@ -406,6 +400,20 @@ func (s *Store) Append(e Event) error {
 	sh.mu.Unlock()
 	s.live.Add(1)
 	s.appends.Add(1)
+	return nil
+}
+
+// CheckAppend returns the error Append would return, and records nothing.
+func (s *Store) CheckAppend(e Event) error {
+	if e.UserID == "" {
+		return fmt.Errorf("feedback: UserID required")
+	}
+	if e.Kind < ImplicitListen || e.Kind > Dislike {
+		return fmt.Errorf("feedback: unknown kind %d", int(e.Kind))
+	}
+	if !time.Unix(0, e.At.UnixNano()).Equal(e.At) {
+		return fmt.Errorf("%w: %v", ErrInstantRange, e.At)
+	}
 	return nil
 }
 
@@ -568,23 +576,27 @@ func (s *Store) replay(out Vector, st *userState, now time.Time, params Preferen
 // of events folded away; a cut outside what Unix nanoseconds hold folds
 // none.
 func (s *Store) Compact(userID string, now time.Time, horizon time.Duration) int {
+	return s.compact(userID, now, horizon, true)
+}
+
+// Foldable returns what Compact would return, and folds nothing.
+func (s *Store) Foldable(userID string, now time.Time, horizon time.Duration) int {
+	return s.compact(userID, now, horizon, false)
+}
+
+// compact counts the events Compact folds, and folds them if fold is set.
+func (s *Store) compact(userID string, now time.Time, horizon time.Duration, fold bool) int {
 	if horizon <= 0 {
 		return 0
 	}
-	cut := now.Add(-horizon)
-	if !time.Unix(0, cut.UnixNano()).Equal(cut) {
+	cutAt := now.Add(-horizon)
+	if !time.Unix(0, cutAt.UnixNano()).Equal(cutAt) {
 		return 0
 	}
+	cut := cutAt.UnixNano()
 	sh := s.shardFor(userID)
 	sh.mu.Lock()
-	n := s.compactLocked(sh, userID, cut.UnixNano())
-	sh.mu.Unlock()
-	return n
-}
-
-// compactLocked folds the user's events older than cut (Unix ns) into
-// the baseline. Caller holds the shard write lock.
-func (s *Store) compactLocked(sh *shard, userID string, cut int64) int {
+	defer sh.mu.Unlock()
 	st := sh.users[userID]
 	if st == nil {
 		return 0
@@ -604,11 +616,10 @@ func (s *Store) compactLocked(sh *shard, userID string, cut int64) int {
 			side++
 		}
 	}
-	if folded == 0 {
-		return 0
+	if folded == 0 || !fold {
+		return folded
 	}
 	rs = st.extra()
-	cutAt := time.Unix(0, cut)
 	// Re-value the previous baseline at the new cut, then fold the old
 	// events on top (each decayed from its own instant to the cut).
 	if d := decayFactor(cutAt.Sub(time.Unix(0, rs.baseAt)), s.halfLife); rs.baseCount > 0 && d != 1 {

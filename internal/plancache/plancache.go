@@ -59,7 +59,8 @@ type shard struct {
 	mu sync.RWMutex
 	m  map[Key]entry
 	// gens holds the invalidation generation of every user whose keys
-	// hash (by user alone) into this shard; bumped by InvalidateUser.
+	// hash (by user alone) into this shard and who took a Snapshot;
+	// bumped by InvalidateUser.
 	genMu sync.Mutex
 	gens  map[string]uint64
 }
@@ -161,18 +162,18 @@ func (c *Cache) genShardFor(user string) *shard {
 	return &c.shards[fnvString(fnvOffset32, user)%uint32(len(c.shards))]
 }
 
-func (c *Cache) userGen(user string) uint64 {
+// Snapshot captures the invalidation state for a user's keys (see
+// Version), and registers the user for InvalidateUser.
+func (c *Cache) Snapshot(user string) Version {
+	epoch := c.epoch.Load()
 	sh := c.genShardFor(user)
 	sh.genMu.Lock()
-	g := sh.gens[user]
+	g, ok := sh.gens[user]
+	if !ok {
+		sh.gens[user] = 0
+	}
 	sh.genMu.Unlock()
-	return g
-}
-
-// Snapshot captures the invalidation state for a user's keys; see
-// Version.
-func (c *Cache) Snapshot(user string) Version {
-	return Version{Epoch: c.epoch.Load(), UserGen: c.userGen(user)}
+	return Version{Epoch: epoch, UserGen: g}
 }
 
 // Get returns the cached value for k, counting a hit or a miss. Entries
@@ -279,12 +280,15 @@ func (c *Cache) noteRewarmPut(now time.Time) {
 // stamped with an older one, and a value computed before the
 // invalidation but stored after it (by a racing warm worker holding an
 // older Snapshot) lands stale too. Stale entries are evicted lazily on
-// read, by Sweep, or replaced by the next Put of their key.
+// read, by Sweep, or replaced by the next Put of their key. A user who
+// never took a Snapshot has no entry to invalidate and gets no generation.
 func (c *Cache) InvalidateUser(user string) {
 	c.userInvalidations.Add(1)
 	gsh := c.genShardFor(user)
 	gsh.genMu.Lock()
-	gsh.gens[user]++
+	if g, ok := gsh.gens[user]; ok {
+		gsh.gens[user] = g + 1
+	}
 	gsh.genMu.Unlock()
 }
 

@@ -231,6 +231,45 @@ func TestPutVersionedRaces(t *testing.T) {
 	}
 }
 
+// TestInvalidateUserKeepsNoGenerationForStrangers: a write reaches
+// users who never plan, and invalidating them must not grow the cache.
+// Only Snapshot registers a user, and the race it guards still lands
+// stale from a user's first Snapshot on: snapshot, invalidate, then the
+// put of the value computed under that snapshot.
+func TestInvalidateUserKeepsNoGenerationForStrangers(t *testing.T) {
+	c, _ := newTestCache()
+	for i := 0; i < 1000; i++ {
+		c.InvalidateUser(fmt.Sprintf("listener-%d", i))
+	}
+	gens := func() int {
+		n := 0
+		for i := range c.shards {
+			sh := &c.shards[i]
+			sh.genMu.Lock()
+			n += len(sh.gens)
+			sh.genMu.Unlock()
+		}
+		return n
+	}
+	if n := gens(); n != 0 {
+		t.Fatalf("%d generations kept for users who never took a snapshot", n)
+	}
+	k := key("first-plan", 1, 1)
+	ver := c.Snapshot(k.User)
+	c.InvalidateUser(k.User)
+	c.PutVersioned(k, "computed before the bump", ver)
+	if c.Contains(k) {
+		t.Fatal("value computed under a first snapshot served fresh after an invalidation")
+	}
+	c.PutVersioned(k, "computed after the bump", c.Snapshot(k.User))
+	if !c.Contains(k) {
+		t.Fatal("value computed after the invalidation not served")
+	}
+	if n := gens(); n != 1 {
+		t.Fatalf("%d generations kept, want the one user who took a snapshot", n)
+	}
+}
+
 func TestDefaults(t *testing.T) {
 	c := New(Config{})
 	if got := c.Stats().Shards; got != 32 {

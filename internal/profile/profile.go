@@ -42,12 +42,20 @@ func NewStore() *Store {
 
 // Put inserts or replaces a profile.
 func (s *Store) Put(p Profile) error {
-	if p.UserID == "" {
-		return fmt.Errorf("profile: UserID required")
+	if err := s.CheckPut(p); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.profiles[p.UserID] = p
+	return nil
+}
+
+// CheckPut returns the error Put would return for p, and stores nothing.
+func (s *Store) CheckPut(p Profile) error {
+	if p.UserID == "" {
+		return fmt.Errorf("profile: UserID required")
+	}
 	return nil
 }
 

@@ -84,29 +84,49 @@ var ErrInstantRange = errors.New("tracking: instant outside the Unix-nanosecond 
 // non-decreasing time order per user (the client app sends them live),
 // at instants Unix nanoseconds hold (ErrInstantRange).
 func (t *Tracker) Record(userID string, fix trajectory.Fix) error {
-	if userID == "" {
-		return fmt.Errorf("tracking: userID required")
-	}
-	if !fix.Point.Valid() {
-		return fmt.Errorf("tracking: invalid point %v", fix.Point)
-	}
-	rec := fixRecord{Lat: fix.Point.Lat, Lon: fix.Point.Lon, UnixNs: fix.Time.UnixNano()}
-	if !rec.fix().Time.Equal(fix.Time) {
-		return fmt.Errorf("%w: %v", ErrInstantRange, fix.Time)
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	rec, err := t.check(userID, fix)
+	if err != nil {
+		return err
+	}
 	h := t.users[userID]
 	if h == nil {
 		h = &history{}
 		t.users[userID] = h
 	}
-	if n := len(h.suffix); n > 0 && rec.UnixNs < h.suffix[n-1].UnixNs {
-		return fmt.Errorf("tracking: out-of-order fix for %q (%v before %v)",
-			userID, fix.Time, h.suffix[n-1].fix().Time)
-	}
 	h.suffix = append(h.suffix, rec)
 	return nil
+}
+
+// CheckRecord returns the error Record would return, and records nothing.
+func (t *Tracker) CheckRecord(userID string, fix trajectory.Fix) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	_, err := t.check(userID, fix)
+	return err
+}
+
+// check is Record's refusal, and the record it would append. The caller
+// holds t.mu.
+func (t *Tracker) check(userID string, fix trajectory.Fix) (fixRecord, error) {
+	if userID == "" {
+		return fixRecord{}, fmt.Errorf("tracking: userID required")
+	}
+	if !fix.Point.Valid() {
+		return fixRecord{}, fmt.Errorf("tracking: invalid point %v", fix.Point)
+	}
+	rec := fixRecord{Lat: fix.Point.Lat, Lon: fix.Point.Lon, UnixNs: fix.Time.UnixNano()}
+	if !rec.fix().Time.Equal(fix.Time) {
+		return fixRecord{}, fmt.Errorf("%w: %v", ErrInstantRange, fix.Time)
+	}
+	if h := t.users[userID]; h != nil {
+		if n := len(h.suffix); n > 0 && rec.UnixNs < h.suffix[n-1].UnixNs {
+			return fixRecord{}, fmt.Errorf("tracking: out-of-order fix for %q (%v before %v)",
+				userID, fix.Time, h.suffix[n-1].fix().Time)
+		}
+	}
+	return rec, nil
 }
 
 // Trace returns the user's raw fixes that compaction has not folded:
@@ -207,16 +227,32 @@ var ErrFolded = errors.New("tracking: fixes already folded")
 // count however many fixes arrived afterwards. An n below the count
 // already folded is refused with ErrFolded.
 func (t *Tracker) CompactN(userID string, n int) (*CompactModel, error) {
-	folded, open, err := t.fold(userID, n)
+	c, err := t.Prepare(userID, n)
+	t.Fold(&c) // a refused Compaction is zero, and folds nothing
+	return c.Model, err
+}
+
+// A Compaction is a CompactN prepared and not yet folded: its model, and
+// the fold that replaces the cut fixes after the user's dropped folded
+// ones with the closed trips' records.
+type Compaction struct {
+	Model        *CompactModel
+	user         string
+	dropped, cut int
+	closed       []foldedTrip
+}
+
+// Prepare is CompactN without the fold: it changes nothing.
+func (t *Tracker) Prepare(userID string, n int) (Compaction, error) {
+	c, trips, open, err := t.pin(userID, n)
 	if err != nil {
-		return nil, err
+		return Compaction{}, err
 	}
-	trips := folded
 	for _, trip := range trajectory.SegmentTrips(open, tripGap, minFixes) {
 		trips = append(trips, summarize(trip))
 	}
 	if len(trips) == 0 {
-		return nil, fmt.Errorf("tracking: no trips for %q after segmentation", userID)
+		return Compaction{}, fmt.Errorf("tracking: no trips for %q after segmentation", userID)
 	}
 	endpoints := make([]geo.Point, 0, 2*len(trips))
 	for _, f := range trips {
@@ -248,29 +284,45 @@ func (t *Tracker) CompactN(userID string, n int) (*CompactModel, error) {
 		records[i] = predict.TripRecord{From: from, To: to, Depart: depart, Duration: f.Duration, Route: f.Route}
 	}
 	model.Mobility = predict.BuildModel(stayPoints, records, matchRadiusMeters)
-	return model, nil
+	c.Model = model
+	return c, nil
 }
 
-// fold pins the user's first n fixes, folds every trip that has closed
-// among them and drops its fixes, and returns the folded records and
-// the pinned fixes it left raw. Records are never changed once folded,
-// and the returned slice is capped at its length, so a caller appending
-// to it never writes where a later fold does.
-func (t *Tracker) fold(userID string, n int) ([]foldedTrip, trajectory.Trace, error) {
+// Fold applies c's fold, unless the user's fixes were folded since c was
+// prepared: a fold changes no model, and the next one catches up.
+func (t *Tracker) Fold(c *Compaction) {
+	if c.cut == 0 {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	h := t.users[c.user]
+	if h == nil || h.dropped != c.dropped {
+		return
+	}
+	h.folded = append(h.folded, c.closed...)
+	h.suffix = slices.Clone(h.suffix[c.cut:])
+	h.dropped += c.cut
+}
+
+// pin pins the user's first n fixes and summarizes the trips closed among
+// them: it returns the fold, the folded records and those trips, and the
+// pinned fixes after them.
+func (t *Tracker) pin(userID string, n int) (Compaction, []foldedTrip, trajectory.Trace, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	h := t.users[userID]
 	if h == nil {
-		return nil, nil, fmt.Errorf("tracking: no fixes for %q", userID)
+		return Compaction{}, nil, nil, fmt.Errorf("tracking: no fixes for %q", userID)
 	}
 	if total := h.dropped + len(h.suffix); n < 0 || n > total {
 		n = total
 	}
 	if n < h.dropped {
-		return nil, nil, fmt.Errorf("%w: %q compacted from %d fixes, %d of them folded", ErrFolded, userID, n, h.dropped)
+		return Compaction{}, nil, nil, fmt.Errorf("%w: %q compacted from %d fixes, %d of them folded", ErrFolded, userID, n, h.dropped)
 	}
 	if n == 0 {
-		return nil, nil, fmt.Errorf("tracking: no fixes for %q", userID)
+		return Compaction{}, nil, nil, fmt.Errorf("tracking: no fixes for %q", userID)
 	}
 	pinned := traceOf(h.suffix[:n-h.dropped])
 	// Trips before the last gap among the pinned fixes have closed.
@@ -281,14 +333,15 @@ func (t *Tracker) fold(userID string, n int) ([]foldedTrip, trajectory.Trace, er
 			break
 		}
 	}
+	// Capped, so the appends copy: a folded record never changes.
+	trips := h.folded[:len(h.folded):len(h.folded)]
 	if cut > 0 {
 		for _, trip := range trajectory.SegmentTrips(pinned[:cut], tripGap, minFixes) {
-			h.folded = append(h.folded, summarize(trip))
+			trips = append(trips, summarize(trip))
 		}
-		h.suffix = slices.Clone(h.suffix[cut:])
-		h.dropped += cut
 	}
-	return h.folded[:len(h.folded):len(h.folded)], pinned[cut:], nil
+	c := Compaction{user: userID, dropped: h.dropped, cut: cut, closed: trips[len(h.folded):]}
+	return c, trips, pinned[cut:], nil
 }
 
 // summarize is the part of a trip's compact record that depends on the

@@ -243,23 +243,20 @@ type System struct {
 	lockContended atomic.Int64
 
 	// barrier fences the durable write paths against the checkpointer:
-	// every mutating entry point applies its state change AND emits its
-	// WAL event inside one read-locked stripe section (the stripe is the
-	// user's shard index, so writers for different users share no
-	// barrier state), and the checkpointer quiesces all stripes to
-	// snapshot + rotate the WAL at a point where state and log agree
-	// exactly (no applied-but-unlogged or logged-but-unapplied mutation
-	// can straddle the boundary). Pure read paths — PlanTrip serving,
-	// Recommend without pending injections, cache lookups, /stats —
-	// never touch it.
+	// write emits and applies inside one read-locked stripe section (the
+	// stripe is the user's shard index, so writers for different users
+	// share no barrier state), and the checkpointer quiesces all stripes
+	// to snapshot + rotate the WAL at a point where state and log agree
+	// exactly. Pure read paths — PlanTrip serving, Recommend without
+	// pending injections, cache lookups, /stats — never touch it.
 	barrier commitBarrier
-	// durHook, when set, receives exactly one durable event per
-	// completed mutation, tagged with the barrier stripe the writer
-	// held (which the WAL reuses as its staging stripe). Set via
+	// durHook, when set, receives exactly one durable event per write,
+	// before the write is applied, tagged with the barrier stripe the
+	// writer held (which the WAL reuses as its staging stripe). Set via
 	// SetMutationHook before serving.
 	durHook func(stripe uint32, e durable.Event) error
 	// ingestMu pins WAL order to apply order for the (userless) ingest
-	// path the way the shard locks do for per-user mutations.
+	// path the way the shard locks do for per-user writes.
 	ingestMu sync.Mutex
 	// emitErrs counts hook failures on the two paths whose signatures
 	// cannot propagate them (consume, feedback-compact); /stats surfaces
@@ -404,16 +401,12 @@ func (s *System) BarrierAcquireHistogram() *obs.Histogram { return &s.barrier.ac
 // registration.
 func (s *System) BarrierQuiesceHistogram() *obs.Histogram { return &s.barrier.quiesceHist }
 
-// SetMutationHook installs the durability hook: from now on every
-// write-path entry point hands exactly one durable event describing its
-// completed mutation to fn — tagged with the writer's barrier stripe —
-// inside the same critical section that applied it. OpenDurability
-// installs the WAL's striped appender here after recovery; tests may
-// install capture hooks. Passing nil detaches.
-//
-// A hook error is returned to the entry point's caller (the mutation is
-// already applied in memory — the next checkpoint still persists it —
-// but the caller learns its write is not yet logged).
+// SetMutationHook installs the durability hook: from now on every write
+// hands exactly one durable event describing it to fn — tagged with the
+// writer's barrier stripe — after its checks and before its apply.
+// OpenDurability installs the WAL's striped appender here after
+// recovery; tests may install capture hooks. Passing nil detaches. A
+// hook error reaches the caller as ErrNotLogged; the write is not applied.
 func (s *System) SetMutationHook(fn func(stripe uint32, e durable.Event) error) {
 	// Quiescing every barrier stripe orders the swap against all
 	// writers: each reads the hook under its stripe's read lock.
@@ -423,14 +416,14 @@ func (s *System) SetMutationHook(fn func(stripe uint32, e durable.Event) error) 
 }
 
 // ErrNotLogged is what an entry point returns, wrapped, when the
-// mutation hook refused its event: the write is applied in memory but
-// not in the write-ahead log. It is the server's fault, not the
-// caller's: check it with errors.Is.
+// mutation hook refused its event: the write is not applied. It is the
+// server's fault, not the caller's: check it with errors.Is. The record
+// may still have reached the file before a failed fsync, so recovery may
+// replay it: the outcome is unknown.
 var ErrNotLogged = errors.New("pphcr: write not logged")
 
 // emit marshals payload and hands the typed event to the mutation hook.
-// Callers must hold the read side of barrier stripe `stripe`.
-func (s *System) emit(stripe uint32, t durable.Type, payload interface{}) error {
+func (s *System) emit(stripe uint32, t durable.Type, payload any) error {
 	if s.durHook == nil {
 		return nil
 	}
@@ -444,6 +437,51 @@ func (s *System) emit(stripe uint32, t durable.Type, payload interface{}) error 
 	return nil
 }
 
+// write is the System's one write path, live, replayed and replicated.
+// Under barrier stripe `stripe` and the user's shard lock sh (ingestMu
+// when sh is nil) it runs check, which changes nothing and returns the
+// event's payload (nil: nothing to write) and error; emits; and runs
+// apply, which cannot fail. Unlocked, it runs after (plan invalidation,
+// publish) for an applied write only. The barrier wait and the emit
+// (under SyncAlways, with its group-commit wait) are spans of tr.
+func (s *System) write(stripe uint32, sh *userShard, tr *obs.Trace, t durable.Type, check func() (any, error), apply, after func()) error {
+	off := tr.StartSpan()
+	s.barrier.rlock(stripe)
+	tr.EndSpan("barrier_wait", off)
+	if sh != nil {
+		s.lockShard(sh)
+	} else {
+		s.ingestMu.Lock()
+	}
+	payload, err := check()
+	if err == nil && payload != nil {
+		off = tr.StartSpan()
+		err = s.emit(stripe, t, payload)
+		tr.EndSpan("wal_append", off)
+		if err == nil {
+			apply()
+		}
+	}
+	if sh != nil {
+		sh.mu.Unlock()
+	} else {
+		s.ingestMu.Unlock()
+	}
+	s.barrier.runlock(stripe)
+	if err == nil && payload != nil {
+		after()
+	}
+	return err
+}
+
+// applied panics on an apply's error: its check passed in the same
+// critical section, so an error is a broken invariant.
+func applied(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("pphcr: apply failed after its check passed: %v", err))
+	}
+}
+
 // checkpointBarrier runs fn with every durable write path excluded, so
 // fn observes a state that exactly matches a WAL position.
 func (s *System) checkpointBarrier(fn func()) {
@@ -452,95 +490,46 @@ func (s *System) checkpointBarrier(fn func()) {
 	fn()
 }
 
-// RegisterUser stores a listener profile. Apply + emit run under the
-// user's shard lock so two racing registrations of the same user reach
-// the WAL in their apply order.
+// RegisterUser stores a listener profile.
 func (s *System) RegisterUser(p profile.Profile) error {
 	idx := s.shardIndexFor(p.UserID)
-	s.barrier.rlock(idx)
-	defer s.barrier.runlock(idx)
-	sh := &s.shards[idx]
-	s.lockShard(sh)
-	err := s.Profiles.Put(p)
-	if err == nil {
-		err = s.emit(idx, durable.TypeRegister, p)
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.Broker.Publish("users.registered", []byte(p.UserID))
-	return nil
+	return s.write(idx, &s.shards[idx], nil, durable.TypeRegister, func() (any, error) {
+		return p, s.Profiles.CheckPut(p)
+	}, func() { applied(s.Profiles.Put(p)) }, func() {
+		s.Broker.Publish("users.registered", []byte(p.UserID))
+	})
 }
 
 // IngestPodcast runs the clip-data-management pipeline on one podcast.
-//
-// The durable event is emitted *before* the item enters the
-// repository, and carries the *classified* item rather than the raw
-// podcast: replaying raw audio through the ASR would consume different
-// simulated-randomness than the original run, and logging after the
-// add would let a concurrent Inject (which can only see the item once
-// added) reach the WAL ahead of the item's own creation, making the
-// log unreplayable.
+// Its event carries the *classified* item rather than the raw podcast:
+// replaying raw audio through the ASR would consume different
+// simulated-randomness than the original run.
 func (s *System) IngestPodcast(raw content.RawPodcast) (*content.Item, error) {
 	// Process (ASR + classification, the slowest operation in the
-	// system) mutates nothing and runs outside every lock: holding the
-	// durability read lock across it would park a pending checkpoint
-	// barrier — and with it every other write path — behind the
-	// slowest in-flight ingest.
+	// system) mutates nothing and runs outside every lock, so no pending
+	// checkpoint, and no write behind it, waits for an ingest.
 	it, err := s.ingest.Process(raw)
 	if err != nil {
 		return nil, err
 	}
-	s.barrier.rlock(ingestStripe)
-	defer s.barrier.runlock(ingestStripe)
-	// emit + Add under one mutex, mirroring the per-user shard locking
-	// of the other write paths: two concurrent ingests of the same ID
-	// must reach the WAL in their apply order, or replay would keep the
-	// loser's item instead of the winner's.
-	s.ingestMu.Lock()
-	err = s.emit(ingestStripe, durable.TypeIngest, it)
-	if err == nil {
-		// On Add failure the WAL holds an event whose apply failed
-		// (duplicate ID, invalid duration); restoreItem skips it on
-		// replay the same way, so recovered state still matches.
-		err = s.ingest.Repo.Add(it)
-	}
-	s.ingestMu.Unlock()
-	if err != nil {
+	if err := s.addItem(it); err != nil {
 		return nil, err
 	}
-	// New content changes every user's candidate set: mark all warm
-	// plans stale (O(1) epoch bump); the precompute scheduler re-warms
-	// them.
-	s.PlanCache.InvalidateAll()
-	s.Broker.Publish("content.ingested."+it.TopCategory(), []byte(it.ID))
 	return it, nil
 }
 
-// restoreItem inserts an already-classified item — the WAL replay path
-// of IngestPodcast (the event payload is the classified item, so the
-// ingestion pipeline is not re-run). An Add failure is skipped, not
-// fatal: the event was logged before the live Add ran, so a record
-// whose apply failed live (duplicate ID, invalid duration) fails here
-// identically — skipping reproduces the live outcome.
-func (s *System) restoreItem(it *content.Item) error {
-	s.barrier.rlock(ingestStripe)
-	defer s.barrier.runlock(ingestStripe)
-	if err := s.Repo.Add(it); err != nil {
-		return nil
-	}
-	s.PlanCache.InvalidateAll()
-	s.Broker.Publish("content.ingested."+it.TopCategory(), []byte(it.ID))
-	return nil
+// addItem adds a classified item: IngestPodcast's write and an ingest
+// record's apply. New content marks every warm plan stale.
+func (s *System) addItem(it *content.Item) error {
+	return s.write(ingestStripe, nil, nil, durable.TypeIngest, func() (any, error) {
+		return it, s.Repo.CheckAdd(it)
+	}, func() { applied(s.Repo.Add(it)) }, func() {
+		s.PlanCache.InvalidateAll()
+		s.Broker.Publish("content.ingested."+it.TopCategory(), []byte(it.ID))
+	})
 }
 
 // RecordFix ingests one GPS sample for a user.
-//
-// Apply and WAL emit happen under the user's shard lock: two concurrent
-// same-user mutations must reach the log in their apply order, or
-// replay would reconstruct a state the live system never had (an
-// out-of-order fix pair would even fail recovery outright).
 func (s *System) RecordFix(userID string, fix trajectory.Fix) error {
 	return s.recordFix(userID, fix, nil)
 }
@@ -555,29 +544,15 @@ func (s *System) RecordFixTraced(userID string, fix trajectory.Fix, tr *obs.Trac
 
 func (s *System) recordFix(userID string, fix trajectory.Fix, tr *obs.Trace) error {
 	idx := s.shardIndexFor(userID)
-	off := tr.StartSpan()
-	s.barrier.rlock(idx)
-	tr.EndSpan("barrier_wait", off)
-	defer s.barrier.runlock(idx)
-	sh := &s.shards[idx]
-	s.lockShard(sh)
-	err := s.Tracker.Record(userID, fix)
-	if err == nil {
-		off = tr.StartSpan()
-		err = s.emit(idx, durable.TypeFix, fixEvent{User: userID, Fix: fix})
-		tr.EndSpan("wal_append", off)
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.Broker.Publish("tracking.gps", []byte(userID))
-	return nil
+	return s.write(idx, &s.shards[idx], tr, durable.TypeFix, func() (any, error) {
+		return fixEvent{User: userID, Fix: fix}, s.Tracker.CheckRecord(userID, fix)
+	}, func() { applied(s.Tracker.Record(userID, fix)) }, func() {
+		s.Broker.Publish("tracking.gps", []byte(userID))
+	})
 }
 
-// AddFeedback stores one feedback event. Apply + emit run under the
-// user's shard lock so the WAL preserves per-user apply order (see
-// RecordFix).
+// AddFeedback stores one feedback event and marks the user's warm plans
+// stale.
 func (s *System) AddFeedback(e feedback.Event) error {
 	return s.addFeedback(e, nil)
 }
@@ -590,76 +565,47 @@ func (s *System) AddFeedbackTraced(e feedback.Event, tr *obs.Trace) error {
 
 func (s *System) addFeedback(e feedback.Event, tr *obs.Trace) error {
 	idx := s.shardIndexFor(e.UserID)
-	off := tr.StartSpan()
-	s.barrier.rlock(idx)
-	tr.EndSpan("barrier_wait", off)
-	defer s.barrier.runlock(idx)
-	sh := &s.shards[idx]
-	s.lockShard(sh)
-	err := s.Feedback.Append(e)
-	applied := err == nil
-	if applied {
-		off = tr.StartSpan()
-		err = s.emit(idx, durableTypeForKind(e.Kind), e)
-		tr.EndSpan("wal_append", off)
-	}
-	sh.mu.Unlock()
-	if applied {
-		// The event is in the store whether or not the WAL append
-		// succeeded, so the user's warm plans no longer reflect the
-		// ranking inputs and must be invalidated either way.
+	return s.write(idx, &s.shards[idx], tr, durableTypeForKind(e.Kind), func() (any, error) {
+		return e, s.Feedback.CheckAppend(e)
+	}, func() { applied(s.Feedback.Append(e)) }, func() {
 		s.PlanCache.InvalidateUser(e.UserID)
-	}
-	if err != nil {
-		return err
-	}
-	s.Broker.Publish("feedback."+e.Kind.String(), []byte(e.UserID))
-	return nil
+		s.Broker.Publish("feedback."+e.Kind.String(), []byte(e.UserID))
+	})
 }
 
 // CompactTracking runs the periodic tracking compaction for a user and
 // caches the resulting mobility model.
 func (s *System) CompactTracking(userID string) (*tracking.CompactModel, error) {
-	idx := s.shardIndexFor(userID)
-	s.barrier.rlock(idx)
-	defer s.barrier.runlock(idx)
 	return s.compactTracking(userID, -1)
 }
 
 // compactTracking compacts the user's first n fixes (the live count
-// when n < 0) and installs the model. The count is pinned, the model
-// installed and the WAL event emitted under the user's shard lock, and
-// the event carries the pinned count, so replay re-derives the model
-// from exactly the same trace prefix no matter how concurrent fixes
-// interleaved with the compaction. Callers hold the user's barrier
-// stripe (read side).
+// when n < 0) and installs the model. The event carries the pinned
+// count, so replay re-derives the model from the same trace prefix.
+// Re-compaction renumbers staying points, so cached plan keys (which
+// embed PlaceIDs) must not survive it.
 func (s *System) compactTracking(userID string, n int) (*tracking.CompactModel, error) {
 	idx := s.shardIndexFor(userID)
 	sh := &s.shards[idx]
-	s.lockShard(sh)
-	if n < 0 {
-		n = s.Tracker.FixCount(userID)
-	}
-	cm, err := s.Tracker.CompactN(userID, n)
-	if err != nil {
-		sh.mu.Unlock()
-		return nil, err
-	}
-	sh.mobility[userID] = cm
-	sh.compactN[userID] = n
-	//pphcr:allow mutateemit callers hold the user's barrier stripe (read side), per this function's contract
-	err = s.emit(idx, durable.TypeCompact, compactEvent{User: userID, N: n})
-	sh.mu.Unlock()
-	// The model is installed whether or not the WAL append succeeded,
-	// and re-compaction renumbers the user's staying points — cached
-	// keys (which embed PlaceIDs) must not survive it, emit error or
-	// not.
-	s.PlanCache.InvalidateUser(userID)
+	var c tracking.Compaction
+	err := s.write(idx, sh, nil, durable.TypeCompact, func() (_ any, err error) {
+		if n < 0 {
+			n = s.Tracker.FixCount(userID)
+		}
+		c, err = s.Tracker.Prepare(userID, n)
+		return compactEvent{User: userID, N: n}, err
+	}, func() {
+		s.Tracker.Fold(&c)
+		sh.mobility[userID] = c.Model
+		sh.compactN[userID] = n
+	}, func() {
+		s.PlanCache.InvalidateUser(userID)
+		s.Broker.Publish("tracking.compacted", []byte(userID))
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.Broker.Publish("tracking.compacted", []byte(userID))
-	return cm, nil
+	return c.Model, nil
 }
 
 // MobilityModel returns the cached compact model for a user.
@@ -721,31 +667,20 @@ func (s *System) preferences(dst feedback.Vector, userID string, now time.Time) 
 // needed. It returns the number of events folded away.
 func (s *System) CompactFeedback(userID string, now time.Time, horizon time.Duration) int {
 	idx := s.shardIndexFor(userID)
-	s.barrier.rlock(idx)
-	defer s.barrier.runlock(idx)
-	sh := &s.shards[idx]
-	// The shard lock pins the WAL position of the fold relative to the
-	// user's racing AddFeedback emits (both apply to the feedback store
-	// and must replay in apply order).
-	s.lockShard(sh)
-	n := s.Feedback.Compact(userID, now, horizon)
-	var emitErr error
-	if n > 0 {
-		// The fold is deterministic in (user, now, horizon), so the WAL
-		// event records the arguments and replay re-runs the fold. The
-		// signature cannot propagate an emit failure, so it is counted
-		// (surfaced on /stats) — and the WAL's sticky error resurfaces
-		// on the next mutation anyway.
-		emitErr = s.emit(idx, durable.TypeFeedbackCompact, feedbackCompactEvent{User: userID, At: now, Horizon: horizon})
-	}
-	sh.mu.Unlock()
-	if n > 0 {
-		if emitErr != nil {
-			s.emitErrs.Add(1)
+	n := 0 // the event records the arguments: replay re-runs the fold
+	err := s.write(idx, &s.shards[idx], nil, durable.TypeFeedbackCompact, func() (any, error) {
+		if n = s.Feedback.Foldable(userID, now, horizon); n == 0 {
+			return nil, nil
 		}
+		return feedbackCompactEvent{User: userID, At: now, Horizon: horizon}, nil
+	}, func() { s.Feedback.Compact(userID, now, horizon) }, func() {
 		// Deliberately NOT under "feedback.#": compaction does not change
 		// the preference vector, so it must not trigger plan re-warming.
 		s.Broker.Publish("prefs.compacted", []byte(userID))
+	})
+	if err != nil {
+		s.emitErrs.Add(1) // the signature cannot return it
+		return 0
 	}
 	return n
 }
@@ -797,15 +732,14 @@ func (s *System) recommend(userID string, ctx recommend.Context, k int, ids []st
 
 // consumeInjections pops the user's pending editorial injections
 // (inject-once semantics). Shared by Recommend, the skip replacement
-// path and replay so the consume semantics cannot drift.
+// path and replay so the consume semantics cannot drift. A consume the
+// log refused leaves them pending and returns none.
 //
 // The overwhelmingly common case — no pending injection — is a pure
 // read and must not touch the commit barrier: Recommend and the skip
 // paths sit on the request hot path, and the PR 4 regression came
 // precisely from reads funneling through the global durability lock.
-// Only when the peek finds queued items does the call upgrade to a
-// barrier-fenced mutation (lock order: barrier stripe before shard
-// lock, same as every write path — hence the re-lock dance).
+// Only when the peek finds queued items does the call become a write.
 func (s *System) consumeInjections(userID string) []string {
 	idx := s.shardIndexFor(userID)
 	sh := &s.shards[idx]
@@ -815,24 +749,20 @@ func (s *System) consumeInjections(userID string) []string {
 	if empty {
 		return nil
 	}
-
-	s.barrier.rlock(idx)
-	s.lockShard(sh)
-	pinnedIDs := sh.injected[userID]
-	delete(sh.injected, userID)
-	if len(pinnedIDs) > 0 {
-		// Consumption mutates durable state (inject-once semantics must
-		// survive a crash, or recovered users see duplicate injections).
-		// Emitted under the shard lock so a racing Inject for the same
-		// user cannot land in the WAL on the wrong side of this consume;
-		// the signature cannot propagate a failure, so it is counted.
-		if err := s.emit(idx, durable.TypeConsume, consumeEvent{User: userID}); err != nil {
-			s.emitErrs.Add(1)
+	// Consumption mutates durable state (inject-once semantics must
+	// survive a crash, or recovered users see duplicate injections).
+	var ids []string
+	err := s.write(idx, sh, nil, durable.TypeConsume, func() (any, error) {
+		if ids = sh.injected[userID]; len(ids) == 0 {
+			return nil, nil
 		}
+		return consumeEvent{User: userID}, nil
+	}, func() { delete(sh.injected, userID) }, func() {})
+	if err != nil {
+		s.emitErrs.Add(1) // the signature cannot return it
+		return nil
 	}
-	sh.mu.Unlock()
-	s.barrier.runlock(idx)
-	return pinnedIDs
+	return ids
 }
 
 // pinned resolves injected item IDs into pinned entries with full
@@ -857,21 +787,15 @@ func (s *System) pinned(ids []string) (pinned []recommend.Scored, seen map[strin
 // §2 and Fig 6).
 func (s *System) Inject(userID, itemID string) error {
 	idx := s.shardIndexFor(userID)
-	s.barrier.rlock(idx)
-	defer s.barrier.runlock(idx)
-	if _, ok := s.Repo.Get(itemID); !ok {
-		return fmt.Errorf("pphcr: cannot inject unknown item %q", itemID)
-	}
 	sh := &s.shards[idx]
-	s.lockShard(sh)
-	sh.injected[userID] = append(sh.injected[userID], itemID)
-	err := s.emit(idx, durable.TypeInject, injectEvent{User: userID, Item: itemID})
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.Broker.Publish("editorial.injected", []byte(userID+":"+itemID))
-	return nil
+	return s.write(idx, sh, nil, durable.TypeInject, func() (any, error) {
+		if _, ok := s.Repo.Get(itemID); !ok {
+			return nil, fmt.Errorf("pphcr: cannot inject unknown item %q", itemID)
+		}
+		return injectEvent{User: userID, Item: itemID}, nil
+	}, func() { sh.injected[userID] = append(sh.injected[userID], itemID) }, func() {
+		s.Broker.Publish("editorial.injected", []byte(userID+":"+itemID))
+	})
 }
 
 // PendingInjections returns the queued editorial items for a user.
