@@ -189,18 +189,15 @@ func openDurability(sys *System, o DurabilityOptions, load func(d *Durability) (
 	wal, err := durable.OpenWAL(o.Dir, durable.Options{
 		SegmentBytes: o.SegmentBytes,
 		Sync:         o.Sync,
-		Stripes:      len(sys.shards),
-		// Recovery just totally ordered the retained tail; hand its max
-		// sequence over so the open does not re-read every segment.
+		// Recovery just read the retained tail; hand its max sequence
+		// over so the open does not re-read every segment.
 		InitialSeq: maxSeq,
 	})
 	if err != nil {
 		return nil, err
 	}
 	d.wal = wal
-	// The System's barrier stripe doubles as the WAL staging stripe, so
-	// writers that share no barrier state share no staging state either.
-	sys.SetMutationHook(wal.AppendTo)
+	sys.SetMutationHook(wal.Append)
 	return d, nil
 }
 
@@ -453,10 +450,10 @@ func (d *Durability) SyncWAL() error { return d.wal.Sync() }
 // emitted it on the leader. It is the warm-standby apply
 // path: the System must have no mutation hook attached (nothing is
 // re-logged; the follower's on-disk log is the shipped bytes
-// themselves). The caller owns ordering — records must arrive in
-// strictly ascending sequence order, because cross-user causality on
-// the leader is only encoded in the sequence numbers, not the physical
-// record order (see durable.Replay).
+// themselves). The caller owns ordering: records must arrive in log
+// order, which is sequence order (see the durable.WAL ordering
+// contract), because cross-user causality on the leader is the order
+// its writes reached the log.
 func (s *System) ApplyReplicated(e durable.Event) error {
 	return s.applyDurableEvent(e)
 }
@@ -491,11 +488,10 @@ func EventUser(e durable.Event) (string, bool) {
 // PromoteStandby turns a warm standby into a leader. The System already
 // holds live state from applying shipped records contiguously up to
 // appliedSeq; promotion replays the local (shipped) log's remaining
-// suffix — every record with a sequence above appliedSeq, in sequence
-// order, including records the contiguous tail couldn't apply past a
-// sequence gap — then opens the WAL for writing and attaches the
-// mutation hook. From the moment it returns, the node acks its own
-// writes. The replay reads every retained segment. The returned count
+// suffix — every record with a sequence above appliedSeq, in log order —
+// then opens the WAL for writing and attaches the mutation hook. From
+// the moment it returns, the node acks its own writes. The replay reads
+// every retained segment. The returned count
 // is the number of suffix records applied — the acked-but-unapplied
 // window the promotion closed.
 func PromoteStandby(sys *System, o DurabilityOptions, appliedSeq uint64) (*Durability, int, error) {

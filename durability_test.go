@@ -481,7 +481,7 @@ func TestRecoveryToleratesFailedIngestRecord(t *testing.T) {
 	}
 	// The duplicate as an older node logged it: the payload the ingest
 	// write emits.
-	if err := live.emit(ingestStripe, durable.TypeIngest, it); err != nil {
+	if err := live.emit(durable.TypeIngest, it); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := live.IngestPodcast(w.Corpus[1]); err != nil {
@@ -569,14 +569,13 @@ func TestReplaySkipsInstantsARecordCannotHold(t *testing.T) {
 	}
 	// The 2300 records are logged as an older node logged them: the
 	// payloads the write paths emit.
-	stripe := live.shardIndexFor("u")
 	for _, err := range []error{
 		live.AddFeedback(like(at)),
-		live.emit(stripe, durable.TypeFeedback, like(far)),
+		live.emit(durable.TypeFeedback, like(far)),
 		live.AddFeedback(like(at.Add(time.Minute))),
 		live.RecordFix("u", fix(at)),
 		live.RecordFix("u", fix(at.Add(time.Minute))),
-		live.emit(stripe, durable.TypeFix, fixEvent{User: "u", Fix: fix(far)}),
+		live.emit(durable.TypeFix, fixEvent{User: "u", Fix: fix(far)}),
 	} {
 		if err != nil {
 			t.Fatal(err)

@@ -56,9 +56,9 @@ func TestFoldedModelsMatchRecompaction(t *testing.T) {
 	}
 	var shipped []durable.Event
 	hook := live.durHook
-	live.SetMutationHook(func(stripe uint32, e durable.Event) error {
+	live.SetMutationHook(func(e durable.Event) error {
 		shipped = append(shipped, e)
-		return hook(stripe, e)
+		return hook(e)
 	})
 
 	rng := rand.New(rand.NewSource(5))

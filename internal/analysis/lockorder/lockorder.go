@@ -3,12 +3,12 @@
 //
 //	pphcr:     Durability.mu → commit barrier stripe → user shard → store
 //	plancache: shard.mu → shard.genMu
-//	durable:   WAL.ioMu → walStripe.mu → WAL.commitMu
+//	durable:   WAL.ioMu → WAL.mu → WAL.commitMu
 //
 // Within one hierarchy a function may only acquire downward (toward
 // higher levels) while holding a lock, and may never hold two sibling
 // locks of the same level at once — except via the lock-all loop idiom
-// (quiesce, drain swap), which the analyzer recognizes as a `for` loop
+// (quiesce), which the analyzer recognizes as a `for` loop
 // that net-acquires its class and therefore holds stripes in index
 // order by construction.
 //
@@ -32,7 +32,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
 	Doc: "check lock acquisitions against the documented hierarchies " +
-		"(barrier → shard → store; ioMu → stripe → commit) and forbid sibling " +
+		"(barrier → shard → store; ioMu → queue → commit) and forbid sibling " +
 		"shard locks outside the lock-all quiesce idiom",
 	Run: run,
 }
@@ -49,7 +49,7 @@ type class struct {
 const (
 	orderPphcr     = "Durability.mu → barrier → shard → store"
 	orderPlancache = "shard.mu → genMu"
-	orderWAL       = "ioMu → stripe → commitMu"
+	orderWAL       = "ioMu → mu → commitMu"
 	orderReplicate = "Router.mu → nodeState.mu → Standby.mu"
 )
 
@@ -69,7 +69,7 @@ var (
 	clsPCGen   = class{"plancache", 20, "plan-cache generation lock", orderPlancache}
 
 	clsWALIO     = class{"wal", 10, "WAL io mutex", orderWAL}
-	clsWALStripe = class{"wal", 20, "WAL staging stripe", orderWAL}
+	clsWALQueue  = class{"wal", 20, "WAL staging queue mutex", orderWAL}
 	clsWALCommit = class{"wal", 30, "WAL commit mutex", orderWAL}
 
 	// Replication locks. The router holds its topology lock while taking
@@ -98,7 +98,7 @@ var fieldClasses = map[key]class{
 	{"plancache", "shard", "mu"}:    clsPCShard,
 	{"plancache", "shard", "genMu"}: clsPCGen,
 	{"durable", "WAL", "ioMu"}:      clsWALIO,
-	{"durable", "walStripe", "mu"}:  clsWALStripe,
+	{"durable", "WAL", "mu"}:        clsWALQueue,
 	{"durable", "WAL", "commitMu"}:  clsWALCommit,
 
 	{"replicate", "Router", "mu"}:    clsReplRouter,

@@ -2,7 +2,7 @@
 // write path (docs/durability.md): a write is checked, logged, then
 // applied, all in one function, and the WAL record that replays it is
 // emitted inside the shard-lock critical section that applies it, under
-// the commit-barrier stripe of that shard, at most once.
+// a commit-barrier stripe, at most once.
 //
 // Concretely:
 //
@@ -22,9 +22,6 @@
 //   - a commit-barrier stripe must be held — otherwise a checkpoint
 //     quiesce can slice between apply and emit and snapshot a state the
 //     WAL position does not match;
-//   - the stripe index passed to emit must be the same expression as
-//     the one passed to the barrier rlock — emitting on a stripe the
-//     barrier does not cover reintroduces the same checkpoint race;
 //   - a second emit before the shard unlock is flagged: one mutation,
 //     one record.
 //
@@ -34,9 +31,7 @@
 package mutateemit
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 
@@ -48,7 +43,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "mutateemit",
 	Doc: "System writes go through one write function that emits its WAL " +
 		"record before it applies, inside the shard-lock critical section, " +
-		"under the matching barrier stripe, exactly once",
+		"under a barrier stripe, exactly once",
 	Run: run,
 }
 
@@ -69,7 +64,6 @@ func run(pass *analysis.Pass) error {
 type event struct {
 	pos  token.Pos
 	kind int
-	arg  string // stripe expression for barrier/emit events
 }
 
 const (
@@ -107,17 +101,15 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	}
 
 	var (
-		barrierDepth  int
-		barrierStripe string
-		shardHeld     bool
-		ingestHeld    bool
-		emitted       bool
+		barrierDepth int
+		shardHeld    bool
+		ingestHeld   bool
+		emitted      bool
 	)
 	for _, e := range events {
 		switch e.kind {
 		case evBarrierAcquire:
 			barrierDepth++
-			barrierStripe = e.arg
 		case evBarrierRelease:
 			if barrierDepth > 0 {
 				barrierDepth--
@@ -139,14 +131,9 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				pass.Reportf(e.pos,
 					"WAL emit outside the shard/ingest critical section: apply and emit must share one lock hold, or replay order diverges from apply order")
 			}
-			switch {
-			case barrierDepth == 0:
+			if barrierDepth == 0 {
 				pass.Reportf(e.pos,
 					"WAL emit without the commit-barrier stripe held: a checkpoint quiesce can snapshot between apply and emit")
-			case e.arg != barrierStripe:
-				pass.Reportf(e.pos,
-					"WAL emit on stripe %s but the barrier holds stripe %s: the emit is not covered by the checkpoint exclusion",
-					e.arg, barrierStripe)
 			}
 			if emitted {
 				pass.Reportf(e.pos,
@@ -264,9 +251,7 @@ func classify(pass *analysis.Pass, call *ast.CallExpr) (event, bool) {
 	if isSystemShaped(recvType) {
 		switch name {
 		case "emit":
-			if len(call.Args) >= 1 {
-				return event{pos: call.Pos(), kind: evEmit, arg: render(pass.Fset, call.Args[0])}, true
-			}
+			return event{pos: call.Pos(), kind: evEmit}, true
 		case "lockShard", "rlockShard":
 			return event{pos: call.Pos(), kind: evShardAcquire}, true
 		}
@@ -276,9 +261,7 @@ func classify(pass *analysis.Pass, call *ast.CallExpr) (event, bool) {
 	if pkg, typ, ok := analysis.NamedOwner(recvType); ok && pkg == "pphcr" && typ == "commitBarrier" {
 		switch name {
 		case "rlock":
-			if len(call.Args) == 1 {
-				return event{pos: call.Pos(), kind: evBarrierAcquire, arg: render(pass.Fset, call.Args[0])}, true
-			}
+			return event{pos: call.Pos(), kind: evBarrierAcquire}, true
 		case "runlock":
 			return event{pos: call.Pos(), kind: evBarrierRelease}, true
 		}
@@ -330,13 +313,4 @@ func isSystemShaped(t types.Type) bool {
 	f, _, _ := types.LookupFieldOrMethod(n, true, n.Obj().Pkg(), "shards")
 	v, ok := f.(*types.Var)
 	return ok && v.IsField()
-}
-
-// render prints an expression as source text for stripe comparison.
-func render(fset *token.FileSet, e ast.Expr) string {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, fset, e); err != nil {
-		return ""
-	}
-	return buf.String()
 }

@@ -32,16 +32,16 @@ type System struct {
 	barrier  commitBarrier
 	shards   []userShard
 	ingestMu sync.Mutex
-	hook     func(stripe uint32, e Event) error
+	hook     func(e Event) error
 }
 
-func (s *System) SetMutationHook(fn func(stripe uint32, e Event) error) { s.hook = fn }
+func (s *System) SetMutationHook(fn func(e Event) error) { s.hook = fn }
 
-func (s *System) emit(stripe uint32, e Event) error {
+func (s *System) emit(e Event) error {
 	if s.hook == nil {
 		return nil
 	}
-	return s.hook(stripe, e)
+	return s.hook(e)
 }
 
 func (s *System) lockShard(sh *userShard) { sh.mu.Lock() }
@@ -63,7 +63,7 @@ func (s *System) write(stripe uint32, sh *userShard, check func() (*Event, error
 	if err != nil || ev == nil {
 		return err
 	}
-	if err := s.emit(stripe, *ev); err != nil {
+	if err := s.emit(*ev); err != nil {
 		return err
 	}
 	apply()
@@ -86,7 +86,7 @@ func (s *System) badEmitOutsideWrite(idx uint32, user string) error {
 	defer s.barrier.runlock(idx)
 	sh := &s.shards[idx]
 	s.lockShard(sh)
-	err := s.emit(idx, Event{Type: "bump"}) // want `WAL emit outside System.write`
+	err := s.emit(Event{Type: "bump"}) // want `WAL emit outside System.write`
 	if err == nil {
 		sh.data[user]++
 	}
@@ -107,7 +107,7 @@ func (s *applyFirstSystem) write(stripe uint32, sh *userShard, check func() (*Ev
 		return err
 	}
 	apply() // want `apply before the WAL emit`
-	return s.emit(stripe, *ev)
+	return s.emit(*ev)
 }
 
 type unlockedSystem struct{ System }
@@ -123,7 +123,7 @@ func (s *unlockedSystem) write(stripe uint32, sh *userShard, check func() (*Even
 	if err != nil {
 		return err
 	}
-	err = s.emit(stripe, *ev) // want `WAL emit outside the shard/ingest critical section`
+	err = s.emit(*ev) // want `WAL emit outside the shard/ingest critical section`
 	if err == nil {
 		apply()
 	}
@@ -141,26 +141,7 @@ func (s *noBarrierSystem) write(stripe uint32, sh *userShard, check func() (*Eve
 	if err != nil {
 		return err
 	}
-	if err := s.emit(stripe, *ev); err != nil { // want `WAL emit without the commit-barrier stripe held`
-		return err
-	}
-	apply()
-	return nil
-}
-
-type stripeSystem struct{ System }
-
-// write holds one stripe but emits on another.
-func (s *stripeSystem) write(stripe, other uint32, sh *userShard, check func() (*Event, error), apply func()) error {
-	s.barrier.rlock(stripe)
-	defer s.barrier.runlock(stripe)
-	s.lockShard(sh)
-	defer sh.mu.Unlock()
-	ev, err := check()
-	if err != nil {
-		return err
-	}
-	if err := s.emit(other, *ev); err != nil { // want `WAL emit on stripe other but the barrier holds stripe stripe`
+	if err := s.emit(*ev); err != nil { // want `WAL emit without the commit-barrier stripe held`
 		return err
 	}
 	apply()
@@ -179,8 +160,8 @@ func (s *doubleEmitSystem) write(stripe uint32, sh *userShard, check func() (*Ev
 	if err != nil {
 		return err
 	}
-	_ = s.emit(stripe, *ev)
-	if err := s.emit(stripe, *ev); err != nil { // want `second WAL emit in one critical section`
+	_ = s.emit(*ev)
+	if err := s.emit(*ev); err != nil { // want `second WAL emit in one critical section`
 		return err
 	}
 	apply()
@@ -195,11 +176,11 @@ func (s *twoSectionSystem) write(stripe uint32, sh *userShard, apply func()) {
 	s.barrier.rlock(stripe)
 	defer s.barrier.runlock(stripe)
 	s.lockShard(sh)
-	_ = s.emit(stripe, Event{Type: "bump"})
+	_ = s.emit(Event{Type: "bump"})
 	apply()
 	sh.mu.Unlock()
 	s.lockShard(sh)
-	_ = s.emit(stripe, Event{Type: "bump"})
+	_ = s.emit(Event{Type: "bump"})
 	apply()
 	sh.mu.Unlock()
 }
@@ -218,7 +199,7 @@ func (s *errorPathSystem) write(stripe uint32, sh *userShard, check func() (*Eve
 		sh.mu.Unlock()
 		return err
 	}
-	err = s.emit(stripe, *ev)
+	err = s.emit(*ev)
 	if err == nil {
 		apply()
 	}

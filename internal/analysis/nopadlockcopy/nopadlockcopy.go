@@ -8,7 +8,7 @@
 //
 // go vet's copylocks already rejects copies of Locker-bearing values;
 // this check is the repo-aware superset that also covers pad-only
-// structs (obs.Histogram-style counter blocks, barrier/WAL stripes)
+// structs (obs.Histogram-style counter blocks, barrier stripes)
 // and reports the reason the type is pinned.
 //
 // Flagged copy sites: assignments and declarations whose source is an

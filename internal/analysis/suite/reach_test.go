@@ -28,7 +28,6 @@ var oracles = map[string]string{
 	"pphcr/internal/scenario.HashEvents":              "seeded-determinism check: same seed, same events",
 	"pphcr/internal/scenario.Script.ExpectedEvents":   "zero-loss check: what a script must have written",
 	"pphcr/internal/scenario.Engine.Acks":             "zero-loss check: what the engine saw acknowledged",
-	"pphcr/internal/durable.WAL.Append":               "the synchronous append the WAL's tests drive",
 	"pphcr/internal/textclass.NaiveBayes.Evaluate":    "accuracy of the classifier ingestion runs",
 }
 

@@ -260,7 +260,7 @@ func TestPreviewKeepsInjection(t *testing.T) {
 // unknown item is still a 400.
 func TestInjectUnloggedAnswers503(t *testing.T) {
 	ts, sys, _ := newTestDashboard(t)
-	sys.SetMutationHook(func(uint32, durable.Event) error { return errors.New("disk full") })
+	sys.SetMutationHook(func(durable.Event) error { return errors.New("disk full") })
 	for item, want := range map[string]int{
 		sys.Repo.All()[0].ID: http.StatusServiceUnavailable,
 		"missing":            http.StatusBadRequest,

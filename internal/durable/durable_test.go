@@ -349,26 +349,26 @@ func TestWALFormatMarker(t *testing.T) {
 	}
 }
 
-// TestWALConcurrentStripedAppends is the multi-producer ordering proof
-// under -race: many goroutines hammer appends for few users (each user
-// pinned to a staging stripe and serialized by a per-user mutex, the
-// way the System's shard locks serialize a user's mutations). After a
+// TestWALConcurrentAppends is the multi-producer ordering proof under
+// -race: many goroutines hammer appends for few users (each user
+// serialized by a per-user mutex, the way the System's shard locks
+// serialize a user's mutations). After a
 // clean close, the replayed log must hold (a) a gapless, strictly
 // increasing sequence run 1..N in replay order — the total order the
 // group-commit writer promises — and (b) every user's records in
 // exactly their apply order.
-func TestWALConcurrentStripedAppends(t *testing.T) {
+func TestWALConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
 	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := filepath.Join(dir, policy.String())
-			w, err := OpenWAL(dir, Options{Sync: policy, Stripes: 8, SegmentBytes: 16 << 10})
+			w, err := OpenWAL(dir, Options{Sync: policy, SegmentBytes: 16 << 10})
 			if err != nil {
 				t.Fatal(err)
 			}
 			const (
 				goroutines = 16
-				users      = 3 // users ≪ goroutines: maximal same-stripe contention
+				users      = 3 // users ≪ goroutines: maximal same-user contention
 				perG       = 200
 			)
 			var userMu [users]sync.Mutex
@@ -385,7 +385,7 @@ func TestWALConcurrentStripedAppends(t *testing.T) {
 						// record is taken inside the same critical section.
 						userMu[u].Lock()
 						payload := fmt.Sprintf("u%d-g%d-i%d", u, g, i)
-						if err := w.AppendTo(uint32(u), ev(TypeFeedback, payload)); err != nil {
+						if err := w.Append(ev(TypeFeedback, payload)); err != nil {
 							userMu[u].Unlock()
 							t.Errorf("append: %v", err)
 							return
@@ -444,16 +444,94 @@ func TestWALConcurrentStripedAppends(t *testing.T) {
 	}
 }
 
+// TestWALFileOrderIsSequenceOrder is the ordering contract every reader
+// relies on: 16 producers append under each policy with segments so
+// small that drains rotate mid-batch, and a plain scan of the segments
+// in file order reads seqs 1, 2, 3, … with no gap. Under SyncAlways an
+// Append that returned nil is at or below the durable watermark.
+func TestWALFileOrderIsSequenceOrder(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := OpenWAL(dir, Options{Sync: policy, SegmentBytes: 512})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const producers, perG = 16, 100
+			// durableAt[payload] is the durable watermark read as its
+			// Append returned.
+			var (
+				mu        sync.Mutex
+				durableAt = make(map[string]uint64, producers*perG)
+				wg        sync.WaitGroup
+			)
+			for g := 0; g < producers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < perG; i++ {
+						p := fmt.Sprintf("g%d-i%d", g, i)
+						if err := w.Append(ev(TypeFix, p)); err != nil {
+							t.Errorf("append: %v", err)
+							return
+						}
+						d := w.durableSeq.Load()
+						mu.Lock()
+						durableAt[p] = d
+						mu.Unlock()
+					}
+				}(g)
+			}
+			wg.Wait()
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st := w.Stats()
+
+			segs, err := ListSegments(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var last uint64
+			for _, seg := range segs {
+				_, torn, err := ScanSegment(seg.Path, 0, func(e Event) error {
+					if e.Seq != last+1 {
+						return fmt.Errorf("segment %d: seq %d follows %d", seg.Seq, e.Seq, last)
+					}
+					last = e.Seq
+					if d := durableAt[string(e.Payload)]; policy == SyncAlways && e.Seq > d {
+						return fmt.Errorf("%s: seq %d acked with the durable watermark at %d", e.Payload, e.Seq, d)
+					}
+					return nil
+				})
+				if err != nil || torn {
+					t.Fatalf("scanning segment %d: torn=%v err=%v", seg.Seq, torn, err)
+				}
+			}
+			if want := uint64(producers * perG); last != want {
+				t.Fatalf("scanned seqs 1..%d, want 1..%d", last, want)
+			}
+			if len(segs) < 2 {
+				t.Fatalf("%d segment(s): the drains never rotated", len(segs))
+			}
+			if policy == SyncAlways && st.MaxCommitBatch < 2 {
+				t.Fatalf("no drain held two records, so none could cross a rotation: %+v", st)
+			}
+			t.Logf("%d segments, %d drains, max batch %d", len(segs), st.GroupCommits, st.MaxCommitBatch)
+		})
+	}
+}
+
 // TestGroupCommitTornTail exercises the crash contract of the staged
-// group-commit path: concurrent striped producers append, the log is
-// settled and then hard-cut mid-record. Replay must tolerate exactly
-// that tear, and what survives must be a causally consistent prefix —
-// for every user, an unbroken prefix of their applied records (the
-// seq-sorted drain guarantees a lost suffix never keeps a record while
-// dropping one it depends on).
+// group-commit path: concurrent producers append, the log is settled
+// and then hard-cut mid-record. Replay must tolerate exactly that tear,
+// and what survives must be a causally consistent prefix — for every
+// user, an unbroken prefix of their applied records (file order is
+// sequence order, so a lost suffix never keeps a record while dropping
+// one it depends on).
 func TestGroupCommitTornTail(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, Options{Sync: SyncInterval, Stripes: 4})
+	w, err := OpenWAL(dir, Options{Sync: SyncInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +547,7 @@ func TestGroupCommitTornTail(t *testing.T) {
 				u := (g + i) % users
 				userMu[u].Lock()
 				e := ev(TypeFix, fmt.Sprintf("u%d payload %d-%d", u, g, i))
-				if err := w.AppendTo(uint32(u), e); err != nil {
+				if err := w.Append(e); err != nil {
 					userMu[u].Unlock()
 					t.Errorf("append: %v", err)
 					return

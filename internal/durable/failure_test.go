@@ -72,7 +72,7 @@ func replayedPayloads(t *testing.T, dir string) map[string]bool {
 // TestWALFailureIsTerminal: under both policies, the first failed
 // segment write or fsync makes the log terminal. Err() reports it
 // without any caller calling Sync (the group commit under always, the
-// tick under interval), every later AppendTo, Sync, Rotate and Close
+// tick under interval), every later Append, Sync, Rotate and Close
 // returns it, and nothing is written after it: the log replays every
 // record acked before the fault and none appended after it.
 func TestWALFailureIsTerminal(t *testing.T) {
@@ -109,7 +109,7 @@ func TestWALFailureIsTerminal(t *testing.T) {
 				}
 
 				if err := w.Append(ev(TypeFeedback, "after")); !errors.Is(err, failure) {
-					t.Fatalf("AppendTo after the failure = %v, want %v", err, failure)
+					t.Fatalf("Append after the failure = %v, want %v", err, failure)
 				}
 				if err := w.Sync(); !errors.Is(err, failure) {
 					t.Fatalf("Sync after the failure = %v, want %v", err, failure)
@@ -123,7 +123,7 @@ func TestWALFailureIsTerminal(t *testing.T) {
 					}
 				}
 				if err := w.Append(ev(TypeFeedback, "after-close")); !errors.Is(err, failure) {
-					t.Fatalf("AppendTo after Close = %v, want %v", err, failure)
+					t.Fatalf("Append after Close = %v, want %v", err, failure)
 				}
 				if err := w.Err(); err != failure {
 					t.Fatalf("Err() changed from %v to %v", failure, err)
@@ -144,15 +144,15 @@ func TestWALFailureIsTerminal(t *testing.T) {
 }
 
 // TestWALFailureMidStorm: 16 producers append under SyncAlways while the
-// disk fails mid-storm. Every record whose AppendTo returned nil must
-// replay, and no AppendTo that began after Err() read non-nil may
+// disk fails mid-storm. Every record whose Append returned nil must
+// replay, and no Append that began after Err() read non-nil may
 // return nil.
 func TestWALFailureMidStorm(t *testing.T) {
 	for _, f := range faults {
 		t.Run(f.name, func(t *testing.T) {
 			skipUnlessFaultFails(t, f)
 			dir := t.TempDir()
-			w, err := OpenWAL(dir, Options{Sync: SyncAlways, Stripes: 8, SegmentBytes: 16 << 10})
+			w, err := OpenWAL(dir, Options{Sync: SyncAlways, SegmentBytes: 16 << 10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,17 +178,17 @@ func TestWALFailureMidStorm(t *testing.T) {
 					for i := 0; i < maxPerG && refused < afterFail && !stopped.Load(); i++ {
 						failedBefore := w.Err() != nil
 						p := fmt.Sprintf("g%d-i%d", g, i)
-						err := w.AppendTo(uint32(g), ev(TypeFeedback, p))
+						err := w.Append(ev(TypeFeedback, p))
 						if err != nil {
 							if w.Err() == nil {
-								t.Errorf("%s: AppendTo = %v while Err() is nil", p, err)
+								t.Errorf("%s: Append = %v while Err() is nil", p, err)
 								return
 							}
 							refused++
 							continue
 						}
 						if failedBefore {
-							t.Errorf("%s: AppendTo returned nil after Err() read non-nil", p)
+							t.Errorf("%s: Append returned nil after Err() read non-nil", p)
 							return
 						}
 						mu.Lock()

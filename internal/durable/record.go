@@ -16,11 +16,10 @@
 // detectable torn tail rather than silently corrupt state.
 //
 // seq is the global append sequence number the WAL stamps into every
-// record. The log is multi-producer (per-stripe staging buffers drained
-// by one background writer), so the physical record order on disk is
-// only approximately the commit order; Replay totally orders by seq,
-// and per-user order is exact because every caller serializes a user's
-// mutations before staging them (see the WAL ordering contract).
+// record. The WAL takes it in the critical section that queues the
+// record, so file order is sequence order and consecutive records carry
+// consecutive numbers; Replay, a follower and a rebalance apply records in the
+// order they read them (see the WAL ordering contract).
 package durable
 
 import (
@@ -82,7 +81,7 @@ func (t Type) String() string {
 
 // Event is one durable mutation record. Seq is assigned by the WAL on
 // append (any caller-set value is overwritten) and populated on replay;
-// it totally orders the log.
+// it is the record's position in the log.
 type Event struct {
 	Seq     uint64
 	Type    Type

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 )
 
 // ReplayStats reports what a recovery pass read.
@@ -24,25 +23,21 @@ type ReplayStats struct {
 	MaxSeq uint64
 }
 
-// Replay reads every WAL record in segments >= fromSeq, totally orders
-// them by their stamped sequence number, and applies them through fn.
-//
-// The sort is what makes the multi-producer log replayable: the
-// background writer drains per-stripe staging buffers, so the physical
-// record order on disk is only approximately the commit order (a
-// producer preempted between taking its sequence number and staging
-// lands late). Ordering by sequence restores the commit order exactly —
-// per-user order because callers serialize a user's appends, and
-// cross-user causal order because a dependent mutation always takes its
-// sequence number after the mutation it observed completed. The
-// replayed range is bounded by checkpoint truncation, so buffering it
-// is at most one checkpoint interval of traffic.
+// Replay reads every WAL record in segments >= fromSeq and applies each
+// through fn as it reads it, in file order. File order is sequence
+// order (see the WAL ordering contract), so nothing is buffered: the
+// replayed range costs one record in memory, not one checkpoint
+// interval of traffic. A log an older release wrote may hold two
+// records of different users out of sequence order across a drain
+// boundary; neither had observed the other, so file order replays it to
+// the same state.
 //
 // A torn record at the tail of the newest segment is tolerated (replay
 // drops it and Torn is set); a torn or corrupt record anywhere else is
 // real corruption and fails the recovery, as does an error from fn.
 // Missing segments inside the replayed range fail it too — a gap means
-// mutations are unrecoverable.
+// mutations are unrecoverable. Records before such a failure have
+// already been applied.
 func Replay(dir string, fromSeq int64, fn func(Event) error) (ReplayStats, error) {
 	var st ReplayStats
 	segs, err := ListSegments(dir)
@@ -61,7 +56,6 @@ func Replay(dir string, fromSeq int64, fn func(Event) error) (ReplayStats, error
 	// start too: if the segment the checkpoint hands off to is missing,
 	// recovery must fail, not silently resume at a later one.
 	prev := fromSeq - 1
-	var events []Event
 	for _, seg := range segs {
 		if seg.Seq < fromSeq {
 			continue
@@ -73,7 +67,11 @@ func Replay(dir string, fromSeq int64, fn func(Event) error) (ReplayStats, error
 		st.Segments++
 		last := seg.Seq == segs[len(segs)-1].Seq
 		validOff, torn, err := ScanSegment(seg.Path, 0, func(e Event) error {
-			events = append(events, e)
+			st.MaxSeq = max(st.MaxSeq, e.Seq)
+			if err := fn(e); err != nil {
+				return fmt.Errorf("durable: applying %s record: %w", e.Type, err)
+			}
+			st.Events++
 			return nil
 		})
 		if err != nil {
@@ -97,16 +95,6 @@ func Replay(dir string, fromSeq int64, fn func(Event) error) (ReplayStats, error
 			}
 			st.Torn = true
 		}
-	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
-	if len(events) > 0 {
-		st.MaxSeq = events[len(events)-1].Seq
-	}
-	for _, e := range events {
-		if err := fn(e); err != nil {
-			return st, fmt.Errorf("durable: applying %s record: %w", e.Type, err)
-		}
-		st.Events++
 	}
 	return st, nil
 }

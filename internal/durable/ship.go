@@ -87,4 +87,4 @@ func ScanSegment(path string, off int64, fn func(Event) error) (newOff int64, to
 // or below it, so "a follower has applied everything up to SeqCeiling
 // taken after a write" implies the follower has that write — the
 // replication acknowledgment bound the router waits on.
-func (w *WAL) SeqCeiling() uint64 { return w.seqCtr.Load() }
+func (w *WAL) SeqCeiling() uint64 { return w.seq.Load() }

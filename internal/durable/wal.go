@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -66,12 +67,6 @@ type Options struct {
 	SegmentBytes int64
 	// Sync is the fsync policy. Default SyncAlways.
 	Sync SyncPolicy
-	// Stripes is the number of staging stripes (rounded up to a power of
-	// two). Callers spread appends across stripes with AppendTo so
-	// concurrent producers contend only per stripe. Default 32 — the
-	// same count as the System's user shards, so the shard index maps
-	// 1:1 onto a staging stripe.
-	Stripes int
 	// InitialSeq, when nonzero, is the highest record sequence the
 	// caller knows is on disk (a recovery that just ran Replay has it
 	// in ReplayStats.MaxSeq). It spares OpenWAL re-reading every
@@ -84,14 +79,6 @@ func (o *Options) defaults() {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20
 	}
-	if o.Stripes <= 0 {
-		o.Stripes = 32
-	}
-	n := 1
-	for n < o.Stripes {
-		n <<= 1
-	}
-	o.Stripes = n
 }
 
 const (
@@ -214,13 +201,11 @@ type WALStats struct {
 	MeanCommitBatch    float64 `json:"mean_commit_batch"`
 	// MaxCommitBatch is the largest single drain.
 	MaxCommitBatch int64 `json:"max_commit_batch"`
-	// Staged is the number of records currently staged and not yet
+	// Staged is the number of records currently queued and not yet
 	// handed to the segment writer.
 	Staged int64 `json:"staged"`
-	// Stripes is the staging-stripe count.
-	Stripes int `json:"stripes"`
-	// Append is the AppendTo latency distribution (including the
-	// group-commit ticket wait under SyncAlways); Fsync is the
+	// Append is the Append latency distribution (including the
+	// group-commit wait under SyncAlways); Fsync is the
 	// flush+fsync pass distribution.
 	Append obs.Summary `json:"append"`
 	Fsync  obs.Summary `json:"fsync"`
@@ -229,53 +214,34 @@ type WALStats struct {
 	DegradedFsyncMillis float64 `json:"degraded_fsync_millis,omitempty"`
 }
 
-// stagedRec is one encoded record parked in a stripe's staging buffer,
-// awaiting the background writer.
-type stagedRec struct {
-	seq    uint64
-	ticket uint64
-	data   []byte // pooled framed bytes, owned by the writer after drain
-}
-
-// walStripe is one staging stripe. Producers append encoded records
-// under the stripe mutex only — never under the segment writer's lock —
-// so concurrent appends for different stripes share no mutable state.
-// The struct is padded to a cache line so stripe mutexes never false-
-// share.
-type walStripe struct {
-	mu     sync.Mutex
-	recs   []stagedRec
-	ticket uint64 // tickets handed out, one per staged record (FIFO)
-	closed bool
-	// durableTicket is the highest ticket known fsynced; SyncAlways
-	// waiters park until it covers their record.
-	durableTicket atomic.Uint64
-	// Pad to a full cache line: mu(8) + recs header(24) + ticket(8) +
-	// closed(1+7) + durableTicket(8) = 56, +8 = 64.
-	_ [8]byte
-}
-
 // WAL is the append-only, segment-rotated, multi-producer write-ahead
-// log. Producers encode records outside any lock, stamp a global atomic
-// sequence number, and stage them into per-stripe buffers; one
-// background writer drains every stripe, writes the batch in sequence
-// order and — under SyncAlways — retires all of it with a single
-// group-commit fsync. It is safe for concurrent use.
+// log. Append takes the next sequence number and frames the record onto
+// the staging queue in one critical section; one background writer
+// drains the queue front to back into the active segment and — under
+// SyncAlways — retires the whole drain with a single group-commit fsync.
+// It is safe for concurrent use.
 //
-// Ordering contract: the on-disk record order is only approximately the
-// sequence order (a producer may be preempted between taking its
-// sequence number and staging), so Replay totally orders records by
-// sequence number before applying them. Per-key FIFO is the caller's
-// half of the contract: callers that require replay order to equal
-// apply order for a key (the System's per-user mutations) must
-// serialize that key's Append calls, which the System's shard locks do.
+// Ordering contract: file order is sequence order. Consecutive records
+// carry consecutive sequence numbers, across segment boundaries too (a
+// crash or a failed write loses a suffix, never a record in the
+// middle), so every reader can apply records as it reads them. Per-key order is the
+// caller's half of the contract: callers that require a key's records
+// in its apply order (the System's per-user mutations) must serialize
+// that key's Append calls, which the System's shard locks do.
 type WAL struct {
 	dir  string
 	opts Options
 
-	seqCtr  atomic.Uint64 // global record sequence, 1-based
-	stripes []walStripe
-	mask    uint32
+	// mu guards the staging queue: the framed bytes of every record
+	// appended since the writer's last drain, in sequence order. seq is
+	// the last sequence number handed out; it only moves under mu, in
+	// the same critical section that queues its record (atomic so
+	// SeqCeiling and Stats read it without the lock).
+	mu     sync.Mutex
+	queue  []byte
+	queued int64 // records in queue
+	closed bool
+	seq    atomic.Uint64
 
 	// ioMu is the segment writer's domain: the active file, its bufio
 	// writer and the drain machinery. Producers never take it.
@@ -287,18 +253,20 @@ type WAL struct {
 	size     int64        // bytes in the active segment
 	dirty    bool         // bytes written since last fsync
 	ioClosed bool
-	batch    []stagedRec // drain buffer, reused across cycles
-	drainHi  []uint64    // per-stripe highest ticket collected, pending fsync
+	spare    []byte // the last drained queue, reused as the next one
+	written  uint64 // highest sequence written to a segment, pending fsync
 
 	// commitMu/commitCond wake SyncAlways waiters after each group
-	// commit. failure holds the first failed segment write, flush or
-	// fsync under any policy, and is terminal: every parked producer is
-	// woken with it and nothing is written after it — so a ticket
-	// covered by durableTicket always means "written and fsynced", never
-	// "dropped by a failure but acked by a later success". It is set
-	// under commitMu so a parking producer cannot miss the wakeup.
+	// commit; durableSeq is the highest sequence written and fsynced.
+	// failure holds the first failed segment write, flush or fsync under
+	// any policy, and is terminal: every parked producer is woken with it
+	// and nothing is written after it — so durableSeq covering a record
+	// always means "written and fsynced", never "dropped by a failure but
+	// acked by a later success". It is set under commitMu so a parking
+	// producer cannot miss the wakeup.
 	commitMu   sync.Mutex
 	commitCond *sync.Cond
+	durableSeq atomic.Uint64
 	failure    atomic.Pointer[error]
 
 	stopOnce sync.Once
@@ -310,9 +278,9 @@ type WAL struct {
 	commitRecords atomic.Int64
 	maxBatch      atomic.Int64
 
-	// appendHist is the end-to-end AppendTo latency (under SyncAlways it
-	// includes the group-commit ticket wait — the durability price a
-	// producer actually pays); fsyncHist times each flush+fsync pass.
+	// appendHist is the end-to-end Append latency (under SyncAlways it
+	// includes the group-commit wait — the durability price a producer
+	// actually pays); fsyncHist times each flush+fsync pass.
 	appendHist obs.Histogram
 	fsyncHist  obs.Histogram
 
@@ -321,8 +289,6 @@ type WAL struct {
 	// (every durability promise holds, just slower), which is exactly the
 	// partial-degradation state /readyz must report without flapping.
 	degradedNs atomic.Int64
-
-	scratch sync.Pool // *[]byte record-encoding buffers
 
 	wake chan struct{}
 	stop chan struct{}
@@ -349,31 +315,28 @@ func OpenWAL(dir string, opts Options) (*WAL, error) {
 		return nil, err
 	}
 	w := &WAL{
-		dir:     dir,
-		opts:    opts,
-		stripes: make([]walStripe, opts.Stripes),
-		mask:    uint32(opts.Stripes - 1),
-		wake:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		dir:  dir,
+		opts: opts,
+		wake: make(chan struct{}, 1),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	w.seg.Store(1)
 	w.firstSeg.Store(1)
 	w.commitCond = sync.NewCond(&w.commitMu)
-	w.drainHi = make([]uint64, opts.Stripes)
 	if len(segs) == 0 {
 		if err := w.createSegment(1); err != nil {
 			return nil, err
 		}
 	} else {
-		// The record sequence must resume past everything on disk, or
-		// replay's total order would sort fresh records before recovered
-		// ones. The maximum can live in any retained segment (the last
-		// drain before a crash may have landed out of order across a
-		// rotation). Callers that just replayed the log pass the maximum
-		// they saw via Options.InitialSeq so only the final segment is
-		// re-read (for torn-tail truncation); a standalone open scans
-		// every segment.
+		// The record sequence must resume past everything on disk. A
+		// log this release wrote ends in its maximum, but one an older
+		// release wrote could land a record one drain late, across a
+		// rotation, so the maximum can live in any retained segment.
+		// Callers that just replayed the log pass the maximum they saw
+		// via Options.InitialSeq so only the final segment is re-read
+		// (for torn-tail truncation); a standalone open scans every
+		// segment.
 		maxSeq := opts.InitialSeq
 		scan := segs[len(segs)-1:]
 		if maxSeq == 0 {
@@ -413,7 +376,7 @@ func OpenWAL(dir string, opts Options) (*WAL, error) {
 		w.seg.Store(last.Seq)
 		w.firstSeg.Store(segs[0].Seq)
 		w.size = valid
-		w.seqCtr.Store(maxSeq)
+		w.seq.Store(maxSeq)
 	}
 	var tick *time.Ticker
 	if opts.Sync == SyncInterval {
@@ -435,7 +398,7 @@ func (w *WAL) createSegment(seq int64) error {
 	return nil
 }
 
-// writerLoop is the single consumer of every staging stripe: it drains
+// writerLoop is the staging queue's single consumer: it drains
 // on producer wakeups (and, under SyncInterval, flushes on the tick).
 // Under SyncAlways each pass ends in one fsync that retires every
 // record staged since the previous pass — producers that stacked up
@@ -470,50 +433,32 @@ func (w *WAL) wakeWriter() {
 	}
 }
 
-// Append writes one record through staging stripe 0. Single-producer
-// callers and tests use it; the System's hook uses AppendTo with the
-// user-shard index.
-func (w *WAL) Append(e Event) error { return w.AppendTo(0, e) }
-
-// AppendTo stages one record on the given stripe. Under SyncAlways it
-// is durable on return (the caller parked on the group-commit notify);
-// under SyncInterval it is staged for the background writer and a crash
-// may lose it. Once the log has failed it returns the failure and
-// stages nothing. The record is encoded into a pooled scratch buffer
-// entirely outside the stripe lock; the critical section is one slice
-// append.
-func (w *WAL) AppendTo(stripe uint32, e Event) error {
+// Append stamps e with the next sequence number and queues it for the
+// background writer. Under SyncAlways it is durable on return (the
+// caller parked on the group-commit notify); under SyncInterval a crash
+// may lose it. Once the log has failed or closed it returns the failure
+// (or ErrClosed) and takes no sequence number. The critical section is
+// the stamp and the framing of one record onto the queue: taking the
+// number where the record is queued is what makes file order sequence
+// order.
+func (w *WAL) Append(e Event) error {
 	start := time.Now()
-	// Sequence first, then encode: the CRC covers the stamped sequence
-	// number, and a gap left by a crash between here and staging is a
-	// tail gap replay already tolerates (the record's mutation never
-	// reported success to anyone).
-	e.Seq = w.seqCtr.Add(1)
-	bp, _ := w.scratch.Get().(*[]byte)
-	if bp == nil {
-		bp = new([]byte)
-	}
-	buf := appendRecord((*bp)[:0], e)
-	*bp = buf
-
-	st := &w.stripes[stripe&w.mask]
-	st.mu.Lock()
-	if err := w.Err(); err != nil || st.closed {
-		// A failed or closed log stages nothing.
-		st.mu.Unlock()
-		w.scratch.Put(bp)
+	w.mu.Lock()
+	if err := w.Err(); err != nil || w.closed {
+		w.mu.Unlock()
 		if err != nil {
 			return err
 		}
 		return ErrClosed
 	}
-	st.ticket++
-	ticket := st.ticket
-	st.recs = append(st.recs, stagedRec{seq: e.Seq, ticket: ticket, data: buf})
-	st.mu.Unlock()
+	e.Seq = w.seq.Load() + 1
+	w.seq.Store(e.Seq)
+	w.queue = appendRecord(w.queue, e)
+	w.queued++
+	w.mu.Unlock()
 
 	w.appended.Add(1)
-	w.bytes.Add(int64(len(buf)))
+	w.bytes.Add(recordSize(e))
 	w.wakeWriter()
 
 	if w.opts.Sync != SyncAlways {
@@ -521,19 +466,18 @@ func (w *WAL) AppendTo(stripe uint32, e Event) error {
 		return nil
 	}
 
-	// Group commit: park until the writer's fsync watermark covers this
-	// stripe ticket, or the log fails. Tickets are issued under the
-	// stripe lock at staging, and drains swap every stripe's buffer
-	// inside one locked pass, so durableTicket covering the ticket means
-	// this record was collected, written and fsynced — a failure can
-	// never be followed by a successful cycle that would falsely ack a
-	// dropped record (failure is terminal).
+	// Group commit: park until the durable watermark covers this record,
+	// or the log fails. A drain takes the whole queue, a prefix of the
+	// sequence, so durableSeq covering e.Seq means this record was
+	// written and fsynced — a failure can never be followed by a
+	// successful cycle that would falsely ack a dropped record (failure
+	// is terminal).
 	w.commitMu.Lock()
-	for st.durableTicket.Load() < ticket && w.failure.Load() == nil {
+	for w.durableSeq.Load() < e.Seq && w.failure.Load() == nil {
 		w.commitCond.Wait()
 	}
 	var err error
-	if st.durableTicket.Load() < ticket {
+	if w.durableSeq.Load() < e.Seq {
 		err = w.Err()
 	}
 	w.commitMu.Unlock()
@@ -541,9 +485,9 @@ func (w *WAL) AppendTo(stripe uint32, e Event) error {
 	return err
 }
 
-// commitCycle is one pass of the background writer: drain every stripe,
-// write the batch in sequence order, and (under SyncAlways) fsync and
-// release the parked producers.
+// commitCycle is one pass of the background writer: drain the queue
+// into the active segment and (under SyncAlways) fsync and release the
+// parked producers.
 func (w *WAL) commitCycle() {
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
@@ -552,11 +496,10 @@ func (w *WAL) commitCycle() {
 	}
 }
 
-// cycleLocked drains every stripe into the active segment and, when
-// fsync is set and anything is unsynced, flushes, fsyncs and releases
-// the parked producers. The first failure is terminal (see fail): a
-// failed log writes nothing more and returns its failure. Callers hold
-// ioMu.
+// cycleLocked drains the queue into the active segment and, when fsync
+// is set and anything is unsynced, flushes, fsyncs and releases the
+// parked producers. The first failure is terminal (see fail): a failed
+// log writes nothing more and returns its failure. Callers hold ioMu.
 func (w *WAL) cycleLocked(fsync bool) error {
 	if err := w.Err(); err != nil {
 		return err
@@ -574,93 +517,64 @@ func (w *WAL) cycleLocked(fsync bool) error {
 	return nil
 }
 
-// drainLocked swaps out every stripe's staging buffer, writes the
-// collected records to the active segment in sequence order, and
-// returns the scratch buffers to the pool. Writing sorted by sequence
-// inside one drain matters for crash safety: a lost write suffix then
-// can never keep a record while losing one it causally depends on
-// (dependencies always carry a smaller sequence number and land in the
-// same or an earlier drain). On a failed write the unwritten suffix is
-// dropped: the log is about to fail, and nothing is written after a
-// failure. Callers hold ioMu.
+// drainLocked takes the whole queue and writes it, front to back, to the
+// active segment, rotating between records once a segment is full. The
+// queue is in sequence order and holds every sequence number handed out
+// since the last drain, so the file stays gapless in sequence order. On
+// a failed write the unwritten suffix is dropped: the log is about to
+// fail, and nothing is written after a failure. Callers hold ioMu.
 func (w *WAL) drainLocked() error {
-	// The swap holds every stripe lock at once so it is one atomic cut
-	// across the whole staging set. A stripe-at-a-time sweep would
-	// break causal ordering: a dependency could stage on an
-	// already-visited stripe while its dependent stages on a
-	// not-yet-visited one, putting the dependent's bytes a full drain
-	// ahead of the dependency's — and a crash between flushes would
-	// persist the inject without its ingest. With one cut, a record
-	// staged before the cut is collected now and anything staged after
-	// it (including everything causally downstream) waits for the next
-	// cut. The held window is just len(stripes) slice swaps.
-	batch := w.batch[:0]
-	for i := range w.stripes {
-		w.stripes[i].mu.Lock()
-	}
-	for i := range w.stripes {
-		st := &w.stripes[i]
-		if len(st.recs) > 0 {
-			batch = append(batch, st.recs...)
-			st.recs = st.recs[:0]
-		}
-		w.drainHi[i] = st.ticket
-	}
-	for i := len(w.stripes) - 1; i >= 0; i-- {
-		w.stripes[i].mu.Unlock()
-	}
-	w.batch = batch
-	if len(batch) == 0 {
+	w.mu.Lock()
+	batch, n, hi := w.queue, w.queued, w.seq.Load()
+	w.queue, w.queued = w.spare[:0], 0
+	w.mu.Unlock()
+	w.spare = batch
+	if n == 0 {
 		return nil
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
-	for i := range batch {
+	for off := 0; off < len(batch); {
+		end := off + headerSize + int(binary.LittleEndian.Uint32(batch[off:]))
 		if w.size >= w.opts.SegmentBytes {
 			// Rotate mid-batch so one large drain cannot blow past the
-			// segment bound. The old segment's retirement fsync does NOT
-			// publish durable tickets — drainHi covers records later in
-			// this batch that are not written yet; publication waits for
-			// the cycle's final fsync.
+			// segment bound. The old segment's retirement fsync does not
+			// publish: records later in this batch are not written yet,
+			// and publication waits for the cycle's final fsync.
 			if err := w.rotateLocked(); err != nil {
 				return err
 			}
 		}
-		if _, err := w.bw.Write(batch[i].data); err != nil {
+		if _, err := w.bw.Write(batch[off:end]); err != nil {
 			return fmt.Errorf("durable: appending record: %w", err)
 		}
-		w.size += int64(len(batch[i].data))
-		d := batch[i].data
-		batch[i].data = nil
-		w.scratch.Put(&d)
+		w.size += int64(end - off)
+		off = end
 	}
+	w.written = hi
 	w.dirty = true
-	n := len(batch)
 	w.groupCommits.Add(1)
-	w.commitRecords.Add(int64(n))
+	w.commitRecords.Add(n)
 	for {
 		cur := w.maxBatch.Load()
-		if int64(n) <= cur || w.maxBatch.CompareAndSwap(cur, int64(n)) {
+		if n <= cur || w.maxBatch.CompareAndSwap(cur, n) {
 			break
 		}
 	}
 	return nil
 }
 
-// publishDurableLocked advances every stripe's durable-ticket watermark
-// to the last drain and wakes parked producers. Callers hold ioMu and
-// have fsynced everything drained so far.
+// publishDurableLocked advances the durable watermark to the last drain
+// and wakes parked producers. Callers hold ioMu and have fsynced
+// everything drained so far.
 func (w *WAL) publishDurableLocked() {
 	w.commitMu.Lock()
-	for i := range w.stripes {
-		w.stripes[i].durableTicket.Store(w.drainHi[i])
-	}
+	w.durableSeq.Store(w.written)
 	w.commitCond.Broadcast()
 	w.commitMu.Unlock()
 }
 
 // fail makes the log terminal, under every policy, and returns the
 // failure it keeps (the first one). Every parked producer is woken with
-// it, and every later AppendTo, Sync, Rotate and Close returns it. There
+// it, and every later Append, Sync, Rotate and Close returns it. There
 // is no retry: after a failed fsync the kernel may already have dropped
 // the dirty pages, so a later fsync that succeeds proves nothing about
 // the records before it; and a retry that succeeded would falsely ack
@@ -713,7 +627,7 @@ func (w *WAL) syncLocked() error {
 	return nil
 }
 
-// Sync drains the staging stripes, flushes buffered records and fsyncs
+// Sync drains the staging queue, flushes buffered records and fsyncs
 // the active segment — the background tick under SyncInterval, and the
 // explicit barrier tests and tools use to observe a settled log.
 func (w *WAL) Sync() error {
@@ -725,7 +639,7 @@ func (w *WAL) Sync() error {
 	return w.cycleLocked(true)
 }
 
-// Rotate drains the staging stripes, closes the active segment (flushed
+// Rotate drains the staging queue, closes the active segment (flushed
 // and fsynced) and starts a new one, returning the new segment's
 // sequence number. The checkpointer calls it inside the mutation
 // barrier — every producer quiesced — so the new segment is the exact
@@ -794,13 +708,9 @@ func (w *WAL) RemoveSegmentsBelow(seq int64) error {
 // that across fsync, and a /stats read must not stall behind disk
 // writeback.
 func (w *WAL) Stats() WALStats {
-	staged := int64(0)
-	for i := range w.stripes {
-		st := &w.stripes[i]
-		st.mu.Lock()
-		staged += int64(len(st.recs))
-		st.mu.Unlock()
-	}
+	w.mu.Lock()
+	staged := w.queued
+	w.mu.Unlock()
 	seg, first := w.seg.Load(), w.firstSeg.Load()
 	s := WALStats{
 		Appended:           w.appended.Load(),
@@ -813,7 +723,6 @@ func (w *WAL) Stats() WALStats {
 		GroupCommitRecords: w.commitRecords.Load(),
 		MaxCommitBatch:     w.maxBatch.Load(),
 		Staged:             staged,
-		Stripes:            len(w.stripes),
 	}
 	if s.GroupCommits > 0 {
 		s.MeanCommitBatch = float64(s.GroupCommitRecords) / float64(s.GroupCommits)
@@ -824,7 +733,7 @@ func (w *WAL) Stats() WALStats {
 	return s
 }
 
-// AppendHistogram is the AppendTo latency distribution, for
+// AppendHistogram is the Append latency distribution, for
 // metrics-endpoint registration.
 func (w *WAL) AppendHistogram() *obs.Histogram { return &w.appendHist }
 
@@ -844,15 +753,12 @@ func (w *WAL) Err() error {
 	return nil
 }
 
-// closeStripes marks every stripe closed (failing subsequent appends)
-// and must run before the final drain so nothing stages after it.
-func (w *WAL) closeStripes() {
-	for i := range w.stripes {
-		st := &w.stripes[i]
-		st.mu.Lock()
-		st.closed = true
-		st.mu.Unlock()
-	}
+// closeQueue marks the queue closed (failing subsequent appends) and
+// must run before the final drain so nothing is queued after it.
+func (w *WAL) closeQueue() {
+	w.mu.Lock()
+	w.closed = true
+	w.mu.Unlock()
 }
 
 // stopWriter halts the background writer goroutine.
@@ -867,7 +773,7 @@ func (w *WAL) stopWriter() {
 // failed log drains nothing: still-staged records belong to producers
 // that were already told their commit failed.
 func (w *WAL) Close() error {
-	w.closeStripes()
+	w.closeQueue()
 	w.stopWriter()
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
@@ -888,7 +794,7 @@ func (w *WAL) Close() error {
 // exactly as in a process kill. Parked SyncAlways producers are woken
 // with an error.
 func (w *WAL) Abandon() {
-	w.closeStripes()
+	w.closeQueue()
 	w.stopWriter()
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()

@@ -347,7 +347,7 @@ func TestItemEndpoint(t *testing.T) {
 func TestOversizedBodyRejected(t *testing.T) {
 	ts, sys, _ := newTestServer(t)
 	var logged atomic.Int64
-	sys.SetMutationHook(func(uint32, durable.Event) error {
+	sys.SetMutationHook(func(durable.Event) error {
 		logged.Add(1)
 		return nil
 	})
@@ -417,7 +417,7 @@ func TestUnloggedWritesAnswer503(t *testing.T) {
 		}
 	}
 	item := sys.Repo.All()[0].ID
-	sys.SetMutationHook(func(uint32, durable.Event) error { return fmt.Errorf("disk full") })
+	sys.SetMutationHook(func(durable.Event) error { return fmt.Errorf("disk full") })
 
 	for _, c := range []struct {
 		name, path string

@@ -13,12 +13,13 @@ import (
 
 // Rebalance replays moved users' history on their new owner: it fetches
 // every WAL segment from the source node (whose leader runs with
-// RetainSegments, so the log reaches back to sequence 1), filters the
-// records to the moved users, orders them by sequence and applies them
-// through sys's entry points. The new owner is a live leader with its
-// mutation hook attached, so each applied record is re-logged into its
-// own WAL — the moved history becomes durable (and ships to the new
-// owner's follower) exactly like native writes.
+// RetainSegments, so the log reaches back to sequence 1) in log order,
+// which is sequence order, and applies the moved users' records through
+// sys's entry points as it reads them. The new owner is a live leader
+// with its mutation hook attached, so each applied record is re-logged
+// into its own WAL — the moved history becomes durable (and ships to the
+// new owner's follower) exactly like native writes. A failure midway
+// leaves the records read before it applied.
 //
 // Catalog ingest records carry no user and are skipped: every node
 // ingests the same seeded catalog itself, so the moved users' feedback
@@ -43,26 +44,22 @@ func Rebalance(ctx context.Context, sys *pphcr.System, sourceURL, prefix string,
 		return 0, fmt.Errorf("replicate: source WAL format %q, this node speaks %q", st.Format, durable.FormatVersion)
 	}
 
-	var slice []durable.Event
+	applied := 0
 	for _, sf := range st.Segments {
 		if err := scanRemoteSegment(ctx, hc, sourceURL, prefix, sf.Seq, func(e durable.Event) error {
-			user, ok := pphcr.EventUser(e)
-			if !ok || !moved[user] {
+			if user, ok := pphcr.EventUser(e); !ok || !moved[user] {
 				return nil
 			}
-			slice = append(slice, e)
+			if err := sys.ApplyReplicated(e); err != nil {
+				return fmt.Errorf("replicate: applying rebalanced seq %d (%s): %w", e.Seq, e.Type, err)
+			}
+			applied++
 			return nil
 		}); err != nil {
-			return 0, err
+			return applied, err
 		}
 	}
-	SortEventsBySeq(slice)
-	for i, e := range slice {
-		if err := sys.ApplyReplicated(e); err != nil {
-			return i, fmt.Errorf("replicate: applying rebalanced seq %d (%s): %w", e.Seq, e.Type, err)
-		}
-	}
-	return len(slice), nil
+	return applied, nil
 }
 
 // scanRemoteSegment scans the valid records of one of the source's

@@ -3,13 +3,16 @@ package replicate
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +21,7 @@ import (
 	"pphcr/internal/durable"
 	"pphcr/internal/feedback"
 	"pphcr/internal/geo"
+	"pphcr/internal/httpapi"
 	"pphcr/internal/synth"
 	"pphcr/internal/trajectory"
 )
@@ -307,6 +311,96 @@ func TestShippingTornBoundary(t *testing.T) {
 	}
 	if st := standby.Stats(); st.ShippedBytes == 0 || st.Polls == 0 {
 		t.Fatalf("implausible standby stats: %+v", st)
+	}
+}
+
+// TestStandbyWedgesOnSequenceGap serves a leader segment with one record
+// cut out. The leader's file order is its sequence order, so the record
+// after the cut can only mean a log the follower cannot replay: the
+// standby applies the prefix, then wedges with an error naming the
+// missing seq, and a follower wired the way a node wires one answers
+// /readyz 503.
+func TestStandbyWedgesOnSequenceGap(t *testing.T) {
+	leader, w, cfg := newWorldSystem(t, 45)
+	leaderDir := t.TempDir()
+	dur, err := pphcr.OpenDurability(leader, pphcr.DurabilityOptions{
+		Dir: leaderDir, Sync: durable.SyncAlways, RetainSegments: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveLeader(t, leader, w, 2, 10)
+	ceil := dur.WALSeq()
+	segs, err := durable.ListSegments(leaderDir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("leader segments %v, %v: want one", segs, err)
+	}
+	raw, err := os.ReadFile(segs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dur.Crash()
+
+	// Cut the 20th record. A frame is an 8-byte header (length, CRC)
+	// and length bytes of body.
+	var cut, end int
+	for i := 0; i < 20; i++ {
+		cut = end
+		end = cut + 8 + int(binary.LittleEndian.Uint32(raw[cut:]))
+	}
+	var missing uint64
+	if _, _, err := durable.ScanRecords(bytes.NewReader(raw[cut:end]), func(e durable.Event) error {
+		missing = e.Seq
+		return nil
+	}); err != nil || missing == 0 || missing >= ceil {
+		t.Fatalf("cut record seq %d of %d: %v", missing, ceil, err)
+	}
+	gapDir := t.TempDir()
+	if err := durable.InitShipDir(gapDir); err != nil {
+		t.Fatal(err)
+	}
+	gapped := append(append([]byte(nil), raw[:cut]...), raw[end:]...)
+	if err := os.WriteFile(filepath.Join(gapDir, durable.SegmentFileName(segs[0].Seq)), gapped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	NewSource(gapDir, nil, func() uint64 { return ceil }).Mount(mux, "/replication")
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	follower := freshSystem(t, cfg)
+	standby, err := NewStandby(follower, t.TempDir(), srv.URL, "/replication")
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := httpapi.NewServer(follower)
+	api.SetReadinessCheck(standby.Err)
+	readyz := func() (int, string) {
+		rec := httptest.NewRecorder()
+		api.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+		return rec.Code, rec.Body.String()
+	}
+	if code, body := readyz(); code != http.StatusOK {
+		t.Fatalf("readyz before the tail = %d %s", code, body)
+	}
+
+	if err := standby.Poll(context.Background()); err == nil {
+		t.Fatal("Poll over a sequence gap returned nil")
+	}
+	if got := standby.AppliedSeq(); got != missing-1 {
+		t.Fatalf("applied %d, want the prefix up to %d", got, missing-1)
+	}
+	werr := standby.Err()
+	if werr == nil || !strings.Contains(werr.Error(), fmt.Sprintf("seq %d missing", missing)) {
+		t.Fatalf("Err() = %v, want it to name missing seq %d", werr, missing)
+	}
+	if code, body := readyz(); code != http.StatusServiceUnavailable || !strings.Contains(body, "gap") {
+		t.Fatalf("readyz of a wedged follower = %d %s, want 503 naming the gap", code, body)
+	}
+	// A wedged standby stays wedged: another poll applies nothing.
+	standby.Poll(context.Background())
+	if got := standby.AppliedSeq(); got != missing-1 {
+		t.Fatalf("a second poll moved applied to %d", got)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -19,16 +18,16 @@ import (
 
 // Standby is a warm follower: it tails a leader's WAL over HTTP,
 // mirrors the segment bytes into its own data directory, and applies
-// each record — in strict sequence order — through the same entry
-// points recovery uses, so its in-memory state tracks the leader's and
-// its directory is a valid recovery directory at every instant.
+// each record as it reads it through the same entry points recovery
+// uses, so its in-memory state tracks the leader's and its directory is
+// a valid recovery directory at every instant.
 //
-// Sequence order is the correctness load-bearing part: the leader's
-// group-commit writer drains per-stripe staging buffers, so physical
-// record order on disk only approximates commit order (see
-// durable.Replay). Records that arrive ahead of a sequence gap are
-// parked in pending and applied when the gap fills; cross-user
-// causality is encoded only in the sequence numbers.
+// The leader's file order is its sequence order (see the durable.WAL
+// ordering contract), so the standby reads segments in order and
+// expects applied+1 next: a record at or below applied is a re-scan
+// duplicate and is dropped, and any other record is a gap — a log this
+// follower cannot replay in order — that wedges it (Err names the
+// missing seq).
 type Standby struct {
 	sys    *pphcr.System
 	dir    string
@@ -44,8 +43,6 @@ type Standby struct {
 	// applied is the contiguous watermark: every record with seq <=
 	// applied has been applied, none above.
 	applied uint64
-	// pending parks records that shipped ahead of a sequence gap.
-	pending map[uint64]durable.Event
 	// cursors tracks per-segment ship/parse progress.
 	cursors map[int64]*segCursor
 	// leaderSeq is the leader's last advertised ceiling; caughtUp is the
@@ -66,7 +63,6 @@ type Standby struct {
 type segCursor struct {
 	shipped int64
 	parsed  int64
-	sealed  bool // a later segment exists; this one will not grow
 }
 
 // NewStandby prepares dir as a mirror of the leader's data directory
@@ -86,7 +82,6 @@ func NewStandby(sys *pphcr.System, dir, leaderURL, prefix string) (*Standby, err
 		prefix:   prefix,
 		hc:       &http.Client{},
 		Interval: 50 * time.Millisecond,
-		pending:  make(map[uint64]durable.Event),
 		cursors:  make(map[int64]*segCursor),
 		caughtUp: time.Now(),
 	}
@@ -122,9 +117,11 @@ func (s *Standby) Run(stop <-chan struct{}) {
 	}
 }
 
-// Poll runs one tail iteration: fetch the leader manifest, ship new
-// bytes, scan and apply. Transient network errors return non-nil
-// without wedging; apply errors wedge (Err() becomes sticky).
+// Poll runs one tail iteration: fetch the leader manifest, then ship,
+// scan and apply its segments in order, stopping at the first one not
+// yet shipped and parsed to its manifest size, so records are applied
+// in log order. Transient network errors return non-nil without
+// wedging; apply errors and sequence gaps wedge (Err() becomes sticky).
 func (s *Standby) Poll(ctx context.Context) error {
 	st, err := fetchStatus(ctx, s.hc, s.leader, s.prefix)
 	if err != nil {
@@ -140,9 +137,12 @@ func (s *Standby) Poll(ctx context.Context) error {
 	s.mu.Unlock()
 
 	for i, sf := range st.Segments {
-		sealed := i < len(st.Segments)-1
-		if err := s.shipSegment(ctx, sf, sealed); err != nil {
+		done, err := s.shipSegment(ctx, sf, i < len(st.Segments)-1)
+		if err != nil {
 			return err
+		}
+		if !done {
+			break
 		}
 	}
 
@@ -173,8 +173,12 @@ func (s *Standby) Err() error {
 }
 
 // shipSegment mirrors one segment's new bytes and applies the records
-// that became parseable.
-func (s *Standby) shipSegment(ctx context.Context, sf durable.File, sealed bool) error {
+// that became parseable. done reports that the local copy is parsed to
+// the manifest size, so the next segment's records come next in the
+// log. A sealed segment (a later one exists, so this one will not grow)
+// that shipped whole but parses short holds a corrupt record, and wedges
+// the standby.
+func (s *Standby) shipSegment(ctx context.Context, sf durable.File, sealed bool) (done bool, err error) {
 	s.mu.Lock()
 	cur, ok := s.cursors[sf.Seq]
 	if !ok {
@@ -186,14 +190,13 @@ func (s *Standby) shipSegment(ctx context.Context, sf durable.File, sealed bool)
 			cur.shipped = fi.Size()
 		}
 	}
-	cur.sealed = sealed
 	from := cur.shipped
 	s.mu.Unlock()
 
 	if sf.Size > from {
 		n, err := s.fetchBytes(ctx, sf.Seq, from)
 		if err != nil {
-			return err
+			return false, err
 		}
 		s.mu.Lock()
 		cur.shipped = from + n
@@ -201,11 +204,8 @@ func (s *Standby) shipSegment(ctx context.Context, sf durable.File, sealed bool)
 		s.mu.Unlock()
 	}
 
-	// Scan the unparsed suffix. A torn record at the scan end of the
-	// active segment is the normal ship boundary (the rest of the record
-	// has not arrived yet); on a sealed segment it would also be normal
-	// only until the remaining bytes ship, so it is never fatal here —
-	// promotion's Replay applies the final corruption rules.
+	// Scan the unparsed suffix. A torn record at the scan end is the
+	// normal ship boundary: the rest of the record has not arrived yet.
 	s.mu.Lock()
 	parsed := cur.parsed
 	s.mu.Unlock()
@@ -215,10 +215,16 @@ func (s *Standby) shipSegment(ctx context.Context, sf durable.File, sealed bool)
 		cur.parsed = newOff
 		s.mu.Unlock()
 		if err != nil {
-			return s.wedge(fmt.Errorf("replicate: applying shipped record in segment %d: %w", sf.Seq, err))
+			return false, s.wedge(fmt.Errorf("replicate: applying shipped record in segment %d: %w", sf.Seq, err))
 		}
 	}
-	return nil
+	switch {
+	case cur.parsed >= sf.Size:
+		return true, nil
+	case sealed && cur.shipped >= sf.Size:
+		return false, s.wedge(fmt.Errorf("replicate: sealed segment %d shipped whole (%d B) but its records end at byte %d", sf.Seq, sf.Size, cur.parsed))
+	}
+	return false, nil
 }
 
 func (s *Standby) segPath(seq int64) string {
@@ -252,41 +258,25 @@ func (s *Standby) fetchBytes(ctx context.Context, seq, from int64) (int64, error
 	return n, f.Sync()
 }
 
-// onRecord applies one scanned record, honoring the contiguity
-// invariant: seq==applied+1 applies now (then drains any parked
-// successors); anything later parks in pending; anything at or below
-// applied is a re-scan duplicate and is dropped.
+// onRecord applies one scanned record if it is the next in the log:
+// seq == applied+1 applies now; anything at or below applied is a
+// re-scan duplicate and is dropped; anything else is a gap, returned as
+// the error that wedges the standby.
 func (s *Standby) onRecord(e durable.Event) error {
 	s.mu.Lock()
-	switch {
-	case e.Seq <= s.applied:
-		s.mu.Unlock()
-		return nil
-	case e.Seq > s.applied+1:
-		s.pending[e.Seq] = e
-		s.mu.Unlock()
-		return nil
-	}
+	next := s.applied + 1
 	s.mu.Unlock()
+	switch {
+	case e.Seq < next:
+		return nil
+	case e.Seq > next:
+		return fmt.Errorf("sequence gap: seq %d follows %d, seq %d missing", e.Seq, next-1, next)
+	}
 	if err := s.sys.ApplyReplicated(e); err != nil {
 		return fmt.Errorf("seq %d (%s): %w", e.Seq, e.Type, err)
 	}
 	s.mu.Lock()
 	s.applied = e.Seq
-	// Drain successors that were parked behind the gap this just filled.
-	for {
-		next, ok := s.pending[s.applied+1]
-		if !ok {
-			break
-		}
-		delete(s.pending, next.Seq)
-		s.mu.Unlock()
-		if err := s.sys.ApplyReplicated(next); err != nil {
-			return fmt.Errorf("seq %d (%s): %w", next.Seq, next.Type, err)
-		}
-		s.mu.Lock()
-		s.applied = next.Seq
-	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	return nil
@@ -380,7 +370,6 @@ func (s *Standby) handleStatus(w http.ResponseWriter, r *http.Request) {
 type StandbyStats struct {
 	AppliedSeq   uint64  `json:"applied_seq"`
 	LeaderSeq    uint64  `json:"leader_seq"`
-	Pending      int     `json:"pending"`
 	LagSeconds   float64 `json:"lag_seconds"`
 	Polls        int64   `json:"polls"`
 	ShippedBytes int64   `json:"shipped_bytes"`
@@ -394,7 +383,6 @@ func (s *Standby) Stats() StandbyStats {
 	st := StandbyStats{
 		AppliedSeq:   s.applied,
 		LeaderSeq:    s.leaderSeq,
-		Pending:      len(s.pending),
 		LagSeconds:   s.lagSecondsLocked(),
 		Polls:        s.polls,
 		ShippedBytes: s.shipped,
@@ -424,8 +412,8 @@ func (s *Standby) lagSecondsLocked() float64 {
 // Promote turns the standby into a leader. The caller must have
 // stopped Run (close its stop channel and wait) — Promote makes one
 // final best-effort poll to drain anything the dying leader still
-// serves, then replays the local log's unapplied suffix in sequence
-// order and opens the WAL for writes (pphcr.PromoteStandby). On return
+// serves, then replays the local log's unapplied suffix in log order
+// and opens the WAL for writes (pphcr.PromoteStandby). On return
 // the System acks its own writes; the returned Durability owns the
 // directory. Waiters on WaitApplied are released by the Run loop's
 // stop broadcast.
@@ -439,14 +427,8 @@ func (s *Standby) Promote(o pphcr.DurabilityOptions) (*pphcr.Durability, int, er
 	if err := s.Err(); err != nil {
 		return nil, 0, fmt.Errorf("replicate: refusing to promote a wedged standby: %w", err)
 	}
-	s.mu.Lock()
-	applied := s.applied
-	// The suffix replay below re-reads records from disk; pending is
-	// superseded by it.
-	s.pending = make(map[uint64]durable.Event)
-	s.mu.Unlock()
 	o.Dir = s.dir
-	dur, n, err := pphcr.PromoteStandby(s.sys, o, applied)
+	dur, n, err := pphcr.PromoteStandby(s.sys, o, s.AppliedSeq())
 	if err != nil {
 		return nil, n, err
 	}
@@ -454,10 +436,4 @@ func (s *Standby) Promote(o pphcr.DurabilityOptions) (*pphcr.Durability, int, er
 	s.applied = dur.WALSeq()
 	s.mu.Unlock()
 	return dur, n, nil
-}
-
-// SortEventsBySeq orders shipped/collected events by sequence — the
-// order every apply path must use.
-func SortEventsBySeq(events []durable.Event) {
-	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
 }

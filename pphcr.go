@@ -72,9 +72,9 @@ const (
 	// candidate clips.
 	candidateWindow = 72 * time.Hour
 	// userShards is the stripe count of the per-user state shards
-	// (mobility models, pending injections, last plans), the commit
-	// barrier and the WAL staging stripes. A power of two: shardIndexFor
-	// masks the hash with userShards-1.
+	// (mobility models, pending injections, last plans) and the commit
+	// barrier. A power of two: shardIndexFor masks the hash with
+	// userShards-1.
 	userShards = 32
 )
 
@@ -251,10 +251,9 @@ type System struct {
 	// pending injections, cache lookups, /stats — never touch it.
 	barrier commitBarrier
 	// durHook, when set, receives exactly one durable event per write,
-	// before the write is applied, tagged with the barrier stripe the
-	// writer held (which the WAL reuses as its staging stripe). Set via
-	// SetMutationHook before serving.
-	durHook func(stripe uint32, e durable.Event) error
+	// before the write is applied. Set via SetMutationHook before
+	// serving.
+	durHook func(e durable.Event) error
 	// ingestMu pins WAL order to apply order for the (userless) ingest
 	// path the way the shard locks do for per-user writes.
 	ingestMu sync.Mutex
@@ -273,8 +272,8 @@ const (
 )
 
 // shardIndexFor returns the stripe index of the user's state — shared
-// by the per-user shard locks, the commit-barrier stripes and the WAL
-// staging stripes, so one hash places a writer everywhere.
+// by the per-user shard locks and the commit-barrier stripes, so one
+// hash places a writer everywhere.
 func (s *System) shardIndexFor(userID string) uint32 {
 	h := uint32(fnvOffset32)
 	for i := 0; i < len(userID); i++ {
@@ -289,7 +288,7 @@ func (s *System) shardFor(userID string) *userShard {
 	return &s.shards[s.shardIndexFor(userID)]
 }
 
-// ingestStripe is the barrier/WAL stripe of the userless content-ingest
+// ingestStripe is the barrier stripe of the userless content-ingest
 // path (ingest order is pinned by ingestMu; the stripe only has to be
 // deterministic so the checkpoint quiesce excludes it).
 const ingestStripe = 0
@@ -402,12 +401,12 @@ func (s *System) BarrierAcquireHistogram() *obs.Histogram { return &s.barrier.ac
 func (s *System) BarrierQuiesceHistogram() *obs.Histogram { return &s.barrier.quiesceHist }
 
 // SetMutationHook installs the durability hook: from now on every write
-// hands exactly one durable event describing it to fn — tagged with the
-// writer's barrier stripe — after its checks and before its apply.
-// OpenDurability installs the WAL's striped appender here after
-// recovery; tests may install capture hooks. Passing nil detaches. A
-// hook error reaches the caller as ErrNotLogged; the write is not applied.
-func (s *System) SetMutationHook(fn func(stripe uint32, e durable.Event) error) {
+// hands exactly one durable event describing it to fn, after its checks
+// and before its apply. OpenDurability installs the WAL's Append here
+// after recovery; tests may install capture hooks. Passing nil
+// detaches. A hook error reaches the caller as ErrNotLogged; the write
+// is not applied.
+func (s *System) SetMutationHook(fn func(e durable.Event) error) {
 	// Quiescing every barrier stripe orders the swap against all
 	// writers: each reads the hook under its stripe's read lock.
 	s.barrier.quiesce()
@@ -423,7 +422,7 @@ func (s *System) SetMutationHook(fn func(stripe uint32, e durable.Event) error) 
 var ErrNotLogged = errors.New("pphcr: write not logged")
 
 // emit marshals payload and hands the typed event to the mutation hook.
-func (s *System) emit(stripe uint32, t durable.Type, payload any) error {
+func (s *System) emit(t durable.Type, payload any) error {
 	if s.durHook == nil {
 		return nil
 	}
@@ -431,7 +430,7 @@ func (s *System) emit(stripe uint32, t durable.Type, payload any) error {
 	if err != nil {
 		return fmt.Errorf("%w: encoding %s event: %w", ErrNotLogged, t, err)
 	}
-	if err := s.durHook(stripe, durable.Event{Type: t, Payload: b}); err != nil {
+	if err := s.durHook(durable.Event{Type: t, Payload: b}); err != nil {
 		return fmt.Errorf("%w: logging %s event: %w", ErrNotLogged, t, err)
 	}
 	return nil
@@ -456,7 +455,7 @@ func (s *System) write(stripe uint32, sh *userShard, tr *obs.Trace, t durable.Ty
 	payload, err := check()
 	if err == nil && payload != nil {
 		off = tr.StartSpan()
-		err = s.emit(stripe, t, payload)
+		err = s.emit(t, payload)
 		tr.EndSpan("wal_append", off)
 		if err == nil {
 			apply()

@@ -90,9 +90,9 @@ func TestFeedbackKeepsCatalogMap(t *testing.T) {
 	}
 	var shipped []durable.Event
 	hook := live.durHook
-	live.SetMutationHook(func(stripe uint32, e durable.Event) error {
+	live.SetMutationHook(func(e durable.Event) error {
 		shipped = append(shipped, e)
-		return hook(stripe, e)
+		return hook(e)
 	})
 	for i, it := range items {
 		// A copy of the item's map, not the map itself, as every event

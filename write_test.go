@@ -18,7 +18,7 @@ import (
 
 var errRefused = errors.New("test hook: append refused")
 
-func refuseAll(uint32, durable.Event) error { return errRefused }
+func refuseAll(durable.Event) error { return errRefused }
 
 func snapshotBytes(t testing.TB, sys *System) []byte {
 	t.Helper()
@@ -214,7 +214,7 @@ func TestRefusalMidStormLeaderEqualsFollower(t *testing.T) {
 		mu      sync.Mutex
 		records []durable.Event
 	)
-	leader.SetMutationHook(func(_ uint32, e durable.Event) error {
+	leader.SetMutationHook(func(e durable.Event) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if len(records) >= logged {
