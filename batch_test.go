@@ -213,9 +213,8 @@ func TestBatchConcurrentWithWrites(t *testing.T) {
 			it := items[i%len(items)]
 			_ = sys.AddFeedback(feedback.Event{
 				UserID: drivers[i%len(drivers)], ItemID: it.ID,
-				Kind:       feedback.ImplicitListen,
-				At:         reqs[0].At.Add(time.Duration(i) * time.Second),
-				Categories: it.Categories,
+				Kind: feedback.ImplicitListen,
+				At:   reqs[0].At.Add(time.Duration(i) * time.Second),
 			})
 		}
 	}()

@@ -1,5 +1,5 @@
 // Command pphcr-vet runs the repo's invariant analyzers (lockorder,
-// atomicfield, poolescape, mutateemit, nopadlockcopy — see
+// atomicfield, poolescape, mutateemit, nopadlockcopy, itemcategories — see
 // docs/analysis.md) over the given packages and exits non-zero when any
 // finding survives the //pphcr:allow suppression layer.
 //

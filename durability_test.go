@@ -122,13 +122,12 @@ func buildMutationScript(t *testing.T, w *synth.World) ([]mutation, time.Time) {
 			Kind:   kinds[i%len(kinds)],
 			At:     now.Add(-time.Duration(i) * 6 * time.Hour),
 		}
+		// No Categories: the event means the catalog item's own, and
+		// the log spells them out.
 		script = append(script, func(s *System) error {
-			it, ok := s.Repo.Get(ev.ItemID)
-			if !ok {
+			if _, ok := s.Repo.Get(ev.ItemID); !ok {
 				return fmt.Errorf("item %s missing", ev.ItemID)
 			}
-			ev := ev
-			ev.Categories = it.Categories
 			return s.AddFeedback(ev)
 		})
 	}
@@ -160,12 +159,7 @@ func buildMutationScript(t *testing.T, w *synth.World) ([]mutation, time.Time) {
 			Kind:   kinds[i%len(kinds)],
 			At:     now.Add(-time.Duration(i) * time.Minute),
 		}
-		script = append(script, func(s *System) error {
-			it, _ := s.Repo.Get(ev.ItemID)
-			ev := ev
-			ev.Categories = it.Categories
-			return s.AddFeedback(ev)
-		})
+		script = append(script, func(s *System) error { return s.AddFeedback(ev) })
 	}
 	return script, now
 }
@@ -680,7 +674,6 @@ func TestConcurrentAppendsDuringCheckpoint(t *testing.T) {
 		}
 	}
 	var items []string
-	var cats []map[string]float64
 	for i, raw := range w.Corpus {
 		if i >= 10 {
 			break
@@ -690,7 +683,6 @@ func TestConcurrentAppendsDuringCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		items = append(items, it.ID)
-		cats = append(cats, it.Categories)
 	}
 	now := w.Params.StartDate.AddDate(0, 0, w.Params.Days)
 
@@ -703,11 +695,10 @@ func TestConcurrentAppendsDuringCheckpoint(t *testing.T) {
 			base := now.Add(time.Duration(wi) * time.Second)
 			for i := 0; i < perWorker; i++ {
 				ev := feedback.Event{
-					UserID:     user,
-					ItemID:     items[i%len(items)],
-					Kind:       feedback.Kind(i % 4),
-					At:         base.Add(time.Duration(i) * time.Millisecond),
-					Categories: cats[i%len(items)],
+					UserID: user,
+					ItemID: items[i%len(items)],
+					Kind:   feedback.Kind(i % 4),
+					At:     base.Add(time.Duration(i) * time.Millisecond),
 				}
 				if err := live.AddFeedback(ev); err != nil {
 					t.Errorf("feedback: %v", err)
@@ -801,7 +792,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ev := feedback.Event{
 			UserID: user, ItemID: it.ID, Kind: feedback.Kind(i % 4),
-			At: now.Add(time.Duration(i) * time.Millisecond), Categories: it.Categories,
+			At: now.Add(time.Duration(i) * time.Millisecond),
 		}
 		if err := live.AddFeedback(ev); err != nil {
 			b.Fatal(err)

@@ -73,7 +73,7 @@ func main() {
 		before = sys.Preferences("greg", now).Map()
 		if err := sys.AddFeedback(feedback.Event{
 			UserID: "greg", ItemID: it.ID, Kind: feedback.Like,
-			At: now.Add(-time.Hour), Categories: it.Categories,
+			At: now.Add(-time.Hour),
 		}); err != nil {
 			log.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func main() {
 			}
 			if err := sys.AddFeedback(feedback.Event{
 				UserID: user, ItemID: it.ID, Kind: feedback.Like,
-				At: world.Params.StartDate.AddDate(0, 0, 12), Categories: it.Categories,
+				At: world.Params.StartDate.AddDate(0, 0, 12),
 			}); err != nil {
 				log.Fatal(err)
 			}

@@ -59,7 +59,7 @@ func main() {
 		}
 		if err := sys.AddFeedback(feedback.Event{
 			UserID: "lilly", ItemID: it.ID, Kind: feedback.Like,
-			At: now.Add(-2 * time.Hour), Categories: it.Categories,
+			At: now.Add(-2 * time.Hour),
 		}); err != nil {
 			log.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func TestFlatRecordsRoundTrip(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		e := feedback.Event{
 			UserID: "lilly", ItemID: strings.Clone(items[i%len(items)].ID), Kind: feedback.Kind(i % 4),
-			At: at0.Add(time.Duration(i) * time.Minute), Categories: maps.Clone(items[i%len(items)].Categories),
+			At: at0.Add(time.Duration(i) * time.Minute), Categories: maps.Collect(items[i%len(items)].Weights()),
 		}
 		switch i {
 		case 5:
@@ -174,7 +174,7 @@ func TestSeqKeyedEventsRoundTrip(t *testing.T) {
 	other := map[string]float64{"food": 0.7, "culture": 0.3}
 	old := feedback.Event{UserID: "lilly", ItemID: "long-gone", Kind: feedback.Like, At: now.Add(-params.HalfLife), Categories: other}
 	want := []feedback.Event{
-		{UserID: "lilly", ItemID: strings.Clone(items[0].ID), Kind: feedback.Like, At: now, Categories: maps.Clone(items[0].Categories)},
+		{UserID: "lilly", ItemID: strings.Clone(items[0].ID), Kind: feedback.Like, At: now, Categories: maps.Collect(items[0].Weights())},
 		{UserID: "lilly", ItemID: "not-in-catalog", Kind: feedback.Skip, At: now, Categories: maps.Clone(other)},
 		{UserID: "lilly", ItemID: strings.Clone(items[1].ID), Kind: feedback.Dislike, At: now, Categories: map[string]float64{"sport": 1}},
 	}
@@ -190,18 +190,23 @@ func TestSeqKeyedEventsRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(events, want) || !reflect.DeepEqual(byUser, want) {
 			t.Fatalf("read back\n Events %v\n ByUser %v\nwant   %v", events, byUser, want)
 		}
+		side := 0
 		for i, e := range events {
-			if it, ok := sys.Repo.Get(e.ItemID); ok {
-				if unsafe.StringData(e.ItemID) != unsafe.StringData(it.ID) {
-					t.Fatalf("event %d holds its own copy of the ID %q", i, e.ItemID)
-				}
-				if own := maps.Equal(e.Categories, it.Categories); own != sameMap(e.Categories, it.Categories) {
-					t.Fatalf("event %d: holds the catalog's map %v, should %v", i, !own, own)
-				}
+			it, ok := sys.Repo.Get(e.ItemID)
+			if ok && unsafe.StringData(e.ItemID) != unsafe.StringData(it.ID) {
+				t.Fatalf("event %d holds its own copy of the ID %q", i, e.ItemID)
+			}
+			if !ok || !maps.Equal(e.Categories, maps.Collect(it.Weights())) {
+				side++
 			}
 			if sameMap(byUser[i].Categories, e.Categories) {
 				t.Fatalf("event %d: ByUser hands out the store's map", i)
 			}
+		}
+		// An event with the catalog item's categories is kept by its
+		// seq, every other in a side entry.
+		if got := sys.Feedback.Stats().SideEvents; got != int64(side) {
+			t.Fatalf("%d events in side entries, want %d", got, side)
 		}
 		index := sys.Feedback.Preferences(nil, "lilly", now, params).Map()
 		replay := sys.Feedback.PreferencesReplay("lilly", now, params)

@@ -209,7 +209,7 @@ func dumpPlans(t *testing.T, out io.Writer, sys *System, w *synth.World) {
 			for _, pi := range cold.Plan.Items {
 				for range 3 {
 					if err := sys.AddFeedback(feedback.Event{
-						UserID: user, ItemID: pi.Scored.Item.ID, Kind: feedback.Like, At: now.Add(-time.Hour), Categories: pi.Scored.Item.Categories,
+						UserID: user, ItemID: pi.Scored.Item.ID, Kind: feedback.Like, At: now.Add(-time.Hour),
 					}); err != nil {
 						t.Fatal(err)
 					}
@@ -217,7 +217,7 @@ func dumpPlans(t *testing.T, out io.Writer, sys *System, w *synth.World) {
 			}
 			it := cold.Plan.Items[0].Scored.Item
 			if err := sys.AddFeedback(feedback.Event{
-				UserID: user, ItemID: it.ID, Kind: feedback.Dislike, At: now, Categories: it.Categories,
+				UserID: user, ItemID: it.ID, Kind: feedback.Dislike, At: now,
 			}); err != nil {
 				t.Fatal(err)
 			}

@@ -138,7 +138,7 @@ func TestArchitecturePipeline(t *testing.T) {
 		}
 		if err := sys.AddFeedback(feedback.Event{
 			UserID: user, ItemID: it.ID, Kind: feedback.Like,
-			At: w.Params.StartDate.AddDate(0, 0, 6), Categories: it.Categories,
+			At: w.Params.StartDate.AddDate(0, 0, 6),
 		}); err != nil {
 			t.Fatal(err)
 		}

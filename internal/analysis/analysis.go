@@ -4,12 +4,13 @@
 // loader built on `go list -export` and the standard library's
 // go/types gc importer.
 //
-// The framework exists to make the concurrency invariants of PR 4/5 —
-// lock ordering, apply+emit-under-shard-lock, atomic access
-// discipline, pool object lifecycles, no-copy cacheline structs —
-// compiler-enforced instead of prose-enforced: the five analyzers under
-// internal/analysis/* encode them, cmd/pphcr-vet composes them into a
-// multichecker, and CI runs the suite as a hard gate. See
+// The framework exists to make the repo's invariants — lock ordering,
+// apply+emit-under-shard-lock, atomic access discipline, pool object
+// lifecycles, no-copy cacheline structs, an input-only
+// content.Item.Categories — compiler-enforced instead of
+// prose-enforced: the six analyzers under internal/analysis/* encode
+// them, cmd/pphcr-vet composes them into a multichecker, and CI runs the
+// suite as a hard gate. See
 // docs/analysis.md for the invariant catalogue and the
 // `//pphcr:allow` suppression syntax.
 package analysis

@@ -37,7 +37,8 @@ var stdInterfaceMethods = []string{
 	"Error", "Unwrap", "String", // error, fmt.Stringer
 	"ServeHTTP", "Header", "Write", "WriteHeader", "Flush", // http.Handler, http.ResponseWriter, io.Writer, http.Flusher
 	"Len", "Less", "Swap", "Push", "Pop", // sort.Interface, heap.Interface
-	"Import", // types.Importer
+	"Import",      // types.Importer
+	"MarshalJSON", // json.Marshaler
 }
 
 // TestEveryDeclarationIsReached fails with the position of every

@@ -6,6 +6,7 @@ package suite
 import (
 	"pphcr/internal/analysis"
 	"pphcr/internal/analysis/atomicfield"
+	"pphcr/internal/analysis/itemcategories"
 	"pphcr/internal/analysis/lockorder"
 	"pphcr/internal/analysis/mutateemit"
 	"pphcr/internal/analysis/nopadlockcopy"
@@ -20,5 +21,6 @@ func Analyzers() []*analysis.Analyzer {
 		poolescape.Analyzer,
 		mutateemit.Analyzer,
 		nopadlockcopy.Analyzer,
+		itemcategories.Analyzer,
 	}
 }

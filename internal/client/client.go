@@ -55,16 +55,16 @@ func NewListener(userID string, trueInterests map[string]float64, seed int64) *L
 // Affinity returns the listener's true interest in the item: the cosine
 // between hidden tastes and the item's category distribution, clamped to
 // [0, 1].
-func (l *Listener) Affinity(categories map[string]float64) float64 {
+func (l *Listener) Affinity(it *content.Item) float64 {
 	var dot, na, nb float64
-	for c, v := range l.TrueInterests {
+	for _, v := range l.TrueInterests {
 		na += v * v
-		if w, ok := categories[c]; ok {
+	}
+	for c, w := range it.Weights() {
+		nb += w * w
+		if v, ok := l.TrueInterests[c]; ok {
 			dot += v * w
 		}
-	}
-	for _, w := range categories {
-		nb += w * w
 	}
 	if na == 0 || nb == 0 {
 		return 0
@@ -87,9 +87,11 @@ type Outcome struct {
 }
 
 // Play simulates the listener consuming the item starting at instant
-// start, emitting the app's feedback stream.
+// start, emitting the app's feedback stream. Like the app's, the events
+// name the item and carry no categories: for an item the catalog holds,
+// they mean its own (feedback.Event).
 func (l *Listener) Play(it *content.Item, start time.Time) Outcome {
-	aff := l.Affinity(it.Categories)
+	aff := l.Affinity(it)
 	interested := aff >= l.SkipThreshold
 	var out Outcome
 	if !interested {
@@ -104,13 +106,13 @@ func (l *Listener) Play(it *content.Item, start time.Time) Outcome {
 			out.Skipped = true
 			out.Events = append(out.Events, feedback.Event{
 				UserID: l.UserID, ItemID: it.ID, Kind: feedback.Skip,
-				At: start.Add(sample), Categories: it.Categories,
+				At: start.Add(sample),
 			})
 			// Strong mismatch occasionally triggers an explicit dislike.
 			if aff < 0.05 && l.rng.Float64() < 0.15 {
 				out.Events = append(out.Events, feedback.Event{
 					UserID: l.UserID, ItemID: it.ID, Kind: feedback.Dislike,
-					At: start.Add(sample), Categories: it.Categories,
+					At: start.Add(sample),
 				})
 			}
 		}
@@ -125,20 +127,20 @@ func (l *Listener) Play(it *content.Item, start time.Time) Outcome {
 	for t := period; t <= it.Duration; t += period {
 		out.Events = append(out.Events, feedback.Event{
 			UserID: l.UserID, ItemID: it.ID, Kind: feedback.ImplicitListen,
-			At: start.Add(t), Categories: it.Categories,
+			At: start.Add(t),
 		})
 	}
 	if len(out.Events) == 0 {
 		// Short content still yields one positive signal at its end.
 		out.Events = append(out.Events, feedback.Event{
 			UserID: l.UserID, ItemID: it.ID, Kind: feedback.ImplicitListen,
-			At: start.Add(it.Duration), Categories: it.Categories,
+			At: start.Add(it.Duration),
 		})
 	}
 	if l.rng.Float64() < l.LikeProbability*aff {
 		out.Events = append(out.Events, feedback.Event{
 			UserID: l.UserID, ItemID: it.ID, Kind: feedback.Like,
-			At: start.Add(it.Duration), Categories: it.Categories,
+			At: start.Add(it.Duration),
 		})
 	}
 	return out

@@ -19,17 +19,17 @@ func item(id, cat string, dur time.Duration) *content.Item {
 
 func TestAffinity(t *testing.T) {
 	l := NewListener("u", map[string]float64{"food": 0.7, "culture": 0.3}, 1)
-	if got := l.Affinity(map[string]float64{"food": 1}); got <= 0.5 {
+	if got := l.Affinity(item("a", "food", time.Minute)); got <= 0.5 {
 		t.Fatalf("matching affinity = %v", got)
 	}
-	if got := l.Affinity(map[string]float64{"sport": 1}); got != 0 {
+	if got := l.Affinity(item("b", "sport", time.Minute)); got != 0 {
 		t.Fatalf("orthogonal affinity = %v", got)
 	}
-	if got := l.Affinity(nil); got != 0 {
+	if got := l.Affinity(&content.Item{ID: "c", Duration: time.Minute}); got != 0 {
 		t.Fatalf("empty affinity = %v", got)
 	}
 	empty := NewListener("u", nil, 1)
-	if got := empty.Affinity(map[string]float64{"food": 1}); got != 0 {
+	if got := empty.Affinity(item("a", "food", time.Minute)); got != 0 {
 		t.Fatalf("no-taste affinity = %v", got)
 	}
 }

@@ -1,10 +1,17 @@
 // Package content models the audio items and the content repository of
 // the paper's architecture (Fig 3): the podcasts and clips that the clip
 // data management component classifies and the recommender draws from.
+//
+// An item's Categories map is input only: Repository.Add reads it and
+// keeps the distribution as flat (category id, weight) pairs, and the
+// item the repository hands out has Categories == nil. Every reader of
+// an item's categories goes through Item.Weights and Item.Weight, which
+// read the map of an item never added and the pairs of one added.
 package content
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"sync"
@@ -73,18 +80,69 @@ type Item struct {
 	// from here.
 	Published time.Time
 	// Categories is the (possibly soft) category distribution assigned by
-	// the classifier; weights sum to ~1.
+	// the classifier; weights sum to ~1. It is input only: Add reads it,
+	// and an item the repository holds has it nil. Read an item's
+	// categories with Weights or Weight.
 	Categories map[string]float64
 	// Geo is non-nil for geographically scoped items.
 	Geo *GeoRelevance
 	// Bitrate of the encoded audio, kbps.
 	BitrateKbps int
+
+	// ws is the distribution Add kept, in category-name order, in the
+	// repository's pair chunks; nil for an item never added.
+	ws []catWeight
 }
 
-// TopCategory returns the argmax category (empty for an empty map).
+// catWeight is one category of an item a Repository holds: the
+// category's interned id (catNames) and its weight. It holds no pointer,
+// so the chunks that hold pairs are never scanned by the collector.
+type catWeight struct {
+	cat int32
+	w   float64
+}
+
+// Weights returns the item's category distribution: the pairs Add kept,
+// in category-name order, for an item a Repository holds, and the
+// Categories map, in map order, for one never added.
+func (it *Item) Weights() iter.Seq2[string, float64] {
+	return func(yield func(string, float64) bool) {
+		if it.Categories != nil || len(it.ws) == 0 {
+			for c, w := range it.Categories {
+				if !yield(c, w) {
+					return
+				}
+			}
+			return
+		}
+		names := catNames()
+		for _, p := range it.ws {
+			if !yield(names[p.cat], p.w) {
+				return
+			}
+		}
+	}
+}
+
+// Weight returns the item's weight for a category, 0 if it has none.
+func (it *Item) Weight(cat string) float64 {
+	if it.Categories != nil || len(it.ws) == 0 {
+		return it.Categories[cat]
+	}
+	names := catNames()
+	for _, p := range it.ws {
+		if names[p.cat] == cat {
+			return p.w
+		}
+	}
+	return 0
+}
+
+// TopCategory returns the argmax category (empty for an item without
+// categories).
 func (it *Item) TopCategory() string {
 	best, bestW := "", -1.0
-	for c, w := range it.Categories {
+	for c, w := range it.Weights() {
 		if w > bestW || (w == bestW && c < best) {
 			best, bestW = c, w
 		}
@@ -95,33 +153,32 @@ func (it *Item) TopCategory() string {
 // Repository is the thread-safe content store with the secondary indexes
 // the recommender needs: by ID, by category and by publish time.
 //
-// Add also derives each item's ranking features (features.go) and files
-// the item under every category it carries, so a planning request reads
-// the catalog through a View instead of re-deriving any of it. This is
-// derived state: snapshot restore and WAL replay rebuild it through Add
-// and nothing of it is persisted.
+// Add keeps its own copy of each item, and of its categories as flat
+// pairs, in append-only chunks (features.go); it also derives the item's
+// ranking features and files the item under every category it carries,
+// so a planning request reads the catalog through a View instead of
+// re-deriving any of it. This is derived state: snapshot restore and WAL
+// replay rebuild it through Add and nothing of it is persisted.
 //
 // Items are numbered in insertion order; that number (seq) never
 // changes, and every seq-indexed slice below only ever grows at its
 // tail, which is what lets a View share them with readers lock-free.
 type Repository struct {
 	mu      sync.RWMutex
-	ids     idIndex          // item ID -> seq
-	feats   []Features       // seq -> item and its resident features
-	cats    map[string]int32 // category -> interned id; replaced, never mutated
-	names   []string         // addFeatures' sort scratch
-	post    [][]int32        // category id -> seqs of the items carrying it
-	postWs  [][]float64      // parallel to post: the weight each item gives the category
-	byPub   []int32          // seqs ordered by Published asc
-	ordered int              // leading seqs that arrived in publish order
+	ids     idIndex       // item ID -> seq
+	feats   []Features    // seq -> item and its resident features
+	items   []Item        // the chunk Add copies items into; never moved
+	pairs   []catWeight   // the chunk Add writes category pairs into; never moved
+	byName  []namedWeight // addFeatures' sort scratch
+	post    [][]int32     // category id -> seqs of the items carrying it
+	postWs  [][]float64   // parallel to post: the weight each item gives the category
+	byPub   []int32       // seqs ordered by Published asc
+	ordered int           // leading seqs that arrived in publish order
 }
 
 // NewRepository returns an empty repository.
 func NewRepository() *Repository {
-	return &Repository{
-		ids:  newIDIndex(),
-		cats: map[string]int32{},
-	}
+	return &Repository{ids: newIDIndex()}
 }
 
 // Add inserts an item. It rejects duplicates, empty IDs, non-positive
@@ -131,13 +188,13 @@ func NewRepository() *Repository {
 // displaces depends on the order they are evaluated in), and, for the
 // same reason, a geographic scope whose geo score would be NaN.
 //
-// An item is immutable once added. The repository reads its Duration,
-// Kind, Published, Geo and Categories once, here, into the ranking
-// features and the postings, and a View hands the item to planners
-// without a lock: none of those fields (nor the Categories map or the
-// GeoRelevance it points at) may change afterwards. Set Geo before Add;
-// a later write would be a data race, missing from the write-ahead log
-// and ranked as if the item had none.
+// Add keeps a copy of the item, with Categories nil and the
+// distribution (Weights) as flat pairs, and retains nothing of the
+// map: Get, All and a View hand out the copy. The copy is immutable,
+// and a View hands it to planners without a lock. It shares the
+// GeoRelevance Geo points at, which must not change after Add either: a
+// later write would be a data race, missing from the write-ahead log and
+// ranked as if the item had none.
 func (r *Repository) Add(it *Item) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -178,7 +235,7 @@ func (r *Repository) check(it *Item) error {
 		return fmt.Errorf("content: item %q must have positive duration", it.ID)
 	}
 	var norm float64
-	for _, w := range it.Categories {
+	for _, w := range it.Weights() {
 		norm += w * w
 	}
 	if math.IsNaN(norm) || math.IsInf(norm, 0) {
@@ -247,7 +304,7 @@ func (r *Repository) ByCategory(cat string) []*Item {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := []*Item{}
-	if id, ok := r.cats[cat]; ok {
+	if id, ok := catID(cat); ok && int(id) < len(r.post) {
 		for _, seq := range r.post[id] {
 			if it := r.feats[seq].Item; it.TopCategory() == cat {
 				out = append(out, it)

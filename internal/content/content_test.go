@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -64,6 +65,34 @@ func TestTopCategory(t *testing.T) {
 	}
 	if got := (&Item{}).TopCategory(); got != "" {
 		t.Fatalf("empty TopCategory = %q", got)
+	}
+}
+
+// TestAddTakesAnotherRepositorysItem: an item one repository handed out
+// (Categories nil, its categories as pairs) is added to another with
+// the same weights, and neither repository's copy shares the other's.
+func TestAddTakesAnotherRepositorysItem(t *testing.T) {
+	a, b := NewRepository(), NewRepository()
+	in := item("x", "music", time.Minute, t0)
+	in.Categories["sport"] = 0.25
+	if err := a.Add(in); err != nil {
+		t.Fatal(err)
+	}
+	fromA, _ := a.Get("x")
+	if err := b.Add(fromA); err != nil {
+		t.Fatal(err)
+	}
+	fromB, _ := b.Get("x")
+	if fromB == fromA || fromB.Categories != nil || &fromB.ws[0] == &fromA.ws[0] {
+		t.Fatal("the second repository shares the first one's copy")
+	}
+	for c, w := range in.Categories {
+		if fromB.Weight(c) != w || fromA.Weight(c) != w {
+			t.Fatalf("%s: %v and %v, added with %v", c, fromA.Weight(c), fromB.Weight(c), w)
+		}
+	}
+	if got := fromB.TopCategory(); got != "music" {
+		t.Fatalf("TopCategory = %q", got)
 	}
 }
 
@@ -252,7 +281,7 @@ func TestViewMatchesLinearScan(t *testing.T) {
 	}
 	for seq, it := range items[:seen] {
 		f := v.At(int32(seq))
-		if f.Item != it || f.Duration != it.Duration || f.Kind != it.Kind || f.HasGeo != (it.Geo != nil) {
+		if f.Item.ID != it.ID || f.Duration != it.Duration || f.Kind != it.Kind || f.HasGeo != (it.Geo != nil) {
 			t.Fatalf("seq %d: row {%s %v %v geo:%v}, item {%s %v %v geo:%v}",
 				seq, f.Item.ID, f.Duration, f.Kind, f.HasGeo, it.ID, it.Duration, it.Kind, it.Geo != nil)
 		}
@@ -276,8 +305,8 @@ func TestViewMatchesLinearScan(t *testing.T) {
 			}
 			for i, seq := range seqs {
 				f := v.At(seq)
-				if ws[i] != f.Item.Categories[cat] {
-					t.Fatalf("%s since %v: %s filed with weight %v, item has %v", cat, at, f.Item.ID, ws[i], f.Item.Categories[cat])
+				if ws[i] != f.Item.Weight(cat) {
+					t.Fatalf("%s since %v: %s filed with weight %v, item has %v", cat, at, f.Item.ID, ws[i], f.Item.Weight(cat))
 				}
 				if cut.Admits(f) {
 					got = append(got, f.Item.ID)
@@ -301,9 +330,9 @@ func TestViewMatchesLinearScan(t *testing.T) {
 		id, _ := v.CategoryID(cat)
 		seqs, ws := v.Postings(id, 0)
 		for i, seq := range seqs {
-			it := v.At(seq).Item
-			if it != items[seq] {
-				t.Fatalf("%s: seq %d holds %s, item %d added was %s", cat, seq, it.ID, seq, items[seq].ID)
+			it := items[seq]
+			if v.At(seq).Item.ID != it.ID {
+				t.Fatalf("%s: seq %d holds %s, item %d added was %s", cat, seq, v.At(seq).Item.ID, seq, it.ID)
 			}
 			if i > 0 && seqs[i-1] >= seq {
 				t.Fatalf("%s: seq %d filed after %d", cat, seq, seqs[i-1])
@@ -329,5 +358,105 @@ func TestViewMatchesLinearScan(t *testing.T) {
 func TestFeaturesRowSize(t *testing.T) {
 	if n := unsafe.Sizeof(Features{}); n > 32 {
 		t.Fatalf("content.Features is %d B, want ≤ 32", n)
+	}
+}
+
+// TestChunksAreWholePages guards the chunk sizes against a change in
+// Item's or the pair's width: a full chunk that is not a whole number of
+// 8 KiB pages is rounded up by the allocator, and every node pays the
+// remainder once per chunk.
+func TestChunksAreWholePages(t *testing.T) {
+	const page = 8 << 10
+	if n := unsafe.Sizeof(Item{}) * itemChunk; n%page != 0 {
+		t.Fatalf("an item chunk is %d B (%d B an item), not a whole number of pages", n, unsafe.Sizeof(Item{}))
+	}
+	if n := unsafe.Sizeof(catWeight{}) * pairChunk; n%page != 0 {
+		t.Fatalf("a pair chunk is %d B, not a whole number of pages", n)
+	}
+}
+
+// TestChunkReadsWhileAddAppends: readers take Views, read items by seq
+// and read their categories while Add copies items and pairs into the
+// chunks they read, across every chunk boundary; under -race it is the
+// proof that an item, once a reader can reach it, is never written. Each
+// item read has Categories nil and the weights it was added with.
+func TestChunkReadsWhileAddAppends(t *testing.T) {
+	const n = 3000
+	rng := rand.New(rand.NewSource(7))
+	items := make([]*Item, n)
+	for i := range items {
+		cats := map[string]float64{}
+		for len(cats) < 2+i%3 {
+			cats[Categories[rng.Intn(len(Categories))]] = rng.Float64()
+		}
+		items[i] = &Item{ID: fmt.Sprintf("c%05d", i), Duration: time.Minute, Published: t0.Add(time.Duration(i) * time.Second), Categories: cats}
+	}
+	r := NewRepository()
+	check := func(seq int32, it *Item) error {
+		want := items[seq].Categories
+		if it.Categories != nil {
+			return fmt.Errorf("item %s holds a map", it.ID)
+		}
+		k := 0
+		for c, w := range it.Weights() {
+			if math.Float64bits(w) != math.Float64bits(want[c]) || it.Weight(c) != w {
+				return fmt.Errorf("item %s: %s weighs %v, added with %v", it.ID, c, w, want[c])
+			}
+			k++
+		}
+		if k != len(want) {
+			return fmt.Errorf("item %s: %d categories, added with %d", it.ID, k, len(want))
+		}
+		return nil
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var v View
+			for {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				r.ReadView(&v)
+				m := v.Len()
+				for i := 0; i < 8 && m > 0; i++ {
+					seq := int32((m - 1 - i*(g+1)*37%m + m) % m)
+					if err := check(seq, v.At(seq).Item); err != nil {
+						errs <- err
+						return
+					}
+					if err := check(seq, r.ItemAt(seq)); err != nil {
+						errs <- err
+						return
+					}
+				}
+				v.Reset()
+			}
+		}(g)
+	}
+	for _, it := range items {
+		if err := r.Add(it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seq, it := range r.All() {
+		if err := check(int32(seq), it); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -2,7 +2,11 @@ package content
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -10,8 +14,9 @@ import (
 // derived once at Add: its category vector's norm, a coarse publish time
 // and copies of the fields a ranker reads before it can reject the item,
 // so a rejected item is never dereferenced. The weights themselves live
-// in the postings. The copies stay equal to the item's fields because an
-// item does not change once added (Repository.Add).
+// in the postings (and beside the item, as its pairs). The copies stay
+// equal to the item's fields because an item does not change once added
+// (Repository.Add).
 type Features struct {
 	Item *Item
 	// SqrtNorm is √Σw² over the category vector, summed in category-NAME
@@ -59,24 +64,55 @@ func (c Cut) Admits(f *Features) bool {
 	return f.pub > c.key || (f.pub == c.key && !f.Item.Published.Before(c.t))
 }
 
-// addFeatures interns the item's categories in name order, files the
+// Chunk sizes. Add copies items and category pairs into arrays it
+// allocates whole and never grows or moves, so a pointer or slice into
+// one stays valid; each array is twice the size of the one before, up to
+// the cap, so a small catalog stays small. A full-size chunk is a whole
+// number of 8 KiB pages, which the allocator does not round up.
+const (
+	itemChunk = 1024 // items: 136 B each, 17 pages
+	pairChunk = 4096 // category pairs: 16 B each, 8 pages
+)
+
+// addFeatures copies the item into the repository's item chunk, writes
+// its categories in name order as pairs into the pair chunk, files the
 // item — seq beside weight — under each category's postings and appends
 // its Features at seq. Caller holds the write lock.
 func (r *Repository) addFeatures(it *Item, seq int32) {
-	names := r.names[:0]
-	for cat := range it.Categories {
-		names = append(names, cat)
+	byName := r.byName[:0]
+	for cat, w := range it.Weights() {
+		byName = append(byName, namedWeight{cat, w})
 	}
-	sort.Strings(names)
-	r.names = names
-	f := Features{Item: it, Duration: it.Duration, pub: pubKey(it.Published), Kind: it.Kind, HasGeo: it.Geo != nil}
+	slices.SortFunc(byName, func(a, b namedWeight) int { return strings.Compare(a.cat, b.cat) })
+	r.byName = byName
+	if len(r.items) == cap(r.items) {
+		r.items = make([]Item, 0, min(max(2*cap(r.items), 16), itemChunk))
+	}
+	r.items = append(r.items, *it)
+	own := &r.items[len(r.items)-1]
+	// Drop the input map, and the pairs a copy of another repository's
+	// item brings: the pairs written below are the copy's own.
+	own.Categories, own.ws = nil, nil
+	if cap(r.pairs)-len(r.pairs) < len(byName) {
+		r.pairs = make([]catWeight, 0, max(len(byName), min(max(2*cap(r.pairs), 64), pairChunk)))
+	}
+	from := len(r.pairs)
+	f := Features{Item: own, Duration: it.Duration, pub: pubKey(it.Published), Kind: it.Kind, HasGeo: it.Geo != nil}
 	f.Slots = uint16(min(SlotsOf(it.Duration), math.MaxUint16))
 	var norm float64
-	for _, cat := range names {
-		id, w := r.intern(cat), it.Categories[cat]
+	for _, p := range byName {
+		id := intern(p.cat)
+		for int(id) >= len(r.post) {
+			r.post = append(r.post, nil)
+			r.postWs = append(r.postWs, nil)
+		}
 		r.post[id] = append(r.post[id], seq)
-		r.postWs[id] = append(r.postWs[id], w)
-		norm += w * w
+		r.postWs[id] = append(r.postWs[id], p.w)
+		r.pairs = append(r.pairs, catWeight{cat: id, w: p.w})
+		norm += p.w * p.w
+	}
+	if len(byName) > 0 {
+		own.ws = r.pairs[from:len(r.pairs):len(r.pairs)]
 	}
 	if norm > 0 {
 		f.SqrtNorm = math.Sqrt(norm)
@@ -84,23 +120,71 @@ func (r *Repository) addFeatures(it *Item, seq int32) {
 	r.feats = append(r.feats, f)
 }
 
+// namedWeight is addFeatures' sort scratch: a category of the item being
+// added, by name.
+type namedWeight struct {
+	cat string
+	w   float64
+}
+
+// catTable interns category names for every repository in the process:
+// a name's id is its index in names. Both tables are replaced, never
+// written, so a reader loads one pointer and takes no lock, and an id
+// names the same category for the life of the process. The taxonomy is
+// interned first, as ids 0–29.
+var catTable = newCatTable(Categories)
+
+type catNameTable struct {
+	mu    sync.Mutex
+	ids   atomic.Pointer[map[string]int32]
+	names atomic.Pointer[[]string]
+}
+
+func newCatTable(initial []string) *catNameTable {
+	t := &catNameTable{}
+	ids, names := make(map[string]int32, len(initial)), make([]string, 0, len(initial))
+	for _, c := range initial {
+		ids[c] = int32(len(names))
+		names = append(names, c)
+	}
+	t.ids.Store(&ids)
+	t.names.Store(&names)
+	return t
+}
+
+// catID returns the interned id of a category name.
+func catID(name string) (int32, bool) {
+	id, ok := (*catTable.ids.Load())[name]
+	return id, ok
+}
+
+// catNames returns the interned names, indexed by id.
+func catNames() []string { return *catTable.names.Load() }
+
 // intern returns the id of a category, assigning the next one to a name
-// not seen before. The name table is copied, not extended in place, so
-// the table a View took stays valid; new names are rare (the taxonomy
-// has 30) and the copy is that small.
-func (r *Repository) intern(cat string) int32 {
-	if id, ok := r.cats[cat]; ok {
+// not seen before. New names are rare (the taxonomy has 30), so the
+// name map is copied whole; the name list only grows at its tail, which
+// no reader of an older list indexes.
+func intern(cat string) int32 {
+	if id, ok := catID(cat); ok {
 		return id
 	}
-	id := int32(len(r.post))
-	grown := make(map[string]int32, len(r.cats)+1)
-	for k, v := range r.cats {
+	t := catTable
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if id, ok := catID(cat); ok {
+		return id
+	}
+	old := *t.ids.Load()
+	grown := make(map[string]int32, len(old)+1)
+	for k, v := range old {
 		grown[k] = v
 	}
+	id := int32(len(old))
 	grown[cat] = id
-	r.cats = grown
-	r.post = append(r.post, nil)
-	r.postWs = append(r.postWs, nil)
+	names := append(*t.names.Load(), cat)
+	t.names.Store(&names)
+	t.ids.Store(&grown)
 	return id
 }
 
@@ -113,7 +197,6 @@ func (r *Repository) intern(cat string) int32 {
 // saw.
 type View struct {
 	feats   []Features
-	cats    map[string]int32
 	post    [][]int32
 	postWs  [][]float64
 	ordered int
@@ -123,7 +206,7 @@ type View struct {
 func (r *Repository) ReadView(v *View) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	v.feats, v.cats = r.feats, r.cats
+	v.feats = r.feats
 	v.post = append(v.post[:0], r.post...)
 	v.postWs = append(v.postWs[:0], r.postWs...)
 	v.ordered = r.ordered
@@ -144,8 +227,11 @@ func (v *View) Len() int { return len(v.feats) }
 // CategoryID returns the interned id of a category name; ok is false
 // when no item in the view carries it.
 func (v *View) CategoryID(name string) (int32, bool) {
-	id, ok := v.cats[name]
-	return id, ok
+	id, ok := catID(name)
+	if !ok || int(id) >= len(v.post) || len(v.post[id]) == 0 {
+		return 0, false
+	}
+	return id, true
 }
 
 // At returns the features of item seq.

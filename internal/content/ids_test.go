@@ -26,7 +26,7 @@ func TestIDIndexFindsEveryItem(t *testing.T) {
 			continue
 		}
 		for _, want := range items {
-			if got, ok := r.Get(string([]byte(want.ID))); !ok || got != want {
+			if got, ok := r.Get(string([]byte(want.ID))); !ok || got.ID != want.ID {
 				t.Fatalf("after %d adds: Get(%q) = %v, %v", len(items), want.ID, got, ok)
 			}
 		}

@@ -4,7 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 )
+
+// MarshalJSON writes the item as encoding/json writes an Item's exported
+// fields, Categories read through Weights: an item the repository holds
+// encodes to the bytes of the map it was added with, as encoding/json
+// sorts a map's keys.
+func (it Item) MarshalJSON() ([]byte, error) {
+	type plain Item // Item's fields, without this method
+	if it.Categories == nil && len(it.ws) > 0 {
+		it.Categories = maps.Collect(it.Weights())
+	}
+	return json.Marshal(plain(it))
+}
 
 // Snapshot writes every item as a JSON array, in publish order. Together
 // with Restore it gives the repository the dump/load durability story a

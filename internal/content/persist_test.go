@@ -2,6 +2,7 @@ package content
 
 import (
 	"bytes"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -41,7 +42,7 @@ func TestRepositorySnapshotRestore(t *testing.T) {
 		t.Fatalf("geo relevance lost: %+v", got)
 	}
 	if got.TopCategory() != "regional" {
-		t.Fatalf("categories lost: %v", got.Categories)
+		t.Fatalf("categories lost: %v", maps.Collect(got.Weights()))
 	}
 	// Indexes rebuilt.
 	if len(restored.ByCategory("music")) != 1 {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"time"
 
@@ -94,7 +95,7 @@ func runQ1(cfg Config) error {
 				continue
 			}
 			pool = append(pool, it)
-			aff := l.Affinity(it.Categories)
+			aff := l.Affinity(it)
 			if aff >= 0.5 {
 				relevant[it.ID] = true
 			}
@@ -312,7 +313,7 @@ func (e *env) simulateCommute(p *synth.Persona, l *client.Listener, full traject
 			it = programAsItem(prog.ID, prog.Title, prog.Categories, remaining)
 		} else if it.Duration > commute-cursor {
 			// Clip longer than remaining drive: truncated by arrival.
-			it = programAsItem(it.ID, it.Title, it.Categories, commute-cursor)
+			it = programAsItem(it.ID, it.Title, maps.Collect(it.Weights()), commute-cursor)
 		}
 		if it.Duration <= 0 {
 			break
@@ -333,7 +334,7 @@ func (e *env) simulateCommute(p *synth.Persona, l *client.Listener, full traject
 					next := reactiveQueue[0]
 					reactiveQueue = reactiveQueue[1:]
 					if d := commute - cursor; next.Duration > d && d > 0 {
-						next = programAsItem(next.ID, next.Title, next.Categories, d)
+						next = programAsItem(next.ID, next.Title, maps.Collect(next.Weights()), d)
 					}
 					if next.Duration > 0 {
 						out2 := l.Play(next, start.Add(cursor))

@@ -17,14 +17,15 @@
 // as the 72 B Event: the instant as Unix nanoseconds, the item as a
 // number and the kind in one byte. The number is the item's seq in the
 // content repository (ShareCatalog) when the event is about a catalog
-// item and carries the item's own categories; the item's ID string and
-// category map are then the catalog's, read back by seq. Any other event
-// — about an item the catalog does not hold, or with categories that
-// differ from the item's — takes a negative number naming an entry of
-// the user's side table, which holds its ID and a private copy of its
-// map. The user is the key of the state the record sits in. Event values
-// are built from records only on the way out (Events, ByUser, Snapshot),
-// with At in UTC.
+// item and carries the item's own categories, or none (nil Categories
+// means the catalog item's own); the item's ID string and categories are
+// then the catalog's, read back by seq. Any other event — about an item
+// the catalog does not hold, or with categories that differ from the
+// item's — takes a negative number naming an entry of the user's side
+// table, which holds its ID and its categories as a Vector. The user is
+// the key of the state the record sits in. Event values are built from
+// records only on the way out (Events, ByUser, Snapshot), with At in UTC
+// and a map of their own.
 //
 // The rest of a listener's state is flat too. The preference index and
 // the compaction baseline are Vectors, (category, weight) pairs in
@@ -40,9 +41,12 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"pphcr/internal/content"
 )
 
 // Kind is the feedback event type.
@@ -102,7 +106,8 @@ type Event struct {
 	At     time.Time
 	// Categories is the category distribution of the item the feedback
 	// refers to, denormalized here so preference aggregation does not
-	// need the content repository.
+	// need the content repository. Nil, for an item the catalog holds
+	// (ShareCatalog), means that item's own categories.
 	Categories map[string]float64
 }
 
@@ -118,29 +123,61 @@ func (r *record) time() time.Time { return time.Unix(0, r.at) }
 func (r *record) weight() float64 { return Kind(r.kind).Weight() }
 
 // sideItem is the item of an event the catalog cannot stand for: the
-// ID string (the catalog item's own when it has one) and a private map.
+// ID string (the catalog item's own when it has one) and the event's
+// categories, empty (not nil) where the event carried none.
 type sideItem struct {
 	id   string
-	cats map[string]float64
+	cats Vector
 }
 
-// item returns the ID string and category map of r's event, which
-// belongs to st.
-func (s *Store) item(st *userState, r *record) (string, map[string]float64) {
+// weights is the category distribution of an event's item: a catalog
+// item's own (item non-nil), or a side entry's.
+type weights struct {
+	item *content.Item
+	side Vector
+}
+
+// each calls f with every category and weight.
+func (w weights) each(f func(cat string, x float64)) {
+	if w.item != nil {
+		for c, x := range w.item.Weights() {
+			f(c, x)
+		}
+		return
+	}
+	for _, p := range w.side {
+		f(p.Cat, p.W)
+	}
+}
+
+// item returns the ID string and categories of r's event, which belongs
+// to st.
+func (s *Store) item(st *userState, r *record) (string, weights) {
 	if r.seq < 0 {
 		it := &st.side[^r.seq]
-		return it.id, it.cats
+		return it.id, weights{side: it.cats}
 	}
-	return s.itemAt(r.seq)
+	it := s.itemAt(r.seq)
+	return it.ID, weights{item: it}
 }
 
-// events builds the API values of st's log, which belongs to userID.
+// events builds the API values of st's log, which belongs to userID,
+// each with a map of its own. No map is nil: an event that carried no
+// categories about an item the catalog did not hold reads back as an
+// empty map, which means no categories whatever the catalog holds when
+// it is restored.
 func (s *Store) events(userID string, st *userState) []Event {
 	out := make([]Event, len(st.events))
 	for i := range st.events {
 		r := &st.events[i]
-		id, cats := s.item(st, r)
-		out[i] = Event{UserID: userID, ItemID: id, Kind: Kind(r.kind), At: r.time().UTC(), Categories: cats}
+		id, ws := s.item(st, r)
+		var m map[string]float64
+		if ws.item != nil {
+			m = maps.Collect(ws.item.Weights())
+		} else {
+			m = ws.side.Map()
+		}
+		out[i] = Event{UserID: userID, ItemID: id, Kind: Kind(r.kind), At: r.time().UTC(), Categories: m}
 	}
 	return out
 }
@@ -215,11 +252,12 @@ type Store struct {
 	shards   []shard
 	mask     uint32
 	// seqOf and itemAt, when set, read the catalog: an item's seq by its
-	// ID, and its own ID string and category map by its seq (see kept).
+	// ID, and the item by its seq (see kept).
 	seqOf  func(itemID string) (int32, bool)
-	itemAt func(seq int32) (id string, cats map[string]float64)
+	itemAt func(seq int32) *content.Item
 
 	live            atomic.Int64 // events currently in the logs
+	sideEvents      atomic.Int64 // of those, the ones with a side entry
 	appends         atomic.Int64
 	indexReads      atomic.Int64
 	replayReads     atomic.Int64
@@ -249,18 +287,17 @@ func NewStoreHalfLife(halfLife time.Duration) *Store {
 }
 
 // ShareCatalog installs the catalog: seqOf finds an item's seq by its
-// ID, and itemAt returns the item's own ID string and category map by
-// its seq. A seq must name the same item for the store's life and the
-// map itemAt returns must never change (the content repository's
-// contract: it numbers items in insertion order, never reuses a number
-// and never changes an added item). An event about a catalog item whose
-// categories equal the item's is then logged as the seq alone, so a
-// node keeps one copy of each ID and category vector however much
-// feedback it logs, and every other event about a catalog item holds
-// the item's ID string. The store calls itemAt while it holds a shard
-// lock, so neither function may call into the store. Call it before the
-// first Append.
-func (s *Store) ShareCatalog(seqOf func(itemID string) (int32, bool), itemAt func(seq int32) (id string, cats map[string]float64)) {
+// ID, and itemAt returns the item by its seq. A seq must name the same
+// item for the store's life and that item must never change (the content
+// repository's contract: it numbers items in insertion order, never
+// reuses a number and never changes an added item). An event about a
+// catalog item whose categories equal the item's, or are nil, is then
+// logged as the seq alone, so a node keeps one copy of each ID and
+// category vector however much feedback it logs, and every other event
+// about a catalog item holds the item's ID string. The store calls
+// itemAt while it holds a shard lock, so neither function may call into
+// the store. Call it before the first Append.
+func (s *Store) ShareCatalog(seqOf func(itemID string) (int32, bool), itemAt func(seq int32) *content.Item) {
 	s.seqOf, s.itemAt = seqOf, itemAt
 }
 
@@ -294,48 +331,58 @@ func decayFactor(d, halfLife time.Duration) float64 {
 	return math.Exp2(-d.Hours() / halfLife.Hours())
 }
 
-func copyCategories(m map[string]float64) map[string]float64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(m))
+// flatten returns m as a Vector of its own.
+func flatten(m map[string]float64) Vector {
+	v := make(Vector, 0, len(m))
 	for c, w := range m {
-		out[c] = w
+		v = append(v, Pref{Cat: c, W: w})
 	}
-	return out
+	slices.SortFunc(v, func(a, b Pref) int { return strings.Compare(a.Cat, b.Cat) })
+	return v
 }
 
-// kept returns how the store keeps e's item, and that item's ID string
-// and category map. For a catalog item whose categories equal e's bit
-// for bit, shared is true: the record names the item by its seq, and the
-// ID and map are the item's own. Otherwise it is a side-table entry: the
-// catalog item's own ID string, or e's for an item the catalog does not
-// hold, and a private copy of e's map, so the store never aliases
-// caller-owned memory. seq is the item's catalog seq, or -1 for an item
-// the catalog does not hold. It is the one place that choice is made;
-// Append (and through it every live, replayed, replicated and restored
-// event) calls it before taking a shard lock.
-func (s *Store) kept(e Event) (it sideItem, seq int32, shared bool) {
+// kept returns how the store keeps e's item. For a catalog item whose
+// categories equal e's bit for bit, or which e gives none (nil), item
+// is the catalog's: the record names it by its seq, and its ID and
+// categories are the item's own. Otherwise item is nil and side is the
+// side-table entry: the catalog item's own ID string, or e's for an item
+// the catalog does not hold, and e's categories as a Vector, so the
+// store never aliases caller-owned memory. seq is the item's catalog
+// seq, or -1 for an item the catalog does not hold. It is the one place
+// that choice is made; Append (and through it every live, replayed,
+// replicated and restored event) calls it before taking a shard lock.
+func (s *Store) kept(e Event) (item *content.Item, side sideItem, seq int32) {
 	if s.seqOf != nil {
 		if seq, ok := s.seqOf(e.ItemID); ok {
-			id, m := s.itemAt(seq)
-			if maps.EqualFunc(e.Categories, m, sameBits) {
-				return sideItem{id, m}, seq, true
+			it := s.itemAt(seq)
+			if e.Categories == nil || sameWeights(e.Categories, it) {
+				return it, sideItem{}, seq
 			}
-			return sideItem{id, copyCategories(e.Categories)}, seq, false
+			return nil, sideItem{it.ID, flatten(e.Categories)}, seq
 		}
 	}
-	return sideItem{e.ItemID, copyCategories(e.Categories)}, -1, false
+	return nil, sideItem{e.ItemID, flatten(e.Categories)}, -1
 }
 
-func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+// sameWeights reports whether m holds exactly the item's categories,
+// each weight with the same bits.
+func sameWeights(m map[string]float64, it *content.Item) bool {
+	n := 0
+	for c, w := range it.Weights() {
+		if x, ok := m[c]; !ok || math.Float64bits(x) != math.Float64bits(w) {
+			return false
+		}
+		n++
+	}
+	return n == len(m)
+}
 
 // fold advances the index vector to r's instant (decaying the
-// accumulated vector) and adds r's contribution, cats being its item's
+// accumulated vector) and adds r's contribution, ws being its item's
 // categories. Records older than the index's instant are folded at
 // their already-decayed weight instead — exponential decay makes either
 // order exact.
-func (st *userState) fold(r *record, cats map[string]float64, halfLife time.Duration) {
+func (st *userState) fold(r *record, ws weights, halfLife time.Duration) {
 	w := r.weight()
 	switch {
 	case r.at > st.at:
@@ -344,9 +391,9 @@ func (st *userState) fold(r *record, cats map[string]float64, halfLife time.Dura
 	case r.at < st.at:
 		w *= decayFactor(st.updated().Sub(r.time()), halfLife)
 	}
-	for c, share := range cats {
+	ws.each(func(c string, share float64) {
 		st.vec = st.vec.add(c, w*share, true)
-	}
+	})
 }
 
 // skip adds the item of a skip or dislike to the user's skip set: by
@@ -371,15 +418,15 @@ var ErrInstantRange = errors.New("feedback: instant outside the Unix-nanosecond 
 // Append records an event and folds it into the user's preference index.
 // It refuses a kind other than the four defined ones and an instant
 // outside what Unix nanoseconds hold (ErrInstantRange). The store keeps
-// the catalog item's map or a private copy of the event's (kept), never
-// the caller's map itself, so callers may reuse or mutate their map
-// freely. A stored map is never written.
+// the catalog item's categories or a flat copy of the event's (kept),
+// never the caller's map itself, so callers may reuse or mutate their
+// map freely.
 func (s *Store) Append(e Event) error {
 	if err := s.CheckAppend(e); err != nil {
 		return err
 	}
 	r := record{at: e.At.UnixNano(), kind: uint8(e.Kind)}
-	it, seq, shared := s.kept(e)
+	item, side, seq := s.kept(e)
 	sh := s.shardFor(e.UserID)
 	sh.mu.Lock()
 	st := sh.users[e.UserID]
@@ -388,14 +435,18 @@ func (s *Store) Append(e Event) error {
 		sh.users[e.UserID] = st
 	}
 	r.seq = seq
-	if !shared {
+	id, ws := side.id, weights{item: item, side: side.cats}
+	if item != nil {
+		id = item.ID
+	} else {
 		r.seq = ^int32(len(st.side))
-		st.side = append(st.side, it)
+		st.side = append(st.side, side)
+		s.sideEvents.Add(1)
 	}
 	st.events = append(st.events, r)
-	st.fold(&r, it.cats, s.halfLife)
-	if (e.Kind == Skip || e.Kind == Dislike) && it.id != "" {
-		st.skip(seq, it.id)
+	st.fold(&r, ws, s.halfLife)
+	if (e.Kind == Skip || e.Kind == Dislike) && id != "" {
+		st.skip(seq, id)
 	}
 	sh.mu.Unlock()
 	s.live.Add(1)
@@ -438,9 +489,8 @@ func (s *Store) empty() bool {
 	return true
 }
 
-// Events returns the user's live events in insertion order, At in UTC.
-// Their Categories are the store's own maps, which may be the catalog's:
-// callers must not write them. ByUser is the copying form.
+// Events returns the user's live events in insertion order, At in UTC,
+// each Categories a map the caller owns.
 func (s *Store) Events(userID string) []Event {
 	sh := s.shardFor(userID)
 	sh.mu.RLock()
@@ -451,16 +501,8 @@ func (s *Store) Events(userID string) []Event {
 	return nil
 }
 
-// ByUser returns a deep copy of the user's live events in insertion
-// order; mutating the result (including Categories) cannot corrupt the
-// store.
-func (s *Store) ByUser(userID string) []Event {
-	out := s.Events(userID)
-	for i := range out {
-		out[i].Categories = copyCategories(out[i].Categories)
-	}
-	return out
-}
+// ByUser is Events: the user's live events, which the caller owns.
+func (s *Store) ByUser(userID string) []Event { return s.Events(userID) }
 
 // PreferenceParams tunes preference aggregation.
 type PreferenceParams struct {
@@ -560,10 +602,10 @@ func (s *Store) replay(out Vector, st *userState, now time.Time, params Preferen
 		r := &st.events[i]
 		age := max(now.Sub(r.time()), 0)
 		w := r.weight() * decayFactor(age, params.HalfLife)
-		_, cats := s.item(st, r)
-		for c, share := range cats {
+		_, ws := s.item(st, r)
+		ws.each(func(c string, share float64) {
 			out = out.add(c, w*share, false)
-		}
+		})
 	}
 	return out
 }
@@ -643,13 +685,14 @@ func (s *Store) compact(userID string, now time.Time, horizon time.Duration, fol
 			continue
 		}
 		w := r.weight() * decayFactor(cutAt.Sub(r.time()), s.halfLife)
-		_, cats := s.item(st, &r)
-		for c, share := range cats {
+		_, ws := s.item(st, &r)
+		ws.each(func(c string, share float64) {
 			rs.base = rs.base.add(c, w*share, true)
-		}
+		})
 	}
 	rs.baseAt = cut
 	rs.baseCount += folded
+	s.sideEvents.Add(int64(len(keepSide) - len(st.side)))
 	st.events, st.side = keep, keepSide
 	s.live.Add(int64(-folded))
 	s.eventsCompacted.Add(int64(folded))
@@ -701,6 +744,7 @@ func (s *Store) restoreUser(userID string, base map[string]float64, baseAt time.
 type Stats struct {
 	Users           int   `json:"users"`
 	LiveEvents      int64 `json:"live_events"`
+	SideEvents      int64 `json:"side_events"`      // live events not keyed by catalog seq
 	CompactedEvents int64 `json:"compacted_events"` // folded into baselines
 	Appends         int64 `json:"appends"`
 	IndexReads      int64 `json:"index_reads"`
@@ -720,6 +764,7 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Users:           users,
 		LiveEvents:      s.live.Load(),
+		SideEvents:      s.sideEvents.Load(),
 		CompactedEvents: s.eventsCompacted.Load(),
 		Appends:         s.appends.Load(),
 		IndexReads:      s.indexReads.Load(),
@@ -781,8 +826,7 @@ func (s *Store) skippedIDs(st *userState) []string {
 	}
 	out := make([]string, 0, len(st.skipped)+len(ids))
 	for _, seq := range st.skipped {
-		id, _ := s.itemAt(seq)
-		out = append(out, id)
+		out = append(out, s.itemAt(seq).ID)
 	}
 	// An ID skipped while the catalog did not hold it and again since
 	// the catalog took it is in both parts.

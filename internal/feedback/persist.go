@@ -46,9 +46,10 @@ func (s *Store) Snapshot(w io.Writer) error {
 				us.BaseAt = time.Unix(0, rs.baseAt).UTC()
 				us.BaseCount = rs.baseCount
 			}
-			// A stored event's map is never written (Append), so the
-			// encoder may read it after the lock is released; base is
-			// rescaled in place by compaction and is copied above.
+			// events builds maps of their own, and base, which
+			// compaction rescales in place, is copied above, so the
+			// encoder reads nothing of the store after the lock is
+			// released.
 			us.Events = s.events(userID, st)
 			snap.Users[userID] = us
 		}
@@ -62,8 +63,8 @@ func (s *Store) Snapshot(w io.Writer) error {
 // fold instant and the live events are re-folded on top, so restored
 // preferences match the original store bit-for-bit (uncompacted stores)
 // or to floating-point accumulation error (compacted ones). Each event
-// goes through Append, so one about a catalog item holds the item's map
-// again rather than the decoded copy.
+// goes through Append, so one about a catalog item is keyed by its seq
+// again rather than holding the decoded copy.
 func (s *Store) Restore(rd io.Reader) error {
 	if !s.empty() {
 		return fmt.Errorf("feedback: restore requires an empty store (have %d events)", s.Len())

@@ -330,16 +330,13 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	var cats map[string]float64
-	if it, ok := s.sys.Repo.Get(body.ItemID); ok {
-		cats = it.Categories
-	}
+	// No Categories: for a catalog item the event means the item's own,
+	// and an item the catalog does not hold has none to give.
 	e := feedback.Event{
-		UserID:     body.UserID,
-		ItemID:     body.ItemID,
-		Kind:       kind,
-		At:         at,
-		Categories: cats,
+		UserID: body.UserID,
+		ItemID: body.ItemID,
+		Kind:   kind,
+		At:     at,
 	}
 	obs.NoteRequestUser(r.Context(), body.UserID)
 	tr := s.startTrace("feedback", body.UserID)

@@ -137,8 +137,7 @@ func TestPlanEndpointRegeneratesStalePlan(t *testing.T) {
 	it := sys.Repo.All()[0]
 	if err := sys.AddFeedback(feedback.Event{
 		UserID: user, ItemID: it.ID, Kind: feedback.Dislike,
-		At:         time.Unix(body.Fixes[len(body.Fixes)-1].Unix, 0).UTC(),
-		Categories: it.Categories,
+		At: time.Unix(body.Fixes[len(body.Fixes)-1].Unix, 0).UTC(),
 	}); err != nil {
 		t.Fatal(err)
 	}

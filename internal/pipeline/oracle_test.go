@@ -262,10 +262,12 @@ func TestPlanMatchesOracle(t *testing.T) {
 		in := newOracleInstance(seed)
 		rich := in.ctx.Weather != recommend.WeatherUnknown || in.ctx.Activity != recommend.ActivityUnknown
 		repo := content.NewRepository()
-		for _, it := range in.items {
+		for i, it := range in.items {
 			if err := repo.Add(it); err != nil {
 				t.Fatal(err)
 			}
+			// The reference ranks the items the catalog hands out.
+			in.items[i], _ = repo.Get(it.ID)
 		}
 		p, deps := planPipeline(repo, map[string]map[string]float64{"u": in.prefs})
 		deps.Scorer.ContextWeight = in.lambda

@@ -134,7 +134,6 @@ func TestFeedbackInvalidatesAndRewarms(t *testing.T) {
 	it := sys.Repo.All()[0]
 	if err := sys.AddFeedback(feedback.Event{
 		UserID: user, ItemID: it.ID, Kind: feedback.Like, At: warmAt,
-		Categories: it.Categories,
 	}); err != nil {
 		t.Fatal(err)
 	}

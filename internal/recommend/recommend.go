@@ -77,7 +77,7 @@ func NewScorer(contextWeight float64) *Scorer {
 // between preferences and the item's category distribution (negative
 // similarity clamps to 0 — actively disliked), modulated by freshness.
 func (s *Scorer) ContentScore(prefs map[string]float64, it *content.Item, now time.Time) float64 {
-	cos := cosine(prefs, it.Categories)
+	cos := cosine(prefs, it)
 	if cos <= 0 {
 		return 0
 	}
@@ -247,17 +247,18 @@ func (s *Scorer) Rank(prefs map[string]float64, items []*content.Item, ctx Conte
 	return out
 }
 
-// cosine computes the cosine similarity between two sparse vectors.
-func cosine(a, b map[string]float64) float64 {
+// cosine computes the cosine similarity between a preference vector
+// and the item's category distribution.
+func cosine(prefs map[string]float64, it *content.Item) float64 {
 	var dot, na, nb float64
-	for k, av := range a {
+	for _, av := range prefs {
 		na += av * av
-		if bv, ok := b[k]; ok {
+	}
+	for c, bv := range it.Weights() {
+		nb += bv * bv
+		if av, ok := prefs[c]; ok {
 			dot += av * bv
 		}
-	}
-	for _, bv := range b {
-		nb += bv * bv
 	}
 	if na == 0 || nb == 0 {
 		return 0

@@ -229,18 +229,19 @@ func TestRankDeterministicTieBreak(t *testing.T) {
 
 func TestCosine(t *testing.T) {
 	a := map[string]float64{"x": 1, "y": 1}
-	if got := cosine(a, a); math.Abs(got-1) > 1e-12 {
+	of := func(m map[string]float64) *content.Item { return &content.Item{Categories: m} }
+	if got := cosine(a, of(a)); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("self cosine = %v", got)
 	}
 	b := map[string]float64{"z": 1}
-	if got := cosine(a, b); got != 0 {
+	if got := cosine(a, of(b)); got != 0 {
 		t.Fatalf("orthogonal cosine = %v", got)
 	}
 	neg := map[string]float64{"x": -1}
-	if got := cosine(a, neg); got >= 0 {
+	if got := cosine(a, of(neg)); got >= 0 {
 		t.Fatalf("opposed cosine = %v", got)
 	}
-	if got := cosine(nil, a); got != 0 {
+	if got := cosine(nil, of(a)); got != 0 {
 		t.Fatalf("empty cosine = %v", got)
 	}
 }

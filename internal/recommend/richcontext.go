@@ -91,7 +91,7 @@ func weatherScore(it *content.Item, w Weather) float64 {
 	if w == WeatherUnknown {
 		return 0.5
 	}
-	infoMass := it.Categories["weather"] + it.Categories["traffic"]
+	infoMass := it.Weight("weather") + it.Weight("traffic")
 	sev := w.Severity()
 	// Clear weather: weather/traffic bulletins are mildly de-prioritized.
 	if sev == 0 {

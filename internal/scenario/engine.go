@@ -28,7 +28,10 @@ type Driver struct {
 	PlanAt  time.Time
 	// fixClock hands out monotonically increasing fix timestamps (unix
 	// seconds) so concurrent fix events for the same driver never clash.
-	fixClock atomic.Int64
+	// fixMu is held from stamping a fix until it is recorded, so the
+	// fixes reach the tracker in the order they were stamped in.
+	fixMu    sync.Mutex
+	fixClock int64
 	fixPoint trajectory.Fix
 }
 
@@ -182,8 +185,8 @@ func prepareDriver(sys *pphcr.System, w *synth.World, p *synth.Persona) (*Driver
 		Partial:  partial,
 		PlanAt:   partial[len(partial)-1].Time,
 		fixPoint: partial[len(partial)-1],
+		fixClock: partial[len(partial)-1].Time.Unix() + 3600,
 	}
-	d.fixClock.Store(d.PlanAt.Unix() + 3600)
 	return d, nil
 }
 
@@ -282,6 +285,7 @@ type stateSnap struct {
 	// Commit-barrier and group-commit counters behind Report.Contention.
 	barrierOps, barrierContended int64
 	commits, commitRecords       int64
+	maxCommitBatch               int64 // the WAL's largest drain so far
 }
 
 func (e *Engine) snapshotState(since time.Time) stateSnap {
@@ -297,7 +301,7 @@ func (e *Engine) snapshotState(since time.Time) stateSnap {
 		s.wal = e.dur.WALAppendHistogram().Snapshot()
 		s.fsync = e.dur.WALFsyncHistogram().Snapshot()
 		wal := e.dur.Stats().WAL
-		s.commits, s.commitRecords = wal.GroupCommits, wal.GroupCommitRecords
+		s.commits, s.commitRecords, s.maxCommitBatch = wal.GroupCommits, wal.GroupCommitRecords, wal.MaxCommitBatch
 	}
 	return s
 }
@@ -472,12 +476,12 @@ func (e *Engine) exec(ev Event) error {
 		return err
 	case OpFeedback:
 		it := pop.Items[int(ev.Aux)%len(pop.Items)]
+		// No Categories: the event means the catalog item's own.
 		fbe := feedback.Event{
-			UserID:     user,
-			ItemID:     it.ID,
-			Kind:       feedback.Kind(ev.Aux % 4),
-			At:         pop.WorldEnd.Add(-time.Duration(ev.Aux%3600) * time.Second),
-			Categories: it.Categories,
+			UserID: user,
+			ItemID: it.ID,
+			Kind:   feedback.Kind(ev.Aux % 4),
+			At:     pop.WorldEnd.Add(-time.Duration(ev.Aux%3600) * time.Second),
 		}
 		err := e.sys.AddFeedback(fbe)
 		if err == nil && e.opts.RecordAcks {
@@ -487,8 +491,10 @@ func (e *Engine) exec(ev Event) error {
 		}
 		return err
 	case OpFix:
-		at := drv.fixClock.Add(1)
-		return e.sys.RecordFix(drv.User, trajectory.Fix{Point: drv.fixPoint.Point, Time: time.Unix(at, 0).UTC()})
+		drv.fixMu.Lock()
+		defer drv.fixMu.Unlock()
+		drv.fixClock++
+		return e.sys.RecordFix(drv.User, trajectory.Fix{Point: drv.fixPoint.Point, Time: time.Unix(drv.fixClock, 0).UTC()})
 	case OpRecommend:
 		e.sys.Recommend(user, recommend.Context{Now: pop.ReadAt}, 5)
 		return nil

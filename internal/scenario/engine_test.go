@@ -209,7 +209,7 @@ func TestDegradedFsyncZeroLostAcks(t *testing.T) {
 		t.Fatalf("degraded must not read dead: %+v", r.Readiness)
 	}
 	// Every acked write crossed the commit barrier and a group commit.
-	if c := r.Contention; c.BarrierOps == 0 || c.GroupCommits == 0 || c.MeanCommitBatch < 1 {
+	if c := r.Contention; c.BarrierOps == 0 || c.GroupCommits == 0 || c.MeanCommitBatch < 1 || float64(c.MaxCommitBatch) < c.MeanCommitBatch {
 		t.Fatalf("write-heavy run reported no contention read-out: %+v", c)
 	}
 	acks := eng.Acks()

@@ -70,7 +70,8 @@ type CacheDelta struct {
 
 // ContentionReport is the run's write-path read-out: how often a
 // writer found its commit-barrier stripe held, and how many appends one
-// group-commit drain retired (zero without durability). The contended
+// group-commit drain retired, on average and at most (zero without
+// durability; the maximum is the WAL's since it opened). The contended
 // shape is a population choice — few users under many workers on a
 // write-heavy script — not a mode.
 type ContentionReport struct {
@@ -79,6 +80,7 @@ type ContentionReport struct {
 	BarrierContendedFraction float64 `json:"barrier_contended_fraction"`
 	GroupCommits             int64   `json:"group_commits"`
 	MeanCommitBatch          float64 `json:"mean_commit_batch"`
+	MaxCommitBatch           int64   `json:"max_commit_batch"`
 }
 
 // ReadinessReport summarizes the readiness sampler: dead and degraded
@@ -206,6 +208,7 @@ func (e *Engine) buildReport(script Script, events []Event, elapsed time.Duratio
 		BarrierOps:       last.barrierOps - first.barrierOps,
 		BarrierContended: last.barrierContended - first.barrierContended,
 		GroupCommits:     last.commits - first.commits,
+		MaxCommitBatch:   last.maxCommitBatch,
 	}
 	if c.BarrierOps > 0 {
 		c.BarrierContendedFraction = float64(c.BarrierContended) / float64(c.BarrierOps)
@@ -291,9 +294,9 @@ func (r *Report) WriteHuman(w io.Writer) {
 		fmt.Fprintf(w, "\nflash crowd in %s at %.1fs: cache re-warm %.0fms (%s)\n",
 			r.Flash.Phase, r.Flash.AtMs/1e3, r.Flash.RecoveryMs, state)
 	}
-	fmt.Fprintf(w, "\nbarrier: ops=%d contended=%d (%.3f%%)  wal: group_commits=%d mean_batch=%.1f\n",
+	fmt.Fprintf(w, "\nbarrier: ops=%d contended=%d (%.3f%%)  wal: group_commits=%d mean_batch=%.1f max_batch=%d\n",
 		r.Contention.BarrierOps, r.Contention.BarrierContended, 100*r.Contention.BarrierContendedFraction,
-		r.Contention.GroupCommits, r.Contention.MeanCommitBatch)
+		r.Contention.GroupCommits, r.Contention.MeanCommitBatch, r.Contention.MaxCommitBatch)
 	fmt.Fprintf(w, "readiness: %d samples, %d dead, %d degraded, %d flaps\n",
 		r.Readiness.Samples, r.Readiness.DeadSamples, r.Readiness.DegradedSamples, r.Readiness.Flaps)
 	if len(r.Verdicts) > 0 {

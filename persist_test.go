@@ -34,7 +34,7 @@ func TestSystemSnapshotRestore(t *testing.T) {
 		}
 		if err := sys.AddFeedback(feedback.Event{
 			UserID: user, ItemID: it.ID, Kind: feedback.Like,
-			At: now.Add(-time.Hour), Categories: it.Categories,
+			At: now.Add(-time.Hour),
 		}); err != nil {
 			t.Fatal(err)
 		}

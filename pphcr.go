@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -357,10 +358,7 @@ func New(cfg Config) (*System, error) {
 		},
 		shards: make([]userShard, userShards),
 	}
-	s.Feedback.ShareCatalog(repo.Seq, func(seq int32) (string, map[string]float64) {
-		it := repo.ItemAt(seq)
-		return it.ID, it.Categories
-	})
+	s.Feedback.ShareCatalog(repo.Seq, repo.ItemAt)
 	s.barrier.stripes = make([]barrierStripe, userShards)
 	for i := range s.shards {
 		s.shards[i].mobility = make(map[string]*tracking.CompactModel)
@@ -502,7 +500,8 @@ func (s *System) RegisterUser(p profile.Profile) error {
 // IngestPodcast runs the clip-data-management pipeline on one podcast.
 // Its event carries the *classified* item rather than the raw podcast:
 // replaying raw audio through the ASR would consume different
-// simulated-randomness than the original run.
+// simulated-randomness than the original run. It returns the item the
+// catalog holds.
 func (s *System) IngestPodcast(raw content.RawPodcast) (*content.Item, error) {
 	// Process (ASR + classification, the slowest operation in the
 	// system) mutates nothing and runs outside every lock, so no pending
@@ -514,7 +513,8 @@ func (s *System) IngestPodcast(raw content.RawPodcast) (*content.Item, error) {
 	if err := s.addItem(it); err != nil {
 		return nil, err
 	}
-	return it, nil
+	own, _ := s.Repo.Get(it.ID)
+	return own, nil
 }
 
 // addItem adds a classified item: IngestPodcast's write and an ingest
@@ -565,11 +565,28 @@ func (s *System) AddFeedbackTraced(e feedback.Event, tr *obs.Trace) error {
 func (s *System) addFeedback(e feedback.Event, tr *obs.Trace) error {
 	idx := s.shardIndexFor(e.UserID)
 	return s.write(idx, &s.shards[idx], tr, durableTypeForKind(e.Kind), func() (any, error) {
-		return e, s.Feedback.CheckAppend(e)
+		return s.logged(e), s.Feedback.CheckAppend(e)
 	}, func() { applied(s.Feedback.Append(e)) }, func() {
 		s.PlanCache.InvalidateUser(e.UserID)
 		s.Broker.Publish("feedback."+e.Kind.String(), []byte(e.UserID))
 	})
+}
+
+// logged is the event the log holds for e. Nil Categories mean the
+// catalog item's own categories, or none for an item the catalog does
+// not hold; the log spells out which (the item's categories, or an empty
+// map), so a record reads the same on every node whatever its catalog
+// holds, and the bytes are those of an event that carried them. The
+// map is built only when a log is attached. The caller holds the
+// barrier stripe, which orders the read of the hook.
+func (s *System) logged(e feedback.Event) feedback.Event {
+	if e.Categories == nil && s.durHook != nil {
+		e.Categories = map[string]float64{}
+		if it, ok := s.Repo.Get(e.ItemID); ok {
+			e.Categories = maps.Collect(it.Weights())
+		}
+	}
+	return e
 }
 
 // CompactTracking runs the periodic tracking compaction for a user and
@@ -1019,12 +1036,12 @@ func (s *System) SkipLive(userID, serviceID string, ctx recommend.Context) (reco
 // not-yet-skipped recommendation is returned.
 func (s *System) SkipClip(userID, itemID string, ctx recommend.Context) (recommend.Scored, error) {
 	if it, ok := s.Repo.Get(itemID); ok {
+		// No Categories: the event means the catalog item's own.
 		if err := s.AddFeedback(feedback.Event{
-			UserID:     userID,
-			ItemID:     it.ID,
-			Kind:       feedback.Skip,
-			At:         ctx.Now,
-			Categories: it.Categories,
+			UserID: userID,
+			ItemID: it.ID,
+			Kind:   feedback.Skip,
+			At:     ctx.Now,
 		}); err != nil {
 			return recommend.Scored{}, err
 		}

@@ -103,7 +103,6 @@ func TestFeedbackShiftsRecommendations(t *testing.T) {
 	for _, it := range sys.Repo.ByCategory("sport") {
 		if err := sys.AddFeedback(feedback.Event{
 			UserID: user, ItemID: it.ID, Kind: feedback.Dislike, At: now.Add(-time.Hour),
-			Categories: it.Categories,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +113,6 @@ func TestFeedbackShiftsRecommendations(t *testing.T) {
 		}
 		if err := sys.AddFeedback(feedback.Event{
 			UserID: user, ItemID: it.ID, Kind: feedback.Like, At: now.Add(-time.Hour),
-			Categories: it.Categories,
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -2,9 +2,11 @@ package pphcr
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -50,10 +52,13 @@ func sameMap(a, b map[string]float64) bool {
 	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }
 
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 // TestFeedbackKeepsCatalogMap: an event about a catalog item whose
-// categories equal the item's holds the item's own map, on every path
-// an event enters a node by — a live write, WAL recovery, a standby
-// apply and checkpoint restore — and a caller's map is never kept.
+// categories equal the item's, or that carries none, is kept by the
+// item's seq and reads back the item's own categories, on every path an
+// event enters a node by — a live write, WAL recovery, a standby apply
+// and checkpoint restore — and a caller's map is never kept.
 func TestFeedbackKeepsCatalogMap(t *testing.T) {
 	w, err := synth.GenerateWorld(synth.Params{
 		Seed: 3, Days: 2, Users: 1, Stations: 2, PodcastsPerDay: 5, TrainingDocsPerCategory: 5,
@@ -73,12 +78,15 @@ func TestFeedbackKeepsCatalogMap(t *testing.T) {
 		t.Helper()
 		for i, e := range sys.Feedback.Events("lilly") {
 			it, _ := sys.Repo.Get(e.ItemID)
-			if !sameMap(e.Categories, it.Categories) {
-				t.Fatalf("event %d about %s holds its own map, not the catalog item's", i, e.ItemID)
+			if !maps.EqualFunc(e.Categories, maps.Collect(it.Weights()), sameBits) {
+				t.Fatalf("event %d about %s reads back %v, not the catalog item's categories", i, e.ItemID, e.Categories)
 			}
 		}
 		if n := len(sys.Feedback.Events("lilly")); n != 8 {
 			t.Fatalf("%d events, want 8", n)
+		}
+		if n := sys.Feedback.Stats().SideEvents; n != 0 {
+			t.Fatalf("%d events kept in side entries, not by the catalog item's seq", n)
 		}
 	}
 
@@ -96,12 +104,28 @@ func TestFeedbackKeepsCatalogMap(t *testing.T) {
 	})
 	for i, it := range items {
 		// A copy of the item's map, not the map itself, as every event
-		// decoded off the wire carries.
-		if err := live.AddFeedback(feedback.Event{
+		// decoded off the wire carries; or no categories, which means
+		// the catalog item's own.
+		e := feedback.Event{
 			UserID: "lilly", ItemID: it.ID, Kind: feedback.Kind(i % 4),
 			At: shareT0.Add(time.Duration(i) * time.Minute), Categories: maps.Clone(it.Categories),
-		}); err != nil {
+		}
+		if i%2 == 1 {
+			e.Categories = nil
+		}
+		if err := live.AddFeedback(e); err != nil {
 			t.Fatal(err)
+		}
+	}
+	// The log spells out the categories an event left to the catalog.
+	for _, e := range shipped {
+		var fe feedback.Event
+		if err := json.Unmarshal(e.Payload, &fe); err != nil {
+			t.Fatal(err)
+		}
+		it, _ := live.Repo.Get(fe.ItemID)
+		if !maps.EqualFunc(fe.Categories, maps.Collect(it.Weights()), sameBits) {
+			t.Fatalf("logged event about %s carries %v", fe.ItemID, fe.Categories)
 		}
 	}
 	t.Run("live", func(t *testing.T) { assertShared(t, live) })
@@ -162,6 +186,9 @@ func TestFeedbackKeepsCatalogMap(t *testing.T) {
 		if len(evs) != 3 {
 			t.Fatalf("%d events, want 3", len(evs))
 		}
+		if n := sys.Feedback.Stats().SideEvents; n != 2 {
+			t.Fatalf("%d events in side entries, want 2", n)
+		}
 		for i, e := range evs[1:] {
 			if m := e.Categories; sameMap(m, other) || sameMap(m, items[1].Categories) {
 				t.Fatalf("event %d kept a map it does not own", i+1)
@@ -204,11 +231,13 @@ func TestCatalogFeedbackAllocatesNoMore(t *testing.T) {
 	}
 }
 
-// TestSharedCategoryMapsUnderCheckpoint races writers on shared catalog
-// maps against snapshots, which encode event maps after the shard lock
-// is released (a checkpoint's, inside the commit barrier, and the
-// feedback store's own, outside it), and against the two read paths;
-// under -race it is the proof that no stored map is ever written.
+// TestSharedCategoryMapsUnderCheckpoint races writers of events about
+// catalog items, each with the caller's own map or a copy of it,
+// against snapshots, which encode the events after the shard lock is
+// released (a checkpoint's, inside the commit barrier, and the feedback
+// store's own, outside it), and against the two read paths; under -race
+// it is the proof that neither a caller's map nor a map handed out is
+// written by the store, and that the catalog's pairs are read safely.
 func TestSharedCategoryMapsUnderCheckpoint(t *testing.T) {
 	sys, _ := newTestSystem(t)
 	items := addCatalog(t, sys, 40)
@@ -274,6 +303,171 @@ func TestSharedCategoryMapsUnderCheckpoint(t *testing.T) {
 	for _, u := range users {
 		assertIndexMatchesReplay(t, sys, u, shareT0.Add(time.Hour))
 	}
+}
+
+// TestCatalogItemsHoldNoMap: once the catalog holds an item, the item
+// holds no map, whichever path it arrived by — Repo.Add, an ingest
+// replayed from the WAL, one shipped to a standby (ApplyReplicated) and
+// a checkpoint restore — and whichever read hands it out: Get, All,
+// ItemAt and a View. Each reads back through Weights the map it was
+// added with, bit for bit.
+func TestCatalogItemsHoldNoMap(t *testing.T) {
+	w, err := synth.GenerateWorld(synth.Params{
+		Seed: 3, Days: 2, Users: 1, Stations: 2, PodcastsPerDay: 5, TrainingDocsPerCategory: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: 3}
+	want := map[string]map[string]float64{}
+	node := func() *System {
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range addCatalog(t, sys, 6) {
+			want[it.ID] = it.Categories
+		}
+		return sys
+	}
+	check := func(t *testing.T, sys *System) {
+		t.Helper()
+		if n := sys.Repo.Len(); n != len(want) {
+			t.Fatalf("%d items, want %d", n, len(want))
+		}
+		all := map[string]*content.Item{}
+		for _, it := range sys.Repo.All() {
+			all[it.ID] = it
+		}
+		var v content.View
+		sys.Repo.ReadView(&v)
+		for id, m := range want {
+			seq, ok := sys.Repo.Seq(id)
+			got, _ := sys.Repo.Get(id)
+			if !ok || got == nil {
+				t.Fatalf("%s missing", id)
+			}
+			for read, it := range map[string]*content.Item{"Get": got, "All": all[id], "ItemAt": sys.Repo.ItemAt(seq), "View": v.At(seq).Item} {
+				if it.Categories != nil {
+					t.Fatalf("%s: %s hands out an item holding a map", read, id)
+				}
+				if ws := maps.Collect(it.Weights()); !maps.EqualFunc(ws, m, sameBits) {
+					t.Fatalf("%s: %s weighs %v, added with %v", read, id, ws, m)
+				}
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	live := node()
+	dur, err := OpenDurability(live, DurabilityOptions{Dir: dir, Sync: durable.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shipped []durable.Event
+	hook := live.durHook
+	live.SetMutationHook(func(e durable.Event) error {
+		shipped = append(shipped, e)
+		return hook(e)
+	})
+	for _, raw := range w.Corpus[:4] {
+		if _, err := live.IngestPodcast(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An ingest's input map is the one its log record carries.
+	for _, e := range shipped {
+		var it content.Item
+		if err := json.Unmarshal(e.Payload, &it); err != nil {
+			t.Fatal(err)
+		}
+		want[it.ID] = it.Categories
+	}
+	if len(want) != 10 {
+		t.Fatalf("%d items to check, want 10", len(want))
+	}
+	t.Run("Add", func(t *testing.T) { check(t, live) })
+	var buf bytes.Buffer
+	live.checkpointBarrier(func() { err = live.Snapshot(&buf) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	dur.Crash()
+	t.Run("WAL replay", func(t *testing.T) {
+		recovered := node()
+		rdur, err := OpenDurability(recovered, DurabilityOptions{Dir: dir, Sync: durable.SyncInterval})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rdur.Crash()
+		if rdur.ReplayedEvents() != len(shipped) {
+			t.Fatalf("replayed %d events, want %d", rdur.ReplayedEvents(), len(shipped))
+		}
+		check(t, recovered)
+	})
+	t.Run("ApplyReplicated", func(t *testing.T) {
+		follower := node()
+		for _, e := range shipped {
+			if err := follower.ApplyReplicated(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(t, follower)
+	})
+	t.Run("Restore", func(t *testing.T) {
+		restored, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Restore(&buf); err != nil {
+			t.Fatal(err)
+		}
+		check(t, restored)
+	})
+}
+
+// BenchmarkRetainedPerItem measures what one catalog item leaves on the
+// heap: b.N batches of 20 000 items with 2–4 categories each, in the
+// shape of the benchmark's catalog, each added to an empty repository
+// by a caller that keeps nothing of it. It reports HeapAlloc after two
+// collections, after the batch minus before it, per item. Run it with
+// -benchtime 3x; the ns/op column is the batch's.
+func BenchmarkRetainedPerItem(b *testing.B) {
+	const n = 20000
+	var ms runtime.MemStats
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var retained float64
+	b.ResetTimer()
+	for iter := 0; iter < b.N; iter++ {
+		b.StopTimer()
+		rng := rand.New(rand.NewSource(int64(iter)))
+		before := heap()
+		b.StartTimer()
+		repo := content.NewRepository()
+		for i := 0; i < n; i++ {
+			cats := make(map[string]float64, 4)
+			for len(cats) < 2+rng.Intn(3) {
+				cats[content.Categories[rng.Intn(len(content.Categories))]] = 0.2 + rng.Float64()
+			}
+			if err := repo.Add(&content.Item{
+				ID: fmt.Sprintf("cat-%06d", i), Title: fmt.Sprintf("bench item %d", i), Program: "bench",
+				Kind: content.KindClip, Duration: 4 * time.Minute, Published: shareT0.Add(time.Duration(i) * time.Second),
+				Categories: cats, BitrateKbps: 96,
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		retained += float64(heap()) - float64(before)
+		runtime.KeepAlive(repo)
+		b.StartTimer()
+	}
+	b.ReportMetric(retained/float64(b.N*n), "retained-B/item")
 }
 
 // retainedPerWrite runs b.N fixed batches of writes, each on a fresh

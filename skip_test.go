@@ -85,7 +85,7 @@ func TestSkipClipWalksDownTheList(t *testing.T) {
 			}
 			if err := sys.AddFeedback(feedback.Event{
 				UserID: "greg", ItemID: it.ID, Kind: feedback.Like,
-				At: now.Add(-2 * time.Hour), Categories: it.Categories,
+				At: now.Add(-2 * time.Hour),
 			}); err != nil {
 				t.Fatal(err)
 			}

@@ -298,7 +298,7 @@ func TestPlansExcludeDislikedItems(t *testing.T) {
 	for _, it := range first.Plan.Items {
 		for i := 0; i < 5; i++ {
 			if err := sys.AddFeedback(feedback.Event{
-				UserID: user, ItemID: it.Scored.Item.ID, Kind: feedback.Like, At: now.Add(-time.Hour), Categories: it.Scored.Item.Categories,
+				UserID: user, ItemID: it.Scored.Item.ID, Kind: feedback.Like, At: now.Add(-time.Hour),
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -318,7 +318,7 @@ func TestPlansExcludeDislikedItems(t *testing.T) {
 		// does: with the item's categories.
 		it := tp.Plan.Items[0].Scored.Item
 		if err := sys.AddFeedback(feedback.Event{
-			UserID: user, ItemID: it.ID, Kind: feedback.Dislike, At: now, Categories: it.Categories,
+			UserID: user, ItemID: it.ID, Kind: feedback.Dislike, At: now,
 		}); err != nil {
 			t.Fatal(err)
 		}

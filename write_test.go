@@ -72,7 +72,7 @@ func TestRefusedWriteLeavesStateUnchanged(t *testing.T) {
 	}
 	event := func(kind feedback.Kind, at time.Time) feedback.Event {
 		it, _ := sys.Repo.Get(ids[0])
-		return feedback.Event{UserID: user, ItemID: it.ID, Kind: kind, At: at, Categories: it.Categories}
+		return feedback.Event{UserID: user, ItemID: it.ID, Kind: kind, At: at}
 	}
 	// Two events old enough for a feedback compaction to fold.
 	for i := 0; i < 2; i++ {
