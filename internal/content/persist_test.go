@@ -2,7 +2,10 @@ package content
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -67,5 +70,58 @@ func TestRepositoryRestoreValidation(t *testing.T) {
 	overflow := `[{"ID":"huge","Duration":60000000000,"Categories":{"music":1e200}}]`
 	if err := NewRepository().Restore(strings.NewReader(overflow)); err == nil || !strings.Contains(err.Error(), `"huge"`) {
 		t.Fatalf("snapshot with a non-finite category norm: %v", err)
+	}
+}
+
+// TestSnapshotWritesItemsAsTheirMaps: Snapshot, and MarshalJSON on an
+// item the repository holds, write the bytes encoding/json writes for
+// the item as it was added, its Categories map included, escapes and
+// number forms alike.
+func TestSnapshotWritesItemsAsTheirMaps(t *testing.T) {
+	type plain Item // Item's fields, without its MarshalJSON
+	geoIt := item("geo", "regional", 2*time.Minute, t0)
+	geoIt.Geo = &GeoRelevance{Center: torino, Radius: 1200}
+	odd := item("odd", "music", time.Minute, t0.Add(time.Hour))
+	odd.Title = "a <b> & \"c\" "
+	odd.Categories = map[string]float64{
+		"music": 0.1 + 1e-9, "a<b&c>": 1e-6, `q"uote\`: 5e-324, "é": 1e-7, "tab\t": 1.5, "x\xffy": 123456789.125,
+	}
+	r := NewRepository()
+	var want []plain
+	add := []*Item{odd, item("b", "food", 3*time.Minute, t0), geoIt}
+	for i := 0; i < 2*snapshotBatch+1; i++ { // three batches
+		add = append(add, item(fmt.Sprintf("n%03d", i), Categories[i%len(Categories)], time.Minute, t0.Add(time.Duration(i)*time.Second)))
+	}
+	for _, it := range add {
+		want = append(want, plain(*it))
+		if err := r.Add(it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slices.SortStableFunc(want, func(a, b plain) int { return a.Published.Compare(b.Published) })
+	var got, wantBuf bytes.Buffer
+	if err := r.Snapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewEncoder(&wantBuf).Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), wantBuf.Bytes()) {
+		t.Fatalf("snapshot\n%s\nencoding/json writes\n%s", got.Bytes(), wantBuf.Bytes())
+	}
+	var empty bytes.Buffer
+	if err := NewRepository().Snapshot(&empty); err != nil || empty.String() != "[]\n" {
+		t.Fatalf("an empty repository snapshots as %q (%v)", empty.String(), err)
+	}
+	held, _ := r.Get("odd")
+	for _, pair := range [][2]any{{held, plain(*odd)}, {odd, plain(*odd)}, {&Item{ID: "none"}, plain{ID: "none"}}} {
+		a, err := json.Marshal(pair[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(pair[1])
+		if !bytes.Equal(a, b) {
+			t.Fatalf("MarshalJSON writes\n%s\nencoding/json writes\n%s", a, b)
+		}
 	}
 }

@@ -24,8 +24,8 @@
 // item's — takes a negative number naming an entry of the user's side
 // table, which holds its ID and its categories as a Vector. The user is
 // the key of the state the record sits in. Event values are built from
-// records only on the way out (Events, ByUser, Snapshot), with At in UTC
-// and a map of their own.
+// records only on the way out (Events and ByUser, with At in UTC and a
+// map of their own; Snapshot writes the same JSON with no map built).
 //
 // The rest of a listener's state is flat too. The preference index and
 // the compaction baseline are Vectors, (category, weight) pairs in
@@ -257,7 +257,6 @@ type Store struct {
 	itemAt func(seq int32) *content.Item
 
 	live            atomic.Int64 // events currently in the logs
-	sideEvents      atomic.Int64 // of those, the ones with a side entry
 	appends         atomic.Int64
 	indexReads      atomic.Int64
 	replayReads     atomic.Int64
@@ -441,7 +440,6 @@ func (s *Store) Append(e Event) error {
 	} else {
 		r.seq = ^int32(len(st.side))
 		st.side = append(st.side, side)
-		s.sideEvents.Add(1)
 	}
 	st.events = append(st.events, r)
 	st.fold(&r, ws, s.halfLife)
@@ -692,7 +690,6 @@ func (s *Store) compact(userID string, now time.Time, horizon time.Duration, fol
 	}
 	rs.baseAt = cut
 	rs.baseCount += folded
-	s.sideEvents.Add(int64(len(keepSide) - len(st.side)))
 	st.events, st.side = keep, keepSide
 	s.live.Add(int64(-folded))
 	s.eventsCompacted.Add(int64(folded))
@@ -744,7 +741,6 @@ func (s *Store) restoreUser(userID string, base map[string]float64, baseAt time.
 type Stats struct {
 	Users           int   `json:"users"`
 	LiveEvents      int64 `json:"live_events"`
-	SideEvents      int64 `json:"side_events"`      // live events not keyed by catalog seq
 	CompactedEvents int64 `json:"compacted_events"` // folded into baselines
 	Appends         int64 `json:"appends"`
 	IndexReads      int64 `json:"index_reads"`
@@ -764,7 +760,6 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Users:           users,
 		LiveEvents:      s.live.Load(),
-		SideEvents:      s.sideEvents.Load(),
 		CompactedEvents: s.eventsCompacted.Load(),
 		Appends:         s.appends.Load(),
 		IndexReads:      s.indexReads.Load(),

@@ -1,6 +1,8 @@
 package feedback
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
@@ -570,6 +572,86 @@ func TestCompactTakesSideEntriesWithTheirRecords(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCatalogEventsKeyedBySeqOnEveryPath: an event about a catalog item
+// that carries the item's categories bit for bit, or none, is kept by
+// the item's seq with no side entry, whichever way it arrives — with
+// the caller's map or a copy, with nil, as a log record decodes it
+// (WAL replay and a standby apply) or through a checkpoint restore. Any
+// other event takes a side entry.
+func TestCatalogEventsKeyedBySeqOnEveryPath(t *testing.T) {
+	repo := content.NewRepository()
+	for i, cats := range []map[string]float64{{"food": 0.6, "music": 0.4}, {"news": 0.9, "sport": 0.1 + 1e-9}} {
+		if err := repo.Add(&content.Item{
+			ID: fmt.Sprintf("clip-%d", i), Kind: content.KindClip, Duration: time.Minute, Published: t0, Categories: cats,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store := func() *Store {
+		s := NewStore()
+		s.ShareCatalog(repo.Seq, repo.ItemAt)
+		return s
+	}
+	it := repo.ItemAt(1)
+	own := maps.Collect(it.Weights())
+	wire, err := json.Marshal(Event{Categories: own})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded Event
+	if err := json.Unmarshal(wire, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	events := []struct {
+		item string
+		cats map[string]float64
+		side bool
+	}{
+		{it.ID, nil, false},
+		{it.ID, own, false},
+		{it.ID, maps.Clone(own), false},
+		{it.ID, decoded.Categories, false},
+		{it.ID, map[string]float64{}, true},
+		{it.ID, map[string]float64{"news": 0.9, "sport": 0.1}, true},
+		{"gone", map[string]float64{"art": 1}, true},
+	}
+	live := store()
+	for i, e := range events {
+		if err := live.Append(Event{UserID: "u", ItemID: e.item, Kind: Kind(i % 4), At: t0.Add(time.Duration(i) * time.Minute), Categories: e.cats}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(t *testing.T, s *Store) {
+		st := s.shardFor("u").users["u"]
+		side := 0
+		for i, r := range st.events {
+			if events[i].side != (r.seq < 0) {
+				t.Fatalf("event %d: seq %d, want a side entry %v", i, r.seq, events[i].side)
+			}
+			if r.seq < 0 {
+				side++
+			} else if r.seq != 1 {
+				t.Fatalf("event %d keyed by seq %d, not the item's", i, r.seq)
+			}
+		}
+		if len(st.events) != len(events) || len(st.side) != side {
+			t.Fatalf("%d records and %d side entries, want %d and %d", len(st.events), len(st.side), len(events), side)
+		}
+	}
+	t.Run("live", func(t *testing.T) { check(t, live) })
+	t.Run("checkpoint restore", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := live.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		restored := store()
+		if err := restored.Restore(&buf); err != nil {
+			t.Fatal(err)
+		}
+		check(t, restored)
+	})
 }
 
 // TestLogReadsWhileCatalogGrows runs Append, Events, ByUser, Snapshot,

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
 	"time"
 )
 
@@ -14,9 +16,10 @@ import (
 const snapshotVersion = 2
 
 // userSnapshot is the durable state of one listener: the compaction
-// baseline (if any) and the live log in insertion order.
-type userSnapshot struct {
-	Events    []Event            `json:"events,omitempty"`
+// baseline (if any) and the live log in insertion order. Snapshot writes
+// E = snapEvent and Restore reads E = Event: the same JSON.
+type userSnapshot[E any] struct {
+	Events    []E                `json:"events,omitempty"`
 	Base      map[string]float64 `json:"base,omitempty"`
 	BaseAt    time.Time          `json:"base_at,omitempty"`
 	BaseCount int                `json:"base_count,omitempty"`
@@ -26,31 +29,101 @@ type userSnapshot struct {
 }
 
 // snapshot is the on-disk shape.
-type snapshot struct {
-	Version int                     `json:"version"`
-	Users   map[string]userSnapshot `json:"users"`
+type snapshot[E any] struct {
+	Version int                        `json:"version"`
+	Users   map[string]userSnapshot[E] `json:"users"`
+}
+
+// snapEvent is how Snapshot writes a live event: Event's fields in
+// Event's order, with the categories written from the catalog item or
+// the side entry the store keeps, so a checkpoint builds no map per
+// event.
+type snapEvent struct {
+	UserID     string
+	ItemID     string
+	Kind       Kind
+	At         time.Time
+	Categories weights
+}
+
+// MarshalJSON writes w as encoding/json writes the map of its
+// categories: an object whose keys are in name order, the order w holds
+// them in. A weight JSON cannot hold (NaN, ±Inf) is an error, as it is
+// to encoding/json.
+func (w weights) MarshalJSON() ([]byte, error) {
+	b := append(make([]byte, 0, 64), '{')
+	var err error
+	w.each(func(c string, x float64) {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			err = fmt.Errorf("feedback: unsupported category weight %v", x)
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, c)
+		b = append(b, ':')
+		b = appendJSONFloat(b, x)
+	})
+	return append(b, '}'), err
+}
+
+// appendJSONString appends s as encoding/json writes a string. A string
+// of printable ASCII that needs no escape, which every category name is,
+// is copied as is; any other goes through encoding/json.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONFloat appends x as encoding/json writes a float64: the
+// shortest decimal, in exponent form only below 1e-6 or from 1e21, with
+// a one-digit negative exponent written without its leading zero.
+func appendJSONFloat(b []byte, x float64) []byte {
+	f, abs := byte('f'), math.Abs(x)
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		f = 'e'
+	}
+	b = strconv.AppendFloat(b, x, f, -1, 64)
+	if n := len(b); f == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // Snapshot serializes the whole feedback DB — compacted baselines and
 // live logs — as JSON. The incremental index is not serialized; Restore
 // rebuilds it exactly by folding the baseline and replaying the tail.
 func (s *Store) Snapshot(w io.Writer) error {
-	snap := snapshot{Version: snapshotVersion, Users: make(map[string]userSnapshot)}
+	snap := snapshot[snapEvent]{Version: snapshotVersion, Users: make(map[string]userSnapshot[snapEvent])}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for userID, st := range sh.users {
-			us := userSnapshot{Skipped: s.skippedIDs(st)}
+			us := userSnapshot[snapEvent]{Skipped: s.skippedIDs(st)}
 			if rs := st.rare; rs != nil && rs.baseCount > 0 {
 				us.Base = rs.base.Map()
 				us.BaseAt = time.Unix(0, rs.baseAt).UTC()
 				us.BaseCount = rs.baseCount
 			}
-			// events builds maps of their own, and base, which
+			// An event's weights are a catalog item or a side entry's
+			// Vector, neither of which is ever written, and base, which
 			// compaction rescales in place, is copied above, so the
-			// encoder reads nothing of the store after the lock is
-			// released.
-			us.Events = s.events(userID, st)
+			// encoder reads nothing of the store that can change after
+			// the lock is released.
+			us.Events = make([]snapEvent, len(st.events))
+			for j := range st.events {
+				r := &st.events[j]
+				id, ws := s.item(st, r)
+				us.Events[j] = snapEvent{UserID: userID, ItemID: id, Kind: Kind(r.kind), At: r.time().UTC(), Categories: ws}
+			}
 			snap.Users[userID] = us
 		}
 		sh.mu.RUnlock()
@@ -84,7 +157,7 @@ func (s *Store) Restore(rd io.Reader) error {
 	if ver.Version != snapshotVersion {
 		return fmt.Errorf("feedback: unsupported snapshot version %d", ver.Version)
 	}
-	var snap snapshot
+	var snap snapshot[Event]
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		return fmt.Errorf("feedback: decoding snapshot: %w", err)
 	}
@@ -105,7 +178,7 @@ func (s *Store) Restore(rd io.Reader) error {
 }
 
 // sortedUsers gives a deterministic replay order across users.
-func sortedUsers(m map[string]userSnapshot) []string {
+func sortedUsers(m map[string]userSnapshot[Event]) []string {
 	users := make([]string, 0, len(m))
 	for u := range m {
 		users = append(users, u)

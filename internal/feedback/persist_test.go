@@ -2,9 +2,14 @@ package feedback
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"pphcr/internal/content"
 )
 
 func TestFeedbackSnapshotRestore(t *testing.T) {
@@ -140,5 +145,58 @@ func TestFeedbackRestoreRefusesOldVersions(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
 			t.Errorf("Restore(%s) = %v, want unsupported snapshot version", body, err)
 		}
+	}
+}
+
+// TestSnapshotWritesEventsAsEncodingJSON: Snapshot writes each event's
+// categories from the catalog item or side entry, with no map built,
+// and the bytes are those encoding/json writes for the events Events
+// returns: keys in name order, escapes and number forms alike. A weight
+// JSON cannot hold fails the snapshot, as it fails encoding/json.
+func TestSnapshotWritesEventsAsEncodingJSON(t *testing.T) {
+	repo := content.NewRepository()
+	if err := repo.Add(&content.Item{
+		ID: "clip-0", Kind: content.KindClip, Duration: time.Minute, Published: t0,
+		Categories: map[string]float64{"food": 0.1 + 1e-9, "music": 1e-7, "news": 0.9},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore()
+	s.ShareCatalog(repo.Seq, repo.ItemAt)
+	odd := map[string]float64{
+		"a<b&c>": 1e-6, `q"uote\`: 5e-324, "é": 1e21, "tab\t": -1e-9, " ": math.Copysign(0, -1),
+		"x\xffy": 123456789.125, "zero": 0, "big": -3.5e300,
+	}
+	for i, e := range []Event{
+		{UserID: "lilly", ItemID: "clip-0", Kind: Like},
+		{UserID: "lilly", ItemID: "clip-0", Kind: Skip, Categories: odd},
+		{UserID: "lilly", ItemID: "gone", Kind: Dislike, Categories: map[string]float64{}},
+		{UserID: "greg", ItemID: "gone<&>", Kind: ImplicitListen, Categories: odd},
+	} {
+		e.At = t0.Add(time.Duration(i) * time.Minute)
+		if err := s.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := snapshot[Event]{Version: snapshotVersion, Users: map[string]userSnapshot[Event]{}}
+	for _, u := range []string{"lilly", "greg"} {
+		want.Users[u] = userSnapshot[Event]{Events: s.Events(u), Skipped: s.skippedIDs(s.shardFor(u).users[u])}
+	}
+	var wantBuf, got bytes.Buffer
+	if err := json.NewEncoder(&wantBuf).Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Snapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), wantBuf.Bytes()) {
+		t.Fatalf("snapshot\n%s\nencoding/json writes\n%s", got.Bytes(), wantBuf.Bytes())
+	}
+
+	if err := s.Append(Event{UserID: "greg", ItemID: "nan", Kind: Like, At: t0, Categories: map[string]float64{"food": math.NaN()}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Snapshot(io.Discard); err == nil {
+		t.Fatal("a NaN weight snapshotted")
 	}
 }

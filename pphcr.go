@@ -564,8 +564,12 @@ func (s *System) AddFeedbackTraced(e feedback.Event, tr *obs.Trace) error {
 
 func (s *System) addFeedback(e feedback.Event, tr *obs.Trace) error {
 	idx := s.shardIndexFor(e.UserID)
+	// The event is resolved once, in check, and apply appends what was
+	// logged: an ingest between the two cannot make the leader keep
+	// what the record does not say.
 	return s.write(idx, &s.shards[idx], tr, durableTypeForKind(e.Kind), func() (any, error) {
-		return s.logged(e), s.Feedback.CheckAppend(e)
+		e = s.logged(e)
+		return e, s.Feedback.CheckAppend(e)
 	}, func() { applied(s.Feedback.Append(e)) }, func() {
 		s.PlanCache.InvalidateUser(e.UserID)
 		s.Broker.Publish("feedback."+e.Kind.String(), []byte(e.UserID))

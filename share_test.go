@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,6 +31,17 @@ var shareT0 = time.Date(2016, 11, 21, 8, 0, 0, 0, time.UTC)
 // loads the same seeded catalog before it opens its log.
 func addCatalog(tb testing.TB, sys *System, n int) []*content.Item {
 	tb.Helper()
+	items := catalogItems(n)
+	for _, it := range items {
+		if err := sys.Repo.Add(it); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return items
+}
+
+// catalogItems returns addCatalog's n clips, not added anywhere.
+func catalogItems(n int) []*content.Item {
 	rng := rand.New(rand.NewSource(int64(n)))
 	items := make([]*content.Item, n)
 	for i := range items {
@@ -40,9 +52,6 @@ func addCatalog(tb testing.TB, sys *System, n int) []*content.Item {
 		items[i] = &content.Item{
 			ID: fmt.Sprintf("clip-%04d", i), Kind: content.KindClip,
 			Duration: 4 * time.Minute, Published: shareT0.Add(-time.Hour), Categories: cats,
-		}
-		if err := sys.Repo.Add(items[i]); err != nil {
-			tb.Fatal(err)
 		}
 	}
 	return items
@@ -84,9 +93,6 @@ func TestFeedbackKeepsCatalogMap(t *testing.T) {
 		}
 		if n := len(sys.Feedback.Events("lilly")); n != 8 {
 			t.Fatalf("%d events, want 8", n)
-		}
-		if n := sys.Feedback.Stats().SideEvents; n != 0 {
-			t.Fatalf("%d events kept in side entries, not by the catalog item's seq", n)
 		}
 	}
 
@@ -186,9 +192,6 @@ func TestFeedbackKeepsCatalogMap(t *testing.T) {
 		if len(evs) != 3 {
 			t.Fatalf("%d events, want 3", len(evs))
 		}
-		if n := sys.Feedback.Stats().SideEvents; n != 2 {
-			t.Fatalf("%d events in side entries, want 2", n)
-		}
 		for i, e := range evs[1:] {
 			if m := e.Categories; sameMap(m, other) || sameMap(m, items[1].Categories) {
 				t.Fatalf("event %d kept a map it does not own", i+1)
@@ -205,6 +208,88 @@ func TestFeedbackKeepsCatalogMap(t *testing.T) {
 			t.Fatalf("mutating the caller's maps moved preferences: %v, was %v", got, want)
 		}
 	})
+}
+
+// TestNilCategoryFeedbackRacingIngest: listeners send feedback with nil
+// Categories about the item an ingest is about to add, so the ingest
+// lands before, during and after their writes. A write resolves nil
+// once, before it is logged, and applies what it logged, so a follower
+// fed the logged records in their order holds the leader's state byte
+// for byte, whichever side of the ingest a resolution fell on.
+func TestNilCategoryFeedbackRacingIngest(t *testing.T) {
+	w, err := synth.GenerateWorld(synth.Params{
+		Seed: 3, Days: 2, Users: 1, Stations: 2, PodcastsPerDay: 5, TrainingDocsPerCategory: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: 3}
+	leader, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu      sync.Mutex
+		records []durable.Event
+	)
+	leader.SetMutationHook(func(e durable.Event) error {
+		mu.Lock()
+		defer mu.Unlock()
+		records = append(records, durable.Event{Type: e.Type, Payload: bytes.Clone(e.Payload)})
+		return nil
+	})
+
+	items := catalogItems(50)
+	var (
+		next atomic.Int32 // the item the ingest adds next
+		sent atomic.Int32 // feedback writes about it so far
+		wg   sync.WaitGroup
+	)
+	for u := 0; u < 4; u++ {
+		wg.Add(1)
+		go func(user string) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				n := int(next.Load())
+				if n == len(items) {
+					return
+				}
+				if err := leader.AddFeedback(feedback.Event{
+					UserID: user, ItemID: items[n].ID, Kind: feedback.Kind(i % 4),
+					At: shareT0.Add(time.Duration(i) * time.Second),
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+				sent.Add(1)
+			}
+		}(fmt.Sprintf("listener-%d", u))
+	}
+	for i, it := range items {
+		// Each item is added while feedback about it is in flight.
+		for from := sent.Load(); sent.Load() < from+4; {
+			runtime.Gosched()
+		}
+		if err := leader.addItem(it); err != nil {
+			t.Fatal(err)
+		}
+		next.Store(int32(i + 1))
+	}
+	wg.Wait()
+	leader.SetMutationHook(nil)
+
+	follower, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range records {
+		if err := follower.ApplyReplicated(e); err != nil {
+			t.Fatalf("record %d (%s): %v", i, e.Type, err)
+		}
+	}
+	if a, b := snapshotBytes(t, leader), snapshotBytes(t, follower); !bytes.Equal(a, b) {
+		t.Fatalf("follower's snapshot (%d B) differs from the leader's (%d B)", len(b), len(a))
+	}
 }
 
 // TestCatalogFeedbackAllocatesNoMore: keeping the catalog's map is the
