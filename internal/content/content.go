@@ -7,9 +7,16 @@
 // item the repository hands out has Categories == nil. Every reader of
 // an item's categories goes through Item.Weights and Item.Weight, which
 // read the map of an item never added and the pairs of one added.
+//
+// An item the repository holds is reached by its seq, its place in
+// insertion order: the repository's item chunks are numbered in that
+// order, so a seq names a chunk and a place in it (itemDir), and nothing
+// else — not the ranking features, not the ID index — points at the
+// item.
 package content
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 	"math"
@@ -70,12 +77,24 @@ type GeoRelevance struct {
 }
 
 // Item is one recommendable audio unit.
+//
+// Every node holds one per catalog item for its life, so the layout is
+// packed: the pair count and offset and the bitrate fill what would be
+// Kind's padding, and an item is 112 B (TestItemSize). The JSON form
+// keeps the fields' historical order (itemJSON).
 type Item struct {
-	ID       string
-	Title    string
-	Program  string // editorial program the clip was cut from
-	Kind     Kind
-	Duration time.Duration
+	ID      string
+	Title   string
+	Program string // editorial program the clip was cut from
+	Kind    Kind
+	// nPairs and pairOff place the distribution Add kept in *pairs:
+	// nPairs pairs from index pairOff, in category-name order. Add
+	// refuses an item with more categories than nPairs counts.
+	nPairs  uint8
+	pairOff uint16
+	// Bitrate of the encoded audio, kbps.
+	BitrateKbps int32
+	Duration    time.Duration
 	// Published is when the item entered the repository; freshness decays
 	// from here.
 	Published time.Time
@@ -86,20 +105,34 @@ type Item struct {
 	Categories map[string]float64
 	// Geo is non-nil for geographically scoped items.
 	Geo *GeoRelevance
-	// Bitrate of the encoded audio, kbps.
-	BitrateKbps int
 
-	// ws is the distribution Add kept, in category-name order, in the
-	// repository's pair chunks; nil for an item never added.
-	ws []catWeight
+	// pairs is the repository pair chunk the item's categories are in;
+	// nil for an item never added.
+	pairs *pairChunk
 }
 
-// catWeight is one category of an item a Repository holds: the
-// category's interned id (catNames) and its weight. It holds no pointer,
-// so the chunks that hold pairs are never scanned by the collector.
-type catWeight struct {
-	cat int32
-	w   float64
+// MaxCategories is the most categories an item can carry: Add refuses
+// an item with more (ErrTooManyCategories).
+const MaxCategories = math.MaxUint8
+
+// ErrTooManyCategories is Add's refusal of an item that carries more
+// than MaxCategories categories.
+var ErrTooManyCategories = errors.New("content: item has more categories than an item can carry")
+
+// pairChunk holds the categories of items a Repository holds: each
+// pair is a category's interned id (catNames) and its weight, kept in
+// parallel arrays so a pair takes 12 B and no padding. Neither array
+// holds a pointer, so the collector never scans them.
+type pairChunk struct {
+	cats []int32
+	ws   []float64
+}
+
+// kept returns the pairs Add kept for the item: ids and weights, in
+// category-name order.
+func (it *Item) kept() ([]int32, []float64) {
+	lo, hi := int(it.pairOff), int(it.pairOff)+int(it.nPairs)
+	return it.pairs.cats[lo:hi], it.pairs.ws[lo:hi]
 }
 
 // Weights returns the item's category distribution: the pairs Add kept,
@@ -107,7 +140,7 @@ type catWeight struct {
 // Categories map, in map order, for one never added.
 func (it *Item) Weights() iter.Seq2[string, float64] {
 	return func(yield func(string, float64) bool) {
-		if it.Categories != nil || len(it.ws) == 0 {
+		if it.Categories != nil || it.nPairs == 0 {
 			for c, w := range it.Categories {
 				if !yield(c, w) {
 					return
@@ -116,8 +149,9 @@ func (it *Item) Weights() iter.Seq2[string, float64] {
 			return
 		}
 		names := catNames()
-		for _, p := range it.ws {
-			if !yield(names[p.cat], p.w) {
+		cats, ws := it.kept()
+		for i, id := range cats {
+			if !yield(names[id], ws[i]) {
 				return
 			}
 		}
@@ -126,13 +160,14 @@ func (it *Item) Weights() iter.Seq2[string, float64] {
 
 // Weight returns the item's weight for a category, 0 if it has none.
 func (it *Item) Weight(cat string) float64 {
-	if it.Categories != nil || len(it.ws) == 0 {
+	if it.Categories != nil || it.nPairs == 0 {
 		return it.Categories[cat]
 	}
 	names := catNames()
-	for _, p := range it.ws {
-		if names[p.cat] == cat {
-			return p.w
+	cats, ws := it.kept()
+	for i, id := range cats {
+		if names[id] == cat {
+			return ws[i]
 		}
 	}
 	return 0
@@ -163,12 +198,15 @@ func (it *Item) TopCategory() string {
 // Items are numbered in insertion order; that number (seq) never
 // changes, and every seq-indexed slice below only ever grows at its
 // tail, which is what lets a View share them with readers lock-free.
+// The item chunks are numbered the same way, so a seq is all it takes
+// to reach an item (itemDir).
 type Repository struct {
 	mu      sync.RWMutex
 	ids     idIndex       // item ID -> seq
-	feats   []Features    // seq -> item and its resident features
-	items   []Item        // the chunk Add copies items into; never moved
-	pairs   []catWeight   // the chunk Add writes category pairs into; never moved
+	feats   []Features    // seq -> the item's resident features
+	items   itemDir       // seq -> the item: the chunks Add copies items into
+	pairs   *pairChunk    // the chunk Add writes category pairs into
+	nPairs  int           // pairs written into it
 	byName  []namedWeight // addFeatures' sort scratch
 	post    [][]int32     // category id -> seqs of the items carrying it
 	postWs  [][]float64   // parallel to post: the weight each item gives the category
@@ -178,7 +216,7 @@ type Repository struct {
 
 // NewRepository returns an empty repository.
 func NewRepository() *Repository {
-	return &Repository{ids: newIDIndex()}
+	return &Repository{ids: newIDIndex(), pairs: new(pairChunk)}
 }
 
 // Add inserts an item. It rejects duplicates, empty IDs, non-positive
@@ -203,11 +241,11 @@ func (r *Repository) Add(it *Item) error {
 	}
 	seq := int32(len(r.feats))
 	r.addFeatures(it, seq)
-	r.ids.insert(r.feats)
+	r.ids.insert(r.items, seq)
 	// Insert into the publish-ordered list (items arrive mostly in
 	// order, so the scan from the tail is effectively O(1)).
 	idx := len(r.byPub)
-	for idx > 0 && r.feats[r.byPub[idx-1]].Item.Published.After(it.Published) {
+	for idx > 0 && r.items.at(r.byPub[idx-1]).Published.After(it.Published) {
 		idx--
 	}
 	if idx == len(r.byPub) && r.ordered == int(seq) {
@@ -235,16 +273,21 @@ func (r *Repository) check(it *Item) error {
 		return fmt.Errorf("content: item %q must have positive duration", it.ID)
 	}
 	var norm float64
+	n := 0
 	for _, w := range it.Weights() {
 		norm += w * w
+		n++
 	}
 	if math.IsNaN(norm) || math.IsInf(norm, 0) {
 		return fmt.Errorf("content: item %q must have finite category weights", it.ID)
 	}
+	if n > MaxCategories {
+		return fmt.Errorf("%w: %q has %d, at most %d", ErrTooManyCategories, it.ID, n, MaxCategories)
+	}
 	if g := it.Geo; g != nil && (!g.Center.Valid() || math.IsNaN(g.Radius)) {
 		return fmt.Errorf("content: item %q must have its geographic scope on the globe", it.ID)
 	}
-	if _, dup := r.ids.find(r.feats, it.ID); dup {
+	if _, dup := r.ids.find(r.items, it.ID); dup {
 		return fmt.Errorf("content: duplicate item %q", it.ID)
 	}
 	return nil
@@ -254,11 +297,11 @@ func (r *Repository) check(it *Item) error {
 func (r *Repository) Get(id string) (*Item, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	seq, ok := r.ids.find(r.feats, id)
+	seq, ok := r.ids.find(r.items, id)
 	if !ok {
 		return nil, false
 	}
-	return r.feats[seq].Item, true
+	return r.items.at(seq), true
 }
 
 // Seq returns the number of the item with the given ID: its place in
@@ -266,14 +309,14 @@ func (r *Repository) Get(id string) (*Item, bool) {
 func (r *Repository) Seq(id string) (int32, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.ids.find(r.feats, id)
+	return r.ids.find(r.items, id)
 }
 
 // ItemAt returns the item numbered seq, which must be below Len().
 func (r *Repository) ItemAt(seq int32) *Item {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.feats[seq].Item
+	return r.items.at(seq)
 }
 
 // Len returns the number of items.
@@ -293,7 +336,7 @@ func (r *Repository) All() []*Item {
 // appendItems appends the items numbered seqs to dst.
 func (r *Repository) appendItems(dst []*Item, seqs []int32) []*Item {
 	for _, seq := range seqs {
-		dst = append(dst, r.feats[seq].Item)
+		dst = append(dst, r.items.at(seq))
 	}
 	return dst
 }
@@ -306,7 +349,7 @@ func (r *Repository) ByCategory(cat string) []*Item {
 	out := []*Item{}
 	if id, ok := catID(cat); ok && int(id) < len(r.post) {
 		for _, seq := range r.post[id] {
-			if it := r.feats[seq].Item; it.TopCategory() == cat {
+			if it := r.items.at(seq); it.TopCategory() == cat {
 				out = append(out, it)
 			}
 		}
@@ -321,7 +364,7 @@ func (r *Repository) AppendPublishedSince(dst []*Item, t time.Time) []*Item {
 	defer r.mu.RUnlock()
 	// Binary search over the sorted list.
 	i := sort.Search(len(r.byPub), func(i int) bool {
-		return !r.feats[r.byPub[i]].Item.Published.Before(t)
+		return !r.items.at(r.byPub[i]).Published.Before(t)
 	})
 	return r.appendItems(dst, r.byPub[i:])
 }

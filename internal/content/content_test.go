@@ -1,10 +1,16 @@
 package content
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -83,7 +89,7 @@ func TestAddTakesAnotherRepositorysItem(t *testing.T) {
 		t.Fatal(err)
 	}
 	fromB, _ := b.Get("x")
-	if fromB == fromA || fromB.Categories != nil || &fromB.ws[0] == &fromA.ws[0] {
+	if fromB == fromA || fromB.Categories != nil || fromB.pairs == fromA.pairs {
 		t.Fatal("the second repository shares the first one's copy")
 	}
 	for c, w := range in.Categories {
@@ -280,10 +286,10 @@ func TestViewMatchesLinearScan(t *testing.T) {
 		t.Fatalf("view grew to %d items after it was taken at %d", v.Len(), seen)
 	}
 	for seq, it := range items[:seen] {
-		f := v.At(int32(seq))
-		if f.Item.ID != it.ID || f.Duration != it.Duration || f.Kind != it.Kind || f.HasGeo != (it.Geo != nil) {
+		f, held := v.At(int32(seq)), v.Item(int32(seq))
+		if held.ID != it.ID || f.Duration != it.Duration || f.Kind != it.Kind || f.HasGeo != (it.Geo != nil) {
 			t.Fatalf("seq %d: row {%s %v %v geo:%v}, item {%s %v %v geo:%v}",
-				seq, f.Item.ID, f.Duration, f.Kind, f.HasGeo, it.ID, it.Duration, it.Kind, it.Geo != nil)
+				seq, held.ID, f.Duration, f.Kind, f.HasGeo, it.ID, it.Duration, it.Kind, it.Geo != nil)
 		}
 	}
 
@@ -304,12 +310,12 @@ func TestViewMatchesLinearScan(t *testing.T) {
 				t.Fatalf("%s since %v: %d seqs beside %d weights", cat, at, len(seqs), len(ws))
 			}
 			for i, seq := range seqs {
-				f := v.At(seq)
-				if ws[i] != f.Item.Weight(cat) {
-					t.Fatalf("%s since %v: %s filed with weight %v, item has %v", cat, at, f.Item.ID, ws[i], f.Item.Weight(cat))
+				held := v.Item(seq)
+				if ws[i] != held.Weight(cat) {
+					t.Fatalf("%s since %v: %s filed with weight %v, item has %v", cat, at, held.ID, ws[i], held.Weight(cat))
 				}
-				if cut.Admits(f) {
-					got = append(got, f.Item.ID)
+				if cut.Admits(&v, seq) {
+					got = append(got, held.ID)
 				}
 			}
 			for _, it := range items[:seen] {
@@ -331,8 +337,8 @@ func TestViewMatchesLinearScan(t *testing.T) {
 		seqs, ws := v.Postings(id, 0)
 		for i, seq := range seqs {
 			it := items[seq]
-			if v.At(seq).Item.ID != it.ID {
-				t.Fatalf("%s: seq %d holds %s, item %d added was %s", cat, seq, v.At(seq).Item.ID, seq, it.ID)
+			if v.Item(seq).ID != it.ID {
+				t.Fatalf("%s: seq %d holds %s, item %d added was %s", cat, seq, v.Item(seq).ID, seq, it.ID)
 			}
 			if i > 0 && seqs[i-1] >= seq {
 				t.Fatalf("%s: seq %d filed after %d", cat, seq, seqs[i-1])
@@ -353,33 +359,132 @@ func TestViewMatchesLinearScan(t *testing.T) {
 // TestFeaturesRowSize guards the resident row's width. Every node keeps
 // one row per item for the catalog's life, so each 8 B added is
 // 8 B × items × nodes of live heap — 0.3 MB of the benchmark's
-// live_heap_mb at its 20 000 items on leader and follower — and the
-// copies of the item's fields fill the row's padding up to 32 B.
+// live_heap_mb at its 20 000 items on leader and follower. The row holds
+// no pointer (the item is reached by its seq), so the collector never
+// scans the rows.
 func TestFeaturesRowSize(t *testing.T) {
-	if n := unsafe.Sizeof(Features{}); n > 32 {
-		t.Fatalf("content.Features is %d B, want ≤ 32", n)
+	if n := unsafe.Sizeof(Features{}); n > 24 {
+		t.Fatalf("content.Features is %d B, want ≤ 24", n)
+	}
+	if f, ok := pointerField(reflect.TypeFor[Features]()); ok {
+		t.Fatalf("content.Features.%s holds a pointer", f)
+	}
+}
+
+// pointerField returns the first field of a struct type whose value
+// holds a pointer the collector would follow.
+func pointerField(st reflect.Type) (string, bool) {
+	var holds func(reflect.Type) bool
+	holds = func(t reflect.Type) bool {
+		switch t.Kind() {
+		case reflect.Array:
+			return t.Len() > 0 && holds(t.Elem())
+		case reflect.Struct:
+			for i := range t.NumField() {
+				if holds(t.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice, reflect.String,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			return true
+		default:
+			return false
+		}
+	}
+	for i := range st.NumField() {
+		if holds(st.Field(i).Type) {
+			return st.Field(i).Name, true
+		}
+	}
+	return "", false
+}
+
+// TestItemSize guards the width of an item the repository holds: every
+// node keeps one per catalog item for its life, and its pair count and
+// offset and its bitrate fill what would be Kind's padding.
+func TestItemSize(t *testing.T) {
+	if n := unsafe.Sizeof(Item{}); n > 112 {
+		t.Fatalf("content.Item is %d B, want ≤ 112", n)
 	}
 }
 
 // TestChunksAreWholePages guards the chunk sizes against a change in
-// Item's or the pair's width: a full chunk that is not a whole number of
+// Item's or a pair's width: a full chunk that is not a whole number of
 // 8 KiB pages is rounded up by the allocator, and every node pays the
-// remainder once per chunk.
+// remainder once per chunk. A pair chunk is two arrays, ids and weights.
 func TestChunksAreWholePages(t *testing.T) {
 	const page = 8 << 10
 	if n := unsafe.Sizeof(Item{}) * itemChunk; n%page != 0 {
 		t.Fatalf("an item chunk is %d B (%d B an item), not a whole number of pages", n, unsafe.Sizeof(Item{}))
 	}
-	if n := unsafe.Sizeof(catWeight{}) * pairChunk; n%page != 0 {
-		t.Fatalf("a pair chunk is %d B, not a whole number of pages", n)
+	pc := reflect.TypeFor[pairChunk]()
+	for i := range pc.NumField() {
+		if n := pc.Field(i).Type.Elem().Size() * pairCap; n%page != 0 {
+			t.Fatalf("a pair chunk's %s array is %d B, not a whole number of pages", pc.Field(i).Name, n)
+		}
 	}
 }
 
-// TestChunkReadsWhileAddAppends: readers take Views, read items by seq
-// and read their categories while Add copies items and pairs into the
-// chunks they read, across every chunk boundary; under -race it is the
-// proof that an item, once a reader can reach it, is never written. Each
-// item read has Categories nil and the weights it was added with.
+// TestChunkDirectoryNumbersEverySeq: chunkOf walks the item chunks in
+// seq order — each seq is the next place in its chunk, or the first of
+// the next chunk once one is full — through the geometric chunks and
+// well into the full-size ones.
+func TestChunkDirectoryNumbersEverySeq(t *testing.T) {
+	k, off := 0, -1
+	for seq := int32(0); seq < geoItems+3*itemChunk; seq++ {
+		if off++; off == chunkLen(k) {
+			k, off = k+1, 0
+		}
+		if gk, goff := chunkOf(seq); gk != k || goff != off {
+			t.Fatalf("seq %d: chunk %d place %d, want chunk %d place %d", seq, gk, goff, k, off)
+		}
+	}
+	if chunkLen(geoChunks) != itemChunk || chunkLen(geoChunks-1) != itemChunk/2 {
+		t.Fatalf("chunk %d is %d items, want the full %d", geoChunks, chunkLen(geoChunks), itemChunk)
+	}
+}
+
+// TestAddRefusesTooManyCategories: an item carries at most MaxCategories
+// categories, the most its packed pair count holds; Add and CheckAdd
+// refuse one more with ErrTooManyCategories and leave nothing behind,
+// and an item at the limit keeps every weight.
+func TestAddRefusesTooManyCategories(t *testing.T) {
+	r := NewRepository()
+	cats := map[string]float64{}
+	for i := 0; len(cats) < MaxCategories+1; i++ {
+		cats[fmt.Sprintf("many-%03d", i)] = 1 / float64(1+i)
+	}
+	over := &Item{ID: "over", Duration: time.Minute, Published: t0, Categories: cats}
+	if err := r.CheckAdd(over); !errors.Is(err, ErrTooManyCategories) {
+		t.Fatalf("CheckAdd of %d categories: %v", len(cats), err)
+	}
+	if err := r.Add(over); !errors.Is(err, ErrTooManyCategories) || !strings.Contains(err.Error(), `"over"`) {
+		t.Fatalf("Add of %d categories: %v", len(cats), err)
+	}
+	if _, ok := r.Get("over"); ok || r.Len() != 0 {
+		t.Fatal("a refused item was kept")
+	}
+	delete(cats, "many-000")
+	at := &Item{ID: "at", Duration: time.Minute, Published: t0, Categories: cats}
+	if err := r.Add(at); err != nil {
+		t.Fatalf("Add of %d categories: %v", len(cats), err)
+	}
+	held, _ := r.Get("at")
+	if got := maps.Collect(held.Weights()); !maps.Equal(got, cats) {
+		t.Fatalf("an item at the limit kept %d of its %d categories", len(got), len(cats))
+	}
+}
+
+// TestChunkReadsWhileAddAppends: while Add copies items and pairs into
+// the chunks, readers resolve items by seq — through a View, ItemAt,
+// Get and All — and read their categories, at every chunk boundary
+// below the view's length and at its tail; Add waits for the readers
+// at each boundary, so the reads cross every one, the small geometric
+// chunks included. Under -race it is the proof that an item, once a
+// reader can reach it by its seq, is never written. Each item read has
+// Categories nil and the weights it was added with.
 func TestChunkReadsWhileAddAppends(t *testing.T) {
 	const n = 3000
 	rng := rand.New(rand.NewSource(7))
@@ -391,8 +496,19 @@ func TestChunkReadsWhileAddAppends(t *testing.T) {
 		}
 		items[i] = &Item{ID: fmt.Sprintf("c%05d", i), Duration: time.Minute, Published: t0.Add(time.Duration(i) * time.Second), Categories: cats}
 	}
+	// The seqs either side of each chunk boundary below n.
+	var edges []int32
+	for k, start := 0, 0; start < n; start, k = start+chunkLen(k), k+1 {
+		if start > 0 {
+			edges = append(edges, int32(start-1))
+		}
+		edges = append(edges, int32(start))
+	}
 	r := NewRepository()
 	check := func(seq int32, it *Item) error {
+		if it == nil || it.ID != items[seq].ID {
+			return fmt.Errorf("seq %d resolves to %v, added as %s", seq, it, items[seq].ID)
+		}
 		want := items[seq].Categories
 		if it.Categories != nil {
 			return fmt.Errorf("item %s holds a map", it.ID)
@@ -409,15 +525,27 @@ func TestChunkReadsWhileAddAppends(t *testing.T) {
 		}
 		return nil
 	}
+	read := func(v *View, seq int32) error {
+		if err := check(seq, v.Item(seq)); err != nil {
+			return err
+		}
+		if err := check(seq, r.ItemAt(seq)); err != nil {
+			return err
+		}
+		it, _ := r.Get(items[seq].ID)
+		return check(seq, it)
+	}
+	const readers = 3
+	var rounds atomic.Int64 // read rounds finished, all readers together
 	done := make(chan struct{})
-	errs := make(chan error, 4)
+	errs := make(chan error, readers)
 	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
+	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			var v View
-			for {
+			for round := 0; ; round++ {
 				select {
 				case <-done:
 					errs <- nil
@@ -425,25 +553,49 @@ func TestChunkReadsWhileAddAppends(t *testing.T) {
 				default:
 				}
 				r.ReadView(&v)
-				m := v.Len()
-				for i := 0; i < 8 && m > 0; i++ {
-					seq := int32((m - 1 - i*(g+1)*37%m + m) % m)
-					if err := check(seq, v.At(seq).Item); err != nil {
-						errs <- err
-						return
+				m := int32(v.Len())
+				err := func() error {
+					for _, seq := range edges {
+						if seq >= m {
+							break
+						}
+						if err := read(&v, seq); err != nil {
+							return err
+						}
 					}
-					if err := check(seq, r.ItemAt(seq)); err != nil {
-						errs <- err
-						return
+					for i := int32(0); i < 8 && i < m; i++ {
+						if err := read(&v, m-1-i*int32(g+1)*37%m); err != nil {
+							return err
+						}
 					}
-				}
+					if round%8 == g {
+						for seq, it := range r.All() {
+							if err := check(int32(seq), it); err != nil {
+								return err
+							}
+						}
+					}
+					return nil
+				}()
 				v.Reset()
+				if err != nil {
+					errs <- err
+					return
+				}
+				rounds.Add(1)
 			}
 		}(g)
 	}
-	for _, it := range items {
+	next := 0 // the next edge Add waits at
+	for seq, it := range items {
 		if err := r.Add(it); err != nil {
 			t.Fatal(err)
+		}
+		if next < len(edges) && int32(seq) == edges[next] {
+			next++
+			for want := rounds.Load() + readers; rounds.Load() < want && len(errs) == 0; {
+				runtime.Gosched()
+			}
 		}
 	}
 	close(done)

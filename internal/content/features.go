@@ -2,6 +2,7 @@ package content
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -17,8 +18,11 @@ import (
 // in the postings (and beside the item, as its pairs). The copies stay
 // equal to the item's fields because an item does not change once added
 // (Repository.Add).
+//
+// A row does not point at its item: the item is reached by its seq
+// (View.Item), so a row is 24 B and pointer-free, and the rows are never
+// scanned by the collector (TestFeaturesRowSize).
 type Features struct {
-	Item *Item
 	// SqrtNorm is √Σw² over the category vector, summed in category-NAME
 	// order, so its bits do not depend on which ids the categories were
 	// interned to; 0 for an item without categories.
@@ -59,25 +63,65 @@ type Cut struct {
 // Since returns the cut that admits items published at or after t.
 func Since(t time.Time) Cut { return Cut{t: t, key: pubKey(t)} }
 
-// Admits reports whether the item was published at or after the cut.
-func (c Cut) Admits(f *Features) bool {
-	return f.pub > c.key || (f.pub == c.key && !f.Item.Published.Before(c.t))
+// Admits reports whether the view's item seq was published at or after
+// the cut. It reads the item itself only within the cut's own second.
+func (c Cut) Admits(v *View, seq int32) bool {
+	f := &v.feats[seq]
+	return f.pub > c.key || (f.pub == c.key && !v.items.at(seq).Published.Before(c.t))
 }
 
 // Chunk sizes. Add copies items and category pairs into arrays it
-// allocates whole and never grows or moves, so a pointer or slice into
-// one stays valid; each array is twice the size of the one before, up to
-// the cap, so a small catalog stays small. A full-size chunk is a whole
-// number of 8 KiB pages, which the allocator does not round up.
+// allocates whole and never grows or moves, so a pointer into one stays
+// valid; each array is twice the size of the one before, up to the cap,
+// so a small catalog stays small. A full-size chunk is a whole number of
+// 8 KiB pages, which the allocator does not round up
+// (TestChunksAreWholePages).
 const (
-	itemChunk = 1024 // items: 136 B each, 17 pages
-	pairChunk = 4096 // category pairs: 16 B each, 8 pages
+	itemChunk = 1024 // items: 112 B each, 14 pages
+	pairCap   = 4096 // category pairs: 4 B ids, 2 pages; 8 B weights, 4 pages
+	// firstItemChunk is the smallest item chunk's size, and geoChunks
+	// the number of item chunks, each twice the one before, that come
+	// before the first full-size one.
+	firstItemChunk = 16
+	geoChunks      = 6 // 16, 32, …, 512
+	// geoItems is the number of items the geometric chunks hold: the seq
+	// the first full-size chunk starts at.
+	geoItems = firstItemChunk * (1<<geoChunks - 1)
 )
 
-// addFeatures copies the item into the repository's item chunk, writes
-// its categories in name order as pairs into the pair chunk, files the
-// item — seq beside weight — under each category's postings and appends
-// its Features at seq. Caller holds the write lock.
+// itemDir is the directory of a repository's item chunks: chunk k holds
+// the items numbered from chunkStart(k) on. Each chunk is allocated at
+// its full length and written in place, one item at a time at its seq,
+// so neither a chunk's slice header nor an item a reader can reach is
+// ever written again, and the directory only grows at its tail: a View
+// shares it as it shares the other seq-indexed slices.
+type itemDir [][]Item
+
+// at returns the item numbered seq.
+func (d itemDir) at(seq int32) *Item {
+	k, off := chunkOf(seq)
+	return &d[k][off]
+}
+
+// chunkOf returns the chunk that holds seq and seq's place in it. The
+// geometric chunks start at firstItemChunk·(2ᵏ−1), so below geoItems
+// the chunk is the bit length of seq/firstItemChunk+1, less one.
+func chunkOf(seq int32) (k, off int) {
+	if seq < geoItems {
+		k = bits.Len32(uint32(seq)/firstItemChunk+1) - 1
+		return k, int(seq) - firstItemChunk*(1<<k-1)
+	}
+	s := int(seq) - geoItems
+	return geoChunks + s/itemChunk, s % itemChunk
+}
+
+// chunkLen returns the length of item chunk k.
+func chunkLen(k int) int { return firstItemChunk << min(k, geoChunks) }
+
+// addFeatures copies the item into the repository's item chunk at seq,
+// writes its categories in name order as pairs into the pair chunk,
+// files the item — seq beside weight — under each category's postings
+// and appends its Features at seq. Caller holds the write lock.
 func (r *Repository) addFeatures(it *Item, seq int32) {
 	byName := r.byName[:0]
 	for cat, w := range it.Weights() {
@@ -85,20 +129,24 @@ func (r *Repository) addFeatures(it *Item, seq int32) {
 	}
 	slices.SortFunc(byName, func(a, b namedWeight) int { return strings.Compare(a.cat, b.cat) })
 	r.byName = byName
-	if len(r.items) == cap(r.items) {
-		r.items = make([]Item, 0, min(max(2*cap(r.items), 16), itemChunk))
+	k, off := chunkOf(seq)
+	if k == len(r.items) {
+		r.items = append(r.items, make([]Item, chunkLen(k)))
 	}
-	r.items = append(r.items, *it)
-	own := &r.items[len(r.items)-1]
+	own := &r.items[k][off]
+	*own = *it
 	// Drop the input map, and the pairs a copy of another repository's
 	// item brings: the pairs written below are the copy's own.
-	own.Categories, own.ws = nil, nil
-	if cap(r.pairs)-len(r.pairs) < len(byName) {
-		r.pairs = make([]catWeight, 0, max(len(byName), min(max(2*cap(r.pairs), 64), pairChunk)))
+	own.Categories, own.pairs, own.nPairs, own.pairOff = nil, nil, 0, 0
+	if len(r.pairs.cats)-r.nPairs < len(byName) {
+		n := max(len(byName), min(max(2*len(r.pairs.cats), 64), pairCap))
+		r.pairs, r.nPairs = &pairChunk{cats: make([]int32, n), ws: make([]float64, n)}, 0
 	}
-	from := len(r.pairs)
-	f := Features{Item: own, Duration: it.Duration, pub: pubKey(it.Published), Kind: it.Kind, HasGeo: it.Geo != nil}
+	f := Features{Duration: it.Duration, pub: pubKey(it.Published), Kind: it.Kind, HasGeo: it.Geo != nil}
 	f.Slots = uint16(min(SlotsOf(it.Duration), math.MaxUint16))
+	if len(byName) > 0 {
+		own.pairs, own.pairOff, own.nPairs = r.pairs, uint16(r.nPairs), uint8(len(byName))
+	}
 	var norm float64
 	for _, p := range byName {
 		id := intern(p.cat)
@@ -108,11 +156,9 @@ func (r *Repository) addFeatures(it *Item, seq int32) {
 		}
 		r.post[id] = append(r.post[id], seq)
 		r.postWs[id] = append(r.postWs[id], p.w)
-		r.pairs = append(r.pairs, catWeight{cat: id, w: p.w})
+		r.pairs.cats[r.nPairs], r.pairs.ws[r.nPairs] = id, p.w
+		r.nPairs++
 		norm += p.w * p.w
-	}
-	if len(byName) > 0 {
-		own.ws = r.pairs[from:len(r.pairs):len(r.pairs)]
 	}
 	if norm > 0 {
 		f.SqrtNorm = math.Sqrt(norm)
@@ -197,6 +243,7 @@ func intern(cat string) int32 {
 // saw.
 type View struct {
 	feats   []Features
+	items   itemDir
 	post    [][]int32
 	postWs  [][]float64
 	ordered int
@@ -207,6 +254,7 @@ func (r *Repository) ReadView(v *View) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	v.feats = r.feats
+	v.items = r.items
 	v.post = append(v.post[:0], r.post...)
 	v.postWs = append(v.postWs[:0], r.postWs...)
 	v.ordered = r.ordered
@@ -236,6 +284,12 @@ func (v *View) CategoryID(name string) (int32, bool) {
 
 // At returns the features of item seq.
 func (v *View) At(seq int32) *Features { return &v.feats[seq] }
+
+// Item returns item seq, which must be below Len().
+func (v *View) Item(seq int32) *Item {
+	_ = v.feats[seq] // seq is in the view
+	return v.items.at(seq)
+}
 
 // WindowStart returns the first seq the cut can admit: every item
 // numbered below it arrived in publish order and was published before

@@ -14,8 +14,8 @@ type idIndex struct {
 
 func newIDIndex() idIndex { return idIndex{seed: maphash.MakeSeed()} }
 
-// find returns the seq of the item with the given ID among feats.
-func (x *idIndex) find(feats []Features, id string) (int32, bool) {
+// find returns the seq of the item with the given ID among items.
+func (x *idIndex) find(items itemDir, id string) (int32, bool) {
 	if len(x.slots) == 0 {
 		return 0, false
 	}
@@ -25,22 +25,22 @@ func (x *idIndex) find(feats []Features, id string) (int32, bool) {
 		if e == 0 {
 			return 0, false
 		}
-		if feats[e-1].Item.ID == id {
+		if items.at(e-1).ID == id {
 			return e - 1, true
 		}
 	}
 }
 
-// insert files the last of feats, which is not in the index yet.
-func (x *idIndex) insert(feats []Features) {
-	seq := int32(len(feats) - 1)
-	if len(feats)*4 > len(x.slots)*3 {
+// insert files items' item seq, the last added, which is not in the
+// index yet.
+func (x *idIndex) insert(items itemDir, seq int32) {
+	if (int(seq)+1)*4 > len(x.slots)*3 {
 		x.slots = make([]int32, max(16, 2*len(x.slots)))
 		for s := range seq {
-			x.place(feats[s].Item.ID, s)
+			x.place(items.at(s).ID, s)
 		}
 	}
-	x.place(feats[seq].Item.ID, seq)
+	x.place(items.at(seq).ID, seq)
 }
 
 func (x *idIndex) place(id string, seq int32) {

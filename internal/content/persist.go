@@ -6,18 +6,44 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"time"
 )
 
-// MarshalJSON writes the item as encoding/json writes an Item's exported
-// fields, Categories read through Weights: an item the repository holds
+// itemJSON is an Item's JSON form: its exported fields in the order
+// Item declared them before its layout was packed, so snapshots and
+// logged ingests keep their bytes. Decoding needs no such type: fields
+// are matched by name.
+type itemJSON struct {
+	ID          string
+	Title       string
+	Program     string
+	Kind        Kind
+	Duration    time.Duration
+	Published   time.Time
+	Categories  map[string]float64
+	Geo         *GeoRelevance
+	BitrateKbps int32
+}
+
+// asJSON returns the item's JSON form with the given categories.
+func (it *Item) asJSON(cats map[string]float64) itemJSON {
+	return itemJSON{
+		ID: it.ID, Title: it.Title, Program: it.Program, Kind: it.Kind,
+		Duration: it.Duration, Published: it.Published, Categories: cats,
+		Geo: it.Geo, BitrateKbps: it.BitrateKbps,
+	}
+}
+
+// MarshalJSON writes the item as encoding/json writes itemJSON,
+// Categories read through Weights: an item the repository holds
 // encodes to the bytes of the map it was added with, as encoding/json
 // sorts a map's keys.
 func (it Item) MarshalJSON() ([]byte, error) {
-	type plain Item // Item's fields, without this method
-	if it.Categories == nil && len(it.ws) > 0 {
-		it.Categories = maps.Collect(it.Weights())
+	cats := it.Categories
+	if cats == nil && it.nPairs > 0 {
+		cats = maps.Collect(it.Weights())
 	}
-	return json.Marshal(plain(it))
+	return json.Marshal(it.asJSON(cats))
 }
 
 // Snapshot writes every item as a JSON array, in publish order. Together
@@ -27,9 +53,8 @@ func (it Item) MarshalJSON() ([]byte, error) {
 // item: items are encoded snapshotBatch at a time, each batch's maps
 // refilled for the next.
 func (r *Repository) Snapshot(w io.Writer) error {
-	type plain Item
 	items := r.All()
-	batch := make([]plain, min(len(items), snapshotBatch))
+	batch := make([]itemJSON, min(len(items), snapshotBatch))
 	cats := make([]map[string]float64, len(batch))
 	for i := range cats {
 		cats[i] = map[string]float64{}
@@ -39,7 +64,7 @@ func (r *Repository) Snapshot(w io.Writer) error {
 	// than the array needs, and w takes it in one write.
 	n := 3
 	for _, it := range items {
-		n += 192 + len(it.ID) + len(it.Title) + len(it.Program) + 32*len(it.ws)
+		n += 192 + len(it.ID) + len(it.Title) + len(it.Program) + 32*int(it.nPairs)
 	}
 	var buf bytes.Buffer
 	buf.Grow(n)
@@ -47,14 +72,15 @@ func (r *Repository) Snapshot(w io.Writer) error {
 	for len(items) > 0 {
 		k := min(len(items), len(batch))
 		for i, it := range items[:k] {
-			batch[i] = plain(*it)
-			if len(it.ws) > 0 {
-				clear(cats[i])
+			m := it.Categories
+			if it.nPairs > 0 {
+				m = cats[i]
+				clear(m)
 				for c, x := range it.Weights() {
-					cats[i][c] = x
+					m[c] = x
 				}
-				batch[i].Categories = cats[i]
 			}
+			batch[i] = it.asJSON(m)
 		}
 		// Each batch is encoded as an array: its "]\n" is cut, and its
 		// '[' becomes the ',' that joins it to the batch before.

@@ -73,16 +73,35 @@ func TestRepositoryRestoreValidation(t *testing.T) {
 	}
 }
 
+// plain is an Item's exported fields in the order snapshots and logged
+// ingests have always written them, whatever order Item declares them
+// in: encoding/json writes a struct's fields in declaration order.
+type plain struct {
+	ID          string
+	Title       string
+	Program     string
+	Kind        Kind
+	Duration    time.Duration
+	Published   time.Time
+	Categories  map[string]float64
+	Geo         *GeoRelevance
+	BitrateKbps int32
+}
+
+func plainOf(it *Item) plain {
+	return plain{it.ID, it.Title, it.Program, it.Kind, it.Duration, it.Published, it.Categories, it.Geo, it.BitrateKbps}
+}
+
 // TestSnapshotWritesItemsAsTheirMaps: Snapshot, and MarshalJSON on an
 // item the repository holds, write the bytes encoding/json writes for
 // the item as it was added, its Categories map included, escapes and
-// number forms alike.
+// number forms alike, its fields in their historical order.
 func TestSnapshotWritesItemsAsTheirMaps(t *testing.T) {
-	type plain Item // Item's fields, without its MarshalJSON
 	geoIt := item("geo", "regional", 2*time.Minute, t0)
 	geoIt.Geo = &GeoRelevance{Center: torino, Radius: 1200}
 	odd := item("odd", "music", time.Minute, t0.Add(time.Hour))
 	odd.Title = "a <b> & \"c\" "
+	odd.BitrateKbps = 96
 	odd.Categories = map[string]float64{
 		"music": 0.1 + 1e-9, "a<b&c>": 1e-6, `q"uote\`: 5e-324, "é": 1e-7, "tab\t": 1.5, "x\xffy": 123456789.125,
 	}
@@ -93,7 +112,7 @@ func TestSnapshotWritesItemsAsTheirMaps(t *testing.T) {
 		add = append(add, item(fmt.Sprintf("n%03d", i), Categories[i%len(Categories)], time.Minute, t0.Add(time.Duration(i)*time.Second)))
 	}
 	for _, it := range add {
-		want = append(want, plain(*it))
+		want = append(want, plainOf(it))
 		if err := r.Add(it); err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +133,7 @@ func TestSnapshotWritesItemsAsTheirMaps(t *testing.T) {
 		t.Fatalf("an empty repository snapshots as %q (%v)", empty.String(), err)
 	}
 	held, _ := r.Get("odd")
-	for _, pair := range [][2]any{{held, plain(*odd)}, {odd, plain(*odd)}, {&Item{ID: "none"}, plain{ID: "none"}}} {
+	for _, pair := range [][2]any{{held, plainOf(odd)}, {odd, plainOf(odd)}, {&Item{ID: "none"}, plain{ID: "none"}}} {
 		a, err := json.Marshal(pair[0])
 		if err != nil {
 			t.Fatal(err)

@@ -139,8 +139,9 @@ func TestAdmissionRowRejectsOnlyWhatRejectsRejects(t *testing.T) {
 			}
 		}
 		for probe := 0; probe < 200; probe++ {
-			f := set.view.At(int32(rng.Intn(set.view.Len())))
-			ctxScore := scorer.ContextScore(f.Item, ctx)
+			seq := int32(rng.Intn(set.view.Len()))
+			f, it := set.view.At(seq), set.view.Item(seq)
+			ctxScore := scorer.ContextScore(it, ctx)
 			exact := func(dot float64) float64 {
 				return scorer.Compound(dot/set.fp.sqrtNa/f.SqrtNorm, ctxScore)
 			}
@@ -191,7 +192,7 @@ func TestAdmissionRowRejectsOnlyWhatRejectsRejects(t *testing.T) {
 			}
 			if bound := exact(dot); !sel.Rejects(f.Duration, bound) {
 				t.Fatalf("seed %d, probe %d: the row rejects %s (kind %d, geo %v, %v, √Ni %g) at dot %g, but Rejects admits its compound %v against a floor near %v (λ %v, ctx %v, √Na %g)\n%s",
-					seed, probe, f.Item.ID, f.Kind, f.HasGeo, f.Duration, f.SqrtNorm, dot, bound, floors[content.SlotsOf(f.Duration)], lambda, ctxScore, set.fp.sqrtNa, repro)
+					seed, probe, it.ID, f.Kind, f.HasGeo, f.Duration, f.SqrtNorm, dot, bound, floors[content.SlotsOf(f.Duration)], lambda, ctxScore, set.fp.sqrtNa, repro)
 			}
 		}
 	}

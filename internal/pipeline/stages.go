@@ -441,33 +441,35 @@ func (r *ranking) accumulate() {
 // score turns the dot products of the block of items numbered from lo
 // into scores and offers each item whose cosine is positive to the
 // task's selection or top-k heap. Up to the bound check it reads only
-// the items' resident features — an item itself only when it has a
-// geographic scope or the context is rich — so an item the bound
-// rejects, nearly all of them, is never dereferenced, and costs no call.
+// the items' resident features — an item itself, resolved by its seq,
+// only when it has a geographic scope or the context is rich — so an
+// item the bound rejects, nearly all of them, is never dereferenced,
+// and costs no call.
 func (r *ranking) score(lo int32, acc []float64) {
 	t, set, scorer := r.t, r.set, r.s.deps.Scorer
 	for j, dot := range acc {
 		if dot <= 0 {
 			continue // cos ≤ 0: actively disliked or disjoint
 		}
-		f := set.view.At(lo + int32(j))
-		if set.last > 0 && set.rowRejects(f, dot) || !r.cut.Admits(f) || f.SqrtNorm == 0 {
+		seq := lo + int32(j)
+		f := set.view.At(seq)
+		if set.last > 0 && set.rowRejects(f, dot) || !r.cut.Admits(&set.view, seq) || f.SqrtNorm == 0 {
 			continue
 		}
 		cos := dot / set.fp.sqrtNa / f.SqrtNorm
 		var ctxScore float64
 		if r.rich {
-			ctxScore = scorer.ContextScore(f.Item, t.Ctx)
+			ctxScore = scorer.ContextScore(set.view.Item(seq), t.Ctx)
 		} else {
 			geoScore := 0.5 // Scorer.GeoScore of an item without a scope
 			if f.HasGeo {
-				geoScore = scorer.GeoScore(f.Item, &t.Ctx)
+				geoScore = scorer.GeoScore(set.view.Item(seq), &t.Ctx)
 			}
 			var base float64
 			if k := int(f.Kind); k < len(set.kindBase) {
 				base = set.kindBase[k]
 			} else {
-				base = scorer.ContextBase(f.Item, recommend.Context{Now: set.now})
+				base = scorer.ContextBase(set.view.Item(seq), recommend.Context{Now: set.now})
 			}
 			ctxScore = 0.5*geoScore + base
 		}
@@ -481,14 +483,15 @@ func (r *ranking) score(lo int32, acc []float64) {
 		} else if t.K > 0 && len(r.out) >= t.K && bound < r.out[0].Compound {
 			continue
 		}
-		r.offer(lo+int32(j), f.Item, cos, ctxScore)
+		r.offer(seq, cos, ctxScore)
 	}
 }
 
 // offer finishes scoring the item numbered seq, which the bound let
 // through, and offers it.
-func (r *ranking) offer(seq int32, it *content.Item, cos, ctxScore float64) {
+func (r *ranking) offer(seq int32, cos, ctxScore float64) {
 	t, scorer := r.t, r.s.deps.Scorer
+	it := r.set.view.Item(seq)
 	// Only items the bound let through pay the lookup; both bound checks
 	// read just the heap, which an excluded item never enters.
 	if t.Exclude.Has(seq, it.ID) {

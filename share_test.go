@@ -432,7 +432,7 @@ func TestCatalogItemsHoldNoMap(t *testing.T) {
 			if !ok || got == nil {
 				t.Fatalf("%s missing", id)
 			}
-			for read, it := range map[string]*content.Item{"Get": got, "All": all[id], "ItemAt": sys.Repo.ItemAt(seq), "View": v.At(seq).Item} {
+			for read, it := range map[string]*content.Item{"Get": got, "All": all[id], "ItemAt": sys.Repo.ItemAt(seq), "View": v.Item(seq)} {
 				if it.Categories != nil {
 					t.Fatalf("%s: %s hands out an item holding a map", read, id)
 				}
