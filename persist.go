@@ -39,6 +39,13 @@ const snapshotVersion = 3
 // derived state (plan caches, last plans) is rebuilt lazily after
 // Restore, as in a fresh deployment.
 //
+// It writes the document in one pass: the envelope's fields go to w
+// around each store's own encoder, which writes its section straight to
+// w. The bytes are those encoding/json writes for snapshotEnvelope with
+// each section as a json.RawMessage: a store writes one compact, escaped
+// JSON value and a newline, as json.Encoder does, and only the newline
+// is left out. A store's error leaves w holding part of a document.
+//
 // Each store is captured under its own lock; for a cross-store
 // consistent snapshot the write paths must be quiesced — the
 // checkpointer runs Snapshot inside the mutation barrier and
@@ -46,44 +53,91 @@ const snapshotVersion = 3
 // mobility provenance with a tracking capture that predates it, which
 // Restore rejects.
 func (s *System) Snapshot(w io.Writer) error {
-	var env snapshotEnvelope
-	env.Version = snapshotVersion
-	capture := func(name string, f func(io.Writer) error) (json.RawMessage, error) {
-		var buf bytes.Buffer
-		if err := f(&buf); err != nil {
-			return nil, fmt.Errorf("pphcr: snapshotting %s: %w", name, err)
+	sw := sectionWriter{w: w}
+	sw.put(fmt.Sprintf(`{"version":%d`, snapshotVersion))
+	for _, sec := range []struct {
+		key, name string
+		write     func(io.Writer) error
+	}{
+		{"repo", "repository", s.Repo.Snapshot},
+		{"profiles", "profiles", s.Profiles.Snapshot},
+		{"feedback", "feedback", s.Feedback.Snapshot},
+		{"tracking", "tracking", s.Tracker.Snapshot},
+	} {
+		sw.put(`,"` + sec.key + `":`)
+		if sw.err != nil {
+			return sw.err
 		}
-		return json.RawMessage(buf.Bytes()), nil
+		if err := sec.write(&sw); err != nil {
+			return fmt.Errorf("pphcr: snapshotting %s: %w", sec.name, err)
+		}
 	}
-	var err error
-	if env.Repo, err = capture("repository", s.Repo.Snapshot); err != nil {
-		return err
-	}
-	if env.Profiles, err = capture("profiles", s.Profiles.Snapshot); err != nil {
-		return err
-	}
-	if env.Feedback, err = capture("feedback", s.Feedback.Snapshot); err != nil {
-		return err
-	}
-	if env.Tracking, err = capture("tracking", s.Tracker.Snapshot); err != nil {
-		return err
-	}
-	env.Compacted = make(map[string]int)
-	env.Injected = make(map[string][]string)
+	compacted := make(map[string]int)
+	injected := make(map[string][]string)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		s.rlockShard(sh)
 		for u, n := range sh.compactN {
-			env.Compacted[u] = n
+			compacted[u] = n
 		}
 		for u, ids := range sh.injected {
 			if len(ids) > 0 {
-				env.Injected[u] = append([]string(nil), ids...)
+				injected[u] = append([]string(nil), ids...)
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	return json.NewEncoder(w).Encode(env)
+	// Both fields are omitempty in snapshotEnvelope.
+	if len(compacted) > 0 {
+		sw.value(`,"compacted":`, compacted)
+	}
+	if len(injected) > 0 {
+		sw.value(`,"injected":`, injected)
+	}
+	sw.put("}\n")
+	return sw.err
+}
+
+// sectionWriter writes a snapshot document to w: the envelope's own
+// bytes through put and value, and each store's section through Write,
+// less the newline json.Encoder ends the section with. The first error
+// sticks.
+type sectionWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (sw *sectionWriter) put(s string) {
+	if sw.err == nil {
+		_, sw.err = io.WriteString(sw.w, s)
+	}
+}
+
+// value writes key and v as encoding/json writes them.
+func (sw *sectionWriter) value(key string, v any) {
+	b, err := json.Marshal(v)
+	if sw.err == nil {
+		sw.err = err
+	}
+	sw.put(key)
+	if sw.err == nil {
+		_, sw.err = sw.w.Write(b)
+	}
+}
+
+// Write passes p on, less a newline that ends it.
+func (sw *sectionWriter) Write(p []byte) (int, error) {
+	if sw.err != nil {
+		return 0, sw.err
+	}
+	q := p
+	if n := len(q); n > 0 && q[n-1] == '\n' {
+		q = q[:n-1]
+	}
+	if _, sw.err = sw.w.Write(q); sw.err != nil {
+		return 0, sw.err
+	}
+	return len(p), nil
 }
 
 // Restore loads a Snapshot into a freshly constructed System (same
