@@ -502,6 +502,33 @@ func (s *Store) Events(userID string) []Event {
 // ByUser is Events: the user's live events, which the caller owns.
 func (s *Store) ByUser(userID string) []Event { return s.Events(userID) }
 
+// Logged is one live event of a user's log without its categories.
+type Logged struct {
+	ItemID string
+	Kind   Kind
+	At     time.Time
+}
+
+// Log returns the user's live events in insertion order without their
+// categories, which the caller owns: a listing that, unlike Events,
+// builds no map, and allocates only the slice it returns.
+func (s *Store) Log(userID string) []Logged {
+	sh := s.shardFor(userID)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	st := sh.users[userID]
+	if st == nil || len(st.events) == 0 {
+		return nil
+	}
+	out := make([]Logged, len(st.events))
+	for i := range st.events {
+		r := &st.events[i]
+		id, _ := s.item(st, r)
+		out[i] = Logged{ItemID: id, Kind: Kind(r.kind), At: r.time().UTC()}
+	}
+	return out
+}
+
 // PreferenceParams tunes preference aggregation.
 type PreferenceParams struct {
 	// HalfLife is the exponential decay half-life of an event's

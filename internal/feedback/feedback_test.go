@@ -759,3 +759,54 @@ func TestLogReadsWhileCatalogGrows(t *testing.T) {
 		}
 	}
 }
+
+// TestLogListsEventsWithoutMaps: Log lists what Events lists — item,
+// kind and instant of each live event, in order, catalog-keyed and side
+// events alike — and, for a listener with 200 catalog-keyed events,
+// allocates only the slice it returns, where Events builds a map per
+// event.
+func TestLogListsEventsWithoutMaps(t *testing.T) {
+	repo := content.NewRepository()
+	for i := 0; i < 20; i++ {
+		if err := repo.Add(&content.Item{
+			ID: fmt.Sprintf("clip-%02d", i), Kind: content.KindClip, Duration: time.Minute, Published: t0,
+			Categories: map[string]float64{"food": 0.6, content.Categories[i%len(content.Categories)]: 0.4},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewStore()
+	s.ShareCatalog(repo.Seq, repo.ItemAt)
+	kinds := []Kind{Like, ImplicitListen, Skip, Dislike}
+	for i := 0; i < 200; i++ {
+		e := Event{UserID: "u", ItemID: fmt.Sprintf("clip-%02d", i%20), Kind: kinds[i%len(kinds)], At: t0.Add(time.Duration(i) * time.Minute)}
+		if err := s.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { s.Log("u") }); allocs > 1 {
+		t.Fatalf("Log of 200 catalog-keyed events: %v allocations, want ≤ 1", allocs)
+	}
+	t.Logf("Events of the same listener: %v allocations", testing.AllocsPerRun(5, func() { s.Events("u") }))
+	// Side events: an item the catalog lacks, and one with other weights.
+	for i, e := range []Event{
+		{UserID: "u", ItemID: "elsewhere", Kind: Like, At: t0.Add(-time.Hour)},
+		{UserID: "u", ItemID: "clip-03", Kind: Skip, At: t0.Add(time.Hour), Categories: map[string]float64{"art": 1}},
+	} {
+		if err := s.Append(e); err != nil {
+			t.Fatalf("side event %d: %v", i, err)
+		}
+	}
+	events, log := s.Events("u"), s.Log("u")
+	if len(log) != len(events) || len(log) != 202 {
+		t.Fatalf("Log lists %d events, Events %d, want 202", len(log), len(events))
+	}
+	for i, e := range events {
+		if l := log[i]; l.ItemID != e.ItemID || l.Kind != e.Kind || !l.At.Equal(e.At) || l.At.Location() != e.At.Location() {
+			t.Fatalf("event %d: Log lists %+v, Events %+v", i, l, e)
+		}
+	}
+	if s.Log("nobody") != nil {
+		t.Fatal("Log of a listener without events is not nil")
+	}
+}

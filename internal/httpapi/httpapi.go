@@ -365,11 +365,11 @@ func (s *Server) handleFeedbackEvents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("user parameter required"))
 		return
 	}
-	events := s.sys.Feedback.Events(user)
+	events := s.sys.Feedback.Log(user)
 	out := make([]FeedbackEventView, len(events))
 	for i, e := range events {
 		out[i] = FeedbackEventView{
-			UserID: e.UserID,
+			UserID: user,
 			ItemID: e.ItemID,
 			Kind:   e.Kind.String(),
 			Unix:   e.At.Unix(),

@@ -15,6 +15,7 @@ import (
 
 	"pphcr"
 	"pphcr/internal/durable"
+	"pphcr/internal/feedback"
 	"pphcr/internal/synth"
 )
 
@@ -447,6 +448,51 @@ func TestUnloggedWritesAnswer503(t *testing.T) {
 		decode(t, resp, &e)
 		if resp.StatusCode != c.want {
 			t.Errorf("%s: http %d %q, want %d", c.name, resp.StatusCode, e.Error, c.want)
+		}
+	}
+}
+
+// TestFeedbackEventsDumpBytes: the failover oracle's dump, which reads
+// the store's category-free listing, answers with the bytes it wrote
+// when it built every event, categories and all — catalog-keyed and
+// side events alike, and for a listener without events.
+func TestFeedbackEventsDumpBytes(t *testing.T) {
+	ts, sys, _ := newTestServer(t)
+	items := sys.Repo.All()
+	kinds := []feedback.Kind{feedback.Like, feedback.ImplicitListen, feedback.Skip, feedback.Dislike}
+	for i := 0; i < 40; i++ {
+		e := feedback.Event{UserID: "dumped", ItemID: items[i%len(items)].ID, Kind: kinds[i%len(kinds)], At: apiEpoch.Add(time.Duration(i) * time.Minute)}
+		switch i % 10 {
+		case 3:
+			e.ItemID = fmt.Sprintf("not-in-catalog-%d", i)
+		case 7:
+			e.Categories = map[string]float64{"art": 0.5, "sport": 0.5}
+		}
+		if err := sys.AddFeedback(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, user := range []string{"dumped", "nobody"} {
+		events := sys.Feedback.Events(user)
+		views := make([]FeedbackEventView, len(events))
+		for i, e := range events {
+			views[i] = FeedbackEventView{UserID: e.UserID, ItemID: e.ItemID, Kind: e.Kind.String(), Unix: e.At.Unix()}
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(views); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(ts.URL + "/api/feedback/events?user=" + user)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: %d\n%s\nwant\n%s", user, resp.StatusCode, got, want.Bytes())
 		}
 	}
 }
