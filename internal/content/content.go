@@ -316,6 +316,7 @@ func (r *Repository) Seq(id string) (int32, bool) {
 func (r *Repository) ItemAt(seq int32) *Item {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	_ = r.feats[seq] // seq is below Len: its item is written
 	return r.items.at(seq)
 }
 

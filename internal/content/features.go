@@ -90,7 +90,7 @@ const (
 )
 
 // itemDir is the directory of a repository's item chunks: chunk k holds
-// the items numbered from chunkStart(k) on. Each chunk is allocated at
+// the chunkLen(k) items numbered on from the last of chunk k−1. Each chunk is allocated at
 // its full length and written in place, one item at a time at its seq,
 // so neither a chunk's slice header nor an item a reader can reach is
 // ever written again, and the directory only grows at its tail: a View
@@ -129,6 +129,10 @@ func (r *Repository) addFeatures(it *Item, seq int32) {
 	}
 	slices.SortFunc(byName, func(a, b namedWeight) int { return strings.Compare(a.cat, b.cat) })
 	r.byName = byName
+	if len(r.pairs.cats)-r.nPairs < len(byName) {
+		n := max(len(byName), min(max(2*len(r.pairs.cats), 64), pairCap))
+		r.pairs, r.nPairs = &pairChunk{cats: make([]int32, n), ws: make([]float64, n)}, 0
+	}
 	k, off := chunkOf(seq)
 	if k == len(r.items) {
 		r.items = append(r.items, make([]Item, chunkLen(k)))
@@ -137,16 +141,10 @@ func (r *Repository) addFeatures(it *Item, seq int32) {
 	*own = *it
 	// Drop the input map, and the pairs a copy of another repository's
 	// item brings: the pairs written below are the copy's own.
-	own.Categories, own.pairs, own.nPairs, own.pairOff = nil, nil, 0, 0
-	if len(r.pairs.cats)-r.nPairs < len(byName) {
-		n := max(len(byName), min(max(2*len(r.pairs.cats), 64), pairCap))
-		r.pairs, r.nPairs = &pairChunk{cats: make([]int32, n), ws: make([]float64, n)}, 0
-	}
+	own.Categories = nil
+	own.pairs, own.pairOff, own.nPairs = r.pairs, uint16(r.nPairs), uint8(len(byName))
 	f := Features{Duration: it.Duration, pub: pubKey(it.Published), Kind: it.Kind, HasGeo: it.Geo != nil}
 	f.Slots = uint16(min(SlotsOf(it.Duration), math.MaxUint16))
-	if len(byName) > 0 {
-		own.pairs, own.pairOff, own.nPairs = r.pairs, uint16(r.nPairs), uint8(len(byName))
-	}
 	var norm float64
 	for _, p := range byName {
 		id := intern(p.cat)

@@ -555,6 +555,18 @@ func BenchmarkColdPlanMixed(b *testing.B) {
 	benchColdPlan(b, repo, prefs)
 }
 
+// BenchmarkColdPlanRich is the dense task under a rich context (rain):
+// the context score of every item the admission rows let through reads
+// the item itself, which Rank reaches by its seq.
+func BenchmarkColdPlanRich(b *testing.B) {
+	repo, prefs := denseCatalog(b, 20_000)
+	benchColdPlanTask(b, repo, prefs, func() *Task {
+		task := planTask("u")
+		task.Ctx.Weather = recommend.WeatherRain
+		return task
+	})
+}
+
 // BenchmarkColdPlanDense200k is the dense task over ten times the
 // items: the exact Candidates and Rank stages at the largest catalog
 // size the repository keeps a guard for.
@@ -615,11 +627,16 @@ func denseCatalogOf(tb testing.TB, n int, duration func() time.Duration) (*conte
 }
 
 func benchColdPlan(b *testing.B, repo *content.Repository, prefs map[string]float64) {
+	benchColdPlanTask(b, repo, prefs, func() *Task { return planTask("u") })
+}
+
+// benchColdPlanTask runs the task newTask builds for listener "u".
+func benchColdPlanTask(b *testing.B, repo *content.Repository, prefs map[string]float64, newTask func() *Task) {
 	p, _ := planPipeline(repo, map[string]map[string]float64{"u": prefs})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		task := planTask("u")
+		task := newTask()
 		p.Run(task)
 		if len(task.Plan.Items) == 0 {
 			b.Fatal("no plan")
