@@ -111,13 +111,12 @@ type Item struct {
 	pairs *pairChunk
 }
 
-// MaxCategories is the most categories an item can carry: Add refuses
-// an item with more (ErrTooManyCategories).
-const MaxCategories = math.MaxUint8
+// maxCategories is the most categories an item can carry, what
+// Item.nPairs counts: Add refuses an item with more
+// (errTooManyCategories).
+const maxCategories = math.MaxUint8
 
-// ErrTooManyCategories is Add's refusal of an item that carries more
-// than MaxCategories categories.
-var ErrTooManyCategories = errors.New("content: item has more categories than an item can carry")
+var errTooManyCategories = errors.New("content: item has more categories than an item can carry")
 
 // pairChunk holds the categories of items a Repository holds: each
 // pair is a category's interned id (catNames) and its weight, kept in
@@ -281,8 +280,8 @@ func (r *Repository) check(it *Item) error {
 	if math.IsNaN(norm) || math.IsInf(norm, 0) {
 		return fmt.Errorf("content: item %q must have finite category weights", it.ID)
 	}
-	if n > MaxCategories {
-		return fmt.Errorf("%w: %q has %d, at most %d", ErrTooManyCategories, it.ID, n, MaxCategories)
+	if n > maxCategories {
+		return fmt.Errorf("%w: %q has %d, at most %d", errTooManyCategories, it.ID, n, maxCategories)
 	}
 	if g := it.Geo; g != nil && (!g.Center.Valid() || math.IsNaN(g.Radius)) {
 		return fmt.Errorf("content: item %q must have its geographic scope on the globe", it.ID)

@@ -446,21 +446,21 @@ func TestChunkDirectoryNumbersEverySeq(t *testing.T) {
 	}
 }
 
-// TestAddRefusesTooManyCategories: an item carries at most MaxCategories
+// TestAddRefusesTooManyCategories: an item carries at most maxCategories
 // categories, the most its packed pair count holds; Add and CheckAdd
-// refuse one more with ErrTooManyCategories and leave nothing behind,
+// refuse one more with errTooManyCategories and leave nothing behind,
 // and an item at the limit keeps every weight.
 func TestAddRefusesTooManyCategories(t *testing.T) {
 	r := NewRepository()
 	cats := map[string]float64{}
-	for i := 0; len(cats) < MaxCategories+1; i++ {
+	for i := 0; len(cats) < maxCategories+1; i++ {
 		cats[fmt.Sprintf("many-%03d", i)] = 1 / float64(1+i)
 	}
 	over := &Item{ID: "over", Duration: time.Minute, Published: t0, Categories: cats}
-	if err := r.CheckAdd(over); !errors.Is(err, ErrTooManyCategories) {
+	if err := r.CheckAdd(over); !errors.Is(err, errTooManyCategories) {
 		t.Fatalf("CheckAdd of %d categories: %v", len(cats), err)
 	}
-	if err := r.Add(over); !errors.Is(err, ErrTooManyCategories) || !strings.Contains(err.Error(), `"over"`) {
+	if err := r.Add(over); !errors.Is(err, errTooManyCategories) || !strings.Contains(err.Error(), `"over"`) {
 		t.Fatalf("Add of %d categories: %v", len(cats), err)
 	}
 	if _, ok := r.Get("over"); ok || r.Len() != 0 {
