@@ -123,8 +123,8 @@ var errTooManyCategories = errors.New("content: item has more categories than an
 // parallel arrays so a pair takes 12 B and no padding. Neither array
 // holds a pointer, so the collector never scans them.
 type pairChunk struct {
-	cats []int32
-	ws   []float64
+	cats [pairCap]int32
+	ws   [pairCap]float64
 }
 
 // kept returns the pairs Add kept for the item: ids and weights, in
@@ -157,15 +157,27 @@ func (it *Item) Weights() iter.Seq2[string, float64] {
 	}
 }
 
-// Weight returns the item's weight for a category, 0 if it has none.
-func (it *Item) Weight(cat string) float64 {
+// CategoryKey is a category name resolved once to its interned id, for
+// a reader that asks many items for the same category (Item.Weight): an
+// item a Repository holds is then searched by id, not by name.
+type CategoryKey struct {
+	name string
+	id   int32
+}
+
+// KeyOf resolves a category name. A name no item has carried yet is
+// interned, for the life of the process, as Add would intern it.
+func KeyOf(name string) CategoryKey { return CategoryKey{name, intern(name)} }
+
+// Weight returns the item's weight for the category k names, 0 if it
+// has none.
+func (it *Item) Weight(k CategoryKey) float64 {
 	if it.Categories != nil || it.nPairs == 0 {
-		return it.Categories[cat]
+		return it.Categories[k.name]
 	}
-	names := catNames()
 	cats, ws := it.kept()
 	for i, id := range cats {
-		if names[id] == cat {
+		if id == k.id {
 			return ws[i]
 		}
 	}
@@ -204,7 +216,7 @@ type Repository struct {
 	ids     idIndex       // item ID -> seq
 	feats   []Features    // seq -> the item's resident features
 	items   itemDir       // seq -> the item: the chunks Add copies items into
-	pairs   *pairChunk    // the chunk Add writes category pairs into
+	pairs   *pairChunk    // the chunk Add writes category pairs into; nil before the first Add
 	nPairs  int           // pairs written into it
 	byName  []namedWeight // addFeatures' sort scratch
 	post    [][]int32     // category id -> seqs of the items carrying it
@@ -215,7 +227,7 @@ type Repository struct {
 
 // NewRepository returns an empty repository.
 func NewRepository() *Repository {
-	return &Repository{ids: newIDIndex(), pairs: new(pairChunk)}
+	return &Repository{ids: newIDIndex()}
 }
 
 // Add inserts an item. It rejects duplicates, empty IDs, non-positive

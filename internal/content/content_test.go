@@ -74,6 +74,30 @@ func TestTopCategory(t *testing.T) {
 	}
 }
 
+// TestWeightReadsByKey: Weight reads the weight Weights yields, of an
+// item never added and of the repository's copy, for categories the
+// item carries and for one it does not.
+func TestWeightReadsByKey(t *testing.T) {
+	in := item("x", "weather", time.Minute, t0)
+	in.Categories["traffic"] = 0.25
+	r := NewRepository()
+	if err := r.Add(in); err != nil {
+		t.Fatal(err)
+	}
+	held, _ := r.Get("x")
+	for _, it := range []*Item{in, held, {}} {
+		all := maps.Collect(it.Weights())
+		for _, c := range []string{"weather", "traffic", "sport"} {
+			if got, want := it.Weight(KeyOf(c)), all[c]; got != want {
+				t.Fatalf("item %q: Weight(%s) = %v, Weights has %v", it.ID, c, got, want)
+			}
+		}
+	}
+	if held.Weight(KeyOf("traffic")) != 0.25 {
+		t.Fatal("the repository's copy lost a weight")
+	}
+}
+
 // TestAddTakesAnotherRepositorysItem: an item one repository handed out
 // (Categories nil, its categories as pairs) is added to another with
 // the same weights, and neither repository's copy shares the other's.
@@ -93,8 +117,8 @@ func TestAddTakesAnotherRepositorysItem(t *testing.T) {
 		t.Fatal("the second repository shares the first one's copy")
 	}
 	for c, w := range in.Categories {
-		if fromB.Weight(c) != w || fromA.Weight(c) != w {
-			t.Fatalf("%s: %v and %v, added with %v", c, fromA.Weight(c), fromB.Weight(c), w)
+		if k := KeyOf(c); fromB.Weight(k) != w || fromA.Weight(k) != w {
+			t.Fatalf("%s: %v and %v, added with %v", c, fromA.Weight(k), fromB.Weight(k), w)
 		}
 	}
 	if got := fromB.TopCategory(); got != "music" {
@@ -311,8 +335,8 @@ func TestViewMatchesLinearScan(t *testing.T) {
 			}
 			for i, seq := range seqs {
 				held := v.Item(seq)
-				if ws[i] != held.Weight(cat) {
-					t.Fatalf("%s since %v: %s filed with weight %v, item has %v", cat, at, held.ID, ws[i], held.Weight(cat))
+				if ws[i] != held.Weight(KeyOf(cat)) {
+					t.Fatalf("%s since %v: %s filed with weight %v, item has %v", cat, at, held.ID, ws[i], held.Weight(KeyOf(cat)))
 				}
 				if cut.Admits(&v, seq) {
 					got = append(got, held.ID)
@@ -416,33 +440,14 @@ func TestItemSize(t *testing.T) {
 // remainder once per chunk. A pair chunk is two arrays, ids and weights.
 func TestChunksAreWholePages(t *testing.T) {
 	const page = 8 << 10
-	if n := unsafe.Sizeof(Item{}) * itemChunk; n%page != 0 {
+	if n := unsafe.Sizeof([itemChunk]Item{}); n%page != 0 {
 		t.Fatalf("an item chunk is %d B (%d B an item), not a whole number of pages", n, unsafe.Sizeof(Item{}))
 	}
 	pc := reflect.TypeFor[pairChunk]()
 	for i := range pc.NumField() {
-		if n := pc.Field(i).Type.Elem().Size() * pairCap; n%page != 0 {
+		if n := pc.Field(i).Type.Size(); n%page != 0 {
 			t.Fatalf("a pair chunk's %s array is %d B, not a whole number of pages", pc.Field(i).Name, n)
 		}
-	}
-}
-
-// TestChunkDirectoryNumbersEverySeq: chunkOf walks the item chunks in
-// seq order — each seq is the next place in its chunk, or the first of
-// the next chunk once one is full — through the geometric chunks and
-// well into the full-size ones.
-func TestChunkDirectoryNumbersEverySeq(t *testing.T) {
-	k, off := 0, -1
-	for seq := int32(0); seq < geoItems+3*itemChunk; seq++ {
-		if off++; off == chunkLen(k) {
-			k, off = k+1, 0
-		}
-		if gk, goff := chunkOf(seq); gk != k || goff != off {
-			t.Fatalf("seq %d: chunk %d place %d, want chunk %d place %d", seq, gk, goff, k, off)
-		}
-	}
-	if chunkLen(geoChunks) != itemChunk || chunkLen(geoChunks-1) != itemChunk/2 {
-		t.Fatalf("chunk %d is %d items, want the full %d", geoChunks, chunkLen(geoChunks), itemChunk)
 	}
 }
 
@@ -481,10 +486,10 @@ func TestAddRefusesTooManyCategories(t *testing.T) {
 // the chunks, readers resolve items by seq — through a View, ItemAt,
 // Get and All — and read their categories, at every chunk boundary
 // below the view's length and at its tail; Add waits for the readers
-// at each boundary, so the reads cross every one, the small geometric
-// chunks included. Under -race it is the proof that an item, once a
-// reader can reach it by its seq, is never written. Each item read has
-// Categories nil and the weights it was added with.
+// at each boundary, so the reads cross every one. Under -race it is
+// the proof that an item, once a reader can reach it by its seq, is
+// never written. Each item read has Categories nil and the weights it
+// was added with.
 func TestChunkReadsWhileAddAppends(t *testing.T) {
 	const n = 3000
 	rng := rand.New(rand.NewSource(7))
@@ -498,7 +503,7 @@ func TestChunkReadsWhileAddAppends(t *testing.T) {
 	}
 	// The seqs either side of each chunk boundary below n.
 	var edges []int32
-	for k, start := 0, 0; start < n; start, k = start+chunkLen(k), k+1 {
+	for start := 0; start < n; start += itemChunk {
 		if start > 0 {
 			edges = append(edges, int32(start-1))
 		}
@@ -515,7 +520,7 @@ func TestChunkReadsWhileAddAppends(t *testing.T) {
 		}
 		k := 0
 		for c, w := range it.Weights() {
-			if math.Float64bits(w) != math.Float64bits(want[c]) || it.Weight(c) != w {
+			if math.Float64bits(w) != math.Float64bits(want[c]) || it.Weight(KeyOf(c)) != w {
 				return fmt.Errorf("item %s: %s weighs %v, added with %v", it.ID, c, w, want[c])
 			}
 			k++

@@ -2,7 +2,6 @@ package content
 
 import (
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -72,51 +71,25 @@ func (c Cut) Admits(v *View, seq int32) bool {
 
 // Chunk sizes. Add copies items and category pairs into arrays it
 // allocates whole and never grows or moves, so a pointer into one stays
-// valid; each array is twice the size of the one before, up to the cap,
-// so a small catalog stays small. A full-size chunk is a whole number of
-// 8 KiB pages, which the allocator does not round up
-// (TestChunksAreWholePages).
+// valid. A chunk is a whole number of 8 KiB pages, which the allocator
+// does not round up (TestChunksAreWholePages).
 const (
 	itemChunk = 1024 // items: 112 B each, 14 pages
 	pairCap   = 4096 // category pairs: 4 B ids, 2 pages; 8 B weights, 4 pages
-	// firstItemChunk is the smallest item chunk's size, and geoChunks
-	// the number of item chunks, each twice the one before, that come
-	// before the first full-size one.
-	firstItemChunk = 16
-	geoChunks      = 6 // 16, 32, …, 512
-	// geoItems is the number of items the geometric chunks hold: the seq
-	// the first full-size chunk starts at.
-	geoItems = firstItemChunk * (1<<geoChunks - 1)
 )
 
 // itemDir is the directory of a repository's item chunks: chunk k holds
-// the chunkLen(k) items numbered on from the last of chunk k−1. Each chunk is allocated at
-// its full length and written in place, one item at a time at its seq,
-// so neither a chunk's slice header nor an item a reader can reach is
-// ever written again, and the directory only grows at its tail: a View
-// shares it as it shares the other seq-indexed slices.
-type itemDir [][]Item
+// the items numbered k·itemChunk on. Each chunk is allocated whole and
+// written in place, one item at a time at its seq, so neither a chunk
+// nor an item a reader can reach is ever written again, and the
+// directory only grows at its tail: a View shares it as it shares the
+// other seq-indexed slices.
+type itemDir []*[itemChunk]Item
 
 // at returns the item numbered seq.
 func (d itemDir) at(seq int32) *Item {
-	k, off := chunkOf(seq)
-	return &d[k][off]
+	return &d[uint32(seq)/itemChunk][uint32(seq)%itemChunk]
 }
-
-// chunkOf returns the chunk that holds seq and seq's place in it. The
-// geometric chunks start at firstItemChunk·(2ᵏ−1), so below geoItems
-// the chunk is the bit length of seq/firstItemChunk+1, less one.
-func chunkOf(seq int32) (k, off int) {
-	if seq < geoItems {
-		k = bits.Len32(uint32(seq)/firstItemChunk+1) - 1
-		return k, int(seq) - firstItemChunk*(1<<k-1)
-	}
-	s := int(seq) - geoItems
-	return geoChunks + s/itemChunk, s % itemChunk
-}
-
-// chunkLen returns the length of item chunk k.
-func chunkLen(k int) int { return firstItemChunk << min(k, geoChunks) }
 
 // addFeatures copies the item into the repository's item chunk at seq,
 // writes its categories in name order as pairs into the pair chunk,
@@ -129,15 +102,13 @@ func (r *Repository) addFeatures(it *Item, seq int32) {
 	}
 	slices.SortFunc(byName, func(a, b namedWeight) int { return strings.Compare(a.cat, b.cat) })
 	r.byName = byName
-	if len(r.pairs.cats)-r.nPairs < len(byName) {
-		n := max(len(byName), min(max(2*len(r.pairs.cats), 64), pairCap))
-		r.pairs, r.nPairs = &pairChunk{cats: make([]int32, n), ws: make([]float64, n)}, 0
+	if r.pairs == nil || pairCap-r.nPairs < len(byName) {
+		r.pairs, r.nPairs = new(pairChunk), 0
 	}
-	k, off := chunkOf(seq)
-	if k == len(r.items) {
-		r.items = append(r.items, make([]Item, chunkLen(k)))
+	if int(seq) == len(r.items)*itemChunk {
+		r.items = append(r.items, new([itemChunk]Item))
 	}
-	own := &r.items[k][off]
+	own := r.items.at(seq)
 	*own = *it
 	// Drop the input map, and the pairs a copy of another repository's
 	// item brings: the pairs written below are the copy's own.

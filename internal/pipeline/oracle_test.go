@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"maps"
@@ -501,7 +503,11 @@ func TestPlansConsistentUnderConcurrentIngest(t *testing.T) {
 		}
 		task := planTask(r.user)
 		qp.Run(task)
-		if !reflect.DeepEqual(inCatalog(r.plan, quiesced), task.Plan) {
+		got, err := inCatalog(r.plan, quiesced)
+		if err != nil {
+			t.Fatalf("%s with %d items visible: %v", r.user, r.visible, err)
+		}
+		if !reflect.DeepEqual(got, task.Plan) {
 			t.Fatalf("%s with %d items visible: concurrent plan differs from the quiesced one\n got:  %s\n want: %s", r.user, r.visible, planString(r.plan), planString(task.Plan))
 		}
 	}
@@ -512,22 +518,54 @@ func TestPlansConsistentUnderConcurrentIngest(t *testing.T) {
 }
 
 // inCatalog returns a copy of the plan whose items are the catalog's
-// items of the same IDs. Two repositories fed the same items hold
-// copies that are equal but for their pair chunks, which differ in the
-// pairs of the other items they hold.
-func inCatalog(p core.Plan, repo *content.Repository) core.Plan {
+// items of the same IDs, once each is shown to hold what the catalog's
+// holds: the same JSON, which carries every exported field and the
+// weights, and the same weights in the same order, bit for bit. Two
+// repositories fed the same items hold copies that are equal but for
+// their pair chunks, which differ in the pairs of the other items they
+// hold; the swap leaves reflect.DeepEqual only those to ignore.
+func inCatalog(p core.Plan, repo *content.Repository) (core.Plan, error) {
 	p.Items, p.Dropped = slices.Clone(p.Items), slices.Clone(p.Dropped)
+	swap := func(s *recommend.Scored) error {
+		it, ok := repo.Get(s.Item.ID)
+		if !ok {
+			return fmt.Errorf("item %s is not in the quiesced catalog", s.Item.ID)
+		}
+		got, err := json.Marshal(s.Item)
+		if err != nil {
+			return err
+		}
+		want, err := json.Marshal(it)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, want) || !slices.Equal(weightBits(s.Item), weightBits(it)) {
+			return fmt.Errorf("item %s differs from the quiesced catalog's\n got:  %s %v\n want: %s %v", it.ID, got, weightBits(s.Item), want, weightBits(it))
+		}
+		s.Item = it
+		return nil
+	}
 	for i := range p.Items {
-		if it, ok := repo.Get(p.Items[i].Scored.Item.ID); ok {
-			p.Items[i].Scored.Item = it
+		if err := swap(&p.Items[i].Scored); err != nil {
+			return p, err
 		}
 	}
 	for i := range p.Dropped {
-		if it, ok := repo.Get(p.Dropped[i].Scored.Item.ID); ok {
-			p.Dropped[i].Scored.Item = it
+		if err := swap(&p.Dropped[i].Scored); err != nil {
+			return p, err
 		}
 	}
-	return p
+	return p, nil
+}
+
+// weightBits lists the item's categories in the order Weights yields
+// them, each with its weight's bits.
+func weightBits(it *content.Item) []string {
+	var out []string
+	for c, w := range it.Weights() {
+		out = append(out, fmt.Sprintf("%s:%x", c, math.Float64bits(w)))
+	}
+	return out
 }
 
 // BenchmarkColdPlan is one plan-mode task end to end (view, ranking,

@@ -453,7 +453,7 @@ func (r *ranking) score(lo int32, acc []float64) {
 		}
 		seq := lo + int32(j)
 		f := set.view.At(seq)
-		if set.last > 0 && set.rowRejects(f, dot) || !r.cut.Admits(&set.view, seq) || f.SqrtNorm == 0 {
+		if set.last > 0 && set.rowRejects(f, dot) || f.SqrtNorm == 0 {
 			continue
 		}
 		cos := dot / set.fp.sqrtNa / f.SqrtNorm
@@ -488,12 +488,18 @@ func (r *ranking) score(lo int32, acc []float64) {
 }
 
 // offer finishes scoring the item numbered seq, which the bound let
-// through, and offers it.
+// through, and offers it if the publish cut admits it.
 func (r *ranking) offer(seq int32, cos, ctxScore float64) {
 	t, scorer := r.t, r.s.deps.Scorer
+	// Only items the bound let through pay the cut and the lookup; both
+	// bound checks read just the heap, which an item the cut or the
+	// exclusions drop never enters. The cut is checked here, out of
+	// score's loop, because Admits is a call: in the loop, its
+	// arguments' spills land on the path of every item the rows reject.
+	if !r.cut.Admits(&r.set.view, seq) {
+		return
+	}
 	it := r.set.view.Item(seq)
-	// Only items the bound let through pay the lookup; both bound checks
-	// read just the heap, which an excluded item never enters.
 	if t.Exclude.Has(seq, it.ID) {
 		return
 	}

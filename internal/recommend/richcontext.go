@@ -83,6 +83,9 @@ func (a Activity) String() string {
 	}
 }
 
+// The categories weatherScore reads of every item it rates.
+var weatherKey, trafficKey = content.KeyOf("weather"), content.KeyOf("traffic")
+
 // weatherScore rates an item for the current weather: in degraded
 // conditions, weather and traffic information becomes sharply more
 // relevant; everything else is neutral. Unknown weather is neutral for
@@ -91,7 +94,7 @@ func weatherScore(it *content.Item, w Weather) float64 {
 	if w == WeatherUnknown {
 		return 0.5
 	}
-	infoMass := it.Weight("weather") + it.Weight("traffic")
+	infoMass := it.Weight(weatherKey) + it.Weight(trafficKey)
 	sev := w.Severity()
 	// Clear weather: weather/traffic bulletins are mildly de-prioritized.
 	if sev == 0 {
