@@ -2,17 +2,17 @@
 // the paper's architecture (Fig 3): the podcasts and clips that the clip
 // data management component classifies and the recommender draws from.
 //
-// An item's Categories map is input only: Repository.Add reads it and
-// keeps the distribution as flat (category id, weight) pairs, and the
-// item the repository hands out has Categories == nil. Every reader of
-// an item's categories goes through Item.Weights and Item.Weight, which
-// read the map of an item never added and the pairs of one added.
+// An item's Categories map is input only: Repository.Add keeps the
+// distribution once, as pairs in the item's ranking row (Features), and
+// the item it hands out has Categories == nil. Item.Weights and
+// Item.Weight read the map of an item never added and the row of one
+// added.
 //
 // An item the repository holds is reached by its seq, its place in
-// insertion order: the repository's item chunks are numbered in that
-// order, so a seq names a chunk and a place in it (itemDir), and nothing
-// else — not the ranking features, not the ID index — points at the
-// item.
+// insertion order: the repository's item and row chunks are numbered in
+// that order, so a seq names a chunk and a place in it (itemDir,
+// rowDir), and nothing else — not the rows, not the ID index — points
+// at the item.
 package content
 
 import (
@@ -79,7 +79,7 @@ type GeoRelevance struct {
 // Item is one recommendable audio unit.
 //
 // Every node holds one per catalog item for its life, so the layout is
-// packed: the pair count and offset and the bitrate fill what would be
+// packed: the place of its row and the bitrate fill what would be
 // Kind's padding, and an item is 112 B (TestItemSize). The JSON form
 // keeps the fields' historical order (itemJSON).
 type Item struct {
@@ -87,11 +87,7 @@ type Item struct {
 	Title   string
 	Program string // editorial program the clip was cut from
 	Kind    Kind
-	// nPairs and pairOff place the distribution Add kept in *pairs:
-	// nPairs pairs from index pairOff, in category-name order. Add
-	// refuses an item with more categories than nPairs counts.
-	nPairs  uint8
-	pairOff uint16
+	row     uint16 // the item's row in *rows
 	// Bitrate of the encoded audio, kbps.
 	BitrateKbps int32
 	Duration    time.Duration
@@ -106,32 +102,21 @@ type Item struct {
 	// Geo is non-nil for geographically scoped items.
 	Geo *GeoRelevance
 
-	// pairs is the repository pair chunk the item's categories are in;
-	// nil for an item never added.
-	pairs *pairChunk
+	rows *rowsChunk // nil for an item never added
 }
 
-// maxCategories is the most categories an item can carry, what
-// Item.nPairs counts: Add refuses an item with more
-// (errTooManyCategories).
+// maxCategories is the most categories an item can carry: Add refuses
+// an item with more (errTooManyCategories).
 const maxCategories = math.MaxUint8
 
 var errTooManyCategories = errors.New("content: item has more categories than an item can carry")
 
-// pairChunk holds the categories of items a Repository holds: each
-// pair is a category's interned id (catNames) and its weight, kept in
-// parallel arrays so a pair takes 12 B and no padding. Neither array
-// holds a pointer, so the collector never scans them.
-type pairChunk struct {
-	cats [pairCap]int32
-	ws   [pairCap]float64
-}
-
-// kept returns the pairs Add kept for the item: ids and weights, in
-// category-name order.
-func (it *Item) kept() ([]int32, []float64) {
-	lo, hi := int(it.pairOff), int(it.pairOff)+int(it.nPairs)
-	return it.pairs.cats[lo:hi], it.pairs.ws[lo:hi]
+// held returns the item's row: nil for an item never added.
+func (it *Item) held() *Features {
+	if it.Categories != nil || it.rows == nil {
+		return nil
+	}
+	return &it.rows.rows[it.row]
 }
 
 // Weights returns the item's category distribution: the pairs Add kept,
@@ -139,7 +124,8 @@ func (it *Item) kept() ([]int32, []float64) {
 // Categories map, in map order, for one never added.
 func (it *Item) Weights() iter.Seq2[string, float64] {
 	return func(yield func(string, float64) bool) {
-		if it.Categories != nil || it.nPairs == 0 {
+		f := it.held()
+		if f == nil {
 			for c, w := range it.Categories {
 				if !yield(c, w) {
 					return
@@ -148,13 +134,25 @@ func (it *Item) Weights() iter.Seq2[string, float64] {
 			return
 		}
 		names := catNames()
-		cats, ws := it.kept()
-		for i, id := range cats {
-			if !yield(names[id], ws[i]) {
+		for i := 0; i < rowPairs && f.ids[i] != emptyID; i++ {
+			if !yield(names[f.ids[i]], f.ws[i]) {
+				return
+			}
+		}
+		for _, q := range spilled(it.rows.spill, f) {
+			if !yield(names[q.id], q.w) {
 				return
 			}
 		}
 	}
+}
+
+// nCategories returns how many categories the item carries.
+func (it *Item) nCategories() (n int) {
+	for range it.Weights() {
+		n++
+	}
+	return n
 }
 
 // CategoryKey is a category name resolved once to its interned id, for
@@ -172,13 +170,18 @@ func KeyOf(name string) CategoryKey { return CategoryKey{name, intern(name)} }
 // Weight returns the item's weight for the category k names, 0 if it
 // has none.
 func (it *Item) Weight(k CategoryKey) float64 {
-	if it.Categories != nil || it.nPairs == 0 {
+	f := it.held()
+	if f == nil {
 		return it.Categories[k.name]
 	}
-	cats, ws := it.kept()
-	for i, id := range cats {
-		if id == k.id {
-			return ws[i]
+	for i, id := range f.ids {
+		if int32(id) == k.id && id != emptyID {
+			return f.ws[i]
+		}
+	}
+	for _, q := range spilled(it.rows.spill, f) {
+		if q.id == k.id {
+			return q.w
 		}
 	}
 	return 0
@@ -197,30 +200,27 @@ func (it *Item) TopCategory() string {
 }
 
 // Repository is the thread-safe content store with the secondary indexes
-// the recommender needs: by ID, by category and by publish time.
+// the recommender needs: by ID and by publish time.
 //
-// Add keeps its own copy of each item, and of its categories as flat
-// pairs, in append-only chunks (features.go); it also derives the item's
-// ranking features and files the item under every category it carries,
-// so a planning request reads the catalog through a View instead of
-// re-deriving any of it. This is derived state: snapshot restore and WAL
-// replay rebuild it through Add and nothing of it is persisted.
+// Add keeps its own copy of each item and its ranking row in
+// append-only chunks (features.go), so a planning request reads the
+// catalog through a View instead of re-deriving any of it. This is
+// derived state: snapshot restore and WAL replay rebuild it through Add
+// and nothing of it is persisted.
 //
 // Items are numbered in insertion order; that number (seq) never
-// changes, and every seq-indexed slice below only ever grows at its
+// changes, and every seq-indexed chunk below only ever grows at its
 // tail, which is what lets a View share them with readers lock-free.
-// The item chunks are numbered the same way, so a seq is all it takes
-// to reach an item (itemDir).
+// The item and row chunks are numbered the same way, so a seq is all it
+// takes to reach an item (itemDir) or its row (rowDir).
 type Repository struct {
 	mu      sync.RWMutex
 	ids     idIndex       // item ID -> seq
-	feats   []Features    // seq -> the item's resident features
 	items   itemDir       // seq -> the item: the chunks Add copies items into
-	pairs   *pairChunk    // the chunk Add writes category pairs into; nil before the first Add
-	nPairs  int           // pairs written into it
+	rows    rowDir        // seq -> the item's ranking row
+	spill   sync.Map      // spilling row -> the pairs past it ([]pair)
+	n       int           // items held
 	byName  []namedWeight // addFeatures' sort scratch
-	post    [][]int32     // category id -> seqs of the items carrying it
-	postWs  [][]float64   // parallel to post: the weight each item gives the category
 	byPub   []int32       // seqs ordered by Published asc
 	ordered int           // leading seqs that arrived in publish order
 }
@@ -238,8 +238,8 @@ func NewRepository() *Repository {
 // same reason, a geographic scope whose geo score would be NaN.
 //
 // Add keeps a copy of the item, with Categories nil and the
-// distribution (Weights) as flat pairs, and retains nothing of the
-// map: Get, All and a View hand out the copy. The copy is immutable,
+// distribution (Weights) as pairs in its row, and retains nothing of
+// the map: Get, All and a View hand out the copy. The copy is immutable,
 // and a View hands it to planners without a lock. It shares the
 // GeoRelevance Geo points at, which must not change after Add either: a
 // later write would be a data race, missing from the write-ahead log and
@@ -250,8 +250,9 @@ func (r *Repository) Add(it *Item) error {
 	if err := r.check(it); err != nil {
 		return err
 	}
-	seq := int32(len(r.feats))
+	seq := int32(r.n)
 	r.addFeatures(it, seq)
+	r.n++
 	r.ids.insert(r.items, seq)
 	// Insert into the publish-ordered list (items arrive mostly in
 	// order, so the scan from the tail is effectively O(1)).
@@ -325,17 +326,16 @@ func (r *Repository) Seq(id string) (int32, bool) {
 
 // ItemAt returns the item numbered seq, which must be below Len().
 func (r *Repository) ItemAt(seq int32) *Item {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_ = r.feats[seq] // seq is below Len: its item is written
-	return r.items.at(seq)
+	var v View
+	r.ReadView(&v)
+	return v.Item(seq)
 }
 
 // Len returns the number of items.
 func (r *Repository) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.feats)
+	return r.n
 }
 
 // All returns every item ordered by ascending publish time.
@@ -359,11 +359,9 @@ func (r *Repository) ByCategory(cat string) []*Item {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := []*Item{}
-	if id, ok := catID(cat); ok && int(id) < len(r.post) {
-		for _, seq := range r.post[id] {
-			if it := r.items.at(seq); it.TopCategory() == cat {
-				out = append(out, it)
-			}
+	for seq := range int32(r.n) {
+		if it := r.items.at(seq); it.TopCategory() == cat {
+			out = append(out, it)
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package content
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
@@ -8,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,7 +115,7 @@ func TestAddTakesAnotherRepositorysItem(t *testing.T) {
 		t.Fatal(err)
 	}
 	fromB, _ := b.Get("x")
-	if fromB == fromA || fromB.Categories != nil || fromB.pairs == fromA.pairs {
+	if fromB == fromA || fromB.Categories != nil || fromB.rows == fromA.rows {
 		t.Fatal("the second repository shares the first one's copy")
 	}
 	for c, w := range in.Categories {
@@ -268,11 +270,13 @@ func TestPipelineWiringErrors(t *testing.T) {
 
 // TestViewMatchesLinearScan: for every category and a sweep of cuts —
 // before the Unix epoch, inside one second, at an item's exact instant —
-// Postings from WindowStart on, filtered by Admits, is the set a scan of
-// the items finds, each beside the weight its item gives the category,
-// for items added in and out of publish order; every item's resident
-// row mirrors its duration, kind and whether it has a geographic scope;
-// and a view does not see what is added after it was taken.
+// the rows from WindowStart on, filtered by Admits, find the set a scan
+// of the items finds, each row's dot product with that one category
+// being the weight its item gives it, for items added in and out of
+// publish order; every item's resident row mirrors its duration, kind
+// and whether it has a geographic scope and holds its whole category
+// vector in name order; and a view does not see what is added after it
+// was taken.
 func TestViewMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cats := []string{"music", "sport", "zebra", "art"}
@@ -315,6 +319,16 @@ func TestViewMatchesLinearScan(t *testing.T) {
 			t.Fatalf("seq %d: row {%s %v %v geo:%v}, item {%s %v %v geo:%v}",
 				seq, held.ID, f.Duration, f.Kind, f.HasGeo, it.ID, it.Duration, it.Kind, it.Geo != nil)
 		}
+		var names []string
+		for c, w := range held.Weights() {
+			if x, has := it.Categories[c]; !has || x != w {
+				t.Fatalf("%s: row holds %s at %v, item has %v", it.ID, c, w, it.Categories)
+			}
+			names = append(names, c)
+		}
+		if len(names) != len(it.Categories) || !slices.IsSorted(names) {
+			t.Fatalf("%s: row holds %v, item has %v", it.ID, names, it.Categories)
+		}
 	}
 
 	cuts := []time.Time{{}, base, base.Add(18 * time.Second), items[10].Published, items[10].Published.Add(time.Nanosecond)}
@@ -322,23 +336,17 @@ func TestViewMatchesLinearScan(t *testing.T) {
 		cuts = append(cuts, base.Add(time.Duration(rng.Intn(19_000))*time.Millisecond))
 	}
 	for _, cat := range cats {
-		id, ok := v.CategoryID(cat)
-		if !ok {
-			t.Fatalf("category %q not interned", cat)
-		}
+		var u Prefs
+		u.Set(cat, 1)
 		for _, at := range cuts {
 			cut := Since(at)
 			var got, want []string
-			seqs, ws := v.Postings(id, v.WindowStart(cut))
-			if len(ws) != len(seqs) {
-				t.Fatalf("%s since %v: %d seqs beside %d weights", cat, at, len(seqs), len(ws))
-			}
-			for i, seq := range seqs {
-				held := v.Item(seq)
-				if ws[i] != held.Weight(KeyOf(cat)) {
-					t.Fatalf("%s since %v: %s filed with weight %v, item has %v", cat, at, held.ID, ws[i], held.Weight(KeyOf(cat)))
+			for seq := v.WindowStart(cut); seq < int32(v.Len()); seq++ {
+				held, f := v.Item(seq), v.At(seq)
+				if dot := f.Dot(&u); dot != held.Weight(KeyOf(cat)) || f.Spills() {
+					t.Fatalf("%s since %v: %s's row weighs %v, item has %v", cat, at, held.ID, dot, held.Weight(KeyOf(cat)))
 				}
-				if cut.Admits(&v, seq) {
+				if _, has := items[seq].Categories[cat]; has && cut.Admits(&v, seq) {
 					got = append(got, held.ID)
 				}
 			}
@@ -352,30 +360,88 @@ func TestViewMatchesLinearScan(t *testing.T) {
 			}
 		}
 	}
-	// From seq 0 on, the postings hold every item's whole category vector:
-	// each (item, category) pair once, in ascending seq order, beside the
-	// weight the item's map gives it.
-	filed := make([]int, seen)
-	for _, cat := range cats {
-		id, _ := v.CategoryID(cat)
-		seqs, ws := v.Postings(id, 0)
-		for i, seq := range seqs {
-			it := items[seq]
-			if v.Item(seq).ID != it.ID {
-				t.Fatalf("%s: seq %d holds %s, item %d added was %s", cat, seq, v.Item(seq).ID, seq, it.ID)
-			}
-			if i > 0 && seqs[i-1] >= seq {
-				t.Fatalf("%s: seq %d filed after %d", cat, seq, seqs[i-1])
-			}
-			if w, has := it.Categories[cat]; !has || ws[i] != w {
-				t.Fatalf("%s: %s filed with weight %v, item has %v", cat, it.ID, ws[i], it.Categories)
-			}
-			filed[seq]++
+}
+
+// TestRowsHoldEveryPair: an item's pairs are its row's and then its
+// spilled run's, whatever its width — none, a row's worth, more, and
+// categories whose interned id a row's byte cannot hold, before and
+// after the others in name order. Weights yields the item's map in name
+// order, Weight each weight, Features.Dot plus View.SpillDot the sum a
+// loop over the categories both the item and the listener carry adds,
+// in name order, to the bit, and the JSON form is the map's.
+func TestRowsHoldEveryPair(t *testing.T) {
+	var narrow, wide []string
+	for i := 0; len(wide) < 8; i++ {
+		name := fmt.Sprintf("%c-row-%03d", 'a'+i*11%26, i)
+		if k := KeyOf(name); k.id < emptyID {
+			narrow = append(narrow, name)
+		} else {
+			wide = append(wide, name)
 		}
 	}
-	for seq, it := range items[:seen] {
-		if filed[seq] != len(it.Categories) {
-			t.Fatalf("%s: filed under %d categories, item has %d", it.ID, filed[seq], len(it.Categories))
+	rng := rand.New(rand.NewSource(11))
+	r := NewRepository()
+	var items []*Item
+	for i := range 200 {
+		it := item(fmt.Sprintf("w%03d", i), narrow[rng.Intn(len(narrow))], time.Minute, t0)
+		for range i % 13 {
+			it.Categories[narrow[rng.Intn(len(narrow))]] = rng.NormFloat64()
+		}
+		if i%3 == 0 {
+			it.Categories[wide[rng.Intn(len(wide))]] = rng.NormFloat64()
+		}
+		if err := r.Add(it); err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, it)
+	}
+	var u Prefs
+	prefs := map[string]float64{}
+	for _, c := range append(slices.Clone(narrow[:len(narrow)/2]), wide[:4]...) {
+		prefs[c] = rng.NormFloat64()
+		u.Set(c, prefs[c])
+	}
+	var v View
+	r.ReadView(&v)
+	spilled := 0
+	for seq, in := range items {
+		held, f := v.Item(int32(seq)), v.At(int32(seq))
+		names := slices.Sorted(maps.Keys(in.Categories))
+		var got []string
+		want := 0.0
+		for c, w := range held.Weights() {
+			if math.Float64bits(w) != math.Float64bits(in.Categories[c]) || held.Weight(KeyOf(c)) != w {
+				t.Fatalf("%s: %s weighs %v (Weight %v), added with %v", in.ID, c, w, held.Weight(KeyOf(c)), in.Categories[c])
+			}
+			got = append(got, c)
+			if p, ok := prefs[c]; ok {
+				want += p * w
+			}
+		}
+		if !slices.Equal(got, names) {
+			t.Fatalf("%s: pairs %v, want %v", in.ID, got, names)
+		}
+		dot := f.Dot(&u)
+		if f.Spills() {
+			dot = v.SpillDot(dot, f, &u)
+			spilled++
+		}
+		if math.Float64bits(dot) != math.Float64bits(want) {
+			t.Fatalf("%s: dot %v, the name-ordered sum %v", in.ID, dot, want)
+		}
+		a, _ := json.Marshal(held)
+		b, _ := json.Marshal(in)
+		if string(a) != string(b) {
+			t.Fatalf("%s: held item encodes as\n%s\nadded as\n%s", in.ID, a, b)
+		}
+	}
+	if spilled == 0 || spilled == len(items) {
+		t.Fatalf("%d of %d rows spill: the catalog does not cross the row's width", spilled, len(items))
+	}
+	u = Prefs{}
+	for seq := range items {
+		if f := v.At(int32(seq)); f.Dot(&u) != 0 || f.Spills() && v.SpillDot(0, f, &u) != 0 {
+			t.Fatalf("%s: a zero Prefs weighs it", items[seq].ID)
 		}
 	}
 }
@@ -383,12 +449,13 @@ func TestViewMatchesLinearScan(t *testing.T) {
 // TestFeaturesRowSize guards the resident row's width. Every node keeps
 // one row per item for the catalog's life, so each 8 B added is
 // 8 B × items × nodes of live heap — 0.3 MB of the benchmark's
-// live_heap_mb at its 20 000 items on leader and follower. The row holds
-// no pointer (the item is reached by its seq), so the collector never
-// scans the rows.
+// live_heap_mb at its 20 000 items on leader and follower. A row is one
+// cache line: Rank reads one per candidate. It holds no pointer (the
+// item is reached by its seq, the spill by the row's chunk), so the
+// collector never scans the rows.
 func TestFeaturesRowSize(t *testing.T) {
-	if n := unsafe.Sizeof(Features{}); n > 24 {
-		t.Fatalf("content.Features is %d B, want ≤ 24", n)
+	if n := unsafe.Sizeof(Features{}); n > 64 {
+		t.Fatalf("content.Features is %d B, want ≤ 64", n)
 	}
 	if f, ok := pointerField(reflect.TypeFor[Features]()); ok {
 		t.Fatalf("content.Features.%s holds a pointer", f)
@@ -426,8 +493,8 @@ func pointerField(st reflect.Type) (string, bool) {
 }
 
 // TestItemSize guards the width of an item the repository holds: every
-// node keeps one per catalog item for its life, and its pair count and
-// offset and its bitrate fill what would be Kind's padding.
+// node keeps one per catalog item for its life, and its row's place and
+// its bitrate fill what would be Kind's padding.
 func TestItemSize(t *testing.T) {
 	if n := unsafe.Sizeof(Item{}); n > 112 {
 		t.Fatalf("content.Item is %d B, want ≤ 112", n)
@@ -435,19 +502,20 @@ func TestItemSize(t *testing.T) {
 }
 
 // TestChunksAreWholePages guards the chunk sizes against a change in
-// Item's or a pair's width: a full chunk that is not a whole number of
+// Item's or a row's width: a full chunk that is not a whole number of
 // 8 KiB pages is rounded up by the allocator, and every node pays the
-// remainder once per chunk. A pair chunk is two arrays, ids and weights.
+// remainder once per chunk. A row chunk starts its rows on a cache
+// line.
 func TestChunksAreWholePages(t *testing.T) {
 	const page = 8 << 10
 	if n := unsafe.Sizeof([itemChunk]Item{}); n%page != 0 {
 		t.Fatalf("an item chunk is %d B (%d B an item), not a whole number of pages", n, unsafe.Sizeof(Item{}))
 	}
-	pc := reflect.TypeFor[pairChunk]()
-	for i := range pc.NumField() {
-		if n := pc.Field(i).Type.Size(); n%page != 0 {
-			t.Fatalf("a pair chunk's %s array is %d B, not a whole number of pages", pc.Field(i).Name, n)
-		}
+	if n := unsafe.Sizeof(rowsChunk{}); n%page != 0 {
+		t.Fatalf("a row chunk is %d B (%d B a row), not a whole number of pages", n, unsafe.Sizeof(Features{}))
+	}
+	if off := unsafe.Offsetof(rowsChunk{}.rows); off%64 != 0 {
+		t.Fatalf("a row chunk's rows start at %d B, not on a cache line", off)
 	}
 }
 
@@ -482,32 +550,49 @@ func TestAddRefusesTooManyCategories(t *testing.T) {
 	}
 }
 
-// TestChunkReadsWhileAddAppends: while Add copies items and pairs into
-// the chunks, readers resolve items by seq — through a View, ItemAt,
-// Get and All — and read their categories, at every chunk boundary
-// below the view's length and at its tail; Add waits for the readers
-// at each boundary, so the reads cross every one. Under -race it is
-// the proof that an item, once a reader can reach it by its seq, is
-// never written. Each item read has Categories nil and the weights it
-// was added with.
+// TestChunkReadsWhileAddAppends: while Add copies items into the item
+// chunks and writes their rows, some spilling past four pairs, readers
+// resolve items by seq — through a View, ItemAt, Get and All — and read
+// their categories, and rank through the View: every row's dot product,
+// walked chunk by chunk with Rows, is the one its item's map gives. They
+// read at every item- and row-chunk boundary below the view's length
+// and at its tail; Add waits for the readers at each boundary, so the
+// reads cross every one. Under -race it is the proof that an item or a
+// row, once a reader can reach it by its seq, is never written. Each
+// item read has Categories nil and the weights it was added with.
 func TestChunkReadsWhileAddAppends(t *testing.T) {
 	const n = 3000
 	rng := rand.New(rand.NewSource(7))
 	items := make([]*Item, n)
+	var u Prefs
+	prefs := map[string]float64{}
+	for _, c := range Categories[:20] {
+		prefs[c] = rng.NormFloat64()
+		u.Set(c, prefs[c])
+	}
+	dots := make([]float64, n) // each item's dot product with prefs, in name order
 	for i := range items {
+		width := 1 + i%4
+		if i%3 == 0 {
+			width = 5 + i%8 // past a row's four pairs
+		}
 		cats := map[string]float64{}
-		for len(cats) < 2+i%3 {
+		for len(cats) < width {
 			cats[Categories[rng.Intn(len(Categories))]] = rng.Float64()
+		}
+		for _, c := range slices.Sorted(maps.Keys(cats)) {
+			if p, ok := prefs[c]; ok {
+				dots[i] += p * cats[c]
+			}
 		}
 		items[i] = &Item{ID: fmt.Sprintf("c%05d", i), Duration: time.Minute, Published: t0.Add(time.Duration(i) * time.Second), Categories: cats}
 	}
-	// The seqs either side of each chunk boundary below n.
+	// The seqs either side of each item- and row-chunk boundary below n.
 	var edges []int32
-	for start := 0; start < n; start += itemChunk {
-		if start > 0 {
-			edges = append(edges, int32(start-1))
+	for seq := int32(1); seq < n; seq++ {
+		if seq%itemChunk == 0 || seq%rowChunk == 0 {
+			edges = append(edges, seq-1, seq)
 		}
-		edges = append(edges, int32(start))
 	}
 	r := NewRepository()
 	check := func(seq int32, it *Item) error {
@@ -539,6 +624,24 @@ func TestChunkReadsWhileAddAppends(t *testing.T) {
 		}
 		it, _ := r.Get(items[seq].ID)
 		return check(seq, it)
+	}
+	// rank walks the view's rows as Rank does.
+	rank := func(v *View) error {
+		for lo, m := int32(0), int32(v.Len()); lo < m; {
+			rows := v.Rows(lo)
+			for j := range rows {
+				f := &rows[j]
+				dot := f.Dot(&u)
+				if f.Spills() {
+					dot = v.SpillDot(dot, f, &u)
+				}
+				if seq := lo + int32(j); math.Float64bits(dot) != math.Float64bits(dots[seq]) {
+					return fmt.Errorf("seq %d: row's dot product %v, its map's %v", seq, dot, dots[seq])
+				}
+			}
+			lo += int32(len(rows))
+		}
+		return nil
 	}
 	const readers = 3
 	var rounds atomic.Int64 // read rounds finished, all readers together
@@ -573,6 +676,9 @@ func TestChunkReadsWhileAddAppends(t *testing.T) {
 							return err
 						}
 					}
+					if err := rank(&v); err != nil {
+						return err
+					}
 					if round%8 == g {
 						for seq, it := range r.All() {
 							if err := check(int32(seq), it); err != nil {
@@ -582,7 +688,7 @@ func TestChunkReadsWhileAddAppends(t *testing.T) {
 					}
 					return nil
 				}()
-				v.Reset()
+				v = View{}
 				if err != nil {
 					errs <- err
 					return

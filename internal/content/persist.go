@@ -40,7 +40,7 @@ func (it *Item) asJSON(cats map[string]float64) itemJSON {
 // sorts a map's keys.
 func (it Item) MarshalJSON() ([]byte, error) {
 	cats := it.Categories
-	if cats == nil && it.nPairs > 0 {
+	if it.held() != nil && it.nCategories() > 0 {
 		cats = maps.Collect(it.Weights())
 	}
 	return json.Marshal(it.asJSON(cats))
@@ -64,7 +64,7 @@ func (r *Repository) Snapshot(w io.Writer) error {
 	// than the array needs, and w takes it in one write.
 	n := 3
 	for _, it := range items {
-		n += 192 + len(it.ID) + len(it.Title) + len(it.Program) + 32*int(it.nPairs)
+		n += 192 + len(it.ID) + len(it.Title) + len(it.Program) + 32*it.nCategories()
 	}
 	var buf bytes.Buffer
 	buf.Grow(n)
@@ -73,7 +73,7 @@ func (r *Repository) Snapshot(w io.Writer) error {
 		k := min(len(items), len(batch))
 		for i, it := range items[:k] {
 			m := it.Categories
-			if it.nPairs > 0 {
+			if it.nCategories() > 0 {
 				m = cats[i]
 				clear(m)
 				for c, x := range it.Weights() {

@@ -16,6 +16,7 @@ import (
 	"pphcr"
 	"pphcr/internal/durable"
 	"pphcr/internal/feedback"
+	"pphcr/internal/recommend"
 	"pphcr/internal/synth"
 )
 
@@ -283,6 +284,65 @@ func TestRecommendationsEndpoint(t *testing.T) {
 	resp4.Body.Close()
 	if resp4.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad k status = %d", resp4.StatusCode)
+	}
+}
+
+// TestRecommendationsLeaveOutWhatTheUserSkipped: after a dislike of the
+// top recommendation over /api/feedback and a SkipClip of the next one,
+// /api/recommendations returns neither, and an item injected through
+// /dashboard/inject is pinned first.
+func TestRecommendationsLeaveOutWhatTheUserSkipped(t *testing.T) {
+	ts, sys, w := newTestServer(t)
+	resp := postJSON(t, ts.URL+"/api/users", UserBody{UserID: "u1", Interests: []string{"food", "music", "sport", "technology"}})
+	resp.Body.Close()
+	nowUnix := w.Params.StartDate.AddDate(0, 0, w.Params.Days).Unix()
+	// An established taste, so that one dislike does not drive a whole
+	// category out of the ranking.
+	for _, cat := range []string{"food", "music", "sport", "technology"} {
+		for i, it := range sys.Repo.ByCategory(cat) {
+			if i >= 3 {
+				break
+			}
+			resp = postJSON(t, ts.URL+"/api/feedback", FeedbackBody{UserID: "u1", ItemID: it.ID, Kind: "like", Unix: nowUnix - 7200})
+			resp.Body.Close()
+		}
+	}
+	recommendations := func() []RecommendationView {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("%s/api/recommendations?user=u1&k=5&unix=%d&lat=45.07&lon=7.68", ts.URL, nowUnix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []RecommendationView
+		decode(t, resp, &recs)
+		return recs
+	}
+	before := recommendations()
+	if len(before) < 3 {
+		t.Fatalf("%d recommendations before the skips", len(before))
+	}
+	disliked, skipped, pin := before[0].ItemID, before[1].ItemID, before[2].ItemID
+	resp = postJSON(t, ts.URL+"/api/feedback", FeedbackBody{UserID: "u1", ItemID: disliked, Kind: "dislike", Unix: nowUnix})
+	resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		t.Fatalf("dislike: status %d", resp.StatusCode)
+	}
+	if _, err := sys.SkipClip("u1", skipped, recommend.Context{Now: time.Unix(nowUnix, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	resp = postJSON(t, ts.URL+"/dashboard/inject", InjectBody{UserID: "u1", ItemID: pin})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("inject: status %d", resp.StatusCode)
+	}
+	recs := recommendations()
+	if len(recs) == 0 || recs[0].ItemID != pin {
+		t.Fatalf("the injected %s is not pinned first: %+v", pin, recs)
+	}
+	for i, rec := range recs {
+		if rec.ItemID == disliked || rec.ItemID == skipped {
+			t.Fatalf("/api/recommendations returns %s at rank %d (disliked %s, skipped %s)", rec.ItemID, i+1, disliked, skipped)
+		}
 	}
 }
 

@@ -232,17 +232,9 @@ func sameScores(got, want []recommend.Scored) bool {
 	return true
 }
 
-// oracleBlocks are the accumulation block lengths TestPlanMatchesOracle
-// ranks every instance at. Its catalogs hold 30–250 items, one block at
-// the length the pipeline runs with; the short ones put inside them
-// what a 20 000-item catalog has — a cursor handed from one block to the
-// next, a list exhausted mid-block, a last short block, late arrivals in
-// a later block than the window's start, blocks nothing lands in.
-var oracleBlocks = []int{1, 3, 64, defaultBlock}
-
 // TestPlanMatchesOracle is the selection ≡ oracle property: over seeded
 // random catalogs, preference vectors, contexts, context weights λ,
-// windows, ΔTs and exclude sets, at every block length in oracleBlocks,
+// windows, ΔTs and exclude sets,
 //
 //   - a ModeRank task returns what Scorer.Rank returns over a linear
 //     scan of the window, and for k > 0 the head of that;
@@ -255,68 +247,132 @@ var oracleBlocks = []int{1, 3, 64, defaultBlock}
 //     builds from the pipeline's own full ranking: the bounded selection
 //     and the upper-bound skip drop nothing the allocator would have
 //     used.
+//
+// The wide instances (newWideOracleInstance) hold the same property over
+// items whose categories do not fit their rows.
 func TestPlanMatchesOracle(t *testing.T) {
 	first, last := int64(0), int64(600)
 	if *oracleSeed >= 0 {
 		first, last = *oracleSeed, *oracleSeed+1
 	}
 	for seed := first; seed < last; seed++ {
-		in := newOracleInstance(seed)
-		rich := in.ctx.Weather != recommend.WeatherUnknown || in.ctx.Activity != recommend.ActivityUnknown
-		repo := content.NewRepository()
-		for i, it := range in.items {
-			if err := repo.Add(it); err != nil {
-				t.Fatal(err)
-			}
-			// The reference ranks the items the catalog hands out.
-			in.items[i], _ = repo.Get(it.ID)
-		}
-		p, deps := planPipeline(repo, map[string]map[string]float64{"u": in.prefs})
-		deps.Scorer.ContextWeight = in.lambda
-		ref := in.reference(deps.Scorer)
-		req := core.Request{Prefs: in.prefs, Ctx: in.ctx}
-		exclude := in.skips(repo)
-		proactive, _ := deps.Planner.ShouldRecommend(core.Situation{Ctx: in.ctx, TripConfidence: 1})
-		for _, block := range oracleBlocks {
-			p.Rank.(*indexRank).block = block
-			fail := func(what string, got, want any) {
-				t.Helper()
-				t.Fatalf("seed %d, blocks of %d: %s\n got:  %s\n want: %s\nrepro: go test ./internal/pipeline -run TestPlanMatchesOracle -oracle.seed=%d", seed, block, what, got, want, seed)
-			}
+		checkOracle(t, newOracleInstance(seed), fmt.Sprintf("-oracle.seed=%d", seed))
+	}
+	first, last = 0, 200
+	if *oracleWideSeed >= 0 {
+		first, last = *oracleWideSeed, *oracleWideSeed+1
+	} else if *oracleSeed >= 0 {
+		last = 0
+	}
+	for seed := first; seed < last; seed++ {
+		checkOracle(t, newWideOracleInstance(seed), fmt.Sprintf("-oracle.wide=%d", seed))
+	}
+}
 
-			full := &Task{Mode: ModeRank, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: exclude}
-			p.Run(full)
-			if rich && len(ref) > 0 && !reflect.DeepEqual(full.Ranked, ref) || !sameScores(full.Ranked, ref) {
-				fail("full ranking differs from Scorer.Rank", rankedString(full.Ranked), rankedString(ref))
-			}
-			for _, k := range []int{1, 5, 30} {
-				topk := &Task{Mode: ModeRank, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: exclude, K: k}
-				p.Run(topk)
-				if want := full.Ranked[:min(k, len(full.Ranked))]; !slices.Equal(topk.Ranked, want) {
-					fail(fmt.Sprintf("top-%d differs from the full ranking's head", k), rankedString(topk.Ranked), rankedString(want))
-				}
-			}
+// oracleWideSeed, when set, runs TestPlanMatchesOracle on that one wide
+// instance.
+var oracleWideSeed = flag.Int64("oracle.wide", -1, "run the plan-vs-oracle property test on this wide instance only")
 
-			plan := &Task{Mode: ModeLive, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: exclude}
-			p.Run(plan)
-			if plan.Err != nil {
-				t.Fatalf("seed %d: %v", seed, plan.Err)
-			}
-			if plan.Proactive != proactive || !proactive && len(plan.Plan.Items) != 0 {
-				fail("gate", fmt.Sprint(plan.Proactive, " ", planString(plan.Plan)), fmt.Sprint(proactive))
-			}
-			if !proactive {
-				continue
-			}
-			if want := deps.Planner.Allocate(full.Ranked, req); !reflect.DeepEqual(plan.Plan, want) {
-				fail("plan differs from Allocate over the pipeline's full ranking", planString(plan.Plan), planString(want))
-			}
-			want := deps.Planner.Allocate(ref, req)
-			if rich && !reflect.DeepEqual(plan.Plan, want) ||
-				len(plan.Plan.Items) != len(want.Items) || math.Abs(plan.Plan.TotalValue-want.TotalValue) > 1e-9*want.TotalValue {
-				fail("plan differs from Scorer.Rank + Allocate", planString(plan.Plan), planString(want))
-			}
+// wideCategories are the category names wide instances draw from: the
+// first ten spread over the name order, interned with low ids, and the
+// rest interned after at least 255 others, so their ids are wider than
+// a row's id byte.
+var wideCategories = sync.OnceValue(func() []string {
+	var names []string
+	for i := range 300 {
+		name := fmt.Sprintf("%c-wide-%03d", 'a'+i*7%26, i)
+		content.KeyOf(name) // interned in this order
+		if i < 10 || i >= 290 {
+			names = append(names, name)
 		}
+	}
+	return names
+})
+
+// newWideOracleInstance is newOracleInstance(seed) with every item's
+// categories and the preferences redrawn, from an rng of their own,
+// from wideCategories on the same 1/8 grid: most items carry 5–12
+// categories, more than a row holds, and the rest 1–4, half of them
+// with a wide id added, so their pairs spill from the first wide one on.
+func newWideOracleInstance(seed int64) oracleInstance {
+	in := newOracleInstance(seed)
+	cats := wideCategories()
+	rng := rand.New(rand.NewSource(^seed))
+	for _, it := range in.items {
+		n := 5 + rng.Intn(8)
+		if rng.Intn(4) == 0 {
+			n = 1 + rng.Intn(4)
+		}
+		it.Categories = map[string]float64{}
+		for _, c := range rng.Perm(len(cats))[:n] {
+			it.Categories[cats[c]] = float64(1+rng.Intn(8)) / 8
+		}
+		if n <= 4 && rng.Intn(2) == 0 {
+			it.Categories[cats[10+rng.Intn(len(cats)-10)]] = float64(1+rng.Intn(8)) / 8
+		}
+	}
+	in.prefs = map[string]float64{}
+	for _, c := range rng.Perm(len(cats))[:1+rng.Intn(len(cats))] {
+		in.prefs[cats[c]] = float64(rng.Intn(25)-8) / 8
+	}
+	return in
+}
+
+// checkOracle checks TestPlanMatchesOracle's property on one instance;
+// repro is the flag that runs it alone.
+func checkOracle(t *testing.T, in oracleInstance, repro string) {
+	t.Helper()
+	rich := in.ctx.Weather != recommend.WeatherUnknown || in.ctx.Activity != recommend.ActivityUnknown
+	repo := content.NewRepository()
+	for i, it := range in.items {
+		if err := repo.Add(it); err != nil {
+			t.Fatal(err)
+		}
+		// The reference ranks the items the catalog hands out.
+		in.items[i], _ = repo.Get(it.ID)
+	}
+	p, deps := planPipeline(repo, map[string]map[string]float64{"u": in.prefs})
+	deps.Scorer.ContextWeight = in.lambda
+	ref := in.reference(deps.Scorer)
+	req := core.Request{Prefs: in.prefs, Ctx: in.ctx}
+	exclude := in.skips(repo)
+	proactive, _ := deps.Planner.ShouldRecommend(core.Situation{Ctx: in.ctx, TripConfidence: 1})
+	fail := func(what string, got, want any) {
+		t.Helper()
+		t.Fatalf("%s: %s\n got:  %s\n want: %s\nrepro: go test ./internal/pipeline -run TestPlanMatchesOracle %s", repro, what, got, want, repro)
+	}
+
+	full := &Task{Mode: ModeRank, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: exclude}
+	p.Run(full)
+	if rich && len(ref) > 0 && !reflect.DeepEqual(full.Ranked, ref) || !sameScores(full.Ranked, ref) {
+		fail("full ranking differs from Scorer.Rank", rankedString(full.Ranked), rankedString(ref))
+	}
+	for _, k := range []int{1, 5, 30} {
+		topk := &Task{Mode: ModeRank, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: exclude, K: k}
+		p.Run(topk)
+		if want := full.Ranked[:min(k, len(full.Ranked))]; !slices.Equal(topk.Ranked, want) {
+			fail(fmt.Sprintf("top-%d differs from the full ranking's head", k), rankedString(topk.Ranked), rankedString(want))
+		}
+	}
+
+	plan := &Task{Mode: ModeLive, User: "u", Now: in.ctx.Now, Ctx: in.ctx, Exclude: exclude}
+	p.Run(plan)
+	if plan.Err != nil {
+		t.Fatalf("%s: %v", repro, plan.Err)
+	}
+	if plan.Proactive != proactive || !proactive && len(plan.Plan.Items) != 0 {
+		fail("gate", fmt.Sprint(plan.Proactive, " ", planString(plan.Plan)), fmt.Sprint(proactive))
+	}
+	if !proactive {
+		return
+	}
+	if want := deps.Planner.Allocate(full.Ranked, req); !reflect.DeepEqual(plan.Plan, want) {
+		fail("plan differs from Allocate over the pipeline's full ranking", planString(plan.Plan), planString(want))
+	}
+	want := deps.Planner.Allocate(ref, req)
+	if rich && !reflect.DeepEqual(plan.Plan, want) ||
+		len(plan.Plan.Items) != len(want.Items) || math.Abs(plan.Plan.TotalValue-want.TotalValue) > 1e-9*want.TotalValue {
+		fail("plan differs from Scorer.Rank + Allocate", planString(plan.Plan), planString(want))
 	}
 }
 

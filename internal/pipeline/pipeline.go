@@ -8,15 +8,15 @@
 // through the one composition, Pipeline.Run.
 //
 // Nothing is derived from the catalog per request. Every item's ranking
-// features — its category vector's norm, its coarse publish time — and
-// the weighted category→items postings are built once, when
-// content.Repository.Add stores the item; the
-// Candidates stage takes a content.View of them (a lock and a few slice
-// headers) and reads the user's decayed preference vector, once per
-// task. The Rank stage then scores only the items that share a category
-// with the user (exact under the ranking content floor: an item with no
-// shared category has zero cosine and is filtered either way), and for
-// a plan-mode task keeps only the items the knapsack can still choose
+// row — its categories, its category vector's norm, its coarse publish
+// time — is built once, when content.Repository.Add stores the item; the
+// Candidates stage takes a content.View of the rows (a lock and a few
+// slice headers) and reads the user's decayed preference vector, once
+// per task. The Rank stage then streams the window's rows, one item at
+// a time, and scores only the items that share a category with the user
+// (exact under the ranking content floor: an item with no shared
+// category has zero cosine and is filtered either way), and for a
+// plan-mode task keeps only the items the knapsack can still choose
 // (core.Selection), so the Allocate stage solves the knapsack over a
 // few hundred items whatever the catalog size.
 //
@@ -211,7 +211,7 @@ func New(deps Deps) *Pipeline {
 		Predict:    &mobilityPredict{deps: deps},
 		Gate:       &plannerGate{deps: deps},
 		Candidates: &cacheCandidates{deps: deps, po: po},
-		Rank:       &indexRank{deps: deps, po: po, block: defaultBlock},
+		Rank:       &indexRank{deps: deps, po: po},
 		Allocate:   &plannerAllocate{deps: deps, po: po},
 	}
 }

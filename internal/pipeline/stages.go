@@ -153,10 +153,10 @@ func (s *plannerGate) Gate(t *Task) {
 // ---- Candidates ------------------------------------------------------
 
 // candSet is one task's candidate state: a view of the catalog — whose
-// items carry their ranking features since they were added, so nothing
-// is featurized here — the user's preference vector bound to that view,
-// and the few terms that depend on the planning instant. Rank reads the
-// view's weighted postings, from the candidate window's first item on.
+// items carry their ranking rows since they were added, so nothing is
+// featurized here — the user's preference vector by category id, and
+// the few terms that depend on the planning instant. Rank reads the
+// view's rows, from the candidate window's first item on.
 type candSet struct {
 	now  time.Time
 	view content.View
@@ -165,24 +165,11 @@ type candSet struct {
 	// plain (weather- and activity-free) context base depends on nothing
 	// else, and computing it per candidate was a tenth of a cold plan.
 	kindBase [content.KindTimeShifted + 1]float64
-	// Rank's scratch: one cursor per preferred category, and one block of
-	// dot-product accumulators, all zero whenever Rank is not running.
-	cursors []cursor
-	acc     []float64
 	// Admission rows: T[w][c] at rows[w*rowCols+c], last the +∞ row (0: none).
 	rows     []float64
 	last     int
 	lamCtx   [rowCols]float64 // λ·ĉ_c
 	rowScale float64          // √Na / (1−λ)
-}
-
-// cursor is what is left to read of one preferred category's postings:
-// ascending seqs, the weight each item gives the category beside them,
-// and the weight the user gives it.
-type cursor struct {
-	seqs []int32
-	ws   []float64
-	p    float64
 }
 
 // start points the set at the catalog as of this call.
@@ -196,40 +183,24 @@ func (set *candSet) start(deps *Deps, now time.Time) {
 
 // userPrefs is one task's copy of its user's decayed preference
 // vector: the vector in category-name order, the precomputed √norm of
-// the user side of the cosine and, once bound to the task's catalog
-// view, the interned ids of its categories.
+// the user side of the cosine and the user's weight by category id,
+// which Rank multiplies each item's row by.
 type userPrefs struct {
 	flat   feedback.Vector
 	sqrtNa float64
-
-	// ids are the preferred categories some catalog item carries, in
-	// category-NAME order, and ws the user's weight for each. Both are
-	// filled by bind.
-	ids []int32
-	ws  []float64
+	u      content.Prefs
 }
 
-// load norms the freshly read vector in flat.
+// load norms the freshly read vector in flat and files its weights by id.
 func (fp *userPrefs) load() {
-	fp.sqrtNa = 0
+	fp.sqrtNa, fp.u = 0, content.Prefs{}
 	var na float64
 	for _, pw := range fp.flat {
 		na += pw.W * pw.W
+		fp.u.Set(pw.Cat, pw.W)
 	}
 	if na > 0 {
 		fp.sqrtNa = math.Sqrt(na)
-	}
-}
-
-// bind resolves the preference categories against the view's interned
-// ids.
-func (fp *userPrefs) bind(v *content.View) {
-	fp.ids, fp.ws = fp.ids[:0], fp.ws[:0]
-	for _, pw := range fp.flat {
-		if id, ok := v.CategoryID(pw.Cat); ok {
-			fp.ids = append(fp.ids, id)
-			fp.ws = append(fp.ws, pw.W)
-		}
 	}
 }
 
@@ -260,7 +231,6 @@ func (s *cacheCandidates) Gather(t *Task) {
 	set.start(&s.deps, t.Now)
 	set.fp.flat = s.deps.Preferences(set.fp.flat, t.User, t.Now)
 	set.fp.load()
-	set.fp.bind(&set.view)
 }
 
 // tryServeWarm is the live fast path: a plan precomputed for this
@@ -314,7 +284,7 @@ func (s *cacheCandidates) Release(t *Task) {
 	if t.set == nil {
 		return // served warm: nothing was acquired
 	}
-	t.set.view.Reset()
+	t.set.view = content.View{}
 	s.po.sets.Put(t.set)
 	t.set = nil
 }
@@ -322,9 +292,8 @@ func (s *cacheCandidates) Release(t *Task) {
 // ---- Rank ------------------------------------------------------------
 
 // indexRank is the default Rank stage: compute every candidate's dot
-// product with the user's preference vector — by accumulating the
-// weighted postings of the categories the user prefers, a block of
-// consecutive items at a time — turn it into a cosine with the item's
+// product with the user's preference vector — from the candidate's own
+// row, one item at a time — turn it into a cosine with the item's
 // catalog-resident norm, filter by the content floor, and order by
 // recommend.CompareRank — through a bounded top-k heap when a ModeRank
 // task asks for k items (the skip hot path asks for one), through the
@@ -337,16 +306,7 @@ func (s *cacheCandidates) Release(t *Task) {
 type indexRank struct {
 	deps Deps
 	po   *pools
-	// block is how many consecutive seqs are accumulated before they are
-	// scored. Not a knob: New sets defaultBlock; the oracle test shrinks
-	// it to put block edges inside its small catalogs.
-	block int
 }
-
-// defaultBlock keeps the accumulators (16 KB) and the slice of every
-// preferred category's postings that lands in them inside L1/L2 while
-// the block is scored.
-const defaultBlock = 2048
 
 // worse is the inverse ranking order: true when x ranks strictly below
 // y.
@@ -385,7 +345,7 @@ func (s *indexRank) Rank(t *Task) {
 	// Without a preference that has a direction every cosine is zero.
 	if set.fp.sqrtNa > 0 {
 		r.startRows()
-		r.accumulate()
+		r.scan()
 	}
 	if r.sel != nil {
 		t.Ranked = r.sel.Ranked()
@@ -395,95 +355,61 @@ func (s *indexRank) Rank(t *Task) {
 	t.Ranked = r.out
 }
 
-// accumulate scores every item in the candidate window term at a time:
-// for one block of consecutive seqs after another, each preferred
-// category's postings add that category's term to the accumulators of
-// the items carrying it, and the items whose sum came out positive are
-// scored. Categories are visited in name order, the order the item's
-// norm was summed in (content.Features.SqrtNorm), so a dot product's
-// bits do not depend on which ids the categories were interned to.
-// Postings are read front to back once, accumulators and features
-// block by block; nothing is visited twice and no item is looked up by
-// category.
-func (r *ranking) accumulate() {
-	set, view := r.set, &r.set.view
-	first := view.WindowStart(r.cut)
-	cur := set.cursors[:0]
-	for i, id := range set.fp.ids {
-		if seqs, ws := view.Postings(id, first); len(seqs) > 0 {
-			cur = append(cur, cursor{seqs: seqs, ws: ws, p: set.fp.ws[i]})
-		}
-	}
-	block := int32(r.s.block)
-	if cap(set.acc) < int(block) {
-		set.acc = make([]float64, block)
-	}
-	for lo, n := first, int32(view.Len()); lo < n; lo += block {
-		hi := min(lo+block, n)
-		acc := set.acc[:hi-lo]
-		for c := range cur {
-			seqs, p := cur[c].seqs, cur[c].p
-			ws := cur[c].ws[:len(seqs)]
-			i := 0
-			for ; i < len(seqs) && seqs[i] < hi; i++ {
-				acc[seqs[i]-lo] += p * ws[i]
-			}
-			cur[c].seqs, cur[c].ws = seqs[i:], ws[i:]
-		}
-		r.score(lo, acc)
-		clear(acc)
-	}
-	// A pooled set must not keep the catalog's arrays reachable.
-	clear(cur)
-	set.cursors = cur[:0]
-}
-
-// score turns the dot products of the block of items numbered from lo
-// into scores and offers each item whose cosine is positive to the
-// task's selection or top-k heap. Up to the bound check it reads only
-// the items' resident features — an item itself, resolved by its seq,
-// only when it has a geographic scope or the context is rich — so an
-// item the bound rejects, nearly all of them, is never dereferenced,
-// and costs no call.
-func (r *ranking) score(lo int32, acc []float64) {
+// scan scores every item in the candidate window from its row: the dot
+// product with the user's weights, added in category-name order as the
+// item's norm was (content.Features.Dot), then the cosine as a bound on
+// the compound. Up to the bound check it reads only the rows — an item
+// itself, by its seq, only when it has a geographic scope or the context
+// is rich — so an item the bound rejects, nearly all of them, is never
+// dereferenced, and costs no call.
+func (r *ranking) scan() {
 	t, set, scorer := r.t, r.set, r.s.deps.Scorer
-	for j, dot := range acc {
-		if dot <= 0 {
-			continue // cos ≤ 0: actively disliked or disjoint
-		}
-		seq := lo + int32(j)
-		f := set.view.At(seq)
-		if set.last > 0 && set.rowRejects(f, dot) || f.SqrtNorm == 0 {
-			continue
-		}
-		cos := dot / set.fp.sqrtNa / f.SqrtNorm
-		var ctxScore float64
-		if r.rich {
-			ctxScore = scorer.ContextScore(set.view.Item(seq), t.Ctx)
-		} else {
-			geoScore := 0.5 // Scorer.GeoScore of an item without a scope
-			if f.HasGeo {
-				geoScore = scorer.GeoScore(set.view.Item(seq), &t.Ctx)
+	view, u := &set.view, &set.fp.u
+	for lo, n := view.WindowStart(r.cut), int32(view.Len()); lo < n; {
+		rows := view.Rows(lo)
+		for j := range rows {
+			f := &rows[j]
+			dot := f.Dot(u)
+			if f.Spills() {
+				dot = view.SpillDot(dot, f, u)
 			}
-			var base float64
-			if k := int(f.Kind); k < len(set.kindBase) {
-				base = set.kindBase[k]
-			} else {
-				base = scorer.ContextBase(set.view.Item(seq), recommend.Context{Now: set.now})
+			if dot <= 0 {
+				continue // cos ≤ 0: actively disliked or disjoint
 			}
-			ctxScore = 0.5*geoScore + base
-		}
-		// cos bounds the content score from above; an item that cannot
-		// enter on the bound is dropped before its freshness is computed.
-		bound := scorer.Compound(cos, ctxScore)
-		if r.sel != nil {
-			if r.sel.Rejects(f.Duration, bound) {
+			seq := lo + int32(j)
+			if set.last > 0 && set.rowRejects(f, dot) || f.SqrtNorm == 0 {
 				continue
 			}
-		} else if t.K > 0 && len(r.out) >= t.K && bound < r.out[0].Compound {
-			continue
+			cos := dot / set.fp.sqrtNa / f.SqrtNorm
+			var ctxScore float64
+			if r.rich {
+				ctxScore = scorer.ContextScore(view.Item(seq), t.Ctx)
+			} else {
+				geoScore := 0.5 // Scorer.GeoScore of an item without a scope
+				if f.HasGeo {
+					geoScore = scorer.GeoScore(view.Item(seq), &t.Ctx)
+				}
+				var base float64
+				if k := int(f.Kind); k < len(set.kindBase) {
+					base = set.kindBase[k]
+				} else {
+					base = scorer.ContextBase(view.Item(seq), recommend.Context{Now: set.now})
+				}
+				ctxScore = 0.5*geoScore + base
+			}
+			// cos bounds the content score from above; an item that cannot
+			// enter on the bound is dropped before its freshness is computed.
+			bound := scorer.Compound(cos, ctxScore)
+			if r.sel != nil {
+				if r.sel.Rejects(f.Duration, bound) {
+					continue
+				}
+			} else if t.K > 0 && len(r.out) >= t.K && bound < r.out[0].Compound {
+				continue
+			}
+			r.offer(seq, cos, ctxScore)
 		}
-		r.offer(seq, cos, ctxScore)
+		lo += int32(len(rows))
 	}
 }
 

@@ -728,9 +728,10 @@ func (s *System) Preview(userID string, ctx recommend.Context, k int) []recommen
 }
 
 // recommend ranks for Recommend and Preview, pinning the injected items
-// ids first.
+// ids first, then what the user did not skip or dislike (as runPlan).
 func (s *System) recommend(userID string, ctx recommend.Context, k int, ids []string) []recommend.Scored {
-	t := &pipeline.Task{Mode: pipeline.ModeRank, User: userID, Now: ctx.Now, Ctx: ctx, K: k}
+	t := &pipeline.Task{Mode: pipeline.ModeRank, User: userID, Now: ctx.Now, Ctx: ctx, K: k,
+		Exclude: s.Feedback.SkippedItems(userID)}
 	s.pipe.Run(t)
 	ranked := t.Ranked
 

@@ -214,3 +214,54 @@ func TestSkipAndPlanStayInsideCandidateWindow(t *testing.T) {
 	}
 	check("every item inside the window skipped", false)
 }
+
+// TestRecommendLeavesOutWhatTheUserSkipped: after a dislike of the top
+// recommendation and a SkipClip of the next one, Preview and Recommend
+// return neither, as a plan would not; an editorial injection stays
+// pinned first.
+func TestRecommendLeavesOutWhatTheUserSkipped(t *testing.T) {
+	sys, now := skipFixture(t)
+	ctx := recommend.Context{Now: now}
+	for _, cat := range []string{"technology", "economics"} {
+		for i, it := range sys.Repo.ByCategory(cat) {
+			if i >= 3 {
+				break
+			}
+			if err := sys.AddFeedback(feedback.Event{
+				UserID: "greg", ItemID: it.ID, Kind: feedback.Like, At: now.Add(-2 * time.Hour),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := sys.Recommend("greg", ctx, 5)
+	if len(before) < 3 {
+		t.Fatalf("%d recommendations before the skips", len(before))
+	}
+	disliked, skipped, pin := before[0].Item.ID, before[1].Item.ID, before[2].Item.ID
+	if err := sys.AddFeedback(feedback.Event{UserID: "greg", ItemID: disliked, Kind: feedback.Dislike, At: now}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.SkipClip("greg", skipped, ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Inject("greg", pin); err != nil {
+		t.Fatal(err)
+	}
+	for _, read := range []struct {
+		name string
+		recs []recommend.Scored
+	}{
+		{"Preview", sys.Preview("greg", ctx, 5)},
+		{"Recommend", sys.Recommend("greg", ctx, 5)},
+	} {
+		if len(read.recs) == 0 || read.recs[0].Item.ID != pin {
+			t.Fatalf("%s: the injected %s is not pinned first", read.name, pin)
+		}
+		for i, sc := range read.recs {
+			if id := sc.Item.ID; id == disliked || id == skipped || i > 0 && id == pin {
+				t.Fatalf("%s returns %s at rank %d (disliked %s, skipped %s, pinned %s)", read.name, id, i+1, disliked, skipped, pin)
+			}
+		}
+	}
+}
