@@ -38,25 +38,7 @@ func newFleetSystem(t testing.TB, users int) (*System, *synth.World, []string) {
 		if err := sys.RegisterUser(p.Profile); err != nil {
 			t.Fatal(err)
 		}
-		fed := 0
-		for d := 0; fed < 2 && d < w.Params.Days; d++ {
-			day := w.Params.StartDate.AddDate(0, 0, d)
-			if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-				continue
-			}
-			for _, morning := range []bool{true, false} {
-				trace, _, err := w.CommuteTrace(p, day, morning)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, fix := range trace {
-					if err := sys.RecordFix(p.Profile.UserID, fix); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			fed++
-		}
+		recordCommutes(t, sys, w, p, 2)
 		if _, err := sys.CompactTracking(p.Profile.UserID); err != nil {
 			continue
 		}
@@ -78,10 +60,7 @@ func warmJobs(t testing.TB, sys *System, w *synth.World, drivers []string) []War
 	}
 	var reqs []WarmRequest
 	for _, u := range drivers {
-		day := w.Params.StartDate.AddDate(0, 0, 7)
-		for day.Weekday() == time.Saturday || day.Weekday() == time.Sunday {
-			day = day.AddDate(0, 0, 1)
-		}
+		day := synth.NextWeekday(w.Params.StartDate.AddDate(0, 0, 7))
 		full, _, err := w.CommuteTrace(byUser[u], day, true)
 		if err != nil {
 			t.Fatal(err)

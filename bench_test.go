@@ -70,23 +70,15 @@ func getPlanEnv(b *testing.B) *planBenchEnv {
 				return
 			}
 		}
-		for d := 0; d < w.Params.Days; d++ {
-			day := w.Params.StartDate.AddDate(0, 0, d)
-			if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-				continue
-			}
-			for _, morning := range []bool{true, false} {
-				trace, _, err := w.CommuteTrace(persona, day, morning)
-				if err != nil {
-					planEnvErr = err
-					return
-				}
-				for _, fix := range trace {
-					if err := sys.RecordFix(user, fix); err != nil {
-						planEnvErr = err
-						return
-					}
-				}
+		commutes, err := w.Commutes(persona, w.Params.StartDate, w.Params.Days)
+		if err != nil {
+			planEnvErr = err
+			return
+		}
+		for _, fix := range commutes {
+			if err := sys.RecordFix(user, fix); err != nil {
+				planEnvErr = err
+				return
 			}
 		}
 		if _, err := sys.CompactTracking(user); err != nil {
@@ -99,13 +91,7 @@ func getPlanEnv(b *testing.B) *planBenchEnv {
 			planEnvErr = err
 			return
 		}
-		var partial trajectory.Trace
-		for _, fix := range full {
-			if fix.Time.Sub(full[0].Time) > 3*time.Minute {
-				break
-			}
-			partial = append(partial, fix)
-		}
+		partial := full.Head(3 * time.Minute)
 		planEnv = &planBenchEnv{
 			sys: sys, user: user,
 			partial: partial, now: partial[len(partial)-1].Time,

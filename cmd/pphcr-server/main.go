@@ -244,21 +244,13 @@ func main() {
 		if *track {
 			slog.Info("preloading commute traces", "personas", len(personas))
 			for _, p := range personas {
-				for d := 0; d < w.Params.Days; d++ {
-					day := w.Params.StartDate.AddDate(0, 0, d)
-					if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-						continue
-					}
-					for _, morning := range []bool{true, false} {
-						trace, _, err := w.CommuteTrace(p, day, morning)
-						if err != nil {
-							fatal("commute trace", err)
-						}
-						for _, fix := range trace {
-							if err := sys.RecordFix(p.Profile.UserID, fix); err != nil {
-								fatal("record fix", err)
-							}
-						}
+				trace, err := w.Commutes(p, w.Params.StartDate, w.Params.Days)
+				if err != nil {
+					fatal("commute trace", err)
+				}
+				for _, fix := range trace {
+					if err := sys.RecordFix(p.Profile.UserID, fix); err != nil {
+						fatal("record fix", err)
 					}
 				}
 				if _, err := sys.CompactTracking(p.Profile.UserID); err != nil {

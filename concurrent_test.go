@@ -9,7 +9,6 @@ import (
 
 	"pphcr/internal/feedback"
 	"pphcr/internal/profile"
-	"pphcr/internal/trajectory"
 )
 
 // assertIndexMatchesReplay compares the incremental preference index
@@ -66,23 +65,7 @@ func TestConcurrentFeedbackPreferencesPlan(t *testing.T) {
 	if err := sys.RegisterUser(persona.Profile); err != nil {
 		t.Fatal(err)
 	}
-	for d := 0; d < w.Params.Days; d++ {
-		day := w.Params.StartDate.AddDate(0, 0, d)
-		if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-			continue
-		}
-		for _, morning := range []bool{true, false} {
-			trace, _, err := w.CommuteTrace(persona, day, morning)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, fix := range trace {
-				if err := sys.RecordFix(driver, fix); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
+	recordCommutes(t, sys, w, persona, w.Params.Days)
 	if _, err := sys.CompactTracking(driver); err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +74,7 @@ func TestConcurrentFeedbackPreferencesPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var partial trajectory.Trace
-	for _, fix := range full {
-		if fix.Time.Sub(full[0].Time) > 3*time.Minute {
-			break
-		}
-		partial = append(partial, fix)
-	}
+	partial := full.Head(3 * time.Minute)
 	planNow := partial[len(partial)-1].Time
 
 	const eventsPerUser = 400

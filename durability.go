@@ -348,9 +348,10 @@ func (d *Durability) checkpointLocked() error {
 var ErrCrashed = errors.New("pphcr: durability crashed: no final checkpoint")
 
 // Close takes a final checkpoint (the shutdown flush) and closes the
-// WAL. The System's hook is detached so late mutations fail fast
-// instead of landing in a closed log. A second Close returns nil; a
-// Close after Crash returns ErrCrashed.
+// WAL. The WAL stays attached to the System, so a late mutation fails
+// fast: the closed log refuses it and the write returns ErrNotLogged,
+// unapplied. A second Close returns nil; a Close after Crash returns
+// ErrCrashed.
 func (d *Durability) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -362,7 +363,6 @@ func (d *Durability) Close() error {
 	}
 	err := d.checkpointLocked()
 	d.closed = true
-	d.sys.SetMutationHook(nil)
 	if cerr := d.wal.Close(); err == nil {
 		err = cerr
 	}
@@ -372,7 +372,8 @@ func (d *Durability) Close() error {
 // Crash abandons the durability layer without flushing or
 // checkpointing — the crash-simulation path used by recovery tests and
 // the kill-node scenario. Buffered, unsynced WAL records are lost
-// exactly as in a process kill.
+// exactly as in a process kill. The abandoned WAL stays attached and
+// refuses every later write with ErrNotLogged, as a dead process would.
 func (d *Durability) Crash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -380,7 +381,6 @@ func (d *Durability) Crash() {
 		return
 	}
 	d.closed, d.crashed = true, true
-	d.sys.SetMutationHook(nil)
 	d.wal.Abandon()
 }
 

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,25 +54,16 @@ func buildMutationScript(t *testing.T, w *synth.World) ([]mutation, time.Time) {
 	}
 	now := newest.Add(time.Hour)
 
-	// Two personas drive: two commute days of fixes, then compaction.
+	// Two personas drive: three commute days of fixes, then compaction.
 	for pi := 0; pi < 2 && pi < len(w.Personas); pi++ {
 		p := w.Personas[pi]
 		user := p.Profile.UserID
-		for d := 0; d < 3; d++ {
-			day := w.Params.StartDate.AddDate(0, 0, d)
-			if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-				continue
-			}
-			for _, morning := range []bool{true, false} {
-				trace, _, err := w.CommuteTrace(p, day, morning)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, fix := range trace {
-					fix := fix
-					script = append(script, func(s *System) error { return s.RecordFix(user, fix) })
-				}
-			}
+		commutes, err := w.Commutes(p, w.Params.StartDate, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fix := range commutes {
+			script = append(script, func(s *System) error { return s.RecordFix(user, fix) })
 		}
 		script = append(script, func(s *System) error {
 			_, err := s.CompactTracking(user)
@@ -224,21 +216,12 @@ func assertSystemsEquivalent(t *testing.T, w *synth.World, want, got *System, no
 	// decisions, the scheduled items and their relevance must agree.
 	for pi := 0; pi < 2 && pi < len(w.Personas); pi++ {
 		p := w.Personas[pi]
-		day := w.Params.StartDate.AddDate(0, 0, w.Params.Days)
-		for day.Weekday() == time.Saturday || day.Weekday() == time.Sunday {
-			day = day.AddDate(0, 0, 1)
-		}
+		day := synth.NextWeekday(w.Params.StartDate.AddDate(0, 0, w.Params.Days))
 		full, _, err := w.CommuteTrace(p, day, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var partial trajectory.Trace
-		for _, fix := range full {
-			if fix.Time.Sub(full[0].Time) > 3*time.Minute {
-				break
-			}
-			partial = append(partial, fix)
-		}
+		partial := full.Head(3 * time.Minute)
 		at := partial[len(partial)-1].Time
 		wplan, werr := want.PlanTrip(p.Profile.UserID, partial, at, nil)
 		gplan, gerr := got.PlanTrip(p.Profile.UserID, partial, at, nil)
@@ -436,6 +419,98 @@ func TestCloseAfterCrashRefuses(t *testing.T) {
 				t.Fatalf("Close %d after Close = %v, want nil", i+1, err)
 			}
 		}
+	}
+}
+
+// TestWritesRacingShutdownAreRefused: a closed or crashed Durability
+// keeps its WAL attached, so each write that races Close or Crash is
+// either logged or refused with ErrNotLogged and not applied. The
+// recovered directory holds every write that returned nil and none that
+// was refused, and a write after the stop changes no snapshot byte.
+func TestWritesRacingShutdownAreRefused(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		sys, w := newTestSystem(t)
+		cfg := Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: 11}
+		dir := t.TempDir()
+		dur, err := OpenDurability(sys, DurabilityOptions{Dir: dir, Sync: durable.SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		user := w.Personas[0].Profile.UserID
+		if err := sys.RegisterUser(w.Personas[0].Profile); err != nil {
+			t.Fatal(err)
+		}
+		like := func(id string) error {
+			return sys.AddFeedback(feedback.Event{UserID: user, ItemID: id, Kind: feedback.Like, At: w.Params.StartDate})
+		}
+		const writers = 16
+		acked := make([][]string, writers)
+		refused := make([]string, writers)
+		var nAcked atomic.Int64
+		var wg sync.WaitGroup
+		for i := range writers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := range 4096 {
+					id := fmt.Sprintf("w%02d-%d", i, n)
+					err := like(id)
+					if err == nil {
+						acked[i] = append(acked[i], id)
+						nAcked.Add(1)
+						continue
+					}
+					if !errors.Is(err, ErrNotLogged) {
+						t.Errorf("write %s: %v, want ErrNotLogged", id, err)
+					}
+					refused[i] = id
+					return
+				}
+			}()
+		}
+		for nAcked.Load() < 8*writers {
+			time.Sleep(time.Millisecond)
+		}
+		if crash {
+			dur.Crash()
+		} else if err := dur.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+
+		before := snapshotBytes(t, sys)
+		if err := like("after-stop"); !errors.Is(err, ErrNotLogged) {
+			t.Fatalf("crash=%v: write after stop = %v, want ErrNotLogged", crash, err)
+		}
+		if !bytes.Equal(before, snapshotBytes(t, sys)) {
+			t.Fatalf("crash=%v: a refused write changed the snapshot", crash)
+		}
+		recovered, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rdur, err := OpenDurability(recovered, DurabilityOptions{Dir: dir, Sync: durable.SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := map[string]bool{}
+		for _, e := range recovered.Feedback.Log(user) {
+			held[e.ItemID] = true
+		}
+		for i := range writers {
+			for _, id := range acked[i] {
+				if !held[id] {
+					t.Fatalf("crash=%v: acked write %s lost", crash, id)
+				}
+			}
+			if held[refused[i]] {
+				t.Fatalf("crash=%v: refused write %s recovered", crash, refused[i])
+			}
+		}
+		if len(held) != int(nAcked.Load()) {
+			t.Fatalf("crash=%v: recovered %d writes, %d acked", crash, len(held), nAcked.Load())
+		}
+		rdur.Crash()
 	}
 }
 

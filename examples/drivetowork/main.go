@@ -16,7 +16,6 @@ import (
 	"pphcr/internal/feedback"
 	"pphcr/internal/streamsim"
 	"pphcr/internal/synth"
-	"pphcr/internal/trajectory"
 )
 
 func main() {
@@ -65,21 +64,13 @@ func main() {
 
 	// Two weeks of commutes land in the tracking DB.
 	fmt.Println("recording two weeks of commutes...")
-	for d := 0; d < world.Params.Days; d++ {
-		day := world.Params.StartDate.AddDate(0, 0, d)
-		if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-			continue
-		}
-		for _, morning := range []bool{true, false} {
-			trace, _, err := world.CommuteTrace(lilly, day, morning)
-			if err != nil {
-				log.Fatal(err)
-			}
-			for _, fix := range trace {
-				if err := sys.RecordFix(user, fix); err != nil {
-					log.Fatal(err)
-				}
-			}
+	commutes, err := world.Commutes(lilly, world.Params.StartDate, world.Params.Days)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, fix := range commutes {
+		if err := sys.RecordFix(user, fix); err != nil {
+			log.Fatal(err)
 		}
 	}
 	cm, err := sys.CompactTracking(user)
@@ -89,21 +80,12 @@ func main() {
 	fmt.Printf("compacted: %d staying points, %d trips\n", len(cm.StayPoints), len(cm.Trips))
 
 	// Monday morning, a week later: Lilly starts driving.
-	day := world.Params.StartDate.AddDate(0, 0, world.Params.Days)
-	for day.Weekday() != time.Monday {
-		day = day.AddDate(0, 0, 1)
-	}
+	day := synth.NextWeekday(world.Params.StartDate.AddDate(0, 0, world.Params.Days))
 	full, _, err := world.CommuteTrace(lilly, day, true)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var partial trajectory.Trace
-	for _, fix := range full {
-		if fix.Time.Sub(full[0].Time) > 3*time.Minute {
-			break
-		}
-		partial = append(partial, fix)
-	}
+	partial := full.Head(3 * time.Minute)
 	now := partial[len(partial)-1].Time
 	tp, err := sys.PlanTrip(user, partial, now, nil)
 	if err != nil {

@@ -53,21 +53,13 @@ func main() {
 		}
 	}
 	// Two weeks of commutes → mobility model.
-	for d := 0; d < world.Params.Days; d++ {
-		day := world.Params.StartDate.AddDate(0, 0, d)
-		if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-			continue
-		}
-		for _, morning := range []bool{true, false} {
-			trace, _, err := world.CommuteTrace(driver, day, morning)
-			if err != nil {
-				log.Fatal(err)
-			}
-			for _, fix := range trace {
-				if err := sys.RecordFix(user, fix); err != nil {
-					log.Fatal(err)
-				}
-			}
+	commutes, err := world.Commutes(driver, world.Params.StartDate, world.Params.Days)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, fix := range commutes {
+		if err := sys.RecordFix(user, fix); err != nil {
+			log.Fatal(err)
 		}
 	}
 	if _, err := sys.CompactTracking(user); err != nil {
@@ -75,21 +67,12 @@ func main() {
 	}
 
 	// Today's drive: first three minutes observed.
-	day := world.Params.StartDate.AddDate(0, 0, world.Params.Days)
-	for day.Weekday() == time.Saturday || day.Weekday() == time.Sunday {
-		day = day.AddDate(0, 0, 1)
-	}
+	day := synth.NextWeekday(world.Params.StartDate.AddDate(0, 0, world.Params.Days))
 	full, route, err := world.CommuteTrace(driver, day, true)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var partial trajectory.Trace
-	for _, fix := range full {
-		if fix.Time.Sub(full[0].Time) > 3*time.Minute {
-			break
-		}
-		partial = append(partial, fix)
-	}
+	partial := full.Head(3 * time.Minute)
 	// Plant the L_B item: local news tied to a point 60% along the route.
 	lb := full.Points().At(0.6)
 	lbItem := &content.Item{

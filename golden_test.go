@@ -17,7 +17,6 @@ import (
 	"pphcr/internal/feedback"
 	"pphcr/internal/recommend"
 	"pphcr/internal/synth"
-	"pphcr/internal/trajectory"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/plan_golden_amd64.txt from this tree's plans")
@@ -106,7 +105,7 @@ func mixedCatalogShape(t *testing.T, sys *System, w *synth.World) {
 func addShapedCatalog(t *testing.T, sys *System, w *synth.World, duration func(*rand.Rand) time.Duration) {
 	const n = 5000
 	rng := rand.New(rand.NewSource(w.Params.Seed))
-	end := planningDay(w)
+	end := synth.NextWeekday(w.Params.StartDate.AddDate(0, 0, 7))
 	for i := 0; i < n; i++ {
 		cats, total := map[string]float64{}, 0.0
 		for k := 2 + rng.Intn(3); len(cats) < k; {
@@ -129,16 +128,6 @@ func addShapedCatalog(t *testing.T, sys *System, w *synth.World, duration func(*
 	}
 }
 
-// planningDay is the day every driver's plans are made on: a week after
-// the world starts, a weekday.
-func planningDay(w *synth.World) time.Time {
-	day := w.Params.StartDate.AddDate(0, 0, 7)
-	for day.Weekday() == time.Saturday || day.Weekday() == time.Sunday {
-		day = day.AddDate(0, 0, 1)
-	}
-	return day
-}
-
 // dumpPlans registers every persona, feeds each two weekdays of
 // commutes and compacts them, then writes each driver's plans and
 // rankings on the first three minutes of their planning-day morning
@@ -149,40 +138,18 @@ func dumpPlans(t *testing.T, out io.Writer, sys *System, w *synth.World) {
 		if err := sys.RegisterUser(p.Profile); err != nil {
 			t.Fatal(err)
 		}
-		for d, fed := 0, 0; fed < 2 && d < w.Params.Days; d++ {
-			day := w.Params.StartDate.AddDate(0, 0, d)
-			if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-				continue
-			}
-			for _, morning := range []bool{true, false} {
-				trace, _, err := w.CommuteTrace(p, day, morning)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, fix := range trace {
-					if err := sys.RecordFix(user, fix); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			fed++
-		}
+		recordCommutes(t, sys, w, p, 2)
 		_, err := sys.CompactTracking(user)
 		fmt.Fprintf(out, "driver %s model %v\n", user, err)
 	}
+	day := synth.NextWeekday(w.Params.StartDate.AddDate(0, 0, 7))
 	for _, p := range w.Personas {
 		user := p.Profile.UserID
-		full, _, err := w.CommuteTrace(p, planningDay(w), true)
+		full, _, err := w.CommuteTrace(p, day, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var partial trajectory.Trace
-		for _, fix := range full {
-			if fix.Time.Sub(full[0].Time) > 3*time.Minute {
-				break
-			}
-			partial = append(partial, fix)
-		}
+		partial := full.Head(3 * time.Minute)
 		now := partial[len(partial)-1].Time
 		fmt.Fprintf(out, "driver %s at %d\n", user, now.UnixNano())
 

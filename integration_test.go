@@ -11,7 +11,6 @@ import (
 	"pphcr/internal/recommend"
 	"pphcr/internal/streamsim"
 	"pphcr/internal/synth"
-	"pphcr/internal/trajectory"
 )
 
 // buildWorld assembles a loaded system for integration tests.
@@ -102,21 +101,13 @@ func TestArchitecturePipeline(t *testing.T) {
 	}
 
 	// 2. Tracking stage: a week of commutes, then compaction.
-	for d := 0; d < w.Params.Days; d++ {
-		day := w.Params.StartDate.AddDate(0, 0, d)
-		if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-			continue
-		}
-		for _, morning := range []bool{true, false} {
-			trace, _, err := w.CommuteTrace(persona, day, morning)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, fix := range trace {
-				if err := sys.RecordFix(user, fix); err != nil {
-					t.Fatal(err)
-				}
-			}
+	commutes, err := w.Commutes(persona, w.Params.StartDate, w.Params.Days)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fix := range commutes {
+		if err := sys.RecordFix(user, fix); err != nil {
+			t.Fatal(err)
 		}
 	}
 	cm, err := sys.CompactTracking(user)
@@ -148,21 +139,12 @@ func TestArchitecturePipeline(t *testing.T) {
 	}
 
 	// 4. Proactive planning on the next weekday commute.
-	day := w.Params.StartDate.AddDate(0, 0, w.Params.Days)
-	for day.Weekday() == time.Saturday || day.Weekday() == time.Sunday {
-		day = day.AddDate(0, 0, 1)
-	}
+	day := synth.NextWeekday(w.Params.StartDate.AddDate(0, 0, w.Params.Days))
 	full, route, err := w.CommuteTrace(persona, day, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var partial trajectory.Trace
-	for _, fix := range full {
-		if fix.Time.Sub(full[0].Time) > 3*time.Minute {
-			break
-		}
-		partial = append(partial, fix)
-	}
+	partial := full.Head(3 * time.Minute)
 	tl := distraction.Build(route.Junctions, route.Length, full.AverageSpeed(), 0.3, distraction.DefaultParams())
 	now := partial[len(partial)-1].Time
 	tp, err := sys.PlanTrip(user, partial, now, &tl)
@@ -240,41 +222,24 @@ func TestDeterministicWorldToPlan(t *testing.T) {
 		sys, w, _ := buildWorld(t)
 		persona := w.Personas[0]
 		user := persona.Profile.UserID
-		for d := 0; d < 5; d++ {
-			day := w.Params.StartDate.AddDate(0, 0, d)
-			if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-				continue
-			}
-			for _, morning := range []bool{true, false} {
-				trace, _, err := w.CommuteTrace(persona, day, morning)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, fix := range trace {
-					if err := sys.RecordFix(user, fix); err != nil {
-						t.Fatal(err)
-					}
-				}
+		commutes, err := w.Commutes(persona, w.Params.StartDate, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fix := range commutes {
+			if err := sys.RecordFix(user, fix); err != nil {
+				t.Fatal(err)
 			}
 		}
 		if _, err := sys.CompactTracking(user); err != nil {
 			t.Fatal(err)
 		}
-		day := w.Params.StartDate.AddDate(0, 0, w.Params.Days)
-		for day.Weekday() == time.Saturday || day.Weekday() == time.Sunday {
-			day = day.AddDate(0, 0, 1)
-		}
+		day := synth.NextWeekday(w.Params.StartDate.AddDate(0, 0, w.Params.Days))
 		full, _, err := w.CommuteTrace(persona, day, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var partial trajectory.Trace
-		for _, fix := range full {
-			if fix.Time.Sub(full[0].Time) > 3*time.Minute {
-				break
-			}
-			partial = append(partial, fix)
-		}
+		partial := full.Head(3 * time.Minute)
 		tp, err := sys.PlanTrip(user, partial, partial[len(partial)-1].Time, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pphcr/internal/synth"
 )
 
 func TestPlanView(t *testing.T) {
@@ -16,15 +18,12 @@ func TestPlanView(t *testing.T) {
 	if _, err := sys.CompactTracking(user); err != nil {
 		t.Fatal(err)
 	}
-	day := w.Params.StartDate.AddDate(0, 0, w.Params.Days)
-	for day.Weekday() == time.Saturday || day.Weekday() == time.Sunday {
-		day = day.AddDate(0, 0, 1)
-	}
+	day := synth.NextWeekday(w.Params.StartDate.AddDate(0, 0, w.Params.Days))
 	full, _, err := w.CommuteTrace(persona, day, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial := full[:7] // ~3 minutes at 30 s per fix
+	partial := full.Head(3 * time.Minute)
 	if _, err := sys.PlanTrip(user, partial, partial[len(partial)-1].Time, nil); err != nil {
 		t.Fatal(err)
 	}

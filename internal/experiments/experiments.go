@@ -12,7 +12,6 @@ import (
 
 	"pphcr"
 	"pphcr/internal/synth"
-	"pphcr/internal/trajectory"
 )
 
 // Config drives an experiment run.
@@ -191,61 +190,19 @@ func newEnv(cfg Config) (*env, error) {
 }
 
 // trackPersona feeds `days` of the persona's commutes into the tracker
-// and compacts. It returns the last day used.
-func (e *env) trackPersona(p *synth.Persona, days int) (time.Time, error) {
-	trace, lastDay, err := e.personaTrace(p, days)
+// and compacts.
+func (e *env) trackPersona(p *synth.Persona, days int) error {
+	trace, err := e.World.Commutes(p, e.World.Params.StartDate, days)
 	if err != nil {
-		return time.Time{}, err
+		return err
 	}
 	for _, fix := range trace {
 		if err := e.Sys.RecordFix(p.Profile.UserID, fix); err != nil {
-			return time.Time{}, err
+			return err
 		}
 	}
-	if _, err := e.Sys.CompactTracking(p.Profile.UserID); err != nil {
-		return time.Time{}, err
-	}
-	return lastDay, nil
-}
-
-// personaTrace is the world's own record of `days` of the persona's
-// weekday commutes, the fixes trackPersona feeds: compaction keeps no
-// raw fixes of closed trips to read back. It also returns the last day
-// used.
-func (e *env) personaTrace(p *synth.Persona, days int) (trajectory.Trace, time.Time, error) {
-	var all trajectory.Trace
-	var lastDay time.Time
-	for d := 0; d < days; d++ {
-		day := e.World.Params.StartDate.AddDate(0, 0, d)
-		if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-			continue
-		}
-		lastDay = day
-		for _, morning := range []bool{true, false} {
-			trace, _, err := e.World.CommuteTrace(p, day, morning)
-			if err != nil {
-				return nil, time.Time{}, err
-			}
-			all = append(all, trace...)
-		}
-	}
-	return all, lastDay, nil
-}
-
-// partialCommute returns the first `minutes` of a commute trace for a
-// given day, plus the full trace and route.
-func (e *env) partialCommute(p *synth.Persona, day time.Time, morning bool, minutes int) (partial, full trajectory.Trace, err error) {
-	full, _, err = e.World.CommuteTrace(p, day, morning)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, fix := range full {
-		if fix.Time.Sub(full[0].Time) > time.Duration(minutes)*time.Minute {
-			break
-		}
-		partial = append(partial, fix)
-	}
-	return partial, full, nil
+	_, err = e.Sys.CompactTracking(p.Profile.UserID)
+	return err
 }
 
 // table is a minimal fixed-width text table writer.

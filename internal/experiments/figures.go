@@ -10,6 +10,7 @@ import (
 	"pphcr/internal/radiodns"
 	"pphcr/internal/recommend"
 	"pphcr/internal/streamsim"
+	"pphcr/internal/synth"
 	"pphcr/internal/trajectory"
 )
 
@@ -76,20 +77,18 @@ func runF2(cfg Config) error {
 		return err
 	}
 	persona := e.World.Personas[0]
-	if _, err := e.trackPersona(persona, e.World.Params.Days); err != nil {
+	if err := e.trackPersona(persona, e.World.Params.Days); err != nil {
 		return err
 	}
 	// Plant a geo item on tomorrow's route so the L_B mechanism shows.
 	// The trip happens on the first weekday after the tracked period, so
 	// the last days' podcasts are still inside the candidate window.
-	day := e.World.Params.StartDate.AddDate(0, 0, e.World.Params.Days)
-	for day.Weekday() == time.Saturday || day.Weekday() == time.Sunday {
-		day = day.AddDate(0, 0, 1)
-	}
-	partial, full, err := e.partialCommute(persona, day, true, 3)
+	day := synth.NextWeekday(e.World.Params.StartDate.AddDate(0, 0, e.World.Params.Days))
+	full, _, err := e.World.CommuteTrace(persona, day, true)
 	if err != nil {
 		return err
 	}
+	partial := full.Head(3 * time.Minute)
 	routeMid := full.Points().At(0.6)
 	geoItem := &content.Item{
 		ID: "fig2-localnews-LB", Title: "Local news near L_B", Program: "Local desk",
@@ -176,7 +175,7 @@ func runF3(cfg Config) error {
 		return err
 	}
 	persona := e.World.Personas[0]
-	if _, err := e.trackPersona(persona, 3); err != nil {
+	if err := e.trackPersona(persona, 3); err != nil {
 		return err
 	}
 	tb.add("rabbitmq substitute", "tracking messages", fmt.Sprintf("%d", q.Len()))
@@ -266,11 +265,13 @@ func runF5(cfg Config) error {
 		return err
 	}
 	persona := e.World.Personas[0]
-	if _, err := e.trackPersona(persona, e.World.Params.Days); err != nil {
+	if err := e.trackPersona(persona, e.World.Params.Days); err != nil {
 		return err
 	}
 	user := persona.Profile.UserID
-	trace, _, err := e.personaTrace(persona, e.World.Params.Days)
+	// Compaction keeps no raw fixes of closed trips to read back: the
+	// world's own record is the raw trace trackPersona fed.
+	trace, err := e.World.Commutes(persona, e.World.Params.StartDate, e.World.Params.Days)
 	if err != nil {
 		return err
 	}

@@ -178,7 +178,7 @@ func runQ2(cfg Config) error {
 	}
 	// Track + compact the evaluation personas.
 	for _, p := range e.World.Personas[:nUsers] {
-		if _, err := e.trackPersona(p, e.World.Params.Days); err != nil {
+		if err := e.trackPersona(p, e.World.Params.Days); err != nil {
 			return err
 		}
 	}
@@ -188,10 +188,7 @@ func runQ2(cfg Config) error {
 	policies := []q2Policy{policyLinear, policyReactive, policyPPHCR}
 	for _, p := range e.World.Personas[:nUsers] {
 		for d := 0; d < testDays; d++ {
-			day := e.World.Params.StartDate.AddDate(0, 0, e.World.Params.Days+d)
-			for day.Weekday() == time.Saturday || day.Weekday() == time.Sunday {
-				day = day.AddDate(0, 0, 1)
-			}
+			day := synth.NextWeekday(e.World.Params.StartDate.AddDate(0, 0, e.World.Params.Days+d))
 			full, _, err := e.World.CommuteTrace(p, day, true)
 			if err != nil {
 				return err
@@ -250,13 +247,7 @@ func (e *env) simulateCommute(p *synth.Persona, l *client.Listener, full traject
 	// Proactive plan (pphcr policy only).
 	var planned []*content.Item
 	if policy == policyPPHCR {
-		var partial trajectory.Trace
-		for _, fix := range full {
-			if fix.Time.Sub(start) > 3*time.Minute {
-				break
-			}
-			partial = append(partial, fix)
-		}
+		partial := full.Head(3 * time.Minute)
 		tp, err := e.Sys.PlanTrip(user, partial, partial[len(partial)-1].Time, nil)
 		if err == nil && tp.Proactive {
 			for _, it := range tp.Plan.Items {
@@ -384,21 +375,13 @@ func runQ3(cfg Config) error {
 			// Fresh system state per (user, history) cell: use a scratch
 			// tracker via a derived user ID so histories do not mix.
 			scratchUser := fmt.Sprintf("%s-h%d", p.Profile.UserID, h)
-			for d := 0; d < h; d++ {
-				day := e.World.Params.StartDate.AddDate(0, 0, d)
-				if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-					continue
-				}
-				for _, morning := range []bool{true, false} {
-					trace, _, err := e.World.CommuteTrace(p, day, morning)
-					if err != nil {
-						return err
-					}
-					for _, fix := range trace {
-						if err := e.Sys.RecordFix(scratchUser, fix); err != nil {
-							return err
-						}
-					}
+			trace, err := e.World.Commutes(p, e.World.Params.StartDate, h)
+			if err != nil {
+				return err
+			}
+			for _, fix := range trace {
+				if err := e.Sys.RecordFix(scratchUser, fix); err != nil {
+					return err
 				}
 			}
 			cm, err := e.Sys.CompactTracking(scratchUser)
@@ -407,17 +390,14 @@ func runQ3(cfg Config) error {
 			}
 			// Evaluate the next 3 weekdays, morning AND evening legs.
 			// Evenings carry genuine uncertainty: ~20% go to the gym.
-			evalDay := e.World.Params.StartDate.AddDate(0, 0, 14)
-			for done := 0; done < 3; evalDay = evalDay.AddDate(0, 0, 1) {
-				if wd := evalDay.Weekday(); wd == time.Saturday || wd == time.Sunday {
-					continue
-				}
-				done++
+			evalDay := synth.NextWeekday(e.World.Params.StartDate.AddDate(0, 0, 14))
+			for done := 0; done < 3; done, evalDay = done+1, synth.NextWeekday(evalDay.AddDate(0, 0, 1)) {
 				for _, morning := range []bool{true, false} {
-					partial, full, err := e.partialCommute(p, evalDay, morning, 3)
+					full, _, err := e.World.CommuteTrace(p, evalDay, morning)
 					if err != nil {
 						return err
 					}
+					partial := full.Head(3 * time.Minute)
 					actualDest := full[len(full)-1].Point
 					nowT := partial[len(partial)-1].Time
 					pred, ok := cm.Mobility.PredictTrip(partial, nowT)

@@ -37,21 +37,13 @@ func newWarmableServer(t *testing.T) (*httptest.Server, *Server, *pphcr.System, 
 			t.Fatal(err)
 		}
 	}
-	for d := 0; d < w.Params.Days; d++ {
-		day := w.Params.StartDate.AddDate(0, 0, d)
-		if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-			continue
-		}
-		for _, morning := range []bool{true, false} {
-			trace, _, err := w.CommuteTrace(persona, day, morning)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, fix := range trace {
-				if err := sys.RecordFix(user, fix); err != nil {
-					t.Fatal(err)
-				}
-			}
+	commutes, err := w.Commutes(persona, w.Params.StartDate, w.Params.Days)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fix := range commutes {
+		if err := sys.RecordFix(user, fix); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if _, err := sys.CompactTracking(user); err != nil {
@@ -73,10 +65,7 @@ func planBody(t *testing.T, w *synth.World, user string) PlanRequest {
 		t.Fatal(err)
 	}
 	var fixes []TrackBody
-	for _, fix := range full {
-		if fix.Time.Sub(full[0].Time) > 3*time.Minute {
-			break
-		}
+	for _, fix := range full.Head(3 * time.Minute) {
 		fixes = append(fixes, TrackBody{
 			UserID: user, Lat: fix.Point.Lat, Lon: fix.Point.Lon, Unix: fix.Time.Unix(),
 		})

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pphcr/internal/synth"
 )
 
 func TestPlanEndpoint(t *testing.T) {
@@ -15,40 +17,26 @@ func TestPlanEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Feed commute history through the REST surface's backing system.
-	for d := 0; d < w.Params.Days; d++ {
-		day := w.Params.StartDate.AddDate(0, 0, d)
-		if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-			continue
-		}
-		for _, morning := range []bool{true, false} {
-			trace, _, err := w.CommuteTrace(persona, day, morning)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, fix := range trace {
-				if err := sys.RecordFix(user, fix); err != nil {
-					t.Fatal(err)
-				}
-			}
+	commutes, err := w.Commutes(persona, w.Params.StartDate, w.Params.Days)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fix := range commutes {
+		if err := sys.RecordFix(user, fix); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if _, err := sys.CompactTracking(user); err != nil {
 		t.Fatal(err)
 	}
 	// A new morning trip: send the first 3 minutes as the plan request.
-	day := w.Params.StartDate.AddDate(0, 0, w.Params.Days)
-	for day.Weekday() == time.Saturday || day.Weekday() == time.Sunday {
-		day = day.AddDate(0, 0, 1)
-	}
+	day := synth.NextWeekday(w.Params.StartDate.AddDate(0, 0, w.Params.Days))
 	full, _, err := w.CommuteTrace(persona, day, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var fixes []TrackBody
-	for _, fix := range full {
-		if fix.Time.Sub(full[0].Time) > 3*time.Minute {
-			break
-		}
+	for _, fix := range full.Head(3 * time.Minute) {
 		fixes = append(fixes, TrackBody{
 			UserID: user, Lat: fix.Point.Lat, Lon: fix.Point.Lon, Unix: fix.Time.Unix(),
 		})

@@ -47,21 +47,13 @@ func newWarmLeader(tb testing.TB) (http.Handler, []byte) {
 			tb.Fatal(err)
 		}
 	}
-	for d := 0; d < w.Params.Days; d++ {
-		day := w.Params.StartDate.AddDate(0, 0, d)
-		if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-			continue
-		}
-		for _, morning := range []bool{true, false} {
-			trace, _, err := w.CommuteTrace(persona, day, morning)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			for _, fix := range trace {
-				if err := sys.RecordFix(user, fix); err != nil {
-					tb.Fatal(err)
-				}
-			}
+	commutes, err := w.Commutes(persona, w.Params.StartDate, w.Params.Days)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, fix := range commutes {
+		if err := sys.RecordFix(user, fix); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	if _, err := sys.CompactTracking(user); err != nil {
@@ -72,10 +64,7 @@ func newWarmLeader(tb testing.TB) (http.Handler, []byte) {
 		tb.Fatal(err)
 	}
 	req := httpapi.PlanRequest{UserID: user}
-	for _, fix := range full {
-		if fix.Time.Sub(full[0].Time) > 3*time.Minute {
-			break
-		}
+	for _, fix := range full.Head(3 * time.Minute) {
 		req.Fixes = append(req.Fixes, httpapi.TrackBody{Lat: fix.Point.Lat, Lon: fix.Point.Lon, Unix: fix.Time.Unix()})
 	}
 	body, err := json.Marshal(req)

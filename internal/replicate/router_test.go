@@ -14,6 +14,7 @@ import (
 
 	"pphcr"
 	"pphcr/internal/durable"
+	"pphcr/internal/httpapi"
 )
 
 // fakeNode is a scripted pphcr-server stand-in: enough surface for the
@@ -228,6 +229,51 @@ func TestRouterAckBarrier(t *testing.T) {
 	resp = postJSON(t, front.URL+"/api/feedback", `{"user_id":"u1","item_id":"it2","kind":"like"}`)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("unconfirmed write: http %d, want 504", resp.StatusCode)
+	}
+}
+
+// TestRouterRefusesWriteToCrashedLeader: a leader whose Durability has
+// crashed refuses a write rather than applying it unlogged, so the
+// router answers it non-2xx although the follower holds the leader's
+// last sequence, the stamp an unlogged write would carry.
+func TestRouterRefusesWriteToCrashedLeader(t *testing.T) {
+	leader, _, cfg := newWorldSystem(t, 47)
+	dir := t.TempDir()
+	dur, err := openLeader(t, leader, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := httpapi.NewServer(leader)
+	api.SetWALSeq(dur.WALSeq)
+	mux := http.NewServeMux()
+	mux.Handle("/", api.Handler())
+	NewSource(dir, dur.SyncWAL, dur.WALSeq).Mount(mux, "/replication")
+	leaderSrv := httptest.NewServer(mux)
+	defer leaderSrv.Close()
+
+	standby, err := NewStandby(freshSystem(t, cfg), t.TempDir(), leaderSrv.URL, "/replication")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmux := http.NewServeMux()
+	standby.Mount(fmux, "/replication")
+	followerSrv := httptest.NewServer(fmux)
+	defer followerSrv.Close()
+	stop := make(chan struct{})
+	defer close(stop)
+	go standby.Run(stop)
+
+	front := httptest.NewServer(NewRouter(&Topology{Version: 1, Nodes: []Node{
+		{ID: "a", URL: leaderSrv.URL, Standby: followerSrv.URL},
+	}}).Handler())
+	defer front.Close()
+	if resp := postJSON(t, front.URL+"/api/users", `{"user_id":"u1","name":"U","age":30,"interests":["news"]}`); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register through the router: http %d", resp.StatusCode)
+	}
+	dur.Crash()
+	resp := postJSON(t, front.URL+"/api/feedback", `{"user_id":"u1","item_id":"it","kind":"like","unix":1479200000}`)
+	if resp.StatusCode < 300 {
+		t.Fatalf("write to a crashed leader: http %d, want a refusal", resp.StatusCode)
 	}
 }
 

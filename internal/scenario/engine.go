@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,47 +137,30 @@ func BuildPopulation(sys *pphcr.System, w *synth.World, users, driverCount int, 
 	return pop, nil
 }
 
-// prepareDriver feeds two commute days, compacts the mobility model and
-// cuts a 3-minute partial trace of the next weekday's morning commute.
+// prepareDriver feeds the commutes of the world's first two days,
+// compacts the mobility model and cuts a 3-minute partial trace of the
+// next weekday's morning commute.
 func prepareDriver(sys *pphcr.System, w *synth.World, p *synth.Persona) (*Driver, error) {
 	user := p.Profile.UserID
-	fed := 0
-	for d := 0; fed < 2 && d < w.Params.Days+7; d++ {
-		day := w.Params.StartDate.AddDate(0, 0, d)
-		if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-			continue
+	trace, err := w.Commutes(p, w.Params.StartDate, 2)
+	if err != nil {
+		return nil, err
+	}
+	for _, fix := range trace {
+		if err := sys.RecordFix(user, fix); err != nil {
+			return nil, err
 		}
-		for _, morning := range []bool{true, false} {
-			trace, _, err := w.CommuteTrace(p, day, morning)
-			if err != nil {
-				return nil, err
-			}
-			for _, fix := range trace {
-				if err := sys.RecordFix(user, fix); err != nil {
-					return nil, err
-				}
-			}
-		}
-		fed++
 	}
 	if _, err := sys.CompactTracking(user); err != nil {
 		return nil, err
 	}
-	day := w.Params.StartDate.AddDate(0, 0, w.Params.Days)
-	for day.Weekday() == time.Saturday || day.Weekday() == time.Sunday {
-		day = day.AddDate(0, 0, 1)
-	}
+	day := synth.NextWeekday(w.Params.StartDate.AddDate(0, 0, w.Params.Days))
 	full, _, err := w.CommuteTrace(p, day, true)
 	if err != nil {
 		return nil, err
 	}
-	var partial trajectory.Trace
-	for _, fix := range full {
-		if fix.Time.Sub(full[0].Time) > 3*time.Minute {
-			break
-		}
-		partial = append(partial, fix)
-	}
+	// A copy: a driver lives as long as the run and needs only the head.
+	partial := slices.Clone(full.Head(3 * time.Minute))
 	if len(partial) == 0 {
 		return nil, fmt.Errorf("empty partial trace for %s", user)
 	}

@@ -33,27 +33,16 @@ func testSystem(t *testing.T) (*pphcr.System, *synth.World) {
 // feedCommutes records days of commutes and returns total fixes.
 func feedCommutes(t *testing.T, sys *pphcr.System, w *synth.World, user string, days int) int {
 	t.Helper()
-	p := w.Personas[0]
-	total := 0
-	for d := 0; d < days; d++ {
-		day := w.Params.StartDate.AddDate(0, 0, d)
-		if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-			continue
-		}
-		for _, morning := range []bool{true, false} {
-			trace, _, err := w.CommuteTrace(p, day, morning)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, fix := range trace {
-				if err := sys.RecordFix(user, fix); err != nil {
-					t.Fatal(err)
-				}
-				total++
-			}
+	commutes, err := w.Commutes(w.Personas[0], w.Params.StartDate, days)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fix := range commutes {
+		if err := sys.RecordFix(user, fix); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return total
+	return len(commutes)
 }
 
 func TestCompactorTriggersOnThreshold(t *testing.T) {

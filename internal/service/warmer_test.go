@@ -35,21 +35,13 @@ func warmSystem(t *testing.T) (sys *pphcr.System, user string, warmAt time.Time,
 			t.Fatal(err)
 		}
 	}
-	for d := 0; d < w.Params.Days; d++ {
-		day := w.Params.StartDate.AddDate(0, 0, d)
-		if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-			continue
-		}
-		for _, morning := range []bool{true, false} {
-			trace, _, err := w.CommuteTrace(persona, day, morning)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, fix := range trace {
-				if err := sys.RecordFix(user, fix); err != nil {
-					t.Fatal(err)
-				}
-			}
+	commutes, err := w.Commutes(persona, w.Params.StartDate, w.Params.Days)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fix := range commutes {
+		if err := sys.RecordFix(user, fix); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if _, err := sys.CompactTracking(user); err != nil {

@@ -419,11 +419,51 @@ func (w *World) EveningDestination(p *Persona, day time.Time) (roadnet.NodeID, b
 	return p.HomeNode, false
 }
 
+// Commutes is the persona's commute history over the `days` days
+// starting at from: the morning leg, then the evening leg, of every
+// weekday, in time order. Weekends carry no commute.
+func (w *World) Commutes(p *Persona, from time.Time, days int) (trajectory.Trace, error) {
+	var all trajectory.Trace
+	for d := 0; d < days; d++ {
+		day := from.AddDate(0, 0, d)
+		if weekend(day) {
+			continue
+		}
+		for _, morning := range []bool{true, false} {
+			var err error
+			if all, _, err = w.appendCommute(all, p, day, morning); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return all, nil
+}
+
+// NextWeekday returns t if it falls on a weekday, otherwise the
+// following Monday at the same clock time: the first day with a commute.
+func NextWeekday(t time.Time) time.Time {
+	for weekend(t) {
+		t = t.AddDate(0, 0, 1)
+	}
+	return t
+}
+
+func weekend(t time.Time) bool {
+	wd := t.Weekday()
+	return wd == time.Saturday || wd == time.Sunday
+}
+
 // CommuteTrace generates the GPS trace of one commute leg on the given
 // day: the road-network shortest path traversed with per-day speed
 // variation and per-fix GPS noise, sampled every ~30 s. Evening legs go
 // to EveningDestination (home or, occasionally, the gym).
 func (w *World) CommuteTrace(p *Persona, day time.Time, morning bool) (trajectory.Trace, roadnet.Route, error) {
+	return w.appendCommute(nil, p, day, morning)
+}
+
+// appendCommute is CommuteTrace appending the leg's fixes to trace, so
+// Commutes builds a history without a slice per leg.
+func (w *World) appendCommute(trace trajectory.Trace, p *Persona, day time.Time, morning bool) (trajectory.Trace, roadnet.Route, error) {
 	from, to := p.HomeNode, p.WorkNode
 	hour := p.MorningHour
 	if !morning {
@@ -446,7 +486,6 @@ func (w *World) CommuteTrace(p *Persona, day time.Time, morning bool) (trajector
 	duration := time.Duration(float64(route.TravelTime) / speedFactor)
 
 	const fixInterval = 30 * time.Second
-	var trace trajectory.Trace
 	walk := route.Polyline.Sampler()
 	for t := time.Duration(0); ; t += fixInterval {
 		if t > duration {

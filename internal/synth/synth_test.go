@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"pphcr/internal/content"
 	"pphcr/internal/geo"
 	"pphcr/internal/textclass"
+	"pphcr/internal/trajectory"
 )
 
 func smallWorld(t *testing.T) *World {
@@ -220,6 +222,57 @@ func TestCommuteTrace(t *testing.T) {
 	end := evening[len(evening)-1].Point
 	if geo.Distance(end, p.Home) > 50 && geo.Distance(end, p.Gym) > 50 {
 		t.Fatalf("evening trace ends %v, neither home nor gym", end)
+	}
+}
+
+// commutesByDay is the per-day loop callers wrote before Commutes
+// existed, kept as the reference Commutes is held to.
+func commutesByDay(t *testing.T, w *World, p *Persona, from time.Time, days int) trajectory.Trace {
+	t.Helper()
+	var all trajectory.Trace
+	for d := 0; d < days; d++ {
+		day := from.AddDate(0, 0, d)
+		if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
+			continue
+		}
+		for _, morning := range []bool{true, false} {
+			trace, _, err := w.CommuteTrace(p, day, morning)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, trace...)
+		}
+	}
+	return all
+}
+
+func TestCommutesMatchesPerDayLoop(t *testing.T) {
+	w := smallWorld(t)
+	p := w.Personas[0]
+	for _, off := range []int{0, 5, 6} { // the world starts on a Monday
+		from := w.Params.StartDate.AddDate(0, 0, off)
+		for _, days := range []int{0, 1, 2, 14} {
+			got, err := w.Commutes(p, from, days)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := commutesByDay(t, w, p, from, days); !slices.Equal(got, want) {
+				t.Fatalf("from %s, %d days: Commutes differs from the per-day loop (%d vs %d fixes)", from.Weekday(), days, len(got), len(want))
+			}
+		}
+	}
+}
+
+func TestNextWeekday(t *testing.T) {
+	monday := time.Date(2016, 11, 14, 8, 30, 0, 0, time.UTC)
+	for d := 0; d < 7; d++ {
+		day, want := monday.AddDate(0, 0, d), monday.AddDate(0, 0, d)
+		if d >= 5 {
+			want = monday.AddDate(0, 0, 7)
+		}
+		if got := NextWeekday(day); !got.Equal(want) {
+			t.Errorf("NextWeekday(%s) = %s, want %s", day.Format("Mon 2006-01-02 15:04"), got.Format("Mon 2006-01-02 15:04"), want.Format("Mon 2006-01-02 15:04"))
+		}
 	}
 }
 

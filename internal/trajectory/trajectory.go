@@ -38,6 +38,17 @@ func (tr Trace) Duration() time.Duration {
 	return tr[len(tr)-1].Time.Sub(tr[0].Time)
 }
 
+// Head returns the fixes within d of the first: the first minutes of a
+// drive, as a tracker has seen them so far. Its capacity is capped, so
+// an append to the head copies rather than writing into tr.
+func (tr Trace) Head(d time.Duration) Trace {
+	n := 0
+	for n < len(tr) && tr[n].Time.Sub(tr[0].Time) <= d {
+		n++
+	}
+	return tr[:n:n]
+}
+
 // Length returns the path length in meters.
 func (tr Trace) Length() float64 { return tr.Points().Length() }
 

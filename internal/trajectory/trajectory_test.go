@@ -3,6 +3,7 @@ package trajectory
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -46,6 +47,26 @@ func TestTraceDegenerate(t *testing.T) {
 	one := lineTrace(torino, 1, 0, time.Second)
 	if one.Duration() != 0 || one.AverageSpeed() != 0 {
 		t.Fatal("single-fix trace should be zero")
+	}
+}
+
+// TestHead: a drive's head keeps every fix up to d after the first, and
+// an append to the head cannot write into the trace it was cut from.
+func TestHead(t *testing.T) {
+	tr := lineTrace(torino, 11, 100, 10*time.Second)
+	if got := len(tr.Head(30 * time.Second)); got != 4 {
+		t.Fatalf("Head(30s) holds %d fixes, want 4: the fix 30 s in is kept", got)
+	}
+	if got := len(tr.Head(30*time.Second - time.Nanosecond)); got != 3 {
+		t.Fatalf("Head(30s-1ns) holds %d fixes, want 3: the fix 1 ns past d is not", got)
+	}
+	if got := len(Trace(nil).Head(time.Hour)); got != 0 {
+		t.Fatalf("empty trace's head holds %d fixes", got)
+	}
+	before := slices.Clone(tr)
+	_ = append(tr.Head(30*time.Second), Fix{Point: geo.Point{Lat: 1, Lon: 1}})
+	if !slices.Equal(tr, before) {
+		t.Fatal("appending to a head wrote into the full trace")
 	}
 }
 

@@ -186,23 +186,7 @@ func TestPlanTripEndToEnd(t *testing.T) {
 		}
 	}
 	// Record 5 weekdays of commutes, then compact.
-	for d := 0; d < 5; d++ {
-		day := w.Params.StartDate.AddDate(0, 0, d)
-		if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-			continue
-		}
-		for _, morning := range []bool{true, false} {
-			trace, _, err := w.CommuteTrace(persona, day, morning)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, fix := range trace {
-				if err := sys.RecordFix(user, fix); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
+	recordCommutes(t, sys, w, persona, 5)
 	if _, err := sys.CompactTracking(user); err != nil {
 		t.Fatal(err)
 	}
@@ -213,13 +197,7 @@ func TestPlanTripEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First 5 minutes of driving observed.
-	var partial trajectory.Trace
-	for _, fix := range trace {
-		if fix.Time.Sub(trace[0].Time) > 5*time.Minute {
-			break
-		}
-		partial = append(partial, fix)
-	}
+	partial := trace.Head(5 * time.Minute)
 	now := partial[len(partial)-1].Time
 	tp, err := sys.PlanTrip(user, partial, now, nil)
 	if err != nil {

@@ -38,27 +38,26 @@ func newWarmableSystem(t testing.TB) (*System, *synth.World, string) {
 			t.Fatal(err)
 		}
 	}
-	for d := 0; d < w.Params.Days; d++ {
-		day := w.Params.StartDate.AddDate(0, 0, d)
-		if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
-			continue
-		}
-		for _, morning := range []bool{true, false} {
-			trace, _, err := w.CommuteTrace(persona, day, morning)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, fix := range trace {
-				if err := sys.RecordFix(user, fix); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
+	recordCommutes(t, sys, w, persona, w.Params.Days)
 	if _, err := sys.CompactTracking(user); err != nil {
 		t.Fatal(err)
 	}
 	return sys, w, user
+}
+
+// recordCommutes feeds sys the persona's commutes over the world's
+// first `days` days, under the persona's user ID.
+func recordCommutes(t testing.TB, sys *System, w *synth.World, p *synth.Persona, days int) {
+	t.Helper()
+	trace, err := w.Commutes(p, w.Params.StartDate, days)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fix := range trace {
+		if err := sys.RecordFix(p.Profile.UserID, fix); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // commutePartial returns the first `window` of a future Monday's morning
@@ -71,13 +70,7 @@ func commutePartial(t testing.TB, w *synth.World, window time.Duration, dayOffse
 	if err != nil {
 		t.Fatal(err)
 	}
-	var partial trajectory.Trace
-	for _, fix := range full {
-		if fix.Time.Sub(full[0].Time) > window {
-			break
-		}
-		partial = append(partial, fix)
-	}
+	partial := full.Head(window)
 	return partial, partial[len(partial)-1].Time
 }
 

@@ -57,19 +57,16 @@ func TestRefusedWriteLeavesStateUnchanged(t *testing.T) {
 	now := newest.Add(time.Hour)
 	// A day's two commutes: the morning trip has closed, so a compaction
 	// folds it.
-	var last trajectory.Fix
-	for _, morning := range []bool{true, false} {
-		trace, _, err := w.CommuteTrace(p, w.Params.StartDate, morning)
-		if err != nil {
+	commutes, err := w.Commutes(p, w.Params.StartDate, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fix := range commutes {
+		if err := sys.RecordFix(user, fix); err != nil {
 			t.Fatal(err)
 		}
-		for _, fix := range trace {
-			if err := sys.RecordFix(user, fix); err != nil {
-				t.Fatal(err)
-			}
-			last = fix
-		}
 	}
+	last := commutes[len(commutes)-1]
 	event := func(kind feedback.Kind, at time.Time) feedback.Event {
 		it, _ := sys.Repo.Get(ids[0])
 		return feedback.Event{UserID: user, ItemID: it.ID, Kind: kind, At: at}
@@ -242,14 +239,10 @@ func TestRefusalMidStormLeaderEqualsFollower(t *testing.T) {
 					_, _ = leader.IngestPodcast(raw)
 				}
 			}
-			var trace trajectory.Trace
-			for _, morning := range []bool{true, false} {
-				tr, _, err := w.CommuteTrace(p, w.Params.StartDate, morning)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				trace = append(trace, tr...)
+			trace, err := w.Commutes(p, w.Params.StartDate, 1)
+			if err != nil {
+				t.Error(err)
+				return
 			}
 			for i, fix := range trace {
 				_ = leader.RecordFix(own, fix)
