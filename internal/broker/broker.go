@@ -6,6 +6,7 @@
 package broker
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -73,39 +74,46 @@ func (b *Broker) Bind(queueName, pattern string) (*Queue, error) {
 }
 
 // Publish routes the payload to every queue whose binding matches the
-// topic and returns the number of queues that received it.
+// topic and returns the number of queues that received it. The queues
+// get a copy of the topic and payload, so the caller keeps both; a
+// publish no queue matches allocates nothing.
 func (b *Broker) Publish(topic string, payload []byte) int {
-	words := strings.Split(topic, ".")
-	b.mu.Lock()
 	var matched []*Queue
+	b.mu.Lock()
 	for _, q := range b.queues {
-		if topicMatches(q.pattern, words) {
+		if topicMatches(q.pattern, topic) {
 			matched = append(matched, q)
 		}
 	}
 	b.mu.Unlock()
-
-	msg := Message{Topic: topic, Payload: payload}
+	if len(matched) == 0 {
+		return 0
+	}
+	msg := Message{Topic: strings.Clone(topic), Payload: bytes.Clone(payload)}
 	for _, q := range matched {
 		q.push(msg)
 	}
 	return len(matched)
 }
 
-// topicMatches implements AMQP topic matching.
-func topicMatches(pattern, topic []string) bool {
-	for i, pw := range pattern {
+// topicMatches implements AMQP topic matching of the dot-separated topic,
+// read a word at a time.
+func topicMatches(pattern []string, topic string) bool {
+	rest, more := topic, true // more: words of the topic are left in rest
+	for _, pw := range pattern {
 		if pw == "#" {
 			return true // matches the rest, including nothing
 		}
-		if i >= len(topic) {
+		if !more {
 			return false
 		}
-		if pw != "*" && pw != topic[i] {
+		var w string
+		w, rest, more = strings.Cut(rest, ".")
+		if pw != "*" && pw != w {
 			return false
 		}
 	}
-	return len(pattern) == len(topic)
+	return !more
 }
 
 func (q *Queue) push(m Message) {

@@ -3,6 +3,8 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -151,6 +153,109 @@ func TestConcurrentPublishConsume(t *testing.T) {
 		}
 		seen[string(m.Payload)] = true
 		consumed++
+	}
+}
+
+// splitMatches is topic matching as it was before Publish read the
+// topic a word at a time: the topic split into its words first. It is
+// the reference topicMatches is held to.
+func splitMatches(pattern []string, topic string) bool {
+	words := strings.Split(topic, ".")
+	for i, pw := range pattern {
+		if pw == "#" {
+			return true
+		}
+		if i >= len(words) {
+			return false
+		}
+		if pw != "*" && pw != words[i] {
+			return false
+		}
+	}
+	return len(pattern) == len(words)
+}
+
+// TestTopicMatchesIsTheSplitMatcher compares topicMatches with the split
+// reference on every binding pattern and topic the system uses, and on
+// seeded random patterns (with "*" and "#") and topics (with empty words).
+func TestTopicMatchesIsTheSplitMatcher(t *testing.T) {
+	patterns := []string{
+		"tracking.compacted", "feedback.#", "content.ingested.#", "tracking.#",
+		"tracking.gps", "prefs.compacted", "recommendations.#", "#", "tracking.*", "*.gps",
+	}
+	topics := []string{
+		"users.registered", "tracking.gps", "tracking.compacted", "prefs.compacted",
+		"editorial.injected", "recommendations.planned", "content.ingested.",
+		"", ".", "tracking", "tracking.", ".tracking", "tracking..gps",
+	}
+	for _, k := range []string{"listen", "skip", "like", "dislike"} {
+		topics = append(topics, "feedback."+k)
+	}
+	for _, c := range []string{"art", "food", "technology", "documentary"} {
+		topics = append(topics, "content.ingested."+c)
+	}
+	rng := rand.New(rand.NewSource(5))
+	words := []string{"a", "b", "tracking", "gps", ""}
+	randomWords := func(wildcards bool) []string {
+		out := make([]string, 1+rng.Intn(4))
+		for i := range out {
+			out[i] = words[rng.Intn(len(words)-1)] // no empty word in a pattern
+			if wildcards && rng.Intn(4) == 0 {
+				out[i] = "*"
+			}
+		}
+		if wildcards && rng.Intn(3) == 0 {
+			out[len(out)-1] = "#"
+		}
+		return out
+	}
+	for range 300 {
+		patterns = append(patterns, strings.Join(randomWords(true), "."))
+		topic := randomWords(false)
+		for i := range topic {
+			if rng.Intn(8) == 0 {
+				topic[i] = ""
+			}
+		}
+		topics = append(topics, strings.Join(topic, "."))
+	}
+	for _, p := range patterns {
+		pw := strings.Split(p, ".")
+		for _, topic := range topics {
+			if got, want := topicMatches(pw, topic), splitMatches(pw, topic); got != want {
+				t.Fatalf("pattern %q, topic %q: matched %v, the split matcher %v", p, topic, got, want)
+			}
+		}
+	}
+}
+
+// TestPublishUnmatchedAllocatesNothing: a publish that matches no queue,
+// topic and payload built at the call as the system's writes build them,
+// allocates nothing; a matched one copies the payload, so the caller
+// keeps its buffer.
+func TestPublishUnmatchedAllocatesNothing(t *testing.T) {
+	b := New()
+	if _, err := b.Bind("other", "tracking.#"); err != nil {
+		t.Fatal(err)
+	}
+	user, kind := "user-000-s000017", "dislike"
+	if n := testing.AllocsPerRun(100, func() { b.Publish("feedback."+kind, []byte(user)) }); n != 0 {
+		t.Fatalf("an unmatched publish allocates %v times", n)
+	}
+	empty := New()
+	if n := testing.AllocsPerRun(100, func() { empty.Publish("users.registered", []byte(user)) }); n != 0 {
+		t.Fatalf("a publish to a broker with no queue allocates %v times", n)
+	}
+
+	q, err := b.Bind("q", "feedback.*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte(user)
+	b.Publish("feedback."+kind, payload)
+	copy(payload, "xxxx")
+	if m, ok := q.Pop(); !ok || m.Topic != "feedback.dislike" || string(m.Payload) != user {
+		t.Fatalf("popped %q %q, published feedback.dislike %q", m.Topic, m.Payload, user)
 	}
 }
 

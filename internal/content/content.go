@@ -2,9 +2,10 @@
 // the paper's architecture (Fig 3): the podcasts and clips that the clip
 // data management component classifies and the recommender draws from.
 //
-// An item's Categories map is input only: Repository.Add keeps the
-// distribution once, as pairs in the item's ranking row (Features), and
-// the item it hands out has Categories == nil. Item.Weights and
+// An item's Categories map and strings are input only: Repository.Add
+// keeps the distribution once, as pairs in the item's ranking row
+// (Features), and the strings as copies in its own arena, and the item
+// it hands out has Categories == nil. Item.Weights and
 // Item.Weight read the map of an item never added and the row of one
 // added.
 //
@@ -223,6 +224,7 @@ type Repository struct {
 	byName  []namedWeight // addFeatures' sort scratch
 	byPub   []int32       // seqs ordered by Published asc
 	ordered int           // leading seqs that arrived in publish order
+	strs    strArena      // the held items' ID, Title and Program
 }
 
 // NewRepository returns an empty repository.
@@ -238,12 +240,13 @@ func NewRepository() *Repository {
 // same reason, a geographic scope whose geo score would be NaN.
 //
 // Add keeps a copy of the item, with Categories nil and the
-// distribution (Weights) as pairs in its row, and retains nothing of
-// the map: Get, All and a View hand out the copy. The copy is immutable,
-// and a View hands it to planners without a lock. It shares the
-// GeoRelevance Geo points at, which must not change after Add either: a
-// later write would be a data race, missing from the write-ahead log and
-// ranked as if the item had none.
+// distribution (Weights) as pairs in its row, and its ID, Title and
+// Program copied into the repository's own memory: it retains nothing
+// of the map or of the caller's strings. Get, All and a View hand out
+// the copy. The copy is immutable, and a View hands it to planners
+// without a lock. It shares the GeoRelevance Geo points at, which must
+// not change after Add either: a later write would be a data race,
+// missing from the write-ahead log and ranked as if the item had none.
 func (r *Repository) Add(it *Item) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -585,7 +585,10 @@ func TestChunkReadsWhileAddAppends(t *testing.T) {
 				dots[i] += p * cats[c]
 			}
 		}
-		items[i] = &Item{ID: fmt.Sprintf("c%05d", i), Duration: time.Minute, Published: t0.Add(time.Duration(i) * time.Second), Categories: cats}
+		items[i] = &Item{
+			ID: fmt.Sprintf("c%05d", i), Title: fmt.Sprintf("title %d", i), Program: fmt.Sprintf("program %d", i/7),
+			Duration: time.Minute, Published: t0.Add(time.Duration(i) * time.Second), Categories: cats,
+		}
 	}
 	// The seqs either side of each item- and row-chunk boundary below n.
 	var edges []int32
@@ -596,7 +599,7 @@ func TestChunkReadsWhileAddAppends(t *testing.T) {
 	}
 	r := NewRepository()
 	check := func(seq int32, it *Item) error {
-		if it == nil || it.ID != items[seq].ID {
+		if it == nil || it.ID != items[seq].ID || it.Title != items[seq].Title || it.Program != items[seq].Program {
 			return fmt.Errorf("seq %d resolves to %v, added as %s", seq, it, items[seq].ID)
 		}
 		want := items[seq].Categories
@@ -722,4 +725,139 @@ func TestChunkReadsWhileAddAppends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestItemStringsAreTheCatalogs checks that an item the repository holds
+// keeps none of its caller's memory in its strings: ID, Title and
+// Program lie end to end in the repository's arena, in the order Add
+// copies them, across arena chunk boundaries; the items that name one
+// program share one copy of it, however they are interleaved, until the
+// arena holds arenaNames names; and an over-long title is a copy of its
+// own.
+// Items are added by Add, by the path WAL replay and ApplyReplicated take
+// (an ingest record's JSON decoded, then added), and by Restore.
+func TestItemStringsAreTheCatalogs(t *testing.T) {
+	long := strings.Repeat("a title longer than the arena takes ", 10)
+	if len(long) <= arenaMax {
+		t.Fatalf("the long title is %d B, not past arenaMax", len(long))
+	}
+	added := make([]*Item, 2000)
+	for i := range added {
+		title := fmt.Sprintf("title %d", i)
+		if i%600 == 7 {
+			title = long + title
+		}
+		// Even items name one of seven programs in turn; each odd one
+		// names its own, so the names pass arenaNames.
+		program := fmt.Sprintf("program %d", i%7)
+		if i%2 == 1 {
+			program = fmt.Sprintf("own program %d", i)
+		}
+		added[i] = &Item{
+			ID: fmt.Sprintf("s%05d", i), Title: title, Program: program,
+			Duration: time.Minute, Published: t0.Add(time.Duration(i) * time.Second),
+			Categories: map[string]float64{"food": 1},
+		}
+	}
+	// shares reports whether a and b overlap in memory.
+	shares := func(a, b string) bool {
+		if a == "" || b == "" {
+			return false
+		}
+		pa, pb := uintptr(unsafe.Pointer(unsafe.StringData(a))), uintptr(unsafe.Pointer(unsafe.StringData(b)))
+		return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
+	}
+	// check walks r's items in insertion order: each must hold the
+	// strings added, none of the caller's memory (caller, nil when the
+	// caller's items are out of reach), and lie where the arena put it.
+	check := func(t *testing.T, r *Repository, caller []*Item) {
+		t.Helper()
+		runtime.GC() // the chunks are reached only through the strings
+		if r.Len() != len(added) {
+			t.Fatalf("%d items, want %d", r.Len(), len(added))
+		}
+		var end *byte               // one past the last arena string
+		used := 0                   // bytes used in end's chunk
+		names := map[string]*byte{} // the names the arena shares
+		place := func(seq int32, field, got string) {
+			t.Helper()
+			if len(got) > arenaMax {
+				return // a clone of its own
+			}
+			p := unsafe.StringData(got)
+			if end != nil && used+len(got) <= arenaChunk {
+				if p != end {
+					t.Fatalf("item %d: %s is not laid after the string before it", seq, field)
+				}
+			} else {
+				used = 0 // a new chunk
+			}
+			used += len(got)
+			end = (*byte)(unsafe.Add(unsafe.Pointer(p), len(got)))
+		}
+		for seq := range int32(len(added)) {
+			it, want := r.ItemAt(seq), added[seq]
+			if it.ID != want.ID || it.Title != want.Title || it.Program != want.Program {
+				t.Fatalf("item %d holds %q %q %q, added as %q %q %q", seq, it.ID, it.Title, it.Program, want.ID, want.Title, want.Program)
+			}
+			if caller != nil {
+				in := caller[seq]
+				if shares(it.ID, in.ID) || shares(it.Title, in.Title) || shares(it.Program, in.Program) {
+					t.Fatalf("item %d shares memory with the caller's strings", seq)
+				}
+			}
+			place(seq, "ID", it.ID)
+			place(seq, "Title", it.Title)
+			if p, ok := names[it.Program]; ok {
+				if unsafe.StringData(it.Program) != p {
+					t.Fatalf("item %d: Program is not the copy its name shares", seq)
+				}
+				continue
+			} else if len(names) < arenaNames {
+				names[it.Program] = unsafe.StringData(it.Program)
+			}
+			place(seq, "Program", it.Program)
+		}
+		if len(names) != arenaNames || len(r.strs.names) != arenaNames {
+			t.Fatalf("%d names shared, %d kept, want arenaNames = %d", len(names), len(r.strs.names), arenaNames)
+		}
+	}
+
+	live := NewRepository()
+	for _, it := range added {
+		if err := live.Add(it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("Add", func(t *testing.T) { check(t, live, added) })
+
+	t.Run("logged", func(t *testing.T) {
+		r := NewRepository()
+		decoded := make([]*Item, len(added))
+		for i, it := range added {
+			b, err := json.Marshal(it)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(b, &decoded[i]); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Add(decoded[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(t, r, decoded)
+	})
+
+	t.Run("Restore", func(t *testing.T) {
+		var buf strings.Builder
+		if err := live.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r := NewRepository()
+		if err := r.Restore(strings.NewReader(buf.String())); err != nil {
+			t.Fatal(err)
+		}
+		check(t, r, nil)
+	})
 }

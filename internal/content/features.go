@@ -131,8 +131,9 @@ func spilled(spill *sync.Map, f *Features) []pair {
 	return run.([]pair)
 }
 
-// addFeatures copies the item into the repository's item chunk at seq
-// and writes its row. Caller holds the write lock.
+// addFeatures copies the item into the repository's item chunk at seq,
+// its strings into the repository's arena, and writes its row. Caller
+// holds the write lock.
 func (r *Repository) addFeatures(it *Item, seq int32) {
 	byName := r.byName[:0]
 	for cat, w := range it.Weights() {
@@ -168,6 +169,8 @@ func (r *Repository) addFeatures(it *Item, seq int32) {
 	}
 	own := r.items.at(seq)
 	*own = *it
+	own.ID, own.Title = r.strs.copy(it.ID), r.strs.copy(it.Title)
+	own.Program = r.strs.intern(it.Program)
 	// Drop the input map, and the row a copy of another repository's
 	// item brings: the row written above is the copy's own.
 	own.Categories = nil

@@ -9,9 +9,9 @@ import (
 // Snapshot serializes the profiles DB as JSON (user ID → profile).
 func (s *Store) Snapshot(w io.Writer) error {
 	s.mu.RLock()
-	out := make(map[string]Profile, len(s.profiles))
-	for id, p := range s.profiles {
-		out[id] = p
+	out := make(map[string]Profile, len(s.index))
+	for id, i := range s.index {
+		out[id] = *s.row(i)
 	}
 	s.mu.RUnlock()
 	return json.NewEncoder(w).Encode(out)

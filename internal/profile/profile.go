@@ -30,14 +30,30 @@ type Profile struct {
 var ErrNotFound = errors.New("profile: user not found")
 
 // Store is a thread-safe profiles DB.
+//
+// Every node keeps a profile per registered listener for its life, so
+// the profiles sit in rows: fixed-size chunks that are allocated whole
+// and only ever appended to, behind an index from user ID to row. A
+// listener costs a 96-B row and an index slot, where a map[string]Profile
+// slot costs about 250 B. Put of a known user rewrites its row in place.
 type Store struct {
-	mu       sync.RWMutex
-	profiles map[string]Profile
+	mu    sync.RWMutex
+	index map[string]int32 // user ID -> row
+	rows  []*[rowChunk]Profile
 }
+
+// rowChunk is how many profiles a chunk holds: 96 B each, three 8 KiB
+// pages.
+const rowChunk = 256
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{profiles: make(map[string]Profile)}
+	return &Store{index: make(map[string]int32)}
+}
+
+// row returns the profile in row i. The caller holds s.mu.
+func (s *Store) row(i int32) *Profile {
+	return &s.rows[i/rowChunk][i%rowChunk]
 }
 
 // Put inserts or replaces a profile.
@@ -47,7 +63,15 @@ func (s *Store) Put(p Profile) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.profiles[p.UserID] = p
+	i, ok := s.index[p.UserID]
+	if !ok {
+		i = int32(len(s.index))
+		if int(i) == len(s.rows)*rowChunk {
+			s.rows = append(s.rows, new([rowChunk]Profile))
+		}
+		s.index[p.UserID] = i
+	}
+	*s.row(i) = p
 	return nil
 }
 
@@ -63,26 +87,26 @@ func (s *Store) CheckPut(p Profile) error {
 func (s *Store) Get(userID string) (Profile, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	p, ok := s.profiles[userID]
+	i, ok := s.index[userID]
 	if !ok {
 		return Profile{}, fmt.Errorf("%w: %q", ErrNotFound, userID)
 	}
-	return p, nil
+	return *s.row(i), nil
 }
 
 // Len returns the number of profiles.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.profiles)
+	return len(s.index)
 }
 
 // UserIDs returns every user ID, sorted.
 func (s *Store) UserIDs() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.profiles))
-	for id := range s.profiles {
+	out := make([]string, 0, len(s.index))
+	for id := range s.index {
 		out = append(out, id)
 	}
 	sort.Strings(out)

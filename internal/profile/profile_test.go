@@ -1,7 +1,11 @@
 package profile
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"pphcr/internal/geo"
@@ -62,5 +66,83 @@ func TestUserIDsSorted(t *testing.T) {
 	got := s.UserIDs()
 	if len(got) != 3 || got[0] != "anna" || got[2] != "zoe" {
 		t.Fatalf("UserIDs = %v", got)
+	}
+}
+
+// TestProfileStoreConcurrent races Put of new users (which append rows
+// and, at a chunk boundary, a chunk) and of known ones (which rewrite a
+// row in place) against Get, UserIDs and Snapshot. Run it under -race.
+func TestProfileStoreConcurrent(t *testing.T) {
+	const writers, perWriter = 4, rowChunk
+	s := NewStore()
+	profileOf := func(w, i, age int) Profile {
+		return Profile{UserID: fmt.Sprintf("u%d-%04d", w, i), Name: "n", Age: age, Interests: []string{"food"}}
+	}
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perWriter {
+				if err := s.Put(profileOf(w, i, 1)); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := s.Put(profileOf(w, i/2, 2)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, id := range s.UserIDs() {
+				p, err := s.Get(id)
+				if err != nil || p.UserID != id || p.Name != "n" || (p.Age != 1 && p.Age != 2) {
+					t.Errorf("Get(%q) = %+v, %v", id, p, err)
+					return
+				}
+			}
+			var buf bytes.Buffer
+			if err := s.Snapshot(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	if n := s.Len(); n != writers*perWriter {
+		t.Fatalf("Len = %d, want %d", n, writers*perWriter)
+	}
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]Profile
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	for w := range writers {
+		for i := range perWriter {
+			want := profileOf(w, i, 1)
+			if i < perWriter/2 {
+				want.Age = 2
+			}
+			if p := got[want.UserID]; p.Age != want.Age || p.Name != want.Name {
+				t.Fatalf("snapshot holds %+v, want %+v", p, want)
+			}
+		}
 	}
 }

@@ -1,9 +1,12 @@
 package textclass
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Document is one labeled training example.
@@ -16,15 +19,32 @@ type Document struct {
 // (add-one) smoothing, the model family the paper names for classifying
 // ASR transcripts of news programs. Train it once; classification is
 // safe for concurrent use afterwards.
+//
+// Train computes every (word, category) log-likelihood once and keeps
+// only those: Scores looks a token up once and adds one term per
+// category. Most words occur in few categories, so a word keeps the
+// terms of the categories it occurs in, and a category it never occurs
+// in adds that category's unseen term.
 type NaiveBayes struct {
-	categories []string
-	// logPrior[c] = log P(category c)
-	logPrior map[string]float64
-	// wordCount[c][w] = count of w in documents of c
-	wordCount map[string]map[string]int
-	// totalWords[c] = Σ_w wordCount[c][w]
-	totalWords map[string]int
-	vocab      map[string]bool
+	categories []string  // sorted
+	logPrior   []float64 // by category: log P(c)
+	// unseen[c] = log(1 / (words in c + |V|)), the term of a word c
+	// never saw.
+	unseen []float64
+	words  map[string]span // the vocabulary: each word's terms in seen
+	// seen holds, word after word, the categories each word occurs in,
+	// ascending, with log((count of the word in c + 1) / (words in c + |V|)).
+	seen []term
+}
+
+// span is where a word's terms are in NaiveBayes.seen.
+type span struct{ off, n int32 }
+
+// term is a category a word occurs in and the word's log-likelihood
+// under it.
+type term struct {
+	cat    int32
+	logLik float64
 }
 
 // ErrNoTrainingData is returned by Train on an empty corpus.
@@ -35,31 +55,82 @@ func (nb *NaiveBayes) Train(docs []Document) error {
 	if len(docs) == 0 {
 		return ErrNoTrainingData
 	}
-	nb.logPrior = make(map[string]float64)
-	nb.wordCount = make(map[string]map[string]int)
-	nb.totalWords = make(map[string]int)
-	nb.vocab = make(map[string]bool)
 	catDocs := make(map[string]int)
 	for _, d := range docs {
 		catDocs[d.Category]++
-		wc := nb.wordCount[d.Category]
-		if wc == nil {
-			wc = make(map[string]int)
-			nb.wordCount[d.Category] = wc
-		}
-		for _, w := range d.Tokens {
-			wc[w]++
-			nb.totalWords[d.Category]++
-			nb.vocab[w] = true
-		}
 	}
 	nb.categories = nb.categories[:0]
 	for c := range catDocs {
 		nb.categories = append(nb.categories, c)
-		nb.logPrior[c] = math.Log(float64(catDocs[c]) / float64(len(docs)))
 	}
 	sort.Strings(nb.categories)
+	nc := len(nb.categories)
+	catIndex := make(map[string]int32, nc)
+	nb.logPrior = make([]float64, nc)
+	for j, c := range nb.categories {
+		catIndex[c] = int32(j)
+		nb.logPrior[j] = math.Log(float64(catDocs[c]) / float64(len(docs)))
+	}
+	// counts[i] is how often word i occurs in each category it occurs
+	// in; words maps a word to its i until the spans replace it.
+	words := make(map[string]span)
+	var counts [][]catCount
+	totalWords := make([]int, nc)
+	for _, d := range docs {
+		j := catIndex[d.Category]
+		for _, w := range d.Tokens {
+			sp, ok := words[w]
+			if !ok {
+				// A token is a piece of its document: the clone
+				// keeps the word and not the transcript.
+				sp.off = int32(len(counts))
+				words[strings.Clone(w)] = sp
+				counts = append(counts, nil)
+			}
+			counts[sp.off] = countIn(counts[sp.off], j)
+			totalWords[j]++
+		}
+	}
+	v := float64(len(words))
+	nb.unseen = make([]float64, nc)
+	for j := range nb.unseen {
+		nb.unseen[j] = math.Log((0 + 1) / (float64(totalWords[j]) + v))
+	}
+	n := 0
+	for _, c := range counts {
+		n += len(c)
+	}
+	nb.seen = make([]term, 0, n)
+	spans := make([]span, len(counts))
+	for i, c := range counts {
+		slices.SortFunc(c, func(a, b catCount) int { return cmp.Compare(a.cat, b.cat) })
+		spans[i] = span{int32(len(nb.seen)), int32(len(c))}
+		for _, k := range c {
+			nb.seen = append(nb.seen, term{k.cat, math.Log((float64(k.n) + 1) / (float64(totalWords[k.cat]) + v))})
+		}
+	}
+	for w, sp := range words {
+		words[w] = spans[sp.off]
+	}
+	nb.words = words
 	return nil
+}
+
+// catCount is how often a word occurs in one category's documents.
+type catCount struct {
+	cat int32
+	n   int
+}
+
+// countIn adds one occurrence in category cat to a word's counts.
+func countIn(counts []catCount, cat int32) []catCount {
+	for k := range counts {
+		if counts[k].cat == cat {
+			counts[k].n++
+			return counts
+		}
+	}
+	return append(counts, catCount{cat, 1})
 }
 
 // Score is a category with its (unnormalized) log-posterior.
@@ -70,23 +141,34 @@ type Score struct {
 
 // Scores returns the log-posterior of every category for the token
 // sequence, descending. It returns nil before training.
+//
+// A category's score is its log prior plus, for each token in order,
+// the token's log-likelihood under it (the package doc says why these
+// are the bits of a per-token math.Log sum). A token outside the
+// training vocabulary adds nothing to any category.
 func (nb *NaiveBayes) Scores(tokens []string) []Score {
-	if len(nb.categories) == 0 {
+	nc := len(nb.categories)
+	if nc == 0 {
 		return nil
 	}
-	v := float64(len(nb.vocab))
-	out := make([]Score, 0, len(nb.categories))
-	for _, c := range nb.categories {
-		lp := nb.logPrior[c]
-		wc := nb.wordCount[c]
-		denom := float64(nb.totalWords[c]) + v
-		for _, w := range tokens {
-			if !nb.vocab[w] {
-				continue // unseen words carry no signal for any class
-			}
-			lp += math.Log((float64(wc[w]) + 1) / denom)
+	out := make([]Score, nc)
+	for j, c := range nb.categories {
+		out[j] = Score{Category: c, LogProb: nb.logPrior[j]}
+	}
+	for _, w := range tokens {
+		sp, ok := nb.words[w]
+		if !ok {
+			continue // unseen words carry no signal for any class
 		}
-		out = append(out, Score{Category: c, LogProb: lp})
+		seen := nb.seen[sp.off : sp.off+sp.n]
+		for j := range out {
+			l := nb.unseen[j]
+			if len(seen) > 0 && int(seen[0].cat) == j {
+				l = seen[0].logLik
+				seen = seen[1:]
+			}
+			out[j].LogProb += l
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].LogProb != out[j].LogProb {

@@ -2,6 +2,16 @@
 // clip data management component (§1.2): tokenization and a multinomial
 // naive Bayes classifier that assigns speech transcripts to one of 30
 // editorial categories ("spacing from art to culture, music, economics").
+//
+// NaiveBayes.Train computes each (word, category) log-likelihood
+// log((count+1)/(words+|V|)) once: for the categories a word occurs in,
+// a term of the word's own, and for the others the category's term for
+// a count of 0. Scores starts each category at its log prior and, for
+// each token in order, looks the token up once and adds one term to
+// each category. So each category receives the same float64 terms in
+// the same order as a sum of math.Log((count+1)/(words+|V|)) per token
+// would add them, and the scores are those bits. A token the training
+// corpus never saw adds nothing.
 package textclass
 
 import (

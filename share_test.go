@@ -19,6 +19,7 @@ import (
 	"pphcr/internal/durable"
 	"pphcr/internal/feedback"
 	"pphcr/internal/geo"
+	"pphcr/internal/profile"
 	"pphcr/internal/synth"
 	"pphcr/internal/trajectory"
 )
@@ -658,16 +659,19 @@ func BenchmarkRetainedPerWrite(b *testing.B) {
 }
 
 // BenchmarkRetainedPerListener measures what a listener leaves on a
-// node's heap once their feedback is logged, by history: one like, one
-// like of an item the catalog does not hold, sent with no categories
-// (what the benchmark's acked_write sends), 200 likes over a catalog
-// spanning every category, and the same with 16 dislikes. It counts
-// everything a listener's writes leave behind, the feedback store's
-// state and the plan cache's per-user entry alike. Run it with
-// -benchtime 3x; the ns/op column is the batch's.
+// node's heap once they are registered, and once their feedback is
+// logged, by history: one like, one like of an item the catalog does not
+// hold, sent with no categories (what the benchmark's acked_write
+// sends), 200 likes over a catalog spanning every category, and the same
+// with 16 dislikes. The registered row is RegisterUser alone, a profile
+// sharing its name and interests with the caller as BuildPopulation's
+// clones do: the profiles DB's cost. The feedback rows count everything
+// a listener's writes leave behind, the feedback store's state and the
+// plan cache's per-user entry alike. Run it with -benchtime 3x; the
+// ns/op column is the batch's.
 func BenchmarkRetainedPerListener(b *testing.B) {
 	const listeners = 500
-	row := func(likes, dislikes int, unknown bool) func(b *testing.B) {
+	row := func(listen func(sys *System, items []*content.Item, user string) error) func(b *testing.B) {
 		return func(b *testing.B) {
 			sys, _ := newTestSystem(b)
 			items := addCatalog(b, sys, 200)
@@ -689,21 +693,8 @@ func BenchmarkRetainedPerListener(b *testing.B) {
 				before := heap()
 				b.StartTimer()
 				for _, user := range names {
-					for i := 0; i < likes+dislikes; i++ {
-						it, kind := items[i%len(items)], feedback.Like
-						if i >= likes {
-							kind = feedback.Dislike
-						}
-						e := feedback.Event{
-							UserID: user, ItemID: it.ID, Kind: kind,
-							At: shareT0.Add(time.Duration(i) * time.Second), Categories: it.Categories,
-						}
-						if unknown {
-							e.ItemID, e.Categories = "gone-"+user, nil
-						}
-						if err := sys.AddFeedback(e); err != nil {
-							b.Fatal(err)
-						}
+					if err := listen(sys, items, user); err != nil {
+						b.Fatal(err)
 					}
 				}
 				b.StopTimer()
@@ -714,8 +705,34 @@ func BenchmarkRetainedPerListener(b *testing.B) {
 			b.ReportMetric(retained/float64(b.N*listeners), "retained-B/listener")
 		}
 	}
-	b.Run("one-like", row(1, 0, false))
-	b.Run("one-like-unknown-item", row(1, 0, true))
-	b.Run("200-likes", row(200, 0, false))
-	b.Run("200-likes-16-dislikes", row(200, 16, false))
+	interests := []string{"food", "culture", "technology"}
+	registered := func(sys *System, _ []*content.Item, user string) error {
+		return sys.RegisterUser(profile.Profile{UserID: user, Name: "Lilly", Age: 29, Interests: interests})
+	}
+	feedbackRow := func(likes, dislikes int, unknown bool) func(b *testing.B) {
+		return row(func(sys *System, items []*content.Item, user string) error {
+			for i := 0; i < likes+dislikes; i++ {
+				it, kind := items[i%len(items)], feedback.Like
+				if i >= likes {
+					kind = feedback.Dislike
+				}
+				e := feedback.Event{
+					UserID: user, ItemID: it.ID, Kind: kind,
+					At: shareT0.Add(time.Duration(i) * time.Second), Categories: it.Categories,
+				}
+				if unknown {
+					e.ItemID, e.Categories = "gone-"+user, nil
+				}
+				if err := sys.AddFeedback(e); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	b.Run("registered", row(registered))
+	b.Run("one-like", feedbackRow(1, 0, false))
+	b.Run("one-like-unknown-item", feedbackRow(1, 0, true))
+	b.Run("200-likes", feedbackRow(200, 0, false))
+	b.Run("200-likes-16-dislikes", feedbackRow(200, 16, false))
 }
