@@ -24,14 +24,12 @@ func newFleetSystem(t testing.TB, users int) (*System, *synth.World, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab})
+	sys, err := NewWorld(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, raw := range w.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		t.Fatal(err)
 	}
 	var drivers []string
 	for _, p := range w.Personas {

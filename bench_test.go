@@ -53,7 +53,7 @@ func getPlanEnv(b *testing.B) *planBenchEnv {
 			planEnvErr = err
 			return
 		}
-		sys, err := pphcr.New(pphcr.Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab})
+		sys, err := pphcr.NewWorld(w, 1)
 		if err != nil {
 			planEnvErr = err
 			return
@@ -64,22 +64,18 @@ func getPlanEnv(b *testing.B) *planBenchEnv {
 			planEnvErr = err
 			return
 		}
-		for _, raw := range w.Corpus {
-			if _, err := sys.IngestPodcast(raw); err != nil {
-				planEnvErr = err
-				return
-			}
+		if err := sys.IngestAll(w.Corpus); err != nil {
+			planEnvErr = err
+			return
 		}
 		commutes, err := w.Commutes(persona, w.Params.StartDate, w.Params.Days)
 		if err != nil {
 			planEnvErr = err
 			return
 		}
-		for _, fix := range commutes {
-			if err := sys.RecordFix(user, fix); err != nil {
-				planEnvErr = err
-				return
-			}
+		if err := sys.RecordTrace(user, commutes); err != nil {
+			planEnvErr = err
+			return
 		}
 		if _, err := sys.CompactTracking(user); err != nil {
 			planEnvErr = err

@@ -140,7 +140,7 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	sys, err := pphcr.New(pphcr.Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: *seed})
+	sys, err := pphcr.NewWorld(w, *seed)
 	if err != nil {
 		return fail(err)
 	}

@@ -156,11 +156,9 @@ func main() {
 	if err != nil {
 		fatal("generate world", err)
 	}
-	sys, err := pphcr.New(pphcr.Config{
-		TrainingDocs: w.Training,
-		Vocabulary:   w.FlatVocab,
-		Seed:         *seed,
-	})
+	// The broadcast directory is the world's: ephemeral metadata,
+	// regenerated each boot and never snapshotted.
+	sys, err := pphcr.NewWorld(w, *seed)
 	if err != nil {
 		fatal("system init", err)
 	}
@@ -201,20 +199,6 @@ func main() {
 		}
 	}
 
-	// The broadcast directory is ephemeral metadata (regenerated each
-	// boot, never snapshotted) and is loaded either way.
-	horizon := w.Params.StartDate.AddDate(0, 0, w.Params.Days+8)
-	for _, svc := range w.Directory.Services() {
-		if err := sys.Directory.AddService(svc); err != nil {
-			fatal("directory", err)
-		}
-		for _, p := range w.Directory.ProgramsBetween(svc.ID, w.Params.StartDate, horizon) {
-			if err := sys.Directory.AddProgram(p); err != nil {
-				fatal("directory", err)
-			}
-		}
-	}
-
 	// The synthetic preload only populates a fresh deployment; a
 	// recovered one already holds this state (plus everything that
 	// happened since) and re-ingesting would duplicate it. A follower
@@ -223,10 +207,8 @@ func main() {
 	if !isFollower && (dur == nil || !dur.Recovered()) {
 		slog.Info("ingesting podcasts through the ASR+Bayes pipeline", "count", len(w.Corpus))
 		start := time.Now()
-		for _, raw := range w.Corpus {
-			if _, err := sys.IngestPodcast(raw); err != nil {
-				fatal("ingest", err)
-			}
+		if err := sys.IngestAll(w.Corpus); err != nil {
+			fatal("ingest", err)
 		}
 		slog.Info("ingested", "dur", time.Since(start).Round(time.Millisecond))
 		// Under a topology this node registers only the users it owns;
@@ -248,10 +230,8 @@ func main() {
 				if err != nil {
 					fatal("commute trace", err)
 				}
-				for _, fix := range trace {
-					if err := sys.RecordFix(p.Profile.UserID, fix); err != nil {
-						fatal("record fix", err)
-					}
+				if err := sys.RecordTrace(p.Profile.UserID, trace); err != nil {
+					fatal("record fix", err)
 				}
 				if _, err := sys.CompactTracking(p.Profile.UserID); err != nil {
 					slog.Warn("compact failed", "user", p.Profile.UserID, "err", err)

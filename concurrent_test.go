@@ -39,16 +39,10 @@ func assertIndexMatchesReplay(t *testing.T, sys *System, user string, now time.T
 // index against the replay oracle.
 func TestConcurrentFeedbackPreferencesPlan(t *testing.T) {
 	sys, w := newTestSystem(t)
-	var lastPublished time.Time
-	for _, raw := range w.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			t.Fatal(err)
-		}
-		if raw.Published.After(lastPublished) {
-			lastPublished = raw.Published
-		}
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		t.Fatal(err)
 	}
-	now := lastPublished.Add(time.Hour)
+	now := w.LastPublished().Add(time.Hour)
 
 	const nUsers = 6
 	users := make([]string, nUsers)

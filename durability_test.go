@@ -430,7 +430,6 @@ func TestCloseAfterCrashRefuses(t *testing.T) {
 func TestWritesRacingShutdownAreRefused(t *testing.T) {
 	for _, crash := range []bool{false, true} {
 		sys, w := newTestSystem(t)
-		cfg := Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: 11}
 		dir := t.TempDir()
 		dur, err := OpenDurability(sys, DurabilityOptions{Dir: dir, Sync: durable.SyncAlways})
 		if err != nil {
@@ -485,7 +484,7 @@ func TestWritesRacingShutdownAreRefused(t *testing.T) {
 		if !bytes.Equal(before, snapshotBytes(t, sys)) {
 			t.Fatalf("crash=%v: a refused write changed the snapshot", crash)
 		}
-		recovered, err := New(cfg)
+		recovered, err := NewWorld(w, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -584,7 +583,7 @@ func TestReplaySkipsItemWithoutFiniteNorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: 17})
+	s, err := NewWorld(w, 17)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,25 +23,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := pphcr.New(pphcr.Config{TrainingDocs: world.Training, Vocabulary: world.FlatVocab})
+	sys, err := pphcr.NewWorld(world, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	horizon := world.Params.StartDate.AddDate(0, 0, world.Params.Days+8)
-	for _, svc := range world.Directory.Services() {
-		if err := sys.Directory.AddService(svc); err != nil {
-			log.Fatal(err)
-		}
-		for _, p := range world.Directory.ProgramsBetween(svc.ID, world.Params.StartDate, horizon) {
-			if err := sys.Directory.AddProgram(p); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	for _, raw := range world.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			log.Fatal(err)
-		}
+	if err := sys.IngestAll(world.Corpus); err != nil {
+		log.Fatal(err)
 	}
 
 	lilly := world.Personas[0]
@@ -68,10 +55,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, fix := range commutes {
-		if err := sys.RecordFix(user, fix); err != nil {
-			log.Fatal(err)
-		}
+	if err := sys.RecordTrace(user, commutes); err != nil {
+		log.Fatal(err)
 	}
 	cm, err := sys.CompactTracking(user)
 	if err != nil {

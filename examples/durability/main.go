@@ -23,7 +23,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := pphcr.Config{TrainingDocs: world.Training, Vocabulary: world.FlatVocab}
 
 	dir, err := os.MkdirTemp("", "pphcr-durability-*")
 	if err != nil {
@@ -33,7 +32,7 @@ func main() {
 
 	// 1. A fresh system bound to an empty data directory: every mutation
 	//    below lands in the WAL before the call returns (SyncAlways).
-	sys, err := pphcr.New(cfg)
+	sys, err := pphcr.NewWorld(world, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,14 +41,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var newest time.Time
-	for _, raw := range world.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			log.Fatal(err)
-		}
-		if raw.Published.After(newest) {
-			newest = raw.Published
-		}
+	if err := sys.IngestAll(world.Corpus); err != nil {
+		log.Fatal(err)
 	}
 	if err := sys.RegisterUser(profile.Profile{UserID: "greg", Name: "Greg", Interests: []string{"sport"}}); err != nil {
 		log.Fatal(err)
@@ -62,7 +55,7 @@ func main() {
 
 	// 3. More feedback lands after the checkpoint — recovery must
 	//    replay it from the WAL tail.
-	now := newest.Add(time.Hour)
+	now := world.LastPublished().Add(time.Hour)
 	var before map[string]float64
 	for i, it := range sys.Repo.ByCategory("sport") {
 		if i >= 5 {
@@ -93,7 +86,7 @@ func main() {
 
 	// 5. Recovery: newest valid checkpoint + WAL tail replay, torn
 	//    final record dropped.
-	restored, err := pphcr.New(cfg)
+	restored, err := pphcr.NewWorld(world, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

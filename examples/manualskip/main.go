@@ -29,16 +29,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var newest time.Time
-	for _, raw := range world.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			log.Fatal(err)
-		}
-		if raw.Published.After(newest) {
-			newest = raw.Published
-		}
+	if err := sys.IngestAll(world.Corpus); err != nil {
+		log.Fatal(err)
 	}
-	now := newest.Add(time.Hour)
+	now := world.LastPublished().Add(time.Hour)
 	// Greg's favorite station has football talk on right now.
 	if err := sys.Directory.AddService(&radiodns.Service{
 		ID: "radio1", Name: "Radio 1", GCC: "5e0", PI: "5201", Frequency: 8990,

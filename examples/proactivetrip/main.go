@@ -24,14 +24,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := pphcr.New(pphcr.Config{TrainingDocs: world.Training, Vocabulary: world.FlatVocab})
+	sys, err := pphcr.NewWorld(world, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, raw := range world.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			log.Fatal(err)
-		}
+	if err := sys.IngestAll(world.Corpus); err != nil {
+		log.Fatal(err)
 	}
 	driver := world.Personas[0]
 	user := driver.Profile.UserID
@@ -57,10 +55,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, fix := range commutes {
-		if err := sys.RecordFix(user, fix); err != nil {
-			log.Fatal(err)
-		}
+	if err := sys.RecordTrace(user, commutes); err != nil {
+		log.Fatal(err)
 	}
 	if _, err := sys.CompactTracking(user); err != nil {
 		log.Fatal(err)

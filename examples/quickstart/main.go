@@ -23,23 +23,14 @@ func main() {
 		log.Fatal(err)
 	}
 	// 2. The system: content pipeline + user management + recommender.
-	sys, err := pphcr.New(pphcr.Config{
-		TrainingDocs: world.Training,
-		Vocabulary:   world.FlatVocab,
-	})
+	sys, err := pphcr.NewWorld(world, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// 3. Ingest the corpus (speech → simulated ASR → naive Bayes →
 	//    repository).
-	var newest time.Time
-	for _, raw := range world.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			log.Fatal(err)
-		}
-		if raw.Published.After(newest) {
-			newest = raw.Published
-		}
+	if err := sys.IngestAll(world.Corpus); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("ingested %d podcasts into the repository\n", sys.Repo.Len())
 
@@ -52,7 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// 5. Some explicit feedback sharpens the preference vector.
-	now := newest.Add(time.Hour)
+	now := world.LastPublished().Add(time.Hour)
 	for i, it := range sys.Repo.ByCategory("food") {
 		if i >= 3 {
 			break

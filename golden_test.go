@@ -56,7 +56,7 @@ func TestPlanGolden(t *testing.T) {
 			{"dense", denseCatalogShape},
 			{"mixed", mixedCatalogShape},
 		} {
-			sys, err := New(Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: seed})
+			sys, err := NewWorld(w, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,10 +82,8 @@ func TestPlanGolden(t *testing.T) {
 }
 
 func ingestCorpus(t *testing.T, sys *System, w *synth.World) {
-	for _, raw := range w.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		t.Fatal(err)
 	}
 }
 

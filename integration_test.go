@@ -23,38 +23,19 @@ func buildWorld(t testing.TB) (*pphcr.System, *synth.World, time.Time) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := pphcr.New(pphcr.Config{
-		TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: 99,
-	})
+	sys, err := pphcr.NewWorld(w, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	horizon := w.Params.StartDate.AddDate(0, 0, w.Params.Days+8)
-	for _, svc := range w.Directory.Services() {
-		if err := sys.Directory.AddService(svc); err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range w.Directory.ProgramsBetween(svc.ID, w.Params.StartDate, horizon) {
-			if err := sys.Directory.AddProgram(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	var last time.Time
-	for _, raw := range w.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			t.Fatal(err)
-		}
-		if raw.Published.After(last) {
-			last = raw.Published
-		}
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		t.Fatal(err)
 	}
 	for _, p := range w.Personas {
 		if err := sys.RegisterUser(p.Profile); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return sys, w, last.Add(time.Hour)
+	return sys, w, w.LastPublished().Add(time.Hour)
 }
 
 // TestArchitecturePipeline exercises the full Fig 3 architecture in one
@@ -105,10 +86,8 @@ func TestArchitecturePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fix := range commutes {
-		if err := sys.RecordFix(user, fix); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.RecordTrace(user, commutes); err != nil {
+		t.Fatal(err)
 	}
 	cm, err := sys.CompactTracking(user)
 	if err != nil {
@@ -226,10 +205,8 @@ func TestDeterministicWorldToPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, fix := range commutes {
-			if err := sys.RecordFix(user, fix); err != nil {
-				t.Fatal(err)
-			}
+		if err := sys.RecordTrace(user, commutes); err != nil {
+			t.Fatal(err)
 		}
 		if _, err := sys.CompactTracking(user); err != nil {
 			t.Fatal(err)

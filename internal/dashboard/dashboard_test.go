@@ -31,14 +31,12 @@ func newTestDashboard(t *testing.T) (*httptest.Server, *pphcr.System, *synth.Wor
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := pphcr.New(pphcr.Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab})
+	sys, err := pphcr.NewWorld(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, raw := range w.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		t.Fatal(err)
 	}
 	ts := httptest.NewServer(httpapi.NewServer(sys).Handler())
 	t.Cleanup(ts.Close)
@@ -53,10 +51,8 @@ func trackCommutes(t *testing.T, sys *pphcr.System, w *synth.World, user string,
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fix := range commutes {
-		if err := sys.RecordFix(user, fix); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.RecordTrace(user, commutes); err != nil {
+		t.Fatal(err)
 	}
 }
 

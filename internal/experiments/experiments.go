@@ -147,46 +147,26 @@ func worldParams(cfg Config) synth.Params {
 	return p
 }
 
-// newEnv generates the world, builds the system and ingests the corpus.
+// newEnv generates the world, builds the system, ingests the corpus
+// and registers the personas.
 func newEnv(cfg Config) (*env, error) {
 	w, err := synth.GenerateWorld(worldParams(cfg))
 	if err != nil {
 		return nil, err
 	}
-	sys, err := pphcr.New(pphcr.Config{
-		TrainingDocs: w.Training,
-		Vocabulary:   w.FlatVocab,
-		Seed:         cfg.seed(),
-	})
+	sys, err := pphcr.NewWorld(w, cfg.seed())
 	if err != nil {
 		return nil, err
 	}
-	horizon := w.Params.StartDate.AddDate(0, 0, w.Params.Days+8)
-	for _, svc := range w.Directory.Services() {
-		if err := sys.Directory.AddService(svc); err != nil {
-			return nil, err
-		}
-		for _, p := range w.Directory.ProgramsBetween(svc.ID, w.Params.StartDate, horizon) {
-			if err := sys.Directory.AddProgram(p); err != nil {
-				return nil, err
-			}
-		}
-	}
-	var last time.Time
-	for _, raw := range w.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			return nil, err
-		}
-		if raw.Published.After(last) {
-			last = raw.Published
-		}
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		return nil, err
 	}
 	for _, p := range w.Personas {
 		if err := sys.RegisterUser(p.Profile); err != nil {
 			return nil, err
 		}
 	}
-	return &env{World: w, Sys: sys, Now: last.Add(time.Hour)}, nil
+	return &env{World: w, Sys: sys, Now: w.LastPublished().Add(time.Hour)}, nil
 }
 
 // trackPersona feeds `days` of the persona's commutes into the tracker
@@ -196,10 +176,8 @@ func (e *env) trackPersona(p *synth.Persona, days int) error {
 	if err != nil {
 		return err
 	}
-	for _, fix := range trace {
-		if err := e.Sys.RecordFix(p.Profile.UserID, fix); err != nil {
-			return err
-		}
+	if err := e.Sys.RecordTrace(p.Profile.UserID, trace); err != nil {
+		return err
 	}
 	_, err = e.Sys.CompactTracking(p.Profile.UserID)
 	return err

@@ -379,10 +379,8 @@ func runQ3(cfg Config) error {
 			if err != nil {
 				return err
 			}
-			for _, fix := range trace {
-				if err := e.Sys.RecordFix(scratchUser, fix); err != nil {
-					return err
-				}
+			if err := e.Sys.RecordTrace(scratchUser, trace); err != nil {
+				return err
 			}
 			cm, err := e.Sys.CompactTracking(scratchUser)
 			if err != nil {

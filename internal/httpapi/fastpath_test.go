@@ -3,12 +3,17 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"pphcr/internal/synth"
 )
 
 // TestPlanBodiesEitherSideAnswerAlike posts one plan twice, spelled so
@@ -124,4 +129,126 @@ func TestWarmPlanHandlerAllocs(t *testing.T) {
 		t.Fatalf("warm plan through the handler allocates %.0f B in %.1f mallocs, bounds %d B and %d",
 			bytesPer, mallocsPer, 1901*5/4, 23*5/4)
 	}
+}
+
+// TestBodyPoolConcurrentRequestsDoNotMix: a plan or track request
+// borrows its body bytes, parsed fixes and rendered reply from
+// scratchPool, so a scratch handed to two requests at once would answer
+// one with the other's body or reply. Drivers post their plan and track
+// bodies all at once, and every reply must equal the one the same body
+// got on a twin server that served the same requests one at a time.
+// Each driver is a listener of its own, so its replies depend on its own
+// requests alone; its plans cover a different length of drive, so no two
+// drivers send the same plan body.
+func TestBodyPoolConcurrentRequestsDoNotMix(t *testing.T) {
+	const drivers, rounds = 8, 3
+	type request struct {
+		path string
+		body []byte
+	}
+	marshal := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	boot := func() (*httptest.Server, *synth.World) {
+		ts, _, sys, w, _ := newWarmableServer(t)
+		for g := 0; g < drivers; g++ {
+			p := w.Personas[g%len(w.Personas)]
+			prof := p.Profile
+			prof.UserID = fmt.Sprintf("pool-%d", g)
+			if err := sys.RegisterUser(prof); err != nil {
+				t.Fatal(err)
+			}
+			history, err := w.Commutes(p, w.Params.StartDate, w.Params.Days)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.RecordTrace(prof.UserID, history); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.CompactTracking(prof.UserID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ts, w
+	}
+	alone, w := boot()
+	storm, _ := boot()
+
+	// Each round, a driver asks for a plan on a later morning's first
+	// minutes, then tracks the fixes it planned on.
+	scripts := make([][]request, drivers)
+	for g := range scripts {
+		p, user := w.Personas[g%len(w.Personas)], fmt.Sprintf("pool-%d", g)
+		day := w.Params.StartDate.AddDate(0, 0, w.Params.Days)
+		for k := 0; k < rounds; k++ {
+			day = synth.NextWeekday(day.AddDate(0, 0, 1))
+			full, _, err := w.CommuteTrace(p, day, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := PlanRequest{UserID: user}
+			var tracks []request
+			for _, f := range full.Head(2*time.Minute + time.Duration(g)*30*time.Second) {
+				fix := TrackBody{UserID: user, Lat: f.Point.Lat, Lon: f.Point.Lon, Unix: f.Time.Unix()}
+				tracks = append(tracks, request{"/api/track", marshal(fix)})
+				fix.UserID = ""
+				plan.Fixes = append(plan.Fixes, fix)
+			}
+			scripts[g] = append(append(scripts[g], request{"/api/plan", marshal(plan)}), tracks...)
+		}
+	}
+	post := func(ts *httptest.Server, r request) (string, error) {
+		resp, err := http.Post(ts.URL+r.path, "application/json", bytes.NewReader(r.body))
+		if err != nil {
+			return "", err
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		return fmt.Sprintf("%d %s", resp.StatusCode, out), err
+	}
+
+	want := make([][]string, drivers)
+	proactive := 0
+	for g, script := range scripts {
+		for _, r := range script {
+			reply, err := post(alone, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(reply, "20") {
+				t.Fatalf("driver %d: %s %s answered alone: %s", g, r.path, r.body, reply)
+			}
+			if strings.Contains(reply, `"proactive":true`) {
+				proactive++
+			}
+			want[g] = append(want[g], reply)
+		}
+	}
+	if proactive == 0 {
+		t.Fatal("no plan served alone was proactive: the replies would carry no items to mix")
+	}
+
+	var wg sync.WaitGroup
+	for g, script := range scripts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, r := range script {
+				got, err := post(storm, r)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want[g][i] {
+					t.Errorf("driver %d, request %d (%s): concurrent reply\n%s\nalone\n%s", g, i, r.path, got, want[g][i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -429,14 +429,16 @@ func (s *Server) handleRecommendations(w http.ResponseWriter, r *http.Request) {
 		now = time.Unix(v, 0).UTC()
 	}
 	ctx := recommend.Context{Now: now}
-	if lat, lon := q.Get("lat"), q.Get("lon"); lat != "" && lon != "" {
+	if lat, lon := q.Get("lat"), q.Get("lon"); lat != "" || lon != "" {
 		la, err1 := strconv.ParseFloat(lat, 64)
 		lo, err2 := strconv.ParseFloat(lon, 64)
-		if err1 != nil || err2 != nil {
+		ctx.Position = geo.Point{Lat: la, Lon: lo}
+		// What /api/track and /api/plan refuse, the geo score must not
+		// be handed: NaN would reach the encoder after the status line.
+		if err1 != nil || err2 != nil || !ctx.Position.Valid() {
 			writeErr(w, http.StatusBadRequest, errors.New("bad lat/lon"))
 			return
 		}
-		ctx.Position = geo.Point{Lat: la, Lon: lo}
 	}
 	obs.NoteRequestUser(r.Context(), user)
 	// Only the leader consumes what it pins: a consume is a logged

@@ -31,25 +31,12 @@ func newTestServer(t *testing.T) (*httptest.Server, *pphcr.System, *synth.World)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := pphcr.New(pphcr.Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab})
+	sys, err := pphcr.NewWorld(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	horizon := w.Params.StartDate.AddDate(0, 0, w.Params.Days+1)
-	for _, svc := range w.Directory.Services() {
-		if err := sys.Directory.AddService(svc); err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range w.Directory.ProgramsBetween(svc.ID, w.Params.StartDate, horizon) {
-			if err := sys.Directory.AddProgram(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, raw := range w.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		t.Fatal(err)
 	}
 	ts := httptest.NewServer(NewServer(sys).Handler())
 	t.Cleanup(ts.Close)
@@ -287,6 +274,52 @@ func TestRecommendationsEndpoint(t *testing.T) {
 	}
 }
 
+// TestRecommendationsRefuseAPointOffTheGlobe: /api/recommendations
+// refuses what geo.Point.Valid rejects, as /api/track and /api/plan do,
+// and half a point; it still ranks at a point on the globe or at none.
+func TestRecommendationsRefuseAPointOffTheGlobe(t *testing.T) {
+	ts, _, w := newTestServer(t)
+	resp := postJSON(t, ts.URL+"/api/users", UserBody{UserID: "u1", Interests: []string{"food"}})
+	resp.Body.Close()
+	nowUnix := w.Params.StartDate.AddDate(0, 0, w.Params.Days).Unix()
+	for _, c := range []struct {
+		lat, lon string
+		want     int
+	}{
+		{"45.07", "7.68", http.StatusOK},
+		{"-90", "180", http.StatusOK},
+		{"NaN", "7", http.StatusBadRequest},
+		{"45", "NaN", http.StatusBadRequest},
+		{"Inf", "7", http.StatusBadRequest},
+		{"45", "-Inf", http.StatusBadRequest},
+		{"1000", "7", http.StatusBadRequest},
+		{"-90.5", "7", http.StatusBadRequest},
+		{"45", "180.5", http.StatusBadRequest},
+		{"north", "7", http.StatusBadRequest},
+		{"1000", "", http.StatusBadRequest},
+		{"", "NaN", http.StatusBadRequest},
+		{"", "", http.StatusOK},
+	} {
+		url := fmt.Sprintf("%s/api/recommendations?user=u1&k=5&unix=%d&lat=%s&lon=%s", ts.URL, nowUnix, c.lat, c.lon)
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.want {
+			t.Errorf("lat=%s lon=%s: status %d, want %d (body %q)", c.lat, c.lon, resp.StatusCode, c.want, body)
+			continue
+		}
+		if !json.Valid(body) {
+			t.Errorf("lat=%s lon=%s: body %q is not JSON", c.lat, c.lon, body)
+		}
+	}
+}
+
 // TestRecommendationsLeaveOutWhatTheUserSkipped: after a dislike of the
 // top recommendation over /api/feedback and a SkipClip of the next one,
 // /api/recommendations returns neither, and an item injected through
@@ -462,21 +495,14 @@ func TestUnloggedWritesAnswer503(t *testing.T) {
 	if err := sys.RegisterUser(persona.Profile); err != nil {
 		t.Fatal(err)
 	}
-	var last time.Time
-	for d := 0; d < w.Params.Days; d++ {
-		for _, morning := range []bool{true, false} {
-			trace, _, err := w.CommuteTrace(persona, w.Params.StartDate.AddDate(0, 0, d), morning)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, fix := range trace {
-				if err := sys.RecordFix(user, fix); err != nil {
-					t.Fatal(err)
-				}
-				last = fix.Time
-			}
-		}
+	commutes, err := w.Commutes(persona, w.Params.StartDate, w.Params.Days)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := sys.RecordTrace(user, commutes); err != nil {
+		t.Fatal(err)
+	}
+	last := commutes[len(commutes)-1].Time
 	item := sys.Repo.All()[0].ID
 	sys.SetMutationHook(func(durable.Event) error { return fmt.Errorf("disk full") })
 

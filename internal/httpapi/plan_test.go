@@ -21,10 +21,8 @@ func TestPlanEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fix := range commutes {
-		if err := sys.RecordFix(user, fix); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.RecordTrace(user, commutes); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := sys.CompactTracking(user); err != nil {
 		t.Fatal(err)

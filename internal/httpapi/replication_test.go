@@ -21,7 +21,7 @@ func newReplServer(t *testing.T) (*httptest.Server, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := pphcr.New(pphcr.Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab})
+	sys, err := pphcr.NewWorld(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func newSystem(t *testing.T) *pphcr.System {
 		}
 		testWorld = w
 	}
-	sys, err := pphcr.New(pphcr.Config{TrainingDocs: testWorld.Training, Vocabulary: testWorld.FlatVocab, Seed: 3})
+	sys, err := pphcr.NewWorld(testWorld, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

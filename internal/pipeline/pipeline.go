@@ -137,37 +137,18 @@ type CachedPlan interface {
 	CachedPlan() (core.Plan, time.Time)
 }
 
-// Stage interfaces: each is an operator on one task. They are
-// interfaces so that tests and fault injection can substitute a stage.
+// Predict and Rank are the two stages a caller may substitute: tests
+// preset a prediction, and fault injection slows or watches the ranker.
+// Gate, Candidates and Allocate are the Pipeline's own methods.
 
 // Predict derives the trip prediction and recommendation context.
 type Predict interface {
 	Predict(t *Task)
 }
 
-// Gate is proactivity phase 1: whether to recommend at all.
-type Gate interface {
-	Gate(t *Task)
-}
-
-// Candidates prepares the task's ranking inputs (catalog view,
-// preference vector) and may short-circuit it from the warm-plan cache.
-// Release returns the pooled resources Gather took, after the task
-// completes.
-type Candidates interface {
-	Gather(t *Task)
-	Release(t *Task)
-}
-
 // Rank produces the ordered relevance list for one task.
 type Rank interface {
 	Rank(t *Task)
-}
-
-// Allocate is proactivity phase 2 after ranking: fit the ranked items
-// into ΔT under deadlines and distraction windows.
-type Allocate interface {
-	Allocate(t *Task)
 }
 
 // Deps wires a default stage set to its owning system.
@@ -191,16 +172,15 @@ type Deps struct {
 	Scorer *recommend.Scorer
 }
 
-// Pipeline composes the five stages. Fields may be replaced before
-// first use to substitute custom operators.
+// Pipeline composes the five stages. Predict and Rank may be replaced
+// before first use to substitute custom operators.
 type Pipeline struct {
-	Predict    Predict
-	Gate       Gate
-	Candidates Candidates
-	Rank       Rank
-	Allocate   Allocate
+	Predict Predict
+	Rank    Rank
 
-	m metrics
+	deps Deps
+	po   *pools
+	m    metrics
 }
 
 // New builds a pipeline with the default stage implementations, which
@@ -208,11 +188,10 @@ type Pipeline struct {
 func New(deps Deps) *Pipeline {
 	po := &pools{}
 	return &Pipeline{
-		Predict:    &mobilityPredict{deps: deps},
-		Gate:       &plannerGate{deps: deps},
-		Candidates: &cacheCandidates{deps: deps, po: po},
-		Rank:       &indexRank{deps: deps, po: po},
-		Allocate:   &plannerAllocate{deps: deps, po: po},
+		Predict: &mobilityPredict{deps: deps},
+		Rank:    &indexRank{deps: deps, po: po},
+		deps:    deps,
+		po:      po,
 	}
 }
 
@@ -229,14 +208,14 @@ func (p *Pipeline) Run(t *Task) {
 			return
 		}
 		start = time.Now()
-		p.Gate.Gate(t)
+		p.gate(t)
 		p.observe(StageGate, t, start)
 		if t.skip() {
 			return
 		}
 	}
 	start := time.Now()
-	p.Candidates.Gather(t)
+	p.gather(t)
 	p.observe(StageCandidates, t, start)
 	if t.Trace != nil && t.Mode == ModeLive {
 		if t.Source == SourceWarm {
@@ -251,11 +230,11 @@ func (p *Pipeline) Run(t *Task) {
 		p.observe(StageRank, t, start)
 		if t.Mode != ModeRank {
 			start = time.Now()
-			p.Allocate.Allocate(t)
+			p.allocate(t)
 			p.observe(StageAllocate, t, start)
 		}
 	}
-	p.Candidates.Release(t)
+	p.release(t)
 }
 
 // observe records one stage execution that began at start: on the

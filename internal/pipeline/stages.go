@@ -127,20 +127,16 @@ func (s *mobilityPredict) Predict(t *Task) {
 
 // ---- Gate ------------------------------------------------------------
 
-// plannerGate is proactivity phase 1. Live and warm tasks build the
-// SAME core.Situation here — the single shared construction that
-// replaces the hand-rolled copies the entry points used to carry (which
-// had already drifted once).
-type plannerGate struct {
-	deps Deps
-}
-
-func (s *plannerGate) Gate(t *Task) {
+// gate is proactivity phase 1. Live and warm tasks build the SAME
+// core.Situation here — the single shared construction that replaces
+// the hand-rolled copies the entry points used to carry (which had
+// already drifted once).
+func (p *Pipeline) gate(t *Task) {
 	var tl distraction.Timeline
 	if t.Timeline != nil {
 		tl = *t.Timeline
 	}
-	t.Proactive, t.Reason = s.deps.Planner.ShouldRecommend(core.Situation{
+	t.Proactive, t.Reason = p.deps.Planner.ShouldRecommend(core.Situation{
 		Ctx:            t.Ctx,
 		TripConfidence: t.Prediction.Confidence,
 		Distraction:    tl,
@@ -204,14 +200,6 @@ func (fp *userPrefs) load() {
 	}
 }
 
-// cacheCandidates is the default Candidates stage: warm-plan cache
-// short-circuit for live tasks, then one catalog view and one
-// preference read for the task.
-type cacheCandidates struct {
-	deps Deps
-	po   *pools
-}
-
 // planFits reports whether every scheduled item still completes within
 // the live ΔT — the usability test for serving a cached plan.
 func planFits(p core.Plan, deltaT time.Duration) bool {
@@ -223,13 +211,17 @@ func planFits(p core.Plan, deltaT time.Duration) bool {
 	return true
 }
 
-func (s *cacheCandidates) Gather(t *Task) {
-	if s.tryServeWarm(t) {
+// gather is the Candidates stage: warm-plan cache short-circuit for
+// live tasks, then one catalog view and one preference read for the
+// task. release returns the pooled set gather took, after the task
+// completes.
+func (p *Pipeline) gather(t *Task) {
+	if p.tryServeWarm(t) {
 		return
 	}
-	set := s.po.acquire(t)
-	set.start(&s.deps, t.Now)
-	set.fp.flat = s.deps.Preferences(set.fp.flat, t.User, t.Now)
+	set := p.po.acquire(t)
+	set.start(&p.deps, t.Now)
+	set.fp.flat = p.deps.Preferences(set.fp.flat, t.User, t.Now)
 	set.fp.load()
 }
 
@@ -240,11 +232,11 @@ func (s *cacheCandidates) Gather(t *Task) {
 // TTL alone would happily serve a plan from a previous simulated day.
 // Requests carrying a distraction timeline bypass the cache entirely —
 // warm plans are scheduled without transition constraints.
-func (s *cacheCandidates) tryServeWarm(t *Task) bool {
-	if t.Mode != ModeLive || t.Timeline != nil || s.deps.Cache == nil {
+func (p *Pipeline) tryServeWarm(t *Task) bool {
+	if t.Mode != ModeLive || t.Timeline != nil || p.deps.Cache == nil {
 		return false
 	}
-	v, ok := s.deps.Cache.GetIf(t.CacheKey, func(v any) bool {
+	v, ok := p.deps.Cache.GetIf(t.CacheKey, func(v any) bool {
 		cp, ok := v.(CachedPlan)
 		if !ok {
 			return false
@@ -254,7 +246,7 @@ func (s *cacheCandidates) tryServeWarm(t *Task) bool {
 		if age < 0 {
 			age = -age
 		}
-		return age <= s.deps.Cache.TTL() && planFits(plan, t.Prediction.DeltaT)
+		return age <= p.deps.Cache.TTL() && planFits(plan, t.Prediction.DeltaT)
 	})
 	if !ok {
 		return false
@@ -267,7 +259,7 @@ func (s *cacheCandidates) tryServeWarm(t *Task) bool {
 
 // acquire hands the task a candidate set from the pool.
 //
-//pphcr:allow poolescape task-scoped buffer: Release puts t.set back when the task ends
+//pphcr:allow poolescape task-scoped buffer: release puts t.set back when the task ends
 func (po *pools) acquire(t *Task) *candSet {
 	set, _ := po.sets.Get().(*candSet)
 	if set == nil {
@@ -277,15 +269,15 @@ func (po *pools) acquire(t *Task) *candSet {
 	return set
 }
 
-// Release recycles what acquire handed out. The view is dropped first:
+// release recycles what acquire handed out. The view is dropped first:
 // a pooled set must not keep a superseded generation of the catalog's
 // arrays reachable.
-func (s *cacheCandidates) Release(t *Task) {
+func (p *Pipeline) release(t *Task) {
 	if t.set == nil {
 		return // served warm: nothing was acquired
 	}
 	t.set.view = content.View{}
-	s.po.sets.Put(t.set)
+	p.po.sets.Put(t.set)
 	t.set = nil
 }
 
@@ -541,16 +533,11 @@ func siftDown(h []recommend.Scored, i int) {
 
 // ---- Allocate --------------------------------------------------------
 
-// plannerAllocate is proactivity phase 2: fit the ranked list into ΔT
+// allocate is proactivity phase 2: fit the ranked list into ΔT
 // (knapsack + deadline/distraction scheduling) through the shared core
 // planner, and mark the plan cacheable when it qualifies.
-type plannerAllocate struct {
-	deps Deps
-	po   *pools
-}
-
-func (s *plannerAllocate) Allocate(t *Task) {
-	t.Plan = s.deps.Planner.Allocate(t.Ranked, core.Request{
+func (p *Pipeline) allocate(t *Task) {
+	t.Plan = p.deps.Planner.Allocate(t.Ranked, core.Request{
 		Ctx:         t.Ctx,
 		Distraction: t.Timeline,
 	})
@@ -563,7 +550,7 @@ func (s *plannerAllocate) Allocate(t *Task) {
 	// The plan copied everything it keeps; recycle the selection that
 	// owns the ranked slice.
 	if t.sel != nil {
-		s.po.sels.Put(t.sel)
+		p.po.sels.Put(t.sel)
 		t.sel = nil
 	}
 	t.Ranked = nil

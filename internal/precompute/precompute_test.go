@@ -26,7 +26,7 @@ func testSystem(t testing.TB) (sys *pphcr.System, w *synth.World, user string, w
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err = pphcr.New(pphcr.Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab})
+	sys, err = pphcr.NewWorld(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,19 +35,15 @@ func testSystem(t testing.TB) (sys *pphcr.System, w *synth.World, user string, w
 	if err := sys.RegisterUser(persona.Profile); err != nil {
 		t.Fatal(err)
 	}
-	for _, raw := range w.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		t.Fatal(err)
 	}
 	commutes, err := w.Commutes(persona, w.Params.StartDate, w.Params.Days)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fix := range commutes {
-		if err := sys.RecordFix(user, fix); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.RecordTrace(user, commutes); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := sys.CompactTracking(user); err != nil {
 		t.Fatal(err)

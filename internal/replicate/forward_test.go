@@ -33,7 +33,7 @@ func newWarmLeader(tb testing.TB) (http.Handler, []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sys, err := pphcr.New(pphcr.Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab})
+	sys, err := pphcr.NewWorld(w, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -42,19 +42,15 @@ func newWarmLeader(tb testing.TB) (http.Handler, []byte) {
 	if err := sys.RegisterUser(persona.Profile); err != nil {
 		tb.Fatal(err)
 	}
-	for _, raw := range w.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			tb.Fatal(err)
-		}
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		tb.Fatal(err)
 	}
 	commutes, err := w.Commutes(persona, w.Params.StartDate, w.Params.Days)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for _, fix := range commutes {
-		if err := sys.RecordFix(user, fix); err != nil {
-			tb.Fatal(err)
-		}
+	if err := sys.RecordTrace(user, commutes); err != nil {
+		tb.Fatal(err)
 	}
 	if _, err := sys.CompactTracking(user); err != nil {
 		tb.Fatal(err)

@@ -70,10 +70,8 @@ func BuildPopulation(sys *pphcr.System, w *synth.World, users, driverCount int, 
 	}
 	corpus, reserved := w.Corpus[:len(w.Corpus)-reserveN], w.Corpus[len(w.Corpus)-reserveN:]
 	start := time.Now()
-	for _, raw := range corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			return nil, fmt.Errorf("scenario: preload ingest: %w", err)
-		}
+	if err := sys.IngestAll(corpus); err != nil {
+		return nil, fmt.Errorf("scenario: preload ingest: %w", err)
 	}
 	logf("ingested %d podcasts (%d reserved) in %v", len(corpus), reserveN, time.Since(start).Round(time.Millisecond))
 
@@ -146,10 +144,8 @@ func prepareDriver(sys *pphcr.System, w *synth.World, p *synth.Persona) (*Driver
 	if err != nil {
 		return nil, err
 	}
-	for _, fix := range trace {
-		if err := sys.RecordFix(user, fix); err != nil {
-			return nil, err
-		}
+	if err := sys.RecordTrace(user, trace); err != nil {
+		return nil, err
 	}
 	if _, err := sys.CompactTracking(user); err != nil {
 		return nil, err

@@ -13,7 +13,7 @@ import (
 
 // newTestSystem builds a small world and system (deterministic per
 // seed) and its population.
-func newTestSystem(t *testing.T, seed int64, users, drivers int) (*pphcr.System, *synth.World, *Population, pphcr.Config) {
+func newTestSystem(t *testing.T, seed int64, users, drivers int) (*pphcr.System, *synth.World, *Population) {
 	t.Helper()
 	w, err := synth.GenerateWorld(synth.Params{
 		Seed: seed, Days: 3, Users: 40, Stations: 2,
@@ -22,8 +22,7 @@ func newTestSystem(t *testing.T, seed int64, users, drivers int) (*pphcr.System,
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pphcr.Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: seed}
-	sys, err := pphcr.New(cfg)
+	sys, err := pphcr.NewWorld(w, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +30,7 @@ func newTestSystem(t *testing.T, seed int64, users, drivers int) (*pphcr.System,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys, w, pop, cfg
+	return sys, w, pop
 }
 
 func smallFlashScript() Script {
@@ -66,7 +65,7 @@ func TestEngineDeterminism(t *testing.T) {
 		flash     bool
 	}
 	run := func() outcome {
-		sys, _, pop, _ := newTestSystem(t, 99, 400, 8)
+		sys, _, pop := newTestSystem(t, 99, 400, 8)
 		eng := NewEngine(sys, nil, pop, Options{Seed: 7})
 		events := script.Schedule(7, 1, 1)
 		r, err := eng.Run(script)
@@ -115,7 +114,7 @@ func TestEngineDeterminism(t *testing.T) {
 // consequences: an epoch invalidation lands in the flash phase's cache
 // delta, and the recovery signal (complete or censored) is reported.
 func TestEngineFlashCrowdReport(t *testing.T) {
-	sys, _, pop, _ := newTestSystem(t, 5, 300, 6)
+	sys, _, pop := newTestSystem(t, 5, 300, 6)
 	eng := NewEngine(sys, nil, pop, Options{Seed: 11})
 	r, err := eng.Run(smallFlashScript())
 	if err != nil {
@@ -142,7 +141,7 @@ func TestEngineFlashCrowdReport(t *testing.T) {
 // TestEngineSlowRankBreachesSLO is the CI gate's self-test at package
 // level: inject a stalled Rank stage and the plan_p99 SLO must fail.
 func TestEngineSlowRankBreachesSLO(t *testing.T) {
-	sys, _, pop, _ := newTestSystem(t, 13, 200, 6)
+	sys, _, pop := newTestSystem(t, 13, 200, 6)
 	pipe := sys.Pipeline()
 	pipe.Rank = stallRank{inner: pipe.Rank, delay: 5 * time.Millisecond}
 
@@ -178,7 +177,7 @@ func (s stallRank) Rank(t *pipeline.Task) {
 // verify every acknowledged feedback event survived — while the
 // degraded phase reported degraded (never dead) readiness.
 func TestDegradedFsyncZeroLostAcks(t *testing.T) {
-	sys, _, pop, cfg := newTestSystem(t, 21, 150, 6)
+	sys, w, pop := newTestSystem(t, 21, 150, 6)
 	dir := t.TempDir()
 	dur, err := pphcr.OpenDurability(sys, pphcr.DurabilityOptions{Dir: dir, Sync: durable.SyncAlways})
 	if err != nil {
@@ -220,7 +219,7 @@ func TestDegradedFsyncZeroLostAcks(t *testing.T) {
 	// Hard crash: no flush, no final checkpoint.
 	dur.Crash()
 
-	fresh, err := pphcr.New(cfg)
+	fresh, err := pphcr.NewWorld(w, 21)
 	if err != nil {
 		t.Fatal(err)
 	}

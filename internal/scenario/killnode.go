@@ -325,13 +325,12 @@ func RunKillNode(o KillNodeOptions) (*FailoverReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := pphcr.Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: o.Seed}
 	// newNode builds one node over its own System and temp directory with
 	// the settings the failover-smoke job runs pphcr-server with:
 	// synchronous acks, retained segments, and neither feedback compaction
 	// nor a warmer, so the oracle sees every event verbatim.
 	newNode := func(role string) (*node.Node, *http.ServeMux, string, error) {
-		sys, err := pphcr.New(cfg)
+		sys, err := pphcr.NewWorld(w, o.Seed)
 		if err != nil {
 			return nil, nil, "", err
 		}

@@ -17,7 +17,7 @@ func TestCheckpointerPollAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := pphcr.New(pphcr.Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: 9})
+	sys, err := pphcr.NewWorld(w, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func testSystem(t *testing.T) (*pphcr.System, *synth.World) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := pphcr.New(pphcr.Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab})
+	sys, err := pphcr.NewWorld(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +37,8 @@ func feedCommutes(t *testing.T, sys *pphcr.System, w *synth.World, user string, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fix := range commutes {
-		if err := sys.RecordFix(user, fix); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.RecordTrace(user, commutes); err != nil {
+		t.Fatal(err)
 	}
 	return len(commutes)
 }

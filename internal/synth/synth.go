@@ -89,7 +89,8 @@ type World struct {
 	Params    Params
 	City      *roadnet.City
 	Directory *radiodns.Directory
-	// Corpus is the raw podcast stream over all days, in publish order.
+	// Corpus is the raw podcast stream over all days, day by day; within
+	// a day it is not in publish order (LastPublished reads the latest).
 	Corpus []content.RawPodcast
 	// Training is the labeled classifier training set.
 	Training []textclass.Document
@@ -311,6 +312,18 @@ func (w *World) generateCorpus(rng *rand.Rand) {
 			w.Corpus = append(w.Corpus, raw)
 		}
 	}
+}
+
+// LastPublished is the latest publish instant in the corpus, the zero
+// time for an empty one.
+func (w *World) LastPublished() time.Time {
+	var last time.Time
+	for _, raw := range w.Corpus {
+		if raw.Published.After(last) {
+			last = raw.Published
+		}
+	}
+	return last
 }
 
 // programNameFor gives podcasts plausible editorial program names; the

@@ -21,16 +21,10 @@ func TestSystemSnapshotRestore(t *testing.T) {
 	if err := sys.RegisterUser(persona.Profile); err != nil {
 		t.Fatal(err)
 	}
-	var newest time.Time
-	for _, raw := range w.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			t.Fatal(err)
-		}
-		if raw.Published.After(newest) {
-			newest = raw.Published
-		}
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		t.Fatal(err)
 	}
-	now := newest.Add(time.Hour)
+	now := w.LastPublished().Add(time.Hour)
 	for i, it := range sys.Repo.All() {
 		if i >= 3 {
 			break
@@ -47,10 +41,8 @@ func TestSystemSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fix := range trace {
-		if err := sys.RecordFix(user, fix); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.RecordTrace(user, trace); err != nil {
+		t.Fatal(err)
 	}
 
 	var buf bytes.Buffer
@@ -58,7 +50,7 @@ func TestSystemSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := New(Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: 11})
+	restored, err := NewWorld(w, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +85,7 @@ func TestSystemRestoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(Config{TrainingDocs: w.Training})
+	sys, err := NewWorld(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +142,7 @@ func twoPassSnapshot(s *System, w io.Writer) error {
 // listener's feedback, fixes, injection and compaction included — and an
 // empty system's too.
 func TestSnapshotIsTheTwoPassEncoding(t *testing.T) {
-	w, err := synth.GenerateWorld(synth.Params{
-		Seed: 11, Days: 5, Users: 3, Stations: 3, PodcastsPerDay: 30,
-		TrainingDocsPerCategory: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: 11}
+	w := newTestWorld(t)
 	same := func(t *testing.T, sys *System) {
 		t.Helper()
 		var one, two bytes.Buffer
@@ -176,13 +161,13 @@ func TestSnapshotIsTheTwoPassEncoding(t *testing.T) {
 				one.Len(), two.Len(), i, one.Bytes()[i:], two.Bytes()[i:])
 		}
 	}
-	empty, err := New(cfg)
+	empty, err := NewWorld(w, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	same(t, empty)
 
-	sys, err := New(cfg)
+	sys, err := NewWorld(w, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +203,8 @@ func TestSnapshotIsTheTwoPassEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fix := range trace {
-		if err := sys.RecordFix(user, fix); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.RecordTrace(user, trace); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := sys.CompactTracking(user); err != nil {
 		t.Fatal(err)

@@ -384,9 +384,9 @@ func (s *System) PipelineStats() pipeline.Stats {
 	return s.pipe.Stats()
 }
 
-// Pipeline returns the staged planning pipeline. Stage fields may be
-// replaced before first use to substitute custom operators (tests use
-// this to inject slow stages).
+// Pipeline returns the staged planning pipeline. Its Predict and Rank
+// fields may be replaced before first use to substitute custom
+// operators (tests use this to inject slow stages).
 func (s *System) Pipeline() *pipeline.Pipeline { return s.pipe }
 
 // BarrierAcquireHistogram is the contended-acquire wait distribution of

@@ -12,8 +12,8 @@ import (
 	"pphcr/internal/trajectory"
 )
 
-// newTestSystem builds a System over a small synthetic world.
-func newTestSystem(t testing.TB) (*System, *synth.World) {
+// newTestWorld generates the small synthetic world newTestSystem boots.
+func newTestWorld(t testing.TB) *synth.World {
 	t.Helper()
 	w, err := synth.GenerateWorld(synth.Params{
 		Seed: 11, Days: 5, Users: 3, Stations: 3, PodcastsPerDay: 30,
@@ -22,11 +22,14 @@ func newTestSystem(t testing.TB) (*System, *synth.World) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(Config{
-		TrainingDocs: w.Training,
-		Vocabulary:   w.FlatVocab,
-		Seed:         11,
-	})
+	return w
+}
+
+// newTestSystem builds a System over newTestWorld's world, seed 11.
+func newTestSystem(t testing.TB) (*System, *synth.World) {
+	t.Helper()
+	w := newTestWorld(t)
+	sys, err := NewWorld(w, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,19 +53,13 @@ func TestIngestAndRecommendFlow(t *testing.T) {
 	if err := sys.RegisterUser(persona.Profile); err != nil {
 		t.Fatal(err)
 	}
-	var lastPublished time.Time
-	for _, raw := range w.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			t.Fatal(err)
-		}
-		if raw.Published.After(lastPublished) {
-			lastPublished = raw.Published
-		}
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		t.Fatal(err)
 	}
 	if sys.Repo.Len() != len(w.Corpus) {
 		t.Fatalf("repo has %d items, want %d", sys.Repo.Len(), len(w.Corpus))
 	}
-	now := lastPublished.Add(time.Hour)
+	now := w.LastPublished().Add(time.Hour)
 
 	// Seed interests alone must already personalize the cold-start list.
 	ranked := sys.Recommend(persona.Profile.UserID, recommend.Context{Now: now}, 10)
@@ -89,16 +86,10 @@ func TestFeedbackShiftsRecommendations(t *testing.T) {
 	if err := sys.RegisterUser(profile.Profile{UserID: user, Interests: []string{"technology"}}); err != nil {
 		t.Fatal(err)
 	}
-	var lastPublished time.Time
-	for _, raw := range w.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			t.Fatal(err)
-		}
-		if raw.Published.After(lastPublished) {
-			lastPublished = raw.Published
-		}
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		t.Fatal(err)
 	}
-	now := lastPublished.Add(time.Hour)
+	now := w.LastPublished().Add(time.Hour)
 	// Greg skips every sport item hard and likes food.
 	for _, it := range sys.Repo.ByCategory("sport") {
 		if err := sys.AddFeedback(feedback.Event{
@@ -138,18 +129,10 @@ func TestInjectPinsAndClears(t *testing.T) {
 	if err := sys.RegisterUser(profile.Profile{UserID: user, Interests: []string{"music"}}); err != nil {
 		t.Fatal(err)
 	}
-	var anyID string
-	var lastPublished time.Time
-	for _, raw := range w.Corpus {
-		it, err := sys.IngestPodcast(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		anyID = it.ID
-		if raw.Published.After(lastPublished) {
-			lastPublished = raw.Published
-		}
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		t.Fatal(err)
 	}
+	anyID := w.Corpus[len(w.Corpus)-1].ID
 	if err := sys.Inject(user, "missing"); err == nil {
 		t.Fatal("injecting unknown item accepted")
 	}
@@ -159,7 +142,7 @@ func TestInjectPinsAndClears(t *testing.T) {
 	if got := sys.PendingInjections(user); len(got) != 1 || got[0] != anyID {
 		t.Fatalf("pending = %v", got)
 	}
-	now := lastPublished.Add(time.Hour)
+	now := w.LastPublished().Add(time.Hour)
 	ranked := sys.Recommend(user, recommend.Context{Now: now}, 5)
 	if len(ranked) == 0 || ranked[0].Item.ID != anyID {
 		t.Fatalf("injected item not pinned first: %+v", ranked)
@@ -180,10 +163,8 @@ func TestPlanTripEndToEnd(t *testing.T) {
 	if err := sys.RegisterUser(persona.Profile); err != nil {
 		t.Fatal(err)
 	}
-	for _, raw := range w.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		t.Fatal(err)
 	}
 	// Record 5 weekdays of commutes, then compact.
 	recordCommutes(t, sys, w, persona, 5)
@@ -230,10 +211,8 @@ func TestPlanTripErrors(t *testing.T) {
 
 func TestCandidateWindowFiltersOldItems(t *testing.T) {
 	sys, w := newTestSystem(t)
-	for _, raw := range w.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		t.Fatal(err)
 	}
 	// Far future: nothing inside the 72 h window.
 	farFuture := w.Params.StartDate.AddDate(1, 0, 0)

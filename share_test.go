@@ -456,10 +456,8 @@ func TestCatalogItemsHoldNoMap(t *testing.T) {
 		shipped = append(shipped, e)
 		return hook(e)
 	})
-	for _, raw := range w.Corpus[:4] {
-		if _, err := live.IngestPodcast(raw); err != nil {
-			t.Fatal(err)
-		}
+	if err := live.IngestAll(w.Corpus[:4]); err != nil {
+		t.Fatal(err)
 	}
 	// An ingest's input map is the one its log record carries.
 	for _, e := range shipped {

@@ -12,20 +12,18 @@ import (
 	"pphcr/internal/recommend"
 )
 
-// skipFixture builds a system with content and one service with a
-// program on air.
+// skipFixture builds a system with content and a directory of its own:
+// one service with a program on air.
 func skipFixture(t *testing.T) (*System, time.Time) {
-	sys, w := newTestSystem(t)
-	var newest time.Time
-	for _, raw := range w.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			t.Fatal(err)
-		}
-		if raw.Published.After(newest) {
-			newest = raw.Published
-		}
+	w := newTestWorld(t)
+	sys, err := New(Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
 	}
-	now := newest.Add(time.Hour)
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		t.Fatal(err)
+	}
+	now := w.LastPublished().Add(time.Hour)
 	if err := sys.Directory.AddService(&radiodns.Service{
 		ID: "radio1", Name: "R1", GCC: "5e0", PI: "5201", Frequency: 8990,
 	}); err != nil {
@@ -161,15 +159,8 @@ func TestSkipAndPlanStayInsideCandidateWindow(t *testing.T) {
 	if len(inside) == 0 || len(outside) == 0 {
 		t.Fatalf("%d items inside the window and %d before it; the test needs both", len(inside), len(outside))
 	}
-	if err := sys.Directory.AddService(&radiodns.Service{
-		ID: "radio1", Name: "R1", GCC: "5e0", PI: "5201", Frequency: 8990,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Directory.AddProgram(&radiodns.Program{
-		ID: "talk", ServiceID: "radio1", Title: "Talk", Start: now.Add(-10 * time.Minute), Duration: time.Hour,
-		Categories: map[string]float64{"sport": 1}, Replaceable: true,
-	}); err != nil {
+	// The world's radio1 has a program on air at now.
+	if _, err := sys.Directory.ProgramAt("radio1", now); err != nil {
 		t.Fatal(err)
 	}
 	ctx := recommend.Context{Now: now}

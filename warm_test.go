@@ -24,7 +24,7 @@ func newWarmableSystem(t testing.TB) (*System, *synth.World, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(Config{TrainingDocs: w.Training, Vocabulary: w.FlatVocab})
+	sys, err := NewWorld(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,10 +33,8 @@ func newWarmableSystem(t testing.TB) (*System, *synth.World, string) {
 	if err := sys.RegisterUser(persona.Profile); err != nil {
 		t.Fatal(err)
 	}
-	for _, raw := range w.Corpus {
-		if _, err := sys.IngestPodcast(raw); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.IngestAll(w.Corpus); err != nil {
+		t.Fatal(err)
 	}
 	recordCommutes(t, sys, w, persona, w.Params.Days)
 	if _, err := sys.CompactTracking(user); err != nil {
@@ -53,10 +51,8 @@ func recordCommutes(t testing.TB, sys *System, w *synth.World, p *synth.Persona,
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fix := range trace {
-		if err := sys.RecordFix(p.Profile.UserID, fix); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.RecordTrace(p.Profile.UserID, trace); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -61,10 +61,8 @@ func TestRefusedWriteLeavesStateUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fix := range commutes {
-		if err := sys.RecordFix(user, fix); err != nil {
-			t.Fatal(err)
-		}
+	if err := sys.RecordTrace(user, commutes); err != nil {
+		t.Fatal(err)
 	}
 	last := commutes[len(commutes)-1]
 	event := func(kind feedback.Kind, at time.Time) feedback.Event {
